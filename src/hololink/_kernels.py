@@ -107,14 +107,16 @@ def crossing_sum_np(p1, d1, p2, d2):
 
     scale = (np.linalg.norm(r, axis=1)[:, None] * np.linalg.norm(s, axis=1)[None, :])
     parallel = np.abs(denom) <= 1e-12 * scale
+    # parallel pairs get the finite out-of-range parameter 2, which is
+    # neither inside nor on a boundary and keeps the depth arithmetic finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(parallel, np.inf, t_num / denom)
-        u = np.where(parallel, np.inf, u_num / denom)
+        t = np.where(parallel, 2.0, t_num / denom)
+        u = np.where(parallel, 2.0, u_num / denom)
 
     eps = 1e-9
     inside = (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)
     boundary = ((np.abs(t) <= eps) | (np.abs(t - 1) <= eps)
-                | (np.abs(u) <= eps) | (np.abs(u - 1) <= eps)) & np.isfinite(t)
+                | (np.abs(u) <= eps) | (np.abs(u - 1) <= eps))
 
     # parallel segments are only a problem if their lines nearly coincide
     # and the parameter ranges overlap; detect via the distance of c to

@@ -2,12 +2,13 @@
 domains and products of two of them.
 
 Panels carry an embedded error estimate (difference of the panel_order and
-2*panel_order rules; the finer value is kept). Refinement marks every panel
-whose priority is within a fixed factor of the current worst, so the panel
-filtration does not depend on tol: tightening tol only extends the same
-deterministic refinement sequence. Priorities combine the embedded error
-with curve proximity when the caller supplies geometry hints. Panel results
-are reduced by a fixed pairwise tree over geometrically sorted panels, so
+2*panel_order rules; the finer value is kept). There is one refinement
+rule: every panel whose error is within a fixed factor of the current worst
+is halved along the axis of its largest spatial extent, measured on the
+curves when the caller supplies geometry and on the parameter chart
+otherwise. The panel filtration does not depend on tol: tightening tol only
+extends the same deterministic refinement sequence. Panel results are
+reduced by a fixed pairwise tree over geometrically sorted panels, so
 values are bit-identical for any worker count (HOLOLINK_WORKERS).
 
 Truncated (non-compact) domains are integrated at their radius R and at 2R
@@ -26,11 +27,11 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .errors import CurvesTooClose, NonFiniteIntegrand, PVNotConverging
+from .geometry import realify
 
 TWO_PI = 2.0 * math.pi
 
-_MARK_FACTOR = 8.0     # refine panels with priority >= max_priority / this
-_SEED_CAP = 12         # max proximity pre-splits per panel
+_MARK_FACTOR = 8.0     # refine panels with err >= max panel err / this
 _MIN_DIST = 1e-6       # CurvesTooClose threshold
 
 
@@ -58,14 +59,6 @@ class QuadConfig:
             raise ValueError(
                 "QuadConfig invariant violated: pv_epsilons strictly decreasing, positive")
         object.__setattr__(self, "pv_epsilons", eps)
-
-    def replace(self, **kw):
-        d = {"tol": self.tol, "max_depth": self.max_depth,
-             "panel_order": self.panel_order,
-             "truncation_radius": self.truncation_radius,
-             "pv_epsilons": self.pv_epsilons}
-        d.update(kw)
-        return QuadConfig(**d)
 
 
 @dataclass(frozen=True)
@@ -324,18 +317,13 @@ def _gl(order):
 
 
 class _Panel:
-    __slots__ = ("bounds", "splits", "value", "err", "var", "dist", "diam",
-                 "extent")
+    __slots__ = ("bounds", "splits", "value", "err")
 
     def __init__(self, bounds, splits=0):
         self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         self.splits = splits
         self.value = 0.0 + 0.0j
         self.err = 0.0
-        self.var = None
-        self.dist = None
-        self.diam = None
-        self.extent = None
 
     def key(self):
         return self.bounds
@@ -350,6 +338,15 @@ class _Panel:
         return (_Panel(left, self.splits + 1), _Panel(right, self.splits + 1))
 
 
+def _space_points(domain, geom, cols):
+    """Real point rows for chart columns: curve points when geometry is
+    given, otherwise the parameters themselves."""
+    params, _ = domain.chart(cols)
+    if geom is None:
+        return realify(np.asarray(params)[:, None])
+    return realify(geom(params))
+
+
 class _Engine:
     """One adaptive integration over domA (x domB)."""
 
@@ -361,8 +358,6 @@ class _Engine:
         self.geom_a = geom_a
         self.geom_b = geom_b
         self.na = dom_a.naxes
-        self.nb = dom_b.naxes if dom_b is not None else 0
-        self.nax = self.na + self.nb
         self.panels_evaluated = 0
 
     # -- node layout -------------------------------------------------------
@@ -396,11 +391,11 @@ class _Engine:
         if self.dom_b is None:
             vals = np.asarray(self.f(pa))
             self._check_finite(vals, pa, None)
-            return complex(np.dot(wa, vals)), vals, (wa, None)
+            return complex(np.dot(wa, vals))
         pb, wb = self._side(self.dom_b, axis_nodes[self.na:])
         vals = np.asarray(self.f(pa, pb))
         self._check_finite(vals, pa, pb)
-        return complex(wa @ vals @ wb), vals, (wa, wb)
+        return complex(wa @ vals @ wb)
 
     def _check_finite(self, vals, pa, pb):
         if np.all(np.isfinite(vals)):
@@ -416,91 +411,35 @@ class _Engine:
 
     def _evaluate(self, panel):
         order = self.cfg.panel_order
-        coarse, _, _ = self._eval_order(panel, order)
-        fine, vals, weights = self._eval_order(panel, 2 * order)
-        panel.value = fine
-        panel.err = abs(fine - coarse)
-        panel.var = self._variation(panel, vals, weights, 2 * order)
+        coarse = self._eval_order(panel, order)
+        panel.value = self._eval_order(panel, 2 * order)
+        panel.err = abs(panel.value - coarse)
         return panel
-
-    def _variation(self, panel, vals, weights, order):
-        """Per-axis total variation of the weighted fine-grid values; the
-        refinement axis is the one varying most."""
-        wa, wb = weights
-        if self.dom_b is None:
-            t = np.abs(vals * wa)
-            dims = (order,) * self.na
-        else:
-            t = np.abs(vals * wa[:, None] * wb[None, :])
-            dims = (order,) * self.nax
-        t = t.reshape(dims)
-        return tuple(float(np.sum(np.abs(np.diff(t, axis=a))))
-                     for a in range(self.nax))
 
     # -- geometry ----------------------------------------------------------
 
-    def _panel_geometry(self, panel):
-        """Bounding boxes, spatial extents per axis, pair distance."""
-        if self.geom_a is None:
-            return
-        samples = []
-        for lo, hi in panel.bounds:
-            samples.append(np.array([lo, 0.5 * (lo + hi), hi]))
-        grids = np.meshgrid(*samples, indexing="ij")
-        cols = tuple(g.ravel() for g in grids)
-        pa, _ = self.dom_a.chart(cols[:self.na])
-        pts_a = _realify(self.geom_a(pa))
-        box_a = (pts_a.min(axis=0), pts_a.max(axis=0))
+    def _split_axis(self, panel):
+        """Axis of largest spatial extent: the bounding-box diagonal of the
+        points at the axis ends and midpoint, other axes at their midpoints."""
+        mids = [0.5 * (lo + hi) for lo, hi in panel.bounds]
         extents = []
-        mids = [c.reshape(grids[0].shape) for c in cols]
-        for a in range(self.nax):
-            sl = tuple(slice(None) if i == a else slice(1, 2)
-                       for i in range(self.nax))
-            sub = tuple(m[sl].ravel() for m in mids)
+        for a, (lo, hi) in enumerate(panel.bounds):
+            cols = [np.full(3, m) for m in mids]
+            cols[a] = np.array([lo, mids[a], hi])
             if a < self.na:
-                p, _ = self.dom_a.chart(sub[:self.na])
-                pts = _realify(self.geom_a(p))
+                pts = _space_points(self.dom_a, self.geom_a, tuple(cols[:self.na]))
             else:
-                p, _ = self.dom_b.chart(sub[self.na:])
-                pts = _realify(self.geom_b(p))
+                pts = _space_points(self.dom_b, self.geom_b, tuple(cols[self.na:]))
             extents.append(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
-        if self.dom_b is not None:
-            pb, _ = self.dom_b.chart(cols[self.na:])
-            pts_b = _realify(self.geom_b(pb))
-            box_b = (pts_b.min(axis=0), pts_b.max(axis=0))
-            gap = np.maximum(box_a[0] - box_b[1], box_b[0] - box_a[1])
-            panel.dist = float(np.linalg.norm(np.maximum(gap, 0.0)))
-            diag_a = float(np.linalg.norm(box_a[1] - box_a[0]))
-            diag_b = float(np.linalg.norm(box_b[1] - box_b[0]))
-            panel.diam = max(diag_a, diag_b)
-        panel.extent = tuple(extents)
-
-    def _seed(self, panels):
-        """Proximity-driven pre-splitting: subdivide tensor cells until
-        their spatial size is comparable to their curve-pair distance."""
-        if self.geom_a is None or self.geom_b is None or self.dom_b is None:
-            return panels
-        cap = min(_SEED_CAP, self.cfg.max_depth)
-        out = []
-        stack = list(panels)
-        while stack:
-            panel = stack.pop()
-            self._panel_geometry(panel)
-            if (panel.splits < cap and panel.dist is not None
-                    and panel.diam > 2.0 * max(panel.dist, _MIN_DIST)):
-                axis = int(np.argmax(panel.extent))
-                stack.extend(panel.split(axis))
-            else:
-                out.append(panel)
-        return out
+        return int(np.argmax(extents))
 
     def _global_distance_check(self):
         if self.geom_a is None or self.geom_b is None or self.dom_b is None:
             return
         pa = self.dom_a.proximity_params()
         pb = self.dom_b.proximity_params()
-        pts_a = np.ascontiguousarray(_realify(self.geom_a(pa)), dtype=np.float64)
-        pts_b = np.ascontiguousarray(_realify(self.geom_b(pb)), dtype=np.float64)
+        pts_a = np.ascontiguousarray(realify(self.geom_a(pa)), dtype=np.float64)
+        pts_b = np.ascontiguousarray(realify(self.geom_b(pb)), dtype=np.float64)
         d = _kernels.min_dist(pts_a, pts_b)
         if d < _MIN_DIST:
             raise CurvesTooClose(
@@ -510,15 +449,13 @@ class _Engine:
 
     def run(self):
         self._global_distance_check()
-        cells = []
+        pending = []
         for cell_a in self.dom_a.initial_cells():
             if self.dom_b is None:
-                cells.append(_Panel(cell_a))
+                pending.append(_Panel(cell_a))
             else:
                 for cell_b in self.dom_b.initial_cells():
-                    cells.append(_Panel(tuple(cell_a) + tuple(cell_b)))
-        panels = self._seed(cells)
-        pending = panels
+                    pending.append(_Panel(tuple(cell_a) + tuple(cell_b)))
         done = []
         workers = workers_from_env()
         converged = False
@@ -536,39 +473,21 @@ class _Engine:
             if err <= self.cfg.tol * max(1.0, abs(total)):
                 converged = True
                 break
-            priorities = [self._priority(p) for p in done]
-            cutoff = max(priorities) / _MARK_FACTOR
+            cutoff = max(p.err for p in done) / _MARK_FACTOR
             keep, refine = [], []
-            for p, pri in zip(done, priorities):
-                if pri >= cutoff and p.splits < self.cfg.max_depth:
+            for p in done:
+                if p.err >= cutoff and p.splits < self.cfg.max_depth:
                     refine.append(p)
                 else:
                     keep.append(p)
             if not refine:
                 break  # every hot panel is at max_depth: report converged=False
             for p in refine:
-                axis = int(np.argmax(p.var))
-                children = p.split(axis)
-                if self.geom_a is not None:
-                    for c in children:
-                        self._panel_geometry(c)
-                pending.extend(children)
+                pending.extend(p.split(self._split_axis(p)))
             done = keep
         return QuadResult(value=total, err_estimate=err,
                           panels_evaluated=self.panels_evaluated,
                           tail_estimate=0.0, converged=converged)
-
-    def _priority(self, panel):
-        if panel.dist is None:
-            return panel.err
-        return panel.err * (1.0 + panel.diam / max(panel.dist, _MIN_DIST))
-
-
-def _realify(points):
-    points = np.asarray(points)
-    if np.iscomplexobj(points):
-        return np.concatenate([points.real, points.imag], axis=-1)
-    return points
 
 
 def _ensure_batch_1(f):
@@ -613,9 +532,9 @@ def integrate_product(integrand, dom_a, dom_b, cfg, geom_a=None, geom_b=None,
     """Integrate integrand(u, v) over dom_a x dom_b.
 
     The integrand receives parameter arrays (na,), (nb,) and must return the
-    (na, nb) pair grid. geom_a/geom_b map parameter arrays to curve points
-    and switch on proximity seeding, proximity-weighted refinement, and the
-    CurvesTooClose guard. If either domain is a truncation window the
+    (na, nb) pair grid. geom_a/geom_b map parameter arrays to curve points;
+    they measure panel extents for the split axis, and with both given the
+    CurvesTooClose guard runs. If either domain is a truncation window the
     integral is computed at size R and 2R and Richardson-extrapolated with
     the given decay order k (tail ~ R^-k), reporting
     tail_estimate = |I(2R) - I(R)|.

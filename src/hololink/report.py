@@ -178,7 +178,7 @@ def _require(cond, method, why):
 # ---------------------------------------------------------------------------
 # computation
 
-def _line_data(scene, name1, c1, name2, c2):
+def _line_data(c1, c2):
     p1, e1 = c1.line_frame()
     p2, e2 = c2.line_frame()
     return p1, e1, p2, e2
@@ -219,7 +219,7 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
     elif method == "gauss_closed":
         _require(c1.is_real_line and c2.is_real_line, method,
                  "needs two real lines")
-        p1, e1, p2, e2 = _line_data(scene, n1, c1, n2, c2)
+        p1, e1, p2, e2 = _line_data(c1, c2)
         value = line_gauss_closed(e1.real, e2.real, (p2 - p1).real)
     elif method in ("holo_integral", "holo_pv"):
         _require(c1.kind == "complex_affine" and c2.kind == "complex_affine",
@@ -243,7 +243,7 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
                  "needs constant-coefficient forms")
         _require(consts.kappa_line is not None, method,
                  "needs calibrated constants (kappa_line)")
-        p1, e1, p2, e2 = _line_data(scene, n1, c1, n2, c2)
+        p1, e1, p2, e2 = _line_data(c1, c2)
         coeff1 = f1.num[0] / f1.den[0]
         coeff2 = f2.num[0] / f2.den[0]
         value = line_holo_closed(e1, e2, p2 - p1, coeff1, coeff2, consts)

@@ -98,6 +98,9 @@ def test_crossing_count_hopf():
     assert hl.crossing_linking(pl1, pl2) == 1
 
 
+# the coplanar split pair has parallel projected segment pairs, which must
+# not produce inf - inf in the depth arithmetic
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_crossing_count_split():
     sc = scenes.split()
     pl1 = hl.Polyline3.from_curve(sc.curves["c1"])
@@ -153,3 +156,44 @@ def test_polyline_strips_duplicate_closing_vertex():
                      [1.0, 0, 0]])
     pl = hl.Polyline3(ring)
     assert pl.vertices.shape == (4, 3)
+
+
+# ---------------------------------------------------------------------------
+# near pairs: the integral must resolve close approaches on its own
+
+def _torus_curve(wraps, phase, major=2.0, minor=0.5):
+    """(major + minor cos A)(cos 2 pi t, sin 2 pi t, 0) + (0, 0, minor sin A),
+    A = 2 pi (wraps t + phase), as a trigonometric polynomial (wraps >= 2)."""
+    psi = 2 * math.pi * phase
+    c, s = math.cos(psi), math.sin(psi)
+    cos_rows = np.zeros((wraps + 1, 3))
+    sin_rows = np.zeros((wraps + 1, 3))
+    cos_rows[0, 0] = sin_rows[0, 1] = major
+    for k, sign in ((wraps + 1, 1.0), (wraps - 1, -1.0)):
+        cos_rows[k - 1] += 0.5 * minor * np.array([c, sign * s, 0.0])
+        sin_rows[k - 1] += 0.5 * minor * np.array([-s, sign * c, 0.0])
+    cos_rows[wraps - 1, 2] += minor * s
+    sin_rows[wraps - 1, 2] += minor * c
+    return hl.ParamCurve.real_closed((0, 0, 0), cos_rows, sin_rows)
+
+
+def _small_ring(center_x, radius=1e-3):
+    return hl.ParamCurve.real_closed((center_x, 0, 0), [[radius, 0, 0]],
+                                     [[0, 0, radius]])
+
+
+_UNIT_CIRCLE = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+
+
+@pytest.mark.parametrize("c1, c2, linking", [
+    (_UNIT_CIRCLE, _small_ring(1.0), 1),            # threaded, 1e-3 away
+    (_UNIT_CIRCLE, _small_ring(1.0 + 2e-3), 0),     # beside it, 1e-3 away
+    (_torus_curve(3, 0.3), _torus_curve(3, 0.3415), 3),
+], ids=["ring_linked", "ring_unlinked", "torus_1_3"])
+def test_near_pair_integral_matches_crossing_count(c1, c2, linking):
+    cross = hl.crossing_linking(hl.Polyline3.from_curve(c1),
+                                hl.Polyline3.from_curve(c2))
+    res = hl.gauss_linking(c1, c2, hl.QuadConfig(tol=1e-6))
+    assert cross == linking
+    assert res.converged
+    assert abs(res.value - cross) < 1e-6

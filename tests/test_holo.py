@@ -147,6 +147,20 @@ def test_reference_lines_integral_matches_analytic(fast_cfg):
     assert abs(res.value + 2 * math.pi ** 5) / (2 * math.pi ** 5) < 1e-2
 
 
+def test_tolerance_drives_refinement():
+    sc = scenes.l0()
+    pair = ((sc.curves["c1"], sc.forms["theta1"]),
+            (sc.curves["c2"], sc.forms["theta2"]))
+    loose, tight = (hl.holo_linking_integral(*pair, hl.BMContext(),
+                                             hl.QuadConfig(tol=tol))
+                    for tol in (1e-2, 1e-6))
+    assert loose.panels_evaluated < tight.panels_evaluated
+    for res in (loose, tight):
+        assert res.converged
+        assert abs(res.value + 2 * math.pi ** 5) <= (res.err_estimate
+                                                     + res.tail_estimate)
+
+
 def test_theta_free_energy_positive_and_matches_analytic(fast_cfg):
     sc = scenes.l0()
     res = hl.complex_linking_number(sc.curves["c1"], sc.curves["c2"],
