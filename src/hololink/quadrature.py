@@ -6,8 +6,11 @@ Panels carry an embedded error estimate (difference of the panel_order and
 rule: every panel whose error is within a fixed factor of the current worst
 is halved along the axis of its largest spatial extent, measured on the
 curves when the caller supplies geometry and on the parameter chart
-otherwise. The panel filtration does not depend on tol: tightening tol only
-extends the same deterministic refinement sequence. Panel results are
+otherwise. With geometry for both curves, a panel whose two curve pieces
+could touch between their sample points also counts as hot, whatever its
+error: a close approach narrower than the node spacing is invisible to the
+error estimate. The panel filtration does not depend on tol: tightening tol
+only extends the same deterministic refinement sequence. Panel results are
 reduced by a fixed pairwise tree over geometrically sorted panels, so
 values are bit-identical for any worker count (HOLOLINK_WORKERS).
 
@@ -317,13 +320,15 @@ def _gl(order):
 
 
 class _Panel:
-    __slots__ = ("bounds", "splits", "value", "err")
+    __slots__ = ("bounds", "splits", "value", "err", "unresolved")
 
-    def __init__(self, bounds, splits=0):
+    def __init__(self, bounds, splits=0, unresolved=True):
         self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         self.splits = splits
         self.value = 0.0 + 0.0j
         self.err = 0.0
+        # until checked; a panel found resolved passes that on to its halves
+        self.unresolved = unresolved
 
     def key(self):
         return self.bounds
@@ -335,7 +340,8 @@ class _Panel:
         right = list(self.bounds)
         left[axis] = (lo, mid)
         right[axis] = (mid, hi)
-        return (_Panel(left, self.splits + 1), _Panel(right, self.splits + 1))
+        return (_Panel(left, self.splits + 1, self.unresolved),
+                _Panel(right, self.splits + 1, self.unresolved))
 
 
 def _space_points(domain, geom, cols):
@@ -414,6 +420,8 @@ class _Engine:
         coarse = self._eval_order(panel, order)
         panel.value = self._eval_order(panel, 2 * order)
         panel.err = abs(panel.value - coarse)
+        if panel.unresolved:
+            panel.unresolved = self._unresolved(panel)
         return panel
 
     # -- geometry ----------------------------------------------------------
@@ -432,6 +440,34 @@ class _Engine:
                 pts = _space_points(self.dom_b, self.geom_b, tuple(cols[self.na:]))
             extents.append(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
         return int(np.argmax(extents))
+
+    def _unresolved(self, panel):
+        """True while the sampled pieces of the two curves could touch: the
+        closest sampled approach is no larger than the sum of the pieces'
+        covering radii. A close approach narrower than the node spacing can
+        then hide between all nodes of both rules."""
+        if self.geom_a is None or self.geom_b is None or self.dom_b is None:
+            return False
+        m = self.cfg.panel_order + 1
+        grid = [np.linspace(lo, hi, m) for lo, hi in panel.bounds]
+        pts_a, cover_a = self._sample_piece(self.dom_a, self.geom_a, grid[:self.na])
+        pts_b, cover_b = self._sample_piece(self.dom_b, self.geom_b, grid[self.na:])
+        return _kernels.min_dist(pts_a, pts_b) <= cover_a + cover_b
+
+    @staticmethod
+    def _sample_piece(domain, geom, grid):
+        """Curve points on an end-inclusive parameter grid, and the grid's
+        covering radius: half the largest gap between neighbouring points
+        along each axis, combined in quadrature."""
+        cols = np.meshgrid(*grid, indexing="ij")
+        shape = cols[0].shape
+        pts = np.ascontiguousarray(
+            _space_points(domain, geom, tuple(c.ravel() for c in cols)),
+            dtype=np.float64)
+        block = pts.reshape(shape + (-1,))
+        gaps = [np.linalg.norm(np.diff(block, axis=a), axis=-1).max()
+                for a in range(len(grid))]
+        return pts, 0.5 * math.hypot(*gaps)
 
     def _global_distance_check(self):
         if self.geom_a is None or self.geom_b is None or self.dom_b is None:
@@ -470,13 +506,15 @@ class _Engine:
             done.sort(key=_Panel.key)
             total = pairwise_tree_sum([p.value for p in done])
             err = float(pairwise_tree_sum([p.err for p in done]))
-            if err <= self.cfg.tol * max(1.0, abs(total)):
+            if (err <= self.cfg.tol * max(1.0, abs(total))
+                    and not any(p.unresolved for p in done)):
                 converged = True
                 break
             cutoff = max(p.err for p in done) / _MARK_FACTOR
             keep, refine = [], []
             for p in done:
-                if p.err >= cutoff and p.splits < self.cfg.max_depth:
+                if ((p.err >= cutoff or p.unresolved)
+                        and p.splits < self.cfg.max_depth):
                     refine.append(p)
                 else:
                     keep.append(p)
@@ -534,10 +572,11 @@ def integrate_product(integrand, dom_a, dom_b, cfg, geom_a=None, geom_b=None,
     The integrand receives parameter arrays (na,), (nb,) and must return the
     (na, nb) pair grid. geom_a/geom_b map parameter arrays to curve points;
     they measure panel extents for the split axis, and with both given the
-    CurvesTooClose guard runs. If either domain is a truncation window the
-    integral is computed at size R and 2R and Richardson-extrapolated with
-    the given decay order k (tail ~ R^-k), reporting
-    tail_estimate = |I(2R) - I(R)|.
+    CurvesTooClose guard runs and panels whose curve pieces could touch are
+    refined until the samples resolve the gap. If either domain is a
+    truncation window the integral is computed at size R and 2R and
+    Richardson-extrapolated with the given decay order k (tail ~ R^-k),
+    reporting tail_estimate = |I(2R) - I(R)|.
     """
     f = _ensure_batch_2(integrand)
     truncated = getattr(dom_a, "truncated", False) or (

@@ -177,17 +177,21 @@ def _torus_curve(wraps, phase, major=2.0, minor=0.5):
     return hl.ParamCurve.real_closed((0, 0, 0), cos_rows, sin_rows)
 
 
-def _small_ring(center_x, radius=1e-3):
-    return hl.ParamCurve.real_closed((center_x, 0, 0), [[radius, 0, 0]],
-                                     [[0, 0, radius]])
+def _small_ring(gap, angle=0.0, linked=True):
+    """Circle of radius gap in the plane of the z axis and the unit circle's
+    radius at the given angle. Centred on the unit circle it threads it;
+    moved outward by 2 gap it does not. Either way the gap to it is gap."""
+    c, s = math.cos(angle), math.sin(angle)
+    r = 1.0 if linked else 1.0 + 2 * gap
+    return hl.ParamCurve.real_closed((r * c, r * s, 0), [[gap * c, gap * s, 0]],
+                                     [[0, 0, gap]])
 
 
 _UNIT_CIRCLE = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
 
-
 @pytest.mark.parametrize("c1, c2, linking", [
-    (_UNIT_CIRCLE, _small_ring(1.0), 1),            # threaded, 1e-3 away
-    (_UNIT_CIRCLE, _small_ring(1.0 + 2e-3), 0),     # beside it, 1e-3 away
+    (_UNIT_CIRCLE, _small_ring(1e-3), 1),
+    (_UNIT_CIRCLE, _small_ring(1e-3, linked=False), 0),
     (_torus_curve(3, 0.3), _torus_curve(3, 0.3415), 3),
 ], ids=["ring_linked", "ring_unlinked", "torus_1_3"])
 def test_near_pair_integral_matches_crossing_count(c1, c2, linking):
@@ -197,3 +201,17 @@ def test_near_pair_integral_matches_crossing_count(c1, c2, linking):
     assert cross == linking
     assert res.converged
     assert abs(res.value - cross) < 1e-6
+
+
+# gaps far below the node spacing of the first panels, where the error
+# estimate alone sees a value near 0 and an error below tol; at angle 0 the
+# closest approach sits at a panel end, at angle 3.1 between two nodes
+@pytest.mark.parametrize("gap", [1e-4, 1e-5, 2e-6])
+@pytest.mark.parametrize("angle", [0.0, 3.1])
+@pytest.mark.parametrize("linked", [True, False])
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_near_ring_integral_gives_linking_number(gap, angle, linked, tol):
+    res = hl.gauss_linking(_UNIT_CIRCLE, _small_ring(gap, angle, linked),
+                           hl.QuadConfig(tol=tol))
+    assert res.converged
+    assert abs(res.value - int(linked)) < tol
