@@ -1,33 +1,29 @@
 """Hot pairwise kernels: linking integrands on node grids, distance scans,
 and the projected segment-crossing count.
 
-Every kernel has a numpy broadcast implementation (suffix _np) and, when
-numba is importable and HOLOLINK_NO_NUMBA is unset, an njit-compiled loop
-version bound to the public name. Each path is individually deterministic
-(fixed evaluation order, fastmath off), which is what the repeatability
-contract needs. Across the two paths, real-arithmetic kernels agree bit for
-bit; the complex kernels agree to a few ulps because numpy's SIMD complex
-multiply may fuse multiply-adds while the compiled loop does not.
-"""
+Each kernel is one numpy function with a fixed evaluation order, so it is
+deterministic, which is what the repeatability contract needs.
 
-import os
+The complex kernels take det3(z-w, dz, dw) as one (n, 6) @ (6, m) matrix
+product. With both clouds centred at c (the mean of their two means),
+
+    det3(z-w, dz, dw) = ((z-c) x dz) . dw - dz . (dw x (w-c))
+
+so row i of the left factor is [(z_i-c) x dz_i, dz_i] and row j of the
+right one is [dw_j, -dw_j x (w_j-c)]. Centring keeps the products near the
+size of the pair distance. ||z-w||^2 is summed from direct coordinate
+differences. The expansion ||z||^2 + ||w||^2 - 2 Re<z, w> is never used:
+it loses (panel extent / gap)^2 of the relative accuracy to cancellation.
+"""
 
 import numpy as np
 
-_DISABLED = os.environ.get("HOLOLINK_NO_NUMBA", "").lower() in ("1", "true", "yes")
+# No compiled kernels ship: numpy is the one path. perfbench/run.py reads
+# this flag to record the kernel backend of each run.
 HAS_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:
-        pass
 
 FOUR_PI = 4.0 * np.pi
 
-
-# ---------------------------------------------------------------------------
-# numpy implementations
 
 def _det3_cols(a0, a1, a2, b0, b1, b2, c0, c1, c2):
     return (a0 * (b1 * c2 - b2 * c1)
@@ -35,7 +31,7 @@ def _det3_cols(a0, a1, a2, b0, b1, b2, c0, c1, c2):
             + a2 * (b0 * c1 - b1 * c0))
 
 
-def gauss_grid_np(x, dx, y, dy):
+def gauss_grid(x, dx, y, dy):
     """Gauss linking integrand det3(y-x, dx, dy) / (4 pi |x-y|^3) on the
     grid of all (i, j) pairs. The y-x ordering is the library's linking
     orientation (standard skew lines -> +1/2, standard Hopf pair -> +1)."""
@@ -47,33 +43,59 @@ def gauss_grid_np(x, dx, y, dy):
     return d / (FOUR_PI * n2 * np.sqrt(n2))
 
 
-def bm_grid_np(z, dz, w, dw):
+def _det3_and_dist6(z, dz, w, dw, conj):
+    """det3(z-w, dz, dw), conjugated when conj, and ||z-w||^6 on the pair
+    grid of complex clouds (n, 3) and (m, 3)."""
+    c = 0.5 * (z.mean(axis=0) + w.mean(axis=0))
+    left = np.concatenate([np.cross(z - c, dz), dz], axis=1)
+    right = np.concatenate([dw, np.cross(w - c, dw)], axis=1)
+    if conj:
+        left, right = left.conj(), right.conj()
+    det = left @ right.T
+    # Each difference x_i - y_j comes from the rank-2 product
+    # [x, 1] @ [1, -y]: both products are exact, so every entry is the
+    # difference rounded once, as np.subtract.outer gives it, but without
+    # a ufunc call per row.
+    zr = np.concatenate([z.real, z.imag], axis=1)
+    wr = np.concatenate([w.real, w.imag], axis=1)
+    xs = np.ones((zr.shape[0], 2))
+    ys = np.ones((2, wr.shape[0]))
+    diff = np.empty(det.shape)
+    n2 = np.zeros(det.shape)
+    for k in range(6):
+        xs[:, 0] = zr[:, k]
+        ys[1] = -wr[:, k]
+        np.matmul(xs, ys, out=diff)
+        diff *= diff
+        n2 += diff
+    dist6 = np.multiply(n2, n2, out=diff)
+    dist6 *= n2
+    return det, dist6
+
+
+def bm_grid(z, dz, w, dw):
     """conj(det3(z-w, dz, dw)) / ||z-w||^6 on the pair grid (no C3 factor)."""
-    r = z[:, None, :] - w[None, :, :]
-    d = _det3_cols(r[..., 0], r[..., 1], r[..., 2],
-                   dz[:, None, 0], dz[:, None, 1], dz[:, None, 2],
-                   dw[None, :, 0], dw[None, :, 1], dw[None, :, 2])
-    n2 = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
-    return np.conj(d) / (n2 * n2 * n2)
+    det, dist6 = _det3_and_dist6(z, dz, w, dw, conj=True)
+    det /= dist6
+    return det
 
 
-def clink_grid_np(z, dz, w, dw):
+def clink_grid(z, dz, w, dw):
     """|det3(z-w, dz, dw)|^2 / ||z-w||^6 on the pair grid (no C3 factor)."""
-    r = z[:, None, :] - w[None, :, :]
-    d = _det3_cols(r[..., 0], r[..., 1], r[..., 2],
-                   dz[:, None, 0], dz[:, None, 1], dz[:, None, 2],
-                   dw[None, :, 0], dw[None, :, 1], dw[None, :, 2])
-    n2 = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
-    return (d.real ** 2 + d.imag ** 2) / (n2 * n2 * n2)
+    det, dist6 = _det3_and_dist6(z, dz, w, dw, conj=False)
+    out = np.square(det.real)
+    out += np.square(det.imag)
+    out /= dist6
+    return out
 
 
-def min_dist_np(a, b):
+def min_dist(a, b):
     """Minimum pairwise euclidean distance between point clouds (n,k), (m,k)."""
     d = a[:, None, :] - b[None, :, :]
     return float(np.sqrt(np.min(np.sum(d * d, axis=-1))))
 
 
-def crossing_sum_np(p1, d1, p2, d2):
+def crossing_sum(p1, d1, p2, d2):
     """Signed sum over projected segment crossings.
 
     p1: (n, 2) projected vertices of the first closed polyline (segment i
@@ -135,142 +157,3 @@ def crossing_sum_np(p1, d1, p2, d2):
     over = np.where(depth1 > depth2, 1.0, -1.0)
     total = float(np.sum(np.where(counted, np.sign(denom) * over, 0.0)))
     return total, degenerate
-
-
-# public names default to the numpy path
-gauss_grid = gauss_grid_np
-bm_grid = bm_grid_np
-clink_grid = clink_grid_np
-min_dist = min_dist_np
-crossing_sum = crossing_sum_np
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _gauss_grid_nb(x, dx, y, dy):
-        n = x.shape[0]
-        m = y.shape[0]
-        out = np.empty((n, m), dtype=np.float64)
-        for i in range(n):
-            for j in range(m):
-                r0 = y[j, 0] - x[i, 0]
-                r1 = y[j, 1] - x[i, 1]
-                r2 = y[j, 2] - x[i, 2]
-                det = (r0 * (dx[i, 1] * dy[j, 2] - dx[i, 2] * dy[j, 1])
-                       - r1 * (dx[i, 0] * dy[j, 2] - dx[i, 2] * dy[j, 0])
-                       + r2 * (dx[i, 0] * dy[j, 1] - dx[i, 1] * dy[j, 0]))
-                n2 = r0 * r0 + r1 * r1 + r2 * r2
-                out[i, j] = det / (FOUR_PI * n2 * np.sqrt(n2))
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _bm_grid_nb(z, dz, w, dw):
-        n = z.shape[0]
-        m = w.shape[0]
-        out = np.empty((n, m), dtype=np.complex128)
-        for i in range(n):
-            for j in range(m):
-                r0 = z[i, 0] - w[j, 0]
-                r1 = z[i, 1] - w[j, 1]
-                r2 = z[i, 2] - w[j, 2]
-                det = (r0 * (dz[i, 1] * dw[j, 2] - dz[i, 2] * dw[j, 1])
-                       - r1 * (dz[i, 0] * dw[j, 2] - dz[i, 2] * dw[j, 0])
-                       + r2 * (dz[i, 0] * dw[j, 1] - dz[i, 1] * dw[j, 0]))
-                # per-component grouping and reciprocal multiply mirror the
-                # numpy path; residual diffs are its fused complex multiplies
-                n2 = ((r0.real * r0.real + r0.imag * r0.imag)
-                      + (r1.real * r1.real + r1.imag * r1.imag)
-                      + (r2.real * r2.real + r2.imag * r2.imag))
-                scl = 1.0 / (n2 * n2 * n2)
-                out[i, j] = complex(det.real * scl, -det.imag * scl)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _clink_grid_nb(z, dz, w, dw):
-        n = z.shape[0]
-        m = w.shape[0]
-        out = np.empty((n, m), dtype=np.float64)
-        for i in range(n):
-            for j in range(m):
-                r0 = z[i, 0] - w[j, 0]
-                r1 = z[i, 1] - w[j, 1]
-                r2 = z[i, 2] - w[j, 2]
-                det = (r0 * (dz[i, 1] * dw[j, 2] - dz[i, 2] * dw[j, 1])
-                       - r1 * (dz[i, 0] * dw[j, 2] - dz[i, 2] * dw[j, 0])
-                       + r2 * (dz[i, 0] * dw[j, 1] - dz[i, 1] * dw[j, 0]))
-                n2 = ((r0.real * r0.real + r0.imag * r0.imag)
-                      + (r1.real * r1.real + r1.imag * r1.imag)
-                      + (r2.real * r2.real + r2.imag * r2.imag))
-                out[i, j] = (det.real * det.real + det.imag * det.imag) / (n2 * n2 * n2)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _min_dist_nb(a, b):
-        best = np.inf
-        for i in range(a.shape[0]):
-            for j in range(b.shape[0]):
-                acc = 0.0
-                for k in range(a.shape[1]):
-                    diff = a[i, k] - b[j, k]
-                    acc += diff * diff
-                if acc < best:
-                    best = acc
-        return np.sqrt(best)
-
-    @njit(cache=True, nogil=True)
-    def _crossing_sum_nb(p1, d1, p2, d2):
-        n = p1.shape[0]
-        m = p2.shape[0]
-        total = 0.0
-        degenerate = 0
-        eps = 1e-9
-        for i in range(n):
-            ax, ay = p1[i, 0], p1[i, 1]
-            bx, by = p1[(i + 1) % n, 0], p1[(i + 1) % n, 1]
-            da = d1[i]
-            db = d1[(i + 1) % n]
-            rx, ry = bx - ax, by - ay
-            rlen = np.sqrt(rx * rx + ry * ry)
-            for j in range(m):
-                cx, cy = p2[j, 0], p2[j, 1]
-                dx_, dy_ = p2[(j + 1) % m, 0], p2[(j + 1) % m, 1]
-                dc = d2[j]
-                dd = d2[(j + 1) % m]
-                sx, sy = dx_ - cx, dy_ - cy
-                denom = rx * sy - ry * sx
-                cax, cay = cx - ax, cy - ay
-                t_num = cax * sy - cay * sx
-                u_num = cax * ry - cay * rx
-                scale = rlen * np.sqrt(sx * sx + sy * sy)
-                if abs(denom) <= 1e-12 * scale:
-                    if abs(t_num) <= 1e-9 * scale:
-                        degenerate = 1
-                    continue
-                t = t_num / denom
-                u = u_num / denom
-                on_boundary = (abs(t) <= eps or abs(t - 1.0) <= eps
-                               or abs(u) <= eps or abs(u - 1.0) <= eps)
-                if on_boundary:
-                    degenerate = 1
-                    continue
-                if eps < t < 1.0 - eps and eps < u < 1.0 - eps:
-                    depth1 = da + t * (db - da)
-                    depth2 = dc + u * (dd - dc)
-                    if abs(depth1 - depth2) <= 1e-12:
-                        degenerate = 1
-                        continue
-                    sgn = 1.0 if denom > 0 else -1.0
-                    if depth1 <= depth2:
-                        sgn = -sgn
-                    total += sgn
-        return total, degenerate
-
-    gauss_grid = _gauss_grid_nb
-    bm_grid = _bm_grid_nb
-    clink_grid = _clink_grid_nb
-    min_dist = _min_dist_nb
-    crossing_sum = _crossing_sum_nb

@@ -9,6 +9,7 @@ Polynomials are plain ascending numpy coefficient arrays throughout.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -189,9 +190,14 @@ class ParamCurve:
             vel = TWO_PI * ((-sin * k) @ self.cos_rows + (cos * k) @ self.sin_rows)
             return pts, vel
         pts = np.stack([P.polyval(params, c) for c in self.components], axis=-1)
-        vel = np.stack([P.polyval(params, P.polyder(c)) for c in self.components],
+        vel = np.stack([P.polyval(params, c) for c in self._velocity_components],
                        axis=-1)
         return np.asarray(pts, dtype=complex), np.asarray(vel, dtype=complex)
+
+    @cached_property
+    def _velocity_components(self):
+        # computed once per curve; not a field, so eq, repr and JSON ignore it
+        return tuple(P.polyder(c) for c in self.components)
 
     def in_domain(self, param):
         if self.kind == "real_closed":

@@ -118,7 +118,9 @@ def holo_linking_integral(s1, s2, ctx, cfg):
         x, dx = curve1.eval_batch(u)
         y, dy = curve2.eval_batch(v)
         grid = _kernels.bm_grid(x, dx, y, dy)
-        return grid * (scale * form1.coeff_batch(u))[:, None] * form2.coeff_batch(v)[None, :]
+        grid *= (scale * form1.coeff_batch(u))[:, None]
+        grid *= form2.coeff_batch(v)[None, :]
+        return grid
 
     return integrate_pv(
         integrand, dom_a, dom_b,
