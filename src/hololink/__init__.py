@@ -23,7 +23,7 @@ from .holo import (C3, BMContext, bm_pullback_epsilon_sum,
                    bm_pullback_integrand, bm_reproduce,
                    complex_linking_number, holo_linking_integral,
                    line_holo_closed)
-from .quadrature import (QuadConfig, QuadResult, domain_for_curve,
+from .quadrature import (QuadConfig, QuadResult, QuadTrace, domain_for_curve,
                          integrate_curve, integrate_product, integrate_pv)
 from .report import (METHODS, Report, applicable_methods, calibrate, compute,
                      xcheck)

@@ -3,8 +3,9 @@ crossings of a generic planar projection, and the closed form for lines.
 
 Orientation convention: the standard Hopf pair links +1 and standard skew
 basis lines give +1/2. The kernel grid in _kernels carries the matching
-det3(y-x, dx, dy) ordering; gauss_integrand below keeps the opposite
-(x-y) ordering, which is the form the pointwise examples pin down.
+det3(y-x, dx, dy) ordering; gauss_integrand below is its single-pair case
+in the opposite (x-y) ordering, which is the form the pointwise examples
+pin down.
 """
 
 from dataclasses import dataclass
@@ -22,17 +23,17 @@ _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
 
 
 def gauss_integrand(x, dx, y, dy):
-    """Pointwise Gauss kernel det3(x-y, dx, dy) / (4 pi |x-y|^3).
+    """Gauss kernel det3(x-y, dx, dy) / (4 pi |x-y|^3) at one pair of points.
 
-    Broadcasts over leading axes. Raises CoincidentPoints when x = y.
+    The single-pair case of _kernels.gauss_grid, with its y-x orientation
+    flipped. Raises CoincidentPoints when x = y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, dx, y, dy = (np.asarray(a, dtype=float).reshape(1, 3)
+                    for a in (x, dx, y, dy))
     r = x - y
-    n2 = np.sum(r * r, axis=-1)
-    if np.any(n2 < 1e-28):
+    if np.sum(r * r) < 1e-28:
         raise CoincidentPoints("gauss_integrand evaluated at x = y")
-    return det3(r, dx, dy) / (4.0 * np.pi * n2 * np.sqrt(n2))
+    return -float(_kernels.gauss_grid(x, dx, y, dy)[0, 0])
 
 
 def _real_points(curve, params):
@@ -66,15 +67,10 @@ def gauss_linking(curve1, curve2, cfg):
     dom1 = _gauss_domain(curve1, cfg)
     dom2 = _gauss_domain(curve2, cfg)
 
-    def integrand(s, t):
-        x, dx = _real_points(curve1, s)
-        y, dy = _real_points(curve2, t)
-        return _kernels.gauss_grid(x, dx, y, dy)
-
     return integrate_product(
-        integrand, dom1, dom2, cfg,
-        geom_a=lambda s: _real_points(curve1, s)[0],
-        geom_b=lambda t: _real_points(curve2, t)[0],
+        _kernels.gauss_grid, dom1, dom2, cfg,
+        side_a=lambda s: _real_points(curve1, s),
+        side_b=lambda t: _real_points(curve2, t),
         decay_order=1)
 
 

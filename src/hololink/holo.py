@@ -114,19 +114,17 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     dom_b = domain_for_curve(curve2, cfg)
     scale = AREA_FACTOR * ctx.prefactor
 
-    def integrand(u, v):
-        x, dx = curve1.eval_batch(u)
-        y, dy = curve2.eval_batch(v)
+    def integrand(x, dx, c1, y, dy, c2):
         grid = _kernels.bm_grid(x, dx, y, dy)
-        grid *= (scale * form1.coeff_batch(u))[:, None]
-        grid *= form2.coeff_batch(v)[None, :]
+        grid *= (scale * c1)[:, None]
+        grid *= c2[None, :]
         return grid
 
     return integrate_pv(
         integrand, dom_a, dom_b,
         (tuple(form1.poles), tuple(form2.poles)), cfg,
-        geom_a=lambda u: curve1.eval_batch(u)[0],
-        geom_b=lambda v: curve2.eval_batch(v)[0],
+        side_a=lambda u: (*curve1.eval_batch(u), form1.coeff_batch(u)),
+        side_b=lambda v: (*curve2.eval_batch(v), form2.coeff_batch(v)),
         decay_order=2)
 
 
@@ -160,16 +158,12 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     dom_b = domain_for_curve(curve2, cfg)
     scale = AREA_FACTOR * ctx.prefactor
 
-    def integrand(u, v):
-        x, dx = curve1.eval_batch(u)
-        y, dy = curve2.eval_batch(v)
+    def integrand(x, dx, y, dy):
         return scale * _kernels.clink_grid(x, dx, y, dy)
 
-    return integrate_pv(
-        integrand, dom_a, dom_b, ((), ()), cfg,
-        geom_a=lambda u: curve1.eval_batch(u)[0],
-        geom_b=lambda v: curve2.eval_batch(v)[0],
-        decay_order=2)
+    return integrate_pv(integrand, dom_a, dom_b, ((), ()), cfg,
+                        side_a=curve1.eval_batch, side_b=curve2.eval_batch,
+                        decay_order=2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,25 +5,33 @@ Panels carry an embedded error estimate (difference of the panel_order and
 2*panel_order rules; the finer value is kept). There is one refinement
 rule: every panel whose error is within a fixed factor of the current worst
 is halved along the axis of its largest spatial extent, measured on the
-curves when the caller supplies geometry and on the parameter chart
-otherwise. With geometry for both curves, a panel whose two curve pieces
-could touch between their sample points also counts as hot, whatever its
-error: a close approach narrower than the node spacing is invisible to the
-error estimate. The panel filtration does not depend on tol: tightening tol
-only extends the same deterministic refinement sequence. Panel results are
-reduced by a fixed pairwise tree over geometrically sorted panels, so
-values are bit-identical for any worker count (HOLOLINK_WORKERS).
+curves when the caller supplies curve sides and on the parameter chart
+otherwise. With curves on both sides, a panel whose two curve pieces could
+touch between their sample points also counts as hot, whatever its error:
+a close approach narrower than the node spacing is invisible to the error
+estimate. The panel filtration does not depend on tol: tightening tol only
+extends the same deterministic refinement sequence.
+
+A side maps a parameter array to a tuple of arrays, curve positions first;
+the default side is the parameters alone. Each refinement round evaluates
+all pending panels at once: one call of each side per rule, one per side
+for the split-axis samples and one per side for the proximity samples. The
+integrand, the weight contraction and the finiteness check then run once
+per panel on that panel's block. Panel results are reduced by a fixed
+pairwise tree over geometrically sorted panels, so values do not depend on
+how a round is batched. Everything runs on one thread.
 
 Truncated (non-compact) domains are integrated at their radius R and at 2R
 with a one-step Richardson extrapolation; principal values exclude exact
 epsilon-disks around declared punctures and extrapolate the epsilon
-sequence to zero.
+sequence to zero. Every result carries a QuadTrace saying how it was
+produced.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+import itertools
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -65,29 +73,63 @@ class QuadConfig:
 
 
 @dataclass(frozen=True)
+class QuadTrace:
+    """How an integral was produced. panels_per_round lists the panels
+    evaluated in each refinement round, over every engine run in order;
+    deepest_split is the most halvings of any final panel; max_depth_hit
+    says whether max_depth kept a hot panel from being refined; err_source
+    names the largest part of the error budget: "quadrature" (summed panel
+    errors), "tail" (the R vs 2R step) or "pv" (the epsilon extrapolation
+    gap)."""
+
+    panels_per_round: tuple = ()
+    deepest_split: int = 0
+    max_depth_hit: bool = False
+    err_source: str = "quadrature"
+
+    def to_dict(self):
+        return {"rounds": len(self.panels_per_round),
+                "panels_per_round": list(self.panels_per_round),
+                "deepest_split": self.deepest_split,
+                "max_depth_hit": self.max_depth_hit,
+                "err_source": self.err_source}
+
+
+def _merged_trace(results, parts):
+    """One trace for several engine runs; parts maps each error source to
+    its size, and the largest (first on ties) is the err_source."""
+    return QuadTrace(
+        panels_per_round=sum((r.trace.panels_per_round for r in results), ()),
+        deepest_split=max(r.trace.deepest_split for r in results),
+        max_depth_hit=any(r.trace.max_depth_hit for r in results),
+        err_source=max(parts, key=parts.get))
+
+
+@dataclass(frozen=True)
 class QuadResult:
     value: complex
     err_estimate: float
     panels_evaluated: int
     tail_estimate: float = 0.0
     converged: bool = True
+    trace: QuadTrace = QuadTrace()
 
 
 def workers_from_env():
-    try:
-        return max(1, int(os.environ.get("HOLOLINK_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """Worker threads the engine uses: always 1. HOLOLINK_WORKERS is no
+    longer read, because two threads were slower than one on whole-round
+    batches (L0 and a near torus pair, on a 2-core host)."""
+    return 1
 
 
 def pairwise_tree_sum(values):
     """Fixed pairwise reduction; the only summation order used for panels."""
-    vals = list(values)
-    if not vals:
+    vals = np.asarray(values)
+    if vals.size == 0:
         return 0.0
-    while len(vals) > 1:
-        vals = [vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-                for i in range(0, len(vals), 2)]
+    while vals.size > 1:
+        even = vals.size - vals.size % 2
+        vals = np.concatenate([vals[0:even:2] + vals[1:even:2], vals[even:]])
     return vals[0]
 
 
@@ -319,236 +361,268 @@ def _gl(order):
     return _gl_cache[order]
 
 
-class _Panel:
-    __slots__ = ("bounds", "splits", "value", "err", "unresolved")
-
-    def __init__(self, bounds, splits=0, unresolved=True):
-        self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        self.splits = splits
-        self.value = 0.0 + 0.0j
-        self.err = 0.0
-        # until checked; a panel found resolved passes that on to its halves
-        self.unresolved = unresolved
-
-    def key(self):
-        return self.bounds
-
-    def split(self, axis):
-        lo, hi = self.bounds[axis]
-        mid = 0.5 * (lo + hi)
-        left = list(self.bounds)
-        right = list(self.bounds)
-        left[axis] = (lo, mid)
-        right[axis] = (mid, hi)
-        return (_Panel(left, self.splits + 1, self.unresolved),
-                _Panel(right, self.splits + 1, self.unresolved))
+def _identity(params):
+    """The default side: the parameters themselves, with no curve."""
+    return (params,)
 
 
-def _space_points(domain, geom, cols):
-    """Real point rows for chart columns: curve points when geometry is
-    given, otherwise the parameters themselves."""
-    params, _ = domain.chart(cols)
-    if geom is None:
-        return realify(np.asarray(params)[:, None])
-    return realify(geom(params))
+def _mesh(rows):
+    """Per-panel ij meshgrid of a domain's one or two axes: node arrays
+    (P, n) -> arrays (P, n**k), the first axis varying slowest."""
+    if len(rows) == 1:
+        return rows
+    first, second = rows
+    n = first.shape[1]
+    return [np.repeat(first, n, axis=1), np.tile(second, (1, n))]
+
+
+class _Panels(NamedTuple):
+    """Panels as parallel arrays: bounds (P, axes, 2) as (lo, hi) per axis,
+    halvings so far, whether the curve pieces could still touch, and the
+    value and error estimate."""
+
+    bounds: np.ndarray
+    splits: np.ndarray
+    unresolved: np.ndarray
+    value: np.ndarray
+    err: np.ndarray
+
+    def take(self, index):
+        return _Panels(*(x[index] for x in self))
 
 
 class _Engine:
-    """One adaptive integration over domA (x domB)."""
+    """One adaptive integration over dom_a (x dom_b), a round at a time.
 
-    def __init__(self, integrand, dom_a, dom_b, cfg, geom_a=None, geom_b=None):
+    Each round evaluates every pending panel with one call of each side per
+    rule; the integrand and the weight contraction then run once per panel
+    on that panel's block. The split-axis and proximity samples of a round
+    likewise take one call per side.
+    """
+
+    def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
         self.f = integrand
-        self.dom_a = dom_a
-        self.dom_b = dom_b
         self.cfg = cfg
-        self.geom_a = geom_a
-        self.geom_b = geom_b
-        self.na = dom_a.naxes
-        self.panels_evaluated = 0
+        self.doms = (dom_a,) if dom_b is None else (dom_a, dom_b)
+        self.sides = (side_a or _identity, side_b or _identity)
+        # the curve distance rules need a curve on both sides
+        self.curves = dom_b is not None and None not in (side_a, side_b)
+        cuts = np.cumsum([0] + [d.naxes for d in self.doms])
+        self.axes = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    # -- node layout -------------------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
-    def _axis_nodes(self, bounds, order):
+    def _eval_side(self, s, params):
+        """Side s's arrays at a parameter array of any shape; each array is
+        shaped params.shape + its per-point shape."""
+        out = self.sides[s](params.ravel())
+        return [np.asarray(a).reshape(params.shape + np.shape(a)[1:])
+                for a in out]
+
+    def _points(self, s, params):
+        """Real point rows, params.shape + (dim,): the first array of side
+        s, realified."""
+        first = self._eval_side(s, params)[0]
+        return realify(first.reshape(params.shape + (-1,)))
+
+    def _rule(self, s, lo, hi, order):
+        """Chart parameters and jacobian-folded weights, both (P, order**k),
+        of the order-n tensor Gauss-Legendre rule on side s of each panel."""
         nodes, weights = _gl(order)
+        lo, hi = lo[:, self.axes[s]], hi[:, self.axes[s]]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        cols = _mesh([mid[:, a, None] + half[:, a, None] * nodes
+                      for a in range(lo.shape[1])])
+        wgts = _mesh([half[:, a, None] * weights for a in range(lo.shape[1])])
+        params, jac = self.doms[s].chart(tuple(cols))
+        return params, math.prod(wgts) * jac
+
+    def _values(self, lo, hi, order):
+        """Each panel's value under the order-n rule."""
+        rules = [self._rule(s, lo, hi, order) for s in range(len(self.doms))]
+        blocks = [self._eval_side(s, params)
+                  for s, (params, _) in enumerate(rules)]
         out = []
-        for lo, hi in bounds:
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            out.append((mid + half * nodes, half * weights))
+        for i in range(len(lo)):
+            vals = np.asarray(self.f(*[a[i] for blk in blocks for a in blk]))
+            self._check_finite(vals, rules, i)
+            if len(rules) == 1:
+                out.append(complex(np.dot(rules[0][1][i], vals)))
+            else:
+                out.append(complex(rules[0][1][i] @ vals @ rules[1][1][i]))
         return out
 
-    def _side(self, domain, axis_nodes):
-        """Meshgrid one domain's axes, apply its chart, fold jacobian into
-        the weights. Returns (params, weights)."""
-        grids = [a[0] for a in axis_nodes]
-        wgts = [a[1] for a in axis_nodes]
-        if len(grids) == 1:
-            cols = (grids[0],)
-            w = wgts[0]
-        else:
-            m0, m1 = np.meshgrid(grids[0], grids[1], indexing="ij")
-            cols = (m0.ravel(), m1.ravel())
-            w = np.outer(wgts[0], wgts[1]).ravel()
-        params, jac = domain.chart(cols)
-        return params, w * jac
-
-    def _eval_order(self, panel, order):
-        axis_nodes = self._axis_nodes(panel.bounds, order)
-        pa, wa = self._side(self.dom_a, axis_nodes[:self.na])
-        if self.dom_b is None:
-            vals = np.asarray(self.f(pa))
-            self._check_finite(vals, pa, None)
-            return complex(np.dot(wa, vals))
-        pb, wb = self._side(self.dom_b, axis_nodes[self.na:])
-        vals = np.asarray(self.f(pa, pb))
-        self._check_finite(vals, pa, pb)
-        return complex(wa @ vals @ wb)
-
-    def _check_finite(self, vals, pa, pb):
+    @staticmethod
+    def _check_finite(vals, rules, i):
+        """Raise NonFiniteIntegrand naming the first bad node of panel i."""
         if np.all(np.isfinite(vals)):
             return
-        bad = np.argwhere(~np.isfinite(vals))
-        idx = tuple(bad[0])
-        if pb is None:
-            param = pa[idx[0]]
-        else:
-            param = (pa[idx[0]], pb[idx[1]])
+        idx = np.argwhere(~np.isfinite(vals))[0]
+        param = tuple(params[i][j] for (params, _), j in zip(rules, idx))
+        if len(param) == 1:
+            param = param[0]
         raise NonFiniteIntegrand(
             f"integrand not finite at parameter {param}", param=param)
 
-    def _evaluate(self, panel):
-        order = self.cfg.panel_order
-        coarse = self._eval_order(panel, order)
-        panel.value = self._eval_order(panel, 2 * order)
-        panel.err = abs(panel.value - coarse)
-        if panel.unresolved:
-            panel.unresolved = self._unresolved(panel)
-        return panel
-
     # -- geometry ----------------------------------------------------------
 
-    def _split_axis(self, panel):
-        """Axis of largest spatial extent: the bounding-box diagonal of the
-        points at the axis ends and midpoint, other axes at their midpoints."""
-        mids = [0.5 * (lo + hi) for lo, hi in panel.bounds]
+    def _split_axes(self, lo, hi):
+        """Per panel, the axis of largest spatial extent: the bounding-box
+        diagonal of the points at the axis ends and midpoint, other axes at
+        their midpoints."""
+        mid = 0.5 * (lo + hi)
         extents = []
-        for a, (lo, hi) in enumerate(panel.bounds):
-            cols = [np.full(3, m) for m in mids]
-            cols[a] = np.array([lo, mids[a], hi])
-            if a < self.na:
-                pts = _space_points(self.dom_a, self.geom_a, tuple(cols[:self.na]))
-            else:
-                pts = _space_points(self.dom_b, self.geom_b, tuple(cols[self.na:]))
-            extents.append(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))))
-        return int(np.argmax(extents))
+        for s, ax in enumerate(self.axes):
+            k = ax.stop - ax.start
+            # cols[panel, varied axis, sample, chart column]
+            cols = np.repeat(mid[:, None, None, ax], 3, axis=2)
+            cols = np.repeat(cols, k, axis=1)
+            for a in range(k):
+                cols[:, a, 0, a] = lo[:, ax.start + a]
+                cols[:, a, 2, a] = hi[:, ax.start + a]
+            params, _ = self.doms[s].chart(tuple(np.moveaxis(cols, -1, 0)))
+            pts = self._points(s, params)
+            extents.append(np.linalg.norm(pts.max(axis=2) - pts.min(axis=2),
+                                          axis=-1))
+        return np.argmax(np.concatenate(extents, axis=1), axis=1)
 
-    def _unresolved(self, panel):
-        """True while the sampled pieces of the two curves could touch: the
-        closest sampled approach is no larger than the sum of the pieces'
-        covering radii. A close approach narrower than the node spacing can
-        then hide between all nodes of both rules."""
-        if self.geom_a is None or self.geom_b is None or self.dom_b is None:
-            return False
+    def _unresolved(self, lo, hi):
+        """Per panel, True while the sampled pieces of the two curves could
+        touch: the closest sampled approach is no larger than the sum of the
+        pieces' covering radii. A close approach narrower than the node
+        spacing can then hide between all nodes of both rules."""
         m = self.cfg.panel_order + 1
-        grid = [np.linspace(lo, hi, m) for lo, hi in panel.bounds]
-        pts_a, cover_a = self._sample_piece(self.dom_a, self.geom_a, grid[:self.na])
-        pts_b, cover_b = self._sample_piece(self.dom_b, self.geom_b, grid[self.na:])
-        return _kernels.min_dist(pts_a, pts_b) <= cover_a + cover_b
+        pieces = []
+        for s, ax in enumerate(self.axes):
+            grid = [np.linspace(lo[:, a], hi[:, a], m, axis=-1)
+                    for a in range(ax.start, ax.stop)]
+            params, _ = self.doms[s].chart(tuple(_mesh(grid)))
+            pieces.append(self._sample_pieces(self._points(s, params), m,
+                                              len(grid)))
+        (pts_a, cover_a), (pts_b, cover_b) = pieces
+        return [_kernels.min_dist(a, b) <= ca + cb
+                for a, b, ca, cb in zip(pts_a, pts_b, cover_a, cover_b)]
 
     @staticmethod
-    def _sample_piece(domain, geom, grid):
-        """Curve points on an end-inclusive parameter grid, and the grid's
-        covering radius: half the largest gap between neighbouring points
-        along each axis, combined in quadrature."""
-        cols = np.meshgrid(*grid, indexing="ij")
-        shape = cols[0].shape
-        pts = np.ascontiguousarray(
-            _space_points(domain, geom, tuple(c.ravel() for c in cols)),
-            dtype=np.float64)
-        block = pts.reshape(shape + (-1,))
-        gaps = [np.linalg.norm(np.diff(block, axis=a), axis=-1).max()
-                for a in range(len(grid))]
-        return pts, 0.5 * math.hypot(*gaps)
+    def _sample_pieces(pts, m, k):
+        """Points (P, m**k, dim) on end-inclusive parameter grids, and each
+        grid's covering radius: half the largest gap between neighbouring
+        points along each axis, combined in quadrature."""
+        count = pts.shape[0]
+        block = pts.reshape((count,) + (m,) * k + (-1,))
+        gaps = np.stack([np.linalg.norm(np.diff(block, axis=1 + a), axis=-1)
+                         .reshape(count, -1).max(axis=1) for a in range(k)],
+                        axis=1)
+        cover = [0.5 * math.hypot(*g) for g in gaps.tolist()]
+        return np.ascontiguousarray(pts, dtype=np.float64), cover
 
     def _global_distance_check(self):
-        if self.geom_a is None or self.geom_b is None or self.dom_b is None:
+        if not self.curves:
             return
-        pa = self.dom_a.proximity_params()
-        pb = self.dom_b.proximity_params()
-        pts_a = np.ascontiguousarray(realify(self.geom_a(pa)), dtype=np.float64)
-        pts_b = np.ascontiguousarray(realify(self.geom_b(pb)), dtype=np.float64)
-        d = _kernels.min_dist(pts_a, pts_b)
+        pts = [np.ascontiguousarray(
+                   self._points(s, np.asarray(dom.proximity_params())),
+                   dtype=np.float64)
+               for s, dom in enumerate(self.doms)]
+        d = _kernels.min_dist(*pts)
         if d < _MIN_DIST:
             raise CurvesTooClose(
                 f"minimum sampled curve distance {d:.3e} < {_MIN_DIST:.0e}")
 
     # -- main loop ---------------------------------------------------------
 
+    def _evaluate(self, bounds, splits, unresolved):
+        """The pending panels with their values (the finer rule), their
+        errors (against the coarser one) and, for those not yet found
+        resolved, the proximity check."""
+        lo, hi = bounds[..., 0], bounds[..., 1]
+        coarse = self._values(lo, hi, self.cfg.panel_order)
+        value = np.array(self._values(lo, hi, 2 * self.cfg.panel_order))
+        err = np.array([abs(v - c) for v, c in zip(value.tolist(), coarse)])
+        check = np.flatnonzero(unresolved)
+        if check.size:
+            unresolved[check] = self._unresolved(lo[check], hi[check])
+        return _Panels(bounds, splits, unresolved, value, err)
+
+    def _halves(self, panels):
+        """Bounds, splits and unresolved flags of both halves of each panel,
+        cut along its split axis."""
+        bounds = panels.bounds
+        rows = np.arange(len(bounds))
+        axis = self._split_axes(bounds[..., 0], bounds[..., 1])
+        mid = 0.5 * (bounds[rows, axis, 0] + bounds[rows, axis, 1])
+        left, right = bounds.copy(), bounds.copy()
+        left[rows, axis, 1] = mid
+        right[rows, axis, 0] = mid
+        return (np.concatenate([left, right]), np.tile(panels.splits + 1, 2),
+                np.tile(panels.unresolved, 2))
+
     def run(self):
         self._global_distance_check()
-        pending = []
-        for cell_a in self.dom_a.initial_cells():
-            if self.dom_b is None:
-                pending.append(_Panel(cell_a))
-            else:
-                for cell_b in self.dom_b.initial_cells():
-                    pending.append(_Panel(tuple(cell_a) + tuple(cell_b)))
-        done = []
-        workers = workers_from_env()
-        converged = False
+        cells = itertools.product(*(d.initial_cells() for d in self.doms))
+        bounds = np.array([sum(map(tuple, c), ()) for c in cells], dtype=float)
+        splits = np.zeros(len(bounds), dtype=int)
+        unresolved = np.full(len(bounds), self.curves)
+        done = None
+        rounds = []
+        depth_hit = converged = False
         while True:
-            if workers > 1 and len(pending) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    done.extend(pool.map(self._evaluate, pending))
-            else:
-                done.extend(self._evaluate(p) for p in pending)
-            self.panels_evaluated += len(pending)
-            pending = []
-            done.sort(key=_Panel.key)
-            total = pairwise_tree_sum([p.value for p in done])
-            err = float(pairwise_tree_sum([p.err for p in done]))
+            panels = self._evaluate(bounds, splits, unresolved)
+            rounds.append(len(bounds))
+            if done is not None:
+                panels = _Panels(*map(np.concatenate, zip(done, panels)))
+            # bounds rows flatten to the (lo, hi) per axis sort key
+            flat = panels.bounds.reshape(len(panels.bounds), -1)
+            panels = panels.take(np.lexsort(flat.T[::-1]))
+            total = complex(pairwise_tree_sum(panels.value))
+            err = float(pairwise_tree_sum(panels.err))
             if (err <= self.cfg.tol * max(1.0, abs(total))
-                    and not any(p.unresolved for p in done)):
+                    and not panels.unresolved.any()):
                 converged = True
                 break
-            cutoff = max(p.err for p in done) / _MARK_FACTOR
-            keep, refine = [], []
-            for p in done:
-                if ((p.err >= cutoff or p.unresolved)
-                        and p.splits < self.cfg.max_depth):
-                    refine.append(p)
-                else:
-                    keep.append(p)
-            if not refine:
+            cutoff = panels.err.max() / _MARK_FACTOR
+            hot = (panels.err >= cutoff) | panels.unresolved
+            at_max = panels.splits >= self.cfg.max_depth
+            depth_hit = depth_hit or bool(np.any(hot & at_max))
+            refine = hot & ~at_max
+            if not refine.any():
                 break  # every hot panel is at max_depth: report converged=False
-            for p in refine:
-                pending.extend(p.split(self._split_axis(p)))
-            done = keep
+            done = panels.take(~refine)
+            bounds, splits, unresolved = self._halves(panels.take(refine))
+        trace = QuadTrace(panels_per_round=tuple(rounds),
+                          deepest_split=int(panels.splits.max()),
+                          max_depth_hit=depth_hit)
         return QuadResult(value=total, err_estimate=err,
-                          panels_evaluated=self.panels_evaluated,
-                          tail_estimate=0.0, converged=converged)
+                          panels_evaluated=sum(rounds), tail_estimate=0.0,
+                          converged=converged, trace=trace)
 
 
-def _ensure_batch_1(f):
+def _ensure_batch_1(f, side):
+    """f when it maps the side's arrays at a parameter array to a value
+    array, else a loop that calls it point by point. Calls f once."""
     probe = np.array([0.12345, 0.6789])
     try:
-        out = np.asarray(f(probe))
+        out = np.asarray(f(*side(probe)))
         if out.shape == probe.shape:
             return f
     except Exception:
         pass
-    return lambda params: np.array([f(p) for p in params])
+    return lambda *arrays: np.array([f(*point) for point in zip(*arrays)])
 
 
-def _ensure_batch_2(f):
-    pa = np.array([0.123, 0.456])
-    pb = np.array([0.234, 0.567, 0.891])
+def _ensure_batch_2(f, side_a, side_b):
+    """f when it maps the two sides' arrays to their (na, nb) pair grid,
+    else a loop that calls it pair by pair. Calls f once."""
+    blk_a = side_a(np.array([0.123, 0.456]))
+    blk_b = side_b(np.array([0.234, 0.567, 0.891]))
     try:
-        out = np.asarray(f(pa, pb))
+        out = np.asarray(f(*blk_a, *blk_b))
         if out.shape == (2, 3):
             return f
     except Exception:
         pass
-    return lambda A, B: np.array([[f(a, b) for b in B] for a in A])
+    k = len(blk_a)
+    return lambda *arrays: np.array(
+        [[f(*a, *b) for b in zip(*arrays[k:])] for a in zip(*arrays[:k])])
 
 
 # ---------------------------------------------------------------------------
@@ -561,42 +635,49 @@ def integrate_curve(integrand, domain, cfg):
     a scalar to a scalar. MaxDepthExceeded is reported as converged=False
     per the quadrature contract, with the best available value.
     """
-    f = _ensure_batch_1(integrand)
+    f = _ensure_batch_1(integrand, _identity)
     return _Engine(f, domain, None, cfg).run()
 
 
-def integrate_product(integrand, dom_a, dom_b, cfg, geom_a=None, geom_b=None,
+def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
                       decay_order=1):
-    """Integrate integrand(u, v) over dom_a x dom_b.
+    """Integrate the integrand over dom_a x dom_b.
 
-    The integrand receives parameter arrays (na,), (nb,) and must return the
-    (na, nb) pair grid. geom_a/geom_b map parameter arrays to curve points;
-    they measure panel extents for the split axis, and with both given the
-    CurvesTooClose guard runs and panels whose curve pieces could touch are
-    refined until the samples resolve the gap. If either domain is a
-    truncation window the integral is computed at size R and 2R and
-    Richardson-extrapolated with the given decay order k (tail ~ R^-k),
-    reporting tail_estimate = |I(2R) - I(R)|.
+    A side maps a parameter array to a tuple of arrays, curve positions
+    first (default: the parameters alone, with no curve). The integrand
+    receives f(*side_a_arrays, *side_b_arrays) for the na and nb nodes of a
+    panel and returns the (na, nb) pair grid. Positions measure panel
+    extents for the split axis; with both sides given the CurvesTooClose
+    guard runs and panels whose curve pieces could touch are refined until
+    the samples resolve the gap. If either domain is a truncation window
+    the integral is computed at size R and 2R and Richardson-extrapolated
+    with the given decay order k (tail ~ R^-k), reporting
+    tail_estimate = |I(2R) - I(R)|.
     """
-    f = _ensure_batch_2(integrand)
-    truncated = getattr(dom_a, "truncated", False) or (
-        dom_b is not None and getattr(dom_b, "truncated", False))
-    if not truncated:
-        return _Engine(f, dom_a, dom_b, cfg, geom_a, geom_b).run()
+    f = _ensure_batch_2(integrand, side_a or _identity, side_b or _identity)
+    return _product(f, dom_a, dom_b, cfg, side_a, side_b, decay_order)
+
+
+def _product(f, dom_a, dom_b, cfg, side_a, side_b, decay_order):
+    """integrate_product for an integrand that already returns pair grids."""
+    if not (dom_a.truncated or dom_b.truncated):
+        return _Engine(f, dom_a, dom_b, cfg, side_a, side_b).run()
 
     def grow(dom, factor):
-        return dom.scaled(factor) if getattr(dom, "truncated", False) else dom
+        return dom.scaled(factor) if dom.truncated else dom
 
-    res_1 = _Engine(f, dom_a, dom_b, cfg, geom_a, geom_b).run()
+    res_1 = _Engine(f, dom_a, dom_b, cfg, side_a, side_b).run()
     res_2 = _Engine(f, grow(dom_a, 2.0), grow(dom_b, 2.0), cfg,
-                    geom_a, geom_b).run()
+                    side_a, side_b).run()
     step = res_2.value - res_1.value
     value = res_2.value + step / (2.0 ** decay_order - 1.0)
-    return QuadResult(value=value,
-                      err_estimate=res_1.err_estimate + res_2.err_estimate,
+    err = res_1.err_estimate + res_2.err_estimate
+    return QuadResult(value=value, err_estimate=err,
                       panels_evaluated=res_1.panels_evaluated + res_2.panels_evaluated,
                       tail_estimate=abs(step),
-                      converged=res_1.converged and res_2.converged)
+                      converged=res_1.converged and res_2.converged,
+                      trace=_merged_trace((res_1, res_2),
+                                          {"quadrature": err, "tail": abs(step)}))
 
 
 def _probe_pole_order(f2, domain, other, punctures, swap):
@@ -634,45 +715,55 @@ def _probe_pole_order(f2, domain, other, punctures, swap):
                 "pole of order > 1 (only simple poles have principal values)")
 
 
-def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, geom_a=None,
-                 geom_b=None, decay_order=1):
+def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
+                 side_b=None, decay_order=1):
     """Principal value of a product integral with declared punctures.
 
-    punctures = (on_a, on_b): parameter values excluded by exact
-    eps-neighborhoods, eps running through cfg.pv_epsilons; the limit is the
-    Neville extrapolation to eps = 0. Convergence requires the last two
-    extrapolants to agree to cfg.tol. A pole-order probe at each puncture
-    raises PVNotConverging for anything steeper than a simple pole.
+    The integrand and sides are those of integrate_product (of
+    integrate_curve when dom_b is None). punctures = (on_a, on_b):
+    parameter values excluded by exact eps-neighborhoods, eps running
+    through cfg.pv_epsilons; the limit is the Neville extrapolation to
+    eps = 0. Convergence requires the last two extrapolants to agree to
+    cfg.tol. A pole-order probe at each puncture raises PVNotConverging for
+    anything steeper than a simple pole.
     """
     punct_a, punct_b = punctures
     punct_a = list(punct_a or ())
     punct_b = list(punct_b or ())
-    f = _ensure_batch_2(integrand) if dom_b is not None else _ensure_batch_1(integrand)
+    sa, sb = side_a or _identity, side_b or _identity
+    if dom_b is None:
+        f = _ensure_batch_1(integrand, sa)
+
+        def run(da, db):
+            return _Engine(f, da, None, cfg, side_a).run()
+
+        def on_params(u):
+            return f(*sa(u))
+    else:
+        f = _ensure_batch_2(integrand, sa, sb)
+
+        def run(da, db):
+            return _product(f, da, db, cfg, side_a, side_b, decay_order)
+
+        def on_params(u, v):
+            return f(*sa(u), *sb(v))
+
     if not punct_a and not punct_b:
-        if dom_b is None:
-            return integrate_curve(f, dom_a, cfg)
-        return integrate_product(f, dom_a, dom_b, cfg, geom_a, geom_b,
-                                 decay_order)
+        return run(dom_a, dom_b)
 
     if punct_a:
-        _probe_pole_order(f, dom_a, dom_b, punct_a, swap=False)
+        _probe_pole_order(on_params, dom_a, dom_b, punct_a, swap=False)
     if punct_b:
-        _probe_pole_order(f, dom_b, dom_a, punct_b, swap=True)
+        _probe_pole_order(on_params, dom_b, dom_a, punct_b, swap=True)
 
-    values, errs, tails, panels = [], [], [], 0
-    conv_all = True
+    results = []
     for eps in cfg.pv_epsilons:
         da = dom_a.exclude(punct_a, eps) if punct_a else dom_a
         db = dom_b.exclude(punct_b, eps) if (dom_b is not None and punct_b) else dom_b
-        if db is None:
-            res = integrate_curve(f, da, cfg)
-        else:
-            res = integrate_product(f, da, db, cfg, geom_a, geom_b, decay_order)
-        values.append(res.value)
-        errs.append(res.err_estimate)
-        tails.append(res.tail_estimate)
-        panels += res.panels_evaluated
-        conv_all = conv_all and res.converged
+        results.append(run(da, db))
+    values = [r.value for r in results]
+    err = max(r.err_estimate for r in results)
+    tail = max(r.tail_estimate for r in results)
 
     eps_seq = list(cfg.pv_epsilons)
     e_prev = extrapolate_to_zero(eps_seq[:-1], values[:-1])
@@ -683,9 +774,12 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, geom_a=None,
         if gap > 2.0 * abs(e_prev - e_earlier) and gap > cfg.tol * max(1.0, abs(e_last)):
             raise PVNotConverging(
                 f"extrapolants diverge: successive limits differ by {gap:.3e}")
-    converged = conv_all and gap <= cfg.tol * max(1.0, abs(e_last))
+    converged = (all(r.converged for r in results)
+                 and gap <= cfg.tol * max(1.0, abs(e_last)))
     return QuadResult(value=e_last,
-                      err_estimate=gap + max(errs),
-                      panels_evaluated=panels,
-                      tail_estimate=max(tails),
-                      converged=converged)
+                      err_estimate=gap + err,
+                      panels_evaluated=sum(r.panels_evaluated for r in results),
+                      tail_estimate=tail,
+                      converged=converged,
+                      trace=_merged_trace(results, {"quadrature": err,
+                                                    "tail": tail, "pv": gap}))

@@ -2,8 +2,11 @@
 
 A Report is the single output record of every computation: the value, its
 error and tail estimates, convergence state, the constants and quadrature
-configuration that produced it, and wall time. Reports serialize to JSON
-(deterministic except wall_time_ms) and to fixed-column CSV.
+configuration that produced it, and wall time. Integral methods add
+extra["trace"]: the quadrature trace (rounds, panels per round, deepest
+split, whether max_depth stopped a hot panel, the source of err_estimate)
+and the worker count. Reports serialize to JSON (deterministic except
+wall_time_ms) and to fixed-column CSV.
 """
 
 import json
@@ -20,7 +23,7 @@ from .gauss import (Polyline3, crossing_linking, gauss_linking,
 from .geometry import NormalizationConstants, poly_deg
 from .holo import (BMContext, complex_linking_number, holo_linking_integral,
                    line_holo_closed)
-from .quadrature import QuadConfig, QuadResult
+from .quadrature import QuadConfig, workers_from_env
 from .residue import atiyah_p3, lift_theta, residue_linking
 
 METHODS = (
@@ -195,7 +198,7 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
     ctx = BMContext(include_cn=include_cn)
     t0 = time.perf_counter()
 
-    value = None
+    value = res = None
     err = tail = 0.0
     converged = True
     panels = 0
@@ -207,8 +210,6 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
 
     if method == "gauss_integral":
         res = gauss_linking(c1, c2, cfg)
-        value, err, tail = res.value, res.err_estimate, res.tail_estimate
-        converged, panels = res.converged, res.panels_evaluated
     elif method == "gauss_crossing":
         _require(c1.kind == "real_closed" and c2.kind == "real_closed",
                  method, "needs two closed real curves")
@@ -233,8 +234,6 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
         else:
             _require(any_poles, method, "no declared poles; use holo_integral")
         res = holo_linking_integral((c1, f1), (c2, f2), ctx, cfg)
-        value, err, tail = res.value, res.err_estimate, res.tail_estimate
-        converged, panels = res.converged, res.panels_evaluated
     elif method == "holo_closed":
         _require(c1.is_line and c2.is_line, method, "needs two complex lines")
         _require(f1 is not None and f2 is not None, method,
@@ -262,16 +261,16 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
         _require(c1.kind == "complex_affine" and c2.kind == "complex_affine",
                  method, "needs two complex curves")
         res = complex_linking_number(c1, c2, ctx, cfg)
-        value, err, tail = res.value, res.err_estimate, res.tail_estimate
-        converged, panels = res.converged, res.panels_evaluated
     elif method == "atiyah":
         _require(scene.atiyah is not None, method,
                  "scene declares no projective line data")
-        kept, reduced, ratio = atiyah_p3(scene.atiyah["l"], scene.atiyah["p"],
-                                         details=True)
-        value = kept
-        extra = {"reduced": [reduced.real, reduced.imag],
-                 "cancellation": [complex(ratio).real, complex(ratio).imag]}
+        value = atiyah_p3(scene.atiyah["l"], scene.atiyah["p"])
+        extra = {"reduced": [value.real, value.imag]}
+
+    if res is not None:
+        value, err, tail = res.value, res.err_estimate, res.tail_estimate
+        converged, panels = res.converged, res.panels_evaluated
+        extra = {"trace": dict(res.trace.to_dict(), workers=workers_from_env())}
 
     ms = (time.perf_counter() - t0) * 1000.0
     return Report(scene_id=scene.scene_id, method=method, value=complex(value),

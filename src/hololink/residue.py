@@ -405,7 +405,7 @@ def _lin_on_frame(form, q0, q1):
     return complex(form @ q0), complex(form @ q1)
 
 
-def atiyah_p3(l_forms, p_forms, details=False):
+def atiyah_p3(l_forms, p_forms):
     """Residue pairing of two disjoint lines in projective 3-space.
 
     l_forms = (l1, l2, l3, l4): linear forms in (z0..z3) cutting the lines
@@ -414,14 +414,12 @@ def atiyah_p3(l_forms, p_forms, details=False):
     and the line forms 1/(p1 p2), 1/(p3 p4).
 
     Restricted to L2 the ratio of the lifted form to the ambient form
-    leaves theta0 / (l1 l2), with every p-factor cancelling in pairs; the
-    value is the residue sum over {l1 = 0} on L2, chart-changed to reach
-    an intersection point at infinity (where theta0 pulls back to -du).
-    The p-cancellation is verified numerically at generic probe
-    parameters (the residue point itself may sit on a p-hyperplane, which
-    is harmless precisely because the factors cancel). Returns the value
-    with the measured cancellation factor kept in; details=True returns
-    (kept, reduced, ratio) so both assemblies can be reported.
+    leaves theta0 / (l1 l2): each p-factor enters once above and once
+    below, so they cancel identically. The value is the residue sum over
+    {l1 = 0} on L2, chart-changed to reach an intersection point at
+    infinity (where theta0 pulls back to -du). The residue point may sit
+    on a p-hyperplane, which is harmless because the factors cancel; a
+    hyperplane containing either line is rejected.
     """
     L = np.asarray(l_forms, dtype=complex).reshape(4, 4)
     Pmat = np.asarray(p_forms, dtype=complex).reshape(4, 4)
@@ -455,23 +453,4 @@ def atiyah_p3(l_forms, p_forms, details=False):
     l_scale = float(np.linalg.norm(L[1]) * max(np.linalg.norm(point), 1e-300))
     if abs(l2_val) <= 1e-10 * l_scale:
         raise PoleCollision("l2 vanishes at the l1-intersection point")
-    reduced = theta0 / (deriv * l2_val)
-
-    # measure the p1..p4 cancellation (each p enters the lifted form once
-    # above and once below) at generic probe points on the line
-    probe_pts = (q0[None, :] + np.array([0.37, 1.21, -0.89])[:, None] * q1[None, :])
-    probe_vals = probe_pts @ Pmat.T  # (3, 4)
-    pscale = np.linalg.norm(Pmat, axis=1) * np.maximum(
-        np.linalg.norm(probe_pts, axis=1)[:, None], 1e-300)
-    good = np.all(np.abs(probe_vals) > 1e-10 * pscale, axis=1)
-    if not np.any(good):
-        raise NonGenericHyperplanes(
-            "no generic probe point clear of all p-hyperplanes")
-    ratios = (np.prod(probe_vals[good], axis=1)
-              / (probe_vals[good, 0] * probe_vals[good, 1]
-                 * probe_vals[good, 2] * probe_vals[good, 3]))
-    cancellation = complex(np.mean(ratios))
-    kept = reduced * cancellation
-    if details:
-        return kept, reduced, cancellation
-    return kept
+    return theta0 / (deriv * l2_val)

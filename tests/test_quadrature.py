@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hololink as hl
+from hololink import report, scenes
 from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
                                  extrapolate_to_zero, integrate_curve,
                                  integrate_product, integrate_pv,
@@ -201,3 +202,84 @@ def test_nonfinite_integrand_is_reported():
     cfg = hl.QuadConfig(tol=1e-6)
     with pytest.raises(hl.NonFiniteIntegrand):
         integrate_curve(lambda t: 1.0 / (t - t), Interval(0.0, 1.0), cfg)
+
+
+# ---------------------------------------------------------------------------
+# batched rounds, trace and pinned panel counts
+
+def _torus_curve(phase, major=2.0, minor=0.5):
+    """The (1, 1) torus curve (major + minor cos A)(cos 2 pi t, sin 2 pi t),
+    minor sin A with A = 2 pi (t + phase), as a trigonometric polynomial."""
+    phi = 2.0 * math.pi * phase
+    h, c, s = 0.5 * minor, math.cos(phi), math.sin(phi)
+    return hl.ParamCurve.real_closed(
+        (h * c, -(h * s), 0.0),
+        [[major, 0.0, minor * s], [h * c, h * s, 0.0]],
+        [[0.0, major, minor * c], [-(h * s), h * c, 0.0]])
+
+
+def _torus_pair(gap, base=0.1):
+    return _torus_curve(base), _torus_curve(base + gap)
+
+
+def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
+    calls = []
+    raw = hl.ParamCurve.eval_batch
+
+    def counted(self, params):
+        calls.append(np.size(params))
+        return raw(self, params)
+
+    monkeypatch.setattr(hl.ParamCurve, "eval_batch", counted)
+    res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
+    assert res.converged and abs(res.value - 1.0) < 1e-6
+    rounds = len(res.trace.panels_per_round)
+    # per round and side: two rules, split-axis and proximity samples;
+    # plus the batch probe and the global distance check, once per side
+    assert len(calls) <= 8 * rounds + 4
+    # one call per panel and rule would be four per panel
+    assert len(calls) < res.panels_evaluated
+
+
+def test_l0_panel_count_is_pinned():
+    rep = report.compute(scenes.l0(), "holo_integral", hl.QuadConfig(tol=1e-6))
+    assert rep.panels_evaluated == 122
+
+
+def test_near_torus_pair_panel_count_is_pinned():
+    res = hl.gauss_linking(*_torus_pair(0.006), hl.QuadConfig(tol=1e-6))
+    assert res.converged and abs(res.value - 1.0) < 1e-9
+    assert res.panels_evaluated == 4877
+
+
+def test_trace_counts_rounds_and_max_depth():
+    def g(u):
+        return np.exp(-((u - 0.3) ** 2) / 1e-3)
+
+    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+                            Interval(0.0, 1.0), Interval(0.0, 1.0),
+                            hl.QuadConfig(tol=1e-12, max_depth=1))
+    trace = res.trace
+    assert sum(trace.panels_per_round) == res.panels_evaluated
+    assert trace.panels_per_round[0] == 1
+    assert trace.deepest_split == 1 and trace.max_depth_hit
+    assert trace.err_source == "quadrature"
+    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+                            Interval(0.0, 1.0), Interval(0.0, 1.0),
+                            hl.QuadConfig(tol=1e-6))
+    assert res.converged and not res.trace.max_depth_hit
+
+
+def test_trace_names_the_tail_and_the_pv_gap():
+    def f(u, v):
+        return 1.0 / ((1.0 + u[:, None] ** 2) * (1.0 + v[None, :] ** 2))
+
+    dom = Interval(-40.0, 40.0, truncated=True)
+    res = integrate_product(f, dom, dom, hl.QuadConfig(tol=1e-9))
+    assert res.trace.err_source == "tail"
+    # a 1/sqrt term leaves an excluded-hole term in sqrt(eps), which the
+    # polynomial extrapolation in eps cannot remove
+    res = integrate_pv(lambda t: 1.0 / (t - 0.3) + 1.0 / np.sqrt(np.abs(t - 0.3)),
+                       Interval(0.0, 1.0), None, ([0.3], []),
+                       hl.QuadConfig(tol=1e-8))
+    assert res.trace.err_source == "pv" and not res.converged

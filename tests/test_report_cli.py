@@ -74,11 +74,26 @@ def test_residue_report_is_raw_value(cfg):
     assert rep.value == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("scene, method, source", [
+    ("hopf", "gauss_integral", "quadrature"),
+    ("skew_lines", "gauss_integral", "tail"),
+    ("L0", "complex_link", "tail"),
+])
+def test_integral_report_carries_its_trace(fast_cfg, scene, method, source):
+    rep = report.compute(scenes.builtin(scene), method, fast_cfg)
+    trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
+    assert trace["rounds"] == len(trace["panels_per_round"]) >= 1
+    assert sum(trace["panels_per_round"]) == rep.panels_evaluated
+    assert trace["deepest_split"] >= 1
+    assert trace["max_depth_hit"] is False
+    assert trace["err_source"] == source
+    assert trace["workers"] == 1
+
+
 def test_projective_report_extra(cfg):
     rep = report.compute(scenes.atiyah_lines(), "atiyah", cfg)
     assert rep.value == pytest.approx(-1.0)
     assert rep.extra["reduced"] == pytest.approx([-1.0, 0.0])
-    assert rep.extra["cancellation"] == pytest.approx([1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
