@@ -6,7 +6,8 @@ points — plus a signed-crossing count for closed real curves, all
 cross-validated against each other.
 """
 
-from .errors import (CalibrationUnstable, CoincidentPoints, CurvesTooClose,
+from .errors import (CalibrationUnstable, CoincidentPoints,
+                     ConstantsMismatch, CurvesTooClose,
                      DegenerateConfiguration, DegenerateProjection,
                      DependentGradients, HololinkError, IdenticallyZero,
                      LinesIntersect, MethodInapplicable,

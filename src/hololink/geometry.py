@@ -290,8 +290,14 @@ class OneForm:
         object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
 
     def coeff_batch(self, params):
+        num, den = self.num_den_batch(params)
+        return num / den
+
+    def num_den_batch(self, params):
+        """Numerator and denominator values; finite at a pole, where only
+        their ratio is not."""
         params = np.asarray(params)
-        return P.polyval(params, self.num) / P.polyval(params, self.den)
+        return P.polyval(params, self.num), P.polyval(params, self.den)
 
     def scaled(self, factor):
         return OneForm(self.curve, self.num * factor, self.den, self.poles)
@@ -325,15 +331,28 @@ class SurfaceCut:
 
 @dataclass(frozen=True)
 class NormalizationConstants:
+    """The line constants and, when calibrate measured them, how: with or
+    without C3 in the kernel, at which tol and truncation radius. None
+    means unrecorded."""
+
     c3: float = math.pi ** 3
     kappa_line: complex = None
     kappa_xmethod: complex = None
+    include_cn: bool = None
+    tol: float = None
+    truncation_radius: float = None
+
+    _PROVENANCE = ("include_cn", "tol", "truncation_radius")
 
     def to_dict(self):
         def cpx(v):
             return None if v is None else [v.real, v.imag]
-        return {"C3": self.c3, "kappa_line": cpx(self.kappa_line),
-                "kappa_xmethod": cpx(self.kappa_xmethod)}
+        out = {"C3": self.c3, "kappa_line": cpx(self.kappa_line),
+               "kappa_xmethod": cpx(self.kappa_xmethod)}
+        for key in self._PROVENANCE:
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
+        return out
 
     @classmethod
     def from_dict(cls, d):
@@ -341,7 +360,8 @@ class NormalizationConstants:
             return None if v is None else complex(v[0], v[1])
         return cls(c3=float(d.get("C3", math.pi ** 3)),
                    kappa_line=uncpx(d.get("kappa_line")),
-                   kappa_xmethod=uncpx(d.get("kappa_xmethod")))
+                   kappa_xmethod=uncpx(d.get("kappa_xmethod")),
+                   **{key: d.get(key) for key in cls._PROVENANCE})
 
 
 @dataclass
@@ -391,7 +411,8 @@ def validate_scene(scene):
 
     Deliberately not checked here: curve disjointness (the quadrature layer
     raises CurvesTooClose so the failure surfaces as a numerical diagnostic)
-    and pole orders (integrate_pv probes them at run time).
+    and pole orders (integrate_pv probes them at run time, and integrates
+    only simple poles, in a polar chart centered on the pole).
     """
     for name, curve in scene.curves.items():
         path = f"curves.{name}"

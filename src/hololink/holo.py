@@ -103,9 +103,10 @@ def holo_linking_integral(s1, s2, ctx, cfg):
 
     s1 and s2 are (ParamCurve, OneForm) pairs. The value is the double
     integral of the pointwise kernel times both form coefficients over the
-    two parameter domains (area measure, factor 4; C3 per ctx). Forms with
-    declared poles route through the principal-value integrator; truncated
-    domains get the R vs 2R tail step with 1/R^2 decay.
+    two parameter domains (area measure, factor 4; C3 per ctx). A form with
+    a declared simple pole is integrated in the polar chart centered on the
+    pole, where the area jacobian cancels it (see quadrature.integrate_pv);
+    truncated domains get the R vs 2R tail step with 1/R^2 decay.
     """
     curve1, form1 = s1
     curve2, form2 = s2
@@ -114,17 +115,20 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     dom_b = domain_for_curve(curve2, cfg)
     scale = AREA_FACTOR * ctx.prefactor
 
-    def integrand(x, dx, c1, y, dy, c2):
+    # the sides carry each form's numerator and denominator and only the
+    # integrand divides: the engine samples curve positions at the
+    # puncture itself, but integrates only at interior nodes
+    def integrand(x, dx, num1, den1, y, dy, num2, den2):
         grid = _kernels.bm_grid(x, dx, y, dy)
-        grid *= (scale * c1)[:, None]
-        grid *= c2[None, :]
+        grid *= (scale * (num1 / den1))[:, None]
+        grid *= (num2 / den2)[None, :]
         return grid
 
     return integrate_pv(
         integrand, dom_a, dom_b,
         (tuple(form1.poles), tuple(form2.poles)), cfg,
-        side_a=lambda u: (*curve1.eval_batch(u), form1.coeff_batch(u)),
-        side_b=lambda v: (*curve2.eval_batch(v), form2.coeff_batch(v)),
+        side_a=lambda u: (*curve1.eval_batch(u), *form1.num_den_batch(u)),
+        side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)),
         decay_order=2)
 
 

@@ -22,9 +22,9 @@ pairwise tree over geometrically sorted panels, so values do not depend on
 how a round is batched. Everything runs on one thread.
 
 Truncated (non-compact) domains are integrated at their radius R and at 2R
-with a one-step Richardson extrapolation; principal values exclude exact
-epsilon-disks around declared punctures and extrapolate the epsilon
-sequence to zero. Every result carries a QuadTrace saying how it was
+with a one-step Richardson extrapolation. A declared simple pole is
+integrated directly, in a polar chart centered on it whose area jacobian
+cancels the pole. Every result carries a QuadTrace saying how it was
 produced.
 """
 
@@ -52,7 +52,6 @@ class QuadConfig:
     max_depth: int = 24
     panel_order: int = 8
     truncation_radius: float = 40.0
-    pv_epsilons: tuple = (0.1, 0.05, 0.025, 0.0125)
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -64,12 +63,6 @@ class QuadConfig:
         if not self.truncation_radius > 0:
             raise ValueError(
                 "QuadConfig invariant violated: truncation_radius > 0")
-        eps = tuple(float(e) for e in self.pv_epsilons)
-        if not eps or any(e <= 0 for e in eps) or any(
-                eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
-            raise ValueError(
-                "QuadConfig invariant violated: pv_epsilons strictly decreasing, positive")
-        object.__setattr__(self, "pv_epsilons", eps)
 
 
 @dataclass(frozen=True)
@@ -79,8 +72,7 @@ class QuadTrace:
     deepest_split is the most halvings of any final panel; max_depth_hit
     says whether max_depth kept a hot panel from being refined; err_source
     names the largest part of the error budget: "quadrature" (summed panel
-    errors), "tail" (the R vs 2R step) or "pv" (the epsilon extrapolation
-    gap)."""
+    errors) or "tail" (the R vs 2R step)."""
 
     panels_per_round: tuple = ()
     deepest_split: int = 0
@@ -133,17 +125,6 @@ def pairwise_tree_sum(values):
     return vals[0]
 
 
-def extrapolate_to_zero(xs, ys):
-    """Neville evaluation at 0 of the polynomial through (xs, ys)."""
-    n = len(xs)
-    tab = list(ys)
-    for level in range(1, n):
-        for i in range(n - level):
-            x_lo, x_hi = xs[i], xs[i + level]
-            tab[i] = (x_hi * tab[i] - x_lo * tab[i + 1]) / (x_hi - x_lo)
-    return tab[0]
-
-
 # ---------------------------------------------------------------------------
 # parameter domains
 
@@ -179,34 +160,10 @@ class Interval:
         half = 0.5 * (self.hi - self.lo) * factor
         return Interval(mid - half, mid + half, truncated=self.truncated)
 
-    def exclude(self, punctures, eps):
-        return PuncturedInterval(self.lo, self.hi, punctures, eps,
-                                 truncated=self.truncated)
-
-
-class PuncturedInterval(Interval):
-    """Interval minus symmetric eps-neighborhoods of interior punctures."""
-
-    def __init__(self, lo, hi, punctures, eps, truncated=False):
-        super().__init__(lo, hi, truncated=truncated)
-        self.punctures = sorted(float(np.real(p)) for p in punctures)
-        self.eps = float(eps)
-
-    def initial_cells(self):
-        edges = [self.lo]
-        for p in self.punctures:
-            edges += [p - self.eps, p + self.eps]
-        edges.append(self.hi)
-        cells = []
-        for i in range(0, len(edges), 2):
-            if edges[i + 1] > edges[i]:
-                cells.append(((edges[i], edges[i + 1]),))
-        return cells
-
-    def scaled(self, factor):
-        base = Interval(self.lo, self.hi, truncated=self.truncated).scaled(factor)
-        return PuncturedInterval(base.lo, base.hi, self.punctures, self.eps,
-                                 truncated=self.truncated)
+    def punctured(self, punctures):
+        raise PVNotConverging(
+            "principal values need a complex parameter domain; real curves "
+            "carry no forms, so a puncture on a real interval has none")
 
 
 class Disk:
@@ -242,36 +199,35 @@ class Disk:
     def scaled(self, factor):
         return Disk(self.radius * factor, self.center, truncated=self.truncated)
 
-    def exclude(self, punctures, eps):
+    def punctured(self, punctures):
         if len(punctures) != 1:
             raise PVNotConverging(
                 "principal values support exactly one puncture per complex curve; "
                 f"got {len(punctures)}")
-        return PuncturedDisk(self.radius, complex(punctures[0]), eps,
+        return PuncturedDisk(self.radius, complex(punctures[0]),
                              truncated=self.truncated)
 
 
 class PuncturedDisk:
-    """Origin-centered disk of the given radius minus an exact eps-disk
-    around the puncture, in a puncture-centered polar chart."""
+    """Origin-centered disk of the given radius in a polar chart centered on
+    an interior puncture p: u = p + x rmax(phi) e^{i phi}, x in [0, 1]. The
+    area jacobian r vanishes at p and cancels a simple pole there, so the
+    integral is an ordinary one; no quadrature node lies on x = 0."""
 
     naxes = 2
 
-    def __init__(self, radius, puncture, eps, truncated=True):
+    def __init__(self, radius, puncture, truncated=True):
         self.radius = float(radius)
         self.puncture = complex(puncture)
-        self.eps = float(eps)
         self.truncated = bool(truncated)
-        if abs(self.puncture) + self.eps >= self.radius:
+        if abs(self.puncture) >= self.radius:
             raise PVNotConverging(
-                f"puncture {puncture} with exclusion {eps} does not fit in "
-                f"the radius-{radius} disk")
-
-    def axes(self):
-        return ((0.0, 1.0), (0.0, TWO_PI))
+                f"puncture {puncture} does not lie inside the radius-{radius} disk")
 
     def initial_cells(self):
-        return [self.axes()]
+        # two half-turns: a full turn samples its angular axis at phi = 0
+        # and 2 pi, one point, so the split rule would never see its extent
+        return [((0.0, 1.0), (0.0, math.pi)), ((0.0, 1.0), (math.pi, TWO_PI))]
 
     def _rmax(self, phi):
         a = np.real(np.conj(self.puncture) * np.exp(1j * phi))
@@ -280,9 +236,9 @@ class PuncturedDisk:
     def chart(self, cols):
         x, phi = cols
         rmax = self._rmax(phi)
-        r = self.eps + x * (rmax - self.eps)
+        r = x * rmax
         params = self.puncture + r * np.exp(1j * phi)
-        return params, r * (rmax - self.eps)
+        return params, r * rmax
 
     def proximity_params(self, n=192):
         x = np.array([0.05, 0.3, 0.6, 0.9])
@@ -296,7 +252,7 @@ class PuncturedDisk:
         return params
 
     def scaled(self, factor):
-        return PuncturedDisk(self.radius * factor, self.puncture, self.eps,
+        return PuncturedDisk(self.radius * factor, self.puncture,
                              truncated=self.truncated)
 
 
@@ -330,7 +286,7 @@ class Rect:
         ys = self.y0 + (self.y1 - self.y0) * np.array([0.47, 0.71])
         return xs + 1j * ys
 
-    def exclude(self, punctures, eps):
+    def punctured(self, punctures):
         raise PVNotConverging("principal values on rectangle domains are not supported")
 
 
@@ -682,21 +638,17 @@ def _product(f, dom_a, dom_b, cfg, side_a, side_b, decay_order):
 
 def _probe_pole_order(f2, domain, other, punctures, swap):
     """Log-log slope of the integrand magnitude on shrinking rings around
-    each declared puncture; order > 1.5 means the pole is not simple."""
+    each declared puncture of a disk domain; order > 1.5 means the pole is
+    not simple."""
     if other is not None:
         gen = other.generic_params()
+    angles = np.exp(1j * np.linspace(0.0, TWO_PI, 8, endpoint=False))
     for p in punctures:
-        if isinstance(domain, Interval):
-            r0 = 0.25 * min(1.0, domain.hi - domain.lo)
-            radii = r0 * 0.5 ** np.arange(4)
-            rings = [np.array([p - r, p + r]) for r in radii]
-        else:
-            r0 = 0.5 * min(1.0, (domain.radius - abs(complex(p))) / 2.0)
-            radii = r0 * 0.5 ** np.arange(4)
-            angles = np.exp(1j * np.linspace(0.0, TWO_PI, 8, endpoint=False))
-            rings = [complex(p) + r * angles for r in radii]
+        r0 = 0.5 * min(1.0, (domain.radius - abs(complex(p))) / 2.0)
+        radii = r0 * 0.5 ** np.arange(4)
         mags = []
-        for ring in rings:
+        for r in radii:
+            ring = complex(p) + r * angles
             if other is None:
                 vals = f2(ring)
             elif swap:
@@ -717,69 +669,40 @@ def _probe_pole_order(f2, domain, other, punctures, swap):
 
 def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
                  side_b=None, decay_order=1):
-    """Principal value of a product integral with declared punctures.
+    """Integral over a product of domains (a single domain when dom_b is
+    None) whose integrand may have simple poles at declared punctures.
 
     The integrand and sides are those of integrate_product (of
-    integrate_curve when dom_b is None). punctures = (on_a, on_b):
-    parameter values excluded by exact eps-neighborhoods, eps running
-    through cfg.pv_epsilons; the limit is the Neville extrapolation to
-    eps = 0. Convergence requires the last two extrapolants to agree to
-    cfg.tol. A pole-order probe at each puncture raises PVNotConverging for
-    anything steeper than a simple pole.
+    integrate_curve when dom_b is None). punctures = (on_a, on_b). Under
+    the area measure a simple pole is absolutely integrable, so the
+    "principal value" is an ordinary integral: each punctured disk is
+    integrated in the polar chart centered on its puncture (PuncturedDisk),
+    whose jacobian r cancels the pole, in one engine run (plus the R vs 2R
+    step of integrate_product on truncated domains). Raises
+    PVNotConverging for a puncture on a real Interval or a Rect, for more
+    than one puncture per disk, and, from a pole-order probe at each
+    puncture, for anything steeper than a simple pole.
     """
-    punct_a, punct_b = punctures
-    punct_a = list(punct_a or ())
-    punct_b = list(punct_b or ())
+    punct_a = list(punctures[0] or ())
+    punct_b = list(punctures[1] or ())
+    da = dom_a.punctured(punct_a) if punct_a else dom_a
+    db = dom_b.punctured(punct_b) if punct_b else dom_b
     sa, sb = side_a or _identity, side_b or _identity
     if dom_b is None:
         f = _ensure_batch_1(integrand, sa)
-
-        def run(da, db):
-            return _Engine(f, da, None, cfg, side_a).run()
 
         def on_params(u):
             return f(*sa(u))
     else:
         f = _ensure_batch_2(integrand, sa, sb)
 
-        def run(da, db):
-            return _product(f, da, db, cfg, side_a, side_b, decay_order)
-
         def on_params(u, v):
             return f(*sa(u), *sb(v))
-
-    if not punct_a and not punct_b:
-        return run(dom_a, dom_b)
 
     if punct_a:
         _probe_pole_order(on_params, dom_a, dom_b, punct_a, swap=False)
     if punct_b:
         _probe_pole_order(on_params, dom_b, dom_a, punct_b, swap=True)
-
-    results = []
-    for eps in cfg.pv_epsilons:
-        da = dom_a.exclude(punct_a, eps) if punct_a else dom_a
-        db = dom_b.exclude(punct_b, eps) if (dom_b is not None and punct_b) else dom_b
-        results.append(run(da, db))
-    values = [r.value for r in results]
-    err = max(r.err_estimate for r in results)
-    tail = max(r.tail_estimate for r in results)
-
-    eps_seq = list(cfg.pv_epsilons)
-    e_prev = extrapolate_to_zero(eps_seq[:-1], values[:-1])
-    e_last = extrapolate_to_zero(eps_seq, values)
-    gap = abs(e_last - e_prev)
-    if len(values) >= 3:
-        e_earlier = extrapolate_to_zero(eps_seq[:-2], values[:-2])
-        if gap > 2.0 * abs(e_prev - e_earlier) and gap > cfg.tol * max(1.0, abs(e_last)):
-            raise PVNotConverging(
-                f"extrapolants diverge: successive limits differ by {gap:.3e}")
-    converged = (all(r.converged for r in results)
-                 and gap <= cfg.tol * max(1.0, abs(e_last)))
-    return QuadResult(value=e_last,
-                      err_estimate=gap + err,
-                      panels_evaluated=sum(r.panels_evaluated for r in results),
-                      tail_estimate=tail,
-                      converged=converged,
-                      trace=_merged_trace(results, {"quadrature": err,
-                                                    "tail": tail, "pv": gap}))
+    if dom_b is None:
+        return _Engine(f, da, None, cfg, side_a).run()
+    return _product(f, da, db, cfg, side_a, side_b, decay_order)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scenes as _scenes
-from .errors import (CalibrationUnstable, MethodInapplicable, NumericalError,
-                     SceneInvalid)
+from .errors import (CalibrationUnstable, ConstantsMismatch,
+                     MethodInapplicable, NumericalError, SceneInvalid)
 from .gauss import (Polyline3, crossing_linking, gauss_linking,
                     line_gauss_closed)
 from .geometry import NormalizationConstants, poly_deg
@@ -187,6 +187,19 @@ def _line_data(c1, c2):
     return p1, e1, p2, e2
 
 
+def _scene_constants(scene, include_cn):
+    """The scene's constants (defaults when it has none); raises
+    ConstantsMismatch when they were calibrated with the other include_cn,
+    which would compare values a factor pi^3 apart."""
+    consts = scene.constants or NormalizationConstants()
+    if consts.include_cn is not None and consts.include_cn != include_cn:
+        raise ConstantsMismatch(
+            f"constants were calibrated with include_cn={consts.include_cn}, "
+            f"but this run uses include_cn={include_cn}; recalibrate or "
+            "match the --no-cn flag")
+    return consts
+
+
 def compute(scene, method, cfg, seed=0, include_cn=True):
     """Run one method on a scene's query pair and wrap the result."""
     if method not in METHODS:
@@ -194,7 +207,7 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
                                      f"choose from {METHODS}")
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
-    consts = scene.constants or NormalizationConstants()
+    consts = _scene_constants(scene, include_cn)
     ctx = BMContext(include_cn=include_cn)
     t0 = time.perf_counter()
 
@@ -298,14 +311,15 @@ def xcheck(scene, cfg, seed=0, include_cn=True):
     kappa_xmethod before comparison. A pair passes when the difference is
     within three times the summed error and tail estimates (plus a machine
     -precision floor); any numerical failure is recorded and fails the
-    check.
+    check. Raises ConstantsMismatch when the scene's constants were
+    calibrated with the other include_cn.
     """
     methods = applicable_methods(scene)
     if len(methods) < 2:
         raise MethodInapplicable(
             f"cross-check needs at least two applicable methods; scene "
             f"{scene.scene_id!r} supports {methods or 'none'}")
-    consts = scene.constants or NormalizationConstants()
+    consts = _scene_constants(scene, include_cn)
     if "residue" in methods and consts.kappa_xmethod is None:
         raise MethodInapplicable(
             "cross-check with the residue route needs calibrated constants "
@@ -372,7 +386,9 @@ def calibrate(cfg, include_cn=True):
     reference pair (truncation R with the engine's R-vs-2R step, so R = 40
     evaluates at 40 and 80). kappa_xmethod divides that by the same scene's
     raw residue-route value. Raises CalibrationUnstable when the two radii
-    disagree beyond 1% or the integral fails to converge.
+    disagree beyond 1% or the integral fails to converge. The constants
+    record include_cn, tol and the truncation radius they were measured
+    with.
     """
     scene = _scenes.l0(radius=cfg.truncation_radius)
     (n1, c1), (n2, c2) = _query(scene)
@@ -398,4 +414,6 @@ def calibrate(cfg, include_cn=True):
         raise CalibrationUnstable("reference residue value vanished")
     kappa_xmethod = kappa_line / raw
     return NormalizationConstants(kappa_line=kappa_line,
-                                  kappa_xmethod=kappa_xmethod)
+                                  kappa_xmethod=kappa_xmethod,
+                                  include_cn=include_cn, tol=cfg.tol,
+                                  truncation_radius=cfg.truncation_radius)

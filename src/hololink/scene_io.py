@@ -263,6 +263,15 @@ def _constants_in(value, path):
     for key in ("kappa_line", "kappa_xmethod"):
         if value.get(key) is not None:
             out[key] = _complex_out(_complex_in(value[key], f"{path}.{key}"))
+    if value.get("include_cn") is not None:
+        if not isinstance(value["include_cn"], bool):
+            raise SceneInvalid(path + ".include_cn", "expected true or false")
+        out["include_cn"] = value["include_cn"]
+    for key in ("tol", "truncation_radius"):
+        if value.get(key) is not None:
+            if not isinstance(value[key], (int, float)):
+                raise SceneInvalid(f"{path}.{key}", "expected a number")
+            out[key] = float(value[key])
     return NormalizationConstants.from_dict(out)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import scenes
+from hololink import report, scenes
 from hololink.holo import AREA_FACTOR, SPHERE_NORMALIZER
 
 
@@ -175,3 +175,20 @@ def test_theta_free_energy_positive_and_matches_analytic(fast_cfg):
 
 def test_area_factor_is_four():
     assert AREA_FACTOR == 4.0
+
+
+# ---------------------------------------------------------------------------
+# simple poles: the puncture-centered chart
+
+# pv_lines at tol 1e-6; panel orders 8 and 12 agree to 3e-11
+PV_LINES_REFERENCE = 90.0932435585 + 81.9029486896j
+
+
+@pytest.mark.parametrize("tol, panels", [(1e-4, 672), (1e-6, 752)])
+def test_simple_pole_lines_converge(tol, panels):
+    rep = report.compute(scenes.pv_lines(), "holo_pv", hl.QuadConfig(tol=tol))
+    assert rep.converged
+    assert not rep.extra["trace"]["max_depth_hit"]
+    assert rep.panels_evaluated == panels
+    assert abs(rep.value - PV_LINES_REFERENCE) <= (rep.err_estimate
+                                                    + rep.tail_estimate)

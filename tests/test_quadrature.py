@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 import hololink as hl
 from hololink import report, scenes
 from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
-                                 extrapolate_to_zero, integrate_curve,
-                                 integrate_product, integrate_pv,
-                                 pairwise_tree_sum)
+                                 integrate_curve, integrate_product,
+                                 integrate_pv, pairwise_tree_sum)
 
 # Independently derived reference values (closed forms verified against
 # high-order composite quadrature when first frozen):
 #   integral over [0,1] of dt/(t - (0.5 + 0.01i)) = i*(pi - 2*arctan(1/50))
 COMPLEX_POLE_ORACLE = 3.101597985643492j
-#   principal value over [0,1] of dt/(t - 0.3) = ln(7/3)
-PV_ORACLE = 0.8472978603872034
 
 
 def test_complex_pole_oracle():
@@ -28,19 +25,28 @@ def test_complex_pole_oracle():
     assert abs(res.value - COMPLEX_POLE_ORACLE) < 1e-10
 
 
-def test_principal_value_oracle():
-    cfg = hl.QuadConfig(tol=1e-8)
-    res = integrate_pv(lambda t: 1.0 / (t - 0.3), Interval(0.0, 1.0), None,
-                       ([0.3], []), cfg)
+def test_simple_pole_cauchy_pompeiu_oracle():
+    # Cauchy-Pompeiu: the area integral of 1/(z - p) over |z| <= 2 is
+    # -pi conj(p); the puncture-centered chart integrates it directly
+    p = 0.3 + 0.1j
+    res = integrate_pv(lambda z: 1.0 / (z - p), Disk(2.0), None, ([p], []),
+                       hl.QuadConfig(tol=1e-12))
     assert res.converged
-    assert abs(res.value - PV_ORACLE) < 1e-8
+    assert abs(res.value - (-math.pi * np.conj(p))) < 1e-12
 
 
 def test_double_pole_has_no_principal_value():
     cfg = hl.QuadConfig(tol=1e-8)
+    p = 0.3 + 0.1j
     with pytest.raises(hl.PVNotConverging):
-        integrate_pv(lambda t: 1.0 / (t - 0.3) ** 2, Interval(0.0, 1.0),
-                     None, ([0.3], []), cfg)
+        integrate_pv(lambda z: 1.0 / (z - p) ** 2, Disk(2.0), None,
+                     ([p], []), cfg)
+
+
+def test_puncture_on_interval_is_rejected():
+    with pytest.raises(hl.PVNotConverging):
+        integrate_pv(lambda t: 1.0 / (t - 0.3), Interval(0.0, 1.0), None,
+                     ([0.3], []), hl.QuadConfig(tol=1e-8))
 
 
 def test_product_integral_matches_midpoint_oracle():
@@ -117,8 +123,7 @@ def test_disk_area_and_pv_exclusion():
     res = integrate_curve(lambda z: np.ones_like(z, dtype=float),
                           Disk(2.0), cfg)
     assert abs(res.value - 4 * math.pi) < 1e-6
-    # excluding a puncture and extrapolating the hole radius to zero
-    # recovers the full area
+    # the polar chart centered on a puncture covers the same disk
     res_pv = integrate_pv(lambda z: np.ones_like(z, dtype=float), Disk(2.0),
                           None, ([0.3 + 0.1j], []), cfg)
     assert abs(res_pv.value - 4 * math.pi) < 1e-6
@@ -172,12 +177,6 @@ def test_domain_for_curve_shapes():
     assert isinstance(dom, Rect) and not dom.truncated
 
 
-def test_extrapolate_to_zero_is_exact_on_polynomials():
-    hs = [0.4, 0.2, 0.1, 0.05]
-    vals = [3.0 + 2.0 * h - 5.0 * h ** 2 + h ** 3 for h in hs]
-    assert extrapolate_to_zero(hs, vals) == pytest.approx(3.0, abs=1e-12)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False),
@@ -189,7 +188,7 @@ def test_pairwise_tree_sum_matches_fsum(xs):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": -1e-6}, {"max_depth": 0}, {"max_depth": 99},
-    {"panel_order": 1}, {"truncation_radius": 0.0}, {"pv_epsilons": ()},
+    {"panel_order": 1}, {"truncation_radius": 0.0},
 ])
 def test_config_invariants_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -270,16 +269,10 @@ def test_trace_counts_rounds_and_max_depth():
     assert res.converged and not res.trace.max_depth_hit
 
 
-def test_trace_names_the_tail_and_the_pv_gap():
+def test_trace_names_the_tail():
     def f(u, v):
         return 1.0 / ((1.0 + u[:, None] ** 2) * (1.0 + v[None, :] ** 2))
 
     dom = Interval(-40.0, 40.0, truncated=True)
     res = integrate_product(f, dom, dom, hl.QuadConfig(tol=1e-9))
     assert res.trace.err_source == "tail"
-    # a 1/sqrt term leaves an excluded-hole term in sqrt(eps), which the
-    # polynomial extrapolation in eps cannot remove
-    res = integrate_pv(lambda t: 1.0 / (t - 0.3) + 1.0 / np.sqrt(np.abs(t - 0.3)),
-                       Interval(0.0, 1.0), None, ([0.3], []),
-                       hl.QuadConfig(tol=1e-8))
-    assert res.trace.err_source == "pv" and not res.converged

@@ -146,6 +146,30 @@ def test_calibration_idempotent(constants):
     assert rel < 1e-6
 
 
+def test_calibration_records_its_provenance(constants):
+    assert constants.include_cn is True
+    assert constants.tol == 1e-6 and constants.truncation_radius == 40.0
+    back = hl.NormalizationConstants.from_dict(constants.to_dict())
+    assert back == constants
+
+
+def test_constants_from_the_other_normalization_are_rejected(constants,
+                                                              fast_cfg):
+    # calibrated with C3, run without it: the routes would differ by pi^3
+    scene = scenes.l0()
+    scene.constants = constants
+    with pytest.raises(hl.ConstantsMismatch):
+        report.xcheck(scene, fast_cfg, include_cn=False)
+    with pytest.raises(hl.ConstantsMismatch):
+        report.compute(scene, "holo_closed", fast_cfg, include_cn=False)
+    # constants without provenance load and run as before
+    scene.constants = hl.NormalizationConstants.from_dict(
+        {"C3": constants.c3, "kappa_line": [constants.kappa_line.real,
+                                            constants.kappa_line.imag]})
+    assert scene.constants.include_cn is None
+    report.compute(scene, "holo_closed", fast_cfg, include_cn=False)
+
+
 def test_calibration_unstable_at_low_depth():
     with pytest.raises(hl.CalibrationUnstable):
         report.calibrate(hl.QuadConfig(tol=1e-6, max_depth=2))
@@ -229,6 +253,16 @@ def test_cli_unknown_builtin_exits_2(capsys):
     code, _, err = _run(["run", "builtin:nope", "residue"], capsys)
     assert code == 2
     assert "nope" in err
+
+
+def test_cli_no_cn_with_calibrated_constants_exits_2(tmp_path, capsys,
+                                                     constants):
+    cpath = tmp_path / "c.json"
+    _write_constants(cpath, constants)
+    code, _, err = _run(["run", "builtin:L0", "holo_closed", "--no-cn",
+                         "--constants", str(cpath)], capsys)
+    assert code == 2
+    assert "ConstantsMismatch" in err
 
 
 def test_cli_double_pole_exits_3(tmp_path, capsys):

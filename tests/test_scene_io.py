@@ -135,6 +135,20 @@ def test_constants_block_round_trip():
     assert back.constants.kappa_xmethod == -612.5 - 1j
 
 
+def test_constants_provenance_round_trip():
+    scene = scenes.l0()
+    scene.constants = hl.NormalizationConstants(
+        kappa_line=-612.5 + 0.25j, include_cn=False, tol=1e-6,
+        truncation_radius=40.0)
+    back = hl.loads_scene(hl.dumps_scene(scene), scene_id="x")
+    assert back.constants == scene.constants
+    data = hl.scene_to_dict(scene)
+    data["constants"]["include_cn"] = "no"
+    with pytest.raises(SceneInvalid) as exc:
+        hl.loads_scene(json.dumps(data), scene_id="x")
+    assert exc.value.path == "constants.include_cn"
+
+
 def test_scene_to_dict_is_json_ready():
     d = hl.scene_to_dict(scenes.random_polynomial_scene(3))
     json.dumps(d)  # must not raise
