@@ -6,6 +6,9 @@ points — plus a signed-crossing count for closed real curves, all
 cross-validated against each other.
 """
 
+# set before the submodules load: calibrate records it in the constants
+__version__ = "0.1.0"
+
 from .errors import (CalibrationUnstable, CoincidentPoints,
                      ConstantsMismatch, CurvesTooClose,
                      DegenerateConfiguration, DegenerateProjection,
@@ -36,5 +39,3 @@ from .scene_io import (dumps_scene, load_scene, loads_scene, save_scene,
                        scene_to_dict)
 from .scenes import (BUILTIN_SCENES, builtin, random_line_scene,
                      random_polynomial_scene)
-
-__version__ = "0.1.0"

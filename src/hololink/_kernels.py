@@ -90,9 +90,15 @@ def clink_grid(z, dz, w, dw):
 
 
 def min_dist(a, b):
-    """Minimum pairwise euclidean distance between point clouds (n,k), (m,k)."""
-    d = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt(np.min(np.sum(d * d, axis=-1))))
+    """Minimum pairwise euclidean distance between point clouds (n,k), (m,k),
+    over blocks of rows of a: each difference array holds about 32k point
+    pairs (one row of a when b is larger), not n*m."""
+    step = max(1, 32768 // max(len(b), 1))
+    best = np.inf
+    for i in range(0, len(a), step):
+        d = a[i:i + step, None, :] - b[None, :, :]
+        best = min(best, np.min(np.sum(d * d, axis=-1)))
+    return float(np.sqrt(best))
 
 
 def crossing_sum(p1, d1, p2, d2):

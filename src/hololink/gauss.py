@@ -57,10 +57,10 @@ def _gauss_domain(curve, cfg):
 def gauss_linking(curve1, curve2, cfg):
     """Gauss linking integral of two disjoint real curves.
 
-    Closed curves integrate over [0,1]^2; real lines over the truncation
-    window with the R vs 2R tail step (1/R decay). The value is within
-    err_estimate of an integer for closed pairs and a half-integer for
-    lines.
+    Closed curves integrate over [0,1]^2; real lines in one run over the
+    doubled truncation window, whose outer cells give the tail,
+    extrapolated with 1/R decay. The value is within err_estimate of an
+    integer for closed pairs and a half-integer for lines.
     """
     if curve1.kind != curve2.kind:
         raise MethodInapplicable("gauss_linking needs a matching real pair")

@@ -332,8 +332,8 @@ class SurfaceCut:
 @dataclass(frozen=True)
 class NormalizationConstants:
     """The line constants and, when calibrate measured them, how: with or
-    without C3 in the kernel, at which tol and truncation radius. None
-    means unrecorded."""
+    without C3 in the kernel, at which tol and truncation radius, and by
+    which hololink version. None means unrecorded."""
 
     c3: float = math.pi ** 3
     kappa_line: complex = None
@@ -341,8 +341,9 @@ class NormalizationConstants:
     include_cn: bool = None
     tol: float = None
     truncation_radius: float = None
+    version: str = None
 
-    _PROVENANCE = ("include_cn", "tol", "truncation_radius")
+    _PROVENANCE = ("include_cn", "tol", "truncation_radius", "version")
 
     def to_dict(self):
         def cpx(v):

@@ -106,7 +106,8 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     two parameter domains (area measure, factor 4; C3 per ctx). A form with
     a declared simple pole is integrated in the polar chart centered on the
     pole, where the area jacobian cancels it (see quadrature.integrate_pv);
-    truncated domains get the R vs 2R tail step with 1/R^2 decay.
+    truncated domains are integrated in one run over the doubled window,
+    whose outer ring gives the tail, extrapolated with 1/R^2 decay.
     """
     curve1, form1 = s1
     curve2, form2 = s2

@@ -16,16 +16,19 @@ A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. Each refinement round evaluates
 all pending panels at once: one call of each side per rule, one per side
 for the split-axis samples and one per side for the proximity samples. The
-integrand, the weight contraction and the finiteness check then run once
-per panel on that panel's block. Panel results are reduced by a fixed
-pairwise tree over geometrically sorted panels, so values do not depend on
-how a round is batched. Everything runs on one thread.
+integrand and the weight contraction then run once per panel on that
+panel's block, and the round's panel sums are checked for finiteness
+together. Panel results are reduced by a fixed pairwise tree over
+geometrically sorted panels, so values do not depend on how a round is
+batched. Everything runs on one thread.
 
-Truncated (non-compact) domains are integrated at their radius R and at 2R
-with a one-step Richardson extrapolation. A declared simple pole is
-integrated directly, in a polar chart centered on it whose area jacobian
-cancels the pole. Every result carries a QuadTrace saying how it was
-produced.
+A truncated (non-compact) domain of radius R is integrated in one run over
+its doubled window, whose initial cells are cut at R: the panels descending
+from the inner cells sum to I(R), all panels to I(2R), and the outer panels
+to the tail I(2R) - I(R), which a one-step Richardson extrapolation adds
+back. A declared simple pole is integrated directly, in a polar chart
+centered on it whose area jacobian cancels the pole. Every result carries a
+QuadTrace saying how it was produced.
 """
 
 from dataclasses import dataclass
@@ -72,7 +75,7 @@ class QuadTrace:
     deepest_split is the most halvings of any final panel; max_depth_hit
     says whether max_depth kept a hot panel from being refined; err_source
     names the largest part of the error budget: "quadrature" (summed panel
-    errors) or "tail" (the R vs 2R step)."""
+    errors) or "tail" (the outer panels' sum, I(2R) - I(R))."""
 
     panels_per_round: tuple = ()
     deepest_split: int = 0
@@ -85,16 +88,6 @@ class QuadTrace:
                 "deepest_split": self.deepest_split,
                 "max_depth_hit": self.max_depth_hit,
                 "err_source": self.err_source}
-
-
-def _merged_trace(results, parts):
-    """One trace for several engine runs; parts maps each error source to
-    its size, and the largest (first on ties) is the err_source."""
-    return QuadTrace(
-        panels_per_round=sum((r.trace.panels_per_round for r in results), ()),
-        deepest_split=max(r.trace.deepest_split for r in results),
-        max_depth_hit=any(r.trace.max_depth_hit for r in results),
-        err_source=max(parts, key=parts.get))
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,10 @@ def pairwise_tree_sum(values):
 # parameter domains
 
 class Interval:
-    """Real parameter interval; truncated=True marks it as a window on a
-    non-compact curve (enables the R vs 2R tail step)."""
+    """Real parameter interval; truncated=True marks it as a window
+    [lo, hi] = [-R, R] on a non-compact curve, integrated together with the
+    outer cells [-2R, -R] and [R, 2R] of its doubled window for the tail
+    step."""
 
     naxes = 1
 
@@ -139,26 +134,26 @@ class Interval:
         self.hi = float(hi)
         self.truncated = bool(truncated)
 
-    def axes(self):
-        return ((self.lo, self.hi),)
-
     def initial_cells(self):
-        return [self.axes()]
+        """(axes, inner) per initial cell: the window is inner, the rest of
+        the doubled window outer."""
+        cells = [(((self.lo, self.hi),), True)]
+        if self.truncated:
+            cells += [(((2.0 * self.lo, self.lo),), False),
+                      (((self.hi, 2.0 * self.hi),), False)]
+        return cells
 
     def chart(self, cols):
         return cols[0], np.ones_like(cols[0])
 
     def proximity_params(self, n=192):
-        return np.linspace(self.lo, self.hi, n)
+        scales = (1.0, 2.0) if self.truncated else (1.0,)
+        return np.concatenate([np.linspace(f * self.lo, f * self.hi, n)
+                               for f in scales])
 
     def generic_params(self):
         span = self.hi - self.lo
         return self.lo + span * np.array([0.29, 0.57, 0.83])
-
-    def scaled(self, factor):
-        mid = 0.0 if self.truncated else 0.5 * (self.lo + self.hi)
-        half = 0.5 * (self.hi - self.lo) * factor
-        return Interval(mid - half, mid + half, truncated=self.truncated)
 
     def punctured(self, punctures):
         raise PVNotConverging(
@@ -168,7 +163,8 @@ class Interval:
 
 class Disk:
     """|u - center| <= radius in the complex parameter plane, polar chart.
-    Truncation disks (non-compact curves) are centered at the origin."""
+    Truncation disks (non-compact curves) are centered at the origin and
+    integrated together with the ring out to twice the radius."""
 
     naxes = 2
 
@@ -177,11 +173,14 @@ class Disk:
         self.center = complex(center)
         self.truncated = bool(truncated)
 
-    def axes(self):
-        return ((0.0, self.radius), (0.0, TWO_PI))
-
     def initial_cells(self):
-        return [self.axes()]
+        """(axes, inner) per initial cell, each a full turn: the disk, and
+        for a truncation disk the outer ring radius <= r <= 2 radius."""
+        turn = (0.0, TWO_PI)
+        cells = [(((0.0, self.radius), turn), True)]
+        if self.truncated:
+            cells.append((((self.radius, 2.0 * self.radius), turn), False))
+        return cells
 
     def chart(self, cols):
         r, phi = cols
@@ -189,15 +188,14 @@ class Disk:
         return params, r
 
     def proximity_params(self, n=192):
-        r = np.array([0.08, 0.25, 0.5, 0.75, 0.95]) * self.radius
+        scales = (1.0, 2.0) if self.truncated else (1.0,)
+        r = self.radius * np.outer(scales,
+                                   [0.08, 0.25, 0.5, 0.75, 0.95]).ravel()
         phi = np.linspace(0.0, TWO_PI, max(n // 5, 8), endpoint=False)
         return (self.center + r[:, None] * np.exp(1j * phi)[None, :]).ravel()
 
     def generic_params(self):
         return self.center + 0.37 * self.radius * np.exp(1j * np.array([0.4, 2.3, 4.1]))
-
-    def scaled(self, factor):
-        return Disk(self.radius * factor, self.center, truncated=self.truncated)
 
     def punctured(self, punctures):
         if len(punctures) != 1:
@@ -209,10 +207,13 @@ class Disk:
 
 
 class PuncturedDisk:
-    """Origin-centered disk of the given radius in a polar chart centered on
-    an interior puncture p: u = p + x rmax(phi) e^{i phi}, x in [0, 1]. The
-    area jacobian r vanishes at p and cancels a simple pole there, so the
-    integral is an ordinary one; no quadrature node lies on x = 0."""
+    """Origin-centered disk of the given radius R in a polar chart centered
+    on an interior puncture p: u = p + r e^{i phi}, r = x rmax_R(phi) for
+    x in [0, 1], where rmax_R(phi) reaches the radius-R circle. For a
+    truncation disk, x in [1, 2] covers the outer ring out to 2R with
+    r = rmax_R + (x - 1)(rmax_2R - rmax_R). The area jacobian r dr/dx
+    vanishes at p and cancels a simple pole there, so the integral is an
+    ordinary one; no quadrature node lies on x = 0."""
 
     naxes = 2
 
@@ -225,23 +226,32 @@ class PuncturedDisk:
                 f"puncture {puncture} does not lie inside the radius-{radius} disk")
 
     def initial_cells(self):
-        # two half-turns: a full turn samples its angular axis at phi = 0
-        # and 2 pi, one point, so the split rule would never see its extent
-        return [((0.0, 1.0), (0.0, math.pi)), ((0.0, 1.0), (math.pi, TWO_PI))]
+        """(axes, inner) per initial cell: two half-turns of each window.
+        A full turn samples its angular axis at phi = 0 and 2 pi, one point,
+        so the split rule would never see its extent."""
+        xs = [((0.0, 1.0), True)]
+        if self.truncated:
+            xs.append(((1.0, 2.0), False))
+        return [((x, turn), inner) for x, inner in xs
+                for turn in ((0.0, math.pi), (math.pi, TWO_PI))]
 
-    def _rmax(self, phi):
+    def _rmax(self, phi, radius):
         a = np.real(np.conj(self.puncture) * np.exp(1j * phi))
-        return -a + np.sqrt(self.radius ** 2 - abs(self.puncture) ** 2 + a * a)
+        return -a + np.sqrt(radius ** 2 - abs(self.puncture) ** 2 + a * a)
 
     def chart(self, cols):
         x, phi = cols
-        rmax = self._rmax(phi)
-        r = x * rmax
+        rmax = self._rmax(phi, self.radius)
+        ring = self._rmax(phi, 2.0 * self.radius) - rmax
+        inner = x <= 1.0
+        r = np.where(inner, x * rmax, rmax + (x - 1.0) * ring)
         params = self.puncture + r * np.exp(1j * phi)
-        return params, r * rmax
+        return params, r * np.where(inner, rmax, ring)
 
     def proximity_params(self, n=192):
         x = np.array([0.05, 0.3, 0.6, 0.9])
+        if self.truncated:
+            x = np.concatenate([x, 1.0 + x])
         phi = np.linspace(0.0, TWO_PI, max(n // 4, 8), endpoint=False)
         xm, pm = np.meshgrid(x, phi, indexing="ij")
         params, _ = self.chart((xm.ravel(), pm.ravel()))
@@ -250,10 +260,6 @@ class PuncturedDisk:
     def generic_params(self):
         params, _ = self.chart((np.array([0.41, 0.66]), np.array([1.1, 3.7])))
         return params
-
-    def scaled(self, factor):
-        return PuncturedDisk(self.radius * factor, self.puncture,
-                             truncated=self.truncated)
 
 
 class Rect:
@@ -265,11 +271,8 @@ class Rect:
     def __init__(self, x0, x1, y0, y1):
         self.x0, self.x1, self.y0, self.y1 = map(float, (x0, x1, y0, y1))
 
-    def axes(self):
-        return ((self.x0, self.x1), (self.y0, self.y1))
-
     def initial_cells(self):
-        return [self.axes()]
+        return [(((self.x0, self.x1), (self.y0, self.y1)), True)]
 
     def chart(self, cols):
         x, y = cols
@@ -334,14 +337,17 @@ def _mesh(rows):
 
 class _Panels(NamedTuple):
     """Panels as parallel arrays: bounds (P, axes, 2) as (lo, hi) per axis,
-    halvings so far, whether the curve pieces could still touch, and the
-    value and error estimate."""
+    halvings so far, whether the curve pieces could still touch, whether
+    the panel lies in the inner cells (the windows as given, not the outer
+    ring of a doubled one), and the value and error estimate (None while
+    pending)."""
 
     bounds: np.ndarray
     splits: np.ndarray
     unresolved: np.ndarray
-    value: np.ndarray
-    err: np.ndarray
+    inner: np.ndarray
+    value: np.ndarray = None
+    err: np.ndarray = None
 
     def take(self, index):
         return _Panels(*(x[index] for x in self))
@@ -394,19 +400,32 @@ class _Engine:
         return params, math.prod(wgts) * jac
 
     def _values(self, lo, hi, order):
-        """Each panel's value under the order-n rule."""
+        """Each panel's value under the order-n rule. The round's values are
+        checked for finiteness together; a bad one raises NonFiniteIntegrand
+        naming the first non-finite node of its panel or, when every node is
+        finite, the overflowing sum."""
         rules = [self._rule(s, lo, hi, order) for s in range(len(self.doms))]
         blocks = [self._eval_side(s, params)
                   for s, (params, _) in enumerate(rules)]
-        out = []
+        out = np.empty(len(lo), dtype=complex)
         for i in range(len(lo)):
-            vals = np.asarray(self.f(*[a[i] for blk in blocks for a in blk]))
-            self._check_finite(vals, rules, i)
-            if len(rules) == 1:
-                out.append(complex(np.dot(rules[0][1][i], vals)))
-            else:
-                out.append(complex(rules[0][1][i] @ vals @ rules[1][1][i]))
+            vals = self._integrand(blocks, i)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if len(rules) == 1:
+                    out[i] = np.dot(rules[0][1][i], vals)
+                else:
+                    out[i] = rules[0][1][i] @ vals @ rules[1][1][i]
+        for i in np.flatnonzero(~np.isfinite(out))[:1]:
+            self._check_finite(self._integrand(blocks, i), rules, i)
+            raise NonFiniteIntegrand(
+                f"weighted sum not finite on the panel from {lo[i].tolist()} "
+                f"to {hi[i].tolist()}, although every integrand value there "
+                "is finite")
         return out
+
+    def _integrand(self, blocks, i):
+        """The integrand's values on panel i's nodes."""
+        return np.asarray(self.f(*[a[i] for blk in blocks for a in blk]))
 
     @staticmethod
     def _check_finite(vals, rules, i):
@@ -486,22 +505,23 @@ class _Engine:
 
     # -- main loop ---------------------------------------------------------
 
-    def _evaluate(self, bounds, splits, unresolved):
+    def _evaluate(self, pending):
         """The pending panels with their values (the finer rule), their
         errors (against the coarser one) and, for those not yet found
         resolved, the proximity check."""
-        lo, hi = bounds[..., 0], bounds[..., 1]
+        lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
         coarse = self._values(lo, hi, self.cfg.panel_order)
-        value = np.array(self._values(lo, hi, 2 * self.cfg.panel_order))
-        err = np.array([abs(v - c) for v, c in zip(value.tolist(), coarse)])
-        check = np.flatnonzero(unresolved)
+        value = self._values(lo, hi, 2 * self.cfg.panel_order)
+        err = np.array([abs(v - c) for v, c in zip(value.tolist(),
+                                                   coarse.tolist())])
+        check = np.flatnonzero(pending.unresolved)
         if check.size:
-            unresolved[check] = self._unresolved(lo[check], hi[check])
-        return _Panels(bounds, splits, unresolved, value, err)
+            pending.unresolved[check] = self._unresolved(lo[check], hi[check])
+        return pending._replace(value=value, err=err)
 
     def _halves(self, panels):
-        """Bounds, splits and unresolved flags of both halves of each panel,
-        cut along its split axis."""
+        """Both halves of each panel, cut along its split axis; they inherit
+        its unresolved and inner flags."""
         bounds = panels.bounds
         rows = np.arange(len(bounds))
         axis = self._split_axes(bounds[..., 0], bounds[..., 1])
@@ -509,21 +529,39 @@ class _Engine:
         left, right = bounds.copy(), bounds.copy()
         left[rows, axis, 1] = mid
         right[rows, axis, 0] = mid
-        return (np.concatenate([left, right]), np.tile(panels.splits + 1, 2),
-                np.tile(panels.unresolved, 2))
+        return _Panels(np.concatenate([left, right]),
+                       np.tile(panels.splits + 1, 2),
+                       np.tile(panels.unresolved, 2), np.tile(panels.inner, 2))
 
-    def run(self):
+    def _initial(self, doubled):
+        """The pending initial cells: products of the domains' cells, inner
+        when every factor is; the outer ones only for a doubled run."""
+        cells = list(itertools.product(*(d.initial_cells() for d in self.doms)))
+        inner = np.array([all(flag for _, flag in c) for c in cells])
+        keep = inner | doubled
+        bounds = np.array([sum((axes for axes, _ in c), ()) for c in cells],
+                          dtype=float)[keep]
+        return _Panels(bounds, np.zeros(len(bounds), dtype=int),
+                       np.full(len(bounds), self.curves), inner[keep])
+
+    def run(self, decay_order=None):
+        """Refine until the summed panel error is within tol of the total
+        and no panel is unresolved.
+
+        Without a decay order every domain is integrated over its window as
+        given. With a decay order k, truncated domains are integrated over
+        their doubled window: the inner panels sum to I(R), all panels to
+        I(2R), and the outer panels to the tail I(2R) - I(R) ~ R^-k, which
+        is Richardson-extrapolated, value = I(2R) + tail / (2^k - 1).
+        """
         self._global_distance_check()
-        cells = itertools.product(*(d.initial_cells() for d in self.doms))
-        bounds = np.array([sum(map(tuple, c), ()) for c in cells], dtype=float)
-        splits = np.zeros(len(bounds), dtype=int)
-        unresolved = np.full(len(bounds), self.curves)
+        pending = self._initial(decay_order is not None)
         done = None
         rounds = []
         depth_hit = converged = False
         while True:
-            panels = self._evaluate(bounds, splits, unresolved)
-            rounds.append(len(bounds))
+            panels = self._evaluate(pending)
+            rounds.append(len(pending.bounds))
             if done is not None:
                 panels = _Panels(*map(np.concatenate, zip(done, panels)))
             # bounds rows flatten to the (lo, hi) per axis sort key
@@ -543,13 +581,22 @@ class _Engine:
             if not refine.any():
                 break  # every hot panel is at max_depth: report converged=False
             done = panels.take(~refine)
-            bounds, splits, unresolved = self._halves(panels.take(refine))
+            pending = self._halves(panels.take(refine))
+        inner, outer = panels.inner, ~panels.inner
+        tail = complex(pairwise_tree_sum(panels.value[outer]))
+        # the Richardson weight of the tail; there is no tail without a decay
+        # order, because no outer cell is integrated then
+        step = 0.0 if decay_order is None else 1.0 / (2.0 ** decay_order - 1.0)
+        err = (float(pairwise_tree_sum(panels.err[inner]))
+               + float(pairwise_tree_sum(panels.err[outer])) * (1.0 + step))
         trace = QuadTrace(panels_per_round=tuple(rounds),
                           deepest_split=int(panels.splits.max()),
-                          max_depth_hit=depth_hit)
-        return QuadResult(value=total, err_estimate=err,
-                          panels_evaluated=sum(rounds), tail_estimate=0.0,
-                          converged=converged, trace=trace)
+                          max_depth_hit=depth_hit,
+                          err_source="tail" if abs(tail) > err else "quadrature")
+        return QuadResult(value=total + tail * step, err_estimate=err,
+                          panels_evaluated=sum(rounds),
+                          tail_estimate=abs(tail), converged=converged,
+                          trace=trace)
 
 
 def _ensure_batch_1(f, side):
@@ -588,8 +635,10 @@ def integrate_curve(integrand, domain, cfg):
     """Integrate a single-parameter integrand over a domain.
 
     The integrand may map a parameter array to a value array (preferred) or
-    a scalar to a scalar. MaxDepthExceeded is reported as converged=False
-    per the quadrature contract, with the best available value.
+    a scalar to a scalar. A truncated domain is integrated over its window
+    as given, with no tail step. MaxDepthExceeded is reported as
+    converged=False per the quadrature contract, with the best available
+    value.
     """
     f = _ensure_batch_1(integrand, _identity)
     return _Engine(f, domain, None, cfg).run()
@@ -605,35 +654,14 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     panel and returns the (na, nb) pair grid. Positions measure panel
     extents for the split axis; with both sides given the CurvesTooClose
     guard runs and panels whose curve pieces could touch are refined until
-    the samples resolve the gap. If either domain is a truncation window
-    the integral is computed at size R and 2R and Richardson-extrapolated
-    with the given decay order k (tail ~ R^-k), reporting
-    tail_estimate = |I(2R) - I(R)|.
+    the samples resolve the gap. If either domain is a truncation window of
+    radius R, one engine run covers the doubled window: the panels outside
+    the R window sum to the tail I(2R) - I(R), which is
+    Richardson-extrapolated with the given decay order k (tail ~ R^-k),
+    reporting tail_estimate = |I(2R) - I(R)|.
     """
     f = _ensure_batch_2(integrand, side_a or _identity, side_b or _identity)
-    return _product(f, dom_a, dom_b, cfg, side_a, side_b, decay_order)
-
-
-def _product(f, dom_a, dom_b, cfg, side_a, side_b, decay_order):
-    """integrate_product for an integrand that already returns pair grids."""
-    if not (dom_a.truncated or dom_b.truncated):
-        return _Engine(f, dom_a, dom_b, cfg, side_a, side_b).run()
-
-    def grow(dom, factor):
-        return dom.scaled(factor) if dom.truncated else dom
-
-    res_1 = _Engine(f, dom_a, dom_b, cfg, side_a, side_b).run()
-    res_2 = _Engine(f, grow(dom_a, 2.0), grow(dom_b, 2.0), cfg,
-                    side_a, side_b).run()
-    step = res_2.value - res_1.value
-    value = res_2.value + step / (2.0 ** decay_order - 1.0)
-    err = res_1.err_estimate + res_2.err_estimate
-    return QuadResult(value=value, err_estimate=err,
-                      panels_evaluated=res_1.panels_evaluated + res_2.panels_evaluated,
-                      tail_estimate=abs(step),
-                      converged=res_1.converged and res_2.converged,
-                      trace=_merged_trace((res_1, res_2),
-                                          {"quadrature": err, "tail": abs(step)}))
+    return _Engine(f, dom_a, dom_b, cfg, side_a, side_b).run(decay_order)
 
 
 def _probe_pole_order(f2, domain, other, punctures, swap):
@@ -677,11 +705,12 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     the area measure a simple pole is absolutely integrable, so the
     "principal value" is an ordinary integral: each punctured disk is
     integrated in the polar chart centered on its puncture (PuncturedDisk),
-    whose jacobian r cancels the pole, in one engine run (plus the R vs 2R
-    step of integrate_product on truncated domains). Raises
-    PVNotConverging for a puncture on a real Interval or a Rect, for more
-    than one puncture per disk, and, from a pole-order probe at each
-    puncture, for anything steeper than a simple pole.
+    whose jacobian r cancels the pole, in one engine run; on a product with
+    a truncated domain that run covers the doubled window and takes the
+    tail step of integrate_product. Raises PVNotConverging for a puncture
+    on a real Interval or a Rect, for more than one puncture per disk, and,
+    from a pole-order probe at each puncture, for anything steeper than a
+    simple pole.
     """
     punct_a = list(punctures[0] or ())
     punct_b = list(punctures[1] or ())
@@ -705,4 +734,4 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
         _probe_pole_order(on_params, dom_b, dom_a, punct_b, swap=True)
     if dom_b is None:
         return _Engine(f, da, None, cfg, side_a).run()
-    return _product(f, da, db, cfg, side_a, side_b, decay_order)
+    return _Engine(f, da, db, cfg, side_a, side_b).run(decay_order)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scenes as _scenes
+from . import __version__, scenes as _scenes
 from .errors import (CalibrationUnstable, ConstantsMismatch,
                      MethodInapplicable, NumericalError, SceneInvalid)
 from .gauss import (Polyline3, crossing_linking, gauss_linking,
@@ -383,11 +383,12 @@ def calibrate(cfg, include_cn=True):
     """Measure the line constants on the reference line-pair scene.
 
     kappa_line is the tail-extrapolated holomorphic linking integral of the
-    reference pair (truncation R with the engine's R-vs-2R step, so R = 40
-    evaluates at 40 and 80). kappa_xmethod divides that by the same scene's
-    raw residue-route value. Raises CalibrationUnstable when the two radii
-    disagree beyond 1% or the integral fails to converge. The constants
-    record include_cn, tol and the truncation radius they were measured
+    reference pair: one engine run over the doubled truncation window, so
+    R = 40 integrates out to 80 and the ring between 40 and 80 gives the
+    tail. kappa_xmethod divides that by the same scene's raw residue-route
+    value. Raises CalibrationUnstable when the tail exceeds 1% of the value
+    or the integral fails to converge. The constants record include_cn,
+    tol, the truncation radius and the hololink version they were measured
     with.
     """
     scene = _scenes.l0(radius=cfg.truncation_radius)
@@ -402,9 +403,9 @@ def calibrate(cfg, include_cn=True):
     scale = max(abs(res.value), 1e-300)
     if res.tail_estimate > 0.01 * scale:
         raise CalibrationUnstable(
-            f"truncation radii R={cfg.truncation_radius:g} and "
-            f"R={2 * cfg.truncation_radius:g} disagree by "
-            f"{res.tail_estimate / scale:.2%} (limit 1%)")
+            f"the tail, the integral over the ring between "
+            f"R={cfg.truncation_radius:g} and R={2 * cfg.truncation_radius:g}, "
+            f"is {res.tail_estimate / scale:.2%} of the value (limit 1%)")
     kappa_line = complex(res.value)
 
     cut = scene.cut_for(n1)
@@ -416,4 +417,5 @@ def calibrate(cfg, include_cn=True):
     return NormalizationConstants(kappa_line=kappa_line,
                                   kappa_xmethod=kappa_xmethod,
                                   include_cn=include_cn, tol=cfg.tol,
-                                  truncation_radius=cfg.truncation_radius)
+                                  truncation_radius=cfg.truncation_radius,
+                                  version=__version__)

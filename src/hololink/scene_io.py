@@ -272,6 +272,10 @@ def _constants_in(value, path):
             if not isinstance(value[key], (int, float)):
                 raise SceneInvalid(f"{path}.{key}", "expected a number")
             out[key] = float(value[key])
+    if value.get("version") is not None:
+        if not isinstance(value["version"], str):
+            raise SceneInvalid(path + ".version", "expected a string")
+        out["version"] = value["version"]
     return NormalizationConstants.from_dict(out)
 
 

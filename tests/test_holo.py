@@ -184,7 +184,7 @@ def test_area_factor_is_four():
 PV_LINES_REFERENCE = 90.0932435585 + 81.9029486896j
 
 
-@pytest.mark.parametrize("tol, panels", [(1e-4, 672), (1e-6, 752)])
+@pytest.mark.parametrize("tol, panels", [(1e-4, 316), (1e-6, 362)])
 def test_simple_pole_lines_converge(tol, panels):
     rep = report.compute(scenes.pv_lines(), "holo_pv", hl.QuadConfig(tol=tol))
     assert rep.converged

@@ -71,6 +71,13 @@ def test_min_dist_matches_broadcast(rng):
     b = rng.normal(size=(30, 3)) + 2.0
     oracle = float(np.min(np.linalg.norm(a[:, None] - b[None, :], axis=-1)))
     assert _kernels.min_dist(a, b) == pytest.approx(oracle, rel=1e-14)
+    # 400 x 300 pairs span four row blocks of a; the closest pair is in
+    # the last one
+    a = rng.normal(size=(400, 6)) + 3.0
+    b = rng.normal(size=(300, 6)) - 3.0
+    a[-1] = b[7] + 1e-3
+    oracle = float(np.min(np.linalg.norm(a[:, None] - b[None, :], axis=-1)))
+    assert _kernels.min_dist(a, b) == pytest.approx(oracle, rel=1e-14)
 
 
 def _l0_disk_nodes(radius, gap, offset):

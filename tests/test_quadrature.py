@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import hololink as hl
 from hololink import report, scenes
-from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
-                                 integrate_curve, integrate_product,
-                                 integrate_pv, pairwise_tree_sum)
+from hololink.quadrature import (Disk, Interval, PuncturedDisk, Rect,
+                                 domain_for_curve, integrate_curve,
+                                 integrate_product, integrate_pv,
+                                 pairwise_tree_sum)
 
 # Independently derived reference values (closed forms verified against
 # high-order composite quadrature when first frozen):
@@ -203,6 +204,71 @@ def test_nonfinite_integrand_is_reported():
         integrate_curve(lambda t: 1.0 / (t - t), Interval(0.0, 1.0), cfg)
 
 
+def test_overflowing_panel_sum_is_reported():
+    # every integrand value is finite; the weighted panel sums are not
+    cfg = hl.QuadConfig(tol=1e-6)
+    with pytest.raises(hl.NonFiniteIntegrand) as exc:
+        integrate_curve(lambda t: np.full_like(t, 1e308),
+                        Interval(0.0, 100.0), cfg)
+    assert exc.value.param is None
+    with pytest.raises(hl.NonFiniteIntegrand) as exc:
+        integrate_product(lambda u, v: np.full((u.size, v.size), 1e308),
+                          Interval(0.0, 100.0), Interval(0.0, 100.0), cfg)
+    assert exc.value.param is None
+
+
+# ---------------------------------------------------------------------------
+# truncation windows: one run over the doubled window, the outer panels
+# summing to the tail I(2R) - I(R)
+
+def test_disk_windows_match_the_radial_oracle():
+    # the area integral of (1+|u|^2)^-2 over |u| <= R is pi R^2 / (1+R^2)
+    def f(R):
+        return (math.pi * R * R / (1.0 + R * R)) ** 2
+
+    def g(u):
+        return 1.0 / (1.0 + np.abs(u) ** 2) ** 2
+
+    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+                            Disk(5.0), Disk(5.0), hl.QuadConfig(tol=1e-8),
+                            decay_order=2)
+    tail = f(10.0) - f(5.0)
+    assert res.converged
+    assert abs(res.tail_estimate - tail) <= 1e-12 * tail
+    assert abs(res.value - (f(10.0) + tail / 3.0)) <= res.err_estimate
+
+
+def test_interval_windows_match_the_arctan_oracle():
+    def F(R):
+        return (2.0 * math.atan(R)) ** 2
+
+    def h(t):
+        return 1.0 / (1.0 + t * t)
+
+    dom = Interval(-5.0, 5.0, truncated=True)
+    res = integrate_product(lambda u, v: h(u)[:, None] * h(v)[None, :],
+                            dom, dom, hl.QuadConfig(tol=1e-8), decay_order=1)
+    tail = F(10.0) - F(5.0)
+    assert res.converged
+    assert abs(res.tail_estimate - tail) <= 1e-12 * tail
+    assert abs(res.value - (F(10.0) + tail)) <= res.err_estimate
+
+
+def test_punctured_disk_window_areas():
+    # window area pi R^2 and outer ring area 3 pi R^2, each times the
+    # compact unit disk's pi: checks the piecewise chart's jacobian
+    R = 5.0
+    area = math.pi ** 2 * R * R
+    res = integrate_product(lambda u, v: np.ones((u.size, v.size)),
+                            PuncturedDisk(R, 0.7 + 0.4j),
+                            Disk(1.0, truncated=False),
+                            hl.QuadConfig(tol=1e-8), decay_order=1)
+    inner = res.value - 2.0 * res.tail_estimate  # value = I(R) + 2 tail
+    assert res.converged
+    assert abs(res.tail_estimate - 3.0 * area) <= 1e-12 * area
+    assert abs(inner - area) <= 1e-12 * area
+
+
 # ---------------------------------------------------------------------------
 # batched rounds, trace and pinned panel counts
 
@@ -242,7 +308,15 @@ def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
 
 def test_l0_panel_count_is_pinned():
     rep = report.compute(scenes.l0(), "holo_integral", hl.QuadConfig(tol=1e-6))
-    assert rep.panels_evaluated == 122
+    assert rep.panels_evaluated == 64
+
+
+@pytest.mark.parametrize("tol, panels", [(1e-4, 63), (1e-6, 79)])
+def test_skew_lines_panel_count_is_pinned(tol, panels):
+    rep = report.compute(scenes.skew_lines(), "gauss_integral",
+                         hl.QuadConfig(tol=tol))
+    assert rep.converged
+    assert rep.panels_evaluated == panels
 
 
 def test_near_torus_pair_panel_count_is_pinned():

@@ -149,6 +149,7 @@ def test_calibration_idempotent(constants):
 def test_calibration_records_its_provenance(constants):
     assert constants.include_cn is True
     assert constants.tol == 1e-6 and constants.truncation_radius == 40.0
+    assert constants.version == hl.__version__
     back = hl.NormalizationConstants.from_dict(constants.to_dict())
     assert back == constants
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_constants_provenance_round_trip():
     scene = scenes.l0()
     scene.constants = hl.NormalizationConstants(
         kappa_line=-612.5 + 0.25j, include_cn=False, tol=1e-6,
-        truncation_radius=40.0)
+        truncation_radius=40.0, version="0.1.0")
     back = hl.loads_scene(hl.dumps_scene(scene), scene_id="x")
     assert back.constants == scene.constants
     data = hl.scene_to_dict(scene)
@@ -147,6 +148,23 @@ def test_constants_provenance_round_trip():
     with pytest.raises(SceneInvalid) as exc:
         hl.loads_scene(json.dumps(data), scene_id="x")
     assert exc.value.path == "constants.include_cn"
+    data = hl.scene_to_dict(scene)
+    data["constants"]["version"] = 0.1
+    with pytest.raises(SceneInvalid) as exc:
+        hl.loads_scene(json.dumps(data), scene_id="x")
+    assert exc.value.path == "constants.version"
+    del data["constants"]["version"]
+    back = hl.loads_scene(json.dumps(data), scene_id="x")
+    assert back.constants.version is None
+
+
+def test_package_version_matches_pyproject():
+    # calibrate records hololink.__version__ in the constants it writes
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == hl.__version__
 
 
 def test_scene_to_dict_is_json_ready():
