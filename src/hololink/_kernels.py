@@ -4,16 +4,26 @@ and the projected segment-crossing count.
 Each kernel is one numpy function with a fixed evaluation order, so it is
 deterministic, which is what the repeatability contract needs.
 
-The complex kernels take det3(z-w, dz, dw) as one (n, 6) @ (6, m) matrix
-product. With both clouds centred at c (the mean of their two means),
+The linking kernels take det3 as one (n, 6) @ (6, m) matrix product of
+per-node Plucker rows. In line geometry det3(x-y, dx, dy) is the reciprocal
+product of the lines through x along dx and through y along dy; with the
+moment m = (p-o) x dp of a node p about an origin o shared by both clouds,
 
-    det3(z-w, dz, dw) = ((z-c) x dz) . dw - dz . (dw x (w-c))
+    det3(x-y, dx, dy) = dx . m_y + m_x . dy
 
-so row i of the left factor is [(z_i-c) x dz_i, dz_i] and row j of the
-right one is [dw_j, -dw_j x (w_j-c)]. Centring keeps the products near the
-size of the pair distance. ||z-w||^2 is summed from direct coordinate
-differences. The expansion ||z||^2 + ||w||^2 - 2 Re<z, w> is never used:
-it loses (panel extent / gap)^2 of the relative accuracy to cancellation.
+so the rows are [dx_i, m_x_i] on the left and [m_y_j, dy_j] on the right
+(up to the order of the two 3-column halves). Each moment is of size
+|p-o| |dp|, so det3 carries an absolute rounding error of about
+eps (|x-o| + |y-o|) |dx| |dy|: against the kernel's scale
+|dx| |dy| / ||x-y||^2 that is eps |x-o| / ||x-y||. The complex kernels
+centre both clouds at c (the mean of their two means), which keeps that
+ratio near panel extent / gap. gauss_grid takes moments about any shared
+origin, so a caller can form them once per refinement round and pass
+them in.
+
+||x-y||^2 is summed from direct coordinate differences. The expansion
+||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
+(panel extent / gap)^2 of the relative accuracy to cancellation.
 """
 
 import numpy as np
@@ -25,22 +35,27 @@ HAS_NUMBA = False
 FOUR_PI = 4.0 * np.pi
 
 
-def _det3_cols(a0, a1, a2, b0, b1, b2, c0, c1, c2):
-    return (a0 * (b1 * c2 - b2 * c1)
-            - a1 * (b0 * c2 - b2 * c0)
-            + a2 * (b0 * c1 - b1 * c0))
-
-
-def gauss_grid(x, dx, y, dy):
+def gauss_grid(x, dx, y, dy, mx=None, my=None):
     """Gauss linking integrand det3(y-x, dx, dy) / (4 pi |x-y|^3) on the
     grid of all (i, j) pairs. The y-x ordering is the library's linking
-    orientation (standard skew lines -> +1/2, standard Hopf pair -> +1)."""
-    r = y[None, :, :] - x[:, None, :]
-    d = _det3_cols(r[..., 0], r[..., 1], r[..., 2],
-                   dx[:, None, 0], dx[:, None, 1], dx[:, None, 2],
-                   dy[None, :, 0], dy[None, :, 1], dy[None, :, 2])
-    n2 = np.sum(r * r, axis=-1)
-    return d / (FOUR_PI * n2 * np.sqrt(n2))
+    orientation (standard skew lines -> +1/2, standard Hopf pair -> +1).
+
+    mx, my are the moments (x-o) x dx and (y-o) x dy about one origin o
+    shared by both clouds; without them they are taken about the centre
+    c = (mean x + mean y) / 2."""
+    if mx is None or my is None:
+        c = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+        mx, my = np.cross(x - c, dx), np.cross(y - c, dy)
+    det = np.concatenate([dx, mx], axis=1) @ np.concatenate([my, dy], axis=1).T
+    d = x[:, None, :] - y[None, :, :]
+    d *= d
+    n2 = d[..., 0] + d[..., 1]
+    n2 += d[..., 2]
+    den = np.sqrt(n2)
+    den *= n2
+    den *= -FOUR_PI
+    det /= den
+    return det
 
 
 def _det3_and_dist6(z, dz, w, dw, conj):
@@ -91,13 +106,20 @@ def clink_grid(z, dz, w, dw):
 
 def min_dist(a, b):
     """Minimum pairwise euclidean distance between point clouds (n,k), (m,k),
-    over blocks of rows of a: each difference array holds about 32k point
-    pairs (one row of a when b is larger), not n*m."""
+    over blocks of rows of a: each block holds about 32k point pairs (one
+    row of a when b is larger), not n*m. The squared distances are summed
+    one coordinate at a time, in coordinate order."""
     step = max(1, 32768 // max(len(b), 1))
     best = np.inf
     for i in range(0, len(a), step):
-        d = a[i:i + step, None, :] - b[None, :, :]
-        best = min(best, np.min(np.sum(d * d, axis=-1)))
+        rows = a[i:i + step]
+        n2 = np.zeros((len(rows), len(b)))
+        d = np.empty_like(n2)
+        for k in range(a.shape[1]):
+            np.subtract(rows[:, k, None], b[None, :, k], out=d)
+            d *= d
+            n2 += d
+        best = min(best, n2.min())
     return float(np.sqrt(best))
 
 
@@ -115,25 +137,40 @@ def crossing_sum(p1, d1, p2, d2):
     the total over all inter-component crossings is twice the linking
     number up to one global sign, which crossing_linking fixes to match the
     library's Gauss orientation (standard Hopf pair -> +1).
-    """
-    n, m = p1.shape[0], p2.shape[0]
-    a = p1
-    b = np.roll(p1, -1, axis=0)
-    c = p2
-    d = np.roll(p2, -1, axis=0)
-    da1 = d1
-    db1 = np.roll(d1, -1)
-    dc2 = d2
-    dd2 = np.roll(d2, -1)
 
+    Only segment pairs that can touch are examined: a broad phase keeps the
+    pairs whose bounding boxes overlap once each box is grown by twice the
+    parameter tolerance times its segment's length. A point within that
+    tolerance of both segments lies in both grown boxes, so no crossing
+    and no near-boundary touch is lost, and pairs whose lines merely pass
+    near each other's endpoints raise no flag: one segment's endpoint
+    counts as a touch only within the tolerance of the other segment.
+    """
+    eps = 1e-9
+    a, b = p1, np.roll(p1, -1, axis=0)
+    c, d = p2, np.roll(p2, -1, axis=0)
     r = b - a            # (n, 2)
     s = d - c            # (m, 2)
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    ca = c[None, :, :] - a[:, None, :]   # (n, m, 2)
-    t_num = ca[..., 0] * s[None, :, 1] - ca[..., 1] * s[None, :, 0]
-    u_num = ca[..., 0] * r[:, None, 1] - ca[..., 1] * r[:, None, 0]
+    len_r = np.linalg.norm(r, axis=1)
+    len_s = np.linalg.norm(s, axis=1)
 
-    scale = (np.linalg.norm(r, axis=1)[:, None] * np.linalg.norm(s, axis=1)[None, :])
+    grow1 = (2 * eps * len_r)[:, None]
+    grow2 = (2 * eps * len_s)[:, None]
+    lo1, hi1 = np.minimum(a, b) - grow1, np.maximum(a, b) + grow1
+    lo2, hi2 = np.minimum(c, d) - grow2, np.maximum(c, d) + grow2
+    overlap = ((lo1[:, None, 0] <= hi2[None, :, 0])
+               & (lo2[None, :, 0] <= hi1[:, None, 0])
+               & (lo1[:, None, 1] <= hi2[None, :, 1])
+               & (lo2[None, :, 1] <= hi1[:, None, 1]))
+    i, j = np.nonzero(overlap)
+
+    a, r, c, s = a[i], r[i], c[j], s[j]
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    ca = c - a
+    t_num = ca[:, 0] * s[:, 1] - ca[:, 1] * s[:, 0]
+    u_num = ca[:, 0] * r[:, 1] - ca[:, 1] * r[:, 0]
+
+    scale = len_r[i] * len_s[j]
     parallel = np.abs(denom) <= 1e-12 * scale
     # parallel pairs get the finite out-of-range parameter 2, which is
     # neither inside nor on a boundary and keeps the depth arithmetic finite
@@ -141,20 +178,21 @@ def crossing_sum(p1, d1, p2, d2):
         t = np.where(parallel, 2.0, t_num / denom)
         u = np.where(parallel, 2.0, u_num / denom)
 
-    eps = 1e-9
     inside = (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)
-    boundary = ((np.abs(t) <= eps) | (np.abs(t - 1) <= eps)
-                | (np.abs(u) <= eps) | (np.abs(u - 1) <= eps))
+    # an endpoint of one segment within the tolerance of the other segment
+    near_end_t = (np.abs(t) <= eps) | (np.abs(t - 1) <= eps)
+    near_end_u = (np.abs(u) <= eps) | (np.abs(u - 1) <= eps)
+    boundary = ((near_end_t & (u >= -eps) & (u <= 1 + eps))
+                | (near_end_u & (t >= -eps) & (t <= 1 + eps)))
 
-    # parallel segments are only a problem if their lines nearly coincide
-    # and the parameter ranges overlap; detect via the distance of c to
-    # the line through a,b when denom vanished.
+    # parallel segments with overlapping boxes are only a problem if their
+    # lines nearly coincide: the distance of c to the line through a, b
     par_risk = parallel & (np.abs(t_num) <= 1e-9 * scale)
 
     degenerate = int(np.any(boundary) or np.any(par_risk))
 
-    depth1 = da1[:, None] + t * (db1 - da1)[:, None]
-    depth2 = dc2[None, :] + u * (dd2 - dc2)[None, :]
+    depth1 = d1[i] + t * (np.roll(d1, -1)[i] - d1[i])
+    depth2 = d2[j] + u * (np.roll(d2, -1)[j] - d2[j])
     near_depth = inside & (np.abs(depth1 - depth2) <= 1e-12)
     if np.any(near_depth):
         degenerate = 1

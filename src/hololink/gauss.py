@@ -6,6 +6,12 @@ basis lines give +1/2. The kernel grid in _kernels carries the matching
 det3(y-x, dx, dy) ordering; gauss_integrand below is its single-pair case
 in the opposite (x-y) ordering, which is the form the pointwise examples
 pin down.
+
+The integral route evaluates that kernel as a product of Plucker rows
+[dx, m_x] and [m_y, dy]. Each curve side returns the moments
+m = (p - o) x dp of its nodes about one origin o shared by both curves (the
+mean of their generic points), so the moments of a whole refinement round
+come with the side call that evaluates the round's nodes.
 """
 
 from dataclasses import dataclass
@@ -44,6 +50,22 @@ def _real_points(curve, params):
     return pts, vel
 
 
+def _plucker_side(curve, origin):
+    """The curve's side for the Gauss kernel: points, velocities and their
+    moments about the shared origin, formed once per call for every node
+    of a refinement round."""
+    def side(params):
+        pts, vel = _real_points(curve, params)
+        return pts, vel, np.cross(pts - origin, vel)
+    return side
+
+
+def _gauss_kernel(x, dx, mx, y, dy, my):
+    # looked up at call time, so a wrapper installed on the module sees
+    # every kernel call
+    return _kernels.gauss_grid(x, dx, y, dy, mx, my)
+
+
 def _gauss_domain(curve, cfg):
     if curve.kind == "real_closed":
         return Interval(0.0, 1.0)
@@ -66,11 +88,14 @@ def gauss_linking(curve1, curve2, cfg):
         raise MethodInapplicable("gauss_linking needs a matching real pair")
     dom1 = _gauss_domain(curve1, cfg)
     dom2 = _gauss_domain(curve2, cfg)
+    # one moment origin for both curves: the mean of their generic points
+    origin = np.mean([_real_points(c, d.generic_params())[0].mean(axis=0)
+                      for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)
 
     return integrate_product(
-        _kernels.gauss_grid, dom1, dom2, cfg,
-        side_a=lambda s: _real_points(curve1, s),
-        side_b=lambda t: _real_points(curve2, t),
+        _gauss_kernel, dom1, dom2, cfg,
+        side_a=_plucker_side(curve1, origin),
+        side_b=_plucker_side(curve2, origin),
         decay_order=1)
 
 

@@ -11,8 +11,10 @@ compact domains).
 
 import numpy as np
 
+from . import _kernels
 from .geometry import (AmbientForm, NormalizationConstants, OneForm,
-                       ParamCurve, Poly3, Scene, SurfaceCut, validate_scene)
+                       ParamCurve, Poly3, Scene, SurfaceCut, realify,
+                       validate_scene)
 
 _Z = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -208,9 +210,7 @@ def random_line_scene(seed, radius=40.0):
             constants=NormalizationConstants())
         pts1 = curve1.eval_batch(curve1.sample_params(256))[0]
         pts2 = curve2.eval_batch(curve2.sample_params(256))[0]
-        diff = pts1[:, None, :] - pts2[None, :, :]
-        dist = np.sqrt(np.min(np.sum(diff.real ** 2 + diff.imag ** 2, axis=-1)))
-        if dist < 1e-2:
+        if _kernels.min_dist(realify(pts1), realify(pts2)) < 1e-2:
             continue
         return validate_scene(scene)
     raise RuntimeError(f"no valid random line scene for seed {seed}")

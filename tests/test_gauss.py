@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import scenes
-from hololink.gauss import DEFAULT_DIRECTION
+from hololink import _kernels, scenes
+from hololink.gauss import DEFAULT_DIRECTION, _projection_frame
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,23 @@ def test_skew_lines_orientation_flip(cfg):
     c2 = hl.ParamCurve.line((0, 0, -1), (0, 1, 0))  # offset reversed
     res = hl.gauss_linking(c1, c2, cfg)
     assert abs(res.value + 0.5) < 2e-2
+
+
+def test_gauss_linking_calls_the_module_kernel_per_rule(monkeypatch,
+                                                       fast_cfg):
+    # a wrapper installed on _kernels.gauss_grid must see every kernel call:
+    # two rules per panel, plus the batch probe of integrate_product
+    calls = []
+    raw = _kernels.gauss_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "gauss_grid", counted)
+    sc = scenes.hopf()
+    res = hl.gauss_linking(sc.curves["c1"], sc.curves["c2"], fast_cfg)
+    assert len(calls) == 2 * res.panels_evaluated + 1
 
 
 def test_gauss_linking_requires_matching_kinds(cfg):
@@ -141,6 +158,74 @@ def test_degenerate_projection_reported():
     pl2 = hl.Polyline3.from_curve(sc.curves["c2"])
     with pytest.raises(hl.DegenerateProjection):
         hl.crossing_linking(pl1, pl2)
+
+
+def _crossing_total_oracle(p1, d1, p2, d2):
+    """All-pairs signed crossing sum with no broad phase: the parameters of
+    every segment pair, counted when both lie strictly inside."""
+    r = np.roll(p1, -1, axis=0) - p1
+    s = np.roll(p2, -1, axis=0) - p2
+    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
+    ca = p2[None, :, :] - p1[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ca[..., 0] * s[None, :, 1] - ca[..., 1] * s[None, :, 0]) / denom
+        u = (ca[..., 0] * r[:, None, 1] - ca[..., 1] * r[:, None, 0]) / denom
+    inside = (t > 0) & (t < 1) & (u > 0) & (u < 1)
+    depth1 = d1[:, None] + t * (np.roll(d1, -1) - d1)[:, None]
+    depth2 = d2[None, :] + u * (np.roll(d2, -1) - d2)[None, :]
+    over = np.where(depth1 > depth2, 1.0, -1.0)
+    return float(np.sum(np.where(inside, np.sign(denom) * over, 0.0)))
+
+
+def _projected(pl, direction=DEFAULT_DIRECTION):
+    u, v, d = _projection_frame(direction)
+    vert = pl.vertices
+    return np.stack([vert @ u, vert @ v], axis=-1), vert @ d
+
+
+def _random_polylines(seed):
+    rng = np.random.default_rng(seed)
+    return (hl.Polyline3(rng.normal(size=(rng.integers(3, 60), 3))),
+            hl.Polyline3(rng.normal(size=(rng.integers(3, 60), 3))))
+
+
+def _torus_polylines(wraps, phase, gap):
+    return (hl.Polyline3.from_curve(_torus_curve(wraps, phase)),
+            hl.Polyline3.from_curve(_torus_curve(wraps, phase + gap)))
+
+
+@pytest.mark.parametrize("make, args", [
+    *[(_random_polylines, (seed,)) for seed in range(12)],
+    (_torus_polylines, (2, 0.7, 0.04)),
+    (_torus_polylines, (3, 0.2, 0.0062)),
+    (_torus_polylines, (2, 0.1, 0.006)),
+    (_torus_polylines, (3, 0.5, 0.3)),
+])
+def test_crossing_sum_matches_all_pairs_oracle(make, args):
+    pl1, pl2 = make(*args)
+    for direction in (DEFAULT_DIRECTION, (0.05, -0.3, 0.9)):
+        (a, da), (b, db) = _projected(pl1, direction), _projected(pl2, direction)
+        total, degenerate = _kernels.crossing_sum(a, da, b, db)
+        assert not degenerate
+        assert total == _crossing_total_oracle(a, da, b, db)
+
+
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def test_crossing_sum_ignores_far_segment_on_an_endpoint_line():
+    # the line through the triangle's first side, y = x, passes through the
+    # square's corners (0, 0) and (1, 1), but the side is far from both
+    triangle = np.array([[3.0, 3.0], [4.0, 4.0], [5.0, 3.0]])
+    assert _kernels.crossing_sum(_SQUARE, np.zeros(4),
+                                 triangle, np.ones(3)) == (0.0, 0)
+
+
+def test_crossing_sum_flags_vertex_on_segment():
+    # the triangle's first vertex lies on the square's side x = 1
+    triangle = np.array([[1.0, 0.5], [2.0, 0.5], [2.0, 1.5]])
+    assert _kernels.crossing_sum(_SQUARE, np.zeros(4),
+                                 triangle, np.ones(3))[1] == 1
 
 
 def test_polyline_validation():

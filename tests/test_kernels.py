@@ -32,6 +32,63 @@ def test_gauss_grid_matches_direct_formula(rng):
     assert np.max(np.abs(got - _gauss_oracle(x, dx, y, dy))) < 1e-13
 
 
+def _near_parallel_clouds(gap, seed):
+    """The 16 Gauss-Legendre nodes on a unit piece of a line and the same
+    nodes moved by gap across it, with velocities 1e-3 apart in direction,
+    turned by a random rotation: the closest pairs are gap apart."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    g, _ = np.polynomial.legendre.leggauss(16)
+    s = 0.5 * (g + 1.0)
+    x = np.stack([s, np.zeros(16), np.zeros(16)], axis=1)
+    y = x + [0.0, 0.0, gap]
+    dx = np.tile([1.0, 0.0, 0.0], (16, 1))
+    dy = np.tile([1.0, 1e-3, 0.0], (16, 1))
+    return x @ q.T, dx @ q.T, y @ q.T, dy @ q.T
+
+
+def _moment_bound(x, dx, y, dy, *origins):
+    """eps (|x-o| + |y-o|) |dx| |dy| / (4 pi |y-x|^3) on the pair grid,
+    summed over the origins the moments were taken about."""
+    eps = np.finfo(float).eps
+    lever = sum(np.linalg.norm(x - o, axis=1)[:, None]
+                + np.linalg.norm(y - o, axis=1)[None, :] for o in origins)
+    speeds = (np.linalg.norm(dx, axis=1)[:, None]
+              * np.linalg.norm(dy, axis=1)[None, :])
+    n = np.linalg.norm(y[None, :, :] - x[:, None, :], axis=-1)
+    return eps * lever * speeds / (4 * np.pi * n ** 3)
+
+
+# The moment form sums products as large as |p - o| |dp| into a det3 as
+# small as the gap times the tilt: its error must stay within a few units
+# of eps (|x-o| + |y-o|) |dx| |dy| / (4 pi |y-x|^3), pair by pair.
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gap", [1.0, 1e-3, 1e-6])
+@pytest.mark.parametrize("offset", [0.0, 1.0, 1e3])
+def test_gauss_grid_moment_error_bounded_by_lever_over_gap(seed, gap, offset):
+    x, dx, y, dy = _near_parallel_clouds(gap, seed)
+    direction = np.random.default_rng(seed + 100).normal(size=3)
+    origin = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    origin = origin + offset * direction / np.linalg.norm(direction)
+    got = _kernels.gauss_grid(x, dx, y, dy, np.cross(x - origin, dx),
+                              np.cross(y - origin, dy))
+    err = np.abs(got - _gauss_oracle(x, dx, y, dy))
+    assert np.all(err <= 8 * _moment_bound(x, dx, y, dy, origin))
+
+
+def test_gauss_grid_moments_about_any_origin_match_centred_call(rng):
+    x, dx = _random_cloud(rng, 9)
+    y, dy = _random_cloud(rng, 11)
+    y += 3.0
+    centred = _kernels.gauss_grid(x, dx, y, dy)
+    centre = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    for origin in (np.zeros(3), centre, rng.normal(size=3) * 50.0):
+        got = _kernels.gauss_grid(x, dx, y, dy, np.cross(x - origin, dx),
+                                  np.cross(y - origin, dy))
+        bound = _moment_bound(x, dx, y, dy, origin, centre)
+        assert np.all(np.abs(got - centred) <= 8 * bound)
+
+
 def _det3_and_n2_oracle(z, dz, w, dw):
     d = z[:, None, :] - w[None, :, :]
     dzg = np.broadcast_to(dz[:, None, :], d.shape)
