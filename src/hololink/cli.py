@@ -20,7 +20,7 @@ from .geometry import NormalizationConstants
 from .quadrature import QuadConfig
 from .report import (CSV_HEADER, calibrate, compute, report_to_csv_row,
                      report_to_dict, report_to_json, xcheck, xcheck_to_dict)
-from .scene_io import dumps_scene, load_scene
+from .scene_io import _constants_in, dumps_scene, load_scene
 from .scenes import (BUILTIN_SCENES, builtin, random_line_scene,
                      random_polynomial_scene)
 
@@ -112,6 +112,8 @@ def _resolve_config(args, scene=None):
 
 
 def _load_constants_file(path):
+    """The constants in the file, checked field by field as a scene's
+    constants object is; None when the file cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -120,7 +122,7 @@ def _load_constants_file(path):
     except json.JSONDecodeError as exc:
         raise SceneInvalid("constants", f"constants file {path!r} is not "
                                         f"valid JSON: {exc}")
-    return NormalizationConstants.from_dict(data)
+    return _constants_in(data, "constants")
 
 
 def _save_constants_file(path, consts):

@@ -22,7 +22,7 @@ from . import _kernels
 from .errors import (CoincidentPoints, DegenerateConfiguration,
                      DegenerateProjection, MethodInapplicable)
 from .geometry import det3
-from .quadrature import Interval, integrate_product
+from .quadrature import Interval, generic_params, integrate_product
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
@@ -89,7 +89,7 @@ def gauss_linking(curve1, curve2, cfg):
     dom1 = _gauss_domain(curve1, cfg)
     dom2 = _gauss_domain(curve2, cfg)
     # one moment origin for both curves: the mean of their generic points
-    origin = np.mean([_real_points(c, d.generic_params())[0].mean(axis=0)
+    origin = np.mean([_real_points(c, generic_params(d))[0].mean(axis=0)
                       for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)
 
     return integrate_product(

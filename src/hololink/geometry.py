@@ -410,9 +410,10 @@ def validate_scene(scene):
     """Check every structural invariant; raise SceneInvalid naming the
     violated invariant and the JSON-ish path of the offender.
 
-    Deliberately not checked here: curve disjointness (the quadrature layer
-    raises CurvesTooClose so the failure surfaces as a numerical diagnostic)
-    and pole orders (integrate_pv probes them at run time, and integrates
+    Deliberately not checked here: curve disjointness (the quadrature
+    engine's proximity samples raise CurvesTooClose, so the failure
+    surfaces as a numerical diagnostic of the integral routes) and pole
+    orders (integrate_pv probes them at run time, and integrates
     only simple poles, in a polar chart centered on the pole).
     """
     for name, curve in scene.curves.items():

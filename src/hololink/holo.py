@@ -12,7 +12,7 @@ the reproducing map divides by that (multiplies by i/(4 pi^3)).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -34,23 +34,16 @@ _LEVI_CIVITA = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
 class BMContext:
     """Normalization context for the kernel integrals.
 
-    include_cn switches the volume prefactor C3 = pi^3 on the pointwise
-    kernel; all calibrated constants are measured with include_cn=True.
+    include_cn switches the volume prefactor C3 = pi^3 of the ambient
+    dimension 3 on the pointwise kernel; all calibrated constants are
+    measured with include_cn=True.
     """
 
-    n: int = 3
-    c3: float = field(default=C3)
     include_cn: bool = True
-
-    def __post_init__(self):
-        if self.n != 3:
-            raise ValueError("only ambient dimension 3 is supported")
-        if abs(self.c3 - C3) > 1e-12 * C3:
-            raise ValueError("c3 must be pi^3")
 
     @property
     def prefactor(self):
-        return self.c3 if self.include_cn else 1.0
+        return C3 if self.include_cn else 1.0
 
 
 def bm_pullback_integrand(z, dz, w, dw, ctx):

@@ -9,7 +9,11 @@ curves when the caller supplies curve sides and on the parameter chart
 otherwise. With curves on both sides, a panel whose two curve pieces could
 touch between their sample points also counts as hot, whatever its error:
 a close approach narrower than the node spacing is invisible to the error
-estimate. The panel filtration does not depend on tol: tightening tol only
+estimate. These proximity samples are the only curve-distance sampler:
+they cover every initial cell in the first round and then follow the
+unresolved panels down to wherever the curves come close, and a sampled
+distance below 1e-6 raises CurvesTooClose before the round's values are
+computed. The panel filtration does not depend on tol: tightening tol only
 extends the same deterministic refinement sequence.
 
 A side maps a parameter array to a tuple of arrays, curve positions first;
@@ -146,15 +150,6 @@ class Interval:
     def chart(self, cols):
         return cols[0], np.ones_like(cols[0])
 
-    def proximity_params(self, n=192):
-        scales = (1.0, 2.0) if self.truncated else (1.0,)
-        return np.concatenate([np.linspace(f * self.lo, f * self.hi, n)
-                               for f in scales])
-
-    def generic_params(self):
-        span = self.hi - self.lo
-        return self.lo + span * np.array([0.29, 0.57, 0.83])
-
     def punctured(self, punctures):
         raise PVNotConverging(
             "principal values need a complex parameter domain; real curves "
@@ -162,15 +157,14 @@ class Interval:
 
 
 class Disk:
-    """|u - center| <= radius in the complex parameter plane, polar chart.
-    Truncation disks (non-compact curves) are centered at the origin and
-    integrated together with the ring out to twice the radius."""
+    """|u| <= radius in the complex parameter plane, polar chart. A
+    truncation disk (non-compact curve) is integrated together with the
+    ring out to twice the radius."""
 
     naxes = 2
 
-    def __init__(self, radius, center=0j, truncated=True):
+    def __init__(self, radius, truncated=True):
         self.radius = float(radius)
-        self.center = complex(center)
         self.truncated = bool(truncated)
 
     def initial_cells(self):
@@ -184,18 +178,7 @@ class Disk:
 
     def chart(self, cols):
         r, phi = cols
-        params = self.center + r * np.exp(1j * phi)
-        return params, r
-
-    def proximity_params(self, n=192):
-        scales = (1.0, 2.0) if self.truncated else (1.0,)
-        r = self.radius * np.outer(scales,
-                                   [0.08, 0.25, 0.5, 0.75, 0.95]).ravel()
-        phi = np.linspace(0.0, TWO_PI, max(n // 5, 8), endpoint=False)
-        return (self.center + r[:, None] * np.exp(1j * phi)[None, :]).ravel()
-
-    def generic_params(self):
-        return self.center + 0.37 * self.radius * np.exp(1j * np.array([0.4, 2.3, 4.1]))
+        return r * np.exp(1j * phi), r
 
     def punctured(self, punctures):
         if len(punctures) != 1:
@@ -248,19 +231,6 @@ class PuncturedDisk:
         params = self.puncture + r * np.exp(1j * phi)
         return params, r * np.where(inner, rmax, ring)
 
-    def proximity_params(self, n=192):
-        x = np.array([0.05, 0.3, 0.6, 0.9])
-        if self.truncated:
-            x = np.concatenate([x, 1.0 + x])
-        phi = np.linspace(0.0, TWO_PI, max(n // 4, 8), endpoint=False)
-        xm, pm = np.meshgrid(x, phi, indexing="ij")
-        params, _ = self.chart((xm.ravel(), pm.ravel()))
-        return params
-
-    def generic_params(self):
-        params, _ = self.chart((np.array([0.41, 0.66]), np.array([1.1, 3.7])))
-        return params
-
 
 class Rect:
     """Axis-aligned rectangle in the complex parameter plane (compact)."""
@@ -278,19 +248,22 @@ class Rect:
         x, y = cols
         return x + 1j * y, np.ones_like(x)
 
-    def proximity_params(self, n=192):
-        m = max(int(math.sqrt(n)), 4)
-        xs = np.linspace(self.x0, self.x1, m)
-        ys = np.linspace(self.y0, self.y1, m)
-        return (xs[:, None] + 1j * ys[None, :]).ravel()
-
-    def generic_params(self):
-        xs = self.x0 + (self.x1 - self.x0) * np.array([0.31, 0.62])
-        ys = self.y0 + (self.y1 - self.y0) * np.array([0.47, 0.71])
-        return xs + 1j * ys
-
     def punctured(self, punctures):
         raise PVNotConverging("principal values on rectangle domains are not supported")
+
+
+_GENERIC_FRACTIONS = np.array([0.29, 0.57, 0.83])
+
+
+def generic_params(dom):
+    """Three generic parameters of a domain: the fractions (0.29, 0.57,
+    0.83) of its first initial cell, rotated by one place per axis, mapped
+    through its chart."""
+    axes, _ = dom.initial_cells()[0]
+    cols = tuple(lo + (hi - lo) * np.roll(_GENERIC_FRACTIONS, -a)
+                 for a, (lo, hi) in enumerate(axes))
+    params, _ = dom.chart(cols)
+    return params
 
 
 def domain_for_curve(curve, cfg):
@@ -465,7 +438,9 @@ class _Engine:
         """Per panel, True while the sampled pieces of the two curves could
         touch: the closest sampled approach is no larger than the sum of the
         pieces' covering radii. A close approach narrower than the node
-        spacing can then hide between all nodes of both rules."""
+        spacing can then hide between all nodes of both rules. These
+        samples are also the CurvesTooClose guard: a sampled approach below
+        _MIN_DIST on any panel raises it."""
         m = self.cfg.panel_order + 1
         pieces = []
         for s, ax in enumerate(self.axes):
@@ -475,8 +450,12 @@ class _Engine:
             pieces.append(self._sample_pieces(self._points(s, params), m,
                                               len(grid)))
         (pts_a, cover_a), (pts_b, cover_b) = pieces
-        return [_kernels.min_dist(a, b) <= ca + cb
-                for a, b, ca, cb in zip(pts_a, pts_b, cover_a, cover_b)]
+        dists = [_kernels.min_dist(a, b) for a, b in zip(pts_a, pts_b)]
+        close = [d for d in dists if d < _MIN_DIST]
+        if close:
+            raise CurvesTooClose(f"minimum sampled curve distance "
+                                 f"{min(close):.3e} < {_MIN_DIST:.0e}")
+        return [d <= ca + cb for d, ca, cb in zip(dists, cover_a, cover_b)]
 
     @staticmethod
     def _sample_pieces(pts, m, k):
@@ -491,32 +470,22 @@ class _Engine:
         cover = [0.5 * math.hypot(*g) for g in gaps.tolist()]
         return np.ascontiguousarray(pts, dtype=np.float64), cover
 
-    def _global_distance_check(self):
-        if not self.curves:
-            return
-        pts = [np.ascontiguousarray(
-                   self._points(s, np.asarray(dom.proximity_params())),
-                   dtype=np.float64)
-               for s, dom in enumerate(self.doms)]
-        d = _kernels.min_dist(*pts)
-        if d < _MIN_DIST:
-            raise CurvesTooClose(
-                f"minimum sampled curve distance {d:.3e} < {_MIN_DIST:.0e}")
-
     # -- main loop ---------------------------------------------------------
 
     def _evaluate(self, pending):
-        """The pending panels with their values (the finer rule), their
-        errors (against the coarser one) and, for those not yet found
-        resolved, the proximity check."""
+        """The pending panels with, for those not yet found resolved, the
+        proximity check, then their values (the finer rule) and errors
+        (against the coarser one). The check comes first, so curves that
+        meet fail as CurvesTooClose before any node lands on the meeting
+        point."""
         lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
+        check = np.flatnonzero(pending.unresolved)
+        if check.size:
+            pending.unresolved[check] = self._unresolved(lo[check], hi[check])
         coarse = self._values(lo, hi, self.cfg.panel_order)
         value = self._values(lo, hi, 2 * self.cfg.panel_order)
         err = np.array([abs(v - c) for v, c in zip(value.tolist(),
                                                    coarse.tolist())])
-        check = np.flatnonzero(pending.unresolved)
-        if check.size:
-            pending.unresolved[check] = self._unresolved(lo[check], hi[check])
         return pending._replace(value=value, err=err)
 
     def _halves(self, panels):
@@ -554,7 +523,6 @@ class _Engine:
         I(2R), and the outer panels to the tail I(2R) - I(R) ~ R^-k, which
         is Richardson-extrapolated, value = I(2R) + tail / (2^k - 1).
         """
-        self._global_distance_check()
         pending = self._initial(decay_order is not None)
         done = None
         rounds = []
@@ -599,33 +567,18 @@ class _Engine:
                           trace=trace)
 
 
-def _ensure_batch_1(f, side):
-    """f when it maps the side's arrays at a parameter array to a value
-    array, else a loop that calls it point by point. Calls f once."""
-    probe = np.array([0.12345, 0.6789])
-    try:
-        out = np.asarray(f(*side(probe)))
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return lambda *arrays: np.array([f(*point) for point in zip(*arrays)])
-
-
-def _ensure_batch_2(f, side_a, side_b):
-    """f when it maps the two sides' arrays to their (na, nb) pair grid,
-    else a loop that calls it pair by pair. Calls f once."""
-    blk_a = side_a(np.array([0.123, 0.456]))
-    blk_b = side_b(np.array([0.234, 0.567, 0.891]))
-    try:
-        out = np.asarray(f(*blk_a, *blk_b))
-        if out.shape == (2, 3):
-            return f
-    except Exception:
-        pass
-    k = len(blk_a)
-    return lambda *arrays: np.array(
-        [[f(*a, *b) for b in zip(*arrays[k:])] for a in zip(*arrays[:k])])
+def _check_batch(f, side_a, side_b=None):
+    """Raise TypeError unless f maps side_a's arrays at a parameter array to
+    the value array, or, with side_b, the two sides' arrays to their
+    (na, nb) pair grid. Calls f once."""
+    args, shape, what = side_a(np.array([0.123, 0.456])), (2,), "value array"
+    if side_b is not None:
+        args = (*args, *side_b(np.array([0.234, 0.567, 0.891])))
+        shape, what = (2, 3), "(na, nb) pair grid"
+    got = np.shape(f(*args))
+    if got != shape:
+        raise TypeError(f"integrand must return the {what}, shape {shape} "
+                        f"on the probe points; got shape {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +587,14 @@ def _ensure_batch_2(f, side_a, side_b):
 def integrate_curve(integrand, domain, cfg):
     """Integrate a single-parameter integrand over a domain.
 
-    The integrand may map a parameter array to a value array (preferred) or
-    a scalar to a scalar. A truncated domain is integrated over its window
+    The integrand maps a parameter array to the value array; anything else
+    raises TypeError. A truncated domain is integrated over its window
     as given, with no tail step. MaxDepthExceeded is reported as
     converged=False per the quadrature contract, with the best available
     value.
     """
-    f = _ensure_batch_1(integrand, _identity)
-    return _Engine(f, domain, None, cfg).run()
+    _check_batch(integrand, _identity)
+    return _Engine(integrand, domain, None, cfg).run()
 
 
 def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
@@ -651,39 +604,32 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     A side maps a parameter array to a tuple of arrays, curve positions
     first (default: the parameters alone, with no curve). The integrand
     receives f(*side_a_arrays, *side_b_arrays) for the na and nb nodes of a
-    panel and returns the (na, nb) pair grid. Positions measure panel
-    extents for the split axis; with both sides given the CurvesTooClose
-    guard runs and panels whose curve pieces could touch are refined until
-    the samples resolve the gap. If either domain is a truncation window of
-    radius R, one engine run covers the doubled window: the panels outside
-    the R window sum to the tail I(2R) - I(R), which is
-    Richardson-extrapolated with the given decay order k (tail ~ R^-k),
-    reporting tail_estimate = |I(2R) - I(R)|.
+    panel and returns the (na, nb) pair grid; anything else raises
+    TypeError. Positions measure panel extents for the split axis. With
+    both sides given, panels whose curve pieces could touch are refined
+    until the samples resolve the gap, and those proximity samples raise
+    CurvesTooClose where the curves come within 1e-6. If either domain is
+    a truncation window of radius R, one engine run covers the doubled
+    window: the panels outside the R window sum to the tail I(2R) - I(R),
+    which is Richardson-extrapolated with the given decay order k
+    (tail ~ R^-k), reporting tail_estimate = |I(2R) - I(R)|.
     """
-    f = _ensure_batch_2(integrand, side_a or _identity, side_b or _identity)
-    return _Engine(f, dom_a, dom_b, cfg, side_a, side_b).run(decay_order)
+    _check_batch(integrand, side_a or _identity, side_b or _identity)
+    return _Engine(integrand, dom_a, dom_b, cfg, side_a,
+                   side_b).run(decay_order)
 
 
-def _probe_pole_order(f2, domain, other, punctures, swap):
+def _probe_pole_order(on_ring, domain, punctures):
     """Log-log slope of the integrand magnitude on shrinking rings around
-    each declared puncture of a disk domain; order > 1.5 means the pole is
-    not simple."""
-    if other is not None:
-        gen = other.generic_params()
+    each declared puncture of a disk domain; on_ring maps the ring's
+    parameters to the integrand's values there. Order > 1.5 means the pole
+    is not simple."""
     angles = np.exp(1j * np.linspace(0.0, TWO_PI, 8, endpoint=False))
     for p in punctures:
         r0 = 0.5 * min(1.0, (domain.radius - abs(complex(p))) / 2.0)
         radii = r0 * 0.5 ** np.arange(4)
-        mags = []
-        for r in radii:
-            ring = complex(p) + r * angles
-            if other is None:
-                vals = f2(ring)
-            elif swap:
-                vals = f2(gen, ring)
-            else:
-                vals = f2(ring, gen)
-            mags.append(float(np.max(np.abs(vals))))
+        mags = [float(np.max(np.abs(on_ring(complex(p) + r * angles))))
+                for r in radii]
         if max(mags) < 1e-300:
             continue
         logs = np.log(np.maximum(mags, 1e-300))
@@ -701,7 +647,8 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     None) whose integrand may have simple poles at declared punctures.
 
     The integrand and sides are those of integrate_product (of
-    integrate_curve when dom_b is None). punctures = (on_a, on_b). Under
+    integrate_curve when dom_b is None), and so are the TypeError and
+    CurvesTooClose checks. punctures = (on_a, on_b). Under
     the area measure a simple pole is absolutely integrable, so the
     "principal value" is an ordinary integral: each punctured disk is
     integrated in the polar chart centered on its puncture (PuncturedDisk),
@@ -710,7 +657,8 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     tail step of integrate_product. Raises PVNotConverging for a puncture
     on a real Interval or a Rect, for more than one puncture per disk, and,
     from a pole-order probe at each puncture, for anything steeper than a
-    simple pole.
+    simple pole. The probe samples each punctured side on rings around
+    its puncture, paired with the other side's generic_params.
     """
     punct_a = list(punctures[0] or ())
     punct_b = list(punctures[1] or ())
@@ -718,20 +666,18 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     db = dom_b.punctured(punct_b) if punct_b else dom_b
     sa, sb = side_a or _identity, side_b or _identity
     if dom_b is None:
-        f = _ensure_batch_1(integrand, sa)
-
-        def on_params(u):
-            return f(*sa(u))
-    else:
-        f = _ensure_batch_2(integrand, sa, sb)
-
-        def on_params(u, v):
-            return f(*sa(u), *sb(v))
-
+        _check_batch(integrand, sa)
+        if punct_a:
+            _probe_pole_order(lambda ring: integrand(*sa(ring)), dom_a,
+                              punct_a)
+        return _Engine(integrand, da, None, cfg, side_a).run()
+    _check_batch(integrand, sa, sb)
     if punct_a:
-        _probe_pole_order(on_params, dom_a, dom_b, punct_a, swap=False)
+        gen_b = sb(generic_params(dom_b))
+        _probe_pole_order(lambda ring: integrand(*sa(ring), *gen_b), dom_a,
+                          punct_a)
     if punct_b:
-        _probe_pole_order(on_params, dom_b, dom_a, punct_b, swap=True)
-    if dom_b is None:
-        return _Engine(f, da, None, cfg, side_a).run()
-    return _Engine(f, da, db, cfg, side_a, side_b).run(decay_order)
+        gen_a = sa(generic_params(dom_a))
+        _probe_pole_order(lambda ring: integrand(*gen_a, *sb(ring)), dom_b,
+                          punct_b)
+    return _Engine(integrand, da, db, cfg, side_a, side_b).run(decay_order)

@@ -11,15 +11,6 @@ from hololink.holo import AREA_FACTOR, SPHERE_NORMALIZER
 # ---------------------------------------------------------------------------
 # context
 
-def test_context_validates_dimension_and_constant():
-    ctx = hl.BMContext()
-    assert ctx.n == 3 and ctx.c3 == pytest.approx(math.pi ** 3)
-    with pytest.raises(ValueError):
-        hl.BMContext(n=2)
-    with pytest.raises(ValueError):
-        hl.BMContext(c3=1.0)
-
-
 def test_prefactor_toggles_dimension_constant():
     with_cn = hl.BMContext(include_cn=True)
     without = hl.BMContext(include_cn=False)

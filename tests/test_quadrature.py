@@ -145,19 +145,18 @@ def test_truncated_tail_extrapolation():
     assert res.tail_estimate > 0.0
 
 
-def test_worker_count_does_not_change_bits(monkeypatch):
+def test_repeat_runs_are_bit_identical():
     def f(u, v):
         return np.cos(u)[:, None] * np.sin(v)[None, :] + \
             1.0 / (4.0 + (u[:, None] - v[None, :]) ** 2)
 
     cfg = hl.QuadConfig(tol=1e-9)
-    monkeypatch.setenv("HOLOLINK_WORKERS", "1")
-    res1 = integrate_product(f, Interval(0.0, 2.0), Interval(-1.0, 1.0), cfg)
-    monkeypatch.setenv("HOLOLINK_WORKERS", "4")
-    res4 = integrate_product(f, Interval(0.0, 2.0), Interval(-1.0, 1.0), cfg)
-    assert complex(res1.value) == complex(res4.value)
-    assert res1.err_estimate == res4.err_estimate
-    assert res1.panels_evaluated == res4.panels_evaluated
+    res1, res2 = (integrate_product(f, Interval(0.0, 2.0),
+                                    Interval(-1.0, 1.0), cfg)
+                  for _ in range(2))
+    assert complex(res1.value) == complex(res2.value)
+    assert res1.err_estimate == res2.err_estimate
+    assert res1.panels_evaluated == res2.panels_evaluated
 
 
 def test_domain_for_curve_shapes():
@@ -215,6 +214,38 @@ def test_overflowing_panel_sum_is_reported():
         integrate_product(lambda u, v: np.full((u.size, v.size), 1e308),
                           Interval(0.0, 100.0), Interval(0.0, 100.0), cfg)
     assert exc.value.param is None
+
+
+def test_wrong_shape_integrand_is_rejected():
+    cfg = hl.QuadConfig(tol=1e-6)
+    with pytest.raises(TypeError, match=r"shape \(2,\)"):
+        integrate_curve(lambda t: float(np.sum(t)), Interval(0.0, 1.0), cfg)
+    with pytest.raises(TypeError, match=r"shape \(2, 3\)"):
+        integrate_product(lambda u, v: u * 0.0, Interval(0.0, 1.0),
+                          Interval(0.0, 1.0), cfg)
+
+
+# ---------------------------------------------------------------------------
+# CurvesTooClose comes from the proximity samples, which cover every initial
+# cell and then follow the curves' closest approach
+
+@pytest.mark.parametrize("gap", [1e-7, 5e-7])
+@pytest.mark.parametrize("route", ["holo", "clink", "gauss"])
+def test_lines_closer_than_the_guard_raise(gap, route):
+    # the lines (s, 0, 0) and (0, t, gap) come closest at the centre of
+    # both windows, where no fixed sample grid of the disk need fall
+    c1 = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
+    c2 = hl.ParamCurve.line((0, 0, gap), (0, 1, 0))
+    cfg, ctx = hl.QuadConfig(tol=1e-6), hl.BMContext()
+    with pytest.raises(hl.CurvesTooClose):
+        if route == "holo":
+            hl.holo_linking_integral(
+                (c1, hl.OneForm("c1", np.array([1.0 + 0j]))),
+                (c2, hl.OneForm("c2", np.array([1.0 + 0j]))), ctx, cfg)
+        elif route == "clink":
+            hl.complex_linking_number(c1, c2, ctx, cfg)
+        else:
+            hl.gauss_linking(c1, c2, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +331,8 @@ def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
     assert res.converged and abs(res.value - 1.0) < 1e-6
     rounds = len(res.trace.panels_per_round)
     # per round and side: two rules, split-axis and proximity samples;
-    # plus the batch probe and the global distance check, once per side
+    # plus the batch probe and the moment origin's generic points, once
+    # per side
     assert len(calls) <= 8 * rounds + 4
     # one call per panel and rule would be four per panel
     assert len(calls) < res.panels_evaluated

@@ -250,6 +250,20 @@ def test_cli_bad_scene_exits_2(tmp_path, capsys):
     assert "SceneInvalid" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[1, 2]", "constants:"),
+    ('{"kappa_line": [1]}', "constants.kappa_line:"),
+    ('{"include_cn": "false"}', "constants.include_cn:"),
+])
+def test_cli_bad_constants_file_exits_2(tmp_path, capsys, text, field):
+    cpath = tmp_path / "c.json"
+    cpath.write_text(text)
+    code, _, err = _run(["run", "builtin:hopf", "gauss_crossing",
+                         "--constants", str(cpath)], capsys)
+    assert code == 2
+    assert "SceneInvalid" in err and field in err
+
+
 def test_cli_unknown_builtin_exits_2(capsys):
     code, _, err = _run(["run", "builtin:nope", "residue"], capsys)
     assert code == 2
