@@ -24,6 +24,18 @@ them in.
 ||x-y||^2 is summed from direct coordinate differences. The expansion
 ||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
 (panel extent / gap)^2 of the relative accuracy to cancellation.
+
+Given node weights wz and ww, bm_grid returns the weighted sum
+wz @ K @ ww of its grid K without forming K. It folds wz into the left
+rows and ww into the right rows, turns ||z-w||^6 into its reciprocal D in
+place, and returns sum_k left_k . (D @ right_k), taking D @ right as one
+real (n, m) @ (m, 12) product with the real and imaginary parts of the
+right rows side by side. D is real because the distance is: the only
+O(n m) work is that real product and the distance grid, and no complex
+n x m array exists. The sum is the grid form's sum reassociated (each
+det3 is cancelled after the weighting rather than before), so it agrees
+with wz @ K @ ww to about eps R / gap of sum |wz| |K| |ww|, the grid's own
+rounding.
 """
 
 import numpy as np
@@ -45,7 +57,7 @@ def gauss_grid(x, dx, y, dy, mx=None, my=None):
     c = (mean x + mean y) / 2."""
     if mx is None or my is None:
         c = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-        mx, my = np.cross(x - c, dx), np.cross(y - c, dy)
+        mx, my = _cross(x - c, dx), _cross(y - c, dy)
     det = np.concatenate([dx, mx], axis=1) @ np.concatenate([my, dy], axis=1).T
     d = x[:, None, :] - y[None, :, :]
     d *= d
@@ -58,15 +70,28 @@ def gauss_grid(x, dx, y, dy, mx=None, my=None):
     return det
 
 
-def _det3_and_dist6(z, dz, w, dw, conj):
-    """det3(z-w, dz, dw), conjugated when conj, and ||z-w||^6 on the pair
-    grid of complex clouds (n, 3) and (m, 3)."""
+def _cross(a, b):
+    """Row-wise cross product of two (n, 3) arrays from explicit component
+    products: the bits of np.cross, without its axis handling."""
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
+def _plucker_rows(z, dz, w, dw):
+    """Rows [(z-c) x dz, dz] (n, 6) and [dw, (w-c) x dw] (m, 6) about the
+    centre c of complex clouds (n, 3) and (m, 3): left @ right.T is
+    det3(z-w, dz, dw) on the pair grid."""
     c = 0.5 * (z.mean(axis=0) + w.mean(axis=0))
-    left = np.concatenate([np.cross(z - c, dz), dz], axis=1)
-    right = np.concatenate([dw, np.cross(w - c, dw)], axis=1)
-    if conj:
-        left, right = left.conj(), right.conj()
-    det = left @ right.T
+    left = np.concatenate([_cross(z - c, dz), dz], axis=1)
+    right = np.concatenate([dw, _cross(w - c, dw)], axis=1)
+    return left, right
+
+
+def _dist6(z, w):
+    """||z-w||^6 on the pair grid of complex clouds (n, 3) and (m, 3)."""
     # Each difference x_i - y_j comes from the rank-2 product
     # [x, 1] @ [1, -y]: both products are exact, so every entry is the
     # difference rounded once, as np.subtract.outer gives it, but without
@@ -75,8 +100,9 @@ def _det3_and_dist6(z, dz, w, dw, conj):
     wr = np.concatenate([w.real, w.imag], axis=1)
     xs = np.ones((zr.shape[0], 2))
     ys = np.ones((2, wr.shape[0]))
-    diff = np.empty(det.shape)
-    n2 = np.zeros(det.shape)
+    shape = (zr.shape[0], wr.shape[0])
+    diff = np.empty(shape)
+    n2 = np.zeros(shape)
     for k in range(6):
         xs[:, 0] = zr[:, k]
         ys[1] = -wr[:, k]
@@ -85,22 +111,35 @@ def _det3_and_dist6(z, dz, w, dw, conj):
         n2 += diff
     dist6 = np.multiply(n2, n2, out=diff)
     dist6 *= n2
-    return det, dist6
+    return dist6
 
 
-def bm_grid(z, dz, w, dw):
-    """conj(det3(z-w, dz, dw)) / ||z-w||^6 on the pair grid (no C3 factor)."""
-    det, dist6 = _det3_and_dist6(z, dz, w, dw, conj=True)
-    det /= dist6
-    return det
+def bm_grid(z, dz, w, dw, wz=None, ww=None):
+    """conj(det3(z-w, dz, dw)) / ||z-w||^6 on the pair grid (no C3 factor).
+
+    Given node weights wz (n,) and ww (m,), returns the weighted sum
+    wz @ grid @ ww instead, computed without the grid (module docstring)."""
+    left, right = _plucker_rows(z, dz, w, dw)
+    left, right = left.conj(), right.conj()
+    dist6 = _dist6(z, w)
+    if wz is None or ww is None:
+        det = left @ right.T
+        det /= dist6
+        return det
+    left *= wz[:, None]
+    right *= ww[:, None]
+    recip = np.reciprocal(dist6, out=dist6)
+    part = recip @ np.concatenate([right.real, right.imag], axis=1)
+    return np.sum(left * (part[:, :6] + 1j * part[:, 6:]))
 
 
 def clink_grid(z, dz, w, dw):
     """|det3(z-w, dz, dw)|^2 / ||z-w||^6 on the pair grid (no C3 factor)."""
-    det, dist6 = _det3_and_dist6(z, dz, w, dw, conj=False)
+    left, right = _plucker_rows(z, dz, w, dw)
+    det = left @ right.T
     out = np.square(det.real)
     out += np.square(det.imag)
-    out /= dist6
+    out /= _dist6(z, w)
     return out
 
 

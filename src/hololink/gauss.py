@@ -60,10 +60,10 @@ def _plucker_side(curve, origin):
     return side
 
 
-def _gauss_kernel(x, dx, mx, y, dy, my):
+def _gauss_kernel(wa, x, dx, mx, wb, y, dy, my):
     # looked up at call time, so a wrapper installed on the module sees
     # every kernel call
-    return _kernels.gauss_grid(x, dx, y, dy, mx, my)
+    return wa @ _kernels.gauss_grid(x, dx, y, dy, mx, my) @ wb
 
 
 def _gauss_domain(curve, cfg):

@@ -111,12 +111,12 @@ def holo_linking_integral(s1, s2, ctx, cfg):
 
     # the sides carry each form's numerator and denominator and only the
     # integrand divides: the engine samples curve positions at the
-    # puncture itself, but integrates only at interior nodes
-    def integrand(x, dx, num1, den1, y, dy, num2, den2):
-        grid = _kernels.bm_grid(x, dx, y, dy)
-        grid *= (scale * (num1 / den1))[:, None]
-        grid *= (num2 / den2)[None, :]
-        return grid
+    # puncture itself, but integrates only at interior nodes. The kernel
+    # takes the weights with the coefficients folded in and returns the
+    # panel sum.
+    def integrand(wa, x, dx, num1, den1, wb, y, dy, num2, den2):
+        return _kernels.bm_grid(x, dx, y, dy, wa * (scale * (num1 / den1)),
+                                wb * (num2 / den2))
 
     return integrate_pv(
         integrand, dom_a, dom_b,
@@ -156,8 +156,8 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     dom_b = domain_for_curve(curve2, cfg)
     scale = AREA_FACTOR * ctx.prefactor
 
-    def integrand(x, dx, y, dy):
-        return scale * _kernels.clink_grid(x, dx, y, dy)
+    def integrand(wa, x, dx, wb, y, dy):
+        return wa @ (scale * _kernels.clink_grid(x, dx, y, dy)) @ wb
 
     return integrate_pv(integrand, dom_a, dom_b, ((), ()), cfg,
                         side_a=curve1.eval_batch, side_b=curve2.eval_batch,

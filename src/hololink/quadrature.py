@@ -20,11 +20,13 @@ A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. Each refinement round evaluates
 all pending panels at once: one call of each side per rule, one per side
 for the split-axis samples and one per side for the proximity samples. The
-integrand and the weight contraction then run once per panel on that
-panel's block, and the round's panel sums are checked for finiteness
-together. Panel results are reduced by a fixed pairwise tree over
-geometrically sorted panels, so values do not depend on how a round is
-batched. Everything runs on one thread.
+integrand then runs once per panel: it receives each side's
+jacobian-folded weights before that side's arrays and returns the
+weighted panel sum, so it can contract its values however is cheapest.
+The round's panel sums are checked for finiteness together. Panel results
+are reduced by a fixed pairwise tree over geometrically sorted panels, so
+values do not depend on how a round is batched. Everything runs on one
+thread.
 
 A truncated (non-compact) domain of radius R is integrated in one run over
 its doubled window, whose initial cells are cut at R: the panels descending
@@ -35,6 +37,7 @@ centered on it whose area jacobian cancels the pole. Every result carries a
 QuadTrace saying how it was produced.
 """
 
+import cmath
 from dataclasses import dataclass
 import itertools
 import math
@@ -330,9 +333,9 @@ class _Engine:
     """One adaptive integration over dom_a (x dom_b), a round at a time.
 
     Each round evaluates every pending panel with one call of each side per
-    rule; the integrand and the weight contraction then run once per panel
-    on that panel's block. The split-axis and proximity samples of a round
-    likewise take one call per side.
+    rule; the integrand then runs once per panel, on that panel's weights
+    and arrays, and returns the panel's weighted sum. The split-axis and
+    proximity samples of a round likewise take one call per side.
     """
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
@@ -373,44 +376,40 @@ class _Engine:
         return params, math.prod(wgts) * jac
 
     def _values(self, lo, hi, order):
-        """Each panel's value under the order-n rule. The round's values are
-        checked for finiteness together; a bad one raises NonFiniteIntegrand
-        naming the first non-finite node of its panel or, when every node is
+        """Each panel's value under the order-n rule: the integrand's
+        weighted sum over the panel's nodes. The round's values are checked
+        for finiteness together; a bad one raises NonFiniteIntegrand naming
+        the first non-finite node of its panel or, when every node is
         finite, the overflowing sum."""
         rules = [self._rule(s, lo, hi, order) for s in range(len(self.doms))]
-        blocks = [self._eval_side(s, params)
-                  for s, (params, _) in enumerate(rules)]
+        blocks = [(wgts, *self._eval_side(s, params))
+                  for s, (params, wgts) in enumerate(rules)]
         out = np.empty(len(lo), dtype=complex)
-        for i in range(len(lo)):
-            vals = self._integrand(blocks, i)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if len(rules) == 1:
-                    out[i] = np.dot(rules[0][1][i], vals)
-                else:
-                    out[i] = rules[0][1][i] @ vals @ rules[1][1][i]
-        for i in np.flatnonzero(~np.isfinite(out))[:1]:
-            self._check_finite(self._integrand(blocks, i), rules, i)
-            raise NonFiniteIntegrand(
-                f"weighted sum not finite on the panel from {lo[i].tolist()} "
-                f"to {hi[i].tolist()}, although every integrand value there "
-                "is finite")
+        # one errstate for the round; an overflow or NaN shows in out below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(lo)):
+                out[i] = self.f(*[a[i] for blk in blocks for a in blk])
+            for i in np.flatnonzero(~np.isfinite(out))[:1]:
+                self._raise_nonfinite(rules, blocks, i, lo[i], hi[i])
         return out
 
-    def _integrand(self, blocks, i):
-        """The integrand's values on panel i's nodes."""
-        return np.asarray(self.f(*[a[i] for blk in blocks for a in blk]))
-
-    @staticmethod
-    def _check_finite(vals, rules, i):
-        """Raise NonFiniteIntegrand naming the first bad node of panel i."""
-        if np.all(np.isfinite(vals)):
-            return
-        idx = np.argwhere(~np.isfinite(vals))[0]
+    def _raise_nonfinite(self, rules, blocks, i, lo, hi):
+        """Raise NonFiniteIntegrand for panel i (bounds lo, hi), naming its
+        first non-finite node in row-major order, or its sum when every
+        node is finite."""
+        sides = [[a[i] for a in blk[1:]] for blk in blocks]
+        idx = next((j for j, v in _node_values(self.f, sides)
+                    if not cmath.isfinite(v)), None)
+        if idx is None:
+            raise NonFiniteIntegrand(
+                f"weighted sum not finite on the panel from {lo.tolist()} "
+                f"to {hi.tolist()}, although every integrand value there "
+                "is finite")
         param = tuple(params[i][j] for (params, _), j in zip(rules, idx))
         if len(param) == 1:
             param = param[0]
-        raise NonFiniteIntegrand(
-            f"integrand not finite at parameter {param}", param=param)
+        raise NonFiniteIntegrand(f"integrand not finite at parameter {param}",
+                                 param=param)
 
     # -- geometry ----------------------------------------------------------
 
@@ -567,17 +566,32 @@ class _Engine:
                           trace=trace)
 
 
+def _node_values(f, sides):
+    """The integrand's value at each node, or node pair, of the sides'
+    arrays, in row-major order: f on one-node slices with unit weights, one
+    call per node. Only the failure diagnosis and the pole-order probe pay
+    for it."""
+    one = np.ones(1)
+    ranges = [range(len(arrays[0])) for arrays in sides]
+    for idx in itertools.product(*ranges):
+        args = [a for arrays, j in zip(sides, idx)
+                for a in (one, *(x[j:j + 1] for x in arrays))]
+        yield idx, complex(f(*args))
+
+
 def _check_batch(f, side_a, side_b=None):
-    """Raise TypeError unless f maps side_a's arrays at a parameter array to
-    the value array, or, with side_b, the two sides' arrays to their
-    (na, nb) pair grid. Calls f once."""
-    args, shape, what = side_a(np.array([0.123, 0.456])), (2,), "value array"
+    """Raise TypeError unless f maps unit weights and side_a's arrays at a
+    parameter array (with side_b, the weights and arrays of both sides) to
+    the weighted sum, a scalar. Calls f once; only the shape is checked, so
+    an overflow in the probe's sum is ignored."""
+    sides = [side_a(np.array([0.123, 0.456]))]
     if side_b is not None:
-        args = (*args, *side_b(np.array([0.234, 0.567, 0.891])))
-        shape, what = (2, 3), "(na, nb) pair grid"
-    got = np.shape(f(*args))
-    if got != shape:
-        raise TypeError(f"integrand must return the {what}, shape {shape} "
+        sides.append(side_b(np.array([0.234, 0.567, 0.891])))
+    args = [a for arrays in sides for a in (np.ones(len(arrays[0])), *arrays)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.shape(f(*args))
+    if got != ():
+        raise TypeError("integrand must return the weighted sum, a scalar, "
                         f"on the probe points; got shape {got}")
 
 
@@ -587,11 +601,12 @@ def _check_batch(f, side_a, side_b=None):
 def integrate_curve(integrand, domain, cfg):
     """Integrate a single-parameter integrand over a domain.
 
-    The integrand maps a parameter array to the value array; anything else
-    raises TypeError. A truncated domain is integrated over its window
-    as given, with no tail step. MaxDepthExceeded is reported as
-    converged=False per the quadrature contract, with the best available
-    value.
+    The integrand f(w, t) maps a panel's jacobian-folded weights w and
+    parameters t to the weighted sum of its values, w @ values; anything
+    but a scalar raises TypeError. A truncated domain is integrated over
+    its window as given, with no tail step. MaxDepthExceeded is reported
+    as converged=False per the quadrature contract, with the best
+    available value.
     """
     _check_batch(integrand, _identity)
     return _Engine(integrand, domain, None, cfg).run()
@@ -603,32 +618,35 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
 
     A side maps a parameter array to a tuple of arrays, curve positions
     first (default: the parameters alone, with no curve). The integrand
-    receives f(*side_a_arrays, *side_b_arrays) for the na and nb nodes of a
-    panel and returns the (na, nb) pair grid; anything else raises
-    TypeError. Positions measure panel extents for the split axis. With
-    both sides given, panels whose curve pieces could touch are refined
-    until the samples resolve the gap, and those proximity samples raise
-    CurvesTooClose where the curves come within 1e-6. If either domain is
-    a truncation window of radius R, one engine run covers the doubled
-    window: the panels outside the R window sum to the tail I(2R) - I(R),
-    which is Richardson-extrapolated with the given decay order k
-    (tail ~ R^-k), reporting tail_estimate = |I(2R) - I(R)|.
+    receives f(wa, *side_a_arrays, wb, *side_b_arrays) for the na and nb
+    nodes of a panel, wa and wb being the jacobian-folded weights, and
+    returns the weighted sum wa @ K @ wb of its pair values K, which it
+    need not form; anything but a scalar raises TypeError. Positions
+    measure panel extents for the split axis. With both sides given,
+    panels whose curve pieces could touch are refined until the samples
+    resolve the gap, and those proximity samples raise CurvesTooClose
+    where the curves come within 1e-6. If either domain is a truncation
+    window of radius R, one engine run covers the doubled window: the
+    panels outside the R window sum to the tail I(2R) - I(R), which is
+    Richardson-extrapolated with the given decay order k (tail ~ R^-k),
+    reporting tail_estimate = |I(2R) - I(R)|.
     """
     _check_batch(integrand, side_a or _identity, side_b or _identity)
     return _Engine(integrand, dom_a, dom_b, cfg, side_a,
                    side_b).run(decay_order)
 
 
-def _probe_pole_order(on_ring, domain, punctures):
+def _probe_pole_order(f, sides_on, domain, punctures):
     """Log-log slope of the integrand magnitude on shrinking rings around
-    each declared puncture of a disk domain; on_ring maps the ring's
-    parameters to the integrand's values there. Order > 1.5 means the pole
-    is not simple."""
+    each declared puncture of a disk domain; sides_on maps the ring's
+    parameters to the sides f is evaluated on there, node by node. Order
+    > 1.5 means the pole is not simple."""
     angles = np.exp(1j * np.linspace(0.0, TWO_PI, 8, endpoint=False))
     for p in punctures:
         r0 = 0.5 * min(1.0, (domain.radius - abs(complex(p))) / 2.0)
         radii = r0 * 0.5 ** np.arange(4)
-        mags = [float(np.max(np.abs(on_ring(complex(p) + r * angles))))
+        mags = [max(abs(v) for _, v in
+                    _node_values(f, sides_on(complex(p) + r * angles)))
                 for r in radii]
         if max(mags) < 1e-300:
             continue
@@ -658,7 +676,8 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     on a real Interval or a Rect, for more than one puncture per disk, and,
     from a pole-order probe at each puncture, for anything steeper than a
     simple pole. The probe samples each punctured side on rings around
-    its puncture, paired with the other side's generic_params.
+    its puncture, paired with the other side's generic_params, one node
+    pair at a time.
     """
     punct_a = list(punctures[0] or ())
     punct_b = list(punctures[1] or ())
@@ -668,16 +687,16 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     if dom_b is None:
         _check_batch(integrand, sa)
         if punct_a:
-            _probe_pole_order(lambda ring: integrand(*sa(ring)), dom_a,
+            _probe_pole_order(integrand, lambda ring: [sa(ring)], dom_a,
                               punct_a)
         return _Engine(integrand, da, None, cfg, side_a).run()
     _check_batch(integrand, sa, sb)
     if punct_a:
         gen_b = sb(generic_params(dom_b))
-        _probe_pole_order(lambda ring: integrand(*sa(ring), *gen_b), dom_a,
+        _probe_pole_order(integrand, lambda ring: [sa(ring), gen_b], dom_a,
                           punct_a)
     if punct_b:
         gen_a = sa(generic_params(dom_a))
-        _probe_pole_order(lambda ring: integrand(*gen_a, *sb(ring)), dom_b,
+        _probe_pole_order(integrand, lambda ring: [gen_a, sb(ring)], dom_b,
                           punct_b)
     return _Engine(integrand, da, db, cfg, side_a, side_b).run(decay_order)

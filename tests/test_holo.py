@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import report, scenes
+from hololink import _kernels, report, scenes
 from hololink.holo import AREA_FACTOR, SPHERE_NORMALIZER
 
 
@@ -136,6 +136,25 @@ def test_reference_lines_integral_matches_analytic(fast_cfg):
                                    hl.BMContext(), fast_cfg)
     assert res.converged
     assert abs(res.value + 2 * math.pi ** 5) / (2 * math.pi ** 5) < 1e-2
+
+
+def test_holo_integral_calls_the_module_kernel_per_rule(monkeypatch):
+    # a wrapper installed on _kernels.bm_grid must see every kernel call:
+    # two rules per panel, plus the batch probe of integrate_pv
+    calls = []
+    raw = _kernels.bm_grid
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "bm_grid", counted)
+    sc = scenes.l0()
+    res = hl.holo_linking_integral((sc.curves["c1"], sc.forms["theta1"]),
+                                   (sc.curves["c2"], sc.forms["theta2"]),
+                                   hl.BMContext(), hl.QuadConfig(tol=1e-6))
+    assert res.panels_evaluated == 64
+    assert len(calls) == 2 * res.panels_evaluated + 1
 
 
 def test_tolerance_drives_refinement():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hololink import _kernels
+import hololink as hl
+from hololink import _kernels, report, scenes
 from hololink.geometry import ParamCurve
 
 
@@ -193,3 +194,48 @@ def test_complex_kernel_error_bounded_by_spread_over_gap(name, oracle):
                     got = getattr(_kernels, name)(z, dz, w, dw)
                     err = np.max(np.abs(got - want)) / np.max(np.abs(want))
                     assert err <= eps * radius / gap, (seed, radius, gap, offset)
+
+
+def _l0_disk_weights(radius):
+    """Jacobian-folded weights of _l0_disk_nodes' 16 x 16 polar rule."""
+    g, wg = np.polynomial.legendre.leggauss(16)
+    r = 0.5 * radius * (g + 1.0)
+    return ((0.5 * radius * wg * r)[:, None] * (np.pi * wg)[None, :]).ravel()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("gap", sorted(_GAP_TOL, reverse=True))
+@pytest.mark.parametrize("radius", [40.0, 80.0])
+def test_weighted_bm_grid_matches_contracted_grid(radius, gap, offset):
+    # The in-kernel sum cancels each det3 after the weighting instead of
+    # before, so it may differ from wa @ K @ wb by the grid's own rounding,
+    # eps R / gap of each |K|, summed with the weights. Random complex
+    # factors, like the form coefficients, break the disk's symmetry, under
+    # which a wrong sign on an imaginary part would cancel out.
+    z, dz, w, dw = _l0_disk_nodes(radius, gap, offset)
+    rng = np.random.default_rng(7)
+    wa, wb = (_l0_disk_weights(radius) * rng.uniform(0.5, 1.5, 256)
+              * np.exp(2j * np.pi * rng.random(256)) for _ in range(2))
+    grid = _kernels.bm_grid(z, dz, w, dw)
+    got = _kernels.bm_grid(z, dz, w, dw, wa, wb)
+    assert np.shape(got) == ()
+    eps = np.finfo(float).eps
+    bound = eps * radius / gap * (np.abs(wa) @ np.abs(grid) @ np.abs(wb))
+    assert abs(got - wa @ grid @ wb) <= bound
+
+
+# Values of the engine when it contracted the kernel's pair grid with the
+# weights (wa @ K @ wb per panel); the in-kernel sum reassociates that
+# contraction and must keep the values to 1e-14 and the panels exactly.
+@pytest.mark.parametrize("scene, route, tol, value, panels", [
+    ("l0", "holo_integral", 1e-6, -612.0392650614846 + 0j, 64),
+    ("pv_lines", "holo_pv", 1e-4, 90.0932435576898 + 81.90294869011312j, 316),
+    ("pv_lines", "holo_pv", 1e-6, 90.09324355853205 + 81.90294868957571j,
+     362),
+])
+def test_holo_values_keep_the_grid_contraction(scene, route, tol, value,
+                                               panels):
+    rep = report.compute(getattr(scenes, scene)(), route,
+                         hl.QuadConfig(tol=tol))
+    assert rep.panels_evaluated == panels
+    assert abs(rep.value - value) <= 1e-14 * abs(value)

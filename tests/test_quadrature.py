@@ -18,9 +18,22 @@ from hololink.quadrature import (Disk, Interval, PuncturedDisk, Rect,
 COMPLEX_POLE_ORACLE = 3.101597985643492j
 
 
+# An integrand takes each panel side's jacobian-folded weights before its
+# arrays and returns the weighted sum over the panel's nodes.
+
+def _separable(g):
+    """The product integrand g(u) g(v), summed one side at a time."""
+    return lambda wu, u, wv, v: (wu @ g(u)) * (g(v) @ wv)
+
+
+def _contracted(f):
+    """The product integrand of the pair grid f(u, v)."""
+    return lambda wu, u, wv, v: wu @ f(u, v) @ wv
+
+
 def test_complex_pole_oracle():
     cfg = hl.QuadConfig(tol=1e-10)
-    res = integrate_curve(lambda t: 1.0 / (t - (0.5 + 0.01j)),
+    res = integrate_curve(lambda w, t: w @ (1.0 / (t - (0.5 + 0.01j))),
                           Interval(0.0, 1.0), cfg)
     assert res.converged
     assert abs(res.value - COMPLEX_POLE_ORACLE) < 1e-10
@@ -30,8 +43,8 @@ def test_simple_pole_cauchy_pompeiu_oracle():
     # Cauchy-Pompeiu: the area integral of 1/(z - p) over |z| <= 2 is
     # -pi conj(p); the puncture-centered chart integrates it directly
     p = 0.3 + 0.1j
-    res = integrate_pv(lambda z: 1.0 / (z - p), Disk(2.0), None, ([p], []),
-                       hl.QuadConfig(tol=1e-12))
+    res = integrate_pv(lambda w, z: w @ (1.0 / (z - p)), Disk(2.0), None,
+                       ([p], []), hl.QuadConfig(tol=1e-12))
     assert res.converged
     assert abs(res.value - (-math.pi * np.conj(p))) < 1e-12
 
@@ -40,14 +53,14 @@ def test_double_pole_has_no_principal_value():
     cfg = hl.QuadConfig(tol=1e-8)
     p = 0.3 + 0.1j
     with pytest.raises(hl.PVNotConverging):
-        integrate_pv(lambda z: 1.0 / (z - p) ** 2, Disk(2.0), None,
+        integrate_pv(lambda w, z: w @ (1.0 / (z - p) ** 2), Disk(2.0), None,
                      ([p], []), cfg)
 
 
 def test_puncture_on_interval_is_rejected():
     with pytest.raises(hl.PVNotConverging):
-        integrate_pv(lambda t: 1.0 / (t - 0.3), Interval(0.0, 1.0), None,
-                     ([0.3], []), hl.QuadConfig(tol=1e-8))
+        integrate_pv(lambda w, t: w @ (1.0 / (t - 0.3)), Interval(0.0, 1.0),
+                     None, ([0.3], []), hl.QuadConfig(tol=1e-8))
 
 
 def test_product_integral_matches_midpoint_oracle():
@@ -63,14 +76,15 @@ def test_product_integral_matches_midpoint_oracle():
     oracle = float(np.sum(f(mids, mids)) * h * h)
 
     cfg = hl.QuadConfig(tol=1e-8)
-    res = integrate_product(f, Interval(-R, R), Interval(-R, R), cfg)
+    res = integrate_product(_contracted(f),
+                            Interval(-R, R), Interval(-R, R), cfg)
     assert res.converged
     assert abs(res.value - oracle) / abs(oracle) < 1e-5
 
 
 def test_separable_product_exact():
     cfg = hl.QuadConfig(tol=1e-10)
-    res = integrate_product(lambda u, v: u[:, None] * v[None, :],
+    res = integrate_product(lambda wu, u, wv, v: (wu @ u) * (v @ wv),
                             Interval(0.0, 1.0), Interval(0.0, 1.0), cfg)
     assert abs(res.value - 0.25) < 1e-12
 
@@ -86,7 +100,7 @@ def test_error_estimate_covers_true_error():
     one_d = s * math.sqrt(math.pi) / 2 * (erf(0.7 / s) + erf(0.3 / s))
     oracle = one_d ** 2
     cfg = hl.QuadConfig(tol=1e-7)
-    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+    res = integrate_product(_separable(g),
                             Interval(0.0, 1.0), Interval(0.0, 1.0), cfg)
     true_err = abs(res.value - oracle)
     assert res.converged
@@ -99,7 +113,7 @@ def test_refinement_is_monotone_in_tolerance():
 
     errs, panels = [], []
     for tol in (1e-2, 1e-4, 1e-6, 1e-8):
-        res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+        res = integrate_product(_separable(g),
                                 Interval(0.0, 1.0), Interval(0.0, 1.0),
                                 hl.QuadConfig(tol=tol))
         errs.append(res.err_estimate)
@@ -113,7 +127,7 @@ def test_max_depth_reports_unconverged_state():
         return np.exp(-((u - 0.3) ** 2) / 1e-3)
 
     cfg = hl.QuadConfig(tol=1e-12, max_depth=1)
-    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+    res = integrate_product(_separable(g),
                             Interval(0.0, 1.0), Interval(0.0, 1.0), cfg)
     assert not res.converged
     assert np.isfinite(complex(res.value))
@@ -121,12 +135,12 @@ def test_max_depth_reports_unconverged_state():
 
 def test_disk_area_and_pv_exclusion():
     cfg = hl.QuadConfig(tol=1e-8)
-    res = integrate_curve(lambda z: np.ones_like(z, dtype=float),
+    res = integrate_curve(lambda w, z: w @ np.ones_like(z, dtype=float),
                           Disk(2.0), cfg)
     assert abs(res.value - 4 * math.pi) < 1e-6
     # the polar chart centered on a puncture covers the same disk
-    res_pv = integrate_pv(lambda z: np.ones_like(z, dtype=float), Disk(2.0),
-                          None, ([0.3 + 0.1j], []), cfg)
+    res_pv = integrate_pv(lambda w, z: w @ np.ones_like(z, dtype=float),
+                          Disk(2.0), None, ([0.3 + 0.1j], []), cfg)
     assert abs(res_pv.value - 4 * math.pi) < 1e-6
 
 
@@ -138,7 +152,7 @@ def test_truncated_tail_extrapolation():
 
     cfg = hl.QuadConfig(tol=1e-9, truncation_radius=40.0)
     dom = Interval(-40.0, 40.0, truncated=True)
-    res = integrate_product(f, dom, dom, cfg, decay_order=1)
+    res = integrate_product(_contracted(f), dom, dom, cfg, decay_order=1)
     exact = math.pi ** 2
     bare = (2 * math.atan(40.0)) ** 2
     assert abs(res.value - exact) < 0.2 * abs(bare - exact)
@@ -151,7 +165,7 @@ def test_repeat_runs_are_bit_identical():
             1.0 / (4.0 + (u[:, None] - v[None, :]) ** 2)
 
     cfg = hl.QuadConfig(tol=1e-9)
-    res1, res2 = (integrate_product(f, Interval(0.0, 2.0),
+    res1, res2 = (integrate_product(_contracted(f), Interval(0.0, 2.0),
                                     Interval(-1.0, 1.0), cfg)
                   for _ in range(2))
     assert complex(res1.value) == complex(res2.value)
@@ -200,29 +214,49 @@ def test_config_invariants_rejected(kwargs):
 def test_nonfinite_integrand_is_reported():
     cfg = hl.QuadConfig(tol=1e-6)
     with pytest.raises(hl.NonFiniteIntegrand):
-        integrate_curve(lambda t: 1.0 / (t - t), Interval(0.0, 1.0), cfg)
+        integrate_curve(lambda w, t: w @ (1.0 / (t - t)), Interval(0.0, 1.0),
+                        cfg)
+
+
+def test_nonfinite_node_is_named_in_row_major_order():
+    # NaN wherever u > 0.6 and v > 0.3 on the single initial panel: the
+    # first such node pair of the 8-node rule, u varying slowest
+    g, _ = np.polynomial.legendre.leggauss(8)
+    nodes = 0.5 * (g + 1.0)
+    want = (nodes[nodes > 0.6][0], nodes[nodes > 0.3][0])
+
+    def f(wu, u, wv, v):
+        grid = np.where((u[:, None] > 0.6) & (v[None, :] > 0.3), np.nan, 1.0)
+        return wu @ grid @ wv
+
+    with pytest.raises(hl.NonFiniteIntegrand) as exc:
+        integrate_product(f, Interval(0.0, 1.0), Interval(0.0, 1.0),
+                          hl.QuadConfig(tol=1e-6))
+    assert exc.value.param == pytest.approx(want, rel=1e-15)
 
 
 def test_overflowing_panel_sum_is_reported():
     # every integrand value is finite; the weighted panel sums are not
     cfg = hl.QuadConfig(tol=1e-6)
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
-        integrate_curve(lambda t: np.full_like(t, 1e308),
+        integrate_curve(lambda w, t: w @ np.full_like(t, 1e308),
                         Interval(0.0, 100.0), cfg)
     assert exc.value.param is None
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
-        integrate_product(lambda u, v: np.full((u.size, v.size), 1e308),
+        integrate_product(lambda wu, u, wv, v:
+                          wu @ np.full((u.size, v.size), 1e308) @ wv,
                           Interval(0.0, 100.0), Interval(0.0, 100.0), cfg)
     assert exc.value.param is None
 
 
 def test_wrong_shape_integrand_is_rejected():
     cfg = hl.QuadConfig(tol=1e-6)
-    with pytest.raises(TypeError, match=r"shape \(2,\)"):
-        integrate_curve(lambda t: float(np.sum(t)), Interval(0.0, 1.0), cfg)
-    with pytest.raises(TypeError, match=r"shape \(2, 3\)"):
-        integrate_product(lambda u, v: u * 0.0, Interval(0.0, 1.0),
-                          Interval(0.0, 1.0), cfg)
+    # the unsummed values and the pair grid of the earlier contract
+    with pytest.raises(TypeError, match=r"weighted sum.*shape \(2,\)"):
+        integrate_curve(lambda w, t: w * t, Interval(0.0, 1.0), cfg)
+    with pytest.raises(TypeError, match=r"weighted sum.*shape \(2, 3\)"):
+        integrate_product(lambda wu, u, wv, v: u[:, None] * v[None, :],
+                          Interval(0.0, 1.0), Interval(0.0, 1.0), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +294,7 @@ def test_disk_windows_match_the_radial_oracle():
     def g(u):
         return 1.0 / (1.0 + np.abs(u) ** 2) ** 2
 
-    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+    res = integrate_product(_separable(g),
                             Disk(5.0), Disk(5.0), hl.QuadConfig(tol=1e-8),
                             decay_order=2)
     tail = f(10.0) - f(5.0)
@@ -277,7 +311,7 @@ def test_interval_windows_match_the_arctan_oracle():
         return 1.0 / (1.0 + t * t)
 
     dom = Interval(-5.0, 5.0, truncated=True)
-    res = integrate_product(lambda u, v: h(u)[:, None] * h(v)[None, :],
+    res = integrate_product(_separable(h),
                             dom, dom, hl.QuadConfig(tol=1e-8), decay_order=1)
     tail = F(10.0) - F(5.0)
     assert res.converged
@@ -290,7 +324,8 @@ def test_punctured_disk_window_areas():
     # compact unit disk's pi: checks the piecewise chart's jacobian
     R = 5.0
     area = math.pi ** 2 * R * R
-    res = integrate_product(lambda u, v: np.ones((u.size, v.size)),
+    res = integrate_product(lambda wu, u, wv, v:
+                            wu @ np.ones((u.size, v.size)) @ wv,
                             PuncturedDisk(R, 0.7 + 0.4j),
                             Disk(1.0, truncated=False),
                             hl.QuadConfig(tol=1e-8), decay_order=1)
@@ -361,7 +396,7 @@ def test_trace_counts_rounds_and_max_depth():
     def g(u):
         return np.exp(-((u - 0.3) ** 2) / 1e-3)
 
-    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+    res = integrate_product(_separable(g),
                             Interval(0.0, 1.0), Interval(0.0, 1.0),
                             hl.QuadConfig(tol=1e-12, max_depth=1))
     trace = res.trace
@@ -369,7 +404,7 @@ def test_trace_counts_rounds_and_max_depth():
     assert trace.panels_per_round[0] == 1
     assert trace.deepest_split == 1 and trace.max_depth_hit
     assert trace.err_source == "quadrature"
-    res = integrate_product(lambda u, v: g(u)[:, None] * g(v)[None, :],
+    res = integrate_product(_separable(g),
                             Interval(0.0, 1.0), Interval(0.0, 1.0),
                             hl.QuadConfig(tol=1e-6))
     assert res.converged and not res.trace.max_depth_hit
@@ -380,5 +415,5 @@ def test_trace_names_the_tail():
         return 1.0 / ((1.0 + u[:, None] ** 2) * (1.0 + v[None, :] ** 2))
 
     dom = Interval(-40.0, 40.0, truncated=True)
-    res = integrate_product(f, dom, dom, hl.QuadConfig(tol=1e-9))
+    res = integrate_product(_contracted(f), dom, dom, hl.QuadConfig(tol=1e-9))
     assert res.trace.err_source == "tail"
