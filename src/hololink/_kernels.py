@@ -100,15 +100,18 @@ def _dist6(z, w):
     wr = np.concatenate([w.real, w.imag], axis=1)
     xs = np.ones((zr.shape[0], 2))
     ys = np.ones((2, wr.shape[0]))
-    shape = (zr.shape[0], wr.shape[0])
-    diff = np.empty(shape)
-    n2 = np.zeros(shape)
-    for k in range(6):
+
+    def squared_diff(k, out=None):
         xs[:, 0] = zr[:, k]
         ys[1] = -wr[:, k]
-        np.matmul(xs, ys, out=diff)
-        diff *= diff
-        n2 += diff
+        out = np.matmul(xs, ys, out=out)
+        out *= out
+        return out
+
+    n2 = squared_diff(0)
+    diff = np.empty_like(n2)
+    for k in range(1, 6):
+        n2 += squared_diff(k, diff)
     dist6 = np.multiply(n2, n2, out=diff)
     dist6 *= n2
     return dist6
@@ -152,9 +155,10 @@ def min_dist(a, b):
     best = np.inf
     for i in range(0, len(a), step):
         rows = a[i:i + step]
-        n2 = np.zeros((len(rows), len(b)))
+        n2 = np.subtract(rows[:, 0, None], b[None, :, 0])
+        n2 *= n2
         d = np.empty_like(n2)
-        for k in range(a.shape[1]):
+        for k in range(1, a.shape[1]):
             np.subtract(rows[:, k, None], b[None, :, k], out=d)
             d *= d
             n2 += d

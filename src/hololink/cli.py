@@ -3,7 +3,7 @@
 Subcommands:
   run SCENE METHOD   compute one method on a scene, print a report
   xcheck SCENE       run every applicable method and compare all pairs
-  calibrate          measure the line constants and persist them
+  calibrate          measure the line constants and write them to a file
   scene NAME         emit a built-in or generated scene as JSON
 
 SCENE is a path to a scene JSON file, or ``builtin:NAME`` for a built-in.
@@ -16,7 +16,6 @@ import json
 import sys
 
 from .errors import NumericalError, SceneError, SceneInvalid
-from .geometry import NormalizationConstants
 from .quadrature import QuadConfig
 from .report import (CSV_HEADER, calibrate, compute, report_to_csv_row,
                      report_to_dict, report_to_json, xcheck, xcheck_to_dict)
@@ -50,7 +49,9 @@ def build_parser():
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
         p.add_argument("--constants", default=DEFAULT_CONSTANTS_PATH,
-                       help="constants file path (default "
+                       help="constants file that calibrate writes; run "
+                            "and xcheck read it when the scene gives no "
+                            "kappa_line, else use the closed form (default "
                             "./hololink_constants.json)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the crossing-count projection "
@@ -125,38 +126,12 @@ def _load_constants_file(path):
     return _constants_in(data, "constants")
 
 
-def _save_constants_file(path, consts):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(consts.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def _constants_needed(methods, for_xcheck):
-    # holo_closed always needs kappa_line; the raw residue value is
-    # constants-free, but cross-checking converts it through kappa_xmethod.
-    if "holo_closed" in methods:
-        return True
-    return for_xcheck and "residue" in methods
-
-
-def _resolve_constants(args, scene, methods, for_xcheck=False):
-    """Scene-declared constants win; otherwise the constants file; when a
-    method needs constants and the file is absent, calibrate implicitly."""
+def _resolve_constants(args, scene):
+    """Scene-declared constants win, then the constants file; compute fills
+    any kappa still missing with the closed form."""
     if scene.constants is not None and scene.constants.kappa_line is not None:
         return scene.constants
-    loaded = _load_constants_file(args.constants)
-    if loaded is not None:
-        return loaded
-    if not _constants_needed(methods, for_xcheck):
-        return scene.constants or NormalizationConstants()
-    print(f"warning: constants file {args.constants!r} not found; "
-          f"calibrating (this writes the file)", file=sys.stderr)
-    cal_cfg = QuadConfig(tol=args.tol, max_depth=args.max_depth,
-                         panel_order=args.panel_order,
-                         truncation_radius=DEFAULT_RADIUS)
-    consts = calibrate(cal_cfg, include_cn=not args.no_cn)
-    _save_constants_file(args.constants, consts)
-    return consts
+    return _load_constants_file(args.constants) or scene.constants
 
 
 def _emit_report(report, fmt):
@@ -170,7 +145,7 @@ def _emit_report(report, fmt):
 def _cmd_run(args):
     scene = _load_scene_arg(args.scene)
     cfg = _resolve_config(args, scene)
-    scene.constants = _resolve_constants(args, scene, [args.method])
+    scene.constants = _resolve_constants(args, scene)
     rep = compute(scene, args.method, cfg, seed=args.seed,
                   include_cn=not args.no_cn)
     _emit_report(rep, args.format)
@@ -184,10 +159,7 @@ def _cmd_run(args):
 def _cmd_xcheck(args):
     scene = _load_scene_arg(args.scene)
     cfg = _resolve_config(args, scene)
-    from .report import applicable_methods
-    methods = applicable_methods(scene)
-    scene.constants = _resolve_constants(args, scene, methods,
-                                         for_xcheck=True)
+    scene.constants = _resolve_constants(args, scene)
     result = xcheck(scene, cfg, seed=args.seed, include_cn=not args.no_cn)
     if args.format == "csv":
         print(CSV_HEADER)
@@ -203,13 +175,12 @@ def _cmd_xcheck(args):
 
 
 def _cmd_calibrate(args):
-    cfg = QuadConfig(tol=args.tol, max_depth=args.max_depth,
-                     panel_order=args.panel_order,
-                     truncation_radius=(args.radius if args.radius is not None
-                                        else DEFAULT_RADIUS))
+    cfg = _resolve_config(args)
     consts = calibrate(cfg, include_cn=not args.no_cn)
-    _save_constants_file(args.constants, consts)
-    print(json.dumps(consts.to_dict(), indent=2))
+    text = json.dumps(consts.to_dict(), indent=2)
+    with open(args.constants, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(text)
     print(f"constants written to {args.constants}", file=sys.stderr)
     return 0
 

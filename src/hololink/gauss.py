@@ -56,7 +56,7 @@ def _plucker_side(curve, origin):
     of a refinement round."""
     def side(params):
         pts, vel = _real_points(curve, params)
-        return pts, vel, np.cross(pts - origin, vel)
+        return pts, vel, _kernels._cross(pts - origin, vel)
     return side
 
 

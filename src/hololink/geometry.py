@@ -35,13 +35,6 @@ def det3(a, b, c):
     )
 
 
-def pair(covector, vector):
-    """Pairing sum_i covector_i * vector_i (no conjugation)."""
-    covector = np.asarray(covector)
-    vector = np.asarray(vector)
-    return np.sum(covector * vector, axis=-1)
-
-
 def realify(points):
     """View complex (n,3) points as real (n,6) for distance geometry."""
     points = np.asarray(points)
@@ -121,9 +114,6 @@ class Poly3:
 
     def scale(self):
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.coeffs) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +323,9 @@ class SurfaceCut:
 class NormalizationConstants:
     """The line constants and, when calibrate measured them, how: with or
     without C3 in the kernel, at which tol and truncation radius, and by
-    which hololink version. None means unrecorded."""
+    which hololink version. A kappa left None is filled with the closed
+    form BMContext.line_kappa when a method runs; other None fields mean
+    unrecorded."""
 
     c3: float = math.pi ** 3
     kappa_line: complex = None

@@ -35,8 +35,7 @@ class BMContext:
     """Normalization context for the kernel integrals.
 
     include_cn switches the volume prefactor C3 = pi^3 of the ambient
-    dimension 3 on the pointwise kernel; all calibrated constants are
-    measured with include_cn=True.
+    dimension 3 on the pointwise kernel.
     """
 
     include_cn: bool = True
@@ -44,6 +43,14 @@ class BMContext:
     @property
     def prefactor(self):
         return C3 if self.include_cn else 1.0
+
+    @property
+    def line_kappa(self):
+        """The line constant in closed form, -2 pi^2 * prefactor (-2 pi^5
+        with C3): the kernel integral of two complex lines with unit forms
+        and det3(e1, e2, e3) = 1. The raw residue route gives exactly 1 on
+        such a pair, so this is kappa_xmethod too."""
+        return complex(-2.0 * math.pi ** 2 * self.prefactor)
 
 
 def bm_pullback_integrand(z, dz, w, dw, ctx):
@@ -131,7 +138,8 @@ def line_holo_closed(e1, e2, e3, c1, c2, constants):
 
     e1, e2 are the line directions, e3 joins their base points, and c1, c2
     are the pairings of each direction with its line's one-form. kappa_line
-    comes from the calibrated constants.
+    comes from constants: the closed form BMContext.line_kappa unless a
+    scene or constants file gives another value.
     """
     e1 = np.asarray(e1, dtype=complex)
     e2 = np.asarray(e2, dtype=complex)

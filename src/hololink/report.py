@@ -11,7 +11,7 @@ wall_time_ms) and to fixed-column CSV.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,47 +135,61 @@ def _constant_coeff(form):
     return poly_deg(form.num) == 0 and poly_deg(form.den) == 0
 
 
-def applicable_methods(scene):
-    """The cross-checkable methods this scene supports, in canonical order.
+def _inapplicable(scene, method):
+    """Why method cannot run on the scene's query pair, or None when it can.
 
     Real-curve methods apply only when the query curves carry no forms (a
     weighted pair is a holomorphic query); holomorphic methods need a form
-    on each query curve. The residue route additionally needs the ambient
+    on each query curve, and a declared pole leaves holo_pv as the only
+    holomorphic route. The residue route additionally needs the ambient
     form and a two-surface cut containing the first curve.
     """
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
-    out = []
-
-    no_forms = f1 is None and f2 is None
-    both_real_closed = c1.kind == "real_closed" and c2.kind == "real_closed"
-    both_complex = c1.kind == "complex_affine" and c2.kind == "complex_affine"
-    both_real_lines = both_complex and c1.is_real_line and c2.is_real_line
-
-    if no_forms and (both_real_closed or both_real_lines):
-        out.append("gauss_integral")
-    if no_forms and both_real_closed:
-        out.append("gauss_crossing")
-    if no_forms and both_real_lines:
-        out.append("gauss_closed")
-
-    weighted = both_complex and f1 is not None and f2 is not None
-    if weighted:
-        any_poles = _has_poles(c1, f1) or _has_poles(c2, f2)
-        out.append("holo_pv" if any_poles else "holo_integral")
-        if (c1.is_line and c2.is_line and not any_poles
-                and _constant_coeff(f1) and _constant_coeff(f2)):
-            out.append("holo_closed")
+    if method == "atiyah":
+        if scene.atiyah is None:
+            return "scene declares no projective line data"
+        return None
+    if method.startswith("gauss_"):
+        if f1 is not None or f2 is not None:
+            return "query curves carry one-forms (holomorphic query)"
+        closed = c1.kind == "real_closed" and c2.kind == "real_closed"
+        lines = c1.is_real_line and c2.is_real_line
+        if method == "gauss_crossing" and not closed:
+            return "needs two closed real curves"
+        if method == "gauss_closed" and not lines:
+            return "needs two real lines"
+        if not (closed or lines):
+            return "needs two closed real curves or two real lines"
+        return None
+    if c1.kind != "complex_affine" or c2.kind != "complex_affine":
+        return "needs two complex curves"
+    if method == "complex_link":
+        return None
+    if f1 is None or f2 is None:
+        return "needs a one-form on each query curve"
+    any_poles = _has_poles(c1, f1) or _has_poles(c2, f2)
+    if method == "holo_pv":
+        return None if any_poles else "no declared poles; use holo_integral"
+    if any_poles:
+        return "forms carry poles; use holo_pv"
+    if method == "holo_closed":
+        if not (c1.is_line and c2.is_line):
+            return "needs two complex lines"
+        if not (_constant_coeff(f1) and _constant_coeff(f2)):
+            return "needs constant-coefficient forms"
+    if method == "residue":
+        if scene.ambient is None:
+            return "needs an ambient form"
         cut = scene.cut_for(n1)
-        if (scene.ambient is not None and cut is not None
-                and cut.f2 is not None and not any_poles):
-            out.append("residue")
-    return out
+        if cut is None or cut.f2 is None:
+            return "needs a two-surface cut containing the first curve"
+    return None
 
 
-def _require(cond, method, why):
-    if not cond:
-        raise MethodInapplicable(f"{method}: {why}")
+def applicable_methods(scene):
+    """The cross-checkable methods this scene supports, in canonical order."""
+    return [m for m in XCHECK_METHODS if _inapplicable(scene, m) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +201,23 @@ def _line_data(c1, c2):
     return p1, e1, p2, e2
 
 
-def _scene_constants(scene, include_cn):
-    """The scene's constants (defaults when it has none); raises
-    ConstantsMismatch when they were calibrated with the other include_cn,
-    which would compare values a factor pi^3 apart."""
+def _scene_constants(scene, ctx):
+    """The scene's constants, with the closed-form ctx.line_kappa in place
+    of each kappa it leaves None; raises ConstantsMismatch when they were
+    calibrated with the other include_cn, which would compare values a
+    factor pi^3 apart."""
     consts = scene.constants or NormalizationConstants()
-    if consts.include_cn is not None and consts.include_cn != include_cn:
+    if consts.include_cn is not None and consts.include_cn != ctx.include_cn:
         raise ConstantsMismatch(
             f"constants were calibrated with include_cn={consts.include_cn}, "
-            f"but this run uses include_cn={include_cn}; recalibrate or "
+            f"but this run uses include_cn={ctx.include_cn}; recalibrate or "
             "match the --no-cn flag")
-    return consts
+    kappa = ctx.line_kappa
+    return replace(
+        consts,
+        kappa_line=kappa if consts.kappa_line is None else consts.kappa_line,
+        kappa_xmethod=(kappa if consts.kappa_xmethod is None
+                       else consts.kappa_xmethod))
 
 
 def compute(scene, method, cfg, seed=0, include_cn=True):
@@ -205,10 +225,13 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
     if method not in METHODS:
         raise SceneInvalid("method", f"unknown method {method!r}; "
                                      f"choose from {METHODS}")
+    reason = _inapplicable(scene, method)
+    if reason is not None:
+        raise MethodInapplicable(f"{method}: {reason}")
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
-    consts = _scene_constants(scene, include_cn)
     ctx = BMContext(include_cn=include_cn)
+    consts = _scene_constants(scene, ctx)
     t0 = time.perf_counter()
 
     value = res = None
@@ -217,66 +240,29 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
     panels = 0
     extra = {}
 
-    if method in ("gauss_integral", "gauss_crossing", "gauss_closed"):
-        _require(f1 is None and f2 is None, method,
-                 "query curves carry one-forms (holomorphic query)")
-
     if method == "gauss_integral":
         res = gauss_linking(c1, c2, cfg)
     elif method == "gauss_crossing":
-        _require(c1.kind == "real_closed" and c2.kind == "real_closed",
-                 method, "needs two closed real curves")
         pl1 = Polyline3.from_curve(c1, CROSSING_SAMPLES)
         pl2 = Polyline3.from_curve(c2, CROSSING_SAMPLES)
         value = float(crossing_linking(pl1, pl2, seed=seed))
         extra = {"samples": CROSSING_SAMPLES}
     elif method == "gauss_closed":
-        _require(c1.is_real_line and c2.is_real_line, method,
-                 "needs two real lines")
         p1, e1, p2, e2 = _line_data(c1, c2)
         value = line_gauss_closed(e1.real, e2.real, (p2 - p1).real)
     elif method in ("holo_integral", "holo_pv"):
-        _require(c1.kind == "complex_affine" and c2.kind == "complex_affine",
-                 method, "needs two complex curves")
-        _require(f1 is not None and f2 is not None, method,
-                 "needs a one-form on each query curve")
-        any_poles = _has_poles(c1, f1) or _has_poles(c2, f2)
-        if method == "holo_integral":
-            _require(not any_poles, method,
-                     "forms carry poles; use holo_pv")
-        else:
-            _require(any_poles, method, "no declared poles; use holo_integral")
         res = holo_linking_integral((c1, f1), (c2, f2), ctx, cfg)
     elif method == "holo_closed":
-        _require(c1.is_line and c2.is_line, method, "needs two complex lines")
-        _require(f1 is not None and f2 is not None, method,
-                 "needs a one-form on each query curve")
-        _require(_constant_coeff(f1) and _constant_coeff(f2), method,
-                 "needs constant-coefficient forms")
-        _require(consts.kappa_line is not None, method,
-                 "needs calibrated constants (kappa_line)")
         p1, e1, p2, e2 = _line_data(c1, c2)
         coeff1 = f1.num[0] / f1.den[0]
         coeff2 = f2.num[0] / f2.den[0]
         value = line_holo_closed(e1, e2, p2 - p1, coeff1, coeff2, consts)
     elif method == "residue":
-        _require(c1.kind == "complex_affine" and c2.kind == "complex_affine",
-                 method, "needs two complex curves")
-        _require(f1 is not None and f2 is not None, method,
-                 "needs a one-form on each query curve")
-        _require(scene.ambient is not None, method, "needs an ambient form")
-        cut = scene.cut_for(n1)
-        _require(cut is not None and cut.f2 is not None, method,
-                 "needs a two-surface cut containing the first curve")
-        lift = lift_theta(cut, scene.ambient, f1, c1)
+        lift = lift_theta(scene.cut_for(n1), scene.ambient, f1, c1)
         value = residue_linking(lift, (c2, f2), scene.ambient)
     elif method == "complex_link":
-        _require(c1.kind == "complex_affine" and c2.kind == "complex_affine",
-                 method, "needs two complex curves")
         res = complex_linking_number(c1, c2, ctx, cfg)
     elif method == "atiyah":
-        _require(scene.atiyah is not None, method,
-                 "scene declares no projective line data")
         value = atiyah_p3(scene.atiyah["l"], scene.atiyah["p"])
         extra = {"reduced": [value.real, value.imag]}
 
@@ -308,22 +294,19 @@ def xcheck(scene, cfg, seed=0, include_cn=True):
     """Run every applicable method and compare all pairs.
 
     Residue values are converted to the integral normalization through
-    kappa_xmethod before comparison. A pair passes when the difference is
-    within three times the summed error and tail estimates (plus a machine
-    -precision floor); any numerical failure is recorded and fails the
-    check. Raises ConstantsMismatch when the scene's constants were
-    calibrated with the other include_cn.
+    kappa_xmethod (the closed form unless the scene gives one) before
+    comparison. A pair passes when the difference is within three times
+    the summed error and tail estimates (plus a machine-precision floor);
+    any numerical failure is recorded and fails the check. Raises
+    ConstantsMismatch when the scene's constants were calibrated with the
+    other include_cn.
     """
     methods = applicable_methods(scene)
     if len(methods) < 2:
         raise MethodInapplicable(
             f"cross-check needs at least two applicable methods; scene "
             f"{scene.scene_id!r} supports {methods or 'none'}")
-    consts = _scene_constants(scene, include_cn)
-    if "residue" in methods and consts.kappa_xmethod is None:
-        raise MethodInapplicable(
-            "cross-check with the residue route needs calibrated constants "
-            "(kappa_xmethod); run calibrate first")
+    consts = _scene_constants(scene, BMContext(include_cn=include_cn))
 
     reports, failures = [], []
     for method in methods:
@@ -381,6 +364,10 @@ def xcheck_to_dict(result):
 
 def calibrate(cfg, include_cn=True):
     """Measure the line constants on the reference line-pair scene.
+
+    The library uses the closed form BMContext.line_kappa by default; this
+    measurement checks it, and its output, set as a scene's constants or
+    written to a constants file, takes precedence over it.
 
     kappa_line is the tail-extrapolated holomorphic linking integral of the
     reference pair: one engine run over the doubled truncation window, so

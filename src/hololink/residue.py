@@ -5,9 +5,10 @@ the second curve. Includes the projective two-line example computed in
 affine charts with an automatic chart change for intersection points at
 infinity.
 
-Residue convention: res(du/u) = 1 (no 2*pi*i factor anywhere); any
-route-global constant relating this to the kernel double integral lives
-in the calibrated kappa_xmethod.
+Residue convention: res(du/u) = 1 (no 2*pi*i factor anywhere); the
+route-global constant relating this to the kernel double integral is
+kappa_xmethod, -2 pi^2 times the kernel prefactor in closed form
+(BMContext.line_kappa) unless a scene or constants file gives a value.
 """
 
 from dataclasses import dataclass

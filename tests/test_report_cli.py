@@ -31,6 +31,36 @@ def test_applicable_methods(name, methods):
     assert report.applicable_methods(scenes.builtin(name)) == methods
 
 
+# coarse enough that every integral route returns within milliseconds
+APPLICABILITY_CFG = hl.QuadConfig(tol=1e-2, max_depth=3)
+
+
+@pytest.mark.parametrize("name", sorted(scenes.BUILTIN_SCENES))
+def test_compute_refuses_exactly_the_unlisted_methods(name):
+    scene = scenes.builtin(name)
+    listed = report.applicable_methods(scene)
+    for method in report.XCHECK_METHODS:
+        refused = False
+        try:
+            report.compute(scene, method, APPLICABILITY_CFG)
+        except hl.MethodInapplicable:
+            refused = True
+        except hl.NumericalError:
+            pass  # the method ran and failed: close_pair, pv_lines_double
+        assert refused == (method not in listed), method
+
+
+@pytest.mark.parametrize("include_cn, kappa", [(True, -2 * math.pi ** 5),
+                                               (False, -2 * math.pi ** 2)],
+                         ids=["with_cn", "without_cn"])
+def test_closed_form_constants_by_default(fast_cfg, include_cn, kappa):
+    rep = report.compute(scenes.l0(), "holo_closed", fast_cfg,
+                         include_cn=include_cn)
+    assert abs(rep.value - kappa) <= 1e-15 * abs(kappa)
+    assert rep.constants.kappa_line == rep.constants.kappa_xmethod
+    assert rep.constants.kappa_line == rep.value
+
+
 def test_weighted_scene_blocks_real_methods(cfg):
     with pytest.raises(hl.MethodInapplicable):
         report.compute(scenes.l0(), "gauss_integral", cfg)
@@ -122,6 +152,16 @@ def test_xcheck_reference_scene_three_routes(constants, fast_cfg):
     assert len(result.checks) == 3
 
 
+def test_xcheck_reference_scene_with_closed_form_constants():
+    result = report.xcheck(scenes.l0(), hl.QuadConfig(tol=1e-4))
+    assert result.verdict == "PASS"
+    reps = {r.method: r for r in result.reports}
+    assert list(reps) == ["holo_integral", "holo_closed", "residue"]
+    closed = reps["holo_closed"].value
+    residue = reps["residue"].value * reps["residue"].constants.kappa_xmethod
+    assert abs(residue - closed) <= 1e-12 * abs(closed)
+
+
 def test_xcheck_close_pair_fails(fast_cfg):
     result = report.xcheck(scenes.close_pair(), fast_cfg)
     assert result.verdict == "FAIL"
@@ -133,10 +173,13 @@ def test_xcheck_close_pair_fails(fast_cfg):
 # calibration
 
 def test_calibration_values(constants):
-    analytic = -2 * math.pi ** 5
-    assert abs(constants.kappa_line - analytic) / abs(analytic) < 1e-2
-    ratio = constants.kappa_xmethod / constants.kappa_line
-    assert ratio == pytest.approx(1.0, rel=1e-10)  # reference residue is 1
+    # measured 1.7e-7 from the closed form with and without C3
+    without_cn = report.calibrate(hl.QuadConfig(tol=1e-6), include_cn=False)
+    for consts, analytic in ((constants, -2 * math.pi ** 5),
+                             (without_cn, -2 * math.pi ** 2)):
+        assert abs(consts.kappa_line - analytic) / abs(analytic) < 1e-6
+        ratio = consts.kappa_xmethod / consts.kappa_line
+        assert ratio == pytest.approx(1.0, rel=1e-10)  # reference residue is 1
 
 
 def test_calibration_idempotent(constants):
@@ -322,15 +365,18 @@ def test_cli_calibrate_unstable_exits_3(tmp_path, capsys):
     assert not cpath.exists()
 
 
-def test_cli_implicit_calibration_warns(tmp_path, capsys):
-    cpath = tmp_path / "implicit.json"
+def test_cli_run_without_constants_uses_closed_form(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code, out, err = _run(["run", "builtin:L0", "holo_closed",
-                           "--constants", str(cpath)], capsys)
+                           "--constants", str(tmp_path / "missing.json")],
+                          capsys)
     assert code == 0
-    assert "calibrating" in err
-    assert cpath.exists()
+    assert err == ""
+    assert list(tmp_path.iterdir()) == []
     value = json.loads(out)["value"]
-    assert value[0] == pytest.approx(-2 * math.pi ** 5, rel=1e-2)
+    analytic = -2 * math.pi ** 5
+    assert abs(complex(*value) - analytic) <= 1e-15 * abs(analytic)
 
 
 def test_cli_scene_constants_beat_file(tmp_path, capsys):
