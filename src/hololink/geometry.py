@@ -405,8 +405,9 @@ def validate_scene(scene):
     Deliberately not checked here: curve disjointness (the quadrature
     engine's proximity samples raise CurvesTooClose, so the failure
     surfaces as a numerical diagnostic of the integral routes) and pole
-    orders (integrate_pv probes them at run time, and integrates
-    only simple poles, in a polar chart centered on the pole).
+    orders (holo_linking_integral reads each declared pole's order off the
+    form's polynomials and raises PVNotConverging above 1; integrate_pv
+    integrates simple poles in a polar chart centered on the pole).
     """
     for name, curve in scene.curves.items():
         path = f"curves.{name}"

@@ -18,9 +18,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
-from .errors import CoincidentPoints, DegenerateConfiguration, MethodInapplicable
+from .errors import (CoincidentPoints, DegenerateConfiguration,
+                     MethodInapplicable, PVNotConverging)
 from .geometry import det3
 from .quadrature import domain_for_curve, integrate_pv
+from .residue import pole_order
 
 C3 = math.pi ** 3
 AREA_FACTOR = 4.0  # d(tbar)^d(sbar)^dt^ds = +4 dA1 dA2
@@ -54,43 +56,39 @@ class BMContext:
 
 
 def bm_pullback_integrand(z, dz, w, dw, ctx):
-    """Pointwise kernel conj(det3(z-w, dz, dw)) / ||z-w||^6.
+    """Pointwise kernel conj(det3(z-w, dz, dw)) / ||z-w||^6 at one pair of
+    points, times C3 when ctx.include_cn.
 
-    Multiplied by C3 when ctx.include_cn. Broadcasts over leading axes;
-    raises CoincidentPoints when z = w.
+    The single-pair case of _kernels.bm_grid. Raises CoincidentPoints when
+    z = w.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z, dz, w, dw = (np.asarray(a, dtype=complex).reshape(1, 3)
+                    for a in (z, dz, w, dw))
     r = z - w
-    n2 = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
-    if np.any(n2 < 1e-28):
+    if np.sum(r.real ** 2 + r.imag ** 2) < 1e-28:
         raise CoincidentPoints("kernel evaluated at z = w")
-    val = np.conj(det3(r, dz, dw)) / (n2 ** 3)
-    return val * ctx.prefactor
+    return complex(_kernels.bm_grid(z, dz, w, dw)[0, 0]) * ctx.prefactor
 
 
 def bm_pullback_epsilon_sum(z, dz, w, dw, ctx):
-    """Reference form of the kernel: the explicit antisymmetric sum
+    """Reference form of the kernel at one pair of points: the explicit
+    antisymmetric sum
 
         sum_{ijk} eps^{ijk} conj(z_i - w_i) conj(dz_j) conj(dw_k) / ||z-w||^6
 
     with eps^{123} = +1, times C3 when ctx.include_cn. Agrees with
     bm_pullback_integrand to machine precision; kept as an independent
-    cross-check of the determinant form.
+    cross-check of the production kernel's Plucker-row form.
     """
-    z = np.asarray(z, dtype=complex)
-    dz = np.asarray(dz, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    dw = np.asarray(dw, dtype=complex)
+    z, dz, w, dw = (np.asarray(a, dtype=complex).reshape(3)
+                    for a in (z, dz, w, dw))
     r = z - w
-    n2 = np.sum(r.real ** 2 + r.imag ** 2, axis=-1)
-    if np.any(n2 < 1e-28):
+    n2 = np.sum(r.real ** 2 + r.imag ** 2)
+    if n2 < 1e-28:
         raise CoincidentPoints("kernel evaluated at z = w")
-    acc = np.zeros(np.broadcast(r[..., 0], dz[..., 0], dw[..., 0]).shape,
-                   dtype=complex)
-    for (i, j, k), sign in _LEVI_CIVITA:
-        acc = acc + sign * np.conj(r[..., i]) * np.conj(dz[..., j]) * np.conj(dw[..., k])
-    return acc / (n2 ** 3) * ctx.prefactor
+    acc = sum(sign * np.conj(r[i]) * np.conj(dz[j]) * np.conj(dw[k])
+              for (i, j, k), sign in _LEVI_CIVITA)
+    return complex(acc) / (n2 ** 3) * ctx.prefactor
 
 
 def _require_complex_pair(curve1, curve2, what):
@@ -103,15 +101,24 @@ def holo_linking_integral(s1, s2, ctx, cfg):
 
     s1 and s2 are (ParamCurve, OneForm) pairs. The value is the double
     integral of the pointwise kernel times both form coefficients over the
-    two parameter domains (area measure, factor 4; C3 per ctx). A form with
-    a declared simple pole is integrated in the polar chart centered on the
-    pole, where the area jacobian cancels it (see quadrature.integrate_pv);
-    truncated domains are integrated in one run over the doubled window,
-    whose outer ring gives the tail, extrapolated with 1/R^2 decay.
+    two parameter domains (area measure, factor 4; C3 per ctx). Each
+    declared pole's order comes from its form's numerator and denominator
+    (residue.pole_order); one above 1 has no principal value and raises
+    PVNotConverging before any kernel runs. A form with a declared simple
+    pole is integrated in the polar chart centered on the pole, where the
+    area jacobian cancels it (see quadrature.integrate_pv); truncated
+    domains are integrated in one run over the doubled window, whose outer
+    ring gives the tail, extrapolated with 1/R^2 decay.
     """
     curve1, form1 = s1
     curve2, form2 = s2
     _require_complex_pair(curve1, curve2, "holo_linking_integral")
+    for form in (form1, form2):
+        for p in form.poles:
+            if (k := pole_order(form.num, form.den, p)) > 1:
+                raise PVNotConverging(
+                    f"puncture {p}: pole of order {k} > 1 (only simple "
+                    "poles have principal values)")
     dom_a = domain_for_curve(curve1, cfg)
     dom_b = domain_for_curve(curve2, cfg)
     scale = AREA_FACTOR * ctx.prefactor

@@ -33,7 +33,9 @@ its doubled window, whose initial cells are cut at R: the panels descending
 from the inner cells sum to I(R), all panels to I(2R), and the outer panels
 to the tail I(2R) - I(R), which a one-step Richardson extrapolation adds
 back. A declared simple pole is integrated directly, in a polar chart
-centered on it whose area jacobian cancels the pole. Every result carries a
+centered on it whose area jacobian cancels the pole. Which poles are simple
+is the caller's decision, made from the form's polynomials before any
+integrand runs; this module only integrates. Every result carries a
 QuadTrace saying how it was produced.
 """
 
@@ -395,21 +397,25 @@ class _Engine:
 
     def _raise_nonfinite(self, rules, blocks, i, lo, hi):
         """Raise NonFiniteIntegrand for panel i (bounds lo, hi), naming its
-        first non-finite node in row-major order, or its sum when every
-        node is finite."""
+        first non-finite node, or node pair, in row-major order, or its sum
+        when every node is finite. Each node costs one call of the
+        integrand on one-node slices with unit weights."""
         sides = [[a[i] for a in blk[1:]] for blk in blocks]
-        idx = next((j for j, v in _node_values(self.f, sides)
-                    if not cmath.isfinite(v)), None)
-        if idx is None:
+        one = np.ones(1)
+        ranges = [range(len(arrays[0])) for arrays in sides]
+        for idx in itertools.product(*ranges):
+            args = [a for arrays, j in zip(sides, idx)
+                    for a in (one, *(x[j:j + 1] for x in arrays))]
+            if cmath.isfinite(complex(self.f(*args))):
+                continue
+            param = tuple(params[i][j] for (params, _), j in zip(rules, idx))
+            if len(param) == 1:
+                param = param[0]
             raise NonFiniteIntegrand(
-                f"weighted sum not finite on the panel from {lo.tolist()} "
-                f"to {hi.tolist()}, although every integrand value there "
-                "is finite")
-        param = tuple(params[i][j] for (params, _), j in zip(rules, idx))
-        if len(param) == 1:
-            param = param[0]
-        raise NonFiniteIntegrand(f"integrand not finite at parameter {param}",
-                                 param=param)
+                f"integrand not finite at parameter {param}", param=param)
+        raise NonFiniteIntegrand(
+            f"weighted sum not finite on the panel from {lo.tolist()} to "
+            f"{hi.tolist()}, although every integrand value there is finite")
 
     # -- geometry ----------------------------------------------------------
 
@@ -566,19 +572,6 @@ class _Engine:
                           trace=trace)
 
 
-def _node_values(f, sides):
-    """The integrand's value at each node, or node pair, of the sides'
-    arrays, in row-major order: f on one-node slices with unit weights, one
-    call per node. Only the failure diagnosis and the pole-order probe pay
-    for it."""
-    one = np.ones(1)
-    ranges = [range(len(arrays[0])) for arrays in sides]
-    for idx in itertools.product(*ranges):
-        args = [a for arrays, j in zip(sides, idx)
-                for a in (one, *(x[j:j + 1] for x in arrays))]
-        yield idx, complex(f(*args))
-
-
 def _check_batch(f, side_a, side_b=None):
     """Raise TypeError unless f maps unit weights and side_a's arrays at a
     parameter array (with side_b, the weights and arrays of both sides) to
@@ -636,29 +629,6 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
                    side_b).run(decay_order)
 
 
-def _probe_pole_order(f, sides_on, domain, punctures):
-    """Log-log slope of the integrand magnitude on shrinking rings around
-    each declared puncture of a disk domain; sides_on maps the ring's
-    parameters to the sides f is evaluated on there, node by node. Order
-    > 1.5 means the pole is not simple."""
-    angles = np.exp(1j * np.linspace(0.0, TWO_PI, 8, endpoint=False))
-    for p in punctures:
-        r0 = 0.5 * min(1.0, (domain.radius - abs(complex(p))) / 2.0)
-        radii = r0 * 0.5 ** np.arange(4)
-        mags = [max(abs(v) for _, v in
-                    _node_values(f, sides_on(complex(p) + r * angles)))
-                for r in radii]
-        if max(mags) < 1e-300:
-            continue
-        logs = np.log(np.maximum(mags, 1e-300))
-        slope = np.polyfit(np.log(radii), logs, 1)[0]
-        order = -slope
-        if order > 1.5:
-            raise PVNotConverging(
-                f"puncture {p}: integrand grows like r^-{order:.2f}, "
-                "pole of order > 1 (only simple poles have principal values)")
-
-
 def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
                  side_b=None, decay_order=1):
     """Integral over a product of domains (a single domain when dom_b is
@@ -673,30 +643,19 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     whose jacobian r cancels the pole, in one engine run; on a product with
     a truncated domain that run covers the doubled window and takes the
     tail step of integrate_product. Raises PVNotConverging for a puncture
-    on a real Interval or a Rect, for more than one puncture per disk, and,
-    from a pole-order probe at each puncture, for anything steeper than a
-    simple pole. The probe samples each punctured side on rings around
-    its puncture, paired with the other side's generic_params, one node
-    pair at a time.
+    on a real Interval or a Rect and for more than one puncture per disk.
+    The integrand is trusted to have at most simple poles there: the
+    caller decides each pole's order from its own data (for a rational
+    form, holo_linking_integral reads it off the polynomials). A steeper
+    pole with zero angular mean, such as 1/(u - p)^2, integrates to its
+    circular principal value.
     """
     punct_a = list(punctures[0] or ())
     punct_b = list(punctures[1] or ())
     da = dom_a.punctured(punct_a) if punct_a else dom_a
     db = dom_b.punctured(punct_b) if punct_b else dom_b
-    sa, sb = side_a or _identity, side_b or _identity
     if dom_b is None:
-        _check_batch(integrand, sa)
-        if punct_a:
-            _probe_pole_order(integrand, lambda ring: [sa(ring)], dom_a,
-                              punct_a)
+        _check_batch(integrand, side_a or _identity)
         return _Engine(integrand, da, None, cfg, side_a).run()
-    _check_batch(integrand, sa, sb)
-    if punct_a:
-        gen_b = sb(generic_params(dom_b))
-        _probe_pole_order(integrand, lambda ring: [sa(ring), gen_b], dom_a,
-                          punct_a)
-    if punct_b:
-        gen_a = sa(generic_params(dom_a))
-        _probe_pole_order(integrand, lambda ring: [gen_a, sb(ring)], dom_b,
-                          punct_b)
+    _check_batch(integrand, side_a or _identity, side_b or _identity)
     return _Engine(integrand, da, db, cfg, side_a, side_b).run(decay_order)

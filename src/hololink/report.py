@@ -127,10 +127,6 @@ def _query(scene):
     return (n1, scene.curves[n1]), (n2, scene.curves[n2])
 
 
-def _has_poles(curve, form):
-    return bool(form.poles) or bool(curve.marked_points)
-
-
 def _constant_coeff(form):
     return poly_deg(form.num) == 0 and poly_deg(form.den) == 0
 
@@ -140,9 +136,10 @@ def _inapplicable(scene, method):
 
     Real-curve methods apply only when the query curves carry no forms (a
     weighted pair is a holomorphic query); holomorphic methods need a form
-    on each query curve, and a declared pole leaves holo_pv as the only
-    holomorphic route. The residue route additionally needs the ambient
-    form and a two-surface cut containing the first curve.
+    on each query curve, and a pole declared on either form (a marked
+    point alone is not a pole) leaves holo_pv as the only holomorphic
+    route. The residue route additionally needs the ambient form and a
+    two-surface cut containing the first curve.
     """
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
@@ -168,7 +165,7 @@ def _inapplicable(scene, method):
         return None
     if f1 is None or f2 is None:
         return "needs a one-form on each query curve"
-    any_poles = _has_poles(c1, f1) or _has_poles(c2, f2)
+    any_poles = bool(f1.poles or f2.poles)
     if method == "holo_pv":
         return None if any_poles else "no declared poles; use holo_integral"
     if any_poles:

@@ -141,6 +141,31 @@ def _simple_roots(coeffs, scale, keep=None):
     return roots
 
 
+def pole_order(num, den, p):
+    """Order of the pole of num/den at the declared pole p: the size m of
+    the root cluster of den at a, its root nearest p, less the roots of num
+    in that cluster; at most 0 when num cancels the pole.
+
+    Rounding splits an m-fold root by about eps^(1/m), not eps^(1/2), so
+    m roots form a cluster when all lie within CLUSTER_TOL^(2/m) *
+    max(1, |a|) of a (CLUSTER_TOL itself for m = 2, 4.6e-4 for m = 3), and
+    m is the largest size that fits. CLUSTER_TOL alone read 922 of 1000
+    triple roots (t - a)^3 q(t), a and a quadratic q's coefficients complex
+    normal, as simple; these radii read all 1000 as 3, and as many double
+    and quadruple roots as 2 and 4 (numpy 2.4, x86-64).
+    """
+    den_roots = P.polyroots(den)
+    if den_roots.size == 0:
+        return 0
+    a = den_roots[np.argmin(np.abs(den_roots - p))]
+    size = max(1.0, abs(a))
+    dist = np.sort(np.abs(den_roots - a))
+    m = max(k for k in range(1, dist.size + 1)
+            if dist[k - 1] <= CLUSTER_TOL ** (2.0 / k) * size)
+    radius = CLUSTER_TOL ** (2.0 / m) * size
+    return m - int(np.sum(np.abs(P.polyroots(num) - a) <= radius))
+
+
 def _sorted_by_param(values):
     return tuple(sorted(values, key=lambda t: (round(t.real, 12), round(t.imag, 12))))
 

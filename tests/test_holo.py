@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 
 import hololink as hl
 from hololink import _kernels, report, scenes
 from hololink.holo import AREA_FACTOR, SPHERE_NORMALIZER
+from hololink.residue import pole_order
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +140,9 @@ def test_reference_lines_integral_matches_analytic(fast_cfg):
     assert abs(res.value + 2 * math.pi ** 5) / (2 * math.pi ** 5) < 1e-2
 
 
-def test_holo_integral_calls_the_module_kernel_per_rule(monkeypatch):
-    # a wrapper installed on _kernels.bm_grid must see every kernel call:
-    # two rules per panel, plus the batch probe of integrate_pv
+def _count_kernel_calls(monkeypatch):
+    """Install a counting wrapper on _kernels.bm_grid; returns the list
+    that gains one entry per call."""
     calls = []
     raw = _kernels.bm_grid
 
@@ -149,6 +151,13 @@ def test_holo_integral_calls_the_module_kernel_per_rule(monkeypatch):
         return raw(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, "bm_grid", counted)
+    return calls
+
+
+def test_holo_integral_calls_the_module_kernel_per_rule(monkeypatch):
+    # a wrapper installed on _kernels.bm_grid must see every kernel call:
+    # two rules per panel, plus the batch probe of integrate_pv
+    calls = _count_kernel_calls(monkeypatch)
     sc = scenes.l0()
     res = hl.holo_linking_integral((sc.curves["c1"], sc.forms["theta1"]),
                                    (sc.curves["c2"], sc.forms["theta2"]),
@@ -202,3 +211,61 @@ def test_simple_pole_lines_converge(tol, panels):
     assert rep.panels_evaluated == panels
     assert abs(rep.value - PV_LINES_REFERENCE) <= (rep.err_estimate
                                                     + rep.tail_estimate)
+
+
+# ---------------------------------------------------------------------------
+# pole orders: decided from the form's polynomials before any kernel runs
+
+POLE = scenes.PV_POLE_1
+LIN = np.array([-POLE, 1.0])
+ONE = np.array([1.0 + 0j])
+
+
+@pytest.mark.parametrize("num, den, declared, order", [
+    (ONE, LIN, POLE, 1),
+    (ONE, P.polypow(LIN, 2), POLE, 2),
+    (ONE, P.polypow(LIN, 3), POLE, 3),
+    # a cofactor that splits the triple root wider than CLUSTER_TOL
+    (ONE, P.polymul(P.polypow(LIN, 3), [3, -2, 1]), POLE, 3),
+    (LIN, P.polypow(LIN, 2), POLE, 1),
+    (LIN, LIN, POLE, 0),
+    (ONE, P.polypow(LIN, 2), POLE + 1e-6, 2),
+    (ONE, P.polypow(LIN, 2), POLE + 5e-5, 2),
+    (ONE, P.polymul(LIN, [-(POLE + 0.2), 1.0]), POLE, 1),
+], ids=["simple", "double", "triple", "triple_split", "reduced", "cancelled",
+        "double_off_1e-6", "double_off_5e-5", "neighbour_0.2"])
+def test_pole_order_from_polynomials(num, den, declared, order):
+    assert pole_order(num, den, declared) == order
+
+
+def _pv_pair(num1, den1):
+    """pv_lines with the first form replaced by num1 / den1, pole declared
+    at PV_POLE_1."""
+    sc = scenes.pv_lines()
+    form1 = hl.OneForm("c1", num1, den1, (POLE,))
+    return ((sc.curves["c1"], form1), (sc.curves["c2"], sc.forms["theta2"]))
+
+
+def test_double_pole_fails_before_any_kernel_call(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    with pytest.raises(hl.PVNotConverging, match="pole of order 2 > 1"):
+        report.compute(scenes.pv_lines(pole_order=2), "holo_pv",
+                       hl.QuadConfig(tol=1e-3))
+    assert calls == []
+
+
+def test_triple_pole_fails_before_any_kernel_call(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    with pytest.raises(hl.PVNotConverging, match="pole of order 3 > 1"):
+        hl.holo_linking_integral(*_pv_pair(ONE, P.polypow(LIN, 3)),
+                                 hl.BMContext(), hl.QuadConfig(tol=1e-3))
+    assert calls == []
+
+
+def test_cancelled_pole_runs():
+    # (u - p) / (u - p) declares a pole that is not there: the route
+    # integrates it in the puncture chart instead of refusing it
+    res = hl.holo_linking_integral(*_pv_pair(LIN, LIN), hl.BMContext(),
+                                   hl.QuadConfig(tol=1e-2, max_depth=3))
+    assert np.isfinite(res.value)
+    assert res.panels_evaluated > 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import json
 import math
 
@@ -160,6 +161,19 @@ def test_xcheck_reference_scene_with_closed_form_constants():
     closed = reps["holo_closed"].value
     residue = reps["residue"].value * reps["residue"].constants.kappa_xmethod
     assert abs(residue - closed) <= 1e-12 * abs(closed)
+
+
+def test_marked_point_is_not_a_pole(fast_cfg):
+    # a marked point with pole-free forms leaves the holomorphic routes of
+    # an unmarked L0 applicable: only a form's declared poles count
+    scene = scenes.l0()
+    scene.curves["c1"] = replace(scene.curves["c1"],
+                                 marked_points=(scenes.PV_POLE_1,))
+    hl.validate_scene(scene)
+    assert report.applicable_methods(scene) == APPLICABILITY["L0"]
+    result = report.xcheck(scene, fast_cfg)
+    assert result.verdict == "PASS"
+    assert [r.method for r in result.reports] == APPLICABILITY["L0"]
 
 
 def test_xcheck_close_pair_fails(fast_cfg):
