@@ -32,10 +32,16 @@ A truncated (non-compact) domain of radius R is integrated in one run over
 its doubled window, whose initial cells are cut at R: the panels descending
 from the inner cells sum to I(R), all panels to I(2R), and the outer panels
 to the tail I(2R) - I(R), which a one-step Richardson extrapolation adds
-back. A declared simple pole is integrated directly, in a polar chart
-centered on it whose area jacobian cancels the pole. Which poles are simple
-is the caller's decision, made from the form's polynomials before any
-integrand runs; this module only integrates. Every result carries a
+back. Every disk is such a window, in one polar chart centred on its
+puncture when it has one and on the origin otherwise; the chart's area
+jacobian cancels a simple pole at the centre, so a declared simple pole is
+integrated directly. Only the starting cells depend on the centre: one
+full turn per window about the origin (L0 at tol 1e-6 takes 64 panels,
+and 360 from two half-turns) and two half-turns about a puncture
+(pv_lines at tol 1e-4 takes 316 panels, and 796 from one full turn).
+integrate_pv alone decides which domains are punctured. Which poles are
+simple is the caller's decision, made from the form's polynomials before
+any integrand runs; this module only integrates. Every result carries a
 QuadTrace saying how it was produced.
 """
 
@@ -155,86 +161,56 @@ class Interval:
     def chart(self, cols):
         return cols[0], np.ones_like(cols[0])
 
-    def punctured(self, punctures):
-        raise PVNotConverging(
-            "principal values need a complex parameter domain; real curves "
-            "carry no forms, so a puncture on a real interval has none")
-
 
 class Disk:
-    """|u| <= radius in the complex parameter plane, polar chart. A
-    truncation disk (non-compact curve) is integrated together with the
-    ring out to twice the radius."""
-
-    naxes = 2
-
-    def __init__(self, radius, truncated=True):
-        self.radius = float(radius)
-        self.truncated = bool(truncated)
-
-    def initial_cells(self):
-        """(axes, inner) per initial cell, each a full turn: the disk, and
-        for a truncation disk the outer ring radius <= r <= 2 radius."""
-        turn = (0.0, TWO_PI)
-        cells = [(((0.0, self.radius), turn), True)]
-        if self.truncated:
-            cells.append((((self.radius, 2.0 * self.radius), turn), False))
-        return cells
-
-    def chart(self, cols):
-        r, phi = cols
-        return r * np.exp(1j * phi), r
-
-    def punctured(self, punctures):
-        if len(punctures) != 1:
-            raise PVNotConverging(
-                "principal values support exactly one puncture per complex curve; "
-                f"got {len(punctures)}")
-        return PuncturedDisk(self.radius, complex(punctures[0]),
-                             truncated=self.truncated)
-
-
-class PuncturedDisk:
-    """Origin-centered disk of the given radius R in a polar chart centered
-    on an interior puncture p: u = p + r e^{i phi}, r = x rmax_R(phi) for
-    x in [0, 1], where rmax_R(phi) reaches the radius-R circle. For a
-    truncation disk, x in [1, 2] covers the outer ring out to 2R with
-    r = rmax_R + (x - 1)(rmax_2R - rmax_R). The area jacobian r dr/dx
-    vanishes at p and cancels a simple pole there, so the integral is an
+    """Truncation window |u| <= R (R = radius) in the complex parameter
+    plane, integrated together with its outer ring out to 2R, in a polar
+    chart centred on c, the puncture when one is given and the origin
+    otherwise: u = c + r e^{i phi}, r = x rmax_R(phi) for x in [0, 1],
+    where rmax_R(phi) reaches the radius-R circle, and r = rmax_R + (x - 1)
+    (rmax_2R - rmax_R) on the ring x in [1, 2]. The area jacobian r dr/dx
+    vanishes at c and cancels a simple pole there, so the integral is an
     ordinary one; no quadrature node lies on x = 0."""
 
     naxes = 2
+    truncated = True
 
-    def __init__(self, radius, puncture, truncated=True):
+    def __init__(self, radius, puncture=None):
         self.radius = float(radius)
-        self.puncture = complex(puncture)
-        self.truncated = bool(truncated)
-        if abs(self.puncture) >= self.radius:
+        self.puncture = None if puncture is None else complex(puncture)
+        self.centre = self.puncture or 0j
+        if abs(self.centre) >= self.radius:
             raise PVNotConverging(
                 f"puncture {puncture} does not lie inside the radius-{radius} disk")
 
     def initial_cells(self):
-        """(axes, inner) per initial cell: two half-turns of each window.
-        A full turn samples its angular axis at phi = 0 and 2 pi, one point,
-        so the split rule would never see its extent."""
-        xs = [((0.0, 1.0), True)]
-        if self.truncated:
-            xs.append(((1.0, 2.0), False))
-        return [((x, turn), inner) for x, inner in xs
-                for turn in ((0.0, math.pi), (math.pi, TWO_PI))]
+        """(axes, inner) per initial cell: the window x <= 1 is inner, the
+        ring outer. About the origin each is one full turn; two half-turns
+        take L0 from 64 panels to 360 at tol 1e-6. About a puncture each
+        is two half-turns; one full turn takes pv_lines from 316 panels to
+        796 at tol 1e-4."""
+        if self.puncture is None:
+            turns = [(0.0, TWO_PI)]
+        else:
+            turns = [(0.0, math.pi), (math.pi, TWO_PI)]
+        return [((x, turn), inner)
+                for x, inner in (((0.0, 1.0), True), ((1.0, 2.0), False))
+                for turn in turns]
 
-    def _rmax(self, phi, radius):
-        a = np.real(np.conj(self.puncture) * np.exp(1j * phi))
-        return -a + np.sqrt(radius ** 2 - abs(self.puncture) ** 2 + a * a)
+    def _rmax(self, rot, radius):
+        if not self.centre:
+            return radius  # what the formula gives, without its square roots
+        a = np.real(np.conj(self.centre) * rot)
+        return -a + np.sqrt(radius ** 2 - abs(self.centre) ** 2 + a * a)
 
     def chart(self, cols):
         x, phi = cols
-        rmax = self._rmax(phi, self.radius)
-        ring = self._rmax(phi, 2.0 * self.radius) - rmax
+        rot = np.exp(1j * phi)
+        rmax = self._rmax(rot, self.radius)
+        ring = self._rmax(rot, 2.0 * self.radius) - rmax
         inner = x <= 1.0
         r = np.where(inner, x * rmax, rmax + (x - 1.0) * ring)
-        params = self.puncture + r * np.exp(1j * phi)
-        return params, r * np.where(inner, rmax, ring)
+        return self.centre + r * rot, r * np.where(inner, rmax, ring)
 
 
 class Rect:
@@ -252,9 +228,6 @@ class Rect:
     def chart(self, cols):
         x, y = cols
         return x + 1j * y, np.ones_like(x)
-
-    def punctured(self, punctures):
-        raise PVNotConverging("principal values on rectangle domains are not supported")
 
 
 _GENERIC_FRACTIONS = np.array([0.29, 0.57, 0.83])
@@ -636,26 +609,39 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
 
     The integrand and sides are those of integrate_product (of
     integrate_curve when dom_b is None), and so are the TypeError and
-    CurvesTooClose checks. punctures = (on_a, on_b). Under
-    the area measure a simple pole is absolutely integrable, so the
-    "principal value" is an ordinary integral: each punctured disk is
-    integrated in the polar chart centered on its puncture (PuncturedDisk),
-    whose jacobian r cancels the pole, in one engine run; on a product with
-    a truncated domain that run covers the doubled window and takes the
-    tail step of integrate_product. Raises PVNotConverging for a puncture
-    on a real Interval or a Rect and for more than one puncture per disk.
-    The integrand is trusted to have at most simple poles there: the
-    caller decides each pole's order from its own data (for a rational
-    form, holo_linking_integral reads it off the polynomials). A steeper
-    pole with zero angular mean, such as 1/(u - p)^2, integrates to its
-    circular principal value.
+    CurvesTooClose checks. punctures = (on_a, on_b). Under the area
+    measure a simple pole is absolutely integrable, so the "principal
+    value" is an ordinary integral: a disk with one puncture p is
+    integrated as Disk(R, p), the polar chart centred on p, whose jacobian
+    r cancels the pole. That chart is the one every Disk uses; only its
+    starting cells differ, two half-turns per window about a puncture
+    against one full turn about the origin (at tol 1e-4 pv_lines takes
+    316 panels from half-turns and 796 from a full turn; at tol 1e-6 L0,
+    unpunctured, takes 64 from a full turn and 360 from half-turns). One
+    engine run covers the domains; on a product with a truncated domain it
+    covers the doubled window and takes the tail step of
+    integrate_product. Raises
+    PVNotConverging for a puncture on an Interval or a Rect and for more
+    than one puncture on one disk. The integrand is trusted to have at
+    most simple poles there: the caller decides each pole's order from its
+    own data (for a rational form, holo_linking_integral reads it off the
+    polynomials). A steeper pole with zero angular mean, such as
+    1/(u - p)^2, integrates to its circular principal value.
     """
-    punct_a = list(punctures[0] or ())
-    punct_b = list(punctures[1] or ())
-    da = dom_a.punctured(punct_a) if punct_a else dom_a
-    db = dom_b.punctured(punct_b) if punct_b else dom_b
+    doms = []
+    for dom, punct in zip((dom_a, dom_b), punctures):
+        punct = list(punct or ())
+        if punct and not isinstance(dom, Disk):
+            raise PVNotConverging(
+                f"puncture {punct[0]} on a {type(dom).__name__} domain: "
+                "principal values are taken on disk domains only")
+        if len(punct) > 1:
+            raise PVNotConverging(
+                "principal values support exactly one puncture per complex "
+                f"curve; got {len(punct)}")
+        doms.append(Disk(dom.radius, punct[0]) if punct else dom)
     if dom_b is None:
         _check_batch(integrand, side_a or _identity)
-        return _Engine(integrand, da, None, cfg, side_a).run()
+        return _Engine(integrand, doms[0], None, cfg, side_a).run()
     _check_batch(integrand, side_a or _identity, side_b or _identity)
-    return _Engine(integrand, da, db, cfg, side_a, side_b).run(decay_order)
+    return _Engine(integrand, *doms, cfg, side_a, side_b).run(decay_order)

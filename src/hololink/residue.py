@@ -280,13 +280,13 @@ def lift_theta(cut, eta, theta1, curve1, degree_bound=8):
         a = np.conj(e) / float(np.sum(e.real ** 2 + e.imag ** 2))
         multiplier = PolyMultiplier(fit, a, -complex(a @ p0))
 
-    lift = LiftedThreeForm(eta, cut.f1, cut.f2, multiplier)
-    _, check = double_leray_residue(lift, curve1, params)
+    # the residue is linear in M, and res_coeffs is the residue at M = 1
+    check = multiplier(curve1.eval_batch(params)[0]) * res_coeffs
     err = float(np.max(np.abs(check - theta_coeffs)))
     if err > 1e-10 * max(1.0, float(np.max(np.abs(theta_coeffs)))):
         raise MultiplierNotPolynomial(
             f"lift verification failed: residue differs from theta by {err:.3e}")
-    return lift
+    return LiftedThreeForm(eta, cut.f1, cut.f2, multiplier)
 
 
 def _eta_ratio_value(lift, eta, points):

@@ -19,11 +19,17 @@ from .geometry import (AmbientForm, NormalizationConstants, OneForm,
                        validate_scene)
 
 
+def _is_number(value):
+    """A JSON number: int or float, but not a bool, which Python counts
+    as an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_in(value, path):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
     raise SceneInvalid(path, f"expected a number or [re, im] pair, got {value!r}")
 
@@ -49,7 +55,8 @@ def _terms_in(value, path, nvars):
             raise SceneInvalid(tpath, "expected an object with exponents and coeff")
         exps = term.get("exponents")
         if (not isinstance(exps, list) or len(exps) != nvars
-                or not all(isinstance(e, int) and e >= 0 for e in exps)):
+                or not all(isinstance(e, int) and not isinstance(e, bool)
+                           and e >= 0 for e in exps)):
             raise SceneInvalid(tpath + ".exponents",
                                f"expected {nvars} non-negative integers")
         if "coeff" not in term:
@@ -90,7 +97,7 @@ def _domain_in(value, path):
         return ("circle",)
     if kind == "disk":
         radius = value.get("radius")
-        if not isinstance(radius, (int, float)) or radius <= 0:
+        if not _is_number(radius) or radius <= 0:
             raise SceneInvalid(path + ".radius", "expected a positive number")
         return ("disk", float(radius))
     if kind == "rect":
@@ -98,7 +105,7 @@ def _domain_in(value, path):
         im = value.get("im")
         for key, pair in (("re", re), ("im", im)):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)
+                    or not all(_is_number(v) for v in pair)
                     or not pair[0] < pair[1]):
                 raise SceneInvalid(f"{path}.{key}",
                                    "expected [lo, hi] with lo < hi")
@@ -257,7 +264,7 @@ def _constants_in(value, path):
         raise SceneInvalid(path, "expected a constants object")
     out = {}
     if "C3" in value:
-        if not isinstance(value["C3"], (int, float)):
+        if not _is_number(value["C3"]):
             raise SceneInvalid(path + ".C3", "expected a number")
         out["C3"] = value["C3"]
     for key in ("kappa_line", "kappa_xmethod"):
@@ -269,7 +276,7 @@ def _constants_in(value, path):
         out["include_cn"] = value["include_cn"]
     for key in ("tol", "truncation_radius"):
         if value.get(key) is not None:
-            if not isinstance(value[key], (int, float)):
+            if not _is_number(value[key]):
                 raise SceneInvalid(f"{path}.{key}", "expected a number")
             out[key] = float(value[key])
     if value.get("version") is not None:

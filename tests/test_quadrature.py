@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import hololink as hl
 from hololink import report, scenes
-from hololink.quadrature import (Disk, Interval, PuncturedDisk, Rect,
-                                 domain_for_curve, integrate_curve,
-                                 integrate_product, integrate_pv,
-                                 pairwise_tree_sum)
+from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
+                                 integrate_curve, integrate_product,
+                                 integrate_pv, pairwise_tree_sum)
 
 # Independently derived reference values (closed forms verified against
 # high-order composite quadrature when first frozen):
@@ -63,6 +62,16 @@ def test_puncture_on_interval_is_rejected():
     with pytest.raises(hl.PVNotConverging):
         integrate_pv(lambda w, t: w @ (1.0 / (t - 0.3)), Interval(0.0, 1.0),
                      None, ([0.3], []), hl.QuadConfig(tol=1e-8))
+
+
+@pytest.mark.parametrize("dom, punct", [
+    (Rect(-1.0, 1.0, -1.0, 1.0), [0.3]),
+    (Disk(2.0), [0.3, -0.3j]),
+])
+def test_pv_needs_one_puncture_on_a_disk(dom, punct):
+    with pytest.raises(hl.PVNotConverging):
+        integrate_pv(lambda w, z: w @ (1.0 / (z - punct[0])), dom, None,
+                     (punct, []), hl.QuadConfig(tol=1e-8))
 
 
 def test_product_integral_matches_midpoint_oracle():
@@ -323,13 +332,12 @@ def test_interval_windows_match_the_arctan_oracle():
 
 def test_punctured_disk_window_areas():
     # window area pi R^2 and outer ring area 3 pi R^2, each times the
-    # compact unit disk's pi: checks the piecewise chart's jacobian
+    # compact factor's length pi: checks the piecewise chart's jacobian
     R = 5.0
     area = math.pi ** 2 * R * R
     res = integrate_product(lambda wu, u, wv, v:
                             wu @ np.ones((u.size, v.size)) @ wv,
-                            PuncturedDisk(R, 0.7 + 0.4j),
-                            Disk(1.0, truncated=False),
+                            Disk(R, 0.7 + 0.4j), Interval(0.0, math.pi),
                             hl.QuadConfig(tol=1e-8), decay_order=1)
     inner = res.value - 2.0 * res.tail_estimate  # value = I(R) + 2 tail
     assert res.converged

@@ -118,6 +118,20 @@ def test_lift_linear_form_pins_multiplier_to_coordinates():
     assert vals == pytest.approx([2.0, -0.5j], rel=1e-10)
 
 
+def test_dependent_cut_gradients_rejected():
+    # the cut (f1, 2 f1) is one surface twice: its gradients are parallel
+    # everywhere on c1, so no iterated residue exists
+    sc = _l0_pieces()
+    f1 = sc.cuts["cut1"].f1
+    twice = hl.Poly3(f1.exponents, 2.0 * f1.coeffs)
+    lift = LiftedThreeForm(sc.ambient, f1, twice, PolyMultiplier.constant(1.0))
+    with pytest.raises(hl.DependentGradients):
+        hl.double_leray_residue(lift, sc.curves["c1"])
+    with pytest.raises(hl.DependentGradients):
+        hl.lift_theta(hl.SurfaceCut(f1, twice, "c1"), sc.ambient,
+                      sc.forms["theta1"], sc.curves["c1"])
+
+
 def test_lift_rejects_rational_ratio():
     sc = _l0_pieces()
     theta = hl.OneForm("c1", np.array([1.0]), np.array([-5.0, 1.0]), (5.0,))

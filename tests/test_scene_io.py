@@ -107,6 +107,32 @@ def test_circle_domain_on_complex_curve_rejected():
     _expect_path(data, "curves.c1.domain")
 
 
+@pytest.mark.parametrize("keys, value, path", [
+    (("curves", "c1", "domain", "radius"), True, "curves.c1.domain.radius"),
+    (("curves", "c1", "domain"), {"type": "rect", "re": [False, True],
+                                  "im": [-1.0, 1.0]}, "curves.c1.domain.re"),
+    (("forms", "theta1", "coeff", "numerator", 0, "coeff"), True,
+     "forms.theta1.coeff.numerator[0].coeff"),
+    (("forms", "theta1", "coeff", "numerator", 0, "coeff"), [True, 0.0],
+     "forms.theta1.coeff.numerator[0].coeff"),
+    (("ambient", "numerator", 0, "exponents"), [False, False, False],
+     "ambient.numerator[0].exponents"),
+    (("constants", "C3"), True, "constants.C3"),
+    (("constants", "kappa_line"), True, "constants.kappa_line"),
+    (("constants", "tol"), True, "constants.tol"),
+])
+def test_booleans_are_not_numbers(keys, value, path):
+    # JSON true and false are Python bools, which isinstance counts as ints
+    data = _base_dict()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(SceneInvalid) as exc:
+        hl.loads_scene(json.dumps(data), scene_id="x")
+    assert exc.value.path == path
+
+
 def test_cut_missing_first_surface_rejected():
     data = _base_dict()
     del data["cuts"]["cut1"]["F1"]
