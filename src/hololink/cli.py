@@ -7,6 +7,10 @@ Subcommands:
   scene NAME         emit a built-in or generated scene as JSON
 
 SCENE is a path to a scene JSON file, or ``builtin:NAME`` for a built-in.
+The truncation window of an unbounded curve is the scene's own: each
+curve's declared ``domain.radius``. run and xcheck read a constants file
+only when --constants names one; calibrate writes to
+./hololink_constants.json unless --constants names another file.
 Exit codes: 0 success, 2 scene/usage errors, 3 numerical failures (including
 unconverged integrals), 4 cross-check FAIL.
 """
@@ -24,7 +28,6 @@ from .scenes import (BUILTIN_SCENES, builtin, random_line_scene,
                      random_polynomial_scene)
 
 DEFAULT_CONSTANTS_PATH = "hololink_constants.json"
-DEFAULT_RADIUS = 40.0
 
 
 def build_parser():
@@ -35,7 +38,7 @@ def build_parser():
                     "routes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, constants_default, constants_help):
         p.add_argument("--tol", type=float, default=1e-6,
                        help="quadrature tolerance (default 1e-6)")
         p.add_argument("--max-depth", type=int, default=24,
@@ -43,16 +46,10 @@ def build_parser():
         p.add_argument("--panel-order", type=int, default=8,
                        help="Gauss-Legendre points per panel axis "
                             "(default 8)")
-        p.add_argument("--radius", type=float, default=None,
-                       help="truncation radius for unbounded domains "
-                            "(default: scene's declared radius, else 40)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--constants", default=DEFAULT_CONSTANTS_PATH,
-                       help="constants file that calibrate writes; run "
-                            "and xcheck read it when the scene gives no "
-                            "kappa_line, else use the closed form (default "
-                            "./hololink_constants.json)")
+        p.add_argument("--constants", default=constants_default,
+                       help=constants_help)
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the crossing-count projection "
                             "direction (default 0)")
@@ -63,16 +60,21 @@ def build_parser():
     p_run = sub.add_parser("run", help="compute one method on a scene")
     p_run.add_argument("scene", help="scene JSON path or builtin:NAME")
     p_run.add_argument("method", help="method name")
-    add_common(p_run)
+    read_help = ("constants file to read, such as one calibrate wrote; its "
+                 "kappas are used where the scene gives none (default: no "
+                 "file, the closed form)")
+    add_common(p_run, None, read_help)
 
     p_x = sub.add_parser("xcheck",
                          help="cross-check all applicable methods")
     p_x.add_argument("scene", help="scene JSON path or builtin:NAME")
-    add_common(p_x)
+    add_common(p_x, None, read_help)
 
     p_cal = sub.add_parser("calibrate",
                            help="measure and persist the line constants")
-    add_common(p_cal)
+    add_common(p_cal, DEFAULT_CONSTANTS_PATH,
+               "file to write the constants to (default "
+               "./hololink_constants.json)")
 
     p_scene = sub.add_parser("scene", help="emit a scene as JSON")
     p_scene.add_argument("name", nargs="?", default=None,
@@ -96,30 +98,21 @@ def _load_scene_arg(arg):
     return load_scene(arg)
 
 
-def _resolve_config(args, scene=None):
-    """Build the quadrature config; the radius flag beats the scene's
-    declared disk radius, which beats the default."""
-    radius = args.radius
-    if radius is None and scene is not None:
-        for name in scene.query_pair():
-            dom = scene.curves[name].domain
-            if dom[0] == "disk":
-                radius = float(dom[1])
-                break
-    if radius is None:
-        radius = DEFAULT_RADIUS
+def _config(args):
     return QuadConfig(tol=args.tol, max_depth=args.max_depth,
-                      panel_order=args.panel_order, truncation_radius=radius)
+                      panel_order=args.panel_order)
 
 
 def _load_constants_file(path):
     """The constants in the file, checked field by field as a scene's
-    constants object is; None when the file cannot be read."""
+    constants object is; SceneInvalid naming the path when the file cannot
+    be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError:
-        return None
+    except OSError as exc:
+        raise SceneInvalid("constants", f"cannot read constants file "
+                                        f"{path!r}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SceneInvalid("constants", f"constants file {path!r} is not "
                                         f"valid JSON: {exc}")
@@ -127,11 +120,15 @@ def _load_constants_file(path):
 
 
 def _resolve_constants(args, scene):
-    """Scene-declared constants win, then the constants file; compute fills
-    any kappa still missing with the closed form."""
+    """Scene-declared constants win, then the file --constants names, which
+    is read and checked whenever it is named; compute fills any kappa still
+    missing with the closed form."""
+    named = None
+    if args.constants is not None:
+        named = _load_constants_file(args.constants)
     if scene.constants is not None and scene.constants.kappa_line is not None:
         return scene.constants
-    return _load_constants_file(args.constants) or scene.constants
+    return named or scene.constants
 
 
 def _emit_report(report, fmt):
@@ -144,7 +141,7 @@ def _emit_report(report, fmt):
 
 def _cmd_run(args):
     scene = _load_scene_arg(args.scene)
-    cfg = _resolve_config(args, scene)
+    cfg = _config(args)
     scene.constants = _resolve_constants(args, scene)
     rep = compute(scene, args.method, cfg, seed=args.seed,
                   include_cn=not args.no_cn)
@@ -158,16 +155,16 @@ def _cmd_run(args):
 
 def _cmd_xcheck(args):
     scene = _load_scene_arg(args.scene)
-    cfg = _resolve_config(args, scene)
     scene.constants = _resolve_constants(args, scene)
-    result = xcheck(scene, cfg, seed=args.seed, include_cn=not args.no_cn)
+    result = xcheck(scene, _config(args), seed=args.seed,
+                    include_cn=not args.no_cn)
     if args.format == "csv":
         print(CSV_HEADER)
         for rep in result.reports:
             print(report_to_csv_row(rep))
-        print(f"xcheck {result.scene_id}: {result.verdict}", file=sys.stderr)
     else:
         print(json.dumps(xcheck_to_dict(result), indent=2))
+    print(f"xcheck {result.scene_id}: {result.verdict}", file=sys.stderr)
     for failure in result.failures:
         print(f"error: {failure['method']} raised {failure['error']}: "
               f"{failure['message']}", file=sys.stderr)
@@ -175,8 +172,7 @@ def _cmd_xcheck(args):
 
 
 def _cmd_calibrate(args):
-    cfg = _resolve_config(args)
-    consts = calibrate(cfg, include_cn=not args.no_cn)
+    consts = calibrate(_config(args), include_cn=not args.no_cn)
     text = json.dumps(consts.to_dict(), indent=2)
     with open(args.constants, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

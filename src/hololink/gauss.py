@@ -66,12 +66,11 @@ def _gauss_kernel(wa, x, dx, mx, wb, y, dy, my):
     return wa @ _kernels.gauss_grid(x, dx, y, dy, mx, my) @ wb
 
 
-def _gauss_domain(curve, cfg):
+def _gauss_domain(curve):
     if curve.kind == "real_closed":
         return Interval(0.0, 1.0)
     if curve.is_real_line:
-        radius = cfg.truncation_radius
-        return Interval(-radius, radius, truncated=True)
+        return Interval(-curve.window, curve.window, truncated=True)
     raise MethodInapplicable(
         "gauss_linking needs two real_closed curves or two real lines")
 
@@ -79,15 +78,16 @@ def _gauss_domain(curve, cfg):
 def gauss_linking(curve1, curve2, cfg):
     """Gauss linking integral of two disjoint real curves.
 
-    Closed curves integrate over [0,1]^2; real lines in one run over the
-    doubled truncation window, whose outer cells give the tail,
-    extrapolated with 1/R decay. The value is within err_estimate of an
-    integer for closed pairs and a half-integer for lines.
+    Closed curves integrate over [0,1]^2; real lines, each over the window
+    [-R, R] of its declared disk radius R, in one run over the doubled
+    window, whose outer cells give the tail, extrapolated with 1/R decay.
+    The value is within err_estimate of an integer for closed pairs and a
+    half-integer for lines.
     """
     if curve1.kind != curve2.kind:
         raise MethodInapplicable("gauss_linking needs a matching real pair")
-    dom1 = _gauss_domain(curve1, cfg)
-    dom2 = _gauss_domain(curve2, cfg)
+    dom1 = _gauss_domain(curve1)
+    dom2 = _gauss_domain(curve2)
     # one moment origin for both curves: the mean of their generic points
     origin = np.mean([_real_points(c, generic_params(d))[0].mean(axis=0)
                       for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)

@@ -18,6 +18,8 @@ from numpy.polynomial import polynomial as P
 from .errors import ParamAtPuncture, ParamOutOfDomain, SceneInvalid
 
 TWO_PI = 2.0 * math.pi
+# the truncation window |u| <= R of a disk-domain curve when none is given
+DEFAULT_RADIUS = 40.0
 
 
 def det3(a, b, c):
@@ -151,7 +153,8 @@ class ParamCurve:
                    marked_points=tuple(marked_points))
 
     @classmethod
-    def complex_affine(cls, components, domain=("disk", 40.0), marked_points=()):
+    def complex_affine(cls, components, domain=("disk", DEFAULT_RADIUS),
+                       marked_points=()):
         comps = tuple(poly_trim(np.atleast_1d(np.asarray(c, dtype=complex)))
                       for c in components)
         if len(comps) != 3:
@@ -160,7 +163,7 @@ class ParamCurve:
                    marked_points=tuple(complex(p) for p in marked_points))
 
     @classmethod
-    def line(cls, p0, e, radius=40.0, marked_points=()):
+    def line(cls, p0, e, radius=DEFAULT_RADIUS, marked_points=()):
         p0 = np.asarray(p0, dtype=complex)
         e = np.asarray(e, dtype=complex)
         comps = [np.array([p0[i], e[i]], dtype=complex) for i in range(3)]
@@ -209,6 +212,11 @@ class ParamCurve:
         return max(poly_deg(c) for c in self.components)
 
     @property
+    def window(self):
+        """R of a ("disk", R) domain; None for a compact domain."""
+        return self.domain[1] if self.domain[0] == "disk" else None
+
+    @property
     def is_line(self):
         return self.kind == "complex_affine" and self.degree == 1
 
@@ -223,7 +231,9 @@ class ParamCurve:
 
     @property
     def is_real_line(self):
-        if not self.is_line:
+        """A real line over a disk window; over a rectangle a line is a
+        compact piece, not a line."""
+        if not self.is_line or self.window is None:
             return False
         p0, e = self.line_frame()
         scale = max(np.max(np.abs(p0)), np.max(np.abs(e)), 1.0)

@@ -119,8 +119,8 @@ def holo_linking_integral(s1, s2, ctx, cfg):
                 raise PVNotConverging(
                     f"puncture {p}: pole of order {k} > 1 (only simple "
                     "poles have principal values)")
-    dom_a = domain_for_curve(curve1, cfg)
-    dom_b = domain_for_curve(curve2, cfg)
+    dom_a = domain_for_curve(curve1)
+    dom_b = domain_for_curve(curve2)
     scale = AREA_FACTOR * ctx.prefactor
 
     # the sides carry each form's numerator and denominator and only the
@@ -167,8 +167,8 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     over both curve domains (area measure, factor 4). Real and positive.
     """
     _require_complex_pair(curve1, curve2, "complex_linking_number")
-    dom_a = domain_for_curve(curve1, cfg)
-    dom_b = domain_for_curve(curve2, cfg)
+    dom_a = domain_for_curve(curve1)
+    dom_b = domain_for_curve(curve2)
     scale = AREA_FACTOR * ctx.prefactor
 
     def integrand(wa, x, dx, wb, y, dy):

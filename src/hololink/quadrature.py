@@ -29,7 +29,9 @@ values do not depend on how a round is batched. Everything runs on one
 thread.
 
 A truncated (non-compact) domain of radius R is integrated in one run over
-its doubled window, whose initial cells are cut at R: the panels descending
+its doubled window. R is the curve's own: domain_for_curve reads it from
+the curve's declared ("disk", R) domain, and no setting overrides it. The
+doubled window's initial cells are cut at R: the panels descending
 from the inner cells sum to I(R), all panels to I(2R), and the outer panels
 to the tail I(2R) - I(R), which a one-step Richardson extrapolation adds
 back. Every disk is such a window, in one polar chart centred on its
@@ -69,7 +71,6 @@ class QuadConfig:
     tol: float = 1e-6
     max_depth: int = 24
     panel_order: int = 8
-    truncation_radius: float = 40.0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -78,9 +79,6 @@ class QuadConfig:
             raise ValueError("QuadConfig invariant violated: max_depth in [1, 40]")
         if not (4 <= self.panel_order <= 32):
             raise ValueError("QuadConfig invariant violated: panel_order in [4, 32]")
-        if not self.truncation_radius > 0:
-            raise ValueError(
-                "QuadConfig invariant violated: truncation_radius > 0")
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,6 @@ class Disk:
     ordinary one; no quadrature node lies on x = 0."""
 
     naxes = 2
-    truncated = True
 
     def __init__(self, radius, puncture=None):
         self.radius = float(radius)
@@ -217,7 +214,6 @@ class Rect:
     """Axis-aligned rectangle in the complex parameter plane (compact)."""
 
     naxes = 2
-    truncated = False
 
     def __init__(self, x0, x1, y0, y1):
         self.x0, self.x1, self.y0, self.y1 = map(float, (x0, x1, y0, y1))
@@ -244,17 +240,15 @@ def generic_params(dom):
     return params
 
 
-def domain_for_curve(curve, cfg):
-    """Quadrature domain for a curve under the given config.
-
-    Disk domains are truncation windows whose working radius always comes
-    from cfg.truncation_radius; callers resolve any scene-declared radius
-    into the config before integrating. Rect domains are exact.
-    """
+def domain_for_curve(curve):
+    """Quadrature domain of a curve: [0, 1] for a closed real curve, the
+    truncation window Disk(R) of the curve's declared ("disk", R) domain,
+    or its declared rectangle, which is exact. The curve is the only owner
+    of its window, so each curve of a pair is integrated over its own."""
     if curve.kind == "real_closed":
         return Interval(0.0, 1.0)
-    if curve.domain[0] == "disk":
-        return Disk(cfg.truncation_radius)
+    if curve.window is not None:
+        return Disk(curve.window)
     x0, x1, y0, y1 = curve.domain[1:]
     return Rect(x0, x1, y0, y1)
 
@@ -604,23 +598,21 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
 
 def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
                  side_b=None, decay_order=1):
-    """Integral over a product of domains (a single domain when dom_b is
-    None) whose integrand may have simple poles at declared punctures.
+    """Integral over a product of domains whose integrand may have simple
+    poles at declared punctures.
 
-    The integrand and sides are those of integrate_product (of
-    integrate_curve when dom_b is None), and so are the TypeError and
-    CurvesTooClose checks. punctures = (on_a, on_b). Under the area
-    measure a simple pole is absolutely integrable, so the "principal
-    value" is an ordinary integral: a disk with one puncture p is
+    The integrand and sides are those of integrate_product, and so are the
+    TypeError and CurvesTooClose checks. punctures = (on_a, on_b). Under
+    the area measure a simple pole is absolutely integrable, so the
+    "principal value" is an ordinary integral: a disk with one puncture p is
     integrated as Disk(R, p), the polar chart centred on p, whose jacobian
     r cancels the pole. That chart is the one every Disk uses; only its
     starting cells differ, two half-turns per window about a puncture
     against one full turn about the origin (at tol 1e-4 pv_lines takes
     316 panels from half-turns and 796 from a full turn; at tol 1e-6 L0,
     unpunctured, takes 64 from a full turn and 360 from half-turns). One
-    engine run covers the domains; on a product with a truncated domain it
-    covers the doubled window and takes the tail step of
-    integrate_product. Raises
+    engine run covers the product; with a truncated domain it covers the
+    doubled window and takes the tail step of integrate_product. Raises
     PVNotConverging for a puncture on an Interval or a Rect and for more
     than one puncture on one disk. The integrand is trusted to have at
     most simple poles there: the caller decides each pole's order from its
@@ -640,8 +632,5 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
                 "principal values support exactly one puncture per complex "
                 f"curve; got {len(punct)}")
         doms.append(Disk(dom.radius, punct[0]) if punct else dom)
-    if dom_b is None:
-        _check_batch(integrand, side_a or _identity)
-        return _Engine(integrand, doms[0], None, cfg, side_a).run()
     _check_batch(integrand, side_a or _identity, side_b or _identity)
     return _Engine(integrand, *doms, cfg, side_a, side_b).run(decay_order)

@@ -4,9 +4,11 @@ A Report is the single output record of every computation: the value, its
 error and tail estimates, convergence state, the constants and quadrature
 configuration that produced it, and wall time. Integral methods add
 extra["trace"]: the quadrature trace (rounds, panels per round, deepest
-split, whether max_depth stopped a hot panel, the source of err_estimate)
-and the worker count. Reports serialize to JSON (deterministic except
-wall_time_ms) and to fixed-column CSV.
+split, whether max_depth stopped a hot panel, the source of err_estimate),
+the worker count, and "radius", the truncation window R of each query
+curve as its scene declares it (null for a compact domain). Reports
+serialize to JSON (deterministic except wall_time_ms) and to fixed-column
+CSV.
 """
 
 import json
@@ -63,7 +65,6 @@ def _config_dict(cfg):
         "tol": cfg.tol,
         "max_depth": cfg.max_depth,
         "panel_order": cfg.panel_order,
-        "radius": cfg.truncation_radius,
     }
 
 
@@ -91,7 +92,7 @@ def report_to_json(report):
 CSV_HEADER = ("scene_id,method,value_re,value_im,err_estimate,tail_estimate,"
               "converged,panels_evaluated,c3,kappa_line_re,kappa_line_im,"
               "kappa_xmethod_re,kappa_xmethod_im,tol,max_depth,panel_order,"
-              "radius,wall_time_ms")
+              "wall_time_ms")
 
 
 def report_to_csv_row(report):
@@ -114,7 +115,6 @@ def report_to_csv_row(report):
              + cx(consts.kappa_line) + cx(consts.kappa_xmethod)
              + [repr(report.config.tol), str(report.config.max_depth),
                 str(report.config.panel_order),
-                repr(report.config.truncation_radius),
                 repr(float(report.wall_time_ms))])
     return ",".join(cells)
 
@@ -266,7 +266,8 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
     if res is not None:
         value, err, tail = res.value, res.err_estimate, res.tail_estimate
         converged, panels = res.converged, res.panels_evaluated
-        extra = {"trace": dict(res.trace.to_dict(), workers=workers_from_env())}
+        extra = {"trace": dict(res.trace.to_dict(), workers=workers_from_env(),
+                               radius=[c1.window, c2.window])}
 
     ms = (time.perf_counter() - t0) * 1000.0
     return Report(scene_id=scene.scene_id, method=method, value=complex(value),
@@ -367,16 +368,17 @@ def calibrate(cfg, include_cn=True):
     written to a constants file, takes precedence over it.
 
     kappa_line is the tail-extrapolated holomorphic linking integral of the
-    reference pair: one engine run over the doubled truncation window, so
-    R = 40 integrates out to 80 and the ring between 40 and 80 gives the
-    tail. kappa_xmethod divides that by the same scene's raw residue-route
-    value. Raises CalibrationUnstable when the tail exceeds 1% of the value
-    or the integral fails to converge. The constants record include_cn,
-    tol, the truncation radius and the hololink version they were measured
-    with.
+    reference pair scenes.l0(): one engine run over the doubled truncation
+    window, so its R = 40 integrates out to 80 and the ring between 40 and
+    80 gives the tail. kappa_xmethod divides that by the same scene's raw
+    residue-route value. Raises CalibrationUnstable when the tail exceeds
+    1% of the value or the integral fails to converge. The constants record include_cn,
+    tol, the reference pair's truncation radius and the hololink version
+    they were measured with.
     """
-    scene = _scenes.l0(radius=cfg.truncation_radius)
+    scene = _scenes.l0()
     (n1, c1), (n2, c2) = _query(scene)
+    radius = c1.window
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
     ctx = BMContext(include_cn=include_cn)
     res = holo_linking_integral((c1, f1), (c2, f2), ctx, cfg)
@@ -388,7 +390,7 @@ def calibrate(cfg, include_cn=True):
     if res.tail_estimate > 0.01 * scale:
         raise CalibrationUnstable(
             f"the tail, the integral over the ring between "
-            f"R={cfg.truncation_radius:g} and R={2 * cfg.truncation_radius:g}, "
+            f"R={radius:g} and R={2 * radius:g}, "
             f"is {res.tail_estimate / scale:.2%} of the value (limit 1%)")
     kappa_line = complex(res.value)
 
@@ -401,5 +403,5 @@ def calibrate(cfg, include_cn=True):
     return NormalizationConstants(kappa_line=kappa_line,
                                   kappa_xmethod=kappa_xmethod,
                                   include_cn=include_cn, tol=cfg.tol,
-                                  truncation_radius=cfg.truncation_radius,
+                                  truncation_radius=radius,
                                   version=__version__)

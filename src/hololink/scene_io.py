@@ -14,9 +14,9 @@ import json
 import numpy as np
 
 from .errors import SceneInvalid
-from .geometry import (AmbientForm, NormalizationConstants, OneForm,
-                       ParamCurve, Poly3, Scene, SurfaceCut, poly_trim,
-                       validate_scene)
+from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
+                       OneForm, ParamCurve, Poly3, Scene, SurfaceCut,
+                       poly_trim, validate_scene)
 
 
 def _is_number(value):
@@ -165,8 +165,9 @@ def _curve_in(name, value, path):
         components = tuple(
             _poly1_in(c, f"{path}.map.components[{i}]")
             for i, c in enumerate(comps))
-        domain = _domain_in(value.get("domain", {"type": "disk", "radius": 40.0}),
-                            path + ".domain")
+        domain = _domain_in(
+            value.get("domain", {"type": "disk", "radius": DEFAULT_RADIUS}),
+            path + ".domain")
         if domain[0] == "circle":
             raise SceneInvalid(path + ".domain.type",
                                "complex_affine curves need a disk or rect domain")

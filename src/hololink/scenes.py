@@ -12,8 +12,8 @@ compact domains).
 import numpy as np
 
 from . import _kernels
-from .geometry import (AmbientForm, NormalizationConstants, OneForm,
-                       ParamCurve, Poly3, Scene, SurfaceCut, realify,
+from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
+                       OneForm, ParamCurve, Poly3, Scene, SurfaceCut, realify,
                        validate_scene)
 
 _Z = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -42,13 +42,13 @@ def _const_form(curve_name, value=1.0):
     return OneForm(curve_name, np.array([value], dtype=complex))
 
 
-def _line_pair(radius=40.0):
+def _line_pair(radius=DEFAULT_RADIUS):
     c1 = ParamCurve.line((0, 0, 0), (1, 0, 0), radius=radius)
     c2 = ParamCurve.line((0, 0, 1), (0, 1, 0), radius=radius)
     return c1, c2
 
 
-def l0(radius=40.0):
+def l0(radius=DEFAULT_RADIUS):
     """The reference line pair (s,0,0) / (0,t,1) with unit constant forms,
     the standard volume form, and the coordinate-plane cut of the first
     line. Calibration measures every route-relative constant here."""
@@ -62,7 +62,7 @@ def l0(radius=40.0):
         constants=NormalizationConstants()))
 
 
-def skew_lines(radius=40.0):
+def skew_lines(radius=DEFAULT_RADIUS):
     """The same two lines read as real curves (no forms), for the real
     Gauss integral and the sign closed form: linking +1/2."""
     c1, c2 = _line_pair(radius)
@@ -108,7 +108,7 @@ PV_POLE_1 = 0.3 + 0.2j
 PV_POLE_2 = -0.1 + 0.4j
 
 
-def pv_lines(radius=40.0, pole_order=1):
+def pv_lines(radius=DEFAULT_RADIUS, pole_order=1):
     """The reference line pair with rational forms carrying one declared
     simple pole each (pole_order=2 builds the non-convergent double-pole
     variant used to exercise the principal-value failure path)."""
@@ -174,7 +174,7 @@ def _unit_complex_vector(rng):
     return v / np.linalg.norm(v)
 
 
-def random_line_scene(seed, radius=40.0):
+def random_line_scene(seed, radius=DEFAULT_RADIUS):
     """Random disjoint complex line pair with constant forms and a cut of
     the first line: exercises the integral, closed-form, and residue
     routes on the same data."""

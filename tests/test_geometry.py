@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -125,6 +126,17 @@ def test_line_frame_and_real_line_flag():
     assert not quad.is_line
 
 
+def test_real_line_needs_a_disk_window():
+    # over a rectangle a line is a compact piece, not the whole real line
+    line = hl.ParamCurve.line((0, 0, 1), (0, 1, 0), radius=7.0)
+    assert line.window == 7.0 and line.is_real_line
+    piece = hl.ParamCurve.complex_affine(line.components,
+                                         domain=("rect", -1.0, 1.0, -0.5, 0.5))
+    assert piece.is_line and piece.window is None and not piece.is_real_line
+    circ = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+    assert circ.window is None
+
+
 def test_in_domain():
     circ = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
     assert circ.in_domain(0.7) and circ.in_domain(2.3)
@@ -168,6 +180,14 @@ def test_validate_rejects_stationary_curve():
     with pytest.raises(SceneInvalid) as exc:
         hl.validate_scene(scene)
     assert "c1" in str(exc.value)
+
+
+def test_validate_rejects_zero_disk_radius():
+    scene = _valid_scene()
+    scene.curves["c1"] = replace(scene.curves["c1"], domain=("disk", 0.0))
+    with pytest.raises(SceneInvalid) as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "curves.c1.domain.radius"
 
 
 def test_validate_rejects_unknown_form_curve():

@@ -42,26 +42,27 @@ def test_simple_pole_cauchy_pompeiu_oracle():
     # Cauchy-Pompeiu: the area integral of 1/(z - p) over |z| <= 2 is
     # -pi conj(p); the puncture-centered chart integrates it directly
     p = 0.3 + 0.1j
-    res = integrate_pv(lambda w, z: w @ (1.0 / (z - p)), Disk(2.0), None,
-                       ([p], []), hl.QuadConfig(tol=1e-12))
+    res = integrate_curve(lambda w, z: w @ (1.0 / (z - p)), Disk(2.0, p),
+                          hl.QuadConfig(tol=1e-12))
     assert res.converged
     assert abs(res.value - (-math.pi * np.conj(p))) < 1e-12
 
 
 def test_double_pole_integrates_to_its_circular_principal_value():
-    # integrate_pv only integrates: the pole order is the caller's to
+    # the chart only integrates: the pole order is the caller's to
     # decide. 1/(z - p)^2 has zero mean on every circle around p, so the
     # puncture-centred chart gives 0, its circular principal value
     p = 0.3 + 0.1j
-    res = integrate_pv(lambda w, z: w @ (1.0 / (z - p) ** 2), Disk(2.0), None,
-                       ([p], []), hl.QuadConfig(tol=1e-8))
+    res = integrate_curve(lambda w, z: w @ (1.0 / (z - p) ** 2), Disk(2.0, p),
+                          hl.QuadConfig(tol=1e-8))
     assert abs(res.value) <= 1e-12
 
 
 def test_puncture_on_interval_is_rejected():
+    dom = Interval(0.0, 1.0)
     with pytest.raises(hl.PVNotConverging):
-        integrate_pv(lambda w, t: w @ (1.0 / (t - 0.3)), Interval(0.0, 1.0),
-                     None, ([0.3], []), hl.QuadConfig(tol=1e-8))
+        integrate_pv(_separable(lambda t: 1.0 / (t - 0.3)), dom, dom,
+                     ([0.3], []), hl.QuadConfig(tol=1e-8))
 
 
 @pytest.mark.parametrize("dom, punct", [
@@ -70,7 +71,7 @@ def test_puncture_on_interval_is_rejected():
 ])
 def test_pv_needs_one_puncture_on_a_disk(dom, punct):
     with pytest.raises(hl.PVNotConverging):
-        integrate_pv(lambda w, z: w @ (1.0 / (z - punct[0])), dom, None,
+        integrate_pv(_separable(lambda z: 1.0 / (z - punct[0])), dom, dom,
                      (punct, []), hl.QuadConfig(tol=1e-8))
 
 
@@ -150,8 +151,8 @@ def test_disk_area_and_pv_exclusion():
                           Disk(2.0), cfg)
     assert abs(res.value - 4 * math.pi) < 1e-6
     # the polar chart centered on a puncture covers the same disk
-    res_pv = integrate_pv(lambda w, z: w @ np.ones_like(z, dtype=float),
-                          Disk(2.0), None, ([0.3 + 0.1j], []), cfg)
+    res_pv = integrate_curve(lambda w, z: w @ np.ones_like(z, dtype=float),
+                             Disk(2.0, 0.3 + 0.1j), cfg)
     assert abs(res_pv.value - 4 * math.pi) < 1e-6
 
 
@@ -161,7 +162,7 @@ def test_truncated_tail_extrapolation():
     def f(u, v):
         return 1.0 / ((1.0 + u[:, None] ** 2) * (1.0 + v[None, :] ** 2))
 
-    cfg = hl.QuadConfig(tol=1e-9, truncation_radius=40.0)
+    cfg = hl.QuadConfig(tol=1e-9)
     dom = Interval(-40.0, 40.0, truncated=True)
     res = integrate_product(_contracted(f), dom, dom, cfg, decay_order=1)
     exact = math.pi ** 2
@@ -185,21 +186,21 @@ def test_repeat_runs_are_bit_identical():
 
 
 def test_domain_for_curve_shapes():
-    cfg = hl.QuadConfig(truncation_radius=7.0)
     circ = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
-    dom = domain_for_curve(circ, cfg)
-    assert isinstance(dom, Interval) and not getattr(dom, "truncated", False)
+    dom = domain_for_curve(circ)
+    assert isinstance(dom, Interval) and not dom.truncated
 
-    line = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=40.0)
-    dom = domain_for_curve(line, cfg)
-    assert isinstance(dom, Disk) and dom.truncated
-    assert dom.radius == 7.0  # config radius wins over the declared window
+    line = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=7.0)
+    dom = domain_for_curve(line)
+    assert isinstance(dom, Disk) and dom.puncture is None
+    assert dom.radius == 7.0  # the curve's declared window
 
     rect_curve = hl.ParamCurve.complex_affine(
         (np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0])),
         domain=("rect", -1.0, 1.0, -0.5, 0.5))
-    dom = domain_for_curve(rect_curve, cfg)
-    assert isinstance(dom, Rect) and not dom.truncated
+    dom = domain_for_curve(rect_curve)
+    assert isinstance(dom, Rect)
+    assert (dom.x0, dom.x1, dom.y0, dom.y1) == (-1.0, 1.0, -0.5, 0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,7 +214,7 @@ def test_pairwise_tree_sum_matches_fsum(xs):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": -1e-6}, {"max_depth": 0}, {"max_depth": 99},
-    {"panel_order": 1}, {"truncation_radius": 0.0},
+    {"panel_order": 1},
 ])
 def test_config_invariants_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -82,7 +82,7 @@ def test_crossing_report_fields(cfg):
     d = report.report_to_dict(rep)
     assert d["value"] == [1.0, 0.0]
     assert d["extra"]["samples"] == 512
-    assert d["config"]["radius"] == 40.0
+    assert set(d["config"]) == {"tol", "max_depth", "panel_order"}
 
 
 def test_report_json_deterministic_except_wall_time(cfg):
@@ -105,6 +105,11 @@ def test_residue_report_is_raw_value(cfg):
     assert rep.value == pytest.approx(1.0, abs=1e-10)
 
 
+# the declared window of each query curve; None for a compact domain
+TRACE_RADIUS = {"hopf": [None, None], "skew_lines": [40.0, 40.0],
+                "L0": [40.0, 40.0]}
+
+
 @pytest.mark.parametrize("scene, method, source", [
     ("hopf", "gauss_integral", "quadrature"),
     ("skew_lines", "gauss_integral", "tail"),
@@ -119,6 +124,46 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method, source):
     assert trace["max_depth_hit"] is False
     assert trace["err_source"] == source
     assert trace["workers"] == 1
+    assert trace["radius"] == TRACE_RADIUS[scene]
+
+
+# ---------------------------------------------------------------------------
+# truncation windows: each curve is integrated over the disk it declares
+
+def test_report_integrates_over_the_scene_window(fast_cfg):
+    wide = report.compute(scenes.l0(), "holo_integral", fast_cfg)
+    narrow = report.compute(scenes.l0(radius=10.0), "holo_integral", fast_cfg)
+    assert narrow.tail_estimate != wide.tail_estimate
+    assert narrow.value != wide.value
+    assert wide.extra["trace"]["radius"] == [40.0, 40.0]
+    assert narrow.extra["trace"]["radius"] == [10.0, 10.0]
+
+
+def test_each_curve_keeps_its_own_window(tmp_path, capsys, monkeypatch,
+                                         fast_cfg):
+    scene = scenes.l0()
+    scene.curves["c1"] = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=20.0)
+    hl.validate_scene(scene)
+    seen = []
+
+    def spy(integrand, dom_a, dom_b, *args, **kwargs):
+        seen.append((type(dom_a), dom_a.radius, type(dom_b), dom_b.radius))
+        return integrate_pv(integrand, dom_a, dom_b, *args, **kwargs)
+
+    integrate_pv = hl.holo.integrate_pv
+    monkeypatch.setattr(hl.holo, "integrate_pv", spy)
+    rep = report.compute(scene, "holo_integral", fast_cfg)
+    assert seen == [(hl.quadrature.Disk, 20.0, hl.quadrature.Disk, 40.0)]
+    assert rep.extra["trace"]["radius"] == [20.0, 40.0]
+
+    spath = tmp_path / "mixed.json"
+    hl.save_scene(scene, spath)
+    code, out, _ = _run(["run", str(spath), "holo_integral", "--tol", "1e-4"],
+                        capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == [rep.value.real, rep.value.imag]
+    assert data["extra"]["trace"]["radius"] == [20.0, 40.0]
 
 
 def test_projective_report_extra(cfg):
@@ -252,8 +297,7 @@ def test_cli_scene_emit_and_run(tmp_path, capsys):
     scene_path = tmp_path / "pair.json"
     code, _, _ = _run(["scene", "hopf", "--out", str(scene_path)], capsys)
     assert code == 0
-    code, out, _ = _run(["run", str(scene_path), "gauss_crossing",
-                         "--constants", str(tmp_path / "c.json")], capsys)
+    code, out, _ = _run(["run", str(scene_path), "gauss_crossing"], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["value"] == [1.0, 0.0]
@@ -286,15 +330,14 @@ def test_cli_run_deterministic(tmp_path, capsys, constants):
     assert outs[0] == outs[1]
 
 
-def test_cli_radius_flag_overrides_scene(tmp_path, capsys, constants):
-    cpath = tmp_path / "c.json"
-    _write_constants(cpath, constants)
-    code, out, _ = _run(["run", "builtin:skew_lines", "gauss_integral",
-                         "--radius", "15", "--tol", "1e-5",
-                         "--constants", str(cpath)], capsys)
+def test_cli_integrates_over_the_scene_file_window(tmp_path, capsys):
+    spath = tmp_path / "skew15.json"
+    hl.save_scene(scenes.skew_lines(radius=15.0), spath)
+    code, out, _ = _run(["run", str(spath), "gauss_integral", "--tol", "1e-5"],
+                        capsys)
     assert code == 0
     data = json.loads(out)
-    assert data["config"]["radius"] == 15.0
+    assert data["extra"]["trace"]["radius"] == [15.0, 15.0]
     # coarser window, but the tail step still recovers the half
     assert abs(data["value"][0] - 0.5) < 3e-2
 
@@ -337,28 +380,36 @@ def test_cli_no_cn_with_calibrated_constants_exits_2(tmp_path, capsys,
     assert "ConstantsMismatch" in err
 
 
-def test_cli_double_pole_exits_3(tmp_path, capsys):
-    code, _, err = _run(["run", "builtin:pv_lines_double", "holo_pv",
-                         "--constants", str(tmp_path / "c.json")], capsys)
+def test_cli_double_pole_exits_3(capsys):
+    code, _, err = _run(["run", "builtin:pv_lines_double", "holo_pv"], capsys)
     assert code == 3
     assert "PVNotConverging" in err
 
 
-def test_cli_xcheck_close_pair_exits_4(tmp_path, capsys):
-    code, out, err = _run(["xcheck", "builtin:close_pair", "--tol", "1e-4",
-                           "--constants", str(tmp_path / "c.json")], capsys)
+def test_cli_xcheck_close_pair_exits_4(capsys):
+    code, out, err = _run(["xcheck", "builtin:close_pair", "--tol", "1e-4"],
+                          capsys)
     assert code == 4
     assert json.loads(out)["verdict"] == "FAIL"
+    assert "xcheck close_pair: FAIL" in err.splitlines()
     assert "CurvesTooClose" in err
 
 
-def test_cli_xcheck_hopf_passes(tmp_path, capsys):
-    code, out, _ = _run(["xcheck", "builtin:hopf", "--tol", "1e-4",
-                         "--constants", str(tmp_path / "c.json")], capsys)
+def test_cli_xcheck_hopf_passes(capsys):
+    # both formats print the verdict line on stderr
+    code, out, err = _run(["xcheck", "builtin:hopf", "--tol", "1e-4"], capsys)
     assert code == 0
+    assert err.splitlines() == ["xcheck hopf: PASS"]
     data = json.loads(out)
     assert data["verdict"] == "PASS"
     assert data["methods"] == ["gauss_integral", "gauss_crossing"]
+    code, out, err = _run(["xcheck", "builtin:hopf", "--tol", "1e-4",
+                           "--format", "csv"], capsys)
+    assert code == 0
+    assert err.splitlines() == ["xcheck hopf: PASS"]
+    header, *rows = out.strip().splitlines()
+    assert header == report.CSV_HEADER
+    assert [r.split(",")[1] for r in rows] == data["methods"]
 
 
 def test_cli_calibrate_writes_file(tmp_path, capsys):
@@ -382,9 +433,7 @@ def test_cli_calibrate_unstable_exits_3(tmp_path, capsys):
 def test_cli_run_without_constants_uses_closed_form(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, out, err = _run(["run", "builtin:L0", "holo_closed",
-                           "--constants", str(tmp_path / "missing.json")],
-                          capsys)
+    code, out, err = _run(["run", "builtin:L0", "holo_closed"], capsys)
     assert code == 0
     assert err == ""
     assert list(tmp_path.iterdir()) == []
@@ -400,7 +449,40 @@ def test_cli_scene_constants_beat_file(tmp_path, capsys):
                                                 kappa_xmethod=-100.0 + 0j)
     spath = tmp_path / "pinned.json"
     hl.save_scene(scene, spath)
+    cpath = tmp_path / "c.json"
+    _write_constants(cpath, hl.NormalizationConstants(kappa_line=1.0 + 0j))
     code, out, _ = _run(["run", str(spath), "holo_closed",
-                         "--constants", str(tmp_path / "c.json")], capsys)
+                         "--constants", str(cpath)], capsys)
     assert code == 0
     assert json.loads(out)["value"] == [-100.0, 0.0]
+
+
+def test_cli_reads_no_constants_file_it_is_not_given(tmp_path, capsys,
+                                                     monkeypatch):
+    # a stale file where calibrate writes by default is not read
+    monkeypatch.chdir(tmp_path)
+    _write_constants(tmp_path / cli.DEFAULT_CONSTANTS_PATH,
+                     hl.NormalizationConstants(kappa_line=1.0 + 0j,
+                                               kappa_xmethod=1.0 + 0j))
+    code, out, _ = _run(["run", "builtin:L0", "holo_closed"], capsys)
+    assert code == 0
+    value = complex(*json.loads(out)["value"])
+    analytic = -2 * math.pi ** 5
+    assert abs(value - analytic) <= 1e-15 * abs(analytic)
+    code, _, err = _run(["xcheck", "builtin:L0", "--tol", "1e-4"], capsys)
+    assert code == 0
+    assert "xcheck L0: PASS" in err.splitlines()
+    # named, the same file is read
+    code, out, _ = _run(["run", "builtin:L0", "holo_closed", "--constants",
+                         cli.DEFAULT_CONSTANTS_PATH], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("command", [["run", "builtin:L0", "holo_closed"],
+                                     ["xcheck", "builtin:hopf"]])
+def test_cli_named_constants_file_must_exist(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    code, _, err = _run(command + ["--constants", str(missing)], capsys)
+    assert code == 2
+    assert "SceneInvalid" in err and str(missing) in err

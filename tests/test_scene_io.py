@@ -107,6 +107,14 @@ def test_circle_domain_on_complex_curve_rejected():
     _expect_path(data, "curves.c1.domain")
 
 
+@pytest.mark.parametrize("radius", [0, 0.0, -1.0])
+def test_nonpositive_disk_radius_rejected(radius):
+    # the window is positive: the scene is the only place it is set
+    data = _base_dict()
+    data["curves"]["c1"]["domain"]["radius"] = radius
+    _expect_path(data, "curves.c1.domain.radius")
+
+
 @pytest.mark.parametrize("keys, value, path", [
     (("curves", "c1", "domain", "radius"), True, "curves.c1.domain.radius"),
     (("curves", "c1", "domain"), {"type": "rect", "re": [False, True],
