@@ -2,8 +2,8 @@
 
 Three independent routes to the same invariants — singular-kernel double
 integrals, closed forms for lines, and residue sums over intersection
-points — plus a signed-crossing count for closed real curves, all
-cross-validated against each other.
+points, one Euler-Jacobi trace that finds no root — plus a signed-crossing
+count for closed real curves, all cross-validated against each other.
 """
 
 # set before the submodules load: calibrate records it in the constants

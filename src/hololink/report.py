@@ -138,8 +138,9 @@ def _inapplicable(scene, method):
     weighted pair is a holomorphic query); holomorphic methods need a form
     on each query curve, and a pole declared on either form (a marked
     point alone is not a pole) leaves holo_pv as the only holomorphic
-    route. The residue route additionally needs the ambient form and a
-    two-surface cut containing the first curve.
+    route. holo_closed and residue give the whole-curve value, so they need
+    a disk window on both query curves; residue also needs the ambient form
+    and a two-surface cut containing the first curve.
     """
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
@@ -170,6 +171,8 @@ def _inapplicable(scene, method):
         return None if any_poles else "no declared poles; use holo_integral"
     if any_poles:
         return "forms carry poles; use holo_pv"
+    if method in ("holo_closed", "residue") and None in (c1.window, c2.window):
+        return "gives the whole-curve value; needs disk windows on both curves"
     if method == "holo_closed":
         if not (c1.is_line and c2.is_line):
             return "needs two complex lines"

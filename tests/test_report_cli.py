@@ -221,6 +221,33 @@ def test_marked_point_is_not_a_pole(fast_cfg):
     assert [r.method for r in result.reports] == APPLICABILITY["L0"]
 
 
+def test_whole_curve_routes_need_disk_windows(cfg):
+    # over a rectangle the integral covers a compact piece of each line,
+    # while holo_closed and residue give the whole-line value
+    scene = scenes.l0()
+    rect = ("rect", -40.0, 40.0, -40.0, 40.0)
+    scene.curves = {name: replace(curve, domain=rect)
+                    for name, curve in scene.curves.items()}
+    hl.validate_scene(scene)
+    assert report.applicable_methods(scene) == ["holo_integral"]
+    for method in ("residue", "holo_closed"):
+        with pytest.raises(hl.MethodInapplicable):
+            report.compute(scene, method, cfg)
+
+
+def test_xcheck_passes_on_a_tangent_cut(tangent_cut_scene):
+    # the cut surface touches c2: the residue sum is 2/3 at a double root
+    scene = tangent_cut_scene(0.0)
+    result = report.xcheck(scene, hl.QuadConfig(tol=1e-3))
+    assert result.verdict == "PASS", result.failures
+    reps = {r.method: r for r in result.reports}
+    assert list(reps) == ["holo_integral", "residue"]
+    integral = reps["holo_integral"]
+    expected = integral.constants.kappa_xmethod * 2 / 3
+    assert abs(integral.value - expected) \
+        <= integral.err_estimate + integral.tail_estimate
+
+
 def test_xcheck_close_pair_fails(fast_cfg):
     result = report.xcheck(scenes.close_pair(), fast_cfg)
     assert result.verdict == "FAIL"

@@ -194,6 +194,91 @@ def test_theta_pole_at_intersection_detected():
         hl.residue_linking(lift, (sc.curves["c2"], theta2), sc.ambient)
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-6, 1e-3])
+def test_tangent_cut_gives_the_exact_sum(tangent_cut_scene, delta):
+    # the residues of 1 / ((delta - 0.3 s^2)(1 + 0.2 s)) at the roots of
+    # the first factor sum to (2/3) / (1 - 2 delta / 15), also at the
+    # double root of delta = 0
+    sc = tangent_cut_scene(delta)
+    lift = hl.lift_theta(sc.cuts["cut1"], sc.ambient, sc.forms["theta1"],
+                         sc.curves["c1"])
+    value = hl.residue_linking(lift, (sc.curves["c2"], sc.forms["theta2"]),
+                               sc.ambient)
+    exact = (2 / 3) / (1 - 2 * delta / 15)
+    assert abs(value - exact) <= 1e-14 * exact
+
+
+def test_curved_pair_matches_symbolic_residue_sum():
+    import sympy
+
+    s = sympy.symbols("s")
+    a = sympy.Rational(1, 2) + sympy.Rational(1, 5) * sympy.I
+    b = sympy.Rational(-3, 10) + sympy.Rational(1, 10) * sympy.I
+    theta = (sympy.Rational(3, 10) + s + (sympy.Rational(1, 2)
+             - sympy.Rational(1, 5) * sympy.I) * s ** 2
+             + sympy.Rational(7, 10) * sympy.I * s ** 3)
+    # f1(c2) = s - a (b s^2)^2 and f2(c2) = 1; every finite residue of
+    # theta / f1(c2) sits at a root of f1(c2), so their sum is minus the
+    # residue at infinity
+    expr = theta / (s - a * b ** 2 * s ** 4)
+    u = sympy.symbols("u")
+    exact = sympy.simplify(sympy.residue(
+        expr.subs(s, 1 / u) / u ** 2, u, 0))
+    assert exact == sympy.Rational(98, 29) - sympy.Rational(364, 29) * sympy.I
+
+    ac, bc = 0.5 + 0.2j, -0.3 + 0.1j
+    c1 = hl.ParamCurve.complex_affine(
+        (np.array([0.0, 1.0]), np.array([0.0, 0.0, ac]), np.array([0.0])))
+    c2 = hl.ParamCurve.complex_affine(
+        (np.array([0.0, 0.0, bc]), np.array([0.0, 1.0]), np.array([1.0])))
+    cut = hl.SurfaceCut(_poly(((0, 1, 0), 1.0), ((2, 0, 0), -ac)),
+                        _poly(((0, 0, 1), 1.0)), "c1")
+    theta2 = hl.OneForm("c2", np.array([0.3, 1.0, 0.5 - 0.2j, 0.7j]))
+    ambient = hl.AmbientForm.standard()
+    lift = hl.lift_theta(cut, ambient, hl.OneForm("c1", np.array([1.0])), c1)
+    value = hl.residue_linking(lift, (c2, theta2), ambient)
+    assert abs(value - complex(exact)) <= 1e-13 * abs(complex(exact))
+
+
+def test_curve_inside_the_cut_surface_is_identically_zero():
+    sc = _l0_pieces()
+    # z1 vanishes on all of c2 = (0, t, 1)
+    lift = LiftedThreeForm(sc.ambient, _poly(((1, 0, 0), 1.0)),
+                           _poly(((0, 0, 1), 1.0)), PolyMultiplier.constant(1.0))
+    with pytest.raises(hl.IdenticallyZero):
+        hl.residue_linking(lift, (sc.curves["c2"], sc.forms["theta2"]),
+                           sc.ambient)
+
+
+def test_near_collision_gives_the_per_root_value():
+    # f2 = z3 - 1 + z2 - delta vanishes delta away from the intersection
+    # t = 0 of c2 = (0, t, 1) with {z2 = 0}: the one residue is
+    # theta2(0) / (g'(0) f2(c2(0))) with g'(0) = 1, which is -1 / delta
+    sc = _l0_pieces()
+    delta = 1e-6
+    f2 = _poly(((0, 0, 1), 1.0), ((0, 1, 0), 1.0), ((0, 0, 0), -1.0 - delta))
+    lift = LiftedThreeForm(sc.ambient, _poly(((0, 1, 0), 1.0)), f2,
+                           PolyMultiplier.constant(1.0))
+    value = hl.residue_linking(lift, (sc.curves["c2"], sc.forms["theta2"]),
+                               sc.ambient)
+    f2_at_root = complex(f2(np.array([[0.0, 0.0, 1.0]]))[0])
+    per_root = complex(sc.forms["theta2"].coeff_batch(np.array([0.0]))[0]) \
+        / f2_at_root
+    assert abs(value - per_root) <= 1e-9 * abs(per_root)
+
+
+def test_residue_route_finds_no_roots(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the residue route called a root finder")
+
+    monkeypatch.setattr(hl.residue, "curve_surface_intersections", refuse)
+    monkeypatch.setattr(hl.residue, "_simple_roots", refuse)
+    monkeypatch.setattr(hl.residue, "_polish_roots", refuse)
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", refuse)
+    rep = hl.compute(scenes.l0(), "residue", hl.QuadConfig())
+    assert abs(rep.value - 1.0) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # rational closure
 
@@ -201,9 +286,10 @@ def test_restriction_residues_close_to_zero():
     sc = _l0_pieces()
     cut = sc.cuts["cut1"]
     lift = hl.lift_theta(cut, sc.ambient, sc.forms["theta1"], sc.curves["c1"])
-    num, den = compose_restriction(lift, sc.curves["c2"], sc.forms["theta2"],
-                                   sc.ambient)
-    poles, residues, res_inf = hl.rational_all_residues(num, den)
+    num, g, rest = compose_restriction(lift, sc.curves["c2"],
+                                       sc.forms["theta2"], sc.ambient)
+    poles, residues, res_inf = hl.rational_all_residues(
+        num, np.polynomial.polynomial.polymul(g, rest))
     assert abs(sum(residues) + res_inf) < 1e-10
 
 
