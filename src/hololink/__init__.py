@@ -9,8 +9,7 @@ count for closed real curves, all cross-validated against each other.
 # set before the submodules load: calibrate records it in the constants
 __version__ = "0.1.0"
 
-from .errors import (CalibrationUnstable, CoincidentPoints,
-                     ConstantsMismatch, CurvesTooClose,
+from .errors import (CalibrationUnstable, CoincidentPoints, CurvesTooClose,
                      DegenerateConfiguration, DegenerateProjection,
                      DependentGradients, HololinkError, IdenticallyZero,
                      LinesIntersect, MethodInapplicable,

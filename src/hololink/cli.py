@@ -3,14 +3,15 @@
 Subcommands:
   run SCENE METHOD   compute one method on a scene, print a report
   xcheck SCENE       run every applicable method and compare all pairs
-  calibrate          measure the line constants and write them to a file
+  calibrate          measure the line constant and print it as a constants
+                     block
   scene NAME         emit a built-in or generated scene as JSON
 
 SCENE is a path to a scene JSON file, or ``builtin:NAME`` for a built-in.
 The truncation window of an unbounded curve is the scene's own: each
-curve's declared ``domain.radius``. run and xcheck read a constants file
-only when --constants names one; calibrate writes to
-./hololink_constants.json unless --constants names another file.
+curve's declared ``domain.radius``. The line constant is the scene's too:
+its ``constants`` block, where calibrate's output is pasted, or else the
+closed form.
 Exit codes: 0 success, 2 scene/usage errors, 3 numerical failures (including
 unconverged integrals), 4 cross-check FAIL.
 """
@@ -22,12 +23,10 @@ import sys
 from .errors import NumericalError, SceneError, SceneInvalid
 from .quadrature import QuadConfig
 from .report import (CSV_HEADER, calibrate, compute, report_to_csv_row,
-                     report_to_dict, report_to_json, xcheck, xcheck_to_dict)
-from .scene_io import _constants_in, dumps_scene, load_scene
+                     report_to_json, xcheck, xcheck_to_dict)
+from .scene_io import dumps_scene, load_scene
 from .scenes import (BUILTIN_SCENES, builtin, random_line_scene,
                      random_polynomial_scene)
-
-DEFAULT_CONSTANTS_PATH = "hololink_constants.json"
 
 
 def build_parser():
@@ -38,7 +37,7 @@ def build_parser():
                     "routes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, constants_default, constants_help):
+    def add_common(p):
         p.add_argument("--tol", type=float, default=1e-6,
                        help="quadrature tolerance (default 1e-6)")
         p.add_argument("--max-depth", type=int, default=24,
@@ -48,33 +47,24 @@ def build_parser():
                             "(default 8)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--constants", default=constants_default,
-                       help=constants_help)
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the crossing-count projection "
                             "direction (default 0)")
-        p.add_argument("--no-cn", action="store_true",
-                       help="drop the dimension constant from kernel "
-                            "prefactors")
 
     p_run = sub.add_parser("run", help="compute one method on a scene")
     p_run.add_argument("scene", help="scene JSON path or builtin:NAME")
     p_run.add_argument("method", help="method name")
-    read_help = ("constants file to read, such as one calibrate wrote; its "
-                 "kappas are used where the scene gives none (default: no "
-                 "file, the closed form)")
-    add_common(p_run, None, read_help)
+    add_common(p_run)
 
     p_x = sub.add_parser("xcheck",
                          help="cross-check all applicable methods")
     p_x.add_argument("scene", help="scene JSON path or builtin:NAME")
-    add_common(p_x, None, read_help)
+    add_common(p_x)
 
     p_cal = sub.add_parser("calibrate",
-                           help="measure and persist the line constants")
-    add_common(p_cal, DEFAULT_CONSTANTS_PATH,
-               "file to write the constants to (default "
-               "./hololink_constants.json)")
+                           help="measure the line constant and print it as "
+                                "a scene constants block")
+    add_common(p_cal)
 
     p_scene = sub.add_parser("scene", help="emit a scene as JSON")
     p_scene.add_argument("name", nargs="?", default=None,
@@ -103,34 +93,6 @@ def _config(args):
                       panel_order=args.panel_order)
 
 
-def _load_constants_file(path):
-    """The constants in the file, checked field by field as a scene's
-    constants object is; SceneInvalid naming the path when the file cannot
-    be read."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SceneInvalid("constants", f"cannot read constants file "
-                                        f"{path!r}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise SceneInvalid("constants", f"constants file {path!r} is not "
-                                        f"valid JSON: {exc}")
-    return _constants_in(data, "constants")
-
-
-def _resolve_constants(args, scene):
-    """Scene-declared constants win, then the file --constants names, which
-    is read and checked whenever it is named; compute fills any kappa still
-    missing with the closed form."""
-    named = None
-    if args.constants is not None:
-        named = _load_constants_file(args.constants)
-    if scene.constants is not None and scene.constants.kappa_line is not None:
-        return scene.constants
-    return named or scene.constants
-
-
 def _emit_report(report, fmt):
     if fmt == "csv":
         print(CSV_HEADER)
@@ -142,9 +104,7 @@ def _emit_report(report, fmt):
 def _cmd_run(args):
     scene = _load_scene_arg(args.scene)
     cfg = _config(args)
-    scene.constants = _resolve_constants(args, scene)
-    rep = compute(scene, args.method, cfg, seed=args.seed,
-                  include_cn=not args.no_cn)
+    rep = compute(scene, args.method, cfg, seed=args.seed)
     _emit_report(rep, args.format)
     if not rep.converged:
         print(f"error: {args.method} did not converge within max_depth="
@@ -155,9 +115,7 @@ def _cmd_run(args):
 
 def _cmd_xcheck(args):
     scene = _load_scene_arg(args.scene)
-    scene.constants = _resolve_constants(args, scene)
-    result = xcheck(scene, _config(args), seed=args.seed,
-                    include_cn=not args.no_cn)
+    result = xcheck(scene, _config(args), seed=args.seed)
     if args.format == "csv":
         print(CSV_HEADER)
         for rep in result.reports:
@@ -172,12 +130,7 @@ def _cmd_xcheck(args):
 
 
 def _cmd_calibrate(args):
-    consts = calibrate(_config(args), include_cn=not args.no_cn)
-    text = json.dumps(consts.to_dict(), indent=2)
-    with open(args.constants, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    print(text)
-    print(f"constants written to {args.constants}", file=sys.stderr)
+    print(json.dumps(calibrate(_config(args)).to_dict(), indent=2))
     return 0
 
 

@@ -28,10 +28,6 @@ class ParamAtPuncture(SceneError):
     pass
 
 
-class ConstantsMismatch(SceneError):
-    """Constants calibrated under another normalization than the run."""
-
-
 class NumericalError(HololinkError):
     """A computation could not produce a trustworthy value."""
 

@@ -331,27 +331,28 @@ class SurfaceCut:
 
 @dataclass(frozen=True)
 class NormalizationConstants:
-    """The line constants and, when calibrate measured them, how: with or
-    without C3 in the kernel, at which tol and truncation radius, and by
-    which hololink version. A kappa left None is filled with the closed
-    form BMContext.line_kappa when a method runs; other None fields mean
-    unrecorded."""
+    """The line constant kappa_line and, when calibrate measured it, how:
+    at which tol and truncation radius, and by which hololink version.
+    kappa_line left None is filled with the closed form BMContext.line_kappa
+    when a method runs; other None fields mean unrecorded."""
 
-    c3: float = math.pi ** 3
     kappa_line: complex = None
-    kappa_xmethod: complex = None
-    include_cn: bool = None
     tol: float = None
     truncation_radius: float = None
     version: str = None
 
-    _PROVENANCE = ("include_cn", "tol", "truncation_radius", "version")
+    _PROVENANCE = ("tol", "truncation_radius", "version")
+
+    @property
+    def kappa_xmethod(self):
+        """The scale of the raw residue route, which is kappa_line: the raw
+        residue of two unit complex lines is exactly 1."""
+        return self.kappa_line
 
     def to_dict(self):
-        def cpx(v):
-            return None if v is None else [v.real, v.imag]
-        out = {"C3": self.c3, "kappa_line": cpx(self.kappa_line),
-               "kappa_xmethod": cpx(self.kappa_xmethod)}
+        kappa = self.kappa_line
+        out = {"kappa_line": None if kappa is None
+               else [kappa.real, kappa.imag]}
         for key in self._PROVENANCE:
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
@@ -359,11 +360,9 @@ class NormalizationConstants:
 
     @classmethod
     def from_dict(cls, d):
-        def uncpx(v):
-            return None if v is None else complex(v[0], v[1])
-        return cls(c3=float(d.get("C3", math.pi ** 3)),
-                   kappa_line=uncpx(d.get("kappa_line")),
-                   kappa_xmethod=uncpx(d.get("kappa_xmethod")),
+        kappa = d.get("kappa_line")
+        return cls(kappa_line=None if kappa is None
+                   else complex(kappa[0], kappa[1]),
                    **{key: d.get(key) for key in cls._PROVENANCE})
 
 
@@ -493,10 +492,6 @@ def validate_scene(scene):
             if np.min(np.abs(scene.ambient.num(pts))) <= 1e-9:
                 raise SceneInvalid("ambient.numerator",
                                    f"volume form vanishes on curve {name!r}")
-
-    if scene.constants is not None:
-        if abs(scene.constants.c3 - math.pi ** 3) > 1e-9:
-            raise SceneInvalid("constants.C3", "must equal pi^3")
 
     if scene.atiyah is not None:
         for key in ("l", "p"):

@@ -34,30 +34,26 @@ _LEVI_CIVITA = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
 
 @dataclass(frozen=True)
 class BMContext:
-    """Normalization context for the kernel integrals.
-
-    include_cn switches the volume prefactor C3 = pi^3 of the ambient
-    dimension 3 on the pointwise kernel.
-    """
-
-    include_cn: bool = True
+    """Normalization context for the kernel integrals: the volume prefactor
+    C3 = pi^3 of the ambient dimension 3 on the pointwise kernel, and the
+    line constant it fixes."""
 
     @property
     def prefactor(self):
-        return C3 if self.include_cn else 1.0
+        return C3
 
     @property
     def line_kappa(self):
-        """The line constant in closed form, -2 pi^2 * prefactor (-2 pi^5
-        with C3): the kernel integral of two complex lines with unit forms
-        and det3(e1, e2, e3) = 1. The raw residue route gives exactly 1 on
-        such a pair, so this is kappa_xmethod too."""
+        """The line constant in closed form, -2 pi^2 * C3 = -2 pi^5: the
+        kernel integral of two complex lines with unit forms and
+        det3(e1, e2, e3) = 1. The raw residue route gives exactly 1 on such
+        a pair, so this scales the residue route too."""
         return complex(-2.0 * math.pi ** 2 * self.prefactor)
 
 
 def bm_pullback_integrand(z, dz, w, dw, ctx):
     """Pointwise kernel conj(det3(z-w, dz, dw)) / ||z-w||^6 at one pair of
-    points, times C3 when ctx.include_cn.
+    points, times ctx.prefactor.
 
     The single-pair case of _kernels.bm_grid. Raises CoincidentPoints when
     z = w.
@@ -76,7 +72,7 @@ def bm_pullback_epsilon_sum(z, dz, w, dw, ctx):
 
         sum_{ijk} eps^{ijk} conj(z_i - w_i) conj(dz_j) conj(dw_k) / ||z-w||^6
 
-    with eps^{123} = +1, times C3 when ctx.include_cn. Agrees with
+    with eps^{123} = +1, times ctx.prefactor. Agrees with
     bm_pullback_integrand to machine precision; kept as an independent
     cross-check of the production kernel's Plucker-row form.
     """
@@ -101,7 +97,7 @@ def holo_linking_integral(s1, s2, ctx, cfg):
 
     s1 and s2 are (ParamCurve, OneForm) pairs. The value is the double
     integral of the pointwise kernel times both form coefficients over the
-    two parameter domains (area measure, factor 4; C3 per ctx). Each
+    two parameter domains (area measure, factor 4; ctx.prefactor). Each
     declared pole's order comes from its form's numerator and denominator
     (residue.pole_order); one above 1 has no principal value and raises
     PVNotConverging before any kernel runs. A form with a declared simple
@@ -145,8 +141,8 @@ def line_holo_closed(e1, e2, e3, c1, c2, constants):
 
     e1, e2 are the line directions, e3 joins their base points, and c1, c2
     are the pairings of each direction with its line's one-form. kappa_line
-    comes from constants: the closed form BMContext.line_kappa unless a
-    scene or constants file gives another value.
+    comes from constants: the closed form BMContext.line_kappa unless the
+    scene's constants block gives another value.
     """
     e1 = np.asarray(e1, dtype=complex)
     e2 = np.asarray(e2, dtype=complex)

@@ -15,11 +15,9 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import __version__, scenes as _scenes
-from .errors import (CalibrationUnstable, ConstantsMismatch,
-                     MethodInapplicable, NumericalError, SceneInvalid)
+from .errors import (CalibrationUnstable, MethodInapplicable, NumericalError,
+                     SceneInvalid)
 from .gauss import (Polyline3, crossing_linking, gauss_linking,
                     line_gauss_closed)
 from .geometry import NormalizationConstants, poly_deg
@@ -90,32 +88,23 @@ def report_to_json(report):
 
 
 CSV_HEADER = ("scene_id,method,value_re,value_im,err_estimate,tail_estimate,"
-              "converged,panels_evaluated,c3,kappa_line_re,kappa_line_im,"
-              "kappa_xmethod_re,kappa_xmethod_im,tol,max_depth,panel_order,"
-              "wall_time_ms")
+              "converged,panels_evaluated,kappa_line_re,kappa_line_im,tol,"
+              "max_depth,panel_order,wall_time_ms")
 
 
 def report_to_csv_row(report):
     value = complex(report.value)
-    consts = report.constants
-
-    def cx(v):
-        if v is None:
-            return ["", ""]
-        v = complex(v)
-        return [repr(v.real), repr(v.imag)]
-
-    cells = ([report.scene_id, report.method,
-              repr(value.real), repr(value.imag),
-              repr(float(report.err_estimate)),
-              repr(float(report.tail_estimate)),
-              str(bool(report.converged)).lower(),
-              str(int(report.panels_evaluated)),
-              repr(float(consts.c3))]
-             + cx(consts.kappa_line) + cx(consts.kappa_xmethod)
-             + [repr(report.config.tol), str(report.config.max_depth),
-                str(report.config.panel_order),
-                repr(float(report.wall_time_ms))])
+    kappa = complex(report.constants.kappa_line)
+    cells = [report.scene_id, report.method,
+             repr(value.real), repr(value.imag),
+             repr(float(report.err_estimate)),
+             repr(float(report.tail_estimate)),
+             str(bool(report.converged)).lower(),
+             str(int(report.panels_evaluated)),
+             repr(kappa.real), repr(kappa.imag),
+             repr(report.config.tol), str(report.config.max_depth),
+             str(report.config.panel_order),
+             repr(float(report.wall_time_ms))]
     return ",".join(cells)
 
 
@@ -201,26 +190,16 @@ def _line_data(c1, c2):
     return p1, e1, p2, e2
 
 
-def _scene_constants(scene, ctx):
-    """The scene's constants, with the closed-form ctx.line_kappa in place
-    of each kappa it leaves None; raises ConstantsMismatch when they were
-    calibrated with the other include_cn, which would compare values a
-    factor pi^3 apart."""
+def _scene_constants(scene):
+    """The scene's constants, with the closed form BMContext.line_kappa in
+    place of a kappa_line it leaves None."""
     consts = scene.constants or NormalizationConstants()
-    if consts.include_cn is not None and consts.include_cn != ctx.include_cn:
-        raise ConstantsMismatch(
-            f"constants were calibrated with include_cn={consts.include_cn}, "
-            f"but this run uses include_cn={ctx.include_cn}; recalibrate or "
-            "match the --no-cn flag")
-    kappa = ctx.line_kappa
-    return replace(
-        consts,
-        kappa_line=kappa if consts.kappa_line is None else consts.kappa_line,
-        kappa_xmethod=(kappa if consts.kappa_xmethod is None
-                       else consts.kappa_xmethod))
+    if consts.kappa_line is not None:
+        return consts
+    return replace(consts, kappa_line=BMContext().line_kappa)
 
 
-def compute(scene, method, cfg, seed=0, include_cn=True):
+def compute(scene, method, cfg, seed=0):
     """Run one method on a scene's query pair and wrap the result."""
     if method not in METHODS:
         raise SceneInvalid("method", f"unknown method {method!r}; "
@@ -230,8 +209,8 @@ def compute(scene, method, cfg, seed=0, include_cn=True):
         raise MethodInapplicable(f"{method}: {reason}")
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
-    ctx = BMContext(include_cn=include_cn)
-    consts = _scene_constants(scene, ctx)
+    ctx = BMContext()
+    consts = _scene_constants(scene)
     t0 = time.perf_counter()
 
     value = res = None
@@ -291,29 +270,27 @@ class CrossCheck:
     failures: list
 
 
-def xcheck(scene, cfg, seed=0, include_cn=True):
+def xcheck(scene, cfg, seed=0):
     """Run every applicable method and compare all pairs.
 
     Residue values are converted to the integral normalization through
-    kappa_xmethod (the closed form unless the scene gives one) before
-    comparison. A pair passes when the difference is within three times
-    the summed error and tail estimates (plus a machine-precision floor);
-    any numerical failure is recorded and fails the check. Raises
-    ConstantsMismatch when the scene's constants were calibrated with the
-    other include_cn.
+    kappa_line, the same constant holo_closed uses (the closed form unless
+    the scene's constants block gives one), before comparison. A pair
+    passes when the difference is within three times the summed error and
+    tail estimates (plus a machine-precision floor); any numerical failure
+    is recorded and fails the check.
     """
     methods = applicable_methods(scene)
     if len(methods) < 2:
         raise MethodInapplicable(
             f"cross-check needs at least two applicable methods; scene "
             f"{scene.scene_id!r} supports {methods or 'none'}")
-    consts = _scene_constants(scene, BMContext(include_cn=include_cn))
+    consts = _scene_constants(scene)
 
     reports, failures = [], []
     for method in methods:
         try:
-            reports.append(compute(scene, method, cfg, seed=seed,
-                                   include_cn=include_cn))
+            reports.append(compute(scene, method, cfg, seed=seed))
         except NumericalError as exc:
             failures.append({"method": method,
                              "error": type(exc).__name__,
@@ -323,7 +300,7 @@ def xcheck(scene, cfg, seed=0, include_cn=True):
     for rep in reports:
         value = rep.value
         if rep.method == "residue":
-            value = value * consts.kappa_xmethod
+            value = value * consts.kappa_line
         comparable.append((rep.method, value, rep.err_estimate,
                            rep.tail_estimate, rep.converged))
 
@@ -363,19 +340,18 @@ def xcheck_to_dict(result):
 # ---------------------------------------------------------------------------
 # calibration
 
-def calibrate(cfg, include_cn=True):
-    """Measure the line constants on the reference line-pair scene.
+def calibrate(cfg):
+    """Measure the line constant on the reference line-pair scene.
 
     The library uses the closed form BMContext.line_kappa by default; this
-    measurement checks it, and its output, set as a scene's constants or
-    written to a constants file, takes precedence over it.
+    measurement checks it, and its output, pasted into a scene's constants
+    block, takes precedence over it there.
 
     kappa_line is the tail-extrapolated holomorphic linking integral of the
     reference pair scenes.l0(): one engine run over the doubled truncation
     window, so its R = 40 integrates out to 80 and the ring between 40 and
-    80 gives the tail. kappa_xmethod divides that by the same scene's raw
-    residue-route value. Raises CalibrationUnstable when the tail exceeds
-    1% of the value or the integral fails to converge. The constants record include_cn,
+    80 gives the tail. Raises CalibrationUnstable when the tail exceeds 1%
+    of the value or the integral fails to converge. The constants record
     tol, the reference pair's truncation radius and the hololink version
     they were measured with.
     """
@@ -383,8 +359,7 @@ def calibrate(cfg, include_cn=True):
     (n1, c1), (n2, c2) = _query(scene)
     radius = c1.window
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
-    ctx = BMContext(include_cn=include_cn)
-    res = holo_linking_integral((c1, f1), (c2, f2), ctx, cfg)
+    res = holo_linking_integral((c1, f1), (c2, f2), BMContext(), cfg)
     if not res.converged:
         raise CalibrationUnstable(
             f"reference integral did not converge within max_depth="
@@ -395,16 +370,6 @@ def calibrate(cfg, include_cn=True):
             f"the tail, the integral over the ring between "
             f"R={radius:g} and R={2 * radius:g}, "
             f"is {res.tail_estimate / scale:.2%} of the value (limit 1%)")
-    kappa_line = complex(res.value)
-
-    cut = scene.cut_for(n1)
-    lift = lift_theta(cut, scene.ambient, f1, c1)
-    raw = residue_linking(lift, (c2, f2), scene.ambient)
-    if abs(raw) < 1e-12:
-        raise CalibrationUnstable("reference residue value vanished")
-    kappa_xmethod = kappa_line / raw
-    return NormalizationConstants(kappa_line=kappa_line,
-                                  kappa_xmethod=kappa_xmethod,
-                                  include_cn=include_cn, tol=cfg.tol,
+    return NormalizationConstants(kappa_line=complex(res.value), tol=cfg.tol,
                                   truncation_radius=radius,
                                   version=__version__)

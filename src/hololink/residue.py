@@ -7,8 +7,8 @@ chart change for intersection points at infinity.
 
 Residue convention: res(du/u) = 1 (no 2*pi*i factor anywhere); the
 route-global constant relating this to the kernel double integral is
-kappa_xmethod, -2 pi^2 times the kernel prefactor in closed form
-(BMContext.line_kappa) unless a scene or constants file gives a value.
+kappa_line, -2 pi^5 in closed form (BMContext.line_kappa) unless the
+scene's constants block gives a value.
 """
 
 from dataclasses import dataclass

@@ -263,18 +263,15 @@ def _cut_out(cut):
 def _constants_in(value, path):
     if not isinstance(value, dict):
         raise SceneInvalid(path, "expected a constants object")
+    for key in value:
+        if key not in ("kappa_line",) + NormalizationConstants._PROVENANCE:
+            raise SceneInvalid(f"{path}.{key}", "unknown field; a constants "
+                               "block holds kappa_line, tol, "
+                               "truncation_radius and version")
     out = {}
-    if "C3" in value:
-        if not _is_number(value["C3"]):
-            raise SceneInvalid(path + ".C3", "expected a number")
-        out["C3"] = value["C3"]
-    for key in ("kappa_line", "kappa_xmethod"):
-        if value.get(key) is not None:
-            out[key] = _complex_out(_complex_in(value[key], f"{path}.{key}"))
-    if value.get("include_cn") is not None:
-        if not isinstance(value["include_cn"], bool):
-            raise SceneInvalid(path + ".include_cn", "expected true or false")
-        out["include_cn"] = value["include_cn"]
+    if value.get("kappa_line") is not None:
+        out["kappa_line"] = _complex_out(_complex_in(value["kappa_line"],
+                                                     path + ".kappa_line"))
     for key in ("tol", "truncation_radius"):
         if value.get(key) is not None:
             if not _is_number(value[key]):

@@ -229,14 +229,8 @@ def test_validate_rejects_bad_projective_block():
 # constants
 
 def test_constants_round_trip():
-    c = hl.NormalizationConstants(kappa_line=-612.0 + 1.5j,
-                                  kappa_xmethod=2.0 - 1.0j)
-    d = c.to_dict()
-    back = hl.NormalizationConstants.from_dict(d)
-    assert back.kappa_line == c.kappa_line
-    assert back.kappa_xmethod == c.kappa_xmethod
-    assert back.c3 == c.c3
-
-
-def test_constants_default_c3_is_pi_cubed():
-    assert hl.NormalizationConstants().c3 == pytest.approx(math.pi ** 3)
+    c = hl.NormalizationConstants(kappa_line=-612.0 + 1.5j, tol=1e-6,
+                                  truncation_radius=40.0, version="0.1.0")
+    back = hl.NormalizationConstants.from_dict(c.to_dict())
+    assert back == c
+    assert back.kappa_xmethod == back.kappa_line

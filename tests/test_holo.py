@@ -13,11 +13,10 @@ from hololink.residue import pole_order
 # ---------------------------------------------------------------------------
 # context
 
-def test_prefactor_toggles_dimension_constant():
-    with_cn = hl.BMContext(include_cn=True)
-    without = hl.BMContext(include_cn=False)
-    assert with_cn.prefactor / without.prefactor == pytest.approx(
-        math.pi ** 3, rel=1e-15)
+def test_prefactor_is_the_dimension_constant():
+    ctx = hl.BMContext()
+    assert ctx.prefactor == math.pi ** 3
+    assert ctx.line_kappa == complex(-2.0 * math.pi ** 5)
 
 
 # ---------------------------------------------------------------------------

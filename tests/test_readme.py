@@ -1,7 +1,8 @@
 """The README's examples run as shown: the quick-start Python block, and
 every `$ hololink ...` line of the CLI transcript with its output and exit
-status."""
+status; every flag the CLI section names exists."""
 
+import argparse
 import contextlib
 import io
 from pathlib import Path
@@ -66,3 +67,14 @@ def test_readme_cli_transcript_replays(tmp_path, capsys, monkeypatch):
         lines = (captured.out + captured.err).splitlines()
         for want in shown:
             assert want in lines, (cmd, want)
+
+
+def test_readme_cli_flags_parse():
+    section = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    accepted = {flag for parser in sub.choices.values()
+                for flag in parser._option_string_actions}
+    assert named <= accepted, sorted(named - accepted)

@@ -9,11 +9,6 @@ import hololink as hl
 from hololink import cli, report, scenes
 
 
-def _write_constants(path, constants):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(constants.to_dict(), fh)
-
-
 # ---------------------------------------------------------------------------
 # applicability
 
@@ -51,12 +46,9 @@ def test_compute_refuses_exactly_the_unlisted_methods(name):
         assert refused == (method not in listed), method
 
 
-@pytest.mark.parametrize("include_cn, kappa", [(True, -2 * math.pi ** 5),
-                                               (False, -2 * math.pi ** 2)],
-                         ids=["with_cn", "without_cn"])
-def test_closed_form_constants_by_default(fast_cfg, include_cn, kappa):
-    rep = report.compute(scenes.l0(), "holo_closed", fast_cfg,
-                         include_cn=include_cn)
+def test_closed_form_constants_by_default(fast_cfg):
+    kappa = -2 * math.pi ** 5
+    rep = report.compute(scenes.l0(), "holo_closed", fast_cfg)
     assert abs(rep.value - kappa) <= 1e-15 * abs(kappa)
     assert rep.constants.kappa_line == rep.constants.kappa_xmethod
     assert rep.constants.kappa_line == rep.value
@@ -259,13 +251,10 @@ def test_xcheck_close_pair_fails(fast_cfg):
 # calibration
 
 def test_calibration_values(constants):
-    # measured 1.7e-7 from the closed form with and without C3
-    without_cn = report.calibrate(hl.QuadConfig(tol=1e-6), include_cn=False)
-    for consts, analytic in ((constants, -2 * math.pi ** 5),
-                             (without_cn, -2 * math.pi ** 2)):
-        assert abs(consts.kappa_line - analytic) / abs(analytic) < 1e-6
-        ratio = consts.kappa_xmethod / consts.kappa_line
-        assert ratio == pytest.approx(1.0, rel=1e-10)  # reference residue is 1
+    # measured 1.7e-7 from the closed form
+    analytic = -2 * math.pi ** 5
+    assert abs(constants.kappa_line - analytic) / abs(analytic) < 1e-6
+    assert constants.kappa_xmethod == constants.kappa_line
 
 
 def test_calibration_idempotent(constants):
@@ -276,28 +265,23 @@ def test_calibration_idempotent(constants):
 
 
 def test_calibration_records_its_provenance(constants):
-    assert constants.include_cn is True
     assert constants.tol == 1e-6 and constants.truncation_radius == 40.0
     assert constants.version == hl.__version__
     back = hl.NormalizationConstants.from_dict(constants.to_dict())
     assert back == constants
 
 
-def test_constants_from_the_other_normalization_are_rejected(constants,
-                                                              fast_cfg):
-    # calibrated with C3, run without it: the routes would differ by pi^3
+def test_one_pinned_constant_scales_both_closed_form_routes():
+    # holo_closed and the residue route share kappa_line: pinning it moves
+    # both, so they still agree to rounding
     scene = scenes.l0()
-    scene.constants = constants
-    with pytest.raises(hl.ConstantsMismatch):
-        report.xcheck(scene, fast_cfg, include_cn=False)
-    with pytest.raises(hl.ConstantsMismatch):
-        report.compute(scene, "holo_closed", fast_cfg, include_cn=False)
-    # constants without provenance load and run as before
-    scene.constants = hl.NormalizationConstants.from_dict(
-        {"C3": constants.c3, "kappa_line": [constants.kappa_line.real,
-                                            constants.kappa_line.imag]})
-    assert scene.constants.include_cn is None
-    report.compute(scene, "holo_closed", fast_cfg, include_cn=False)
+    scene.constants = hl.NormalizationConstants(
+        kappa_line=complex(-2 * math.pi ** 5 * (1 + 1e-3)))
+    result = report.xcheck(scene, hl.QuadConfig(tol=1e-4))
+    check, = [c for c in result.checks
+              if c["methods"] == ["holo_closed", "residue"]]
+    assert check["pass"]
+    assert check["diff"] <= 1e-9 * abs(scene.constants.kappa_line)
 
 
 def test_calibration_unstable_at_low_depth():
@@ -331,25 +315,19 @@ def test_cli_scene_emit_and_run(tmp_path, capsys):
     assert data["method"] == "gauss_crossing"
 
 
-def test_cli_run_csv_format(tmp_path, capsys, constants):
-    cpath = tmp_path / "c.json"
-    _write_constants(cpath, constants)
+def test_cli_run_csv_format(capsys):
     code, out, _ = _run(["run", "builtin:skew_lines", "gauss_closed",
-                         "--format", "csv", "--constants", str(cpath)],
-                        capsys)
+                         "--format", "csv"], capsys)
     assert code == 0
     header, row = out.strip().splitlines()
     assert header == report.CSV_HEADER
     assert row.startswith("skew_lines,gauss_closed,0.5,")
 
 
-def test_cli_run_deterministic(tmp_path, capsys, constants):
-    cpath = tmp_path / "c.json"
-    _write_constants(cpath, constants)
+def test_cli_run_deterministic(capsys):
     outs = []
     for _ in range(2):
-        code, out, _ = _run(["run", "builtin:L0", "holo_closed",
-                             "--constants", str(cpath)], capsys)
+        code, out, _ = _run(["run", "builtin:L0", "holo_closed"], capsys)
         assert code == 0
         data = json.loads(out)
         data.pop("wall_time_ms")
@@ -383,10 +361,12 @@ def test_cli_bad_scene_exits_2(tmp_path, capsys):
     ('{"include_cn": "false"}', "constants.include_cn:"),
 ])
 def test_cli_bad_constants_file_exits_2(tmp_path, capsys, text, field):
-    cpath = tmp_path / "c.json"
-    cpath.write_text(text)
-    code, _, err = _run(["run", "builtin:hopf", "gauss_crossing",
-                         "--constants", str(cpath)], capsys)
+    # a scene file whose constants block is malformed
+    data = json.loads(hl.dumps_scene(scenes.hopf()))
+    data["constants"] = json.loads(text)
+    spath = tmp_path / "bad_constants.json"
+    spath.write_text(json.dumps(data))
+    code, _, err = _run(["run", str(spath), "gauss_crossing"], capsys)
     assert code == 2
     assert "SceneInvalid" in err and field in err
 
@@ -395,16 +375,6 @@ def test_cli_unknown_builtin_exits_2(capsys):
     code, _, err = _run(["run", "builtin:nope", "residue"], capsys)
     assert code == 2
     assert "nope" in err
-
-
-def test_cli_no_cn_with_calibrated_constants_exits_2(tmp_path, capsys,
-                                                     constants):
-    cpath = tmp_path / "c.json"
-    _write_constants(cpath, constants)
-    code, _, err = _run(["run", "builtin:L0", "holo_closed", "--no-cn",
-                         "--constants", str(cpath)], capsys)
-    assert code == 2
-    assert "ConstantsMismatch" in err
 
 
 def test_cli_double_pole_exits_3(capsys):
@@ -439,22 +409,29 @@ def test_cli_xcheck_hopf_passes(capsys):
     assert [r.split(",")[1] for r in rows] == data["methods"]
 
 
-def test_cli_calibrate_writes_file(tmp_path, capsys):
-    cpath = tmp_path / "written.json"
-    code, out, err = _run(["calibrate", "--constants", str(cpath)], capsys)
+def test_cli_calibrate_prints_a_scene_constants_block(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(["calibrate"], capsys)
     assert code == 0
-    data = json.loads(cpath.read_text())
-    assert data["kappa_line"][0] == pytest.approx(-2 * math.pi ** 5, rel=1e-2)
-    assert json.loads(out)["kappa_line"] == data["kappa_line"]
+    assert err == ""
+    assert list(tmp_path.iterdir()) == []
+    block = json.loads(out)
+    assert block["kappa_line"][0] == pytest.approx(-2 * math.pi ** 5,
+                                                   rel=1e-2)
+    data = json.loads(hl.dumps_scene(scenes.l0()))
+    data["constants"] = block
+    scene = hl.loads_scene(json.dumps(data))
+    assert scene.constants.to_dict() == block
 
 
-def test_cli_calibrate_unstable_exits_3(tmp_path, capsys):
-    cpath = tmp_path / "never.json"
-    code, _, err = _run(["calibrate", "--max-depth", "2",
-                         "--constants", str(cpath)], capsys)
+def test_cli_calibrate_unstable_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(["calibrate", "--max-depth", "2"], capsys)
     assert code == 3
+    assert out == ""
     assert "CalibrationUnstable" in err
-    assert not cpath.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_run_without_constants_uses_closed_form(tmp_path, capsys,
@@ -469,28 +446,26 @@ def test_cli_run_without_constants_uses_closed_form(tmp_path, capsys,
     assert abs(complex(*value) - analytic) <= 1e-15 * abs(analytic)
 
 
-def test_cli_scene_constants_beat_file(tmp_path, capsys):
-    # a scene pinning kappa_line explicitly is computed with that value
+def test_cli_scene_constants_beat_file(tmp_path, capsys, monkeypatch):
+    # a scene pinning kappa_line explicitly is computed with that value; a
+    # constants file beside it is never read
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "hololink_constants.json").write_text(
+        json.dumps(hl.NormalizationConstants(kappa_line=1.0 + 0j).to_dict()))
     scene = scenes.l0()
-    scene.constants = hl.NormalizationConstants(kappa_line=-100.0 + 0j,
-                                                kappa_xmethod=-100.0 + 0j)
-    spath = tmp_path / "pinned.json"
-    hl.save_scene(scene, spath)
-    cpath = tmp_path / "c.json"
-    _write_constants(cpath, hl.NormalizationConstants(kappa_line=1.0 + 0j))
-    code, out, _ = _run(["run", str(spath), "holo_closed",
-                         "--constants", str(cpath)], capsys)
+    scene.constants = hl.NormalizationConstants(kappa_line=-100.0 + 0j)
+    hl.save_scene(scene, tmp_path / "pinned.json")
+    code, out, _ = _run(["run", "pinned.json", "holo_closed"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == [-100.0, 0.0]
 
 
 def test_cli_reads_no_constants_file_it_is_not_given(tmp_path, capsys,
                                                      monkeypatch):
-    # a stale file where calibrate writes by default is not read
+    # a stale constants file in the working directory is not read
     monkeypatch.chdir(tmp_path)
-    _write_constants(tmp_path / cli.DEFAULT_CONSTANTS_PATH,
-                     hl.NormalizationConstants(kappa_line=1.0 + 0j,
-                                               kappa_xmethod=1.0 + 0j))
+    (tmp_path / "hololink_constants.json").write_text(
+        json.dumps(hl.NormalizationConstants(kappa_line=1.0 + 0j).to_dict()))
     code, out, _ = _run(["run", "builtin:L0", "holo_closed"], capsys)
     assert code == 0
     value = complex(*json.loads(out)["value"])
@@ -499,17 +474,17 @@ def test_cli_reads_no_constants_file_it_is_not_given(tmp_path, capsys,
     code, _, err = _run(["xcheck", "builtin:L0", "--tol", "1e-4"], capsys)
     assert code == 0
     assert "xcheck L0: PASS" in err.splitlines()
-    # named, the same file is read
-    code, out, _ = _run(["run", "builtin:L0", "holo_closed", "--constants",
-                         cli.DEFAULT_CONSTANTS_PATH], capsys)
-    assert code == 0
-    assert json.loads(out)["value"] == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("command", [["run", "builtin:L0", "holo_closed"],
-                                     ["xcheck", "builtin:hopf"]])
-def test_cli_named_constants_file_must_exist(tmp_path, capsys, command):
-    missing = tmp_path / "missing.json"
-    code, _, err = _run(command + ["--constants", str(missing)], capsys)
-    assert code == 2
-    assert "SceneInvalid" in err and str(missing) in err
+@pytest.mark.parametrize("command", [
+    ["run", "builtin:L0", "holo_closed", "--constants", "c.json"],
+    ["xcheck", "builtin:hopf", "--constants", "c.json"],
+    ["calibrate", "--constants", "c.json"],
+    ["run", "builtin:L0", "holo_closed", "--no-cn"],
+], ids=["run-constants", "xcheck-constants", "calibrate-constants",
+        "run-no-cn"])
+def test_cli_removed_flags_are_usage_errors(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

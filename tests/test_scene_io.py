@@ -163,25 +163,36 @@ def test_projective_block_round_trip():
 
 def test_constants_block_round_trip():
     scene = scenes.l0()
-    scene.constants = hl.NormalizationConstants(kappa_line=-612.5 + 0.25j,
-                                                kappa_xmethod=-612.5 - 1j)
+    scene.constants = hl.NormalizationConstants(kappa_line=-612.5 + 0.25j)
     back = hl.loads_scene(hl.dumps_scene(scene), scene_id="x")
     assert back.constants.kappa_line == -612.5 + 0.25j
-    assert back.constants.kappa_xmethod == -612.5 - 1j
+    assert back.constants.kappa_xmethod == -612.5 + 0.25j
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kapa_line", [1.0, 0.0]),            # a typo must not fall back silently
+    ("kappa_xmethod", [1.0, 0.0]),
+    ("include_cn", True),
+    ("C3", 31.00627668029982),
+])
+def test_constants_block_rejects_unknown_fields(key, value):
+    data = _base_dict()
+    data["constants"] = {key: value}
+    _expect_path(data, f"constants.{key}")
 
 
 def test_constants_provenance_round_trip():
     scene = scenes.l0()
     scene.constants = hl.NormalizationConstants(
-        kappa_line=-612.5 + 0.25j, include_cn=False, tol=1e-6,
-        truncation_radius=40.0, version="0.1.0")
+        kappa_line=-612.5 + 0.25j, tol=1e-6, truncation_radius=40.0,
+        version="0.1.0")
     back = hl.loads_scene(hl.dumps_scene(scene), scene_id="x")
     assert back.constants == scene.constants
     data = hl.scene_to_dict(scene)
-    data["constants"]["include_cn"] = "no"
+    data["constants"]["tol"] = "1e-6"
     with pytest.raises(SceneInvalid) as exc:
         hl.loads_scene(json.dumps(data), scene_id="x")
-    assert exc.value.path == "constants.include_cn"
+    assert exc.value.path == "constants.tol"
     data = hl.scene_to_dict(scene)
     data["constants"]["version"] = 0.1
     with pytest.raises(SceneInvalid) as exc:
