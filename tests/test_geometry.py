@@ -234,3 +234,11 @@ def test_constants_round_trip():
     back = hl.NormalizationConstants.from_dict(c.to_dict())
     assert back == c
     assert back.kappa_xmethod == back.kappa_line
+
+
+def test_constants_default_c3_is_pi_cubed():
+    # An unpinned kappa_line falls back to the closed form, which carries C3.
+    assert hl.NormalizationConstants().kappa_line is None
+    assert hl.C3 == pytest.approx(math.pi ** 3)
+    assert hl.BMContext().line_kappa == pytest.approx(
+        -2.0 * math.pi ** 2 * hl.C3)

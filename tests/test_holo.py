@@ -19,6 +19,15 @@ def test_prefactor_is_the_dimension_constant():
     assert ctx.line_kappa == complex(-2.0 * math.pi ** 5)
 
 
+def test_prefactor_toggles_dimension_constant():
+    z, dz, w, dw = _random_pair(np.random.default_rng(3))
+    bare = complex(_kernels.bm_grid(*(a.reshape(1, 3)
+                                      for a in (z, dz, w, dw)))[0, 0])
+    ctx = hl.BMContext()
+    assert hl.bm_pullback_integrand(z, dz, w, dw, ctx) / bare == pytest.approx(
+        math.pi ** 3, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # kernel: determinant form vs epsilon expansion
 
