@@ -17,9 +17,10 @@ so the rows are [dx_i, m_x_i] on the left and [m_y_j, dy_j] on the right
 eps (|x-o| + |y-o|) |dx| |dy|: against the kernel's scale
 |dx| |dy| / ||x-y||^2 that is eps |x-o| / ||x-y||. The complex kernels
 centre both clouds at c (the mean of their two means), which keeps that
-ratio near panel extent / gap. gauss_grid takes moments about any shared
-origin, so a caller can form them once per refinement round and pass
-them in.
+ratio near panel extent / gap. gauss_grid takes the rows themselves,
+built by gauss_rows about any origin shared by both clouds, so the Gauss
+route forms every node's row once per refinement round, on its curve
+side, and each kernel call only slices them.
 
 ||x-y||^2 is summed from direct coordinate differences. The expansion
 ||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
@@ -47,18 +48,15 @@ HAS_NUMBA = False
 FOUR_PI = 4.0 * np.pi
 
 
-def gauss_grid(x, dx, y, dy, mx=None, my=None):
+def gauss_grid(x, rows_x, y, rows_y):
     """Gauss linking integrand det3(y-x, dx, dy) / (4 pi |x-y|^3) on the
     grid of all (i, j) pairs. The y-x ordering is the library's linking
     orientation (standard skew lines -> +1/2, standard Hopf pair -> +1).
 
-    mx, my are the moments (x-o) x dx and (y-o) x dy about one origin o
-    shared by both clouds; without them they are taken about the centre
-    c = (mean x + mean y) / 2."""
-    if mx is None or my is None:
-        c = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-        mx, my = _cross(x - c, dx), _cross(y - c, dy)
-    det = np.concatenate([dx, mx], axis=1) @ np.concatenate([my, dy], axis=1).T
+    rows_x (n, 6) and rows_y (m, 6) are the Plucker rows of the clouds,
+    [dx | mx] and [my | dy], from gauss_rows about one origin shared by
+    both clouds."""
+    det = rows_x @ rows_y.T
     d = x[:, None, :] - y[None, :, :]
     d *= d
     n2 = d[..., 0] + d[..., 1]
@@ -68,6 +66,14 @@ def gauss_grid(x, dx, y, dy, mx=None, my=None):
     den *= -FOUR_PI
     det /= den
     return det
+
+
+def gauss_rows(p, dp, origin, first):
+    """gauss_grid's Plucker rows of nodes p (n, 3) with velocities dp: the
+    moment m = (p - origin) x dp beside dp, as [dp | m] for the first
+    cloud and [m | dp] for the second."""
+    m = _cross(p - origin, dp)
+    return np.concatenate([dp, m] if first else [m, dp], axis=1)
 
 
 def _cross(a, b):
@@ -147,23 +153,32 @@ def clink_grid(z, dz, w, dw):
 
 
 def min_dist(a, b):
-    """Minimum pairwise euclidean distance between point clouds (n,k), (m,k),
-    over blocks of rows of a: each block holds about 32k point pairs (one
-    row of a when b is larger), not n*m. The squared distances are summed
-    one coordinate at a time, in coordinate order."""
-    step = max(1, 32768 // max(len(b), 1))
-    best = np.inf
-    for i in range(0, len(a), step):
-        rows = a[i:i + step]
-        n2 = np.subtract(rows[:, 0, None], b[None, :, 0])
-        n2 *= n2
-        d = np.empty_like(n2)
-        for k in range(1, a.shape[1]):
-            np.subtract(rows[:, k, None], b[None, :, k], out=d)
-            d *= d
-            n2 += d
-        best = min(best, n2.min())
-    return float(np.sqrt(best))
+    """Per panel, the minimum pairwise euclidean distance between stacked
+    point clouds a (P, n, k) and b (P, m, k), as a (P,) array.
+
+    Works in blocks of about 32k point pairs, not P*n*m: whole panels
+    while one panel's pairs fit, else blocks of one panel's rows of a (one
+    row when b is larger). The squared distances are summed one coordinate
+    at a time, in coordinate order, so each panel's minimum does not depend
+    on the blocks or on the other panels."""
+    count, n, k = a.shape
+    rows = max(1, 32768 // max(b.shape[1], 1))
+    panels = max(1, rows // max(n, 1))
+    best = np.full(count, np.inf)
+    for p in range(0, count, panels):
+        bp = b[p:p + panels, None, :, :]
+        for i in range(0, n, rows):
+            ap = a[p:p + panels, i:i + rows, None, :]
+            n2 = np.subtract(ap[..., 0], bp[..., 0])
+            n2 *= n2
+            d = np.empty_like(n2)
+            for c in range(1, k):
+                np.subtract(ap[..., c], bp[..., c], out=d)
+                d *= d
+                n2 += d
+            np.minimum(best[p:p + panels], n2.min(axis=(1, 2)),
+                       out=best[p:p + panels])
+    return np.sqrt(best)
 
 
 def crossing_sum(p1, d1, p2, d2):

@@ -37,7 +37,7 @@ def build_parser():
                     "routes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_quadrature(p):
         p.add_argument("--tol", type=float, default=1e-6,
                        help="quadrature tolerance (default 1e-6)")
         p.add_argument("--max-depth", type=int, default=24,
@@ -45,6 +45,9 @@ def build_parser():
         p.add_argument("--panel-order", type=int, default=8,
                        help="Gauss-Legendre points per panel axis "
                             "(default 8)")
+
+    def add_common(p):
+        add_quadrature(p)
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
         p.add_argument("--seed", type=int, default=0,
@@ -64,7 +67,7 @@ def build_parser():
     p_cal = sub.add_parser("calibrate",
                            help="measure the line constant and print it as "
                                 "a scene constants block")
-    add_common(p_cal)
+    add_quadrature(p_cal)
 
     p_scene = sub.add_parser("scene", help="emit a scene as JSON")
     p_scene.add_argument("name", nargs="?", default=None,

@@ -8,10 +8,11 @@ in the opposite (x-y) ordering, which is the form the pointwise examples
 pin down.
 
 The integral route evaluates that kernel as a product of Plucker rows
-[dx, m_x] and [m_y, dy]. Each curve side returns the moments
-m = (p - o) x dp of its nodes about one origin o shared by both curves (the
-mean of their generic points), so the moments of a whole refinement round
-come with the side call that evaluates the round's nodes.
+[dx | m_x] and [m_y | dy], with the moments m = (p - o) x dp taken about
+one origin o shared by both curves (the mean of their generic points).
+Each curve side forms the rows of its nodes, so the rows of a whole
+refinement round come with the one side call that evaluates the round's
+nodes, and each per-panel kernel call only slices them.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,10 @@ def gauss_integrand(x, dx, y, dy):
     r = x - y
     if np.sum(r * r) < 1e-28:
         raise CoincidentPoints("gauss_integrand evaluated at x = y")
-    return -float(_kernels.gauss_grid(x, dx, y, dy)[0, 0])
+    centre = 0.5 * (x + y)
+    return -float(_kernels.gauss_grid(
+        x, _kernels.gauss_rows(x, dx, centre, True),
+        y, _kernels.gauss_rows(y, dy, centre, False))[0, 0])
 
 
 def _real_points(curve, params):
@@ -50,20 +54,21 @@ def _real_points(curve, params):
     return pts, vel
 
 
-def _plucker_side(curve, origin):
-    """The curve's side for the Gauss kernel: points, velocities and their
-    moments about the shared origin, formed once per call for every node
-    of a refinement round."""
+def _plucker_side(curve, origin, first):
+    """The curve's side for the Gauss kernel: points and their Plucker rows
+    about the shared origin, [dx | m] for the first curve and [m | dy] for
+    the second, formed once per call for every node of a refinement
+    round."""
     def side(params):
         pts, vel = _real_points(curve, params)
-        return pts, vel, _kernels._cross(pts - origin, vel)
+        return pts, _kernels.gauss_rows(pts, vel, origin, first)
     return side
 
 
-def _gauss_kernel(wa, x, dx, mx, wb, y, dy, my):
+def _gauss_kernel(wa, x, rows_x, wb, y, rows_y):
     # looked up at call time, so a wrapper installed on the module sees
     # every kernel call
-    return wa @ _kernels.gauss_grid(x, dx, y, dy, mx, my) @ wb
+    return wa @ _kernels.gauss_grid(x, rows_x, y, rows_y) @ wb
 
 
 def _gauss_domain(curve):
@@ -94,8 +99,8 @@ def gauss_linking(curve1, curve2, cfg):
 
     return integrate_product(
         _gauss_kernel, dom1, dom2, cfg,
-        side_a=_plucker_side(curve1, origin),
-        side_b=_plucker_side(curve2, origin),
+        side_a=_plucker_side(curve1, origin, True),
+        side_b=_plucker_side(curve2, origin, False),
         decay_order=1)
 
 

@@ -19,11 +19,13 @@ extends the same deterministic refinement sequence.
 A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. Each refinement round evaluates
 all pending panels at once: one call of each side per rule, one per side
-for the split-axis samples and one per side for the proximity samples. The
-integrand then runs once per panel: it receives each side's
+for the split-axis samples and one per side for the proximity samples,
+whose distances are one stacked _kernels.min_dist call for the round. The
+integrand call is the only per-panel work: it receives each side's
 jacobian-folded weights before that side's arrays and returns the
 weighted panel sum, so it can contract its values however is cheapest.
-The round's panel sums are checked for finiteness together. Panel results
+Errors, covering radii and flags are array operations over the round, and
+the round's panel sums are checked for finiteness together. Panel results
 are reduced by a fixed pairwise tree over geometrically sorted panels, so
 values do not depend on how a round is batched. Everything runs on one
 thread.
@@ -302,9 +304,12 @@ class _Engine:
     """One adaptive integration over dom_a (x dom_b), a round at a time.
 
     Each round evaluates every pending panel with one call of each side per
-    rule; the integrand then runs once per panel, on that panel's weights
-    and arrays, and returns the panel's weighted sum. The split-axis and
-    proximity samples of a round likewise take one call per side.
+    rule; the integrand then runs once per panel, on that panel's slices of
+    the round's weights and arrays, and returns the panel's weighted sum.
+    That call is the only per-panel work. The split-axis and proximity
+    samples of a round likewise take one call per side, the proximity
+    distances one stacked min_dist call, and the errors and flags are
+    array operations.
     """
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
@@ -353,11 +358,12 @@ class _Engine:
         rules = [self._rule(s, lo, hi, order) for s in range(len(self.doms))]
         blocks = [(wgts, *self._eval_side(s, params))
                   for s, (params, wgts) in enumerate(rules)]
+        stacked = [a for blk in blocks for a in blk]
         out = np.empty(len(lo), dtype=complex)
         # one errstate for the round; an overflow or NaN shows in out below
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(lo)):
-                out[i] = self.f(*[a[i] for blk in blocks for a in blk])
+            for i, args in enumerate(zip(*stacked)):
+                out[i] = self.f(*args)
             for i in np.flatnonzero(~np.isfinite(out))[:1]:
                 self._raise_nonfinite(rules, blocks, i, lo[i], hi[i])
         return out
@@ -422,12 +428,12 @@ class _Engine:
             pieces.append(self._sample_pieces(self._points(s, params), m,
                                               len(grid)))
         (pts_a, cover_a), (pts_b, cover_b) = pieces
-        dists = [_kernels.min_dist(a, b) for a, b in zip(pts_a, pts_b)]
-        close = [d for d in dists if d < _MIN_DIST]
-        if close:
+        dists = _kernels.min_dist(pts_a, pts_b)
+        close = dists[dists < _MIN_DIST]
+        if close.size:
             raise CurvesTooClose(f"minimum sampled curve distance "
-                                 f"{min(close):.3e} < {_MIN_DIST:.0e}")
-        return [d <= ca + cb for d, ca, cb in zip(dists, cover_a, cover_b)]
+                                 f"{close.min():.3e} < {_MIN_DIST:.0e}")
+        return dists <= cover_a + cover_b
 
     @staticmethod
     def _sample_pieces(pts, m, k):
@@ -439,7 +445,7 @@ class _Engine:
         gaps = np.stack([np.linalg.norm(np.diff(block, axis=1 + a), axis=-1)
                          .reshape(count, -1).max(axis=1) for a in range(k)],
                         axis=1)
-        cover = [0.5 * math.hypot(*g) for g in gaps.tolist()]
+        cover = 0.5 * np.hypot.reduce(gaps, axis=1)
         return np.ascontiguousarray(pts, dtype=np.float64), cover
 
     # -- main loop ---------------------------------------------------------
@@ -456,8 +462,9 @@ class _Engine:
             pending.unresolved[check] = self._unresolved(lo[check], hi[check])
         coarse = self._values(lo, hi, self.cfg.panel_order)
         value = self._values(lo, hi, 2 * self.cfg.panel_order)
-        err = np.array([abs(v - c) for v, c in zip(value.tolist(),
-                                                   coarse.tolist())])
+        diff = value - coarse
+        # the bits of abs(complex), which np.abs does not always give
+        err = np.hypot(diff.real, diff.imag)
         return pending._replace(value=value, err=err)
 
     def _halves(self, panels):

@@ -210,7 +210,8 @@ def random_line_scene(seed, radius=DEFAULT_RADIUS):
             constants=NormalizationConstants())
         pts1 = curve1.eval_batch(curve1.sample_params(256))[0]
         pts2 = curve2.eval_batch(curve2.sample_params(256))[0]
-        if _kernels.min_dist(realify(pts1), realify(pts2)) < 1e-2:
+        if _kernels.min_dist(realify(pts1)[None],
+                             realify(pts2)[None])[0] < 1e-2:
             continue
         return validate_scene(scene)
     raise RuntimeError(f"no valid random line scene for seed {seed}")

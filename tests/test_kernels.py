@@ -25,11 +25,20 @@ def _gauss_oracle(x, dx, y, dy):
     return det / (4 * np.pi * n ** 3)
 
 
+def _gauss_grid(x, dx, y, dy, origin=None):
+    """gauss_grid on the Plucker rows of both clouds about origin, by
+    default the centre (mean x + mean y) / 2."""
+    if origin is None:
+        origin = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
+    return _kernels.gauss_grid(x, _kernels.gauss_rows(x, dx, origin, True),
+                               y, _kernels.gauss_rows(y, dy, origin, False))
+
+
 def test_gauss_grid_matches_direct_formula(rng):
     x, dx = _random_cloud(rng, 7)
     y, dy = _random_cloud(rng, 9)
     y += 5.0
-    got = _kernels.gauss_grid(x, dx, y, dy)
+    got = _gauss_grid(x, dx, y, dy)
     assert np.max(np.abs(got - _gauss_oracle(x, dx, y, dy))) < 1e-13
 
 
@@ -71,8 +80,7 @@ def test_gauss_grid_moment_error_bounded_by_lever_over_gap(seed, gap, offset):
     direction = np.random.default_rng(seed + 100).normal(size=3)
     origin = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
     origin = origin + offset * direction / np.linalg.norm(direction)
-    got = _kernels.gauss_grid(x, dx, y, dy, np.cross(x - origin, dx),
-                              np.cross(y - origin, dy))
+    got = _gauss_grid(x, dx, y, dy, origin)
     err = np.abs(got - _gauss_oracle(x, dx, y, dy))
     assert np.all(err <= 8 * _moment_bound(x, dx, y, dy, origin))
 
@@ -81,11 +89,10 @@ def test_gauss_grid_moments_about_any_origin_match_centred_call(rng):
     x, dx = _random_cloud(rng, 9)
     y, dy = _random_cloud(rng, 11)
     y += 3.0
-    centred = _kernels.gauss_grid(x, dx, y, dy)
+    centred = _gauss_grid(x, dx, y, dy)
     centre = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
     for origin in (np.zeros(3), centre, rng.normal(size=3) * 50.0):
-        got = _kernels.gauss_grid(x, dx, y, dy, np.cross(x - origin, dx),
-                                  np.cross(y - origin, dy))
+        got = _gauss_grid(x, dx, y, dy, origin)
         bound = _moment_bound(x, dx, y, dy, origin, centre)
         assert np.all(np.abs(got - centred) <= 8 * bound)
 
@@ -124,18 +131,37 @@ def test_clink_grid_matches_direct_formula(rng):
     assert np.max(np.abs(got - _clink_oracle(z, dz, w, dw))) < 1e-12
 
 
+def _min_dist_oracle(a, b):
+    """Per panel minimum of the pairwise distances, (P,)."""
+    return np.linalg.norm(a[:, :, None] - b[:, None, :], axis=-1).min(
+        axis=(1, 2))
+
+
 def test_min_dist_matches_broadcast(rng):
-    a = rng.normal(size=(40, 3))
-    b = rng.normal(size=(30, 3)) + 2.0
-    oracle = float(np.min(np.linalg.norm(a[:, None] - b[None, :], axis=-1)))
-    assert _kernels.min_dist(a, b) == pytest.approx(oracle, rel=1e-14)
+    a = rng.normal(size=(1, 40, 3))
+    b = rng.normal(size=(1, 30, 3)) + 2.0
+    got = _kernels.min_dist(a, b)
+    assert got.shape == (1,)
+    assert got == pytest.approx(_min_dist_oracle(a, b), rel=1e-14)
     # 400 x 300 pairs span four row blocks of a; the closest pair is in
     # the last one
-    a = rng.normal(size=(400, 6)) + 3.0
-    b = rng.normal(size=(300, 6)) - 3.0
-    a[-1] = b[7] + 1e-3
-    oracle = float(np.min(np.linalg.norm(a[:, None] - b[None, :], axis=-1)))
-    assert _kernels.min_dist(a, b) == pytest.approx(oracle, rel=1e-14)
+    a = rng.normal(size=(3, 400, 6)) + 3.0
+    b = rng.normal(size=(3, 300, 6)) - 3.0
+    a[:, -1] = b[:, 7] + 1e-3
+    got = _kernels.min_dist(a, b)
+    assert got == pytest.approx(_min_dist_oracle(a, b), rel=1e-14)
+    for p in range(3):
+        assert got[p] == _kernels.min_dist(a[p:p + 1], b[p:p + 1])[0]
+    # 70 panels of 40 x 30 pairs span three blocks of 27 panels; the
+    # closest pair of all is in the last panel of the last block
+    a = rng.normal(size=(70, 40, 3)) + 2.0
+    b = rng.normal(size=(70, 30, 3)) - 2.0
+    a[-1, -1] = b[-1, 5] + 1e-6
+    got = _kernels.min_dist(a, b)
+    assert np.argmin(got) == 69
+    assert got == pytest.approx(_min_dist_oracle(a, b), rel=1e-14)
+    for p in range(70):
+        assert got[p] == _kernels.min_dist(a[p:p + 1], b[p:p + 1])[0]
 
 
 def _l0_disk_nodes(radius, gap, offset):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hololink as hl
-from hololink import report, scenes
+from hololink import _kernels, report, scenes
 from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
                                  integrate_curve, integrate_product,
                                  integrate_pv, pairwise_tree_sum)
@@ -382,6 +382,47 @@ def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
     assert len(calls) <= 8 * rounds + 4
     # one call per panel and rule would be four per panel
     assert len(calls) < res.panels_evaluated
+
+
+def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
+    calls = []
+    raw = _kernels.min_dist
+
+    def counted(a, b):
+        calls.append(len(a))
+        return raw(a, b)
+
+    monkeypatch.setattr(_kernels, "min_dist", counted)
+    res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
+    assert res.converged and abs(res.value - 1.0) < 1e-6
+    # one stacked call per round that still has unresolved panels
+    assert 1 <= len(calls) <= len(res.trace.panels_per_round)
+    assert sum(calls) < res.panels_evaluated
+
+
+# Value and err_estimate of three runs, recorded with numpy 2.4.6 and its
+# bundled OpenBLAS on x86-64 and compared with ==, so that a reordered sum
+# anywhere in the engine or the kernels fails here, although it passes
+# every tolerance check. Another BLAS may round the kernels' matrix
+# products differently; the values are then re-recorded, not loosened.
+@pytest.mark.parametrize("run, value, err, panels", [
+    ("near_torus", 0.9999999999760902 + 0j, 7.81117584649766e-07, 4877),
+    ("l0", -612.0392650614846 + 0j, 7.819034489028875e-05, 64),
+    ("pv_lines", 90.09324355768979 + 81.90294869011304j,
+     0.0030019436582759793, 316),
+], ids=["near_torus", "l0", "pv_lines"])
+def test_recorded_values_are_bit_identical(run, value, err, panels):
+    if run == "near_torus":
+        res = hl.gauss_linking(*_torus_pair(0.006), hl.QuadConfig(tol=1e-6))
+    elif run == "l0":
+        res = report.compute(scenes.l0(), "holo_integral",
+                             hl.QuadConfig(tol=1e-6))
+    else:
+        res = report.compute(scenes.pv_lines(), "holo_pv",
+                             hl.QuadConfig(tol=1e-4))
+    assert res.panels_evaluated == panels
+    assert complex(res.value) == value
+    assert res.err_estimate == err
 
 
 def test_l0_panel_count_is_pinned():

@@ -481,8 +481,12 @@ def test_cli_reads_no_constants_file_it_is_not_given(tmp_path, capsys,
     ["xcheck", "builtin:hopf", "--constants", "c.json"],
     ["calibrate", "--constants", "c.json"],
     ["run", "builtin:L0", "holo_closed", "--no-cn"],
+    # calibrate prints a constants block: it has no report format and no
+    # crossing route to seed
+    ["calibrate", "--format", "csv"],
+    ["calibrate", "--seed", "1"],
 ], ids=["run-constants", "xcheck-constants", "calibrate-constants",
-        "run-no-cn"])
+        "run-no-cn", "calibrate-format", "calibrate-seed"])
 def test_cli_removed_flags_are_usage_errors(capsys, command):
     with pytest.raises(SystemExit) as exc:
         cli.main(command)

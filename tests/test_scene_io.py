@@ -125,7 +125,7 @@ def test_nonpositive_disk_radius_rejected(radius):
      "forms.theta1.coeff.numerator[0].coeff"),
     (("ambient", "numerator", 0, "exponents"), [False, False, False],
      "ambient.numerator[0].exponents"),
-    (("constants", "C3"), True, "constants.C3"),
+    (("constants", "truncation_radius"), True, "constants.truncation_radius"),
     (("constants", "kappa_line"), True, "constants.kappa_line"),
     (("constants", "tol"), True, "constants.tol"),
 ])
