@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from numpy.polynomial.polyutils import trimseq
 
 from .errors import ParamAtPuncture, ParamOutOfDomain, SceneInvalid
 
@@ -50,7 +51,9 @@ def realify(points):
 
 def poly_trim(c, tol=0.0):
     c = np.atleast_1d(np.asarray(c, dtype=complex))
-    scale = np.max(np.abs(c)) if c.size else 0.0
+    if c.size <= 1 or (tol == 0.0 and c[-1] != 0):
+        return c  # nothing to trim, whatever the scale
+    scale = np.max(np.abs(c))
     keep = c.size
     while keep > 1 and abs(c[keep - 1]) <= tol * scale:
         keep -= 1
@@ -64,9 +67,44 @@ def poly_deg(c):
     return c.size - 1
 
 
+# The three operations below give the bits of numpy.polynomial.polynomial's
+# polymul, polyadd and polypow without their per-call series checks: the
+# same np.convolve calls on the same operands, trailing zeros trimmed where
+# numpy trims them. Composition with a curve is built from them.
+
+def poly_mul(a, b):
+    """a * b: np.convolve(a, b) of both without trailing zeros, trimmed."""
+    return trimseq(np.convolve(trimseq(a), trimseq(b)))
+
+
+def poly_add(a, b):
+    """a + b: the shorter added into a copy of the longer, trimmed."""
+    a, b = trimseq(a), trimseq(b)
+    if a.size > b.size:
+        a, b = b, a
+    out = np.array(b, dtype=complex)
+    out[:a.size] += a
+    return trimseq(out)
+
+
+def poly_powers(c, n):
+    """[c**0, c**1, ..., c**n]: each power np.convolve(previous power, c),
+    the chain polypow(c, n) runs, so power k has the bits of polypow(c, k)."""
+    c = trimseq(np.asarray(c, dtype=complex))
+    powers = [np.ones(1, dtype=complex), c]
+    for _ in range(2, n + 1):
+        powers.append(np.convolve(powers[-1], c))
+    return powers[:n + 1]
+
+
 @dataclass(frozen=True)
 class Poly3:
-    """Polynomial in (z1, z2, z3): exponent rows (m, 3) and coefficients (m,)."""
+    """Polynomial in (z1, z2, z3): exponent rows (m, 3) and coefficients (m,).
+
+    The partial derivatives that grad() returns are computed once per
+    object and cached on it. The cache is not a field, so ==, repr and the
+    scene JSON ignore it.
+    """
 
     exponents: np.ndarray
     coeffs: np.ndarray
@@ -94,6 +132,10 @@ class Poly3:
 
     def grad(self):
         """Tuple of three Poly3 partial derivatives."""
+        return self._partials
+
+    @cached_property
+    def _partials(self):
         out = []
         for axis in range(3):
             exps = self.exponents.copy()
@@ -104,14 +146,20 @@ class Poly3:
 
     def compose_curve(self, components):
         """Compose with a polynomial curve: returns ascending coefficients
-        of self(gamma(t)) for gamma given by three coefficient arrays."""
+        of self(gamma(t)) for gamma given by three coefficient arrays.
+
+        Term by term in row order, each term is [coeff] times the powers
+        of the components in axis order (poly_mul), and the terms are
+        summed with poly_add; each component's powers are built once."""
+        powers = [poly_powers(comp, int(k))
+                  for comp, k in zip(components, self.exponents.max(axis=0))]
         total = np.zeros(1, dtype=complex)
         for exp_row, c in zip(self.exponents, self.coeffs):
             term = np.array([c], dtype=complex)
-            for comp, k in zip(components, exp_row):
+            for power, k in zip(powers, exp_row):
                 if k:
-                    term = P.polymul(term, P.polypow(np.asarray(comp, dtype=complex), int(k)))
-            total = P.polyadd(total, term)
+                    term = poly_mul(term, power[k])
+            total = poly_add(total, term)
         return poly_trim(total, tol=1e-15)
 
     def scale(self):
@@ -130,6 +178,13 @@ class ParamCurve:
 
     kind = "complex_affine": three ascending complex coefficient arrays over
     a disk (truncation radius) or rectangle domain in the parameter plane.
+
+    A complex curve caches, once per object, its degree and two (deg + 1, 3)
+    coefficient matrices: the components, zero-padded to one length, and
+    their derivatives. eval_batch evaluates each matrix with one Horner
+    pass; zero padding can change the sign of a zero, but no other bit of
+    what each component's own Horner pass gives. The cache is not a field,
+    so ==, repr and the scene JSON ignore it.
     """
 
     kind: str
@@ -182,15 +237,21 @@ class ParamCurve:
             pts = self.const + cos @ self.cos_rows + sin @ self.sin_rows
             vel = TWO_PI * ((-sin * k) @ self.cos_rows + (cos * k) @ self.sin_rows)
             return pts, vel
-        pts = np.stack([P.polyval(params, c) for c in self.components], axis=-1)
-        vel = np.stack([P.polyval(params, c) for c in self._velocity_components],
-                       axis=-1)
-        return np.asarray(pts, dtype=complex), np.asarray(vel, dtype=complex)
+        # tensor=False with a trailing parameter axis: (..., 3), C-ordered
+        column = params[..., None]
+        return (P.polyval(column, self._coefficients, tensor=False),
+                P.polyval(column, self._velocity_coefficients, tensor=False))
 
     @cached_property
-    def _velocity_components(self):
-        # computed once per curve; not a field, so eq, repr and JSON ignore it
-        return tuple(P.polyder(c) for c in self.components)
+    def _coefficients(self):
+        out = np.zeros((max(c.size for c in self.components), 3), dtype=complex)
+        for axis, c in enumerate(self.components):
+            out[:c.size, axis] = c
+        return out
+
+    @cached_property
+    def _velocity_coefficients(self):
+        return P.polyder(self._coefficients)
 
     def in_domain(self, param):
         if self.kind == "real_closed":
@@ -205,7 +266,7 @@ class ParamCurve:
 
     # -- structure ---------------------------------------------------------
 
-    @property
+    @cached_property
     def degree(self):
         if self.kind != "complex_affine":
             return None
@@ -427,9 +488,14 @@ def validate_scene(scene):
                 raise SceneInvalid(path + ".map", "constant parametrization (degree < 1)")
             if curve.domain[0] not in ("disk", "rect"):
                 raise SceneInvalid(path + ".domain", f"unknown domain {curve.domain[0]!r}")
-            if curve.domain[0] == "disk" and not curve.domain[1] > 0:
-                raise SceneInvalid(path + ".domain.radius", "radius must be positive")
+            if curve.domain[0] == "disk" and not 0 < curve.domain[1] < math.inf:
+                raise SceneInvalid(path + ".domain.radius",
+                                   "radius must be positive and finite")
         _, pts, vel = _curve_samples(curve)
+        # a NaN passes every comparison below, so it is caught here
+        if not (np.isfinite(pts).all() and np.isfinite(vel).all()):
+            raise SceneInvalid(path + ".map",
+                               "non-finite position or velocity on the sampled domain")
         speed = np.linalg.norm(realify(vel), axis=-1)
         scale = max(float(np.max(np.abs(realify(pts)))), 1.0)
         if np.min(speed) <= 1e-9 * scale:

@@ -19,7 +19,8 @@ from numpy.polynomial import polynomial as P
 from .errors import (DependentGradients, IdenticallyZero, LinesIntersect,
                      MultiplierNotPolynomial, NonGenericHyperplanes,
                      NonSimpleRoot, PoleCollision)
-from .geometry import Poly3, det3, poly_deg, poly_trim
+from .geometry import (Poly3, det3, poly_add, poly_deg, poly_mul, poly_powers,
+                       poly_trim)
 
 RESIDUAL_TOL = 1e-10     # |F(root)| relative to max coefficient magnitude
 DERIVATIVE_TOL = 1e-8    # |F'(root)| relative to the same scale
@@ -72,14 +73,17 @@ class PolyMultiplier:
         return P.polyval(s, self.coeffs)
 
     def compose_curve(self, components):
-        """Ascending coefficients of M(gamma(t)) for a polynomial curve."""
+        """Ascending coefficients of M(gamma(t)) for a polynomial curve:
+        s(t) = b + a . gamma(t) summed in axis order, then the terms
+        ck * s(t)**k in k order, each power scaled elementwise (its bits
+        differ from a convolution with [ck]), summed with poly_add."""
         s_of_t = np.array([self.b], dtype=complex)
         for ai, comp in zip(self.a, components):
-            s_of_t = P.polyadd(s_of_t, ai * np.asarray(comp, dtype=complex))
+            s_of_t = poly_add(s_of_t, ai * np.asarray(comp, dtype=complex))
         total = np.zeros(1, dtype=complex)
-        for k, ck in enumerate(self.coeffs):
+        for ck, power in zip(self.coeffs, poly_powers(s_of_t, self.coeffs.size - 1)):
             if ck != 0.0:
-                total = P.polyadd(total, ck * P.polypow(s_of_t, k))
+                total = poly_add(total, ck * power)
         return poly_trim(total, tol=0.0)
 
 
@@ -305,15 +309,13 @@ def compose_restriction(lift, curve2, theta2, eta):
     base/eta factors are left out when base is eta, where their ratio is 1.
     """
     comps = curve2.components
-    num = P.polymul(np.asarray(theta2.num, dtype=complex),
-                    lift.multiplier.compose_curve(comps))
-    rest = P.polymul(np.asarray(theta2.den, dtype=complex),
-                     lift.f2.compose_curve(comps))
+    num = poly_mul(theta2.num, lift.multiplier.compose_curve(comps))
+    rest = poly_mul(theta2.den, lift.f2.compose_curve(comps))
     if lift.base is not eta:
-        num = P.polymul(num, P.polymul(lift.base.num.compose_curve(comps),
-                                       eta.den.compose_curve(comps)))
-        rest = P.polymul(rest, P.polymul(lift.base.den.compose_curve(comps),
-                                         eta.num.compose_curve(comps)))
+        num = poly_mul(num, poly_mul(lift.base.num.compose_curve(comps),
+                                     eta.den.compose_curve(comps)))
+        rest = poly_mul(rest, poly_mul(lift.base.den.compose_curve(comps),
+                                       eta.num.compose_curve(comps)))
     return poly_trim(num), lift.f1.compose_curve(comps), poly_trim(rest)
 
 

@@ -10,6 +10,7 @@ of the offending field.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -20,9 +21,15 @@ from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
 
 
 def _is_number(value):
-    """A JSON number: int or float, but not a bool, which Python counts
-    as an int."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: int or float, but not a bool, which Python
+    counts as an int, nor the NaN and +-Infinity that json.loads accepts,
+    nor an int beyond the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _complex_in(value, path):

@@ -2,17 +2,38 @@ from dataclasses import replace
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hololink as hl
 from hololink.errors import SceneInvalid
-from hololink.geometry import poly_deg, poly_trim
+from hololink.geometry import (poly_add, poly_deg, poly_mul, poly_powers,
+                               poly_trim)
+from hololink.residue import PolyMultiplier
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(finite, finite, finite)
+# complex coefficients, zero in a part or as a whole about a third of the time
+part = st.one_of(st.just(0.0), finite, finite)
+coeff = st.builds(complex, part, part)
+series = st.lists(coeff, min_size=1, max_size=5).map(
+    lambda c: np.array(c, dtype=complex))
+curve_components = st.tuples(series, series, series)
+params = st.lists(coeff, min_size=1, max_size=8).map(
+    lambda c: np.array(c, dtype=complex))
+
+
+@st.composite
+def poly3_with_repeats(draw):
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3),
+                         min_size=1, max_size=5))
+    rows = rows + [rows[draw(st.integers(0, len(rows) - 1))]]
+    coeffs = draw(st.lists(coeff, min_size=len(rows), max_size=len(rows)))
+    return hl.Poly3(np.array(rows, dtype=np.int64),
+                    np.array(coeffs, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +99,89 @@ def test_poly3_compose_curve_matches_pointwise():
         direct = p(z)
         composed = np.polyval(coeffs[::-1], t)
         assert composed == pytest.approx(direct, rel=1e-12)
+
+
+# The numpy.polynomial formulas that the curve evaluation and composition
+# replaced, kept as references: the replacements give == values.
+
+def _reference_eval_batch(components, t):
+    pts = np.stack([P.polyval(t, c) for c in components], axis=-1)
+    vel = np.stack([P.polyval(t, P.polyder(c)) for c in components], axis=-1)
+    return pts, vel
+
+
+def _reference_poly3_compose(poly, components):
+    total = np.zeros(1, dtype=complex)
+    for exp_row, c in zip(poly.exponents, poly.coeffs):
+        term = np.array([c], dtype=complex)
+        for comp, k in zip(components, exp_row):
+            if k:
+                term = P.polymul(term, P.polypow(np.asarray(comp, dtype=complex),
+                                                 int(k)))
+        total = P.polyadd(total, term)
+    return poly_trim(total, tol=1e-15)
+
+
+def _reference_multiplier_compose(mult, components):
+    s_of_t = np.array([mult.b], dtype=complex)
+    for ai, comp in zip(mult.a, components):
+        s_of_t = P.polyadd(s_of_t, ai * np.asarray(comp, dtype=complex))
+    total = np.zeros(1, dtype=complex)
+    for k, ck in enumerate(mult.coeffs):
+        if ck != 0.0:
+            total = P.polyadd(total, ck * P.polypow(s_of_t, k))
+    return poly_trim(total, tol=0.0)
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_components, params)
+def test_eval_batch_equals_per_component_polyval(components, t):
+    curve = hl.ParamCurve.complex_affine(components)
+    pts, vel = curve.eval_batch(t)
+    ref_pts, ref_vel = _reference_eval_batch(curve.components, t)
+    assert _same(pts, ref_pts) and _same(vel, ref_vel)
+    real_pts, real_vel = curve.eval_batch(t.real)
+    ref_pts, ref_vel = _reference_eval_batch(curve.components, t.real)
+    assert _same(real_pts, ref_pts) and _same(real_vel, ref_vel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series, series, st.integers(0, 4))
+def test_series_operations_equal_numpy_polynomial(a, b, n):
+    assert _same(poly_mul(a, b), P.polymul(a, b))
+    assert _same(poly_add(a, b), P.polyadd(a, b))
+    for k, power in enumerate(poly_powers(a, n)):
+        assert _same(power, P.polypow(a, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly3_with_repeats(), curve_components)
+def test_poly3_compose_equals_numpy_polynomial_chain(poly, components):
+    assert _same(poly.compose_curve(components),
+                 _reference_poly3_compose(poly, components))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series, st.tuples(coeff, coeff, coeff), coeff, curve_components)
+def test_multiplier_compose_equals_numpy_polynomial_chain(coeffs, a, b,
+                                                          components):
+    mult = PolyMultiplier(coeffs, np.array(a), b)
+    assert _same(mult.compose_curve(components),
+                 _reference_multiplier_compose(mult, components))
+
+
+def test_cached_derived_data_stays_out_of_repr_and_json():
+    scene = _valid_scene()
+    curve, poly = scene.curves["c1"], scene.cuts["cut1"].f1
+    texts = repr(curve), repr(poly), hl.dumps_scene(scene)
+    curve.eval_batch(np.array([0.5j]))
+    assert curve.degree == 1 and curve.is_line
+    assert poly.grad() is poly.grad()
+    assert (repr(curve), repr(poly), hl.dumps_scene(scene)) == texts
 
 
 def test_poly_trim_and_degree():
@@ -188,6 +292,29 @@ def test_validate_rejects_zero_disk_radius():
     with pytest.raises(SceneInvalid) as exc:
         hl.validate_scene(scene)
     assert exc.value.path == "curves.c1.domain.radius"
+
+
+@pytest.mark.parametrize("radius", [math.inf, math.nan])
+def test_validate_rejects_non_finite_disk_radius(radius):
+    scene = _valid_scene()
+    scene.curves["c1"] = replace(scene.curves["c1"], domain=("disk", radius))
+    with pytest.raises(SceneInvalid) as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "curves.c1.domain.radius"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hl.ParamCurve.line((0, 0, 1), (0, math.nan, 0)),
+    lambda: hl.ParamCurve.real_closed((0, 0, math.inf), [[1, 0, 0]], [[0, 1, 0]]),
+    lambda: hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, math.nan, 0]]),
+], ids=["nan-direction", "infinite-real-loop", "nan-real-loop"])
+def test_validate_rejects_non_finite_samples(make):
+    # at a NaN velocity the vanishing-velocity comparison is False
+    scene = _valid_scene()
+    scene.curves["c2"] = make()
+    with pytest.raises(SceneInvalid, match="non-finite") as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "curves.c2.map"
 
 
 def test_validate_rejects_unknown_form_curve():

@@ -425,6 +425,39 @@ def test_recorded_values_are_bit_identical(run, value, err, panels):
     assert res.err_estimate == err
 
 
+# Values of the routes that run no quadrature, recorded and compared like
+# the ones above (numpy 2.4.6, bundled OpenBLAS, x86-64), so that a
+# reordered product or sum in curve evaluation, composition or the residue
+# trace fails here. On another BLAS the values are re-recorded, not
+# loosened.
+FAST_ROUTE_VALUES = [
+    ("L0", "residue", 0.9999999999999998 + 0j),
+    ("L0", "holo_closed", -612.0393695705628 + 0j),
+    ("random_line_0", "residue", 0.3349063026275431 + 0.9686239744050446j),
+    ("random_line_0", "holo_closed", -204.9758423253698 - 592.8360066457966j),
+    ("random_line_1", "residue", 0.7777235033528133 - 1.3557522955926946j),
+    ("random_line_1", "holo_closed", -475.9974026922655 + 829.7737802883969j),
+    ("random_line_2", "residue", 2.4167826931622574 + 10.185707987242406j),
+    ("random_line_2", "holo_closed", -1479.1661559120807 - 6234.054295141697j),
+    ("random_line_3", "residue", 0.9421092180040548 - 1.3314461947976552j),
+    ("random_line_3", "holo_closed", -576.6079318538173 + 814.8974896810811j),
+    ("random_line_4", "residue", 1.8728812942035595 + 0.9262149198773844j),
+    ("random_line_4", "holo_closed", -1146.277086584847 - 566.879995648604j),
+    ("skew_lines", "gauss_closed", 0.5 + 0j),
+]
+
+
+@pytest.mark.parametrize("name, method, value", FAST_ROUTE_VALUES,
+                         ids=[f"{n}-{m}" for n, m, _ in FAST_ROUTE_VALUES])
+def test_fast_route_values_are_bit_identical(name, method, value):
+    if name.startswith("random_line_"):
+        scene = scenes.random_line_scene(int(name.rsplit("_", 1)[1]))
+    else:
+        scene = scenes.builtin(name)
+    rep = report.compute(scene, method, hl.QuadConfig())
+    assert complex(rep.value) == value
+
+
 def test_l0_panel_count_is_pinned():
     rep = report.compute(scenes.l0(), "holo_integral", hl.QuadConfig(tol=1e-6))
     assert rep.panels_evaluated == 64

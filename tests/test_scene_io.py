@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,11 @@ def test_nonpositive_disk_radius_rejected(radius):
 ])
 def test_booleans_are_not_numbers(keys, value, path):
     # JSON true and false are Python bools, which isinstance counts as ints
+    _expect_rejected_at(keys, value, path)
+
+
+def _expect_rejected_at(keys, value, path):
+    """L0's JSON with the field at keys set to value fails at exactly path."""
     data = _base_dict()
     target = data
     for key in keys[:-1]:
@@ -139,6 +145,34 @@ def test_booleans_are_not_numbers(keys, value, path):
     with pytest.raises(SceneInvalid) as exc:
         hl.loads_scene(json.dumps(data), scene_id="x")
     assert exc.value.path == path
+
+
+C2_DIRECTION = ("curves", "c2", "map", "components", 1, 1, "coeff")
+
+
+@pytest.mark.parametrize("keys, value, path", [
+    (C2_DIRECTION, [math.nan, 0.0], "curves.c2.map.components[1][1].coeff"),
+    (C2_DIRECTION, -math.inf, "curves.c2.map.components[1][1].coeff"),
+    (("curves", "c1", "domain", "radius"), math.inf, "curves.c1.domain.radius"),
+    (("curves", "c1", "domain", "radius"), 10 ** 400,
+     "curves.c1.domain.radius"),
+    (("curves", "c1", "domain"), {"type": "rect", "re": [-math.inf, 1.0],
+                                  "im": [-1.0, 1.0]}, "curves.c1.domain.re"),
+    (("curves", "c1", "marked_points"), [[0.5, math.nan]],
+     "curves.c1.marked_points[0]"),
+    (("forms", "theta1", "coeff", "numerator", 0, "coeff"), math.nan,
+     "forms.theta1.coeff.numerator[0].coeff"),
+    (("ambient", "numerator", 0, "coeff"), [math.inf, 0.0],
+     "ambient.numerator[0].coeff"),
+    (("constants", "kappa_line"), [math.nan, 0.0], "constants.kappa_line"),
+    (("constants", "tol"), math.nan, "constants.tol"),
+], ids=["c2-direction-nan", "c2-direction-minus-inf", "radius-inf",
+        "radius-int-overflow", "rect-inf", "marked-point-nan",
+        "form-nan", "ambient-inf", "kappa-line-nan", "tol-nan"])
+def test_non_finite_numbers_are_rejected(keys, value, path):
+    # json.loads reads the NaN, Infinity and -Infinity literals as floats,
+    # and a NaN passes every comparison that would otherwise reject it
+    _expect_rejected_at(keys, value, path)
 
 
 def test_cut_missing_first_surface_rejected():
