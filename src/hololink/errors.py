@@ -71,7 +71,8 @@ class DependentGradients(NumericalError):
 
 
 class MultiplierNotPolynomial(NumericalError):
-    pass
+    """theta1 over the iterated residue at M = 1 leaves a remainder in C[t],
+    or is not constant on a curve with no coordinate affine in t."""
 
 
 class PoleCollision(NumericalError):

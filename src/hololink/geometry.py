@@ -200,6 +200,8 @@ class ParamCurve:
         const = np.asarray(const, dtype=float).reshape(3)
         cos_rows = np.asarray(cos_rows, dtype=float).reshape(-1, 3)
         sin_rows = np.asarray(sin_rows, dtype=float).reshape(-1, 3)
+        if not all(np.isfinite(a).all() for a in (const, cos_rows, sin_rows)):
+            raise ValueError("real_closed curve coefficients must be finite")
         k = max(cos_rows.shape[0], sin_rows.shape[0])
         cos_rows = np.vstack([cos_rows, np.zeros((k - cos_rows.shape[0], 3))])
         sin_rows = np.vstack([sin_rows, np.zeros((k - sin_rows.shape[0], 3))])
@@ -210,11 +212,14 @@ class ParamCurve:
     @classmethod
     def complex_affine(cls, components, domain=("disk", DEFAULT_RADIUS),
                        marked_points=()):
-        comps = tuple(poly_trim(np.atleast_1d(np.asarray(c, dtype=complex)))
+        comps = tuple(np.atleast_1d(np.asarray(c, dtype=complex))
                       for c in components)
         if len(comps) != 3:
             raise ValueError("complex_affine curve needs three components")
-        return cls(kind="complex_affine", components=comps, domain=tuple(domain),
+        if not all(np.isfinite(c).all() for c in comps):
+            raise ValueError("complex_affine curve coefficients must be finite")
+        return cls(kind="complex_affine", components=tuple(map(poly_trim, comps)),
+                   domain=tuple(domain),
                    marked_points=tuple(complex(p) for p in marked_points))
 
     @classmethod
@@ -285,10 +290,7 @@ class ParamCurve:
         """(base point, direction) for a degree-1 curve."""
         if not self.is_line:
             raise ValueError("not a line")
-        p0 = np.array([c[0] for c in self.components], dtype=complex)
-        e = np.array([c[1] if c.size > 1 else 0.0 for c in self.components],
-                     dtype=complex)
-        return p0, e
+        return self._coefficients[0].copy(), self._coefficients[1].copy()
 
     @property
     def is_real_line(self):

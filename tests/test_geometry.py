@@ -303,18 +303,40 @@ def test_validate_rejects_non_finite_disk_radius(radius):
     assert exc.value.path == "curves.c1.domain.radius"
 
 
+_LINE = hl.ParamCurve.line((0, 0, 1), (0, 1, 0))
+_LOOP = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+
+
 @pytest.mark.parametrize("make", [
-    lambda: hl.ParamCurve.line((0, 0, 1), (0, math.nan, 0)),
-    lambda: hl.ParamCurve.real_closed((0, 0, math.inf), [[1, 0, 0]], [[0, 1, 0]]),
-    lambda: hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, math.nan, 0]]),
+    lambda: replace(_LINE, components=(np.zeros(1, complex),
+                                       np.array([0, math.nan], complex),
+                                       np.ones(1, complex))),
+    lambda: replace(_LOOP, const=np.array([0, 0, math.inf])),
+    lambda: replace(_LOOP, sin_rows=np.array([[0, math.nan, 0]])),
 ], ids=["nan-direction", "infinite-real-loop", "nan-real-loop"])
 def test_validate_rejects_non_finite_samples(make):
-    # at a NaN velocity the vanishing-velocity comparison is False
+    # at a NaN velocity the vanishing-velocity comparison is False; the
+    # constructors refuse these coefficients, so the curves are built past
+    # them with dataclasses.replace
     scene = _valid_scene()
     scene.curves["c2"] = make()
     with pytest.raises(SceneInvalid, match="non-finite") as exc:
         hl.validate_scene(scene)
     assert exc.value.path == "curves.c2.map"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hl.ParamCurve.line((0, 0, math.inf), (0, 1, 0)),
+    lambda: hl.ParamCurve.line((0, 0, 1), (0, -math.inf, 0)),
+    lambda: hl.ParamCurve.complex_affine(
+        (np.array([0.0, 1.0]), np.array([complex(1.0, math.nan)]), np.array([0.0]))),
+    lambda: hl.ParamCurve.real_closed((0, 0, math.inf), [[1, 0, 0]], [[0, 1, 0]]),
+    lambda: hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, math.nan, 0]]),
+], ids=["inf-point", "minus-inf-direction", "nan-component", "inf-real-const",
+        "nan-real-row"])
+def test_curve_constructors_reject_non_finite_coefficients(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
 
 
 def test_validate_rejects_unknown_form_curve():

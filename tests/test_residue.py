@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -132,11 +134,76 @@ def test_dependent_cut_gradients_rejected():
                       sc.forms["theta1"], sc.curves["c1"])
 
 
+def test_lift_rejects_a_volume_form_vanishing_on_the_curve():
+    # z2 vanishes on all of c1 = (s, 0, 0): the residue at M = 1 is 0
+    sc = _l0_pieces()
+    ambient = hl.AmbientForm(_poly(((0, 1, 0), 1.0)))
+    with pytest.raises(hl.IdenticallyZero):
+        hl.lift_theta(sc.cuts["cut1"], ambient, sc.forms["theta1"],
+                      sc.curves["c1"])
+
+
 def test_lift_rejects_rational_ratio():
     sc = _l0_pieces()
     theta = hl.OneForm("c1", np.array([1.0]), np.array([-5.0, 1.0]), (5.0,))
     with pytest.raises(hl.MultiplierNotPolynomial):
         hl.lift_theta(sc.cuts["cut1"], sc.ambient, theta, sc.curves["c1"])
+
+
+def _parabola_lift(theta1):
+    # c1 = (t, 0.3 t^2, 0) cut by z2 - 0.3 z1^2 and z3
+    c1 = hl.ParamCurve.complex_affine(
+        (np.array([0.0, 1.0]), np.array([0.0, 0.0, 0.3]), np.array([0.0])))
+    cut = hl.SurfaceCut(_poly(((0, 1, 0), 1.0), ((2, 0, 0), -0.3)),
+                        _poly(((0, 0, 1), 1.0)), "c1")
+    return hl.lift_theta(cut, hl.AmbientForm.standard(),
+                         hl.OneForm("c1", np.asarray(theta1)), c1)
+
+
+def test_parabola_lift_pins_the_multiplier_to_z1():
+    # theta1 = 1 + 0.5 t lifts to M = 1 + 0.5 z1: z1 is the parabola's
+    # coordinate affine in t
+    lift = _parabola_lift([1.0, 0.5])
+    pts = np.array([[2.0, 0.0, 0.0], [-0.5j, 3.0, 1.0], [1 + 1j, -2j, 4.0]])
+    assert lift.multiplier(pts) == pytest.approx(1.0 + 0.5 * pts[:, 0],
+                                                 rel=1e-15)
+
+
+def test_lift_needs_a_coordinate_affine_in_t():
+    # on c1 = (t + t^2, t^2, 0), cut by z2 - (z1 - z2)^2 and z3, only the
+    # constant z3 is affine in t: theta1 = 1 + 0.5 t has nothing to pin to
+    c1 = hl.ParamCurve.complex_affine(
+        (np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]), np.array([0.0])))
+    cut = hl.SurfaceCut(_poly(((0, 1, 0), 1.0), ((2, 0, 0), -1.0),
+                              ((1, 1, 0), 2.0), ((0, 2, 0), -1.0)),
+                        _poly(((0, 0, 1), 1.0)), "c1")
+    ambient = hl.AmbientForm.standard()
+    lift = hl.lift_theta(cut, ambient, hl.OneForm("c1", np.array([2.0])), c1)
+    assert lift.multiplier.degree == 0
+    with pytest.raises(hl.MultiplierNotPolynomial):
+        hl.lift_theta(cut, ambient, hl.OneForm("c1", np.array([1.0, 0.5])), c1)
+
+
+def test_closed_form_residue_matches_the_pseudo_inverse_definition(
+        tangent_cut_scene):
+    # the iterated residue's coefficient is M * ratio * det3(u1, u2, gamma')
+    # for (u1, u2) with grad f_i . u_j = delta_ij, here the pseudo-inverse
+    # of the stacked gradients
+    cases = [scenes.random_line_scene(seed) for seed in range(50)]
+    cases.append(tangent_cut_scene(0.0))
+    for sc in cases:
+        cut, c1 = sc.cuts["cut1"], sc.curves["c1"]
+        lift = hl.lift_theta(cut, sc.ambient, sc.forms["theta1"], c1)
+        params, coeffs = hl.double_leray_residue(lift, c1)
+        pts, vel = c1.eval_batch(params)
+        grads = np.stack([np.stack([g(pts) for g in f.grad()], axis=-1)
+                          for f in (cut.f1, cut.f2)], axis=-2)
+        u = np.linalg.pinv(grads)
+        oracle = (lift.multiplier(pts) * sc.ambient.ratio_batch(pts)
+                  * hl.det3(u[..., 0], u[..., 1], vel))
+        assert np.max(np.abs(coeffs - oracle) / np.abs(oracle)) <= 1e-14
+        theta = sc.forms["theta1"].coeff_batch(params)
+        assert np.max(np.abs(coeffs - theta) / np.abs(theta)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +307,33 @@ def test_curved_pair_matches_symbolic_residue_sum():
     assert abs(value - complex(exact)) <= 1e-13 * abs(complex(exact))
 
 
+def test_parabola_pair_matches_symbolic_residue_sum():
+    import sympy
+
+    s = sympy.symbols("s")
+    half, tenth = sympy.Rational(1, 2), sympy.Rational(1, 10)
+    p = (2 * tenth + tenth * sympy.I, -3 * tenth + 2 * tenth * sympy.I,
+         11 * tenth - 2 * tenth * sympy.I)
+    e = (3 * tenth - 2 * tenth * sympy.I, 1 + tenth * sympy.I,
+         4 * tenth + 3 * tenth * sympy.I)
+    z1, z2, z3 = (p[i] + s * e[i] for i in range(3))
+    # M(c2) theta2 / (f1(c2) f2(c2)) with M = 1 + z1 / 2, theta2 = 1: the
+    # residues at the roots of f1(c2) sum to minus those at the root of
+    # f2(c2) and at infinity
+    expr = (1 + half * z1) / ((z2 - 3 * tenth * z1 ** 2) * z3)
+    root = sympy.solve(z3, s)[0]
+    u = sympy.symbols("u")
+    exact = -sympy.simplify(sympy.residue(expr, s, root)
+                            + sympy.residue(expr.subs(s, 1 / u) / u ** 2, u, 0))
+
+    c2 = hl.ParamCurve.line((0.2 + 0.1j, -0.3 + 0.2j, 1.1 - 0.2j),
+                            (0.3 - 0.2j, 1 + 0.1j, 0.4 + 0.3j))
+    lift = _parabola_lift([1.0, 0.5])
+    value = hl.residue_linking(lift, (c2, hl.OneForm("c2", np.array([1.0]))),
+                               hl.AmbientForm.standard())
+    assert abs(value - complex(exact)) <= 1e-13 * abs(complex(exact))
+
+
 def test_curve_inside_the_cut_surface_is_identically_zero():
     sc = _l0_pieces()
     # z1 vanishes on all of c2 = (0, t, 1)
@@ -265,6 +359,52 @@ def test_near_collision_gives_the_per_root_value():
     per_root = complex(sc.forms["theta2"].coeff_batch(np.array([0.0]))[0]) \
         / f2_at_root
     assert abs(value - per_root) <= 1e-9 * abs(per_root)
+
+
+def _gauss(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _div(a, b):
+    size = b[0] ** 2 + b[1] ** 2
+    num = _mul(a, (b[0], -b[1]))
+    return num[0] / size, num[1] / size
+
+
+def _exact_line_residue(sc):
+    """g1 g2 / det3(e1, e2, p2 - p1) over the Gaussian rationals, on the
+    scene's float data, rounded once."""
+    (p1, e1), (p2, e2) = sc.curves["c1"].line_frame(), sc.curves["c2"].line_frame()
+    e1, e2 = [_gauss(v) for v in e1], [_gauss(v) for v in e2]
+    e3 = [_sub(_gauss(b), _gauss(a)) for a, b in zip(p1, p2)]
+    det = (0, 0)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        term = _mul(e1[i], _sub(_mul(e2[j], e3[k]), _mul(e2[k], e3[j])))
+        det = (det[0] + term[0], det[1] + term[1])
+    value = _div((Fraction(1), Fraction(0)), det)
+    for name in ("theta1", "theta2"):
+        form = sc.forms[name]
+        value = _mul(value, _div(_gauss(form.num[0]), _gauss(form.den[0])))
+    return complex(float(value[0]), float(value[1]))
+
+
+def test_line_residue_matches_the_exact_rational_value():
+    # residue algebra holds over any field: the float route is within a few
+    # roundings of the exact value on its own float inputs
+    for seed in range(60):
+        sc = scenes.random_line_scene(seed)
+        value = hl.compute(sc, "residue", hl.QuadConfig()).value
+        exact = _exact_line_residue(sc)
+        assert abs(value - exact) <= 1.5e-15 * abs(exact)
 
 
 def test_residue_route_finds_no_roots(monkeypatch):
