@@ -24,7 +24,7 @@ from .geometry import (AmbientForm, NormalizationConstants, OneForm,
                        validate_scene)
 from .holo import (C3, BMContext, bm_pullback_epsilon_sum,
                    bm_pullback_integrand, bm_reproduce,
-                   complex_linking_number, holo_linking_integral,
+                   complex_linking_number, holo_line, holo_linking_integral,
                    line_holo_closed)
 from .quadrature import (QuadConfig, QuadResult, QuadTrace, domain_for_curve,
                          integrate_curve, integrate_product, integrate_pv)

@@ -136,12 +136,17 @@ class Poly3:
 
     @cached_property
     def _partials(self):
+        """Each partial keeps only the terms that contain its variable, so
+        compose_curve multiplies no zero term; one with none is the zero
+        polynomial of from_terms([])."""
         out = []
         for axis in range(3):
-            exps = self.exponents.copy()
-            cs = self.coeffs * exps[:, axis]
-            exps[:, axis] = np.maximum(exps[:, axis] - 1, 0)
-            out.append(Poly3(exps, cs))
+            rows = self.exponents[:, axis] > 0
+            exps = self.exponents[rows]
+            cs = self.coeffs[rows] * exps[:, axis]
+            exps[:, axis] -= 1
+            out.append(Poly3(exps, cs) if rows.any()
+                       else Poly3.from_terms([]))
         return tuple(out)
 
     def compose_curve(self, components):
@@ -395,9 +400,12 @@ class SurfaceCut:
 @dataclass(frozen=True)
 class NormalizationConstants:
     """The line constant kappa_line and, when calibrate measured it, how:
-    at which tol and truncation radius, and by which hololink version.
-    kappa_line left None is filled with the closed form BMContext.line_kappa
-    when a method runs; other None fields mean unrecorded."""
+    at which tol and by which hololink version. calibrate integrates the
+    whole lines through no window, so it leaves truncation_radius None; the
+    field keeps the window that older blocks, measured on a truncated
+    window, record. kappa_line left None is filled with the closed form
+    BMContext.line_kappa when a method runs; other None fields mean
+    unrecorded."""
 
     kappa_line: complex = None
     tol: float = None

@@ -1,6 +1,7 @@
 """Holomorphic linking in C^3: the kernel double integral over a pair of
-complex curves, the closed form for complex lines, the theta-independent
-complex linking number, and the sphere reproducing-property check.
+complex curves, the whole-plane route for a curve against a complex line,
+the closed form for complex lines, the theta-independent complex linking
+number, and the sphere reproducing-property check.
 
 Measure convention: a complex parameter t = x + iy integrates against the
 real area element dA = dx dy. Pulling the kernel 4-form back through two
@@ -15,18 +16,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 
-from . import _kernels
-from .errors import (CoincidentPoints, DegenerateConfiguration,
+from . import _kernels, quadrature
+from .errors import (CoincidentPoints, CurvesTooClose, DegenerateConfiguration,
                      MethodInapplicable, PVNotConverging)
-from .geometry import det3
+from .geometry import det3, poly_deg, poly_trim
 from .quadrature import domain_for_curve, integrate_pv
 from .residue import pole_order
 
 C3 = math.pi ** 3
 AREA_FACTOR = 4.0  # d(tbar)^d(sbar)^dt^ds = +4 dA1 dA2
 SPHERE_NORMALIZER = 1j / (4.0 * math.pi ** 3)
+
+# a coefficient below this fraction of its polynomial's scale is a rounding
+# residue of a cancellation, not a term: it does not count in a degree
+_DEG_TOL = 1e-12
 
 _LEVI_CIVITA = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
                 ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
@@ -134,6 +140,115 @@ def holo_linking_integral(s1, s2, ctx, cfg):
         side_a=lambda u: (*curve1.eval_batch(u), *form1.num_den_batch(u)),
         side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)),
         decay_order=2)
+
+
+def _line_second(s1, s2):
+    """The pair with a line second: swapped when only the first curve is a
+    line (the pairing is symmetric), as given otherwise."""
+    if s1[0].is_line and not s2[0].is_line:
+        return s2, s1
+    return s1, s2
+
+
+def _against_line(curve, line):
+    """Ascending coefficients in u of the curve z(u) seen from the line
+    w = p2 + v e2: v*, the parameter of the nearest point of the line
+    (n,); P = z - p2 - v* e2, the offset from it (rows, 3), rows that
+    cancel to rounding dropped; and det3(z - p2, z', e2) = det3(P, z', e2),
+    trimmed the same way."""
+    p2, e2 = line.line_frame()
+    rel = curve._coefficients.copy()
+    rel[0] -= p2
+    vstar = rel @ np.conj(e2) / np.vdot(e2, e2).real
+    perp = rel - vstar[:, None] * e2
+    rows = np.linalg.norm(perp, axis=1)
+    terms = np.flatnonzero(rows > _DEG_TOL * np.linalg.norm(rel, axis=1).max())
+    perp = perp[:terms.max(initial=0) + 1]
+    cross = np.cross(curve._velocity_coefficients, e2)
+    det = sum(np.convolve(perp[:, i], cross[:, i]) for i in range(3))
+    return poly_trim(vstar, _DEG_TOL), perp, poly_trim(det, _DEG_TOL)
+
+
+def holo_line_obstacle(s1, s2):
+    """Why holo_line cannot integrate the pair, or None when it can.
+
+    It needs a complex line among the two curves, polynomial forms (a
+    constant denominator, no declared pole), a form of degree below 4 on
+    the line, so that the form's mean over each circle of the line is its
+    value at the centre, and an integrand that decays faster than |u|^-2
+    on the whole u plane. The decay order comes from degrees alone:
+    deg g1 + deg det3 + deg g2 * deg v* - 4 deg P.
+    """
+    (curve, form1), (line, form2) = _line_second(s1, s2)
+    if curve.kind != "complex_affine" or not line.is_line:
+        return "needs a complex curve and a complex line"
+    if any(poly_deg(f.den) > 0 or f.poles for f in (form1, form2)):
+        return "needs polynomial forms (constant denominator, no poles)"
+    if poly_deg(form2.num) >= 4:
+        return "the line's form has degree >= 4: its mean diverges"
+    vstar, perp, det = _against_line(curve, line)
+    decay = (poly_deg(form1.num) + poly_deg(det)
+             + poly_deg(form2.num) * max(poly_deg(vstar), 0)
+             - 4 * (len(perp) - 1))
+    if decay >= -2:
+        return (f"the integrand decays like |u|^{decay}, not faster than "
+                "|u|^-2, over the whole plane")
+    return None
+
+
+def holo_line(s1, s2, ctx, cfg):
+    """Holomorphic linking of a weighted polynomial curve and a weighted
+    complex line w = p2 + v e2, each over its whole parameter plane.
+
+    s1 and s2 are (ParamCurve, OneForm) pairs, either of them the line.
+    The kernel integral over the line has a closed form: det3(z - w, z',
+    e2) does not depend on v, and ||z - w||^2 = A + |e2|^2 |v - v*|^2 with
+    A = |P|^2 (_against_line), so for a form g2 of degree below 4 the mean
+    value property gives g2(v*) pi / (2 |e2|^2 A^2). What is left is the
+    2-D integral over u of
+
+        AREA_FACTOR ctx.prefactor g1(u) g2(v*) conj(det3) pi / (2 |e2|^2 A^2),
+
+    integrated on the compact chart u = rho / (1 - rho) e^{i phi},
+    (rho, phi) in [0, 1] x [0, 2 pi], jacobian rho / (1 - rho)^3, which the
+    engine never evaluates at rho = 1. There is no window and no tail. On
+    L0 the integrand is -2 pi^4 / (1 + |u|^2)^2, and the value -2 pi^5.
+    MethodInapplicable names what holo_line_obstacle finds; CurvesTooClose
+    is raised, before any integrand runs, when |P| < 1e-6 at a root of a
+    component of P, which is where a curve that meets the line meets it.
+    """
+    reason = holo_line_obstacle(s1, s2)
+    if reason is not None:
+        raise MethodInapplicable(f"holo_line: {reason}")
+    (curve, form1), (line, form2) = _line_second(s1, s2)
+    vstar, perp, det = _against_line(curve, line)
+    for comp in perp.T:
+        comp = poly_trim(comp, _DEG_TOL)
+        if poly_deg(comp) < 1:
+            continue
+        roots = P.polyroots(comp)
+        gap = np.linalg.norm(P.polyval(roots[:, None], perp, tensor=False),
+                             axis=-1).min()
+        if gap < quadrature._MIN_DIST:
+            raise CurvesTooClose(f"the curve meets the line: distance "
+                                 f"{gap:.3e} < {quadrature._MIN_DIST:.0e}")
+    _, e2 = line.line_frame()
+    g1 = form1.num / form1.den[0]
+    g2 = form2.num / form2.den[0]
+    scale = (AREA_FACTOR * ctx.prefactor * math.pi
+             / (2.0 * np.vdot(e2, e2).real))
+
+    def integrand(w, t):
+        rho = t.real
+        u = rho / (1.0 - rho) * np.exp(1j * t.imag)
+        offset = P.polyval(u[:, None], perp, tensor=False)
+        area = np.sum(offset.real ** 2 + offset.imag ** 2, axis=-1)
+        values = (P.polyval(u, g1) * P.polyval(P.polyval(u, vstar), g2)
+                  * np.conj(P.polyval(u, det)) / area ** 2)
+        return (w * (scale * rho / (1.0 - rho) ** 3)) @ values
+
+    return quadrature.integrate_curve(
+        integrand, quadrature.Rect(0.0, 1.0, 0.0, 2.0 * math.pi), cfg)
 
 
 def line_holo_closed(e1, e2, e3, c1, c2, constants):

@@ -6,7 +6,8 @@ configuration that produced it, and wall time. Integral methods add
 extra["trace"]: the quadrature trace (rounds, panels per round, deepest
 split, whether max_depth stopped a hot panel, the source of err_estimate),
 the worker count, and "radius", the truncation window R of each query
-curve as its scene declares it (null for a compact domain). Reports
+curve as its scene declares it (null for a compact domain, and for both
+curves of holo_line, which integrates each whole plane). Reports
 serialize to JSON (deterministic except wall_time_ms) and to fixed-column
 CSV.
 """
@@ -21,14 +22,14 @@ from .errors import (CalibrationUnstable, MethodInapplicable, NumericalError,
 from .gauss import (Polyline3, crossing_linking, gauss_linking,
                     line_gauss_closed)
 from .geometry import NormalizationConstants, poly_deg
-from .holo import (BMContext, complex_linking_number, holo_linking_integral,
-                   line_holo_closed)
+from .holo import (BMContext, complex_linking_number, holo_line,
+                   holo_line_obstacle, holo_linking_integral, line_holo_closed)
 from .quadrature import QuadConfig, workers_from_env
 from .residue import atiyah_p3, lift_theta, residue_linking
 
 METHODS = (
     "gauss_integral", "gauss_crossing", "gauss_closed",
-    "holo_integral", "holo_pv", "holo_closed",
+    "holo_integral", "holo_pv", "holo_line", "holo_closed",
     "residue", "complex_link", "atiyah",
 )
 
@@ -37,7 +38,7 @@ METHODS = (
 # so both run only when asked for by name.
 XCHECK_METHODS = (
     "gauss_integral", "gauss_crossing", "gauss_closed",
-    "holo_integral", "holo_pv", "holo_closed", "residue",
+    "holo_integral", "holo_pv", "holo_line", "holo_closed", "residue",
 )
 
 CROSSING_SAMPLES = 512
@@ -127,9 +128,13 @@ def _inapplicable(scene, method):
     weighted pair is a holomorphic query); holomorphic methods need a form
     on each query curve, and a pole declared on either form (a marked
     point alone is not a pole) leaves holo_pv as the only holomorphic
-    route. holo_closed and residue give the whole-curve value, so they need
-    a disk window on both query curves; residue also needs the ambient form
-    and a two-surface cut containing the first curve.
+    route. holo_line, holo_closed and residue give the whole-curve value,
+    so they need a disk window on both query curves; holo_line also needs
+    what holo.holo_line_obstacle asks of the pair (a line, polynomial
+    forms, an integrand decaying faster than |u|^-2), and residue the
+    ambient form and a two-surface cut containing the first curve. Every
+    rule is decided here, from the scene's data: MethodInapplicable is a
+    SceneError, which xcheck does not catch.
     """
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
@@ -160,8 +165,11 @@ def _inapplicable(scene, method):
         return None if any_poles else "no declared poles; use holo_integral"
     if any_poles:
         return "forms carry poles; use holo_pv"
-    if method in ("holo_closed", "residue") and None in (c1.window, c2.window):
+    if (method in ("holo_line", "holo_closed", "residue")
+            and None in (c1.window, c2.window)):
         return "gives the whole-curve value; needs disk windows on both curves"
+    if method == "holo_line":
+        return holo_line_obstacle((c1, f1), (c2, f2))
     if method == "holo_closed":
         if not (c1.is_line and c2.is_line):
             return "needs two complex lines"
@@ -231,6 +239,8 @@ def compute(scene, method, cfg, seed=0):
         value = line_gauss_closed(e1.real, e2.real, (p2 - p1).real)
     elif method in ("holo_integral", "holo_pv"):
         res = holo_linking_integral((c1, f1), (c2, f2), ctx, cfg)
+    elif method == "holo_line":
+        res = holo_line((c1, f1), (c2, f2), ctx, cfg)
     elif method == "holo_closed":
         p1, e1, p2, e2 = _line_data(c1, c2)
         coeff1 = f1.num[0] / f1.den[0]
@@ -248,8 +258,11 @@ def compute(scene, method, cfg, seed=0):
     if res is not None:
         value, err, tail = res.value, res.err_estimate, res.tail_estimate
         converged, panels = res.converged, res.panels_evaluated
+        # holo_line integrates each whole plane, through no window
+        radius = [None, None] if method == "holo_line" else [c1.window,
+                                                             c2.window]
         extra = {"trace": dict(res.trace.to_dict(), workers=workers_from_env(),
-                               radius=[c1.window, c2.window])}
+                               radius=radius)}
 
     ms = (time.perf_counter() - t0) * 1000.0
     return Report(scene_id=scene.scene_id, method=method, value=complex(value),
@@ -347,29 +360,21 @@ def calibrate(cfg):
     measurement checks it, and its output, pasted into a scene's constants
     block, takes precedence over it there.
 
-    kappa_line is the tail-extrapolated holomorphic linking integral of the
-    reference pair scenes.l0(): one engine run over the doubled truncation
-    window, so its R = 40 integrates out to 80 and the ring between 40 and
-    80 gives the tail. Raises CalibrationUnstable when the tail exceeds 1%
-    of the value or the integral fails to converge. The constants record
-    tol, the reference pair's truncation radius and the hololink version
-    they were measured with.
+    kappa_line is the holo_line value of the reference pair scenes.l0():
+    the kernel integral over both whole lines, as one 2-D integral on a
+    compact chart, with no truncation window and no tail (at tol 1e-6, 31
+    panels, within 4e-16 of -2 pi^5). Raises CalibrationUnstable when the
+    integral fails to converge. The constants record tol and the hololink
+    version they were measured with; truncation_radius stays None, because
+    no window is used.
     """
     scene = _scenes.l0()
     (n1, c1), (n2, c2) = _query(scene)
-    radius = c1.window
-    f1, f2 = scene.form_for(n1), scene.form_for(n2)
-    res = holo_linking_integral((c1, f1), (c2, f2), BMContext(), cfg)
+    res = holo_line((c1, scene.form_for(n1)), (c2, scene.form_for(n2)),
+                    BMContext(), cfg)
     if not res.converged:
         raise CalibrationUnstable(
             f"reference integral did not converge within max_depth="
             f"{cfg.max_depth} (err estimate {res.err_estimate:.3e})")
-    scale = max(abs(res.value), 1e-300)
-    if res.tail_estimate > 0.01 * scale:
-        raise CalibrationUnstable(
-            f"the tail, the integral over the ring between "
-            f"R={radius:g} and R={2 * radius:g}, "
-            f"is {res.tail_estimate / scale:.2%} of the value (limit 1%)")
     return NormalizationConstants(kappa_line=complex(res.value), tol=cfg.tol,
-                                  truncation_radius=radius,
                                   version=__version__)

@@ -88,6 +88,21 @@ def test_poly3_gradient_matches_finite_differences(rng):
         assert complex(grads[axis](z)) == pytest.approx(fd, rel=1e-6)
 
 
+def test_linear_cut_partials_have_one_row():
+    # a partial keeps only the terms that contain its variable, so the lift
+    # composes one term per partial of a linear cut, not four
+    cut = hl.scenes.linear_poly((0.3 - 1j, 2.0, 0.5j), (1.0, -0.5j, 2.0))
+    assert cut.exponents.shape == (4, 3)
+    for axis, partial in enumerate(cut.grad()):
+        assert partial.exponents.shape == (1, 3)
+        assert partial.exponents.tolist() == [[0, 0, 0]]
+        assert partial.coeffs.tolist() == [cut.coeffs[axis]]
+    # a variable the polynomial lacks gives the zero polynomial
+    z1 = hl.scenes.coordinate_poly(0)
+    assert [g.coeffs.tolist() for g in z1.grad()] == [[1.0], [0.0], [0.0]]
+    assert all(g.exponents.shape == (1, 3) for g in z1.grad())
+
+
 def test_poly3_compose_curve_matches_pointwise():
     p = hl.Poly3.from_terms([((1, 0, 0), 1.0), ((0, 2, 0), -2.0),
                              ((0, 0, 0), 3.0)])

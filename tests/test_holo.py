@@ -205,6 +205,107 @@ def test_area_factor_is_four():
 
 
 # ---------------------------------------------------------------------------
+# a curve against a line: the whole-plane route
+
+KAPPA = -2 * math.pi ** 5
+GENERIC_LINE = hl.ParamCurve.line((0.2 + 0.1j, -0.3 + 0.2j, 1.1 - 0.2j),
+                                  (0.3 - 0.2j, 1 + 0.1j, 0.4 + 0.3j))
+VERTICAL_LINE = hl.ParamCurve.line((0, 0, 1), (0, 1, 0))
+
+
+def _parabola_scene(line):
+    """c1 = (t, 0.3 t^2, 0), cut by z2 - 0.3 z1^2 and z3, against a line,
+    with unit forms."""
+    parabola = hl.ParamCurve.complex_affine(
+        (np.array([0.0, 1.0]), np.array([0.0, 0.0, 0.3]), np.array([0.0])))
+    return hl.validate_scene(hl.Scene(
+        scene_id="parabola_line",
+        curves={"c1": parabola, "c2": line},
+        forms={"theta1": hl.OneForm("c1", np.array([1.0])),
+               "theta2": hl.OneForm("c2", np.array([1.0]))},
+        ambient=hl.AmbientForm.standard(),
+        cuts={"cut1": hl.SurfaceCut(
+            hl.Poly3.from_terms([((0, 1, 0), 1.0), ((2, 0, 0), -0.3)]),
+            scenes.coordinate_poly(2), "c1")}))
+
+
+LINE_GATES = ["L0", *(f"random_line_{seed}" for seed in range(10)),
+              "parabola_generic_line", "tangent_cut_0"]
+
+
+@pytest.mark.parametrize("name", LINE_GATES)
+def test_holo_line_matches_the_scaled_residue(name, tangent_cut_scene):
+    if name == "L0":
+        scene = scenes.l0()
+    elif name.startswith("random_line_"):
+        scene = scenes.random_line_scene(int(name.rsplit("_", 1)[1]))
+    elif name == "parabola_generic_line":
+        scene = _parabola_scene(GENERIC_LINE)
+    else:
+        scene = tangent_cut_scene(0.0)
+    assert "holo_line" in report.applicable_methods(scene)
+    cfg = hl.QuadConfig(tol=1e-6)
+    rep = report.compute(scene, "holo_line", cfg)
+    expected = KAPPA * report.compute(scene, "residue", cfg).value
+    assert rep.converged and rep.tail_estimate == 0.0
+    assert abs(rep.value - expected) <= rep.err_estimate
+
+
+def test_holo_line_gives_the_line_constant_on_the_vertical_parabola_pair():
+    # the inner peak at s* = 0.3 t^2 that leaves any s window is integrated
+    # in closed form, so no tail is left
+    rep = report.compute(_parabola_scene(VERTICAL_LINE), "holo_line",
+                         hl.QuadConfig(tol=1e-8))
+    assert rep.converged
+    assert abs(rep.value - KAPPA) <= rep.err_estimate
+
+
+def test_holo_line_takes_the_line_in_either_place(fast_cfg):
+    scene = _parabola_scene(GENERIC_LINE)
+    pair = ((scene.curves["c1"], scene.forms["theta1"]),
+            (scene.curves["c2"], scene.forms["theta2"]))
+    ctx = hl.BMContext()
+    assert (hl.holo_line(*pair, ctx, fast_cfg).value
+            == hl.holo_line(*pair[::-1], ctx, fast_cfg).value)
+
+
+@pytest.mark.parametrize("line", [((0.5, 0, 0), (0, 1, 0)),
+                                  ((0, 0.3, 0), (1, 0, 0))],
+                         ids=["L0_line", "parabola"])
+def test_a_curve_meeting_the_line_is_too_close(line, monkeypatch):
+    # L0 with c2 moved through c1 at u = 0.5, and the parabola, which the
+    # line (s, 0.3, 0) meets at t = 1 and t = -1
+    scene = scenes.l0() if line[0][0] else _parabola_scene(GENERIC_LINE)
+    scene.curves["c2"] = hl.ParamCurve.line(*line)
+    hl.validate_scene(scene)
+    assert "holo_line" in report.applicable_methods(scene)
+    monkeypatch.setattr(hl.quadrature, "integrate_curve", None)
+    with pytest.raises(hl.CurvesTooClose):
+        report.compute(scene, "holo_line", hl.QuadConfig())
+
+
+def _with_form(scene, name, num):
+    scene.forms[name] = hl.OneForm(scene.forms[name].curve,
+                                   np.array(num, dtype=complex))
+    return hl.validate_scene(scene)
+
+
+@pytest.mark.parametrize("scene, reason", [
+    (lambda: _with_form(scenes.l0(), "theta2", [1, 0, 0, 0, 1]), "degree"),
+    (lambda: _with_form(scenes.l0(), "theta1", [1, 0, 1]), "decays"),
+    (scenes.pv_lines, "poles"),
+], ids=["line_form_degree_4", "decays_like_u^-2", "declared_pole"])
+def test_holo_line_refuses_what_it_cannot_integrate(scene, reason, cfg):
+    scene = scene()
+    assert "holo_line" not in report.applicable_methods(scene)
+    with pytest.raises(hl.MethodInapplicable):
+        report.compute(scene, "holo_line", cfg)
+    pair = [(scene.curves[n], scene.form_for(n)) for n in scene.query_pair()]
+    with pytest.raises(hl.MethodInapplicable, match=reason):
+        hl.holo_line(*pair, hl.BMContext(), cfg)
+
+
+# ---------------------------------------------------------------------------
 # simple poles: the puncture-centered chart
 
 # pv_lines at tol 1e-6; panel orders 8 and 12 agree to 3e-11

@@ -410,12 +410,16 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
     ("l0", -612.0392650614846 + 0j, 7.819034489028875e-05, 64),
     ("pv_lines", 90.09324355768979 + 81.90294869011304j,
      0.0030019436582759793, 316),
-], ids=["near_torus", "l0", "pv_lines"])
+    ("l0_whole_plane", -612.0393695705626 + 0j, 1.0947184847509561e-07, 31),
+], ids=["near_torus", "l0", "pv_lines", "l0_whole_plane"])
 def test_recorded_values_are_bit_identical(run, value, err, panels):
     if run == "near_torus":
         res = hl.gauss_linking(*_torus_pair(0.006), hl.QuadConfig(tol=1e-6))
     elif run == "l0":
         res = report.compute(scenes.l0(), "holo_integral",
+                             hl.QuadConfig(tol=1e-6))
+    elif run == "l0_whole_plane":
+        res = report.compute(scenes.l0(), "holo_line",
                              hl.QuadConfig(tol=1e-6))
     else:
         res = report.compute(scenes.pv_lines(), "holo_pv",

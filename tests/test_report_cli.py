@@ -13,7 +13,7 @@ from hololink import cli, report, scenes
 # applicability
 
 APPLICABILITY = {
-    "L0": ["holo_integral", "holo_closed", "residue"],
+    "L0": ["holo_integral", "holo_line", "holo_closed", "residue"],
     "skew_lines": ["gauss_integral", "gauss_closed"],
     "hopf": ["gauss_integral", "gauss_crossing"],
     "split": ["gauss_integral", "gauss_crossing"],
@@ -119,6 +119,16 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method, source):
     assert trace["radius"] == TRACE_RADIUS[scene]
 
 
+def test_holo_line_report_names_no_window(fast_cfg):
+    # the whole-plane route integrates no window, so it has no tail
+    rep = report.compute(scenes.l0(), "holo_line", fast_cfg)
+    trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
+    assert trace["radius"] == [None, None]
+    assert trace["err_source"] == "quadrature"
+    assert rep.tail_estimate == 0.0
+    assert sum(trace["panels_per_round"]) == rep.panels_evaluated
+
+
 # ---------------------------------------------------------------------------
 # truncation windows: each curve is integrated over the disk it declares
 
@@ -180,21 +190,20 @@ def test_xcheck_gauss_scene_passes(fast_cfg):
     assert all(c["pass"] for c in result.checks)
 
 
-def test_xcheck_reference_scene_three_routes(constants, fast_cfg):
+def test_xcheck_reference_scene_four_routes(constants, fast_cfg):
     scene = scenes.l0()
     scene.constants = constants
     result = report.xcheck(scene, fast_cfg)
     assert result.verdict == "PASS"
-    assert [r.method for r in result.reports] == ["holo_integral",
-                                                  "holo_closed", "residue"]
-    assert len(result.checks) == 3
+    assert [r.method for r in result.reports] == APPLICABILITY["L0"]
+    assert len(result.checks) == 6
 
 
 def test_xcheck_reference_scene_with_closed_form_constants():
     result = report.xcheck(scenes.l0(), hl.QuadConfig(tol=1e-4))
     assert result.verdict == "PASS"
     reps = {r.method: r for r in result.reports}
-    assert list(reps) == ["holo_integral", "holo_closed", "residue"]
+    assert list(reps) == APPLICABILITY["L0"]
     closed = reps["holo_closed"].value
     residue = reps["residue"].value * reps["residue"].constants.kappa_xmethod
     assert abs(residue - closed) <= 1e-12 * abs(closed)
@@ -222,7 +231,7 @@ def test_whole_curve_routes_need_disk_windows(cfg):
                     for name, curve in scene.curves.items()}
     hl.validate_scene(scene)
     assert report.applicable_methods(scene) == ["holo_integral"]
-    for method in ("residue", "holo_closed"):
+    for method in ("holo_line", "residue", "holo_closed"):
         with pytest.raises(hl.MethodInapplicable):
             report.compute(scene, method, cfg)
 
@@ -233,7 +242,7 @@ def test_xcheck_passes_on_a_tangent_cut(tangent_cut_scene):
     result = report.xcheck(scene, hl.QuadConfig(tol=1e-3))
     assert result.verdict == "PASS", result.failures
     reps = {r.method: r for r in result.reports}
-    assert list(reps) == ["holo_integral", "residue"]
+    assert list(reps) == ["holo_integral", "holo_line", "residue"]
     integral = reps["holo_integral"]
     expected = integral.constants.kappa_xmethod * 2 / 3
     assert abs(integral.value - expected) \
@@ -251,9 +260,9 @@ def test_xcheck_close_pair_fails(fast_cfg):
 # calibration
 
 def test_calibration_values(constants):
-    # measured 1.7e-7 from the closed form
+    # measured 3.7e-16 from the closed form: no window, no tail
     analytic = -2 * math.pi ** 5
-    assert abs(constants.kappa_line - analytic) / abs(analytic) < 1e-6
+    assert abs(constants.kappa_line - analytic) / abs(analytic) < 1e-13
     assert constants.kappa_xmethod == constants.kappa_line
 
 
@@ -265,7 +274,8 @@ def test_calibration_idempotent(constants):
 
 
 def test_calibration_records_its_provenance(constants):
-    assert constants.tol == 1e-6 and constants.truncation_radius == 40.0
+    # no truncation window was used, so none is recorded
+    assert constants.tol == 1e-6 and constants.truncation_radius is None
     assert constants.version == hl.__version__
     back = hl.NormalizationConstants.from_dict(constants.to_dict())
     assert back == constants
