@@ -9,11 +9,10 @@ Polynomials are plain ascending numpy coefficient arrays throughout.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from numpy.polynomial.polyutils import trimseq
 
 from .errors import ParamAtPuncture, ParamOutOfDomain, SceneInvalid
@@ -50,7 +49,7 @@ def realify(points):
 # univariate polynomial helpers (ascending coefficient arrays)
 
 def poly_trim(c, tol=0.0):
-    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    c = np.array(c, dtype=complex, ndmin=1, copy=None)
     if c.size <= 1 or (tol == 0.0 and c[-1] != 0):
         return c  # nothing to trim, whatever the scale
     scale = np.max(np.abs(c))
@@ -65,6 +64,49 @@ def poly_deg(c):
     if c.size == 1 and c[0] == 0:
         return -1
     return c.size - 1
+
+
+def poly_eval(x, c):
+    """c(x) for ascending coefficients c along axis 0, by Horner's rule:
+    the operations of numpy.polynomial.polynomial.polyval(x, c,
+    tensor=False), c[-1] + x * 0 and then c[-i] + c0 * x, without its
+    per-call argument handling. x is a scalar or an array; the trailing
+    axes of c broadcast against x."""
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def poly_der(c):
+    """Derivative of ascending coefficients c along axis 0, with the bits
+    of numpy.polynomial.polynomial.polyder(c): c * 1, then k * c[k]."""
+    if len(c) == 1:
+        return c[:1] * 0
+    k = np.arange(1, len(c)).reshape((-1,) + (1,) * (np.ndim(c) - 1))
+    return k * (c[1:] * 1)
+
+
+def poly_div(a, b):
+    """(quotient, remainder) of a / b for complex series: the operations of
+    numpy.polynomial.polynomial.polydiv without its series checks."""
+    a = np.array(trimseq(np.asarray(a)), dtype=complex)  # a copy: reduced in place
+    b = np.asarray(trimseq(np.asarray(b)), dtype=complex)
+    if b[-1] == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    lc1, lc2 = len(a), len(b)
+    if lc1 < lc2:
+        return a[:1] * 0, a
+    if lc2 == 1:
+        return a / b[-1], a[:1] * 0
+    scl = b[-1]
+    b = b[:-1] / scl
+    i, j = lc1 - lc2, lc1 - 1
+    while i >= 0:
+        a[i:j] -= b * a[j]
+        i -= 1
+        j -= 1
+    return a[j + 1:] / scl, trimseq(a[:j + 1])
 
 
 # The three operations below give the bits of numpy.polynomial.polynomial's
@@ -101,9 +143,10 @@ def poly_powers(c, n):
 class Poly3:
     """Polynomial in (z1, z2, z3): exponent rows (m, 3) and coefficients (m,).
 
-    The partial derivatives that grad() returns are computed once per
-    object and cached on it. The cache is not a field, so ==, repr and the
-    scene JSON ignore it.
+    The partial derivatives that grad() returns and what evaluation needs
+    (a constant's value, or the power table) are computed once per object
+    and cached on it. The caches are not fields, so ==, repr and the scene
+    JSON ignore them.
     """
 
     exponents: np.ndarray
@@ -124,11 +167,47 @@ class Poly3:
         return cls.from_terms([((0, 0, 0), value)])
 
     def __call__(self, points):
-        """Evaluate at points of shape (..., 3)."""
+        """Evaluate at points of shape (..., 3).
+
+        The value has the bits of np.sum(coeffs * np.prod(points **
+        exponents)) over the terms, but each distinct power of a coordinate
+        is computed once (_power_table), and a constant polynomial's value
+        is computed once per object and broadcast."""
         pts = np.asarray(points)
-        base = pts[..., None, :]  # (..., 1, 3)
-        powers = base ** self.exponents  # (..., m, 3)
-        return np.sum(self.coeffs * np.prod(powers, axis=-1), axis=-1)
+        if self._constant is not None:
+            return np.full(pts.shape[:-1], self._constant)[()]
+        exps, take = self._power_table
+        table = pts[..., None, :] ** exps  # (..., K, 3)
+        # np.take keeps the (..., m, 3) factors C-ordered, as the terms'
+        # own ** would give them, so the reductions (those of np.prod and
+        # np.sum, without their wrappers) run in the same order
+        powers = np.take(table.reshape(table.shape[:-2] + (-1,)), take, axis=-1)
+        return np.add.reduce(self.coeffs * np.multiply.reduce(powers, axis=-1),
+                             axis=-1)
+
+    @cached_property
+    def _constant(self):
+        """The value of a polynomial whose exponents are all zero, for
+        complex coefficients (its bits then do not depend on the points'
+        dtype); None otherwise."""
+        if self.exponents.any() or self.coeffs.dtype != complex:
+            return None
+        # every term's product of three powers is exactly 1 + 0j
+        return np.add.reduce(self.coeffs * np.ones(self.coeffs.shape, dtype=complex))
+
+    @cached_property
+    def _power_table(self):
+        """(K, 3) exponents whose column a lists the distinct exponents of
+        z_a, zero-padded, and (m, 3) indices into their flattened powers
+        that pick each term's three factors."""
+        cols = [np.unique(self.exponents[:, axis]) for axis in range(3)]
+        exps = np.zeros((max(col.size for col in cols), 3),
+                        dtype=self.exponents.dtype)
+        take = np.empty(self.exponents.shape, dtype=np.intp)
+        for axis, col in enumerate(cols):
+            exps[:col.size, axis] = col
+            take[:, axis] = 3 * np.searchsorted(col, self.exponents[:, axis]) + axis
+        return exps, take
 
     def grad(self):
         """Tuple of three Poly3 partial derivatives."""
@@ -149,19 +228,24 @@ class Poly3:
                        else Poly3.from_terms([]))
         return tuple(out)
 
-    def compose_curve(self, components):
+    def compose_curve(self, curve):
         """Compose with a polynomial curve: returns ascending coefficients
-        of self(gamma(t)) for gamma given by three coefficient arrays.
+        of self(gamma(t)) for gamma a complex_affine ParamCurve, whose
+        cached component powers are read, or three coefficient arrays.
 
         Term by term in row order, each term is [coeff] times the powers
         of the components in axis order (poly_mul), and the terms are
         summed with poly_add; each component's powers are built once."""
-        powers = [poly_powers(comp, int(k))
-                  for comp, k in zip(components, self.exponents.max(axis=0))]
+        rows = self.exponents.tolist()
+        degrees = [max(col) for col in zip(*rows)]
+        if isinstance(curve, ParamCurve):
+            powers = curve.component_powers(degrees)
+        else:
+            powers = [poly_powers(comp, k) for comp, k in zip(curve, degrees)]
         total = np.zeros(1, dtype=complex)
-        for exp_row, c in zip(self.exponents, self.coeffs):
+        for row, c in zip(rows, self.coeffs):
             term = np.array([c], dtype=complex)
-            for power, k in zip(powers, exp_row):
+            for power, k in zip(powers, row):
                 if k:
                     term = poly_mul(term, power[k])
             total = poly_add(total, term)
@@ -184,12 +268,13 @@ class ParamCurve:
     kind = "complex_affine": three ascending complex coefficient arrays over
     a disk (truncation radius) or rectangle domain in the parameter plane.
 
-    A complex curve caches, once per object, its degree and two (deg + 1, 3)
-    coefficient matrices: the components, zero-padded to one length, and
-    their derivatives. eval_batch evaluates each matrix with one Horner
-    pass; zero padding can change the sign of a zero, but no other bit of
-    what each component's own Horner pass gives. The cache is not a field,
-    so ==, repr and the scene JSON ignore it.
+    A complex curve caches, once per object, its degree, two (deg + 1, 3)
+    coefficient matrices (the components, zero-padded to one length, and
+    their derivatives) and the powers of each component that composition
+    has asked for. eval_batch evaluates each matrix with one Horner pass;
+    zero padding can change the sign of a zero, but no other bit of what
+    each component's own Horner pass gives. The cache is not a field, so
+    ==, repr and the scene JSON ignore it.
     """
 
     kind: str
@@ -217,7 +302,7 @@ class ParamCurve:
     @classmethod
     def complex_affine(cls, components, domain=("disk", DEFAULT_RADIUS),
                        marked_points=()):
-        comps = tuple(np.atleast_1d(np.asarray(c, dtype=complex))
+        comps = tuple(np.array(c, dtype=complex, ndmin=1, copy=None)
                       for c in components)
         if len(comps) != 3:
             raise ValueError("complex_affine curve needs three components")
@@ -249,8 +334,8 @@ class ParamCurve:
             return pts, vel
         # tensor=False with a trailing parameter axis: (..., 3), C-ordered
         column = params[..., None]
-        return (P.polyval(column, self._coefficients, tensor=False),
-                P.polyval(column, self._velocity_coefficients, tensor=False))
+        return (poly_eval(column, self._coefficients),
+                poly_eval(column, self._velocity_coefficients))
 
     @cached_property
     def _coefficients(self):
@@ -261,7 +346,22 @@ class ParamCurve:
 
     @cached_property
     def _velocity_coefficients(self):
-        return P.polyder(self._coefficients)
+        return poly_der(self._coefficients)
+
+    def component_powers(self, degrees):
+        """[poly_powers(component, k) for each component and its k in
+        degrees], each chain built once per curve and rebuilt only when a
+        higher power is asked for; power j has the same bits in every
+        chain."""
+        chains = self._power_chains
+        for axis, k in enumerate(degrees):
+            if len(chains[axis]) <= k:
+                chains[axis] = poly_powers(self.components[axis], k)
+        return chains
+
+    @cached_property
+    def _power_chains(self):
+        return [[], [], []]
 
     def in_domain(self, param):
         if self.kind == "real_closed":
@@ -310,19 +410,28 @@ class ParamCurve:
 
     def sample_params(self, n=256):
         """Deterministic parameter samples covering the domain (validation,
-        distance scans, genericity probes)."""
-        if self.kind == "real_closed":
-            return np.linspace(0.0, 1.0, n, endpoint=False)
-        if self.domain[0] == "disk":
-            radius = self.domain[1]
-            r = np.array([0.15, 0.4, 0.7, 0.95]) * radius
-            phi = np.linspace(0.0, TWO_PI, max(n // 4, 8), endpoint=False)
-            return (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
-        x0, x1, y0, y1 = self.domain[1:]
+        distance scans, genericity probes): one read-only array shared by
+        every curve of the same kind and domain."""
+        return _sample_grid(self.kind, self.domain, n)
+
+
+@lru_cache(maxsize=256)
+def _sample_grid(kind, domain, n):
+    if kind == "real_closed":
+        grid = np.linspace(0.0, 1.0, n, endpoint=False)
+    elif domain[0] == "disk":
+        radius = domain[1]
+        r = np.array([0.15, 0.4, 0.7, 0.95]) * radius
+        phi = np.linspace(0.0, TWO_PI, max(n // 4, 8), endpoint=False)
+        grid = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
+    else:
+        x0, x1, y0, y1 = domain[1:]
         m = max(int(math.sqrt(n)), 4)
         xs = np.linspace(x0, x1, m)
         ys = np.linspace(y0, y1, m)
-        return (xs[:, None] + 1j * ys[None, :]).ravel()
+        grid = (xs[:, None] + 1j * ys[None, :]).ravel()
+    grid.flags.writeable = False
+    return grid
 
 
 def evaluate(curve, param):
@@ -365,7 +474,7 @@ class OneForm:
         """Numerator and denominator values; finite at a pole, where only
         their ratio is not."""
         params = np.asarray(params)
-        return P.polyval(params, self.num), P.polyval(params, self.den)
+        return poly_eval(params, self.num), poly_eval(params, self.den)
 
     def scaled(self, factor):
         return OneForm(self.curve, self.num * factor, self.den, self.poles)
@@ -472,10 +581,24 @@ class Scene:
 # ---------------------------------------------------------------------------
 # validation
 
-def _curve_samples(curve, n=256):
-    params = curve.sample_params(n)
-    pts, vel = curve.eval_batch(params)
-    return params, pts, vel
+# the sample grids of validate_scene's checks, each read on its own points:
+# a curve's map, a cut's gradients along its curve, the ambient form
+MAP_SAMPLES, CUT_SAMPLES, AMBIENT_SAMPLES = 256, 32, 64
+
+
+def _curve_samples(curve, sizes):
+    """{n: (points, velocities) on sample_params(n)} for each n in sizes,
+    from one eval_batch call on the grids laid end to end. Evaluation is
+    pointwise, so each slice has the bits of an evaluation on its own
+    grid."""
+    grids = [curve.sample_params(n) for n in sizes]
+    pts, vel = curve.eval_batch(np.concatenate(grids))
+    out, start = {}, 0
+    for n, grid in zip(sizes, grids):
+        stop = start + grid.size
+        out[n] = pts[start:stop], vel[start:stop]
+        start = stop
+    return out
 
 
 def validate_scene(scene):
@@ -488,7 +611,13 @@ def validate_scene(scene):
     orders (holo_linking_integral reads each declared pole's order off the
     form's polynomials and raises PVNotConverging above 1; integrate_pv
     integrates simple poles in a polar chart centered on the pole).
+
+    Each curve is evaluated once, on the grids of every check that reads
+    it (_curve_samples).
     """
+    cut_curves = {cut.contains_curve for cut in scene.cuts.values()
+                  if cut.f2 is not None}
+    samples = {}
     for name, curve in scene.curves.items():
         path = f"curves.{name}"
         if curve.kind not in ("real_closed", "complex_affine"):
@@ -501,7 +630,19 @@ def validate_scene(scene):
             if curve.domain[0] == "disk" and not 0 < curve.domain[1] < math.inf:
                 raise SceneInvalid(path + ".domain.radius",
                                    "radius must be positive and finite")
-        _, pts, vel = _curve_samples(curve)
+            bounds = curve.domain[1:]
+            if curve.domain[0] == "rect" and not (
+                    len(bounds) == 4 and all(map(math.isfinite, bounds))
+                    and bounds[0] < bounds[1] and bounds[2] < bounds[3]):
+                raise SceneInvalid(path + ".domain",
+                                   "rect bounds must be finite with lo < hi")
+        sizes = [MAP_SAMPLES]
+        if name in cut_curves:
+            sizes.append(CUT_SAMPLES)
+        if scene.ambient is not None:
+            sizes.append(AMBIENT_SAMPLES)
+        samples[name] = _curve_samples(curve, sizes)
+        pts, vel = samples[name][MAP_SAMPLES]
         # a NaN passes every comparison below, so it is caught here
         if not (np.isfinite(pts).all() and np.isfinite(vel).all()):
             raise SceneInvalid(path + ".map",
@@ -527,7 +668,7 @@ def validate_scene(scene):
                 raise SceneInvalid(
                     path + ".poles",
                     f"pole {p} is not among marked_points of curve {form.curve!r}")
-            if abs(P.polyval(p, form.den)) > 1e-8 * den_scale:
+            if abs(poly_eval(p, form.den)) > 1e-8 * den_scale:
                 raise SceneInvalid(path + ".poles",
                                    f"declared pole {p} is not a root of the denominator")
 
@@ -544,13 +685,13 @@ def validate_scene(scene):
         if cut.f2 is not None:
             pieces.append(("F2", cut.f2))
         for label, f in pieces:
-            composed = f.compose_curve(curve.components)
+            composed = f.compose_curve(curve)
             scale = max(f.scale(), 1.0)
             if np.max(np.abs(composed)) > 1e-10 * scale:
                 raise SceneInvalid(f"{path}.{label}",
                                    f"{label} does not vanish on {cut.contains_curve!r}")
         if cut.f2 is not None:
-            params, pts, _ = _curve_samples(curve, n=32)
+            pts, _ = samples[cut.contains_curve][CUT_SAMPLES]
             g1 = np.stack([g(pts) for g in cut.f1.grad()], axis=-1)
             g2 = np.stack([g(pts) for g in cut.f2.grad()], axis=-1)
             mats = np.stack([g1, g2], axis=-2)  # (n, 2, 3)
@@ -561,7 +702,7 @@ def validate_scene(scene):
 
     if scene.ambient is not None:
         for name, curve in scene.curves.items():
-            _, pts, _ = _curve_samples(curve, n=64)
+            pts, _ = samples[name][AMBIENT_SAMPLES]
             if np.min(np.abs(scene.ambient.den(pts))) <= 1e-9:
                 raise SceneInvalid("ambient.denominator",
                                    f"vanishes on curve {name!r}")

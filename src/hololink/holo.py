@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from . import _kernels, quadrature
 from .errors import (CoincidentPoints, CurvesTooClose, DegenerateConfiguration,
                      MethodInapplicable, PVNotConverging)
-from .geometry import det3, poly_deg, poly_trim
+from .geometry import det3, poly_deg, poly_eval, poly_trim
 from .quadrature import domain_for_curve, integrate_pv
 from .residue import pole_order
 
@@ -227,7 +227,7 @@ def holo_line(s1, s2, ctx, cfg):
         if poly_deg(comp) < 1:
             continue
         roots = P.polyroots(comp)
-        gap = np.linalg.norm(P.polyval(roots[:, None], perp, tensor=False),
+        gap = np.linalg.norm(poly_eval(roots[:, None], perp),
                              axis=-1).min()
         if gap < quadrature._MIN_DIST:
             raise CurvesTooClose(f"the curve meets the line: distance "
@@ -241,10 +241,10 @@ def holo_line(s1, s2, ctx, cfg):
     def integrand(w, t):
         rho = t.real
         u = rho / (1.0 - rho) * np.exp(1j * t.imag)
-        offset = P.polyval(u[:, None], perp, tensor=False)
+        offset = poly_eval(u[:, None], perp)
         area = np.sum(offset.real ** 2 + offset.imag ** 2, axis=-1)
-        values = (P.polyval(u, g1) * P.polyval(P.polyval(u, vstar), g2)
-                  * np.conj(P.polyval(u, det)) / area ** 2)
+        values = (poly_eval(u, g1) * poly_eval(poly_eval(u, vstar), g2)
+                  * np.conj(poly_eval(u, det)) / area ** 2)
         return (w * (scale * rho / (1.0 - rho) ** 3)) @ values
 
     return quadrature.integrate_curve(

@@ -19,7 +19,8 @@ from numpy.polynomial import polynomial as P
 from .errors import (DependentGradients, IdenticallyZero, LinesIntersect,
                      MultiplierNotPolynomial, NonGenericHyperplanes,
                      NonSimpleRoot, PoleCollision)
-from .geometry import Poly3, poly_add, poly_deg, poly_mul, poly_powers, poly_trim
+from .geometry import (Poly3, poly_add, poly_deg, poly_der, poly_div,
+                       poly_eval, poly_mul, poly_powers, poly_trim)
 
 RESIDUAL_TOL = 1e-10     # |F(root)| relative to max coefficient magnitude
 DERIVATIVE_TOL = 1e-8    # |F'(root)| relative to the same scale
@@ -75,7 +76,7 @@ class PolyMultiplier:
     def __call__(self, points):
         pts = np.asarray(points, dtype=complex)
         s = pts @ self.a + self.b
-        return P.polyval(s, self.coeffs)
+        return poly_eval(s, self.coeffs)
 
     def compose_curve(self, components):
         """Ascending coefficients of M(gamma(t)) for a polynomial curve:
@@ -112,14 +113,14 @@ class IntersectionSet:
 
 
 def _polish_roots(coeffs, roots):
-    deriv = P.polyder(coeffs)
+    deriv = poly_der(coeffs)
     for _ in range(40):
-        vals = P.polyval(roots, coeffs)
-        dvals = P.polyval(roots, deriv)
+        vals = poly_eval(roots, coeffs)
+        dvals = poly_eval(roots, deriv)
         safe = np.abs(dvals) > 1e-300
         step = np.where(safe, vals / np.where(safe, dvals, 1.0), 0.0)
         roots = roots - step
-        if np.all(np.abs(P.polyval(roots, coeffs)) <= 1e-13 * np.max(np.abs(coeffs))):
+        if np.all(np.abs(poly_eval(roots, coeffs)) <= 1e-13 * np.max(np.abs(coeffs))):
             break
     return roots
 
@@ -150,7 +151,7 @@ def _simple_roots(coeffs, scale, keep=None):
             f"roots {roots[i]} and {roots[j]} lie within {CLUSTER_TOL} of "
             f"each other: one multiple root")
     roots = roots[kept]
-    dvals = P.polyval(roots, P.polyder(coeffs))
+    dvals = poly_eval(roots, poly_der(coeffs))
     for r, d in zip(roots, dvals):
         if abs(d) < DERIVATIVE_TOL * scale:
             raise NonSimpleRoot(
@@ -199,7 +200,7 @@ def curve_surface_intersections(f, curve):
     rounding), |f'(gamma(t))| below DERIVATIVE_TOL of scale, or a root
     that does not polish below RESIDUAL_TOL.
     """
-    comp = poly_trim(f.compose_curve(curve.components))
+    comp = poly_trim(f.compose_curve(curve))
     scale = float(np.max(np.abs(comp)))
     if scale <= 1e-250:
         raise IdenticallyZero("curve lies inside the surface (f(gamma) = 0)")
@@ -209,7 +210,7 @@ def curve_surface_intersections(f, curve):
     keep = curve.in_domain if curve.domain[0] == "rect" else None
     params = []
     for r in _simple_roots(comp, scale, keep):
-        if abs(P.polyval(r, comp)) > RESIDUAL_TOL * scale:
+        if abs(poly_eval(r, comp)) > RESIDUAL_TOL * scale:
             raise NonSimpleRoot(
                 f"root {r} did not polish below {RESIDUAL_TOL} of scale")
         params.append(complex(r))
@@ -224,7 +225,7 @@ def _cut_normal(f1, f2, curve):
     gamma'_k vanishes identically, k has the velocity of least degree, and
     of those the largest velocity coefficient: dividing by a constant
     gamma'_k is exact. DependentGradients when there is no such axis."""
-    g1, g2 = ([g.compose_curve(curve.components) for g in f.grad()] for f in (f1, f2))
+    g1, g2 = ([g.compose_curve(curve) for g in f.grad()] for f in (f1, f2))
     normal = [poly_add(poly_mul(g1[i], g2[j]), -poly_mul(g1[j], g2[i]))
               for i, j in ((1, 2), (2, 0), (0, 1))]
     axes = [(poly_deg(v), -float(np.max(np.abs(v))), k)
@@ -252,7 +253,7 @@ def double_leray_residue(lift, curve, params=None):
     k, normal = _cut_normal(lift.f1, lift.f2, curve)
     pts, vel = curve.eval_batch(params)
     return params, (lift.multiplier(pts) * lift.base.ratio_batch(pts)
-                    * vel[..., k] / P.polyval(params, normal))
+                    * vel[..., k] / poly_eval(params, normal))
 
 
 def _pinned_multiplier(coeffs, curve):
@@ -284,13 +285,12 @@ def lift_theta(cut, eta, theta1, curve1):
     a residue that vanishes on all of curve1 (eta.num(gamma1) = 0).
     """
     k, normal = _cut_normal(cut.f1, cut.f2, curve1)
-    comps = curve1.components
-    num = poly_mul(poly_mul(theta1.num, normal), eta.den.compose_curve(comps))
+    num = poly_mul(poly_mul(theta1.num, normal), eta.den.compose_curve(curve1))
     den = poly_mul(poly_mul(theta1.den, curve1._velocity_coefficients[:, k]),
-                   eta.num.compose_curve(comps))
+                   eta.num.compose_curve(curve1))
     if poly_deg(den) < 0:
         raise IdenticallyZero("the residue at M = 1 vanishes on all of curve1")
-    quot, rem = P.polydiv(poly_trim(num, LIFT_TOL), poly_trim(den, LIFT_TOL))
+    quot, rem = poly_div(poly_trim(num, LIFT_TOL), poly_trim(den, LIFT_TOL))
     if np.max(np.abs(rem)) > LIFT_TOL * np.max(np.abs(num)):
         raise MultiplierNotPolynomial(
             f"theta1 / residue at M = 1 leaves a remainder above {LIFT_TOL}")
@@ -304,15 +304,14 @@ def compose_restriction(lift, curve2, theta2, eta):
     and B = theta2.den * f2(gamma2) * (base.den * eta.num)(gamma2). The
     base/eta factors are left out when base is eta, where their ratio is 1.
     """
-    comps = curve2.components
-    num = poly_mul(theta2.num, lift.multiplier.compose_curve(comps))
-    rest = poly_mul(theta2.den, lift.f2.compose_curve(comps))
+    num = poly_mul(theta2.num, lift.multiplier.compose_curve(curve2.components))
+    rest = poly_mul(theta2.den, lift.f2.compose_curve(curve2))
     if lift.base is not eta:
-        num = poly_mul(num, poly_mul(lift.base.num.compose_curve(comps),
-                                     eta.den.compose_curve(comps)))
-        rest = poly_mul(rest, poly_mul(lift.base.den.compose_curve(comps),
-                                       eta.num.compose_curve(comps)))
-    return poly_trim(num), lift.f1.compose_curve(comps), poly_trim(rest)
+        num = poly_mul(num, poly_mul(lift.base.num.compose_curve(curve2),
+                                     eta.den.compose_curve(curve2)))
+        rest = poly_mul(rest, poly_mul(lift.base.den.compose_curve(curve2),
+                                       eta.num.compose_curve(curve2)))
+    return poly_trim(num), lift.f1.compose_curve(curve2), poly_trim(rest)
 
 
 def residue_linking(lift, s2, eta):
@@ -351,7 +350,7 @@ def residue_linking(lift, s2, eta):
         raise PoleCollision(
             f"f2 or a denominator of theta2 or of the ambient ratio vanishes at "
             f"an intersection with f1 = 0 (sigma_min {sigma:.3e} of {size:.3e})")
-    rem = P.polydiv(num, g)[1]
+    rem = poly_div(num, g)[1]
     coeffs = np.linalg.solve(rest_of_m, np.pad(rem, (0, n - rem.size)))
     return complex(coeffs[-1] / g[n])
 
@@ -364,7 +363,7 @@ def residue_at_infinity(num, den):
     num/den at infinity, r[d-1] / lc(den) for the remainder r of num
     modulo den of degree d."""
     den = poly_trim(np.asarray(den, dtype=complex))
-    rem = P.polydiv(num, den)[1]
+    rem = poly_div(num, den)[1]
     d = poly_deg(den)
     return -complex(rem[d - 1] / den[d]) if 0 < d <= rem.size else 0j
 
@@ -378,12 +377,12 @@ def rational_all_residues(num, den):
     den = poly_trim(np.asarray(den, dtype=complex))
     scale = float(np.max(np.abs(den)))
     roots = _simple_roots(den, scale)
-    dden = P.polyder(den)
+    dden = poly_der(den)
     poles, residues = [], []
     for r in _sorted_by_param([complex(r) for r in roots]):
-        d = complex(P.polyval(r, dden))
+        d = complex(poly_eval(r, dden))
         poles.append(r)
-        residues.append(complex(P.polyval(r, num)) / d)
+        residues.append(complex(poly_eval(r, num)) / d)
     return poles, residues, residue_at_infinity(num, den)
 
 

@@ -20,10 +20,21 @@ from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
                        poly_trim, validate_scene)
 
 
+def _path(path, *keys):
+    """path extended by keys: an int key is an index, a str key a field.
+    The parsers pass keys down and join them only to name a rejected
+    value."""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return path
+
+
 def _is_number(value):
     """A finite JSON number: int or float, but not a bool, which Python
     counts as an int, nor the NaN and +-Infinity that json.loads accepts,
     nor an int beyond the float range."""
+    if type(value) is float:
+        return math.isfinite(value)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return False
     try:
@@ -32,13 +43,14 @@ def _is_number(value):
         return False
 
 
-def _complex_in(value, path):
-    if _is_number(value):
+def _complex_in(value, path, *keys):
+    if isinstance(value, list):
+        if len(value) == 2 and _is_number(value[0]) and _is_number(value[1]):
+            return complex(value[0], value[1])
+    elif _is_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(_is_number(v) for v in value)):
-        return complex(value[0], value[1])
-    raise SceneInvalid(path, f"expected a number or [re, im] pair, got {value!r}")
+    raise SceneInvalid(_path(path, *keys),
+                       f"expected a number or [re, im] pair, got {value!r}")
 
 
 def _complex_out(value):
@@ -49,35 +61,36 @@ def _complex_out(value):
 def _vector_in(value, path, n=3):
     if not isinstance(value, list) or len(value) != n:
         raise SceneInvalid(path, f"expected a list of {n} numbers")
-    return [_complex_in(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_complex_in(v, path, i) for i, v in enumerate(value)]
 
 
-def _terms_in(value, path, nvars):
+def _terms_in(value, nvars, path, *keys):
     if not isinstance(value, list) or not value:
-        raise SceneInvalid(path, "expected a non-empty list of terms")
+        raise SceneInvalid(_path(path, *keys), "expected a non-empty list of terms")
     terms = []
     for i, term in enumerate(value):
-        tpath = f"{path}[{i}]"
         if not isinstance(term, dict):
-            raise SceneInvalid(tpath, "expected an object with exponents and coeff")
+            raise SceneInvalid(_path(path, *keys, i),
+                               "expected an object with exponents and coeff")
         exps = term.get("exponents")
+        # type() is int: json.loads gives a bool for true and false
         if (not isinstance(exps, list) or len(exps) != nvars
-                or not all(isinstance(e, int) and not isinstance(e, bool)
-                           and e >= 0 for e in exps)):
-            raise SceneInvalid(tpath + ".exponents",
+                or not all(type(e) is int and e >= 0 for e in exps)):
+            raise SceneInvalid(_path(path, *keys, i, "exponents"),
                                f"expected {nvars} non-negative integers")
         if "coeff" not in term:
-            raise SceneInvalid(tpath + ".coeff", "missing coefficient")
-        terms.append((tuple(exps), _complex_in(term["coeff"], tpath + ".coeff")))
+            raise SceneInvalid(_path(path, *keys, i, "coeff"), "missing coefficient")
+        terms.append((tuple(exps),
+                       _complex_in(term["coeff"], path, *keys, i, "coeff")))
     return terms
 
 
-def _poly3_in(value, path):
-    return Poly3.from_terms(_terms_in(value, path, 3))
+def _poly3_in(value, path, *keys):
+    return Poly3.from_terms(_terms_in(value, 3, path, *keys))
 
 
-def _poly1_in(value, path):
-    terms = _terms_in(value, path, 1)
+def _poly1_in(value, path, *keys):
+    terms = _terms_in(value, 1, path, *keys)
     deg = max(e[0] for e, _ in terms)
     coeffs = np.zeros(deg + 1, dtype=complex)
     for (k,), c in terms:
@@ -149,7 +162,7 @@ def _curve_in(name, value, path):
     if not isinstance(value, dict):
         raise SceneInvalid(path, "expected a curve object")
     kind = value.get("kind")
-    marked = [_complex_in(p, f"{path}.marked_points[{i}]")
+    marked = [_complex_in(p, path, "marked_points", i)
               for i, p in enumerate(value.get("marked_points", []))]
     mp = value.get("map")
     if not isinstance(mp, dict):
@@ -169,9 +182,8 @@ def _curve_in(name, value, path):
         if not isinstance(comps, list) or len(comps) != 3:
             raise SceneInvalid(path + ".map.components",
                                "expected three polynomial components")
-        components = tuple(
-            _poly1_in(c, f"{path}.map.components[{i}]")
-            for i, c in enumerate(comps))
+        components = tuple(_poly1_in(c, path, "map", "components", i)
+                           for i, c in enumerate(comps))
         domain = _domain_in(
             value.get("domain", {"type": "disk", "radius": DEFAULT_RADIUS}),
             path + ".domain")
@@ -207,12 +219,12 @@ def _form_in(value, path, curves):
     coeff = value.get("coeff")
     if not isinstance(coeff, dict) or "numerator" not in coeff:
         raise SceneInvalid(path + ".coeff", "expected numerator (and optional denominator)")
-    num = _poly1_in(coeff["numerator"], path + ".coeff.numerator")
+    num = _poly1_in(coeff["numerator"], path, "coeff", "numerator")
     if "denominator" in coeff:
-        den = _poly1_in(coeff["denominator"], path + ".coeff.denominator")
+        den = _poly1_in(coeff["denominator"], path, "coeff", "denominator")
     else:
         den = np.ones(1, dtype=complex)
-    poles = [_complex_in(p, f"{path}.poles[{i}]")
+    poles = [_complex_in(p, path, "poles", i)
              for i, p in enumerate(value.get("poles", []))]
     return OneForm(curve, num, den, tuple(poles))
 
@@ -229,9 +241,9 @@ def _form_out(form):
 def _ambient_in(value, path):
     if not isinstance(value, dict) or "numerator" not in value:
         raise SceneInvalid(path, "expected numerator (and optional denominator)")
-    num = _poly3_in(value["numerator"], path + ".numerator")
+    num = _poly3_in(value["numerator"], path, "numerator")
     if "denominator" in value:
-        den = _poly3_in(value["denominator"], path + ".denominator")
+        den = _poly3_in(value["denominator"], path, "denominator")
     else:
         den = Poly3.constant(1.0)
     return AmbientForm(num, den)
@@ -251,8 +263,8 @@ def _cut_in(value, path, curves):
         raise SceneInvalid(path, "expected a cut object")
     if "F1" not in value:
         raise SceneInvalid(path + ".F1", "missing cut polynomial")
-    f1 = _poly3_in(value["F1"], path + ".F1")
-    f2 = _poly3_in(value["F2"], path + ".F2") if "F2" in value else None
+    f1 = _poly3_in(value["F1"], path, "F1")
+    f2 = _poly3_in(value["F2"], path, "F2") if "F2" in value else None
     contains = value.get("contains_curve")
     if not isinstance(contains, str) or contains not in curves:
         raise SceneInvalid(path + ".contains_curve", f"unknown curve {contains!r}")
@@ -278,7 +290,7 @@ def _constants_in(value, path):
     out = {}
     if value.get("kappa_line") is not None:
         out["kappa_line"] = _complex_out(_complex_in(value["kappa_line"],
-                                                     path + ".kappa_line"))
+                                                     path, "kappa_line"))
     for key in ("tol", "truncation_radius"):
         if value.get(key) is not None:
             if not _is_number(value[key]):

@@ -1,11 +1,13 @@
 from dataclasses import replace
 import math
+import warnings
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polyutils import trimseq
 
 import hololink as hl
 from hololink.errors import SceneInvalid
@@ -187,6 +189,110 @@ def test_multiplier_compose_equals_numpy_polynomial_chain(coeffs, a, b,
     mult = PolyMultiplier(coeffs, np.array(a), b)
     assert _same(mult.compose_curve(components),
                  _reference_multiplier_compose(mult, components))
+
+
+# The helpers that replaced numpy.polynomial calls and the cached
+# evaluation and composition paths, against the formulas they replaced.
+# _bits compares dtype, shape and bytes, so a zero of the other sign fails.
+
+def _bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+# coefficient series with -0.0 parts and trailing zeros (zero padding)
+signed_part = st.one_of(st.just(0.0), st.just(-0.0), finite)
+signed_coeff = st.builds(complex, signed_part, signed_part)
+padded_series = st.tuples(
+    st.lists(signed_coeff, min_size=1, max_size=5),
+    st.integers(0, 2)).map(lambda t: np.array(t[0] + [0j] * t[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_series, signed_coeff, params)
+def test_poly_eval_equals_polyval(c, x, xs):
+    assert _bits(hl.geometry.poly_eval(x, c), P.polyval(x, c))
+    assert _bits(hl.geometry.poly_eval(xs, c), P.polyval(xs, c))
+    assert _bits(hl.geometry.poly_eval(xs.real, c), P.polyval(xs.real, c))
+    # a (deg + 1, 3) matrix against a trailing parameter axis, as eval_batch
+    # and holo_line call it
+    matrix = np.stack([c, c[::-1], -c], axis=-1)
+    assert _bits(hl.geometry.poly_eval(xs[:, None], matrix),
+                 P.polyval(xs[:, None], matrix, tensor=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_series, padded_series)
+def test_poly_der_and_div_equal_numpy_polynomial(a, b):
+    assert _bits(hl.geometry.poly_der(a), P.polyder(a))
+    matrix = np.stack([a, -a, a[::-1]], axis=-1)
+    assert _bits(hl.geometry.poly_der(matrix), P.polyder(matrix))
+    if trimseq(b)[-1] == 0:
+        with pytest.raises(ZeroDivisionError):
+            hl.geometry.poly_div(a, b)
+        return
+    # a subnormal leading coefficient overflows both divisions alike
+    with np.errstate(all="ignore"):
+        for got, ref in zip(hl.geometry.poly_div(a, b), P.polydiv(a, b)):
+            assert _bits(got, ref)
+
+
+def _reference_poly3_call(poly, points):
+    pts = np.asarray(points)
+    powers = pts[..., None, :] ** poly.exponents
+    return np.sum(poly.coeffs * np.prod(powers, axis=-1), axis=-1)
+
+
+@st.composite
+def poly3_up_to_quartic(draw):
+    m = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 4)] * 3),
+                         min_size=m, max_size=m))
+    if draw(st.booleans()):  # a constant, possibly of several terms
+        rows = [(0, 0, 0)] * m
+    coeffs = draw(st.lists(signed_coeff, min_size=m, max_size=m))
+    return hl.Poly3(np.array(rows, dtype=np.int64),
+                    np.array(coeffs, dtype=complex))
+
+
+def _quadric_and_points():
+    """Every monomial of degree <= 2 (10 terms, so np.sum's pairwise order
+    shows when the factors are not C-ordered) at 32 seeded points."""
+    rng = np.random.default_rng(7)
+    rows = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+            if i + j + k <= 2]
+    poly = hl.Poly3(np.array(rows, dtype=np.int64),
+                    rng.normal(size=10) + 1j * rng.normal(size=10))
+    points = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+    return poly, [tuple(p) for p in points.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly3_up_to_quartic(), st.lists(st.tuples(signed_coeff, signed_coeff,
+                                                  signed_coeff),
+                                        min_size=1, max_size=40))
+# a constant's value is c * (1 + 0j), whose imaginary part is NaN at an
+# infinite real part of c
+@example(hl.Poly3.constant(complex(math.inf, 1.0)), [(1.0, 2.0, 3.0)])
+@example(*_quadric_and_points())
+def test_poly3_call_equals_power_formula(poly, points):
+    pts = np.array(points, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for sample in (pts, pts[0], pts.real, pts.reshape(1, -1, 3)):
+            assert _bits(poly(sample), _reference_poly3_call(poly, sample))
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly3_with_repeats(), poly3_with_repeats(), curve_components)
+def test_compose_from_cached_powers_equals_power_chain(low, high,
+                                                       components):
+    curve = hl.ParamCurve.complex_affine(components)
+    # the first composition builds the cached chains, the second may
+    # rebuild them to a higher power
+    for poly in (low, high, low):
+        assert _bits(poly.compose_curve(curve),
+                     poly.compose_curve(curve.components))
 
 
 def test_cached_derived_data_stays_out_of_repr_and_json():
@@ -387,6 +493,148 @@ def test_validate_rejects_bad_projective_block():
     with pytest.raises(SceneInvalid) as exc:
         hl.validate_scene(scene)
     assert "atiyah.p" in str(exc.value)
+
+
+@pytest.mark.parametrize("domain", [
+    ("rect", 1.0, -1.0, -1.0, 1.0),
+    ("rect", -1.0, 1.0, 1.0, -1.0),
+    ("rect", -math.inf, 1.0, -1.0, 1.0),
+    ("rect", -1.0, 1.0, -1.0, math.nan),
+], ids=["reversed-re", "reversed-im", "infinite", "nan"])
+def test_validate_rejects_bad_rect_bounds(domain):
+    # scene_io refuses these on load; built in Python, a reversed rect
+    # integrates with negative weights and an infinite one overflows
+    scene = hl.scenes.random_polynomial_scene(0)
+    scene.curves["c1"] = replace(scene.curves["c1"], domain=domain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SceneInvalid, match="lo < hi") as exc:
+            hl.validate_scene(scene)
+    assert exc.value.path == "curves.c1.domain"
+
+
+# c1 = (u, 0, 0) on a disk or on a rect. A rect's 5 x 5 and 8 x 8 sample
+# grids (the cut gradients' and the ambient form's points) are not subsets
+# of its 16 x 16 grid (the map's), so a defect placed at a point of one
+# grid alone fails only a check that reads that grid.
+DOMAINS = [("disk", 40.0), ("rect", -1.0, 1.0, -1.0, 1.0)]
+DOMAIN_IDS = ["disk", "rect"]
+
+
+def _axis_line_scene(domain, marked_points=()):
+    c1 = hl.ParamCurve.complex_affine(([0.0, 1.0], [0.0], [0.0]),
+                                      domain=domain,
+                                      marked_points=marked_points)
+    return hl.Scene(
+        curves={"c1": c1, "c2": hl.ParamCurve.line((0, 0, 1), (0, 1, 0))},
+        forms={"theta1": hl.OneForm("c1", np.array([1.0])),
+               "theta2": hl.OneForm("c2", np.array([1.0]))},
+        ambient=hl.AmbientForm.standard(),
+        cuts={"cut1": hl.SurfaceCut(hl.scenes.coordinate_poly(1),
+                                    hl.scenes.coordinate_poly(2), "c1")})
+
+
+def _own_point(curve, n):
+    """z1 at a point of sample_params(n) that no other grid of
+    validate_scene holds; on a disk, whose grids nest, the first point."""
+    others = {p for m in (hl.geometry.MAP_SAMPLES, hl.geometry.CUT_SAMPLES,
+                          hl.geometry.AMBIENT_SAMPLES) if m != n
+              for p in curve.sample_params(m).tolist()}
+    own = [p for p in curve.sample_params(n).tolist() if p not in others]
+    if curve.domain[0] == "rect":
+        assert own
+    u = own[0] if own else curve.sample_params(n)[0]
+    return curve.eval_batch(np.array([u]))[0][0, 0]
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+@pytest.mark.parametrize("part", ["denominator", "numerator"])
+def test_validate_rejects_ambient_vanishing_on_a_curve(domain, part):
+    scene = _axis_line_scene(domain)
+    hl.validate_scene(scene)
+    a = _own_point(scene.curves["c1"], hl.geometry.AMBIENT_SAMPLES)
+    vanishing = hl.scenes.coordinate_poly(0, shift=a)
+    one = hl.Poly3.constant(1.0)
+    scene.ambient = (hl.AmbientForm(one, vanishing) if part == "denominator"
+                     else hl.AmbientForm(vanishing, one))
+    with pytest.raises(SceneInvalid, match="'c1'") as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == f"ambient.{part}"
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+def test_validate_rejects_cut_gradients_dependent_at_one_point(domain):
+    # grad(z2) = (0, 1, 0) and grad(z3 (z1 - a) + z2) = (0, 1, u - a) on c1
+    scene = _axis_line_scene(domain)
+    a = _own_point(scene.curves["c1"], hl.geometry.CUT_SAMPLES)
+    f2 = hl.Poly3.from_terms([((1, 0, 1), 1.0), ((0, 0, 1), -a),
+                              ((0, 1, 0), 1.0)])
+    scene.cuts["cut1"] = hl.SurfaceCut(scene.cuts["cut1"].f1, f2, "c1")
+    with pytest.raises(SceneInvalid, match="dependent") as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "cuts.cut1"
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+@pytest.mark.parametrize("marked, pole, message", [
+    ((0.5,), 0.5, "not a root of the denominator"),
+    ((), 0.3, "not among marked_points"),
+], ids=["pole-not-a-root", "pole-not-marked"])
+def test_validate_rejects_bad_declared_pole(domain, marked, pole, message):
+    scene = _axis_line_scene(domain, marked_points=marked)
+    scene.forms["theta1"] = hl.OneForm("c1", np.array([1.0]),
+                                       np.array([-0.3, 1.0]), (pole,))
+    with pytest.raises(SceneInvalid, match=message) as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "forms.theta1.poles"
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+def test_validate_rejects_marked_point_outside_domain(domain):
+    scene = _axis_line_scene(domain, marked_points=(100.0 + 1j,))
+    with pytest.raises(SceneInvalid, match="outside domain") as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "curves.c1.marked_points"
+
+
+def test_validate_evaluates_each_curve_once(monkeypatch):
+    scene = hl.scenes.random_line_scene(0)
+    calls = []
+    raw = hl.ParamCurve.eval_batch
+
+    def counted(curve, params):
+        calls.append(len(params))
+        return raw(curve, params)
+
+    monkeypatch.setattr(hl.ParamCurve, "eval_batch", counted)
+    hl.validate_scene(scene)
+    # c1 on the map's, its cut's and the ambient form's grids; c2 on two
+    assert calls == [256 + 32 + 64, 256 + 64]
+
+
+@pytest.mark.parametrize("curve", [
+    hl.ParamCurve.complex_affine(([0.3, 1.0, 0.2j], [1j, -0.5], [2.0]),
+                                 domain=DOMAINS[1]),
+    hl.ParamCurve.line((0.1, 0, 1j), (1, 2j, 0)),
+    hl.ParamCurve.real_closed((0, 0, 0.5), [[1, 0, 0], [0, 0.3, 0]],
+                              [[0, 1, 0.2], [0.1, 0, 0]]),
+], ids=["rect", "disk", "real-loop"])
+def test_one_evaluation_gives_each_grid_its_own_bits(curve):
+    sizes = (hl.geometry.MAP_SAMPLES, hl.geometry.CUT_SAMPLES,
+             hl.geometry.AMBIENT_SAMPLES)
+    samples = hl.geometry._curve_samples(curve, sizes)
+    for n in sizes:
+        pts, vel = curve.eval_batch(curve.sample_params(n))
+        assert _bits(samples[n][0], pts) and _bits(samples[n][1], vel)
+
+
+def test_sample_grids_are_shared_and_read_only():
+    first = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
+    second = hl.ParamCurve.line((1, 2, 3), (0, 1j, 0))
+    grid = first.sample_params(64)
+    assert grid is second.sample_params(64)
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
