@@ -15,12 +15,13 @@ so the rows are [dx_i, m_x_i] on the left and [m_y_j, dy_j] on the right
 (up to the order of the two 3-column halves). Each moment is of size
 |p-o| |dp|, so det3 carries an absolute rounding error of about
 eps (|x-o| + |y-o|) |dx| |dy|: against the kernel's scale
-|dx| |dy| / ||x-y||^2 that is eps |x-o| / ||x-y||. The complex kernels
-centre both clouds at c (the mean of their two means), which keeps that
-ratio near panel extent / gap. gauss_grid takes the rows themselves,
-built by gauss_rows about any origin shared by both clouds, so the Gauss
-route forms every node's row once per refinement round, on its curve
-side, and each kernel call only slices them.
+|dx| |dy| / ||x-y||^2 that is eps |x-o| / ||x-y||. One builder,
+plucker_rows, forms the rows of every kernel. The complex kernels call it
+about c (the mean of the two clouds' means), which keeps that ratio near
+panel extent / gap. gauss_grid takes the rows themselves, built about any
+origin shared by both clouds, so the Gauss route forms every node's row
+once per refinement round, on its curve side, and each kernel call only
+slices them.
 
 ||x-y||^2 is summed from direct coordinate differences. The expansion
 ||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
@@ -54,7 +55,7 @@ def gauss_grid(x, rows_x, y, rows_y):
     orientation (standard skew lines -> +1/2, standard Hopf pair -> +1).
 
     rows_x (n, 6) and rows_y (m, 6) are the Plucker rows of the clouds,
-    [dx | mx] and [my | dy], from gauss_rows about one origin shared by
+    [dx | mx] and [my | dy], from plucker_rows about one origin shared by
     both clouds."""
     det = rows_x @ rows_y.T
     d = x[:, None, :] - y[None, :, :]
@@ -68,10 +69,10 @@ def gauss_grid(x, rows_x, y, rows_y):
     return det
 
 
-def gauss_rows(p, dp, origin, first):
-    """gauss_grid's Plucker rows of nodes p (n, 3) with velocities dp: the
-    moment m = (p - origin) x dp beside dp, as [dp | m] for the first
-    cloud and [m | dp] for the second."""
+def plucker_rows(p, dp, origin, first):
+    """Plucker rows of nodes p (n, 3) with velocities dp: the moment
+    m = (p - origin) x dp beside dp, as [dp | m] for the first cloud and
+    [m | dp] for the second (module docstring)."""
     m = _cross(p - origin, dp)
     return np.concatenate([dp, m] if first else [m, dp], axis=1)
 
@@ -91,9 +92,7 @@ def _plucker_rows(z, dz, w, dw):
     centre c of complex clouds (n, 3) and (m, 3): left @ right.T is
     det3(z-w, dz, dw) on the pair grid."""
     c = 0.5 * (z.mean(axis=0) + w.mean(axis=0))
-    left = np.concatenate([_cross(z - c, dz), dz], axis=1)
-    right = np.concatenate([dw, _cross(w - c, dw)], axis=1)
-    return left, right
+    return plucker_rows(z, dz, c, False), plucker_rows(w, dw, c, True)
 
 
 def _dist6(z, w):

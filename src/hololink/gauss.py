@@ -27,6 +27,7 @@ from .quadrature import Interval, generic_params, integrate_product
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
+CROSSING_TRIES = 16  # projection directions crossing_linking tries
 
 
 def gauss_integrand(x, dx, y, dy):
@@ -42,8 +43,8 @@ def gauss_integrand(x, dx, y, dy):
         raise CoincidentPoints("gauss_integrand evaluated at x = y")
     centre = 0.5 * (x + y)
     return -float(_kernels.gauss_grid(
-        x, _kernels.gauss_rows(x, dx, centre, True),
-        y, _kernels.gauss_rows(y, dy, centre, False))[0, 0])
+        x, _kernels.plucker_rows(x, dx, centre, True),
+        y, _kernels.plucker_rows(y, dy, centre, False))[0, 0])
 
 
 def _real_points(curve, params):
@@ -61,7 +62,7 @@ def _plucker_side(curve, origin, first):
     round."""
     def side(params):
         pts, vel = _real_points(curve, params)
-        return pts, _kernels.gauss_rows(pts, vel, origin, first)
+        return pts, _kernels.plucker_rows(pts, vel, origin, first)
     return side
 
 
@@ -162,7 +163,7 @@ def _projection_frame(direction):
     return u, v, d
 
 
-def crossing_linking(p1, p2, direction=None, seed=0, max_tries=16):
+def crossing_linking(p1, p2, direction=None, seed=0):
     """Linking number as half the signed sum over projected crossings.
 
     Projects both polylines along `direction` (default (0.123, 0.456, 1)
@@ -170,14 +171,14 @@ def crossing_linking(p1, p2, direction=None, seed=0, max_tries=16):
     orientation and over/under depth. A degenerate projection (parallel
     overlap, vertex on a segment, equal depths) is retried with
     deterministic perturbations drawn from numpy's default_rng(seed);
-    DegenerateProjection is raised when the attempts are exhausted.
+    DegenerateProjection is raised after CROSSING_TRIES directions.
     """
     v1 = np.ascontiguousarray(p1.vertices, dtype=np.float64)
     v2 = np.ascontiguousarray(p2.vertices, dtype=np.float64)
     base = DEFAULT_DIRECTION if direction is None else np.asarray(direction, dtype=float)
     rng = np.random.default_rng(seed)
     direction_try = base
-    for _ in range(max_tries):
+    for _ in range(CROSSING_TRIES):
         u, v, d = _projection_frame(direction_try)
         proj1 = np.ascontiguousarray(np.stack([v1 @ u, v1 @ v], axis=-1))
         proj2 = np.ascontiguousarray(np.stack([v2 @ u, v2 @ v], axis=-1))
@@ -189,4 +190,4 @@ def crossing_linking(p1, p2, direction=None, seed=0, max_tries=16):
                 return rounded
         direction_try = base + rng.normal(scale=0.05, size=3)
     raise DegenerateProjection(
-        f"no generic projection direction found in {max_tries} attempts")
+        f"no generic projection direction found in {CROSSING_TRIES} attempts")

@@ -60,9 +60,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .errors import CurvesTooClose, NonFiniteIntegrand, PVNotConverging
-from .geometry import realify
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, realify
 
 _MARK_FACTOR = 8.0     # refine panels with err >= max panel err / this
 _MIN_DIST = 1e-6       # CurvesTooClose threshold

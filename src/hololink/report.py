@@ -192,12 +192,6 @@ def applicable_methods(scene):
 # ---------------------------------------------------------------------------
 # computation
 
-def _line_data(c1, c2):
-    p1, e1 = c1.line_frame()
-    p2, e2 = c2.line_frame()
-    return p1, e1, p2, e2
-
-
 def _scene_constants(scene):
     """The scene's constants, with the closed form BMContext.line_kappa in
     place of a kappa_line it leaves None."""
@@ -235,14 +229,14 @@ def compute(scene, method, cfg, seed=0):
         value = float(crossing_linking(pl1, pl2, seed=seed))
         extra = {"samples": CROSSING_SAMPLES}
     elif method == "gauss_closed":
-        p1, e1, p2, e2 = _line_data(c1, c2)
+        (p1, e1), (p2, e2) = c1.line_frame(), c2.line_frame()
         value = line_gauss_closed(e1.real, e2.real, (p2 - p1).real)
     elif method in ("holo_integral", "holo_pv"):
         res = holo_linking_integral((c1, f1), (c2, f2), ctx, cfg)
     elif method == "holo_line":
         res = holo_line((c1, f1), (c2, f2), ctx, cfg)
     elif method == "holo_closed":
-        p1, e1, p2, e2 = _line_data(c1, c2)
+        (p1, e1), (p2, e2) = c1.line_frame(), c2.line_frame()
         coeff1 = f1.num[0] / f1.den[0]
         coeff2 = f2.num[0] / f2.den[0]
         value = line_holo_closed(e1, e2, p2 - p1, coeff1, coeff2, consts)

@@ -2,8 +2,9 @@
 double-pole along a complete-intersection cut by one division in C[t],
 take iterated residues, and sum the residues at the cut surface's
 intersections with the second curve as one Euler-Jacobi trace, which needs
-no root. Includes the projective two-line example computed in affine charts
-with an automatic chart change for intersection points at infinity.
+no root. Includes the projective two-line example, whose residue is minus
+the inverse Jacobian determinant of the first line's cut forms on the
+second line.
 
 Residue convention: res(du/u) = 1 (no 2*pi*i factor anywhere); the
 route-global constant relating this to the kernel double integral is
@@ -420,11 +421,6 @@ def _canonical_nullspace_frame(rows):
     return work[0], work[1]
 
 
-def _lin_on_frame(form, q0, q1):
-    """(c0, c1) with form(q0 + t q1) = c0 + c1 t."""
-    return complex(form @ q0), complex(form @ q1)
-
-
 def atiyah_p3(l_forms, p_forms):
     """Residue pairing of two disjoint lines in projective 3-space.
 
@@ -435,10 +431,14 @@ def atiyah_p3(l_forms, p_forms):
 
     Restricted to L2 the ratio of the lifted form to the ambient form
     leaves theta0 / (l1 l2): each p-factor enters once above and once
-    below, so they cancel identically. The value is the residue sum over
-    {l1 = 0} on L2, chart-changed to reach an intersection point at
-    infinity (where theta0 pulls back to -du). The residue point may sit
-    on a p-hyperplane, which is harmless because the factors cancel; a
+    below, so they cancel identically. The value is the residue of
+    theta0 / (l1 l2) at the point {l1 = 0} of L2: with L2's canonical
+    frame (q0, q1), c_j = l1 . q_j and d_j = l2 . q_j, it is
+    -1 / (c0 d1 - c1 d0), minus the inverse Jacobian determinant of
+    (l1, l2) in the frame coordinates. That needs no affine chart and holds
+    at a point at infinity of either chart (Griffiths & Harris,
+    Principles of Algebraic Geometry, 1978, ch. 5). The residue point may
+    sit on a p-hyperplane, which is harmless because the factors cancel; a
     hyperplane containing either line is rejected.
     """
     L = np.asarray(l_forms, dtype=complex).reshape(4, 4)
@@ -455,22 +455,11 @@ def atiyah_p3(l_forms, p_forms):
                 raise NonGenericHyperplanes(
                     f"hyperplane p{i + 1} contains one of the lines")
 
-    c0, c1 = _lin_on_frame(L[0], q0, q1)
-    lin_scale = max(abs(c0), abs(c1))
-    if abs(c1) > 1e-12 * lin_scale:
-        theta0 = 1.0            # chart z(t) = q0 + t q1, theta0 -> dt
-        root = -c0 / c1
-        deriv = c1
-        point = q0 + root * q1
-    else:
-        theta0 = -1.0           # chart z(u) = u q0 + q1, theta0 -> -du
-        u0, u1_ = complex(L[0] @ q1), complex(L[0] @ q0)
-        root = -u0 / u1_
-        deriv = u1_
-        point = root * q0 + q1
-
-    l2_val = complex(L[1] @ point)
-    l_scale = float(np.linalg.norm(L[1]) * max(np.linalg.norm(point), 1e-300))
-    if abs(l2_val) <= 1e-10 * l_scale:
+    c0, c1 = complex(L[0] @ q0), complex(L[0] @ q1)
+    d0, d1 = complex(L[1] @ q0), complex(L[1] @ q1)
+    jac = c0 * d1 - c1 * d0
+    scale = (np.linalg.norm(L[0]) * np.linalg.norm(L[1])
+             * np.linalg.norm(q0) * np.linalg.norm(q1))
+    if abs(jac) <= 1e-10 * scale:
         raise PoleCollision("l2 vanishes at the l1-intersection point")
-    return theta0 / (deriv * l2_val)
+    return -1.0 / jac

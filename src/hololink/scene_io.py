@@ -11,6 +11,7 @@ of the offending field.
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -18,6 +19,11 @@ from .errors import SceneInvalid
 from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
                        OneForm, ParamCurve, Poly3, Scene, SurfaceCut,
                        poly_trim, validate_scene)
+
+# The largest exponent a polynomial term may carry. Generated scenes use at
+# most 4; the bound stops a huge exponent from allocating a dense
+# coefficient array of that length.
+MAX_EXPONENT = 64
 
 
 def _path(path, *keys):
@@ -58,6 +64,14 @@ def _complex_out(value):
     return [value.real, value.imag]
 
 
+def _complex_list_in(value, path, key):
+    """The optional list of complex numbers at value[key], [] when absent."""
+    items = value.get(key, [])
+    if not isinstance(items, list):
+        raise SceneInvalid(_path(path, key), "expected a list of numbers")
+    return [_complex_in(v, path, key, i) for i, v in enumerate(items)]
+
+
 def _vector_in(value, path, n=3):
     if not isinstance(value, list) or len(value) != n:
         raise SceneInvalid(path, f"expected a list of {n} numbers")
@@ -75,9 +89,10 @@ def _terms_in(value, nvars, path, *keys):
         exps = term.get("exponents")
         # type() is int: json.loads gives a bool for true and false
         if (not isinstance(exps, list) or len(exps) != nvars
-                or not all(type(e) is int and e >= 0 for e in exps)):
+                or not all(type(e) is int and 0 <= e <= MAX_EXPONENT
+                           for e in exps)):
             raise SceneInvalid(_path(path, *keys, i, "exponents"),
-                               f"expected {nvars} non-negative integers")
+                               f"expected {nvars} integers in 0..{MAX_EXPONENT}")
         if "coeff" not in term:
             raise SceneInvalid(_path(path, *keys, i, "coeff"), "missing coefficient")
         terms.append((tuple(exps),
@@ -162,8 +177,7 @@ def _curve_in(name, value, path):
     if not isinstance(value, dict):
         raise SceneInvalid(path, "expected a curve object")
     kind = value.get("kind")
-    marked = [_complex_in(p, path, "marked_points", i)
-              for i, p in enumerate(value.get("marked_points", []))]
+    marked = _complex_list_in(value, path, "marked_points")
     mp = value.get("map")
     if not isinstance(mp, dict):
         raise SceneInvalid(path + ".map", "expected a map object")
@@ -224,9 +238,7 @@ def _form_in(value, path, curves):
         den = _poly1_in(coeff["denominator"], path, "coeff", "denominator")
     else:
         den = np.ones(1, dtype=complex)
-    poles = [_complex_in(p, path, "poles", i)
-             for i, p in enumerate(value.get("poles", []))]
-    return OneForm(curve, num, den, tuple(poles))
+    return OneForm(curve, num, den, tuple(_complex_list_in(value, path, "poles")))
 
 
 def _form_out(form):
@@ -322,6 +334,14 @@ def _atiyah_out(atiyah):
             for key, rows in atiyah.items()}
 
 
+def _named_in(data, key):
+    """The optional object of named entries at data[key], {} when absent."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise SceneInvalid(key, f"expected an object of named {key}")
+    return value
+
+
 def loads_scene(text, scene_id="scene"):
     """Parse and validate a scene from a JSON string."""
     try:
@@ -338,7 +358,7 @@ def loads_scene(text, scene_id="scene"):
         curves[name] = _curve_in(name, cdef, f"curves.{name}")
 
     forms = {}
-    for name, fdef in data.get("forms", {}).items():
+    for name, fdef in _named_in(data, "forms").items():
         forms[name] = _form_in(fdef, f"forms.{name}", curves)
 
     ambient = None
@@ -346,10 +366,7 @@ def loads_scene(text, scene_id="scene"):
         ambient = _ambient_in(data["ambient"], "ambient")
 
     cuts = {}
-    cut_data = data.get("cuts", {})
-    if not isinstance(cut_data, dict):
-        raise SceneInvalid("cuts", "expected an object of named cuts")
-    for name, cdef in cut_data.items():
+    for name, cdef in _named_in(data, "cuts").items():
         cuts[name] = _cut_in(cdef, f"cuts.{name}", curves)
 
     constants = None
@@ -373,7 +390,6 @@ def load_scene(path):
             text = fh.read()
     except OSError as exc:
         raise SceneInvalid("$", f"cannot read {path}: {exc}") from exc
-    import os
     default_id = os.path.splitext(os.path.basename(str(path)))[0]
     return loads_scene(text, scene_id=default_id)
 

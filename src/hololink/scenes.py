@@ -11,9 +11,9 @@ compact domains).
 
 import numpy as np
 
-from . import _kernels
+from .errors import SceneInvalid
 from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
-                       OneForm, ParamCurve, Poly3, Scene, SurfaceCut, realify,
+                       OneForm, ParamCurve, Poly3, Scene, SurfaceCut, det3,
                        validate_scene)
 
 _Z = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -183,9 +183,9 @@ def random_line_scene(seed, radius=DEFAULT_RADIUS):
         e1 = _unit_complex_vector(rng)
         e2 = _unit_complex_vector(rng)
         e3 = (rng.uniform(0.8, 2.0) * _unit_complex_vector(rng))
-        from .geometry import det3
-        d = complex(det3(e1, e2, e3))
-        if abs(d) < 0.15:
+        # the lines' distance is |det3| / |e1 x e2| >= |det3| for unit e1
+        # and e2, so this test also keeps them at least 0.15 apart
+        if abs(complex(det3(e1, e2, e3))) < 0.15:
             continue
         p1 = 0.3 * _unit_complex_vector(rng)
         p2 = p1 + e3
@@ -199,21 +199,14 @@ def random_line_scene(seed, radius=DEFAULT_RADIUS):
         a2 = np.cross(e1, a1)
         a2 = a2 / np.linalg.norm(a2)
 
-        curve1 = ParamCurve.line(p1, e1, radius=radius)
-        curve2 = ParamCurve.line(p2, e2, radius=radius)
-        scene = Scene(
+        return validate_scene(Scene(
             scene_id=f"random_line_{seed}",
-            curves={"c1": curve1, "c2": curve2},
+            curves={"c1": ParamCurve.line(p1, e1, radius=radius),
+                    "c2": ParamCurve.line(p2, e2, radius=radius)},
             forms={"theta1": _const_form("c1", c1), "theta2": _const_form("c2", c2)},
             ambient=AmbientForm.standard(),
             cuts={"cut1": SurfaceCut(linear_poly(a1, p1), linear_poly(a2, p1), "c1")},
-            constants=NormalizationConstants())
-        pts1 = curve1.eval_batch(curve1.sample_params(256))[0]
-        pts2 = curve2.eval_batch(curve2.sample_params(256))[0]
-        if _kernels.min_dist(realify(pts1)[None],
-                             realify(pts2)[None])[0] < 1e-2:
-            continue
-        return validate_scene(scene)
+            constants=NormalizationConstants()))
     raise RuntimeError(f"no valid random line scene for seed {seed}")
 
 
@@ -247,7 +240,7 @@ def random_polynomial_scene(seed, degree=2):
             constants=NormalizationConstants())
         try:
             return validate_scene(scene)
-        except Exception:
+        except SceneInvalid:
             continue
     raise RuntimeError(f"no valid random polynomial scene for seed {seed}")
 

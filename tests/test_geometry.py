@@ -641,3 +641,30 @@ def test_constants_default_c3_is_pi_cubed():
     assert hl.C3 == pytest.approx(math.pi ** 3)
     assert hl.BMContext().line_kappa == pytest.approx(
         -2.0 * math.pi ** 2 * hl.C3)
+
+
+def test_random_polynomial_scene_retries_rejections_only(monkeypatch):
+    # a rejected draw is redrawn; a defect surfaces at once instead of as
+    # "no valid random polynomial scene" after 64 draws
+    raw = hl.scenes.validate_scene
+    calls = []
+
+    def reject_first(scene):
+        calls.append(scene.scene_id)
+        if len(calls) == 1:
+            raise SceneInvalid("curves.c1", "rejected")
+        return raw(scene)
+
+    monkeypatch.setattr(hl.scenes, "validate_scene", reject_first)
+    hl.scenes.random_polynomial_scene(0)
+    assert len(calls) == 2
+
+    def broken(scene):
+        calls.append(scene.scene_id)
+        raise TypeError("defect")
+
+    calls.clear()
+    monkeypatch.setattr(hl.scenes, "validate_scene", broken)
+    with pytest.raises(TypeError, match="defect"):
+        hl.scenes.random_polynomial_scene(0)
+    assert len(calls) == 1

@@ -1,8 +1,8 @@
-"""Every module-level import of a hololink module is used by that module,
-and every module-level private name is referenced by some module.
+"""Every import of a hololink module is at module level and used by that
+module, and every module-level private name is referenced by some module.
 
-The package's __init__ is left out of the import check: its imports are
-its public names.
+The package's __init__ is left out of the unused-import check: its
+imports are its public names.
 """
 
 import ast
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hololink"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported_names(tree):
@@ -32,6 +33,17 @@ def test_module_uses_every_import(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_module_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nested = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+              for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, nested
 
 
 def _private_definitions(tree):

@@ -30,8 +30,8 @@ def _gauss_grid(x, dx, y, dy, origin=None):
     default the centre (mean x + mean y) / 2."""
     if origin is None:
         origin = 0.5 * (x.mean(axis=0) + y.mean(axis=0))
-    return _kernels.gauss_grid(x, _kernels.gauss_rows(x, dx, origin, True),
-                               y, _kernels.gauss_rows(y, dy, origin, False))
+    return _kernels.gauss_grid(x, _kernels.plucker_rows(x, dx, origin, True),
+                               y, _kernels.plucker_rows(y, dy, origin, False))
 
 
 def test_gauss_grid_matches_direct_formula(rng):

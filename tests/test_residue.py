@@ -227,6 +227,18 @@ def test_reference_residue_is_one_for_all_admissible_cuts():
         assert abs(value - 1.0) < 1e-10
 
 
+def test_residue_is_zero_when_the_second_line_misses_the_cut():
+    # (t, 5, 1) is parallel to {z2 = 0}: g = f1(gamma2) = 5 is constant,
+    # so no intersection contributes
+    sc = _l0_pieces()
+    lift = hl.lift_theta(sc.cuts["cut1"], sc.ambient, sc.forms["theta1"],
+                         sc.curves["c1"])
+    parallel = hl.ParamCurve.line((0, 5, 1), (1, 0, 0))
+    value = hl.residue_linking(lift, (parallel, sc.forms["theta2"]),
+                               sc.ambient)
+    assert value == 0
+
+
 def test_role_swapped_cut_gives_same_value():
     sc = _l0_pieces()
     # cut containing the second line (0, t, 1): {z1 = 0} cap {z3 - 1 = 0}
@@ -532,3 +544,37 @@ def test_projective_pairing_degenerate_hyperplane():
     p = ((0, 0, 1, 0), (0, 1, 0, 3), (1, 0, 0, -1), (0, 1, -1, 0))
     with pytest.raises(hl.NonGenericHyperplanes):
         hl.atiyah_p3(scenes.ATIYAH_L, p)
+
+
+def _exact_projective_pairing(re, im):
+    """-1 / (c0 d1 - c1 d0) over Q(i) for the lines cut by the Gaussian
+    integers re + i im, or None when they meet: (q0, q1) is the reduced
+    row echelon basis of the nullspace of (l3, l4), c_j = l1 . q_j and
+    d_j = l2 . q_j."""
+    import sympy
+    from sympy.polys.domains import QQ_I
+    L = sympy.Matrix(4, 4, [int(a) + int(b) * sympy.I
+                            for a, b in zip(re.flat, im.flat)])
+    L = L.to_DM().convert_to(QQ_I)
+    if L.det() == QQ_I.zero:
+        return None
+    frame = L[2:, :].nullspace().rref()[0]
+    (c0, c1), (d0, d1) = (L[:2, :] * frame.transpose()).to_list()
+    return complex(QQ_I.to_sympy(-QQ_I.one / (c0 * d1 - c1 * d0)))
+
+
+def test_projective_pairing_matches_exact_residue_on_generic_lines(rng):
+    # random Gaussian-integer lines put the l1-point in the chart q0 + t q1
+    # (c1 != 0), which the reference scenes never reach
+    checked = 0
+    while checked < 60:
+        re, im = rng.integers(-3, 4, size=(2, 4, 4))
+        exact = _exact_projective_pairing(re, im)
+        if exact is None:
+            continue
+        try:
+            value = hl.atiyah_p3(re + 1j * im, scenes.ATIYAH_P)
+        except hl.NonGenericHyperplanes:
+            continue
+        assert abs(value - exact) <= 1e-13 * abs(exact)
+        checked += 1

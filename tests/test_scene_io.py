@@ -175,6 +175,23 @@ def test_non_finite_numbers_are_rejected(keys, value, path):
     _expect_rejected_at(keys, value, path)
 
 
+@pytest.mark.parametrize("keys, value, path", [
+    (("forms",), [], "forms"),
+    (("forms",), 3, "forms"),
+    (("curves", "c1", "marked_points"), 5, "curves.c1.marked_points"),
+    (("forms", "theta1", "poles"), 5, "forms.theta1.poles"),
+    (("forms", "theta1", "coeff", "numerator", 0, "exponents"), [10 ** 9],
+     "forms.theta1.coeff.numerator[0].exponents"),
+    (("ambient", "numerator", 0, "exponents"), [0, 10 ** 9, 0],
+     "ambient.numerator[0].exponents"),
+], ids=["forms-list", "forms-number", "marked-points-number",
+        "poles-number", "form-exponent-huge", "ambient-exponent-huge"])
+def test_malformed_shapes_are_rejected(keys, value, path):
+    # each would otherwise surface as an AttributeError, a TypeError or,
+    # for a huge exponent, a dense allocation of that many coefficients
+    _expect_rejected_at(keys, value, path)
+
+
 def test_cut_missing_first_surface_rejected():
     data = _base_dict()
     del data["cuts"]["cut1"]["F1"]
