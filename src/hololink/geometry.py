@@ -577,6 +577,19 @@ def _curve_samples(curve, sizes):
     return out
 
 
+def _stationary_params(curve):
+    """The in-domain roots of a complex curve's lowest-degree nonzero
+    velocity component; every zero of its velocity is among them. A curve
+    with a constant nonzero velocity component has none, and no root is
+    computed for it."""
+    vel = [poly_trim(poly_der(c)) for c in curve.components]
+    lowest = min((v for v in vel if poly_deg(v) >= 0), key=len)
+    if lowest.size == 1:
+        return np.empty(0, dtype=complex)
+    roots = np.polynomial.polynomial.polyroots(lowest)
+    return np.array([t for t in roots if curve.in_domain(t)], dtype=complex)
+
+
 def validate_scene(scene):
     """Check every structural invariant; raise SceneInvalid naming the
     violated invariant and the JSON-ish path of the offender.
@@ -627,6 +640,15 @@ def validate_scene(scene):
         scale = max(float(np.max(np.abs(realify(pts)))), 1.0)
         if np.min(speed) <= 1e-9 * scale:
             raise SceneInvalid(path + ".map", "velocity vanishes on the sampled domain")
+        if curve.kind == "complex_affine" and not curve.is_line:
+            # a zero between the samples, at a root of a velocity component;
+            # a line's velocity is constant
+            params = _stationary_params(curve)
+            vel = poly_eval(params[:, None], curve._velocity_coefficients)
+            stopped = params[np.linalg.norm(vel, axis=-1) <= 1e-9 * scale]
+            if stopped.size:
+                raise SceneInvalid(path + ".map",
+                                   f"velocity vanishes at parameter {stopped[0]}")
         for p in curve.marked_points:
             if not curve.in_domain(p):
                 raise SceneInvalid(path + ".marked_points", f"puncture {p} outside domain")

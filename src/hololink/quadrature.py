@@ -9,7 +9,10 @@ curves when the caller supplies curve sides and on the parameter chart
 otherwise. With curves on both sides, a panel whose two curve pieces could
 touch between their sample points also counts as hot, whatever its error:
 a close approach narrower than the node spacing is invisible to the error
-estimate. These proximity samples are the only curve-distance sampler:
+estimate. Such an unresolved panel is halved without being integrated,
+unless it is at max_depth: its error is unknown, so it counts as
+unbounded, and while any panel is unresolved only the unresolved ones are
+halved. These proximity samples are the only curve-distance sampler:
 they cover every initial cell in the first round and then follow the
 unresolved panels down to wherever the curves come close, and a sampled
 distance below 1e-6 raises CurvesTooClose before the round's values are
@@ -17,8 +20,8 @@ computed. The panel filtration does not depend on tol: tightening tol only
 extends the same deterministic refinement sequence.
 
 A side maps a parameter array to a tuple of arrays, curve positions first;
-the default side is the parameters alone. Each refinement round evaluates
-all pending panels at once: one call of each side per rule, one per side
+the default side is the parameters alone. Each refinement round integrates
+its kept panels at once: one call of each side per rule, one per side
 for the split-axis samples and one per side for the proximity samples,
 whose distances are one stacked _kernels.min_dist call for the round. The
 integrand call is the only per-panel work: it receives each side's
@@ -40,9 +43,9 @@ back. Every disk is such a window, in one polar chart centred on its
 puncture when it has one and on the origin otherwise; the chart's area
 jacobian cancels a simple pole at the centre, so a declared simple pole is
 integrated directly. Only the starting cells depend on the centre: one
-full turn per window about the origin (L0 at tol 1e-6 takes 64 panels,
-and 360 from two half-turns) and two half-turns about a puncture
-(pv_lines at tol 1e-4 takes 316 panels, and 796 from one full turn).
+full turn per window about the origin (L0 at tol 1e-6 takes 34 panels,
+and 236 from two half-turns) and two half-turns about a puncture
+(pv_lines at tol 1e-4 takes 192 panels, and 741 from one full turn).
 integrate_pv alone decides which domains are punctured. Which poles are
 simple is the caller's decision, made from the form's polynomials before
 any integrand runs; this module only integrates. Every result carries a
@@ -84,13 +87,16 @@ class QuadConfig:
 @dataclass(frozen=True)
 class QuadTrace:
     """How an integral was produced. panels_per_round lists the panels
-    evaluated in each refinement round, over every engine run in order;
+    integrated in each refinement round, over every engine run in order,
+    and skipped_per_round the panels halved in that round without being
+    integrated, because their curve pieces could still touch;
     deepest_split is the most halvings of any final panel; max_depth_hit
     says whether max_depth kept a hot panel from being refined; err_source
     names the largest part of the error budget: "quadrature" (summed panel
     errors) or "tail" (the outer panels' sum, I(2R) - I(R))."""
 
     panels_per_round: tuple = ()
+    skipped_per_round: tuple = ()
     deepest_split: int = 0
     max_depth_hit: bool = False
     err_source: str = "quadrature"
@@ -98,6 +104,7 @@ class QuadTrace:
     def to_dict(self):
         return {"rounds": len(self.panels_per_round),
                 "panels_per_round": list(self.panels_per_round),
+                "skipped_per_round": list(self.skipped_per_round),
                 "deepest_split": self.deepest_split,
                 "max_depth_hit": self.max_depth_hit,
                 "err_source": self.err_source}
@@ -183,9 +190,9 @@ class Disk:
     def initial_cells(self):
         """(axes, inner) per initial cell: the window x <= 1 is inner, the
         ring outer. About the origin each is one full turn; two half-turns
-        take L0 from 64 panels to 360 at tol 1e-6. About a puncture each
-        is two half-turns; one full turn takes pv_lines from 316 panels to
-        796 at tol 1e-4."""
+        take L0 from 34 panels to 236 at tol 1e-6. About a puncture each
+        is two half-turns; one full turn takes pv_lines from 192 panels to
+        741 at tol 1e-4."""
         if self.puncture is None:
             turns = [(0.0, TWO_PI)]
         else:
@@ -285,7 +292,7 @@ class _Panels(NamedTuple):
     halvings so far, whether the curve pieces could still touch, whether
     the panel lies in the inner cells (the windows as given, not the outer
     ring of a doubled one), and the value and error estimate (None while
-    pending)."""
+    pending; 0 and inf for a panel halved without being integrated)."""
 
     bounds: np.ndarray
     splits: np.ndarray
@@ -301,10 +308,11 @@ class _Panels(NamedTuple):
 class _Engine:
     """One adaptive integration over dom_a (x dom_b), a round at a time.
 
-    Each round evaluates every pending panel with one call of each side per
-    rule; the integrand then runs once per panel, on that panel's slices of
-    the round's weights and arrays, and returns the panel's weighted sum.
-    That call is the only per-panel work. The split-axis and proximity
+    Each round integrates the pending panels whose value is kept (all but
+    the unresolved ones short of max_depth) with one call of each side per
+    rule; the integrand then runs once per panel, on that panel's slices
+    of the round's weights and arrays, and returns the panel's weighted
+    sum. That call is the only per-panel work. The split-axis and proximity
     samples of a round likewise take one call per side, the proximity
     distances one stacked min_dist call, and the errors and flags are
     array operations.
@@ -450,20 +458,29 @@ class _Engine:
 
     def _evaluate(self, pending):
         """The pending panels with, for those not yet found resolved, the
-        proximity check, then their values (the finer rule) and errors
-        (against the coarser one). The check comes first, so curves that
+        proximity check, then the values (the finer rule) and errors
+        (against the coarser one) of the panels whose value is kept: the
+        resolved ones and those at max_depth. Every other panel is halved
+        whatever its value, so it is not integrated: its value is 0 and its
+        error, being unknown, inf. The check comes first, so curves that
         meet fail as CurvesTooClose before any node lands on the meeting
         point."""
         lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
         check = np.flatnonzero(pending.unresolved)
         if check.size:
             pending.unresolved[check] = self._unresolved(lo[check], hi[check])
-        coarse = self._values(lo, hi, self.cfg.panel_order)
-        value = self._values(lo, hi, 2 * self.cfg.panel_order)
-        diff = value - coarse
-        # the bits of abs(complex), which np.abs does not always give
-        err = np.hypot(diff.real, diff.imag)
-        return pending._replace(value=value, err=err)
+        keep = np.flatnonzero(~pending.unresolved
+                              | (pending.splits >= self.cfg.max_depth))
+        value = np.zeros(len(lo), dtype=complex)
+        err = np.full(len(lo), np.inf)
+        if keep.size:
+            lo, hi = lo[keep], hi[keep]
+            coarse = self._values(lo, hi, self.cfg.panel_order)
+            value[keep] = self._values(lo, hi, 2 * self.cfg.panel_order)
+            diff = value[keep] - coarse
+            # the bits of abs(complex), which np.abs does not always give
+            err[keep] = np.hypot(diff.real, diff.imag)
+        return pending._replace(value=value, err=err), keep.size
 
     def _halves(self, panels):
         """Both halves of each panel, cut along its split axis; they inherit
@@ -492,7 +509,8 @@ class _Engine:
 
     def run(self, decay_order=None):
         """Refine until the summed panel error is within tol of the total
-        and no panel is unresolved.
+        and no panel is unresolved. panels_evaluated counts the integrated
+        panels only, so the integrand runs twice per panel, plus the probe.
 
         Without a decay order every domain is integrated over its window as
         given. With a decay order k, truncated domains are integrated over
@@ -502,11 +520,12 @@ class _Engine:
         """
         pending = self._initial(decay_order is not None)
         done = None
-        rounds = []
+        rounds, skipped = [], []
         depth_hit = converged = False
         while True:
-            panels = self._evaluate(pending)
-            rounds.append(len(pending.bounds))
+            panels, integrated = self._evaluate(pending)
+            rounds.append(integrated)
+            skipped.append(len(panels.bounds) - integrated)
             if done is not None:
                 panels = _Panels(*map(np.concatenate, zip(done, panels)))
             # bounds rows flatten to the (lo, hi) per axis sort key
@@ -518,6 +537,7 @@ class _Engine:
                     and not panels.unresolved.any()):
                 converged = True
                 break
+            # inf while any panel is unintegrated: only those are halved
             cutoff = panels.err.max() / _MARK_FACTOR
             hot = (panels.err >= cutoff) | panels.unresolved
             at_max = panels.splits >= self.cfg.max_depth
@@ -535,6 +555,7 @@ class _Engine:
         err = (float(pairwise_tree_sum(panels.err[inner]))
                + float(pairwise_tree_sum(panels.err[outer])) * (1.0 + step))
         trace = QuadTrace(panels_per_round=tuple(rounds),
+                          skipped_per_round=tuple(skipped),
                           deepest_split=int(panels.splits.max()),
                           max_depth_hit=depth_hit,
                           err_source="tail" if abs(tail) > err else "quadrature")
@@ -614,8 +635,8 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     r cancels the pole. That chart is the one every Disk uses; only its
     starting cells differ, two half-turns per window about a puncture
     against one full turn about the origin (at tol 1e-4 pv_lines takes
-    316 panels from half-turns and 796 from a full turn; at tol 1e-6 L0,
-    unpunctured, takes 64 from a full turn and 360 from half-turns). One
+    192 panels from half-turns and 741 from a full turn; at tol 1e-6 L0,
+    unpunctured, takes 34 from a full turn and 236 from half-turns). One
     engine run covers the product; with a truncated domain it covers the
     doubled window and takes the tail step of integrate_product. Raises
     PVNotConverging for a puncture on an Interval or a Rect and for more

@@ -3,8 +3,9 @@
 A Report is the single output record of every computation: the value, its
 error and tail estimates, convergence state, the constants and quadrature
 configuration that produced it, and wall time. Integral methods add
-extra["trace"]: the quadrature trace (rounds, panels per round, deepest
-split, whether max_depth stopped a hot panel, the source of err_estimate),
+extra["trace"]: the quadrature trace (rounds, panels integrated per
+round, panels halved per round without being integrated, deepest split,
+whether max_depth stopped a hot panel, the source of err_estimate),
 the worker count, and "radius", the truncation window R of each query
 curve as its scene declares it (null for a compact domain, and for both
 curves of holo_line, which integrates each whole plane). Reports

@@ -394,6 +394,33 @@ def test_validate_rejects_stationary_curve():
     assert "c1" in str(exc.value)
 
 
+_A = 2.0 + 1.0j
+
+
+# complex curves whose velocity vanishes at one parameter, none of them on
+# the rings that sample_params lays over a disk
+@pytest.mark.parametrize("components, where", [
+    (([0, 0, 1], [0, 0, 1], [5, 0, 0, 1]), 0j),
+    ((P.polyfromroots([_A, _A]), P.polyfromroots([_A, _A, _A]),
+      [5, -3 * _A * _A, 0, 1]), _A),
+], ids=["centre", "off-centre"])
+def test_validate_rejects_velocity_zero_between_samples(components, where):
+    c = hl.ParamCurve.complex_affine(components)
+    assert np.min(np.abs(c.sample_params(hl.geometry.MAP_SAMPLES)
+                         - where)) > 1.0
+    scene = hl.Scene(curves={"c1": c, "c2": hl.ParamCurve.line((0, 0, 1), (0, 1, 0))})
+    with pytest.raises(SceneInvalid, match="velocity vanishes") as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "curves.c1.map"
+
+
+def test_validate_accepts_velocity_zero_outside_the_domain():
+    c = hl.ParamCurve.complex_affine(([0, 0, 1], [0, 0, 1], [5, 0, 0, 1]),
+                                     domain=("rect", 1.0, 2.0, 1.0, 2.0))
+    scene = hl.Scene(curves={"c1": c, "c2": hl.ParamCurve.line((0, 0, 1), (0, 1, 0))})
+    assert hl.validate_scene(scene) is scene
+
+
 def test_validate_rejects_zero_disk_radius():
     scene = _valid_scene()
     scene.curves["c1"] = replace(scene.curves["c1"], domain=("disk", 0.0))

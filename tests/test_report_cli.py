@@ -119,6 +119,18 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method, source):
     assert trace["radius"] == TRACE_RADIUS[scene]
 
 
+def test_trace_lists_the_panels_halved_unintegrated(fast_cfg):
+    # L0's four initial cells are too coarse for the proximity samples to
+    # separate the lines, so the first round halves them unintegrated
+    rep = report.compute(scenes.l0(), "holo_integral", fast_cfg)
+    trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
+    assert trace["rounds"] == len(trace["skipped_per_round"])
+    assert trace["panels_per_round"][0] == 0
+    assert trace["skipped_per_round"][0] == 4
+    assert trace["skipped_per_round"][-1] == 0
+    assert sum(trace["panels_per_round"]) == rep.panels_evaluated
+
+
 def test_holo_line_report_names_no_window(fast_cfg):
     # the whole-plane route integrates no window, so it has no tail
     rep = report.compute(scenes.l0(), "holo_line", fast_cfg)
