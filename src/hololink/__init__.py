@@ -27,7 +27,8 @@ from .holo import (C3, BMContext, bm_pullback_epsilon_sum,
                    complex_linking_number, holo_line, holo_linking_integral,
                    line_holo_closed)
 from .quadrature import (QuadConfig, QuadResult, QuadTrace, domain_for_curve,
-                         integrate_curve, integrate_product, integrate_pv)
+                         integrate_curve, integrate_product, integrate_pv,
+                         per_panel)
 from .report import (METHODS, Report, applicable_methods, calibrate, compute,
                      xcheck)
 from .residue import (LiftedThreeForm, PolyMultiplier, atiyah_p3,

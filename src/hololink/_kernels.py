@@ -95,29 +95,34 @@ def _plucker_rows(z, dz, w, dw):
     return plucker_rows(z, dz, c, False), plucker_rows(w, dw, c, True)
 
 
-def _dist6(z, w):
-    """||z-w||^6 on the pair grid of complex clouds (n, 3) and (m, 3)."""
+def _squared_distances(x, y):
+    """||x_i - y_j||^2 on the pair grid of real clouds x (..., n, k) and
+    y (..., m, k), as (..., n, m), summed one coordinate at a time in
+    coordinate order."""
     # Each difference x_i - y_j comes from the rank-2 product
     # [x, 1] @ [1, -y]: both products are exact, so every entry is the
     # difference rounded once, as np.subtract.outer gives it, but without
     # a ufunc call per row.
-    zr = np.concatenate([z.real, z.imag], axis=1)
-    wr = np.concatenate([w.real, w.imag], axis=1)
-    xs = np.ones((zr.shape[0], 2))
-    ys = np.ones((2, wr.shape[0]))
+    xs = np.ones(x.shape[:-1] + (2,))
+    ys = np.ones(y.shape[:-2] + (2, y.shape[-2]))
+    n2 = diff = None
+    for c in range(x.shape[-1]):
+        xs[..., 0] = x[..., c]
+        ys[..., 1, :] = -y[..., c]
+        diff = np.matmul(xs, ys, out=diff)
+        diff *= diff
+        if n2 is None:
+            n2, diff = diff, None
+        else:
+            n2 += diff
+    return n2
 
-    def squared_diff(k, out=None):
-        xs[:, 0] = zr[:, k]
-        ys[1] = -wr[:, k]
-        out = np.matmul(xs, ys, out=out)
-        out *= out
-        return out
 
-    n2 = squared_diff(0)
-    diff = np.empty_like(n2)
-    for k in range(1, 6):
-        n2 += squared_diff(k, diff)
-    dist6 = np.multiply(n2, n2, out=diff)
+def _dist6(z, w):
+    """||z-w||^6 on the pair grid of complex clouds (n, 3) and (m, 3)."""
+    n2 = _squared_distances(np.concatenate([z.real, z.imag], axis=1),
+                            np.concatenate([w.real, w.imag], axis=1))
+    dist6 = n2 * n2
     dist6 *= n2
     return dist6
 
@@ -157,24 +162,19 @@ def min_dist(a, b):
 
     Works in blocks of about 32k point pairs, not P*n*m: whole panels
     while one panel's pairs fit, else blocks of one panel's rows of a (one
-    row when b is larger). The squared distances are summed one coordinate
-    at a time, in coordinate order, so each panel's minimum does not depend
-    on the blocks or on the other panels."""
-    count, n, k = a.shape
+    row when b is larger). The squared distances come from
+    _squared_distances, each difference rounded once and summed one
+    coordinate at a time, in coordinate order: each panel's minimum has
+    the bits of the broadcast form and does not depend on the blocks or on
+    the other panels."""
+    count, n, _ = a.shape
     rows = max(1, 32768 // max(b.shape[1], 1))
     panels = max(1, rows // max(n, 1))
     best = np.full(count, np.inf)
     for p in range(0, count, panels):
-        bp = b[p:p + panels, None, :, :]
         for i in range(0, n, rows):
-            ap = a[p:p + panels, i:i + rows, None, :]
-            n2 = np.subtract(ap[..., 0], bp[..., 0])
-            n2 *= n2
-            d = np.empty_like(n2)
-            for c in range(1, k):
-                np.subtract(ap[..., c], bp[..., c], out=d)
-                d *= d
-                n2 += d
+            n2 = _squared_distances(a[p:p + panels, i:i + rows],
+                                    b[p:p + panels])
             np.minimum(best[p:p + panels], n2.min(axis=(1, 2)),
                        out=best[p:p + panels])
     return np.sqrt(best)

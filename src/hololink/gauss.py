@@ -23,7 +23,8 @@ from . import _kernels
 from .errors import (CoincidentPoints, DegenerateConfiguration,
                      DegenerateProjection, MethodInapplicable)
 from .geometry import det3
-from .quadrature import Interval, generic_params, integrate_product
+from .quadrature import (Interval, generic_params, integrate_product,
+                         per_panel)
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
@@ -99,7 +100,7 @@ def gauss_linking(curve1, curve2, cfg):
                       for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)
 
     return integrate_product(
-        _gauss_kernel, dom1, dom2, cfg,
+        per_panel(_gauss_kernel), dom1, dom2, cfg,
         side_a=_plucker_side(curve1, origin, True),
         side_b=_plucker_side(curve2, origin, False),
         decay_order=1)

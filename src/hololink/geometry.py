@@ -470,6 +470,15 @@ class AmbientForm:
     def standard(cls):
         return cls(num=Poly3.constant(1.0))
 
+    @cached_property
+    def is_standard(self):
+        """Whether num/den is the constant 1, the form dz1 ^ dz2 ^ dz3 that
+        the kernel routes integrate against. Decided from the coefficients
+        once per form, not by evaluating the polynomials."""
+        num, den = (poly.coeffs.sum() if not poly.exponents.any() else None
+                    for poly in (self.num, self.den))
+        return num is not None and den is not None and num == den != 0
+
 
 @dataclass(frozen=True)
 class SurfaceCut:

@@ -23,7 +23,7 @@ from . import _kernels, quadrature
 from .errors import (CoincidentPoints, CurvesTooClose, DegenerateConfiguration,
                      MethodInapplicable, PVNotConverging)
 from .geometry import det3, poly_deg, poly_eval, poly_trim
-from .quadrature import domain_for_curve, integrate_pv
+from .quadrature import domain_for_curve, integrate_pv, per_panel
 from .residue import pole_order
 
 C3 = math.pi ** 3
@@ -130,12 +130,12 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     # puncture itself, but integrates only at interior nodes. The kernel
     # takes the weights with the coefficients folded in and returns the
     # panel sum.
-    def integrand(wa, x, dx, num1, den1, wb, y, dy, num2, den2):
+    def kernel(wa, x, dx, num1, den1, wb, y, dy, num2, den2):
         return _kernels.bm_grid(x, dx, y, dy, wa * (scale * (num1 / den1)),
                                 wb * (num2 / den2))
 
     return integrate_pv(
-        integrand, dom_a, dom_b,
+        per_panel(kernel), dom_a, dom_b,
         (tuple(form1.poles), tuple(form2.poles)), cfg,
         side_a=lambda u: (*curve1.eval_batch(u), *form1.num_den_batch(u)),
         side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)),
@@ -238,14 +238,17 @@ def holo_line(s1, s2, ctx, cfg):
     scale = (AREA_FACTOR * ctx.prefactor * math.pi
              / (2.0 * np.vdot(e2, e2).real))
 
+    # one call per rule for the whole round: w and t are (P, n)
     def integrand(w, t):
         rho = t.real
         u = rho / (1.0 - rho) * np.exp(1j * t.imag)
-        offset = poly_eval(u[:, None], perp)
+        offset = poly_eval(u[..., None], perp)
         area = np.sum(offset.real ** 2 + offset.imag ** 2, axis=-1)
         values = (poly_eval(u, g1) * poly_eval(poly_eval(u, vstar), g2)
                   * np.conj(poly_eval(u, det)) / area ** 2)
-        return (w * (scale * rho / (1.0 - rho) ** 3)) @ values
+        wt = w * (scale * rho / (1.0 - rho) ** 3)
+        # a stacked (1, n) @ (n, 1) product per panel: the bits of wt @ values
+        return np.matmul(wt[:, None, :], values[:, :, None])[:, 0, 0]
 
     return quadrature.integrate_curve(
         integrand, quadrature.Rect(0.0, 1.0, 0.0, 2.0 * math.pi), cfg)
@@ -282,10 +285,10 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     dom_b = domain_for_curve(curve2)
     scale = AREA_FACTOR * ctx.prefactor
 
-    def integrand(wa, x, dx, wb, y, dy):
+    def kernel(wa, x, dx, wb, y, dy):
         return wa @ (scale * _kernels.clink_grid(x, dx, y, dy)) @ wb
 
-    return integrate_pv(integrand, dom_a, dom_b, ((), ()), cfg,
+    return integrate_pv(per_panel(kernel), dom_a, dom_b, ((), ()), cfg,
                         side_a=curve1.eval_batch, side_b=curve2.eval_batch,
                         decay_order=2)
 

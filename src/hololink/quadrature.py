@@ -9,29 +9,33 @@ curves when the caller supplies curve sides and on the parameter chart
 otherwise. With curves on both sides, a panel whose two curve pieces could
 touch between their sample points also counts as hot, whatever its error:
 a close approach narrower than the node spacing is invisible to the error
-estimate. Such an unresolved panel is halved without being integrated,
-unless it is at max_depth: its error is unknown, so it counts as
-unbounded, and while any panel is unresolved only the unresolved ones are
-halved. These proximity samples are the only curve-distance sampler:
-they cover every initial cell in the first round and then follow the
-unresolved panels down to wherever the curves come close, and a sampled
-distance below 1e-6 raises CurvesTooClose before the round's values are
-computed. The panel filtration does not depend on tol: tightening tol only
-extends the same deterministic refinement sequence.
+estimate.
+
+A refinement round first resolves proximity, then integrates. It checks
+the pending panels' curve pieces, halves the unresolved ones that are
+short of max_depth without integrating them, and checks their halves
+again, until every pending panel is resolved or at max_depth; only then
+does it integrate all of them. These proximity samples are the only
+curve-distance sampler: they cover every initial cell in the first pass and
+then follow the unresolved panels down to wherever the curves come close,
+and a sampled distance below 1e-6 raises CurvesTooClose before any
+integrand call of the round. The panel filtration does not depend on tol:
+tightening tol only extends the same deterministic refinement sequence.
 
 A side maps a parameter array to a tuple of arrays, curve positions first;
-the default side is the parameters alone. Each refinement round integrates
-its kept panels at once: one call of each side per rule, one per side
-for the split-axis samples and one per side for the proximity samples,
-whose distances are one stacked _kernels.min_dist call for the round. The
-integrand call is the only per-panel work: it receives each side's
-jacobian-folded weights before that side's arrays and returns the
-weighted panel sum, so it can contract its values however is cheapest.
-Errors, covering radii and flags are array operations over the round, and
-the round's panel sums are checked for finiteness together. Panel results
-are reduced by a fixed pairwise tree over geometrically sorted panels, so
-values do not depend on how a round is batched. Everything runs on one
-thread.
+the default side is the parameters alone. A round integrates its panels
+with one call of each side per rule and one call of the integrand per
+rule. The integrand receives each side's jacobian-folded weights (P, n)
+before that side's arrays (P, n, ...), stacked over the round's P panels,
+and returns the (P,) weighted panel sums, so it can contract its values
+however is cheapest. per_panel adapts a kernel written for one panel; it
+holds the only per-panel loop. Each proximity check pass and each halving
+takes one call per side for its samples, and a pass's distances are one
+stacked _kernels.min_dist call. Errors, covering radii and flags are array
+operations over the round, and the round's panel sums are checked for
+finiteness together. Panel results are reduced by a fixed pairwise tree
+over geometrically sorted panels, so values do not depend on how a round
+is batched. Everything runs on one thread.
 
 A truncated (non-compact) domain of radius R is integrated in one run over
 its doubled window. R is the curve's own: domain_for_curve reads it from
@@ -88,15 +92,18 @@ class QuadConfig:
 class QuadTrace:
     """How an integral was produced. panels_per_round lists the panels
     integrated in each refinement round, over every engine run in order,
-    and skipped_per_round the panels halved in that round without being
-    integrated, because their curve pieces could still touch;
-    deepest_split is the most halvings of any final panel; max_depth_hit
-    says whether max_depth kept a hot panel from being refined; err_source
-    names the largest part of the error budget: "quadrature" (summed panel
-    errors) or "tail" (the outer panels' sum, I(2R) - I(R))."""
+    skipped_per_round the panels halved in that round without being
+    integrated, because their curve pieces could still touch, and
+    checks_per_round the proximity check passes the round ran before it
+    integrated (0 once every panel is resolved); deepest_split is the most
+    halvings of any final panel; max_depth_hit says whether max_depth kept
+    a hot panel from being refined; err_source names the largest part of
+    the error budget: "quadrature" (summed panel errors) or "tail" (the
+    outer panels' sum, I(2R) - I(R))."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
+    checks_per_round: tuple = ()
     deepest_split: int = 0
     max_depth_hit: bool = False
     err_source: str = "quadrature"
@@ -105,6 +112,7 @@ class QuadTrace:
         return {"rounds": len(self.panels_per_round),
                 "panels_per_round": list(self.panels_per_round),
                 "skipped_per_round": list(self.skipped_per_round),
+                "checks_per_round": list(self.checks_per_round),
                 "deepest_split": self.deepest_split,
                 "max_depth_hit": self.max_depth_hit,
                 "err_source": self.err_source}
@@ -292,7 +300,7 @@ class _Panels(NamedTuple):
     halvings so far, whether the curve pieces could still touch, whether
     the panel lies in the inner cells (the windows as given, not the outer
     ring of a doubled one), and the value and error estimate (None while
-    pending; 0 and inf for a panel halved without being integrated)."""
+    pending)."""
 
     bounds: np.ndarray
     splits: np.ndarray
@@ -302,20 +310,26 @@ class _Panels(NamedTuple):
     err: np.ndarray = None
 
     def take(self, index):
-        return _Panels(*(x[index] for x in self))
+        return _Panels(*(None if x is None else x[index] for x in self))
+
+    @staticmethod
+    def join(parts):
+        """One panel set from parts that have the same fields set."""
+        return _Panels(*(None if f[0] is None else np.concatenate(f)
+                         for f in zip(*parts)))
 
 
 class _Engine:
     """One adaptive integration over dom_a (x dom_b), a round at a time.
 
-    Each round integrates the pending panels whose value is kept (all but
-    the unresolved ones short of max_depth) with one call of each side per
-    rule; the integrand then runs once per panel, on that panel's slices
-    of the round's weights and arrays, and returns the panel's weighted
-    sum. That call is the only per-panel work. The split-axis and proximity
-    samples of a round likewise take one call per side, the proximity
-    distances one stacked min_dist call, and the errors and flags are
-    array operations.
+    Each round first resolves proximity: check passes over the pending
+    panels, halving the unresolved ones short of max_depth, until none is
+    left to halve. It then integrates every pending panel with one call of
+    each side and one call of the integrand per rule, on the round's
+    stacked weights and arrays; the integrand returns the (P,) panel sums.
+    The split-axis samples of a halving and the proximity samples of a
+    check pass likewise take one call per side, a pass's distances one
+    stacked min_dist call, and the errors and flags are array operations.
     """
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
@@ -357,19 +371,18 @@ class _Engine:
 
     def _values(self, lo, hi, order):
         """Each panel's value under the order-n rule: the integrand's
-        weighted sum over the panel's nodes. The round's values are checked
-        for finiteness together; a bad one raises NonFiniteIntegrand naming
-        the first non-finite node of its panel or, when every node is
-        finite, the overflowing sum."""
+        weighted sum over the panel's nodes, from one integrand call for
+        the round. The round's values are checked for finiteness together;
+        a bad one raises NonFiniteIntegrand naming the first non-finite
+        node of its panel or, when every node is finite, the overflowing
+        sum."""
         rules = [self._rule(s, lo, hi, order) for s in range(len(self.doms))]
         blocks = [(wgts, *self._eval_side(s, params))
                   for s, (params, wgts) in enumerate(rules)]
-        stacked = [a for blk in blocks for a in blk]
-        out = np.empty(len(lo), dtype=complex)
         # one errstate for the round; an overflow or NaN shows in out below
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, args in enumerate(zip(*stacked)):
-                out[i] = self.f(*args)
+            out = _panel_sums(self.f, [a for blk in blocks for a in blk],
+                              len(lo))
             for i in np.flatnonzero(~np.isfinite(out))[:1]:
                 self._raise_nonfinite(rules, blocks, i, lo[i], hi[i])
         return out
@@ -378,14 +391,15 @@ class _Engine:
         """Raise NonFiniteIntegrand for panel i (bounds lo, hi), naming its
         first non-finite node, or node pair, in row-major order, or its sum
         when every node is finite. Each node costs one call of the
-        integrand on one-node slices with unit weights."""
+        integrand on a one-panel round of one node per side, with unit
+        weights."""
         sides = [[a[i] for a in blk[1:]] for blk in blocks]
-        one = np.ones(1)
+        one = np.ones((1, 1))
         ranges = [range(len(arrays[0])) for arrays in sides]
         for idx in itertools.product(*ranges):
             args = [a for arrays, j in zip(sides, idx)
-                    for a in (one, *(x[j:j + 1] for x in arrays))]
-            if cmath.isfinite(complex(self.f(*args))):
+                    for a in (one, *(x[None, j:j + 1] for x in arrays))]
+            if cmath.isfinite(complex(_panel_sums(self.f, args, 1)[0])):
                 continue
             param = tuple(params[i][j] for (params, _), j in zip(rules, idx))
             if len(param) == 1:
@@ -456,31 +470,45 @@ class _Engine:
 
     # -- main loop ---------------------------------------------------------
 
+    def _resolve(self, pending):
+        """The pending panels once proximity is resolved, the number of
+        panels halved on the way and the number of check passes. A pass
+        checks the panels not yet found resolved and halves, without
+        integrating them, those still unresolved and short of max_depth;
+        their halves are checked by the next pass. An unresolved panel's
+        error is unknown, so halving it whatever its value loses nothing.
+        The passes end when no panel is left to halve."""
+        ready, halved, passes = [], 0, 0
+        while True:
+            check = np.flatnonzero(pending.unresolved)
+            if not check.size:
+                break
+            bounds = pending.bounds[check]
+            pending.unresolved[check] = self._unresolved(bounds[..., 0],
+                                                         bounds[..., 1])
+            passes += 1
+            split = pending.unresolved & (pending.splits < self.cfg.max_depth)
+            if not split.any():
+                break
+            ready.append(pending.take(~split))
+            halved += int(split.sum())
+            pending = self._halves(pending.take(split))
+        return _Panels.join([*ready, pending]), halved, passes
+
     def _evaluate(self, pending):
-        """The pending panels with, for those not yet found resolved, the
-        proximity check, then the values (the finer rule) and errors
-        (against the coarser one) of the panels whose value is kept: the
-        resolved ones and those at max_depth. Every other panel is halved
-        whatever its value, so it is not integrated: its value is 0 and its
-        error, being unknown, inf. The check comes first, so curves that
-        meet fail as CurvesTooClose before any node lands on the meeting
-        point."""
+        """The pending panels, resolved (_resolve) and then integrated: the
+        values (the finer rule) and errors (against the coarser one) of
+        every panel, with the number of panels halved unintegrated and of
+        check passes. Resolving comes first, so curves that meet fail as
+        CurvesTooClose before any integrand call of the round."""
+        pending, halved, passes = self._resolve(pending)
         lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
-        check = np.flatnonzero(pending.unresolved)
-        if check.size:
-            pending.unresolved[check] = self._unresolved(lo[check], hi[check])
-        keep = np.flatnonzero(~pending.unresolved
-                              | (pending.splits >= self.cfg.max_depth))
-        value = np.zeros(len(lo), dtype=complex)
-        err = np.full(len(lo), np.inf)
-        if keep.size:
-            lo, hi = lo[keep], hi[keep]
-            coarse = self._values(lo, hi, self.cfg.panel_order)
-            value[keep] = self._values(lo, hi, 2 * self.cfg.panel_order)
-            diff = value[keep] - coarse
-            # the bits of abs(complex), which np.abs does not always give
-            err[keep] = np.hypot(diff.real, diff.imag)
-        return pending._replace(value=value, err=err), keep.size
+        coarse = self._values(lo, hi, self.cfg.panel_order)
+        value = self._values(lo, hi, 2 * self.cfg.panel_order)
+        diff = value - coarse
+        # the bits of abs(complex), which np.abs does not always give
+        err = np.hypot(diff.real, diff.imag)
+        return pending._replace(value=value, err=err), halved, passes
 
     def _halves(self, panels):
         """Both halves of each panel, cut along its split axis; they inherit
@@ -509,8 +537,10 @@ class _Engine:
 
     def run(self, decay_order=None):
         """Refine until the summed panel error is within tol of the total
-        and no panel is unresolved. panels_evaluated counts the integrated
-        panels only, so the integrand runs twice per panel, plus the probe.
+        and no panel is unresolved. Each round resolves proximity and then
+        integrates all its pending panels (_evaluate), so the integrand
+        runs twice per round, plus the probe; panels_evaluated counts the
+        integrated panels, not those halved while resolving.
 
         Without a decay order every domain is integrated over its window as
         given. With a decay order k, truncated domains are integrated over
@@ -520,14 +550,15 @@ class _Engine:
         """
         pending = self._initial(decay_order is not None)
         done = None
-        rounds, skipped = [], []
+        rounds, skipped, checks = [], [], []
         depth_hit = converged = False
         while True:
-            panels, integrated = self._evaluate(pending)
-            rounds.append(integrated)
-            skipped.append(len(panels.bounds) - integrated)
+            panels, halved, passes = self._evaluate(pending)
+            rounds.append(len(panels.bounds))
+            skipped.append(halved)
+            checks.append(passes)
             if done is not None:
-                panels = _Panels(*map(np.concatenate, zip(done, panels)))
+                panels = _Panels.join([done, panels])
             # bounds rows flatten to the (lo, hi) per axis sort key
             flat = panels.bounds.reshape(len(panels.bounds), -1)
             panels = panels.take(np.lexsort(flat.T[::-1]))
@@ -537,7 +568,6 @@ class _Engine:
                     and not panels.unresolved.any()):
                 converged = True
                 break
-            # inf while any panel is unintegrated: only those are halved
             cutoff = panels.err.max() / _MARK_FACTOR
             hot = (panels.err >= cutoff) | panels.unresolved
             at_max = panels.splits >= self.cfg.max_depth
@@ -556,6 +586,7 @@ class _Engine:
                + float(pairwise_tree_sum(panels.err[outer])) * (1.0 + step))
         trace = QuadTrace(panels_per_round=tuple(rounds),
                           skipped_per_round=tuple(skipped),
+                          checks_per_round=tuple(checks),
                           deepest_split=int(panels.splits.max()),
                           max_depth_hit=depth_hit,
                           err_source="tail" if abs(tail) > err else "quadrature")
@@ -565,20 +596,40 @@ class _Engine:
                           trace=trace)
 
 
+def _panel_sums(f, args, count):
+    """f's weighted panel sums on a round of count panels, whose stacked
+    weights and arrays are args: a (count,) complex array. Anything else
+    raises TypeError naming its shape."""
+    sums = np.asarray(f(*args))
+    if sums.shape != (count,):
+        raise TypeError("integrand must return one weighted sum per panel, "
+                        f"shape ({count},); got shape {sums.shape}")
+    return sums.astype(complex, copy=False)
+
+
 def _check_batch(f, side_a, side_b=None):
-    """Raise TypeError unless f maps unit weights and side_a's arrays at a
-    parameter array (with side_b, the weights and arrays of both sides) to
-    the weighted sum, a scalar. Calls f once; only the shape is checked, so
-    an overflow in the probe's sum is ignored."""
+    """Raise TypeError unless f maps a one-panel round, unit weights and
+    side_a's arrays at a parameter array (with side_b, the weights and
+    arrays of both sides), to its weighted sum, a (1,) array. Calls f once;
+    only the shape is checked, so an overflow in the probe's sum is
+    ignored."""
     sides = [side_a(np.array([0.123, 0.456]))]
     if side_b is not None:
         sides.append(side_b(np.array([0.234, 0.567, 0.891])))
-    args = [a for arrays in sides for a in (np.ones(len(arrays[0])), *arrays)]
+    args = [np.asarray(a)[None] for arrays in sides
+            for a in (np.ones(len(arrays[0])), *arrays)]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = np.shape(f(*args))
-    if got != ():
-        raise TypeError("integrand must return the weighted sum, a scalar, "
-                        f"on the probe points; got shape {got}")
+        _panel_sums(f, args, 1)
+
+
+def per_panel(kernel):
+    """The round integrand of a per-panel kernel: kernel(w, *side) (with two
+    domains, kernel(wa, *side_a, wb, *side_b)) takes one panel's weights
+    and arrays and returns that panel's weighted sum, a scalar. It is
+    called once per panel of the round; this is the only per-panel loop."""
+    def integrand(*stacked):
+        return np.array([kernel(*args) for args in zip(*stacked)])
+    return integrand
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +638,11 @@ def _check_batch(f, side_a, side_b=None):
 def integrate_curve(integrand, domain, cfg):
     """Integrate a single-parameter integrand over a domain.
 
-    The integrand f(w, t) maps a panel's jacobian-folded weights w and
-    parameters t to the weighted sum of its values, w @ values; anything
-    but a scalar raises TypeError. A truncated domain is integrated over
+    The integrand f(w, t) maps a round's jacobian-folded weights w and
+    parameters t, both (P, n) for its P panels of n nodes, to the (P,)
+    weighted panel sums, each panel's w @ values; anything but a (P,)
+    array raises TypeError. per_panel adapts an f written for one panel.
+    A truncated domain is integrated over
     its window as given, with no tail step. MaxDepthExceeded is reported
     as converged=False per the quadrature contract, with the best
     available value.
@@ -603,15 +656,19 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     """Integrate the integrand over dom_a x dom_b.
 
     A side maps a parameter array to a tuple of arrays, curve positions
-    first (default: the parameters alone, with no curve). The integrand
-    receives f(wa, *side_a_arrays, wb, *side_b_arrays) for the na and nb
-    nodes of a panel, wa and wb being the jacobian-folded weights, and
-    returns the weighted sum wa @ K @ wb of its pair values K, which it
-    need not form; anything but a scalar raises TypeError. Positions
+    first (default: the parameters alone, with no curve). The integrand is
+    called once per rule per refinement round as f(wa, *side_a_arrays, wb,
+    *side_b_arrays), stacked over the round's P panels: wa (P, na) and wb
+    (P, nb) are the jacobian-folded weights and each array is (P, na, ...)
+    or (P, nb, ...). It returns the (P,) weighted panel sums, each panel's
+    wa @ K @ wb of its pair values K, which it need not form; anything but
+    a (P,) array raises TypeError. per_panel adapts a kernel written for
+    one panel's slices. Positions
     measure panel extents for the split axis. With both sides given,
-    panels whose curve pieces could touch are refined until the samples
-    resolve the gap, and those proximity samples raise CurvesTooClose
-    where the curves come within 1e-6. If either domain is a truncation
+    panels whose curve pieces could touch are halved, before any of the
+    round's integrand calls, until the samples resolve the gap, and those
+    proximity samples raise CurvesTooClose where the curves come within
+    1e-6. If either domain is a truncation
     window of radius R, one engine run covers the doubled window: the
     panels outside the R window sum to the tail I(2R) - I(R), which is
     Richardson-extrapolated with the given decay order k (tail ~ R^-k),
@@ -627,9 +684,9 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     """Integral over a product of domains whose integrand may have simple
     poles at declared punctures.
 
-    The integrand and sides are those of integrate_product, and so are the
-    TypeError and CurvesTooClose checks. punctures = (on_a, on_b). Under
-    the area measure a simple pole is absolutely integrable, so the
+    The round integrand and sides are those of integrate_product, and so
+    are the TypeError and CurvesTooClose checks. punctures = (on_a, on_b).
+    Under the area measure a simple pole is absolutely integrable, so the
     "principal value" is an ordinary integral: a disk with one puncture p is
     integrated as Disk(R, p), the polar chart centred on p, whose jacobian
     r cancels the pole. That chart is the one every Disk uses; only its

@@ -129,7 +129,11 @@ def _inapplicable(scene, method):
     weighted pair is a holomorphic query); holomorphic methods need a form
     on each query curve, and a pole declared on either form (a marked
     point alone is not a pole) leaves holo_pv as the only holomorphic
-    route. holo_line, holo_closed and residue give the whole-curve value,
+    route. The kernel routes (holo_integral, holo_pv, holo_line and
+    holo_closed) pair the curves through the standard ambient form
+    dz1 ^ dz2 ^ dz3 only, so they refuse a scene that declares another;
+    residue reads the declared form. holo_line, holo_closed and residue
+    give the whole-curve value,
     so they need a disk window on both query curves; holo_line also needs
     what holo.holo_line_obstacle asks of the pair (a line, polynomial
     forms, an integrand decaying faster than |u|^-2), and residue the
@@ -161,6 +165,9 @@ def _inapplicable(scene, method):
         return None
     if f1 is None or f2 is None:
         return "needs a one-form on each query curve"
+    if (method != "residue" and scene.ambient is not None
+            and not scene.ambient.is_standard):
+        return "needs the standard ambient form"
     any_poles = bool(f1.poles or f2.poles)
     if method == "holo_pv":
         return None if any_poles else "no declared poles; use holo_integral"

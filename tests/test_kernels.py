@@ -164,6 +164,29 @@ def test_min_dist_matches_broadcast(rng):
         assert got[p] == _kernels.min_dist(a[p:p + 1], b[p:p + 1])[0]
 
 
+def _min_dist_broadcast(a, b):
+    """min_dist's broadcast form: the squared coordinate differences of
+    every pair, summed one coordinate at a time in coordinate order."""
+    diff = a[:, :, None, :] - b[:, None, :, :]
+    n2 = diff[..., 0] * diff[..., 0]
+    for c in range(1, a.shape[-1]):
+        n2 = n2 + diff[..., c] * diff[..., c]
+    return np.sqrt(n2.min(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("shape", [(8, 81, 6), (1500, 9, 3), (3, 400, 6)],
+                         ids=["holo_pass", "gauss_pass", "row_blocks"])
+def test_min_dist_has_the_bits_of_the_broadcast_form(rng, shape):
+    # the shapes of a holo and a Gauss proximity pass, and clouds that span
+    # several row blocks; the clouds overlap, so minima come from
+    # differences of every size
+    for _ in range(3):
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        b = rng.normal(size=shape) + rng.uniform(-1, 1, size=shape[-1])
+        assert np.array_equal(_kernels.min_dist(a, b),
+                              _min_dist_broadcast(a, b))
+
+
 def _l0_disk_nodes(radius, gap, offset):
     """The L0 lines (s, 0, 0) and (0, t, gap), both moved by offset along
     (1, 1, 1), at the 16 x 16 Gauss-Legendre nodes of the polar chart of

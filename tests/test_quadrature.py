@@ -9,7 +9,7 @@ import hololink as hl
 from hololink import _kernels, report, scenes
 from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
                                  integrate_curve, integrate_product,
-                                 integrate_pv, pairwise_tree_sum)
+                                 integrate_pv, pairwise_tree_sum, per_panel)
 
 # Independently derived reference values (closed forms verified against
 # high-order composite quadrature when first frozen):
@@ -17,23 +17,25 @@ from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
 COMPLEX_POLE_ORACLE = 3.101597985643492j
 
 
-# An integrand takes each panel side's jacobian-folded weights before its
-# arrays and returns the weighted sum over the panel's nodes.
+# The integrands below are written for one panel, wrapped by per_panel: each
+# takes a panel side's jacobian-folded weights before its arrays and returns
+# the weighted sum over the panel's nodes.
 
 def _separable(g):
     """The product integrand g(u) g(v), summed one side at a time."""
-    return lambda wu, u, wv, v: (wu @ g(u)) * (g(v) @ wv)
+    return per_panel(lambda wu, u, wv, v: (wu @ g(u)) * (g(v) @ wv))
 
 
 def _contracted(f):
     """The product integrand of the pair grid f(u, v)."""
-    return lambda wu, u, wv, v: wu @ f(u, v) @ wv
+    return per_panel(lambda wu, u, wv, v: wu @ f(u, v) @ wv)
 
 
 def test_complex_pole_oracle():
     cfg = hl.QuadConfig(tol=1e-10)
-    res = integrate_curve(lambda w, t: w @ (1.0 / (t - (0.5 + 0.01j))),
-                          Interval(0.0, 1.0), cfg)
+    res = integrate_curve(
+        per_panel(lambda w, t: w @ (1.0 / (t - (0.5 + 0.01j)))),
+        Interval(0.0, 1.0), cfg)
     assert res.converged
     assert abs(res.value - COMPLEX_POLE_ORACLE) < 1e-10
 
@@ -42,7 +44,8 @@ def test_simple_pole_cauchy_pompeiu_oracle():
     # Cauchy-Pompeiu: the area integral of 1/(z - p) over |z| <= 2 is
     # -pi conj(p); the puncture-centered chart integrates it directly
     p = 0.3 + 0.1j
-    res = integrate_curve(lambda w, z: w @ (1.0 / (z - p)), Disk(2.0, p),
+    res = integrate_curve(per_panel(lambda w, z: w @ (1.0 / (z - p))),
+                          Disk(2.0, p),
                           hl.QuadConfig(tol=1e-12))
     assert res.converged
     assert abs(res.value - (-math.pi * np.conj(p))) < 1e-12
@@ -53,7 +56,8 @@ def test_double_pole_integrates_to_its_circular_principal_value():
     # decide. 1/(z - p)^2 has zero mean on every circle around p, so the
     # puncture-centred chart gives 0, its circular principal value
     p = 0.3 + 0.1j
-    res = integrate_curve(lambda w, z: w @ (1.0 / (z - p) ** 2), Disk(2.0, p),
+    res = integrate_curve(per_panel(lambda w, z: w @ (1.0 / (z - p) ** 2)),
+                          Disk(2.0, p),
                           hl.QuadConfig(tol=1e-8))
     assert abs(res.value) <= 1e-12
 
@@ -96,7 +100,8 @@ def test_product_integral_matches_midpoint_oracle():
 
 def test_separable_product_exact():
     cfg = hl.QuadConfig(tol=1e-10)
-    res = integrate_product(lambda wu, u, wv, v: (wu @ u) * (v @ wv),
+    res = integrate_product(per_panel(lambda wu, u, wv, v:
+                                      (wu @ u) * (v @ wv)),
                             Interval(0.0, 1.0), Interval(0.0, 1.0), cfg)
     assert abs(res.value - 0.25) < 1e-12
 
@@ -147,12 +152,11 @@ def test_max_depth_reports_unconverged_state():
 
 def test_disk_area_and_pv_exclusion():
     cfg = hl.QuadConfig(tol=1e-8)
-    res = integrate_curve(lambda w, z: w @ np.ones_like(z, dtype=float),
-                          Disk(2.0), cfg)
+    area = per_panel(lambda w, z: w @ np.ones_like(z, dtype=float))
+    res = integrate_curve(area, Disk(2.0), cfg)
     assert abs(res.value - 4 * math.pi) < 1e-6
     # the polar chart centered on a puncture covers the same disk
-    res_pv = integrate_curve(lambda w, z: w @ np.ones_like(z, dtype=float),
-                             Disk(2.0, 0.3 + 0.1j), cfg)
+    res_pv = integrate_curve(area, Disk(2.0, 0.3 + 0.1j), cfg)
     assert abs(res_pv.value - 4 * math.pi) < 1e-6
 
 
@@ -226,8 +230,8 @@ def test_config_invariants_rejected(kwargs):
 def test_nonfinite_integrand_is_reported():
     cfg = hl.QuadConfig(tol=1e-6)
     with pytest.raises(hl.NonFiniteIntegrand):
-        integrate_curve(lambda w, t: w @ (1.0 / (t - t)), Interval(0.0, 1.0),
-                        cfg)
+        integrate_curve(per_panel(lambda w, t: w @ (1.0 / (t - t))),
+                        Interval(0.0, 1.0), cfg)
 
 
 def test_nonfinite_node_is_named_in_row_major_order():
@@ -242,7 +246,7 @@ def test_nonfinite_node_is_named_in_row_major_order():
         return wu @ grid @ wv
 
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
-        integrate_product(f, Interval(0.0, 1.0), Interval(0.0, 1.0),
+        integrate_product(per_panel(f), Interval(0.0, 1.0), Interval(0.0, 1.0),
                           hl.QuadConfig(tol=1e-6))
     assert exc.value.param == pytest.approx(want, rel=1e-15)
 
@@ -251,24 +255,36 @@ def test_overflowing_panel_sum_is_reported():
     # every integrand value is finite; the weighted panel sums are not
     cfg = hl.QuadConfig(tol=1e-6)
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
-        integrate_curve(lambda w, t: w @ np.full_like(t, 1e308),
+        integrate_curve(per_panel(lambda w, t: w @ np.full_like(t, 1e308)),
                         Interval(0.0, 100.0), cfg)
     assert exc.value.param is None
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
-        integrate_product(lambda wu, u, wv, v:
-                          wu @ np.full((u.size, v.size), 1e308) @ wv,
+        integrate_product(per_panel(
+                              lambda wu, u, wv, v:
+                              wu @ np.full((u.size, v.size), 1e308) @ wv),
                           Interval(0.0, 100.0), Interval(0.0, 100.0), cfg)
     assert exc.value.param is None
 
 
 def test_wrong_shape_integrand_is_rejected():
     cfg = hl.QuadConfig(tol=1e-6)
-    # the unsummed values and the pair grid of the earlier contract
-    with pytest.raises(TypeError, match=r"weighted sum.*shape \(2,\)"):
-        integrate_curve(lambda w, t: w * t, Interval(0.0, 1.0), cfg)
-    with pytest.raises(TypeError, match=r"weighted sum.*shape \(2, 3\)"):
-        integrate_product(lambda wu, u, wv, v: u[:, None] * v[None, :],
+    # the probe is a one-panel round: per panel, the unsummed values and
+    # the pair grid of an earlier contract, and for the round, one sum
+    with pytest.raises(TypeError, match=r"weighted sum.*got shape \(1, 2\)"):
+        integrate_curve(per_panel(lambda w, t: w * t), Interval(0.0, 1.0),
+                        cfg)
+    with pytest.raises(TypeError,
+                       match=r"weighted sum.*got shape \(1, 2, 3\)"):
+        integrate_product(per_panel(lambda wu, u, wv, v:
+                                    u[:, None] * v[None, :]),
                           Interval(0.0, 1.0), Interval(0.0, 1.0), cfg)
+    with pytest.raises(TypeError, match=r"weighted sum.*got shape \(\)"):
+        integrate_curve(lambda w, t: np.sum(w * t), Interval(0.0, 1.0), cfg)
+    # every round is checked, not only the probe: the first panel's sum
+    # alone passes the one-panel probe and first round, not the second
+    with pytest.raises(TypeError, match=r"shape \(2,\); got shape \(1,\)"):
+        integrate_curve(lambda w, t: np.sum(w * np.sqrt(t), axis=1)[:1],
+                        Interval(0.0, 1.0), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +387,8 @@ def test_punctured_disk_window_areas():
     # compact factor's length pi: checks the piecewise chart's jacobian
     R = 5.0
     area = math.pi ** 2 * R * R
-    res = integrate_product(lambda wu, u, wv, v:
-                            wu @ np.ones((u.size, v.size)) @ wv,
+    res = integrate_product(per_panel(lambda wu, u, wv, v:
+                                      wu @ np.ones((u.size, v.size)) @ wv),
                             Disk(R, 0.7 + 0.4j), Interval(0.0, math.pi),
                             hl.QuadConfig(tol=1e-8), decay_order=1)
     inner = res.value - 2.0 * res.tail_estimate  # value = I(R) + 2 tail
@@ -411,10 +427,12 @@ def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
     res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
     assert res.converged and abs(res.value - 1.0) < 1e-6
     rounds = len(res.trace.panels_per_round)
-    # per round and side: two rules, split-axis and proximity samples;
-    # plus the batch probe and the moment origin's generic points, once
-    # per side
-    assert len(calls) <= 8 * rounds + 4
+    passes = sum(res.trace.checks_per_round)
+    # per round and side: two rules and the split-axis samples of its
+    # refinement; per check pass and side: the proximity samples and the
+    # split-axis samples of its halving; plus the batch probe and the
+    # moment origin's generic points, once per side
+    assert len(calls) <= 6 * rounds + 4 * passes + 4
     # one call per panel and rule would be four per panel
     assert len(calls) < res.panels_evaluated
 
@@ -430,8 +448,9 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
     monkeypatch.setattr(_kernels, "min_dist", counted)
     res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
     assert res.converged and abs(res.value - 1.0) < 1e-6
-    # one stacked call per round that still has unresolved panels
-    assert 1 <= len(calls) <= len(res.trace.panels_per_round)
+    # one stacked call per check pass; every pass runs in the first round
+    assert len(calls) == sum(res.trace.checks_per_round) >= 1
+    assert res.trace.checks_per_round[0] == len(calls)
     assert sum(calls) < res.panels_evaluated
 
 
@@ -535,8 +554,9 @@ def test_trace_counts_rounds_and_max_depth():
 
 
 def test_trace_counts_panels_halved_without_their_values():
-    # every unresolved panel above max_depth is halved unintegrated, so the
-    # next round holds at least twice as many panels
+    # the first round halves the unresolved panels, pass by pass, until all
+    # are resolved, and only then integrates: each halving adds one panel,
+    # so the single initial cell becomes 1 + 264 integrated panels
     calls = []
 
     def f(wa, a, wb, b):
@@ -546,23 +566,75 @@ def test_trace_counts_panels_halved_without_their_values():
     c1 = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
     c2 = hl.ParamCurve.line((0.5, 0.5, 0.01), (0, 1, 0))
     side = lambda curve: lambda t: curve.eval_batch(t)[:1]
-    res = integrate_product(f, Disk(1.0), Disk(1.0), hl.QuadConfig(tol=1e-3),
-                            side(c1), side(c2), decay_order=None)
+    res = integrate_product(per_panel(f), Disk(1.0), Disk(1.0),
+                            hl.QuadConfig(tol=1e-3), side(c1), side(c2),
+                            decay_order=None)
     trace = res.trace
     assert res.converged
-    assert len(trace.skipped_per_round) == len(trace.panels_per_round)
+    assert trace.panels_per_round == (265,)
+    assert trace.skipped_per_round == (264,)
+    assert trace.checks_per_round == (22,)
     assert sum(trace.panels_per_round) == res.panels_evaluated
     assert len(calls) == 2 * res.panels_evaluated + 1
-    assert trace.panels_per_round[0] == 0 and trace.skipped_per_round[0] == 1
-    assert trace.skipped_per_round[-1] == 0
-    pending = np.add(trace.panels_per_round, trace.skipped_per_round)
-    assert np.all(pending[1:] >= 2 * np.array(trace.skipped_per_round[:-1]))
-    assert trace.to_dict()["skipped_per_round"] == list(trace.skipped_per_round)
+    assert trace.to_dict()["skipped_per_round"] == [264]
+    assert trace.to_dict()["checks_per_round"] == [22]
     # with no curves there is no proximity check, and nothing is skipped
-    res = integrate_product(lambda wa, a, wb, b: wa.sum() * wb.sum(),
+    res = integrate_product(lambda wa, a, wb, b: wa.sum(1) * wb.sum(1),
                             Disk(1.0), Disk(1.0), hl.QuadConfig(),
                             decay_order=None)
     assert res.trace.skipped_per_round == (0,)
+    assert res.trace.checks_per_round == (0,)
+
+
+def test_per_panel_and_round_integrands_give_the_same_bits():
+    # the same pair grid, contracted one panel at a time through per_panel
+    # and for the whole round by stacked products: the engine's batching
+    # of a round does not reach the values
+    def f(u, v):
+        return 1.0 / (1e-2 + (u[..., :, None] - 0.3) ** 2
+                      + v[..., None, :] ** 2)
+
+    def whole_round(wu, u, wv, v):
+        return np.matmul(np.matmul(wu[:, None, :], f(u, v)),
+                         wv[:, :, None])[:, 0, 0]
+
+    cfg = hl.QuadConfig(tol=1e-9)
+    one, whole = (integrate_product(g, Interval(0.0, 2.0),
+                                    Interval(-1.0, 1.0), cfg)
+                  for g in (_contracted(f), whole_round))
+    assert len(one.trace.panels_per_round) > 1
+    assert complex(one.value) == complex(whole.value)
+    assert one.err_estimate == whole.err_estimate
+    assert one.trace == whole.trace
+
+
+def test_curves_meeting_below_the_first_check_pass_raise_before_any_value(
+        monkeypatch):
+    # the segments (s, 0, 0) and (9/32, t - 1/2, 0) meet at s = 9/32,
+    # t = 1/2, which the samples reach only on a quarter of the s range:
+    # the first pass finds the cell unresolved, a later one resolves the
+    # cells away from the meeting point, and a later one again raises,
+    # all before the round's first integrand call
+    calls, passes = [], []
+    raw = _kernels.min_dist
+
+    def counted(a, b):
+        passes.append(len(a))
+        return raw(a, b)
+
+    def f(wa, a, wb, b):
+        calls.append(len(wa))
+        return wa.sum(axis=1) * wb.sum(axis=1)
+
+    monkeypatch.setattr(_kernels, "min_dist", counted)
+    with pytest.raises(hl.CurvesTooClose, match="distance 0.000e"):
+        integrate_product(
+            f, Interval(0.0, 1.0), Interval(0.0, 1.0), hl.QuadConfig(),
+            lambda s: (np.stack([s, 0 * s, 0 * s], axis=-1),),
+            lambda t: (np.stack([np.full_like(t, 9 / 32), t - 0.5, 0 * t],
+                                axis=-1),))
+    assert len(passes) >= 3
+    assert calls == [1]  # the probe's one-panel round only
 
 
 def test_trace_names_the_tail():

@@ -121,14 +121,17 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method, source):
 
 def test_trace_lists_the_panels_halved_unintegrated(fast_cfg):
     # L0's four initial cells are too coarse for the proximity samples to
-    # separate the lines, so the first round halves them unintegrated
+    # separate the lines: the one round halves 30 panels unintegrated over
+    # 11 check passes, then integrates the 34 resolved ones, which converge
     rep = report.compute(scenes.l0(), "holo_integral", fast_cfg)
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
-    assert trace["rounds"] == len(trace["skipped_per_round"])
-    assert trace["panels_per_round"][0] == 0
-    assert trace["skipped_per_round"][0] == 4
-    assert trace["skipped_per_round"][-1] == 0
-    assert sum(trace["panels_per_round"]) == rep.panels_evaluated
+    assert trace["rounds"] == 1
+    assert trace["panels_per_round"] == [34]
+    assert trace["skipped_per_round"] == [30]
+    assert trace["checks_per_round"] == [11]
+    assert rep.panels_evaluated == 34
+    assert complex(rep.value) == -612.0392650614846 + 0j
+    assert rep.err_estimate == 7.819034489028875e-05
 
 
 def test_holo_line_report_names_no_window(fast_cfg):
@@ -178,6 +181,27 @@ def test_each_curve_keeps_its_own_window(tmp_path, capsys, monkeypatch,
     data = json.loads(out)
     assert data["value"] == [rep.value.real, rep.value.imag]
     assert data["extra"]["trace"]["radius"] == [20.0, 40.0]
+
+
+def test_kernel_routes_refuse_a_non_standard_ambient_form(fast_cfg):
+    # L0 with the ambient form 2 dz1 ^ dz2 ^ dz3: the residue route reads
+    # the form and halves its value; the kernel routes integrate against
+    # dz1 ^ dz2 ^ dz3 only, so they refuse the scene rather than give the
+    # standard form's value under the declared one
+    scene = scenes.l0()
+    scene.ambient = hl.AmbientForm(hl.Poly3.constant(2.0))
+    hl.validate_scene(scene)
+    assert not scene.ambient.is_standard
+    assert hl.AmbientForm(hl.Poly3.constant(2.0),
+                          hl.Poly3.constant(2.0)).is_standard
+    for method in ("holo_integral", "holo_pv", "holo_line", "holo_closed"):
+        with pytest.raises(hl.MethodInapplicable,
+                           match="needs the standard ambient form"):
+            report.compute(scene, method, fast_cfg)
+    assert report.compute(scene, "residue", fast_cfg).value == 0.5
+    assert report.applicable_methods(scene) == ["residue"]
+    with pytest.raises(hl.MethodInapplicable, match="two applicable"):
+        report.xcheck(scene, fast_cfg)
 
 
 def test_projective_report_extra(cfg):
