@@ -5,12 +5,12 @@ Subcommands:
   xcheck SCENE       run every applicable method and compare all pairs
   calibrate          measure the line constant and print it as a constants
                      block
-  scene NAME         emit a built-in or generated scene as JSON
+  scene NAME         emit a built-in or generated scene as one line of JSON
 
 SCENE is a path to a scene JSON file, or ``builtin:NAME`` for a built-in.
-The truncation window of an unbounded curve is the scene's own: each
-curve's declared ``domain.radius``. The line constant is the scene's too:
-its ``constants`` block, where calibrate's output is pasted, or else the
+A curve on a declared ``("disk", R)`` domain is integrated over its whole
+parameter plane, whatever R. The line constant is the scene's: its
+``constants`` block, where calibrate's output is pasted, or else the
 closed form.
 Exit codes: 0 success, 2 scene/usage errors, 3 numerical failures (including
 unconverged integrals), 4 cross-check FAIL.
@@ -69,7 +69,7 @@ def build_parser():
                                 "a scene constants block")
     add_quadrature(p_cal)
 
-    p_scene = sub.add_parser("scene", help="emit a scene as JSON")
+    p_scene = sub.add_parser("scene", help="emit a scene as one line of JSON")
     p_scene.add_argument("name", nargs="?", default=None,
                          help="builtin name, random_line, or random_poly")
     p_scene.add_argument("--list", action="store_true",

@@ -23,8 +23,8 @@ from . import _kernels
 from .errors import (CoincidentPoints, DegenerateConfiguration,
                      DegenerateProjection, MethodInapplicable)
 from .geometry import det3
-from .quadrature import (Interval, generic_params, integrate_product,
-                         per_panel)
+from .quadrature import (Interval, RealLine, generic_params,
+                         integrate_product, per_panel)
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
@@ -77,7 +77,7 @@ def _gauss_domain(curve):
     if curve.kind == "real_closed":
         return Interval(0.0, 1.0)
     if curve.is_real_line:
-        return Interval(-curve.window, curve.window, truncated=True)
+        return RealLine()
     raise MethodInapplicable(
         "gauss_linking needs two real_closed curves or two real lines")
 
@@ -85,11 +85,10 @@ def _gauss_domain(curve):
 def gauss_linking(curve1, curve2, cfg):
     """Gauss linking integral of two disjoint real curves.
 
-    Closed curves integrate over [0,1]^2; real lines, each over the window
-    [-R, R] of its declared disk radius R, in one run over the doubled
-    window, whose outer cells give the tail, extrapolated with 1/R decay.
-    The value is within err_estimate of an integer for closed pairs and a
-    half-integer for lines.
+    Closed curves integrate over [0,1]^2; real lines, each over the whole
+    line on quadrature.RealLine's compact chart, with no window and no
+    tail. The value is within err_estimate of an integer for closed pairs
+    and a half-integer for lines.
     """
     if curve1.kind != curve2.kind:
         raise MethodInapplicable("gauss_linking needs a matching real pair")
@@ -102,8 +101,7 @@ def gauss_linking(curve1, curve2, cfg):
     return integrate_product(
         per_panel(_gauss_kernel), dom1, dom2, cfg,
         side_a=_plucker_side(curve1, origin, True),
-        side_b=_plucker_side(curve2, origin, False),
-        decay_order=1)
+        side_b=_plucker_side(curve2, origin, False))
 
 
 def line_gauss_closed(e1, e2, e3):

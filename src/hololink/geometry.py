@@ -4,7 +4,7 @@ operations (det3, pairing, polynomial algebra) the routes are built from.
 Curves come in two kinds. `real_closed` curves are trigonometric polynomials
 t in [0,1) -> R^3 stored as coefficient tables, so velocities are exact.
 `complex_affine` curves are triples of univariate polynomials u -> C^3 over
-a truncation disk or an explicit rectangle in the parameter plane.
+a disk, which stands for the whole plane, or an explicit rectangle.
 Polynomials are plain ascending numpy coefficient arrays throughout.
 """
 
@@ -18,7 +18,7 @@ from numpy.polynomial.polyutils import trimseq
 from .errors import ParamAtPuncture, ParamOutOfDomain, SceneInvalid
 
 TWO_PI = 2.0 * math.pi
-# the truncation window |u| <= R of a disk-domain curve when none is given
+# the radius R of a disk-domain curve when none is given
 DEFAULT_RADIUS = 40.0
 
 
@@ -242,7 +242,8 @@ class ParamCurve:
     + sin(2pi k t) sin_rows[k-1], t in [0, 1).
 
     kind = "complex_affine": three ascending complex coefficient arrays over
-    a disk (truncation radius) or rectangle domain in the parameter plane.
+    a disk domain, which stands for the whole parameter plane (its radius
+    bounds marked points and validation samples), or a rectangle domain.
 
     A complex curve caches, once per object, its degree, two (deg + 1, 3)
     coefficient matrices (the components, zero-padded to one length, and

@@ -106,11 +106,11 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     two parameter domains (area measure, factor 4; ctx.prefactor). Each
     declared pole's order comes from its form's numerator and denominator
     (residue.pole_order); one above 1 has no principal value and raises
-    PVNotConverging before any kernel runs. A form with a declared simple
-    pole is integrated in the polar chart centered on the pole, where the
-    area jacobian cancels it (see quadrature.integrate_pv); truncated
-    domains are integrated in one run over the doubled window, whose outer
-    ring gives the tail, extrapolated with 1/R^2 decay.
+    PVNotConverging before any kernel runs. Each curve on a ("disk", R)
+    domain is integrated over its whole parameter plane
+    (quadrature.Plane), with no window and no tail; a form with a declared
+    simple pole, on the plane's chart centred on the pole, where the area
+    jacobian cancels it (see quadrature.integrate_pv).
     """
     curve1, form1 = s1
     curve2, form2 = s2
@@ -138,8 +138,7 @@ def holo_linking_integral(s1, s2, ctx, cfg):
         per_panel(kernel), dom_a, dom_b,
         (tuple(form1.poles), tuple(form2.poles)), cfg,
         side_a=lambda u: (*curve1.eval_batch(u), *form1.num_den_batch(u)),
-        side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)),
-        decay_order=2)
+        side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)))
 
 
 def _line_second(s1, s2):
@@ -209,10 +208,9 @@ def holo_line(s1, s2, ctx, cfg):
 
         AREA_FACTOR ctx.prefactor g1(u) g2(v*) conj(det3) pi / (2 |e2|^2 A^2),
 
-    integrated on the compact chart u = rho / (1 - rho) e^{i phi},
-    (rho, phi) in [0, 1] x [0, 2 pi], jacobian rho / (1 - rho)^3, which the
-    engine never evaluates at rho = 1. There is no window and no tail. On
-    L0 the integrand is -2 pi^4 / (1 + |u|^2)^2, and the value -2 pi^5.
+    integrated over the whole u plane on quadrature.Plane's compact chart.
+    There is no window and no tail. On L0 the integrand is
+    -2 pi^4 / (1 + |u|^2)^2, and the value -2 pi^5.
     MethodInapplicable names what holo_line_obstacle finds; CurvesTooClose
     is raised, before any integrand runs, when |P| < 1e-6 at a root of a
     component of P, which is where a curve that meets the line meets it.
@@ -238,20 +236,16 @@ def holo_line(s1, s2, ctx, cfg):
     scale = (AREA_FACTOR * ctx.prefactor * math.pi
              / (2.0 * np.vdot(e2, e2).real))
 
-    # one call per rule for the whole round: w and t are (P, n)
-    def integrand(w, t):
-        rho = t.real
-        u = rho / (1.0 - rho) * np.exp(1j * t.imag)
+    # one call per rule for the whole round: w and u are (P, n)
+    def integrand(w, u):
         offset = poly_eval(u[..., None], perp)
         area = np.sum(offset.real ** 2 + offset.imag ** 2, axis=-1)
         values = (poly_eval(u, g1) * poly_eval(poly_eval(u, vstar), g2)
                   * np.conj(poly_eval(u, det)) / area ** 2)
-        wt = w * (scale * rho / (1.0 - rho) ** 3)
-        # a stacked (1, n) @ (n, 1) product per panel: the bits of wt @ values
-        return np.matmul(wt[:, None, :], values[:, :, None])[:, 0, 0]
+        # a stacked (1, n) @ (n, 1) product per panel: the bits of w @ values
+        return np.matmul((scale * w)[:, None, :], values[:, :, None])[:, 0, 0]
 
-    return quadrature.integrate_curve(
-        integrand, quadrature.Rect(0.0, 1.0, 0.0, 2.0 * math.pi), cfg)
+    return quadrature.integrate_curve(integrand, quadrature.Plane(), cfg)
 
 
 def line_holo_closed(e1, e2, e3, c1, c2, constants):
@@ -278,7 +272,8 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
 
         C3 * |det3(z-w, dz, dw)|^2 / ||z-w||^6
 
-    over both curve domains (area measure, factor 4). Real and positive.
+    over both curve domains (area measure, factor 4), each whole plane on
+    quadrature.Plane's chart. Real and positive.
     """
     _require_complex_pair(curve1, curve2, "complex_linking_number")
     dom_a = domain_for_curve(curve1)
@@ -289,8 +284,7 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
         return wa @ (scale * _kernels.clink_grid(x, dx, y, dy)) @ wb
 
     return integrate_pv(per_panel(kernel), dom_a, dom_b, ((), ()), cfg,
-                        side_a=curve1.eval_batch, side_b=curve2.eval_batch,
-                        decay_order=2)
+                        side_a=curve1.eval_batch, side_b=curve2.eval_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,11 @@ domains and products of two of them.
 
 Panels carry an embedded error estimate (difference of the panel_order and
 2*panel_order rules; the finer value is kept). There is one refinement
-rule: every panel whose error is within a fixed factor of the current worst
-is halved along the axis of its largest spatial extent, measured on the
-curves when the caller supplies curve sides and on the parameter chart
-otherwise. With curves on both sides, a panel whose two curve pieces could
-touch between their sample points also counts as hot, whatever its error:
-a close approach narrower than the node spacing is invisible to the error
-estimate.
+rule: every panel whose error is positive and within a fixed factor of the
+current worst is halved. With curves on both sides, a panel whose two curve
+pieces could touch between their sample points also counts as hot, whatever
+its error: a close approach narrower than the node spacing is invisible to
+the error estimate.
 
 A refinement round first resolves proximity, then integrates. It checks
 the pending panels' curve pieces, halves the unresolved ones that are
@@ -22,6 +20,26 @@ and a sampled distance below 1e-6 raises CurvesTooClose before any
 integrand call of the round. The panel filtration does not depend on tol:
 tightening tol only extends the same deterministic refinement sequence.
 
+Compact domains (Interval, Rect) are integrated as given, and a panel is
+halved along the axis of its largest spatial extent, measured on the curves
+when the caller supplies curve sides and on the parameter chart otherwise.
+An unbounded curve is integrated whole, with no window and no tail: Plane
+maps the whole complex parameter plane and RealLine the whole real line
+onto a compact chart, u = c + s^2 e^{i phi} and t = +-s^2 with
+s = rho / (1 - rho), whose jacobians fold into the node weights (Davis &
+Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984, ch. 3). A run
+that contains such a whole domain halves each panel along its longest chart
+axis instead, and takes its proximity samples on the finite part of the
+chart, rho <= 1 - 1e-4, comparing them after the map x -> (x - o) /
+(1 + |x - o|) of each point, o the first curve's point at parameter 0,
+which keeps the far field's pieces and gaps bounded. The CurvesTooClose
+guard still reads true distances. The plane's area jacobian vanishes at
+its centre and cancels a simple pole there, so integrate_pv integrates a
+declared simple pole on the plane centred on it; every plane starts from
+one full turn. integrate_pv alone decides which domains are punctured;
+which poles are simple is the caller's decision, made from the form's
+polynomials before any integrand runs.
+
 A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. A round integrates its panels
 with one call of each side per rule and one call of the integrand per
@@ -29,31 +47,14 @@ rule. The integrand receives each side's jacobian-folded weights (P, n)
 before that side's arrays (P, n, ...), stacked over the round's P panels,
 and returns the (P,) weighted panel sums, so it can contract its values
 however is cheapest. per_panel adapts a kernel written for one panel; it
-holds the only per-panel loop. Each proximity check pass and each halving
-takes one call per side for its samples, and a pass's distances are one
-stacked _kernels.min_dist call. Errors, covering radii and flags are array
-operations over the round, and the round's panel sums are checked for
-finiteness together. Panel results are reduced by a fixed pairwise tree
-over geometrically sorted panels, so values do not depend on how a round
-is batched. Everything runs on one thread.
-
-A truncated (non-compact) domain of radius R is integrated in one run over
-its doubled window. R is the curve's own: domain_for_curve reads it from
-the curve's declared ("disk", R) domain, and no setting overrides it. The
-doubled window's initial cells are cut at R: the panels descending
-from the inner cells sum to I(R), all panels to I(2R), and the outer panels
-to the tail I(2R) - I(R), which a one-step Richardson extrapolation adds
-back. Every disk is such a window, in one polar chart centred on its
-puncture when it has one and on the origin otherwise; the chart's area
-jacobian cancels a simple pole at the centre, so a declared simple pole is
-integrated directly. Only the starting cells depend on the centre: one
-full turn per window about the origin (L0 at tol 1e-6 takes 34 panels,
-and 236 from two half-turns) and two half-turns about a puncture
-(pv_lines at tol 1e-4 takes 192 panels, and 741 from one full turn).
-integrate_pv alone decides which domains are punctured. Which poles are
-simple is the caller's decision, made from the form's polynomials before
-any integrand runs; this module only integrates. Every result carries a
-QuadTrace saying how it was produced.
+holds the only per-panel loop. Each proximity check pass and each spatial
+halving takes one call per side for its samples, and a pass's distances
+are one stacked _kernels.min_dist call. Errors, covering radii and flags
+are array operations over the round, and the round's panel sums are
+checked for finiteness together. Panel results are reduced by a fixed
+pairwise tree over geometrically sorted panels, so values do not depend on
+how a round is batched. Everything runs on one thread. Every result carries
+a QuadTrace saying how it was produced.
 """
 
 import cmath
@@ -71,6 +72,8 @@ from .geometry import TWO_PI, realify
 
 _MARK_FACTOR = 8.0     # refine panels with err >= max panel err / this
 _MIN_DIST = 1e-6       # CurvesTooClose threshold
+_POWER = 2             # the whole-domain charts' exponent: u = c + s^2 e^{i phi}
+_RIM = 1.0 - 1e-4      # proximity samples of a whole domain stop at rho <= this
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,13 @@ class QuadTrace:
     checks_per_round the proximity check passes the round ran before it
     integrated (0 once every panel is resolved); deepest_split is the most
     halvings of any final panel; max_depth_hit says whether max_depth kept
-    a hot panel from being refined; err_source names the largest part of
-    the error budget: "quadrature" (summed panel errors) or "tail" (the
-    outer panels' sum, I(2R) - I(R))."""
+    a hot panel from being refined."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
     checks_per_round: tuple = ()
     deepest_split: int = 0
     max_depth_hit: bool = False
-    err_source: str = "quadrature"
 
     def to_dict(self):
         return {"rounds": len(self.panels_per_round),
@@ -114,12 +114,14 @@ class QuadTrace:
                 "skipped_per_round": list(self.skipped_per_round),
                 "checks_per_round": list(self.checks_per_round),
                 "deepest_split": self.deepest_split,
-                "max_depth_hit": self.max_depth_hit,
-                "err_source": self.err_source}
+                "max_depth_hit": self.max_depth_hit}
 
 
 @dataclass(frozen=True)
 class QuadResult:
+    """An integral's value and error estimate. tail_estimate is always 0:
+    every domain is integrated whole or as given, with no truncation."""
+
     value: complex
     err_estimate: float
     panels_evaluated: int
@@ -150,91 +152,87 @@ def pairwise_tree_sum(values):
 # parameter domains
 
 class Interval:
-    """Real parameter interval; truncated=True marks it as a window
-    [lo, hi] = [-R, R] on a non-compact curve, integrated together with the
-    outer cells [-2R, -R] and [R, 2R] of its doubled window for the tail
-    step."""
+    """Real parameter interval (compact)."""
 
     naxes = 1
+    whole = False
 
-    def __init__(self, lo, hi, truncated=False):
+    def __init__(self, lo, hi):
         self.lo = float(lo)
         self.hi = float(hi)
-        self.truncated = bool(truncated)
 
     def initial_cells(self):
-        """(axes, inner) per initial cell: the window is inner, the rest of
-        the doubled window outer."""
-        cells = [(((self.lo, self.hi),), True)]
-        if self.truncated:
-            cells += [(((2.0 * self.lo, self.lo),), False),
-                      (((self.hi, 2.0 * self.hi),), False)]
-        return cells
+        """The chart bounds (lo, hi) per axis of each initial cell."""
+        return [((self.lo, self.hi),)]
 
     def chart(self, cols):
         return cols[0], np.ones_like(cols[0])
 
 
-class Disk:
-    """Truncation window |u| <= R (R = radius) in the complex parameter
-    plane, integrated together with its outer ring out to 2R, in a polar
-    chart centred on c, the puncture when one is given and the origin
-    otherwise: u = c + r e^{i phi}, r = x rmax_R(phi) for x in [0, 1],
-    where rmax_R(phi) reaches the radius-R circle, and r = rmax_R + (x - 1)
-    (rmax_2R - rmax_R) on the ring x in [1, 2]. The area jacobian r dr/dx
-    vanishes at c and cancels a simple pole there, so the integral is an
-    ordinary one; no quadrature node lies on x = 0."""
+class RealLine:
+    """The whole real line on the compact chart t = sign(x) s^2,
+    s = |x| / (1 - |x|), x in [-1, 1]; the jacobian dt/dx = 2 s / (1 - |x|)^2
+    folds into the node weights, and the ends x = +-1, which lie at
+    infinity, are never nodes."""
 
-    naxes = 2
-
-    def __init__(self, radius, puncture=None):
-        self.radius = float(radius)
-        self.puncture = None if puncture is None else complex(puncture)
-        self.centre = self.puncture or 0j
-        if abs(self.centre) >= self.radius:
-            raise PVNotConverging(
-                f"puncture {puncture} does not lie inside the radius-{radius} disk")
+    naxes = 1
+    whole = True
+    reach = ((-_RIM, _RIM),)  # the chart range proximity samples may reach
 
     def initial_cells(self):
-        """(axes, inner) per initial cell: the window x <= 1 is inner, the
-        ring outer. About the origin each is one full turn; two half-turns
-        take L0 from 34 panels to 236 at tol 1e-6. About a puncture each
-        is two half-turns; one full turn takes pv_lines from 192 panels to
-        741 at tol 1e-4."""
-        if self.puncture is None:
-            turns = [(0.0, TWO_PI)]
-        else:
-            turns = [(0.0, math.pi), (math.pi, TWO_PI)]
-        return [((x, turn), inner)
-                for x, inner in (((0.0, 1.0), True), ((1.0, 2.0), False))
-                for turn in turns]
+        return [((-1.0, 1.0),)]
 
-    def _rmax(self, rot, radius):
-        if not self.centre:
-            return radius  # what the formula gives, without its square roots
-        a = np.real(np.conj(self.centre) * rot)
-        return -a + np.sqrt(radius ** 2 - abs(self.centre) ** 2 + a * a)
+    def chart(self, cols):
+        x = cols[0]
+        a = np.abs(x)
+        s = a / (1.0 - a)
+        return (np.sign(x) * s ** _POWER,
+                _POWER * s ** (_POWER - 1) / (1.0 - a) ** 2)
+
+
+class Plane:
+    """The whole complex parameter plane on a compact chart about c:
+    u = c + s^2 e^{i phi}, s = rho / (1 - rho), rho = x / 2 pi, with x and
+    phi both in [0, 2 pi], so that the two chart axes have one length. The
+    area jacobian r dr/dx, r = s^2, folds into the node weights; it
+    vanishes at c and cancels a simple pole there, and the rim x = 2 pi,
+    which lies at infinity, is never a node."""
+
+    naxes = 2
+    whole = True
+    # the chart ranges the proximity samples may reach
+    reach = ((0.0, TWO_PI * _RIM), (0.0, TWO_PI))
+
+    def __init__(self, centre=0):
+        self.centre = complex(centre)
+
+    def initial_cells(self):
+        """One full turn, about any centre: two half-turns give pv_lines at
+        tol 1e-4 the same value and err from one panel more, and L0 36
+        panels where one turn takes 22."""
+        return [((0.0, TWO_PI), (0.0, TWO_PI))]
 
     def chart(self, cols):
         x, phi = cols
-        rot = np.exp(1j * phi)
-        rmax = self._rmax(rot, self.radius)
-        ring = self._rmax(rot, 2.0 * self.radius) - rmax
-        inner = x <= 1.0
-        r = np.where(inner, x * rmax, rmax + (x - 1.0) * ring)
-        return self.centre + r * rot, r * np.where(inner, rmax, ring)
+        rho = x / TWO_PI
+        gap = 1.0 - rho
+        s = rho / gap
+        r = s ** _POWER
+        jac = r * _POWER * s ** (_POWER - 1) / (TWO_PI * gap * gap)
+        return self.centre + r * np.exp(1j * phi), jac
 
 
 class Rect:
     """Axis-aligned rectangle in the complex parameter plane (compact)."""
 
     naxes = 2
+    whole = False
 
     def __init__(self, x0, x1, y0, y1):
         self.x0, self.x1, self.y0, self.y1 = map(float, (x0, x1, y0, y1))
 
     def initial_cells(self):
-        return [(((self.x0, self.x1), (self.y0, self.y1)), True)]
+        return [((self.x0, self.x1), (self.y0, self.y1))]
 
     def chart(self, cols):
         x, y = cols
@@ -248,22 +246,20 @@ def generic_params(dom):
     """Three generic parameters of a domain: the fractions (0.29, 0.57,
     0.83) of its first initial cell, rotated by one place per axis, mapped
     through its chart."""
-    axes, _ = dom.initial_cells()[0]
     cols = tuple(lo + (hi - lo) * np.roll(_GENERIC_FRACTIONS, -a)
-                 for a, (lo, hi) in enumerate(axes))
+                 for a, (lo, hi) in enumerate(dom.initial_cells()[0]))
     params, _ = dom.chart(cols)
     return params
 
 
 def domain_for_curve(curve):
     """Quadrature domain of a curve: [0, 1] for a closed real curve, the
-    truncation window Disk(R) of the curve's declared ("disk", R) domain,
-    or its declared rectangle, which is exact. The curve is the only owner
-    of its window, so each curve of a pair is integrated over its own."""
+    whole plane for a curve on a declared ("disk", R) domain, which stands
+    for the whole curve, or its declared rectangle, which is exact."""
     if curve.kind == "real_closed":
         return Interval(0.0, 1.0)
     if curve.window is not None:
-        return Disk(curve.window)
+        return Plane()
     x0, x1, y0, y1 = curve.domain[1:]
     return Rect(x0, x1, y0, y1)
 
@@ -297,15 +293,12 @@ def _mesh(rows):
 
 class _Panels(NamedTuple):
     """Panels as parallel arrays: bounds (P, axes, 2) as (lo, hi) per axis,
-    halvings so far, whether the curve pieces could still touch, whether
-    the panel lies in the inner cells (the windows as given, not the outer
-    ring of a doubled one), and the value and error estimate (None while
-    pending)."""
+    halvings so far, whether the curve pieces could still touch, and the
+    value and error estimate (None while pending)."""
 
     bounds: np.ndarray
     splits: np.ndarray
     unresolved: np.ndarray
-    inner: np.ndarray
     value: np.ndarray = None
     err: np.ndarray = None
 
@@ -327,9 +320,12 @@ class _Engine:
     left to halve. It then integrates every pending panel with one call of
     each side and one call of the integrand per rule, on the round's
     stacked weights and arrays; the integrand returns the (P,) panel sums.
-    The split-axis samples of a halving and the proximity samples of a
-    check pass likewise take one call per side, a pass's distances one
+    The split-axis samples of a spatial halving and the proximity samples
+    of a check pass likewise take one call per side, a pass's distances one
     stacked min_dist call, and the errors and flags are array operations.
+    A run with a whole domain (Plane, RealLine) halves along the longest
+    chart axis and compares its proximity samples in the bounded image of
+    _compress.
     """
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
@@ -341,6 +337,14 @@ class _Engine:
         self.curves = dom_b is not None and None not in (side_a, side_b)
         cuts = np.cumsum([0] + [d.naxes for d in self.doms])
         self.axes = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        self.whole = any(d.whole for d in self.doms)
+        if self.whole:
+            # per axis; a compact domain's one cell is all of it
+            reach = np.array([ax for d in self.doms for ax in
+                              (d.reach if d.whole else d.initial_cells()[0])])
+            self.reach = reach[:, 0], reach[:, 1]
+            self.origin = (self._points(0, np.zeros(1))[0]
+                           if self.curves else None)
 
     # -- evaluation --------------------------------------------------------
 
@@ -413,9 +417,12 @@ class _Engine:
     # -- geometry ----------------------------------------------------------
 
     def _split_axes(self, lo, hi):
-        """Per panel, the axis of largest spatial extent: the bounding-box
-        diagonal of the points at the axis ends and midpoint, other axes at
-        their midpoints."""
+        """Per panel, the axis to halve: in a run with a whole domain, the
+        longest chart axis; otherwise the axis of largest spatial extent,
+        the bounding-box diagonal of the points at the axis ends and
+        midpoint, other axes at their midpoints."""
+        if self.whole:
+            return np.argmax(hi - lo, axis=1)
         mid = 0.5 * (lo + hi)
         extents = []
         for s, ax in enumerate(self.axes):
@@ -438,22 +445,42 @@ class _Engine:
         pieces' covering radii. A close approach narrower than the node
         spacing can then hide between all nodes of both rules. These
         samples are also the CurvesTooClose guard: a sampled approach below
-        _MIN_DIST on any panel raises it."""
+        _MIN_DIST on any panel raises it. In a run with a whole domain the
+        samples stop at the reach of each chart, and distances and radii are
+        measured between compressed points (_compress); the guard reads the
+        true distances of the panels whose compressed ones are below
+        _MIN_DIST, which are all that can be, since _compress is
+        1-Lipschitz."""
         m = self.cfg.panel_order + 1
-        pieces = []
+        if self.whole:
+            lo, hi = (np.clip(x, *self.reach) for x in (lo, hi))
+        pieces, points = [], []
         for s, ax in enumerate(self.axes):
             grid = [np.linspace(lo[:, a], hi[:, a], m, axis=-1)
                     for a in range(ax.start, ax.stop)]
             params, _ = self.doms[s].chart(tuple(_mesh(grid)))
-            pieces.append(self._sample_pieces(self._points(s, params), m,
+            points.append(self._points(s, params))
+            pieces.append(self._sample_pieces(self._compress(points[-1]), m,
                                               len(grid)))
         (pts_a, cover_a), (pts_b, cover_b) = pieces
         dists = _kernels.min_dist(pts_a, pts_b)
-        close = dists[dists < _MIN_DIST]
+        true = dists
+        if self.whole:
+            near = dists < _MIN_DIST
+            true = _kernels.min_dist(points[0][near], points[1][near])
+        close = true[true < _MIN_DIST]
         if close.size:
             raise CurvesTooClose(f"minimum sampled curve distance "
                                  f"{close.min():.3e} < {_MIN_DIST:.0e}")
         return dists <= cover_a + cover_b
+
+    def _compress(self, pts):
+        """Points as given in a compact run; in a run with a whole domain,
+        their images y / (1 + |y|), y = x - origin, in the unit ball."""
+        if not self.whole:
+            return pts
+        y = pts - self.origin
+        return y / (1.0 + np.linalg.norm(y, axis=-1, keepdims=True))
 
     @staticmethod
     def _sample_pieces(pts, m, k):
@@ -512,7 +539,7 @@ class _Engine:
 
     def _halves(self, panels):
         """Both halves of each panel, cut along its split axis; they inherit
-        its unresolved and inner flags."""
+        its unresolved flag."""
         bounds = panels.bounds
         rows = np.arange(len(bounds))
         axis = self._split_axes(bounds[..., 0], bounds[..., 1])
@@ -522,33 +549,25 @@ class _Engine:
         right[rows, axis, 0] = mid
         return _Panels(np.concatenate([left, right]),
                        np.tile(panels.splits + 1, 2),
-                       np.tile(panels.unresolved, 2), np.tile(panels.inner, 2))
+                       np.tile(panels.unresolved, 2))
 
-    def _initial(self, doubled):
-        """The pending initial cells: products of the domains' cells, inner
-        when every factor is; the outer ones only for a doubled run."""
-        cells = list(itertools.product(*(d.initial_cells() for d in self.doms)))
-        inner = np.array([all(flag for _, flag in c) for c in cells])
-        keep = inner | doubled
-        bounds = np.array([sum((axes for axes, _ in c), ()) for c in cells],
-                          dtype=float)[keep]
+    def _initial(self):
+        """The pending initial cells: products of the domains' cells."""
+        bounds = np.array([sum(c, ()) for c in itertools.product(
+            *(d.initial_cells() for d in self.doms))], dtype=float)
         return _Panels(bounds, np.zeros(len(bounds), dtype=int),
-                       np.full(len(bounds), self.curves), inner[keep])
+                       np.full(len(bounds), self.curves))
 
-    def run(self, decay_order=None):
+    def run(self):
         """Refine until the summed panel error is within tol of the total
         and no panel is unresolved. Each round resolves proximity and then
         integrates all its pending panels (_evaluate), so the integrand
         runs twice per round, plus the probe; panels_evaluated counts the
-        integrated panels, not those halved while resolving.
-
-        Without a decay order every domain is integrated over its window as
-        given. With a decay order k, truncated domains are integrated over
-        their doubled window: the inner panels sum to I(R), all panels to
-        I(2R), and the outer panels to the tail I(2R) - I(R) ~ R^-k, which
-        is Richardson-extrapolated, value = I(2R) + tail / (2^k - 1).
+        integrated panels, not those halved while resolving. A panel is hot
+        by its error only when that error is positive, so an integrand that
+        vanishes on every panel refines nothing by error.
         """
-        pending = self._initial(decay_order is not None)
+        pending = self._initial()
         done = None
         rounds, skipped, checks = [], [], []
         depth_hit = converged = False
@@ -569,7 +588,8 @@ class _Engine:
                 converged = True
                 break
             cutoff = panels.err.max() / _MARK_FACTOR
-            hot = (panels.err >= cutoff) | panels.unresolved
+            hot = ((panels.err >= cutoff) & (panels.err > 0.0)
+                   | panels.unresolved)
             at_max = panels.splits >= self.cfg.max_depth
             depth_hit = depth_hit or bool(np.any(hot & at_max))
             refine = hot & ~at_max
@@ -577,22 +597,13 @@ class _Engine:
                 break  # every hot panel is at max_depth: report converged=False
             done = panels.take(~refine)
             pending = self._halves(panels.take(refine))
-        inner, outer = panels.inner, ~panels.inner
-        tail = complex(pairwise_tree_sum(panels.value[outer]))
-        # the Richardson weight of the tail; there is no tail without a decay
-        # order, because no outer cell is integrated then
-        step = 0.0 if decay_order is None else 1.0 / (2.0 ** decay_order - 1.0)
-        err = (float(pairwise_tree_sum(panels.err[inner]))
-               + float(pairwise_tree_sum(panels.err[outer])) * (1.0 + step))
         trace = QuadTrace(panels_per_round=tuple(rounds),
                           skipped_per_round=tuple(skipped),
                           checks_per_round=tuple(checks),
                           deepest_split=int(panels.splits.max()),
-                          max_depth_hit=depth_hit,
-                          err_source="tail" if abs(tail) > err else "quadrature")
-        return QuadResult(value=total + tail * step, err_estimate=err,
-                          panels_evaluated=sum(rounds),
-                          tail_estimate=abs(tail), converged=converged,
+                          max_depth_hit=depth_hit)
+        return QuadResult(value=total, err_estimate=err,
+                          panels_evaluated=sum(rounds), converged=converged,
                           trace=trace)
 
 
@@ -642,17 +653,14 @@ def integrate_curve(integrand, domain, cfg):
     parameters t, both (P, n) for its P panels of n nodes, to the (P,)
     weighted panel sums, each panel's w @ values; anything but a (P,)
     array raises TypeError. per_panel adapts an f written for one panel.
-    A truncated domain is integrated over
-    its window as given, with no tail step. MaxDepthExceeded is reported
-    as converged=False per the quadrature contract, with the best
-    available value.
+    MaxDepthExceeded is reported as converged=False per the quadrature
+    contract, with the best available value.
     """
     _check_batch(integrand, _identity)
     return _Engine(integrand, domain, None, cfg).run()
 
 
-def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
-                      decay_order=1):
+def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
     """Integrate the integrand over dom_a x dom_b.
 
     A side maps a parameter array to a tuple of arrays, curve positions
@@ -663,57 +671,44 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     or (P, nb, ...). It returns the (P,) weighted panel sums, each panel's
     wa @ K @ wb of its pair values K, which it need not form; anything but
     a (P,) array raises TypeError. per_panel adapts a kernel written for
-    one panel's slices. Positions
-    measure panel extents for the split axis. With both sides given,
-    panels whose curve pieces could touch are halved, before any of the
-    round's integrand calls, until the samples resolve the gap, and those
-    proximity samples raise CurvesTooClose where the curves come within
-    1e-6. If either domain is a truncation
-    window of radius R, one engine run covers the doubled window: the
-    panels outside the R window sum to the tail I(2R) - I(R), which is
-    Richardson-extrapolated with the given decay order k (tail ~ R^-k),
-    reporting tail_estimate = |I(2R) - I(R)|.
+    one panel's slices. On compact domains positions measure panel extents
+    for the split axis. With both sides given, panels whose curve pieces
+    could touch are halved, before any of the round's integrand calls,
+    until the samples resolve the gap, and those proximity samples raise
+    CurvesTooClose where the curves come within 1e-6. A Plane or RealLine
+    domain is integrated whole.
     """
     _check_batch(integrand, side_a or _identity, side_b or _identity)
-    return _Engine(integrand, dom_a, dom_b, cfg, side_a,
-                   side_b).run(decay_order)
+    return _Engine(integrand, dom_a, dom_b, cfg, side_a, side_b).run()
 
 
 def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
-                 side_b=None, decay_order=1):
+                 side_b=None):
     """Integral over a product of domains whose integrand may have simple
     poles at declared punctures.
 
     The round integrand and sides are those of integrate_product, and so
     are the TypeError and CurvesTooClose checks. punctures = (on_a, on_b).
     Under the area measure a simple pole is absolutely integrable, so the
-    "principal value" is an ordinary integral: a disk with one puncture p is
-    integrated as Disk(R, p), the polar chart centred on p, whose jacobian
-    r cancels the pole. That chart is the one every Disk uses; only its
-    starting cells differ, two half-turns per window about a puncture
-    against one full turn about the origin (at tol 1e-4 pv_lines takes
-    192 panels from half-turns and 741 from a full turn; at tol 1e-6 L0,
-    unpunctured, takes 34 from a full turn and 236 from half-turns). One
-    engine run covers the product; with a truncated domain it covers the
-    doubled window and takes the tail step of integrate_product. Raises
+    "principal value" is an ordinary integral: a whole plane with one
+    puncture p is integrated as Plane(p), the chart centred on p, whose
+    jacobian cancels the pole. One engine run covers the product. Raises
     PVNotConverging for a puncture on an Interval or a Rect and for more
-    than one puncture on one disk. The integrand is trusted to have at
-    most simple poles there: the caller decides each pole's order from its
-    own data (for a rational form, holo_linking_integral reads it off the
-    polynomials). A steeper pole with zero angular mean, such as
-    1/(u - p)^2, integrates to its circular principal value.
+    than one puncture on one plane. The integrand is trusted to have at most simple poles there: the
+    caller decides each pole's order from its own data (for a rational
+    form, holo_linking_integral reads it off the polynomials).
     """
     doms = []
     for dom, punct in zip((dom_a, dom_b), punctures):
         punct = list(punct or ())
-        if punct and not isinstance(dom, Disk):
+        if punct and not isinstance(dom, Plane):
             raise PVNotConverging(
                 f"puncture {punct[0]} on a {type(dom).__name__} domain: "
-                "principal values are taken on disk domains only")
+                "principal values are taken on whole planes only")
         if len(punct) > 1:
             raise PVNotConverging(
                 "principal values support exactly one puncture per complex "
                 f"curve; got {len(punct)}")
-        doms.append(Disk(dom.radius, punct[0]) if punct else dom)
+        doms.append(Plane(punct[0]) if punct else dom)
     _check_batch(integrand, side_a or _identity, side_b or _identity)
-    return _Engine(integrand, *doms, cfg, side_a, side_b).run(decay_order)
+    return _Engine(integrand, *doms, cfg, side_a, side_b).run()

@@ -1,16 +1,14 @@
 """Method dispatch, applicability rules, reports, cross-checks, calibration.
 
 A Report is the single output record of every computation: the value, its
-error and tail estimates, convergence state, the constants and quadrature
-configuration that produced it, and wall time. Integral methods add
-extra["trace"]: the quadrature trace (rounds, panels integrated per
-round, panels halved per round without being integrated, deepest split,
-whether max_depth stopped a hot panel, the source of err_estimate),
-the worker count, and "radius", the truncation window R of each query
-curve as its scene declares it (null for a compact domain, and for both
-curves of holo_line, which integrates each whole plane). Reports
-serialize to JSON (deterministic except wall_time_ms) and to fixed-column
-CSV.
+error estimate, its tail estimate (always 0: unbounded curves are
+integrated whole, with no truncation), convergence state, the constants
+and quadrature configuration that produced it, and wall time. Integral
+methods add extra["trace"]: the quadrature trace (rounds, panels
+integrated per round, panels halved per round without being integrated,
+check passes per round, deepest split, whether max_depth stopped a hot
+panel) and the worker count. Reports serialize to JSON (deterministic
+except wall_time_ms) and to fixed-column CSV.
 """
 
 import json
@@ -134,7 +132,7 @@ def _inapplicable(scene, method):
     dz1 ^ dz2 ^ dz3 only, so they refuse a scene that declares another;
     residue reads the declared form. holo_line, holo_closed and residue
     give the whole-curve value,
-    so they need a disk window on both query curves; holo_line also needs
+    so they need a disk domain on both query curves; holo_line also needs
     what holo.holo_line_obstacle asks of the pair (a line, polynomial
     forms, an integrand decaying faster than |u|^-2), and residue the
     ambient form and a two-surface cut containing the first curve. Every
@@ -175,7 +173,7 @@ def _inapplicable(scene, method):
         return "forms carry poles; use holo_pv"
     if (method in ("holo_line", "holo_closed", "residue")
             and None in (c1.window, c2.window)):
-        return "gives the whole-curve value; needs disk windows on both curves"
+        return "gives the whole-curve value; needs disk domains on both curves"
     if method == "holo_line":
         return holo_line_obstacle((c1, f1), (c2, f2))
     if method == "holo_closed":
@@ -260,11 +258,7 @@ def compute(scene, method, cfg, seed=0):
     if res is not None:
         value, err, tail = res.value, res.err_estimate, res.tail_estimate
         converged, panels = res.converged, res.panels_evaluated
-        # holo_line integrates each whole plane, through no window
-        radius = [None, None] if method == "holo_line" else [c1.window,
-                                                             c2.window]
-        extra = {"trace": dict(res.trace.to_dict(), workers=workers_from_env(),
-                               radius=radius)}
+        extra = {"trace": dict(res.trace.to_dict(), workers=workers_from_env())}
 
     ms = (time.perf_counter() - t0) * 1000.0
     return Report(scene_id=scene.scene_id, method=method, value=complex(value),
@@ -364,7 +358,7 @@ def calibrate(cfg):
 
     kappa_line is the holo_line value of the reference pair scenes.l0():
     the kernel integral over both whole lines, as one 2-D integral on a
-    compact chart, with no truncation window and no tail (at tol 1e-6, 31
+    compact chart, with no truncation window and no tail (at tol 1e-6, 15
     panels, within 4e-16 of -2 pi^5). Raises CalibrationUnstable when the
     integral fails to converge. The constants record tol and the hololink
     version they were measured with; truncation_radius stays None, because

@@ -194,8 +194,7 @@ def curve_surface_intersections(f, curve):
 
     Roots come from companion-matrix eigenvalues of the composed
     polynomial, Newton-polished to 1e-13 relative residual. Disk domains
-    are truncation windows of an affine curve, so every finite root
-    counts; rect domains are exact and filter. Raises IdenticallyZero when
+    stand for the whole affine curve, so every finite root counts; rect domains are exact and filter. Raises IdenticallyZero when
     the curve lies inside the surface and NonSimpleRoot on tangency: two
     roots within CLUSTER_TOL of each other (a double root split by
     rounding), |f'(gamma(t))| below DERIVATIVE_TOL of scale, or a root

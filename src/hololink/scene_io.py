@@ -411,8 +411,9 @@ def scene_to_dict(scene):
 
 
 def dumps_scene(scene):
-    """Serialize a scene to a JSON string (round-trips through loads_scene)."""
-    return json.dumps(scene_to_dict(scene), indent=2)
+    """Serialize a scene to one line of JSON (round-trips through
+    loads_scene). No indent, so json's C encoder writes it."""
+    return json.dumps(scene_to_dict(scene))
 
 
 def save_scene(scene, path):

@@ -43,12 +43,12 @@ def test_split_pair_links_zero(fast_cfg):
 
 
 def test_skew_lines_half_with_tail(cfg):
+    # each whole line is integrated, so the tail is 0 and the value is the
+    # half within its err
     sc = scenes.skew_lines()
     res = hl.gauss_linking(sc.curves["c1"], sc.curves["c2"], cfg)
-    assert abs(res.value - 0.5) < 2e-2
-    assert res.tail_estimate < 2e-2
-    # the bare window at R=40 underestimates; the tail step must be active
-    assert res.tail_estimate > 1e-4
+    assert res.converged and res.tail_estimate == 0.0
+    assert abs(res.value - 0.5) <= res.err_estimate
 
 
 def test_skew_lines_orientation_flip(cfg):

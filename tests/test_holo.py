@@ -170,13 +170,11 @@ def test_holo_integral_calls_the_module_kernel_per_rule(monkeypatch):
     res = hl.holo_linking_integral((sc.curves["c1"], sc.forms["theta1"]),
                                    (sc.curves["c2"], sc.forms["theta2"]),
                                    hl.BMContext(), hl.QuadConfig(tol=1e-6))
-    assert res.panels_evaluated == 34
+    assert res.panels_evaluated == 322
     assert len(calls) == 2 * res.panels_evaluated + 1
 
 
 def test_tolerance_drives_refinement():
-    # the proximity rule alone brings L0 to a relative error of about 3e-7,
-    # so tol has to go below that before the error rule refines further
     sc = scenes.l0()
     pair = ((sc.curves["c1"], sc.forms["theta1"]),
             (sc.curves["c2"], sc.forms["theta2"]))
@@ -186,8 +184,7 @@ def test_tolerance_drives_refinement():
     assert loose.panels_evaluated < tight.panels_evaluated
     for res in (loose, tight):
         assert res.converged
-        assert abs(res.value + 2 * math.pi ** 5) <= (res.err_estimate
-                                                     + res.tail_estimate)
+        assert abs(res.value + 2 * math.pi ** 5) <= res.err_estimate
 
 
 def test_theta_free_energy_positive_and_matches_analytic(fast_cfg):
@@ -312,14 +309,13 @@ def test_holo_line_refuses_what_it_cannot_integrate(scene, reason, cfg):
 PV_LINES_REFERENCE = 90.0932435585 + 81.9029486896j
 
 
-@pytest.mark.parametrize("tol, panels", [(1e-4, 192), (1e-6, 238)])
+@pytest.mark.parametrize("tol, panels", [(1e-4, 66), (1e-6, 314)])
 def test_simple_pole_lines_converge(tol, panels):
     rep = report.compute(scenes.pv_lines(), "holo_pv", hl.QuadConfig(tol=tol))
     assert rep.converged
     assert not rep.extra["trace"]["max_depth_hit"]
     assert rep.panels_evaluated == panels
-    assert abs(rep.value - PV_LINES_REFERENCE) <= (rep.err_estimate
-                                                    + rep.tail_estimate)
+    assert abs(rep.value - PV_LINES_REFERENCE) <= rep.err_estimate
 
 
 # ---------------------------------------------------------------------------

