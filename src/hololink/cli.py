@@ -8,10 +8,10 @@ Subcommands:
   scene NAME         emit a built-in or generated scene as one line of JSON
 
 SCENE is a path to a scene JSON file, or ``builtin:NAME`` for a built-in.
-A curve on a declared ``("disk", R)`` domain is integrated over its whole
-parameter plane, whatever R. The line constant is the scene's: its
-``constants`` block, where calibrate's output is pasted, or else the
-closed form.
+A complex curve on a ``plane`` domain, or an older file's ``disk`` of any
+radius, is integrated over its whole plane. The line constant is the
+scene's: its ``constants`` block, where calibrate's output is pasted, or
+else the closed form.
 Exit codes: 0 success, 2 scene/usage errors, 3 numerical failures (including
 unconverged integrals), 4 cross-check FAIL.
 """

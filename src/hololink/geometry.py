@@ -4,12 +4,13 @@ operations (det3, pairing, polynomial algebra) the routes are built from.
 Curves come in two kinds. `real_closed` curves are trigonometric polynomials
 t in [0,1) -> R^3 stored as coefficient tables, so velocities are exact.
 `complex_affine` curves are triples of univariate polynomials u -> C^3 over
-a disk, which stands for the whole plane, or an explicit rectangle.
+the whole parameter plane or an explicit rectangle.
 Polynomials are plain ascending numpy coefficient arrays throughout.
 """
 
+import cmath
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 import math
 
 import numpy as np
@@ -18,8 +19,6 @@ from numpy.polynomial.polyutils import trimseq
 from .errors import ParamAtPuncture, ParamOutOfDomain, SceneInvalid
 
 TWO_PI = 2.0 * math.pi
-# the radius R of a disk-domain curve when none is given
-DEFAULT_RADIUS = 40.0
 
 
 def det3(a, b, c):
@@ -242,8 +241,7 @@ class ParamCurve:
     + sin(2pi k t) sin_rows[k-1], t in [0, 1).
 
     kind = "complex_affine": three ascending complex coefficient arrays over
-    a disk domain, which stands for the whole parameter plane (its radius
-    bounds marked points and validation samples), or a rectangle domain.
+    the whole parameter plane, the domain ("plane",), or over a rectangle.
 
     A complex curve caches, once per object, its degree, two (deg + 1, 3)
     coefficient matrices (the components, zero-padded to one length, and
@@ -259,7 +257,7 @@ class ParamCurve:
     cos_rows: np.ndarray = None
     sin_rows: np.ndarray = None
     components: tuple = None          # complex_affine: three coef arrays
-    domain: tuple = ("circle",)       # ("circle",) | ("disk", R) | ("rect", x0, x1, y0, y1)
+    domain: tuple = ("circle",)       # ("circle",) | ("plane",) | ("rect", x0, x1, y0, y1)
     marked_points: tuple = ()
 
     @classmethod
@@ -277,8 +275,7 @@ class ParamCurve:
                    marked_points=tuple(marked_points))
 
     @classmethod
-    def complex_affine(cls, components, domain=("disk", DEFAULT_RADIUS),
-                       marked_points=()):
+    def complex_affine(cls, components, domain=("plane",), marked_points=()):
         comps = tuple(np.array(c, dtype=complex, ndmin=1, copy=None)
                       for c in components)
         if len(comps) != 3:
@@ -290,12 +287,11 @@ class ParamCurve:
                    marked_points=tuple(complex(p) for p in marked_points))
 
     @classmethod
-    def line(cls, p0, e, radius=DEFAULT_RADIUS, marked_points=()):
+    def line(cls, p0, e, marked_points=()):
         p0 = np.asarray(p0, dtype=complex)
         e = np.asarray(e, dtype=complex)
         comps = [np.array([p0[i], e[i]], dtype=complex) for i in range(3)]
-        return cls.complex_affine(comps, domain=("disk", float(radius)),
-                                  marked_points=marked_points)
+        return cls.complex_affine(comps, marked_points=marked_points)
 
     # -- evaluation --------------------------------------------------------
 
@@ -341,12 +337,14 @@ class ParamCurve:
         return [[], [], []]
 
     def in_domain(self, param):
-        if self.kind == "real_closed":
-            return bool(np.isreal(param)) or abs(complex(param).imag) == 0.0
-        kind = self.domain[0]
+        """Whether param is a finite parameter of the curve's domain."""
         u = complex(param)
-        if kind == "disk":
-            return abs(u) <= self.domain[1] * (1 + 1e-12)
+        if not cmath.isfinite(u):
+            return False
+        if self.kind == "real_closed":
+            return u.imag == 0.0
+        if self.whole:
+            return True
         x0, x1, y0, y1 = self.domain[1:]
         return (x0 - 1e-12 <= u.real <= x1 + 1e-12
                 and y0 - 1e-12 <= u.imag <= y1 + 1e-12)
@@ -360,9 +358,10 @@ class ParamCurve:
         return max(poly_deg(c) for c in self.components)
 
     @property
-    def window(self):
-        """R of a ("disk", R) domain; None for a compact domain."""
-        return self.domain[1] if self.domain[0] == "disk" else None
+    def whole(self):
+        """Whether the domain is the whole parameter plane; a circle or a
+        rectangle is compact."""
+        return self.domain[0] == "plane"
 
     @property
     def is_line(self):
@@ -376,9 +375,9 @@ class ParamCurve:
 
     @property
     def is_real_line(self):
-        """A real line over a disk window; over a rectangle a line is a
+        """A real line over the whole plane; over a rectangle a line is a
         compact piece, not a line."""
-        if not self.is_line or self.window is None:
+        if not self.is_line or not self.whole:
             return False
         p0, e = self.line_frame()
         scale = max(np.max(np.abs(p0)), np.max(np.abs(e)), 1.0)
@@ -396,9 +395,10 @@ class ParamCurve:
 def _sample_grid(kind, domain, n):
     if kind == "real_closed":
         grid = np.linspace(0.0, 1.0, n, endpoint=False)
-    elif domain[0] == "disk":
-        radius = domain[1]
-        r = np.array([0.15, 0.4, 0.7, 0.95]) * radius
+    elif domain[0] == "plane":
+        # rings at fixed rho of quadrature.Plane's chart, |u| 0.03 to 361
+        rho = np.array([0.15, 0.4, 0.7, 0.95])
+        r = (rho / (1.0 - rho)) ** 2
         phi = np.linspace(0.0, TWO_PI, max(n // 4, 8), endpoint=False)
         grid = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
     else:
@@ -600,6 +600,15 @@ def _stationary_params(curve):
     return np.array([t for t in roots if curve.in_domain(t)], dtype=complex)
 
 
+def _speed_vanishes(pts, vel):
+    """Where |x'| <= 1e-9 max(1, |x|): each speed against its own point,
+    as a plane's samples span |u| from 0.03 to 361. |.| is the largest
+    component modulus, taken column by column: a reduction along the short
+    last axis costs several times as much."""
+    speed, size = (reduce(np.maximum, np.abs(a).T) for a in (vel, pts))
+    return speed <= 1e-9 * np.maximum(size, 1.0)
+
+
 def validate_scene(scene):
     """Check every structural invariant; raise SceneInvalid naming the
     violated invariant and the JSON-ish path of the offender.
@@ -624,11 +633,8 @@ def validate_scene(scene):
         if curve.kind == "complex_affine":
             if curve.degree < 1:
                 raise SceneInvalid(path + ".map", "constant parametrization (degree < 1)")
-            if curve.domain[0] not in ("disk", "rect"):
+            if curve.domain[0] not in ("plane", "rect"):
                 raise SceneInvalid(path + ".domain", f"unknown domain {curve.domain[0]!r}")
-            if curve.domain[0] == "disk" and not 0 < curve.domain[1] < math.inf:
-                raise SceneInvalid(path + ".domain.radius",
-                                   "radius must be positive and finite")
             bounds = curve.domain[1:]
             if curve.domain[0] == "rect" and not (
                     len(bounds) == 4 and all(map(math.isfinite, bounds))
@@ -646,16 +652,13 @@ def validate_scene(scene):
         if not (np.isfinite(pts).all() and np.isfinite(vel).all()):
             raise SceneInvalid(path + ".map",
                                "non-finite position or velocity on the sampled domain")
-        speed = np.linalg.norm(realify(vel), axis=-1)
-        scale = max(float(np.max(np.abs(realify(pts)))), 1.0)
-        if np.min(speed) <= 1e-9 * scale:
+        if np.any(_speed_vanishes(pts, vel)):
             raise SceneInvalid(path + ".map", "velocity vanishes on the sampled domain")
         if curve.kind == "complex_affine" and not curve.is_line:
             # a zero between the samples, at a root of a velocity component;
             # a line's velocity is constant
             params = _stationary_params(curve)
-            vel = poly_eval(params[:, None], curve._velocity_coefficients)
-            stopped = params[np.linalg.norm(vel, axis=-1) <= 1e-9 * scale]
+            stopped = params[_speed_vanishes(*curve.eval_batch(params))]
             if stopped.size:
                 raise SceneInvalid(path + ".map",
                                    f"velocity vanishes at parameter {stopped[0]}")

@@ -106,7 +106,7 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     two parameter domains (area measure, factor 4; ctx.prefactor). Each
     declared pole's order comes from its form's numerator and denominator
     (residue.pole_order); one above 1 has no principal value and raises
-    PVNotConverging before any kernel runs. Each curve on a ("disk", R)
+    PVNotConverging before any kernel runs. Each curve on a ("plane",)
     domain is integrated over its whole parameter plane
     (quadrature.Plane), with no window and no tail; a form with a declared
     simple pole, on the plane's chart centred on the pole, where the area

@@ -254,11 +254,10 @@ def generic_params(dom):
 
 def domain_for_curve(curve):
     """Quadrature domain of a curve: [0, 1] for a closed real curve, the
-    whole plane for a curve on a declared ("disk", R) domain, which stands
-    for the whole curve, or its declared rectangle, which is exact."""
+    whole plane for a whole complex curve, or its declared rectangle."""
     if curve.kind == "real_closed":
         return Interval(0.0, 1.0)
-    if curve.window is not None:
+    if curve.whole:
         return Plane()
     x0, x1, y0, y1 = curve.domain[1:]
     return Rect(x0, x1, y0, y1)

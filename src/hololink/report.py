@@ -131,13 +131,12 @@ def _inapplicable(scene, method):
     holo_closed) pair the curves through the standard ambient form
     dz1 ^ dz2 ^ dz3 only, so they refuse a scene that declares another;
     residue reads the declared form. holo_line, holo_closed and residue
-    give the whole-curve value,
-    so they need a disk domain on both query curves; holo_line also needs
-    what holo.holo_line_obstacle asks of the pair (a line, polynomial
-    forms, an integrand decaying faster than |u|^-2), and residue the
-    ambient form and a two-surface cut containing the first curve. Every
-    rule is decided here, from the scene's data: MethodInapplicable is a
-    SceneError, which xcheck does not catch.
+    give the whole-curve value, so they need whole-plane query curves;
+    holo_line also needs what holo.holo_line_obstacle asks of the pair (a
+    line, polynomial forms, an integrand decaying faster than |u|^-2), and
+    residue the ambient form and a two-surface cut containing the first
+    curve. Every rule is decided here, from the scene's data:
+    MethodInapplicable is a SceneError, which xcheck does not catch.
     """
     (n1, c1), (n2, c2) = _query(scene)
     f1, f2 = scene.form_for(n1), scene.form_for(n2)
@@ -172,8 +171,8 @@ def _inapplicable(scene, method):
     if any_poles:
         return "forms carry poles; use holo_pv"
     if (method in ("holo_line", "holo_closed", "residue")
-            and None in (c1.window, c2.window)):
-        return "gives the whole-curve value; needs disk domains on both curves"
+            and not (c1.whole and c2.whole)):
+        return "gives the whole-curve value; needs whole-plane curves"
     if method == "holo_line":
         return holo_line_obstacle((c1, f1), (c2, f2))
     if method == "holo_closed":

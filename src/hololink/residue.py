@@ -193,8 +193,8 @@ def curve_surface_intersections(f, curve):
     """All parameters t with f(gamma(t)) = 0 in the curve's working domain.
 
     Roots come from companion-matrix eigenvalues of the composed
-    polynomial, Newton-polished to 1e-13 relative residual. Disk domains
-    stand for the whole affine curve, so every finite root counts; rect domains are exact and filter. Raises IdenticallyZero when
+    polynomial, Newton-polished to 1e-13 relative residual. On a plane every
+    finite root counts; rect domains filter. Raises IdenticallyZero when
     the curve lies inside the surface and NonSimpleRoot on tangency: two
     roots within CLUSTER_TOL of each other (a double root split by
     rounding), |f'(gamma(t))| below DERIVATIVE_TOL of scale, or a root

@@ -5,8 +5,9 @@ Layout: a UTF-8 JSON object with keys `curves`, `forms`, `ambient`,
 numbers are two-element arrays [re, im] (bare numbers are accepted on
 input); three-variable polynomials are term lists
 {"exponents": [i, j, k], "coeff": [re, im]} and one-variable polynomials
-use single-entry exponent lists. Every parse error names the JSON path
-of the offending field.
+use single-entry exponent lists. A complex curve's domain is a plane (the
+default) or a rect; an older file's disk loads as a plane, whatever its
+radius. Every parse error names the JSON path of the offending field.
 """
 
 import json
@@ -16,9 +17,9 @@ import os
 import numpy as np
 
 from .errors import SceneInvalid
-from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
-                       OneForm, ParamCurve, Poly3, Scene, SurfaceCut,
-                       poly_trim, validate_scene)
+from .geometry import (AmbientForm, NormalizationConstants, OneForm,
+                       ParamCurve, Poly3, Scene, SurfaceCut, poly_trim,
+                       validate_scene)
 
 # The largest exponent a polynomial term may carry. Generated scenes use at
 # most 4; the bound stops a huge exponent from allocating a dense
@@ -128,13 +129,13 @@ def _domain_in(value, path):
     if not isinstance(value, dict) or "type" not in value:
         raise SceneInvalid(path, "expected an object with a type field")
     kind = value["type"]
-    if kind == "circle":
-        return ("circle",)
-    if kind == "disk":
+    if kind in ("circle", "plane"):
+        return (kind,)
+    if kind == "disk":  # a plane's older name: its radius is checked, not kept
         radius = value.get("radius")
         if not _is_number(radius) or radius <= 0:
             raise SceneInvalid(path + ".radius", "expected a positive number")
-        return ("disk", float(radius))
+        return ("plane",)
     if kind == "rect":
         re = value.get("re")
         im = value.get("im")
@@ -149,10 +150,8 @@ def _domain_in(value, path):
 
 
 def _domain_out(domain):
-    if domain[0] == "circle":
-        return {"type": "circle"}
-    if domain[0] == "disk":
-        return {"type": "disk", "radius": domain[1]}
+    if domain[0] in ("circle", "plane"):
+        return {"type": domain[0]}
     return {"type": "rect", "re": [domain[1], domain[2]],
             "im": [domain[3], domain[4]]}
 
@@ -198,12 +197,11 @@ def _curve_in(name, value, path):
                                "expected three polynomial components")
         components = tuple(_poly1_in(c, path, "map", "components", i)
                            for i, c in enumerate(comps))
-        domain = _domain_in(
-            value.get("domain", {"type": "disk", "radius": DEFAULT_RADIUS}),
-            path + ".domain")
+        domain = _domain_in(value.get("domain", {"type": "plane"}),
+                            path + ".domain")
         if domain[0] == "circle":
             raise SceneInvalid(path + ".domain.type",
-                               "complex_affine curves need a disk or rect domain")
+                               "complex_affine curves need a plane or rect domain")
         return ParamCurve.complex_affine(components, domain=domain,
                                          marked_points=marked)
     raise SceneInvalid(path + ".kind", f"unknown curve kind {kind!r}")

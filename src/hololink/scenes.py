@@ -12,8 +12,8 @@ compact domains).
 import numpy as np
 
 from .errors import SceneInvalid
-from .geometry import (DEFAULT_RADIUS, AmbientForm, NormalizationConstants,
-                       OneForm, ParamCurve, Poly3, Scene, SurfaceCut, det3,
+from .geometry import (AmbientForm, NormalizationConstants, OneForm,
+                       ParamCurve, Poly3, Scene, SurfaceCut, det3,
                        validate_scene)
 
 _Z = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -42,17 +42,17 @@ def _const_form(curve_name, value=1.0):
     return OneForm(curve_name, np.array([value], dtype=complex))
 
 
-def _line_pair(radius=DEFAULT_RADIUS):
-    c1 = ParamCurve.line((0, 0, 0), (1, 0, 0), radius=radius)
-    c2 = ParamCurve.line((0, 0, 1), (0, 1, 0), radius=radius)
+def _line_pair():
+    c1 = ParamCurve.line((0, 0, 0), (1, 0, 0))
+    c2 = ParamCurve.line((0, 0, 1), (0, 1, 0))
     return c1, c2
 
 
-def l0(radius=DEFAULT_RADIUS):
+def l0():
     """The reference line pair (s,0,0) / (0,t,1) with unit constant forms,
     the standard volume form, and the coordinate-plane cut of the first
     line. Calibration measures every route-relative constant here."""
-    c1, c2 = _line_pair(radius)
+    c1, c2 = _line_pair()
     return validate_scene(Scene(
         scene_id="L0",
         curves={"c1": c1, "c2": c2},
@@ -62,10 +62,10 @@ def l0(radius=DEFAULT_RADIUS):
         constants=NormalizationConstants()))
 
 
-def skew_lines(radius=DEFAULT_RADIUS):
+def skew_lines():
     """The same two lines read as real curves (no forms), for the real
     Gauss integral and the sign closed form: linking +1/2."""
-    c1, c2 = _line_pair(radius)
+    c1, c2 = _line_pair()
     return validate_scene(Scene(
         scene_id="skew_lines",
         curves={"c1": c1, "c2": c2},
@@ -108,14 +108,12 @@ PV_POLE_1 = 0.3 + 0.2j
 PV_POLE_2 = -0.1 + 0.4j
 
 
-def pv_lines(radius=DEFAULT_RADIUS, pole_order=1):
+def pv_lines(pole_order=1):
     """The reference line pair with rational forms carrying one declared
     simple pole each (pole_order=2 builds the non-convergent double-pole
     variant used to exercise the principal-value failure path)."""
-    c1 = ParamCurve.line((0, 0, 0), (1, 0, 0), radius=radius,
-                         marked_points=(PV_POLE_1,))
-    c2 = ParamCurve.line((0, 0, 1), (0, 1, 0), radius=radius,
-                         marked_points=(PV_POLE_2,))
+    c1 = ParamCurve.line((0, 0, 0), (1, 0, 0), marked_points=(PV_POLE_1,))
+    c2 = ParamCurve.line((0, 0, 1), (0, 1, 0), marked_points=(PV_POLE_2,))
     den1 = np.array([-PV_POLE_1, 1.0], dtype=complex)
     den2 = np.array([-PV_POLE_2, 1.0], dtype=complex)
     if pole_order == 2:
@@ -174,7 +172,7 @@ def _unit_complex_vector(rng):
     return v / np.linalg.norm(v)
 
 
-def random_line_scene(seed, radius=DEFAULT_RADIUS):
+def random_line_scene(seed):
     """Random disjoint complex line pair with constant forms and a cut of
     the first line: exercises the integral, closed-form, and residue
     routes on the same data."""
@@ -201,8 +199,8 @@ def random_line_scene(seed, radius=DEFAULT_RADIUS):
 
         return validate_scene(Scene(
             scene_id=f"random_line_{seed}",
-            curves={"c1": ParamCurve.line(p1, e1, radius=radius),
-                    "c2": ParamCurve.line(p2, e2, radius=radius)},
+            curves={"c1": ParamCurve.line(p1, e1),
+                    "c2": ParamCurve.line(p2, e2)},
             forms={"theta1": _const_form("c1", c1), "theta2": _const_form("c2", c2)},
             ambient=AmbientForm.standard(),
             cuts={"cut1": SurfaceCut(linear_poly(a1, p1), linear_poly(a2, p1), "c1")},

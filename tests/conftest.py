@@ -25,11 +25,10 @@ def rng():
     return np.random.default_rng(20260816)
 
 
-def _tangent_cut_scene(delta, radius=20.0):
+def _tangent_cut_scene(delta):
     def curve(*components):
         return hl.ParamCurve.complex_affine(
-            tuple(np.array(c, dtype=complex) for c in components),
-            domain=("disk", radius))
+            tuple(np.array(c, dtype=complex) for c in components))
 
     def poly(*terms):
         return hl.Poly3.from_terms(terms)
@@ -49,7 +48,7 @@ def _tangent_cut_scene(delta, radius=20.0):
 @pytest.fixture()
 def tangent_cut_scene():
     """Builder of the pair c1 = (t, 0.3 t^2, 0), cut by z2 - 0.3 z1^2 and
-    z3, and c2 = (s, delta, 1 + 0.2 s), unit forms, both on a disk window:
+    z3, and c2 = (s, delta, 1 + 0.2 s), unit forms, both whole planes:
     the cut surface touches c2 at delta = 0, where f1(c2) = delta - 0.3 s^2
     has a double root."""
     return _tangent_cut_scene

@@ -338,32 +338,48 @@ def test_line_frame_and_real_line_flag():
     assert not quad.is_line
 
 
+_CIRCLE = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+_PLANE = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
+_RECT = hl.ParamCurve.complex_affine(
+    (np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0])),
+    domain=("rect", -1.0, 1.0, -0.5, 0.5))
+
+
 def test_real_line_needs_a_disk_window():
     # over a rectangle a line is a compact piece, not the whole real line
-    line = hl.ParamCurve.line((0, 0, 1), (0, 1, 0), radius=7.0)
-    assert line.window == 7.0 and line.is_real_line
+    line = hl.ParamCurve.line((0, 0, 1), (0, 1, 0))
+    assert line.domain == ("plane",) and line.whole and line.is_real_line
     piece = hl.ParamCurve.complex_affine(line.components,
                                          domain=("rect", -1.0, 1.0, -0.5, 0.5))
-    assert piece.is_line and piece.window is None and not piece.is_real_line
-    circ = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
-    assert circ.window is None
+    assert piece.is_line and not piece.whole and not piece.is_real_line
+    assert not _CIRCLE.whole
 
 
 def test_in_domain():
-    circ = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
-    assert circ.in_domain(0.7) and circ.in_domain(2.3)
-    disk = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=2.0)
-    assert disk.in_domain(1.0 + 1.0j) and not disk.in_domain(3.0)
-    rect = hl.ParamCurve.complex_affine(
-        (np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0])),
-        domain=("rect", -1.0, 1.0, -0.5, 0.5))
-    assert rect.in_domain(0.5 + 0.25j) and not rect.in_domain(0.5 + 0.75j)
+    assert _CIRCLE.in_domain(0.7) and _CIRCLE.in_domain(2.3)
+    assert not _CIRCLE.in_domain(0.7 + 0.1j)
+    # a plane holds every finite parameter
+    assert _PLANE.in_domain(1.0 + 1.0j) and _PLANE.in_domain(-3e8 + 1e9j)
+    assert _RECT.in_domain(0.5 + 0.25j) and not _RECT.in_domain(0.5 + 0.75j)
 
 
 def test_evaluate_rejects_out_of_domain():
-    disk = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=2.0)
     with pytest.raises(hl.ParamOutOfDomain):
-        hl.evaluate(disk, 5.0)
+        hl.evaluate(_RECT, 5.0)
+
+
+@pytest.mark.parametrize("curve", [_CIRCLE, _PLANE, _RECT],
+                         ids=["circle", "plane", "rect"])
+@pytest.mark.parametrize("param", [math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["nan", "inf", "minus-inf-imag"])
+def test_non_finite_parameters_are_outside_every_domain(curve, param):
+    # a circle evaluated at nan or inf gives NaN positions and an "invalid
+    # value" warning, which would name no fault
+    assert not curve.in_domain(param)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hl.ParamOutOfDomain):
+            hl.evaluate(curve, param)
 
 
 def test_evaluate_rejects_marked_point():
@@ -395,12 +411,16 @@ def test_validate_rejects_stationary_curve():
 
 
 _A = 2.0 + 1.0j
+_B = -3.0
 
 
 # complex curves whose velocity vanishes at one parameter, none of them on
-# the rings that sample_params lays over a disk
+# the rings that sample_params lays over a plane (|u| ~ 0.03, 0.44, 5.4 and
+# 361). The "centre" case is (u^2, u^2, 5 + u^3) moved to u - b: its zero
+# at u = 0 would lie 0.03 from the innermost ring.
 @pytest.mark.parametrize("components, where", [
-    (([0, 0, 1], [0, 0, 1], [5, 0, 0, 1]), 0j),
+    ((P.polyfromroots([_B, _B]), P.polyfromroots([_B, _B]),
+      P.polyadd([5], P.polyfromroots([_B, _B, _B]))), _B),
     ((P.polyfromroots([_A, _A]), P.polyfromroots([_A, _A, _A]),
       [5, -3 * _A * _A, 0, 1]), _A),
 ], ids=["centre", "off-centre"])
@@ -421,21 +441,14 @@ def test_validate_accepts_velocity_zero_outside_the_domain():
     assert hl.validate_scene(scene) is scene
 
 
-def test_validate_rejects_zero_disk_radius():
-    scene = _valid_scene()
-    scene.curves["c1"] = replace(scene.curves["c1"], domain=("disk", 0.0))
-    with pytest.raises(SceneInvalid) as exc:
-        hl.validate_scene(scene)
-    assert exc.value.path == "curves.c1.domain.radius"
-
-
-@pytest.mark.parametrize("radius", [math.inf, math.nan])
-def test_validate_rejects_non_finite_disk_radius(radius):
-    scene = _valid_scene()
-    scene.curves["c1"] = replace(scene.curves["c1"], domain=("disk", radius))
-    with pytest.raises(SceneInvalid) as exc:
-        hl.validate_scene(scene)
-    assert exc.value.path == "curves.c1.domain.radius"
+@pytest.mark.parametrize("k", range(4, 9))
+def test_validate_accepts_a_plane_curve_of_high_degree(k):
+    # each speed is read against its own point: against the largest point
+    # of the outer ring, |u|^k with |u| = 361, the unit speed of the first
+    # component near the centre would read as vanishing
+    c = hl.ParamCurve.complex_affine(([0, 1], [0] * k + [1], [1]))
+    scene = hl.Scene(curves={"c1": c, "c2": hl.ParamCurve.line((0, 0, 2), (0, 1, 0))})
+    assert hl.validate_scene(scene) is scene
 
 
 _LINE = hl.ParamCurve.line((0, 0, 1), (0, 1, 0))
@@ -527,11 +540,12 @@ def test_validate_rejects_bad_rect_bounds(domain):
     assert exc.value.path == "curves.c1.domain"
 
 
-# c1 = (u, 0, 0) on a disk or on a rect. A rect's 5 x 5 and 8 x 8 sample
+# c1 = (u, 0, 0) on a plane or on a rect. A rect's 5 x 5 and 8 x 8 sample
 # grids (the cut gradients' and the ambient form's points) are not subsets
 # of its 16 x 16 grid (the map's), so a defect placed at a point of one
-# grid alone fails only a check that reads that grid.
-DOMAINS = [("disk", 40.0), ("rect", -1.0, 1.0, -1.0, 1.0)]
+# grid alone fails only a check that reads that grid. The plane's case
+# keeps the id "disk", the name older scene files give the plane.
+DOMAINS = [("plane",), ("rect", -1.0, 1.0, -1.0, 1.0)]
 DOMAIN_IDS = ["disk", "rect"]
 
 
@@ -550,7 +564,7 @@ def _axis_line_scene(domain, marked_points=()):
 
 def _own_point(curve, n):
     """z1 at a point of sample_params(n) that no other grid of
-    validate_scene holds; on a disk, whose grids nest, the first point."""
+    validate_scene holds; on a plane, whose grids nest, the first point."""
     others = {p for m in (hl.geometry.MAP_SAMPLES, hl.geometry.CUT_SAMPLES,
                           hl.geometry.AMBIENT_SAMPLES) if m != n
               for p in curve.sample_params(m).tolist()}
@@ -605,7 +619,9 @@ def test_validate_rejects_bad_declared_pole(domain, marked, pole, message):
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
 def test_validate_rejects_marked_point_outside_domain(domain):
-    scene = _axis_line_scene(domain, marked_points=(100.0 + 1j,))
+    # a plane holds every finite point
+    point = 100.0 + 1j if domain[0] == "rect" else complex(math.inf, 1.0)
+    scene = _axis_line_scene(domain, marked_points=(point,))
     with pytest.raises(SceneInvalid, match="outside domain") as exc:
         hl.validate_scene(scene)
     assert exc.value.path == "curves.c1.marked_points"
@@ -640,6 +656,17 @@ def test_one_evaluation_gives_each_grid_its_own_bits(curve):
     for n in sizes:
         pts, vel = curve.eval_batch(curve.sample_params(n))
         assert _bits(samples[n][0], pts) and _bits(samples[n][1], vel)
+
+
+def test_plane_samples_lie_on_rings_of_the_plane_chart():
+    # validation covers what is integrated: the chart's rings at fixed rho
+    rho = np.array([0.15, 0.4, 0.7, 0.95])
+    grid = _PLANE.sample_params(hl.geometry.MAP_SAMPLES).reshape(rho.size, -1)
+    phi = np.linspace(0.0, 2 * math.pi, grid.shape[1], endpoint=False)
+    chart, _ = hl.quadrature.Plane().chart((2 * math.pi * rho[:, None],
+                                            phi[None, :]))
+    assert np.allclose(grid, chart, rtol=1e-13, atol=0.0)
+    assert 0.03 < np.min(np.abs(grid)) and np.max(np.abs(grid)) < 362
 
 
 def test_sample_grids_are_shared_and_read_only():

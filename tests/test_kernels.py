@@ -196,8 +196,8 @@ def _l0_disk_nodes(radius, gap, offset):
     phi = np.pi * (g + 1.0)
     params = (r[:, None] * np.exp(1j * phi)[None, :]).ravel()
     base = np.full(3, float(offset))
-    c1 = ParamCurve.line(base, (1, 0, 0), radius=radius)
-    c2 = ParamCurve.line(base + (0.0, 0.0, gap), (0, 1, 0), radius=radius)
+    c1 = ParamCurve.line(base, (1, 0, 0))
+    c2 = ParamCurve.line(base + (0.0, 0.0, gap), (0, 1, 0))
     return c1.eval_batch(params) + c2.eval_batch(params)
 
 

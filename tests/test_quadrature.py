@@ -175,8 +175,8 @@ def test_domain_for_curve_shapes():
     dom = domain_for_curve(circ)
     assert isinstance(dom, Interval) and (dom.lo, dom.hi) == (0.0, 1.0)
 
-    # a declared disk stands for the whole curve, whatever its radius
-    line = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=7.0)
+    # a whole complex curve is integrated on the whole plane's chart
+    line = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
     dom = domain_for_curve(line)
     assert isinstance(dom, Plane) and dom.centre == 0
 

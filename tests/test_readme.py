@@ -1,15 +1,17 @@
 """The README's examples run as shown: the quick-start Python block, and
 every `$ hololink ...` line of the CLI transcript with its output and exit
-status; every flag the CLI section names exists."""
+status; every flag the CLI section names exists, and the scene example's
+domain is what the writer writes."""
 
 import argparse
 import contextlib
 import io
+import json
 from pathlib import Path
 import re
 import shlex
 
-from hololink import cli
+from hololink import cli, scene_to_dict, scenes
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
@@ -78,3 +80,11 @@ def test_readme_cli_flags_parse():
     accepted = {flag for parser in sub.choices.values()
                 for flag in parser._option_string_actions}
     assert named <= accepted, sorted(named - accepted)
+
+
+def test_readme_scene_example_domain_is_written():
+    block, = _fenced_blocks("jsonc")
+    shown = re.findall(r'"domain": (\{[^{}]*\})', block)
+    assert shown
+    written = scene_to_dict(scenes.l0())["curves"]["c1"]["domain"]
+    assert all(json.loads(text) == written for text in shown), shown

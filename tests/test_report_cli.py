@@ -144,14 +144,68 @@ def test_holo_line_report_names_no_window(fast_cfg):
 
 
 # ---------------------------------------------------------------------------
-# a declared disk stands for the whole curve: its radius does not reach the
-# integral
+# a scene file's older disk domain loads as the whole plane: its radius does
+# not reach the integral
+
+# L0 as an older scene file declared it, written by hand
+LEGACY_L0 = """{
+  "scene_id": "L0",
+  "curves": {
+    "c1": {"kind": "complex_affine",
+           "map": {"components": [[{"exponents": [1], "coeff": 1}],
+                                  [{"exponents": [0], "coeff": 0}],
+                                  [{"exponents": [0], "coeff": 0}]]},
+           "domain": {"type": "disk", "radius": 15.0}},
+    "c2": {"kind": "complex_affine",
+           "map": {"components": [[{"exponents": [0], "coeff": 0}],
+                                  [{"exponents": [1], "coeff": 1}],
+                                  [{"exponents": [0], "coeff": 1}]]},
+           "domain": {"type": "disk", "radius": 15.0}}},
+  "forms": {"theta1": {"curve": "c1",
+                       "coeff": {"numerator": [{"exponents": [0], "coeff": 1}]}},
+            "theta2": {"curve": "c2",
+                       "coeff": {"numerator": [{"exponents": [0], "coeff": 1}]}}},
+  "ambient": {"numerator": [{"exponents": [0, 0, 0], "coeff": 1}]},
+  "cuts": {"cut1": {"F1": [{"exponents": [0, 1, 0], "coeff": 1}],
+                    "F2": [{"exponents": [0, 0, 1], "coeff": 1}],
+                    "contains_curve": "c1"}},
+  "constants": {"kappa_line": null}
+}"""
+
+
+def _legacy_skew_lines():
+    """LEGACY_L0's curves alone, skew_lines as an older file declared
+    it."""
+    data = json.loads(LEGACY_L0)
+    for key in ("forms", "ambient", "cuts"):
+        del data[key]
+    data["scene_id"] = "skew_lines"
+    return json.dumps(data)
+
+
+def test_legacy_disk_scene_loads_as_the_whole_plane(fast_cfg):
+    scene = hl.loads_scene(LEGACY_L0)
+    assert all(c.domain == ("plane",) for c in scene.curves.values())
+    text = hl.dumps_scene(scene)
+    assert text == hl.dumps_scene(scenes.l0())
+    assert json.loads(text)["curves"]["c1"]["domain"] == {"type": "plane"}
+    for legacy, builtin, method in (
+            (scene, scenes.l0(), "holo_integral"),
+            (hl.loads_scene(_legacy_skew_lines()), scenes.skew_lines(),
+             "gauss_integral")):
+        got, want = (report.compute(s, method, fast_cfg)
+                     for s in (legacy, builtin))
+        assert complex(got.value) == complex(want.value), method
+        assert got.err_estimate == want.err_estimate, method
+        assert got.panels_evaluated == want.panels_evaluated, method
+
 
 def test_report_integrates_over_the_scene_window(monkeypatch, fast_cfg):
     wide = report.compute(scenes.l0(), "holo_integral", fast_cfg)
-    scene = scenes.l0(radius=10.0)
-    scene.curves["c1"] = hl.ParamCurve.line((0, 0, 0), (1, 0, 0), radius=20.0)
-    hl.validate_scene(scene)
+    data = json.loads(LEGACY_L0)
+    data["curves"]["c1"]["domain"]["radius"] = 20.0
+    data["curves"]["c2"]["domain"]["radius"] = 10.0
+    scene = hl.loads_scene(json.dumps(data))
     seen = []
 
     def spy(integrand, dom_a, dom_b, *args, **kwargs):
@@ -368,9 +422,9 @@ def test_cli_run_deterministic(capsys):
 
 
 def test_cli_integrates_over_the_scene_file_window(tmp_path, capsys):
-    # a scene file's disk of radius 15 stands for the whole line too
+    # a scene file's older disk of radius 15 stands for the whole line too
     spath = tmp_path / "skew15.json"
-    hl.save_scene(scenes.skew_lines(radius=15.0), spath)
+    spath.write_text(_legacy_skew_lines())
     code, out, _ = _run(["run", str(spath), "gauss_integral", "--tol", "1e-5"],
                         capsys)
     assert code == 0

@@ -80,11 +80,11 @@ def test_intersections_rect_domain_filters():
 
 
 def test_intersections_disk_window_keeps_all():
-    # truncation windows are not hard boundaries: every root participates
+    # on a whole plane every finite root participates, here 0.5 and 3
     f = _poly(((2, 0, 0), 1.0), ((1, 0, 0), -3.5), ((0, 0, 0), 1.5))
     curve = hl.ParamCurve.complex_affine(
         (np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0])),
-        domain=("disk", 2.0))
+        domain=("plane",))
     inter = hl.curve_surface_intersections(f, curve)
     assert len(inter.params) == 2
 

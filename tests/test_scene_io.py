@@ -74,6 +74,14 @@ def _base_dict():
     return json.loads(hl.dumps_scene(scenes.l0()))
 
 
+def _legacy_dict():
+    """_base_dict with c1 on the older domain type, a disk of radius 40,
+    whose radius the reader still checks."""
+    data = _base_dict()
+    data["curves"]["c1"]["domain"] = {"type": "disk", "radius": 40.0}
+    return data
+
+
 def _expect_path(data, fragment):
     with pytest.raises(SceneInvalid) as exc:
         hl.loads_scene(json.dumps(data), scene_id="x")
@@ -110,8 +118,9 @@ def test_circle_domain_on_complex_curve_rejected():
 
 @pytest.mark.parametrize("radius", [0, 0.0, -1.0])
 def test_nonpositive_disk_radius_rejected(radius):
-    # the window is positive: the scene is the only place it is set
-    data = _base_dict()
+    # an older file's radius reaches no value, but a malformed one is an
+    # error
+    data = _legacy_dict()
     data["curves"]["c1"]["domain"]["radius"] = radius
     _expect_path(data, "curves.c1.domain.radius")
 
@@ -136,8 +145,9 @@ def test_booleans_are_not_numbers(keys, value, path):
 
 
 def _expect_rejected_at(keys, value, path):
-    """L0's JSON with the field at keys set to value fails at exactly path."""
-    data = _base_dict()
+    """L0's JSON, c1 on an older disk so that a radius is read, with the
+    field at keys set to value fails at exactly path."""
+    data = _legacy_dict()
     target = data
     for key in keys[:-1]:
         target = target[key]
