@@ -38,6 +38,14 @@ n x m array exists. The sum is the grid form's sum reassociated (each
 det3 is cancelled after the weighting rather than before), so it agrees
 with wz @ K @ ww to about eps R / gap of sum |wz| |K| |ww|, the grid's own
 rounding.
+
+The complex kernels also take clouds stacked over a leading panel axis,
+(P, n, 3) and (P, m, 3), and return one grid or weighted sum per panel.
+They work in blocks of whole panels of at most _BLOCK_PAIRS pairs (one
+panel when a panel has more), so a stacked call holds no more pairs at
+once than one 256 x 256 grid. Every step is elementwise, a reduction along
+one panel's own axes or a matrix product per panel, so each panel's result
+has the bits of the 2-D call on that panel alone.
 """
 
 import numpy as np
@@ -47,6 +55,8 @@ import numpy as np
 HAS_NUMBA = False
 
 FOUR_PI = 4.0 * np.pi
+
+_BLOCK_PAIRS = 65536   # the pairs of one 256 x 256 grid: a kernel block
 
 
 def gauss_grid(x, rows_x, y, rows_y):
@@ -74,24 +84,24 @@ def plucker_rows(p, dp, origin, first):
     m = (p - origin) x dp beside dp, as [dp | m] for the first cloud and
     [m | dp] for the second (module docstring)."""
     m = _cross(p - origin, dp)
-    return np.concatenate([dp, m] if first else [m, dp], axis=1)
+    return np.concatenate([dp, m] if first else [m, dp], axis=-1)
 
 
 def _cross(a, b):
-    """Row-wise cross product of two (n, 3) arrays from explicit component
-    products: the bits of np.cross, without its axis handling."""
+    """Row-wise cross product of two (..., 3) arrays from explicit
+    component products: the bits of np.cross, without its axis handling."""
     out = np.empty(a.shape, dtype=np.result_type(a, b))
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
 
 
 def _plucker_rows(z, dz, w, dw):
-    """Rows [(z-c) x dz, dz] (n, 6) and [dw, (w-c) x dw] (m, 6) about the
-    centre c of complex clouds (n, 3) and (m, 3): left @ right.T is
-    det3(z-w, dz, dw) on the pair grid."""
-    c = 0.5 * (z.mean(axis=0) + w.mean(axis=0))
+    """Rows [(z-c) x dz, dz] (P, n, 6) and [dw, (w-c) x dw] (P, m, 6)
+    about each panel's centre c of complex clouds (P, n, 3) and (P, m, 3):
+    left @ right.T is det3(z-w, dz, dw) on each panel's pair grid."""
+    c = 0.5 * (z.mean(axis=1, keepdims=True) + w.mean(axis=1, keepdims=True))
     return plucker_rows(z, dz, c, False), plucker_rows(w, dw, c, True)
 
 
@@ -119,41 +129,76 @@ def _squared_distances(x, y):
 
 
 def _dist6(z, w):
-    """||z-w||^6 on the pair grid of complex clouds (n, 3) and (m, 3)."""
-    n2 = _squared_distances(np.concatenate([z.real, z.imag], axis=1),
-                            np.concatenate([w.real, w.imag], axis=1))
+    """||z-w||^6 on the pair grids of complex clouds (P, n, 3) and
+    (P, m, 3)."""
+    n2 = _squared_distances(np.concatenate([z.real, z.imag], axis=-1),
+                            np.concatenate([w.real, w.imag], axis=-1))
     dist6 = n2 * n2
     dist6 *= n2
     return dist6
+
+
+def _in_blocks(block, z, dz, w, dw, wz, ww):
+    """block(z, dz, w, dw, wz, ww) on clouds stacked over panels, a run of
+    whole panels of at most _BLOCK_PAIRS pairs (or one panel) at a time;
+    2-D clouds are one panel and give its result unstacked. Unless both
+    weights are given, block gets neither and returns grids (module
+    docstring)."""
+    if wz is None or ww is None:
+        wz = ww = None
+    args = (z, dz, w, dw, wz, ww)
+    if z.ndim == 2:
+        return block(*(None if a is None else a[None] for a in args))[0]
+    step = max(1, _BLOCK_PAIRS // max(z.shape[1] * w.shape[1], 1))
+    return np.concatenate([block(*(None if a is None else a[p:p + step]
+                                   for a in args))
+                           for p in range(0, len(z), step)])
 
 
 def bm_grid(z, dz, w, dw, wz=None, ww=None):
     """conj(det3(z-w, dz, dw)) / ||z-w||^6 on the pair grid (no C3 factor).
 
     Given node weights wz (n,) and ww (m,), returns the weighted sum
-    wz @ grid @ ww instead, computed without the grid (module docstring)."""
+    wz @ grid @ ww instead, computed without the grid (module docstring).
+    Clouds (P, n, 3) and (P, m, 3), with weights (P, n) and (P, m), give
+    one grid or sum per panel."""
+    return _in_blocks(_bm_block, z, dz, w, dw, wz, ww)
+
+
+def _bm_block(z, dz, w, dw, wz, ww):
     left, right = _plucker_rows(z, dz, w, dw)
     left, right = left.conj(), right.conj()
     dist6 = _dist6(z, w)
-    if wz is None or ww is None:
-        det = left @ right.T
+    if wz is None:
+        det = left @ right.swapaxes(1, 2)
         det /= dist6
         return det
-    left *= wz[:, None]
-    right *= ww[:, None]
+    left *= wz[..., None]
+    right *= ww[..., None]
     recip = np.reciprocal(dist6, out=dist6)
-    part = recip @ np.concatenate([right.real, right.imag], axis=1)
-    return np.sum(left * (part[:, :6] + 1j * part[:, 6:]))
+    part = recip @ np.concatenate([right.real, right.imag], axis=-1)
+    terms = left * (part[..., :6] + 1j * part[..., 6:])
+    return terms.reshape(len(terms), -1).sum(axis=1)
 
 
-def clink_grid(z, dz, w, dw):
-    """|det3(z-w, dz, dw)|^2 / ||z-w||^6 on the pair grid (no C3 factor)."""
+def clink_grid(z, dz, w, dw, wz=None, ww=None):
+    """|det3(z-w, dz, dw)|^2 / ||z-w||^6 on the pair grid (no C3 factor).
+
+    Given node weights wz (n,) and ww (m,), returns the weighted sum
+    wz @ grid @ ww instead. Clouds (P, n, 3) and (P, m, 3), with weights
+    (P, n) and (P, m), give one grid or sum per panel."""
+    return _in_blocks(_clink_block, z, dz, w, dw, wz, ww)
+
+
+def _clink_block(z, dz, w, dw, wz, ww):
     left, right = _plucker_rows(z, dz, w, dw)
-    det = left @ right.T
+    det = left @ right.swapaxes(1, 2)
     out = np.square(det.real)
     out += np.square(det.imag)
     out /= _dist6(z, w)
-    return out
+    if wz is None:
+        return out
+    return np.matmul(np.matmul(wz[:, None, :], out), ww[:, :, None])[:, 0, 0]
 
 
 def min_dist(a, b):

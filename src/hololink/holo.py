@@ -23,7 +23,7 @@ from . import _kernels, quadrature
 from .errors import (CoincidentPoints, CurvesTooClose, DegenerateConfiguration,
                      MethodInapplicable, PVNotConverging)
 from .geometry import det3, poly_deg, poly_eval, poly_trim
-from .quadrature import domain_for_curve, integrate_pv, per_panel
+from .quadrature import domain_for_curve, integrate_pv
 from .residue import pole_order
 
 C3 = math.pi ** 3
@@ -127,15 +127,15 @@ def holo_linking_integral(s1, s2, ctx, cfg):
 
     # the sides carry each form's numerator and denominator and only the
     # integrand divides: the engine samples curve positions at the
-    # puncture itself, but integrates only at interior nodes. The kernel
-    # takes the weights with the coefficients folded in and returns the
-    # panel sum.
-    def kernel(wa, x, dx, num1, den1, wb, y, dy, num2, den2):
+    # puncture itself, but integrates only at interior nodes. One kernel
+    # call takes the round's weights with the coefficients folded in and
+    # returns its panel sums.
+    def integrand(wa, x, dx, num1, den1, wb, y, dy, num2, den2):
         return _kernels.bm_grid(x, dx, y, dy, wa * (scale * (num1 / den1)),
                                 wb * (num2 / den2))
 
     return integrate_pv(
-        per_panel(kernel), dom_a, dom_b,
+        integrand, dom_a, dom_b,
         (tuple(form1.poles), tuple(form2.poles)), cfg,
         side_a=lambda u: (*curve1.eval_batch(u), *form1.num_den_batch(u)),
         side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)))
@@ -280,10 +280,11 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     dom_b = domain_for_curve(curve2)
     scale = AREA_FACTOR * ctx.prefactor
 
-    def kernel(wa, x, dx, wb, y, dy):
-        return wa @ (scale * _kernels.clink_grid(x, dx, y, dy)) @ wb
+    # one kernel call per rule per round: the (P,) panel sums
+    def integrand(wa, x, dx, wb, y, dy):
+        return scale * _kernels.clink_grid(x, dx, y, dy, wa, wb)
 
-    return integrate_pv(per_panel(kernel), dom_a, dom_b, ((), ()), cfg,
+    return integrate_pv(integrand, dom_a, dom_b, ((), ()), cfg,
                         side_a=curve1.eval_batch, side_b=curve2.eval_batch)
 
 

@@ -28,11 +28,22 @@ maps the whole complex parameter plane and RealLine the whole real line
 onto a compact chart, u = c + s^2 e^{i phi} and t = +-s^2 with
 s = rho / (1 - rho), whose jacobians fold into the node weights (Davis &
 Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984, ch. 3). A run
-that contains such a whole domain halves each panel along its longest chart
-axis instead, and takes its proximity samples on the finite part of the
-chart, rho <= 1 - 1e-4, comparing them after the map x -> (x - o) /
-(1 + |x - o|) of each point, o the first curve's point at parameter 0,
-which keeps the far field's pieces and gaps bounded. The CurvesTooClose
+that contains such a whole domain chooses its split axes on the chart
+instead. A panel halved by its error is cut along the chart axis on which
+the integrand varies most, by the fourth-difference probe of Genz & Malik
+(J. Comput. Appl. Math. 6, 1980; kept in DCUHRE, Berntsen, Espelid &
+Genz, ACM TOMS 17, 1991): the integrand at the panel's centre c and at
+c +- l2 h and c +- l3 h along each axis, l2 = sqrt(9/70), l3 = sqrt(9/10)
+and h the half-width, scores each axis by
+|f(+l2) + f(-l2) - 2 f(c) - (l2/l3)^2 (f(+l3) + f(-l3) - 2 f(c))|. The
+top-scoring axis is cut when its score is at least 4 times
+(_SPLIT_FACTOR) the longest chart axis's score; otherwise, and where a
+probe value is not finite, the longest chart axis is. A panel halved
+while unresolved is cut along its longest chart axis. Such a run also
+takes its proximity samples on the finite part of the chart,
+rho <= 1 - 1e-4, comparing them after the map x -> (x - o) / (1 + |x - o|)
+of each point, o the first curve's point at parameter 0, which keeps the
+far field's pieces and gaps bounded. The CurvesTooClose
 guard still reads true distances. The plane's area jacobian vanishes at
 its centre and cancels a simple pole there, so integrate_pv integrates a
 declared simple pole on the plane centred on it; every plane starts from
@@ -46,10 +57,12 @@ with one call of each side per rule and one call of the integrand per
 rule. The integrand receives each side's jacobian-folded weights (P, n)
 before that side's arrays (P, n, ...), stacked over the round's P panels,
 and returns the (P,) weighted panel sums, so it can contract its values
-however is cheapest. per_panel adapts a kernel written for one panel; it
-holds the only per-panel loop. Each proximity check pass and each spatial
-halving takes one call per side for its samples, and a pass's distances
-are one stacked _kernels.min_dist call. Errors, covering radii and flags
+however is cheapest. The probe of a round is one more call of each side
+and of the integrand, on one-node panels whose weights are the chart
+jacobians. per_panel adapts a kernel written for one panel; it holds the
+only per-panel loop. Each proximity check pass and each spatial halving
+takes one call per side for its samples, and a pass's distances are one
+stacked _kernels.min_dist call. Errors, covering radii and flags
 are array operations over the round, and the round's panel sums are
 checked for finiteness together. Panel results are reduced by a fixed
 pairwise tree over geometrically sorted panels, so values do not depend on
@@ -58,9 +71,11 @@ a QuadTrace saying how it was produced.
 """
 
 import cmath
-from dataclasses import dataclass
+import contextlib
+from dataclasses import dataclass, field
 import itertools
 import math
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +89,11 @@ _MARK_FACTOR = 8.0     # refine panels with err >= max panel err / this
 _MIN_DIST = 1e-6       # CurvesTooClose threshold
 _POWER = 2             # the whole-domain charts' exponent: u = c + s^2 e^{i phi}
 _RIM = 1.0 - 1e-4      # proximity samples of a whole domain stop at rho <= this
+_SPLIT_FACTOR = 4.0    # a probed axis must outscore the longest chart axis by this
+# the fourth-difference probe's points, c +- lambda h along each chart axis
+_LAMBDA2 = math.sqrt(9.0 / 70.0)
+_LAMBDA3 = math.sqrt(9.0 / 10.0)
+_PHASES = ("resolve", "rules", "probe", "reduce")
 
 
 @dataclass(frozen=True)
@@ -96,25 +116,34 @@ class QuadTrace:
     """How an integral was produced. panels_per_round lists the panels
     integrated in each refinement round, over every engine run in order,
     skipped_per_round the panels halved in that round without being
-    integrated, because their curve pieces could still touch, and
+    integrated, because their curve pieces could still touch,
     checks_per_round the proximity check passes the round ran before it
-    integrated (0 once every panel is resolved); deepest_split is the most
-    halvings of any final panel; max_depth_hit says whether max_depth kept
-    a hot panel from being refined."""
+    integrated (0 once every panel is resolved), and probed_per_round the
+    panels the round halved by error along an axis the probe chose over
+    the longest chart axis; deepest_split is the most halvings of any final
+    panel; max_depth_hit says whether max_depth kept a hot panel from being
+    refined. phase_s gives the wall seconds spent resolving proximity, in
+    the two rule evaluations, in the probe and in the reduction; being
+    timings, they take no part in comparing traces."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
     checks_per_round: tuple = ()
+    probed_per_round: tuple = ()
     deepest_split: int = 0
     max_depth_hit: bool = False
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0),
+                          compare=False)
 
     def to_dict(self):
         return {"rounds": len(self.panels_per_round),
                 "panels_per_round": list(self.panels_per_round),
                 "skipped_per_round": list(self.skipped_per_round),
                 "checks_per_round": list(self.checks_per_round),
+                "probed_per_round": list(self.probed_per_round),
                 "deepest_split": self.deepest_split,
-                "max_depth_hit": self.max_depth_hit}
+                "max_depth_hit": self.max_depth_hit,
+                "phase_s": dict(self.phase_s)}
 
 
 @dataclass(frozen=True)
@@ -207,9 +236,9 @@ class Plane:
         self.centre = complex(centre)
 
     def initial_cells(self):
-        """One full turn, about any centre: two half-turns give pv_lines at
-        tol 1e-4 the same value and err from one panel more, and L0 36
-        panels where one turn takes 22."""
+        """One full turn, about any centre: at tol 1e-4 two half-turns take
+        39 panels for pv_lines where one turn takes 36, and 36 for L0 where
+        one turn takes 14."""
         return [((0.0, TWO_PI), (0.0, TWO_PI))]
 
     def chart(self, cols):
@@ -322,9 +351,11 @@ class _Engine:
     The split-axis samples of a spatial halving and the proximity samples
     of a check pass likewise take one call per side, a pass's distances one
     stacked min_dist call, and the errors and flags are array operations.
-    A run with a whole domain (Plane, RealLine) halves along the longest
-    chart axis and compares its proximity samples in the bounded image of
-    _compress.
+    A run with a whole domain (Plane, RealLine) halves a panel refined by
+    error along the axis _probe_axes picks, from one more call of each
+    side and of the integrand per round, and every other panel along its
+    longest chart axis; it compares its proximity samples in the bounded
+    image of _compress. seconds accumulates the wall time of each phase.
     """
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
@@ -344,6 +375,16 @@ class _Engine:
             self.reach = reach[:, 0], reach[:, 1]
             self.origin = (self._points(0, np.zeros(1))[0]
                            if self.curves else None)
+        self.seconds = dict.fromkeys(_PHASES, 0.0)
+
+    @contextlib.contextmanager
+    def _timed(self, phase):
+        """Add the wall time of the block to the phase's seconds."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[phase] += time.perf_counter() - start
 
     # -- evaluation --------------------------------------------------------
 
@@ -413,13 +454,48 @@ class _Engine:
             f"weighted sum not finite on the panel from {lo.tolist()} to "
             f"{hi.tolist()}, although every integrand value there is finite")
 
+    def _probe_axes(self, lo, hi):
+        """Per panel of a run with a whole domain, the axis to halve it
+        along and whether the probe chose it over the longest chart axis
+        (module docstring). The probe points of all panels, 1 + 4 per axis
+        each, are one-node panels of a single call of each side and of the
+        integrand, weighted by the chart jacobians; a panel with a
+        non-finite value there keeps its longest chart axis."""
+        count, k = lo.shape
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        steps = np.array([_LAMBDA2, -_LAMBDA2, _LAMBDA3, -_LAMBDA3])
+        # points[panel, point, chart axis]: the centre, then four per axis
+        points = np.repeat(mid[:, None, :], 1 + 4 * k, axis=1)
+        for a in range(k):
+            points[:, 1 + 4 * a:5 + 4 * a, a] += half[:, a, None] * steps
+        flat = points.reshape(-1, k)
+        args = []
+        for s, ax in enumerate(self.axes):
+            params, jac = self.doms[s].chart(tuple(flat[:, ax].T))
+            args += [jac[:, None],
+                     *(a[:, None] for a in self._eval_side(s, params))]
+        with np.errstate(all="ignore"):
+            f = _panel_sums(self.f, args, len(flat)).reshape(count, -1)
+            twice_c = 2.0 * f[:, :1]
+            sides = f[:, 1:].reshape(count, k, 4)
+            score = np.abs(sides[..., 0] + sides[..., 1] - twice_c
+                           - (_LAMBDA2 / _LAMBDA3) ** 2
+                           * (sides[..., 2] + sides[..., 3] - twice_c))
+        rows = np.arange(count)
+        longest = np.argmax(hi - lo, axis=1)
+        top = np.argmax(score, axis=1)
+        best, base = score[rows, top], score[rows, longest]
+        probed = ((best >= _SPLIT_FACTOR * base) & (best > base)
+                  & np.isfinite(f).all(axis=1))
+        return np.where(probed, top, longest), probed
+
     # -- geometry ----------------------------------------------------------
 
     def _split_axes(self, lo, hi):
-        """Per panel, the axis to halve: in a run with a whole domain, the
-        longest chart axis; otherwise the axis of largest spatial extent,
-        the bounding-box diagonal of the points at the axis ends and
-        midpoint, other axes at their midpoints."""
+        """Per panel, the axis to halve when no probe chose one: in a run
+        with a whole domain, the longest chart axis; otherwise the axis of
+        largest spatial extent, the bounding-box diagonal of the points at
+        the axis ends and midpoint, other axes at their midpoints."""
         if self.whole:
             return np.argmax(hi - lo, axis=1)
         mid = 0.5 * (lo + hi)
@@ -527,21 +603,25 @@ class _Engine:
         every panel, with the number of panels halved unintegrated and of
         check passes. Resolving comes first, so curves that meet fail as
         CurvesTooClose before any integrand call of the round."""
-        pending, halved, passes = self._resolve(pending)
+        with self._timed("resolve"):
+            pending, halved, passes = self._resolve(pending)
         lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
-        coarse = self._values(lo, hi, self.cfg.panel_order)
-        value = self._values(lo, hi, 2 * self.cfg.panel_order)
+        with self._timed("rules"):
+            coarse = self._values(lo, hi, self.cfg.panel_order)
+            value = self._values(lo, hi, 2 * self.cfg.panel_order)
         diff = value - coarse
         # the bits of abs(complex), which np.abs does not always give
         err = np.hypot(diff.real, diff.imag)
         return pending._replace(value=value, err=err), halved, passes
 
-    def _halves(self, panels):
-        """Both halves of each panel, cut along its split axis; they inherit
-        its unresolved flag."""
+    def _halves(self, panels, axis=None):
+        """Both halves of each panel, cut along the given axis per panel or,
+        by default, its _split_axes axis; they inherit its unresolved
+        flag."""
         bounds = panels.bounds
         rows = np.arange(len(bounds))
-        axis = self._split_axes(bounds[..., 0], bounds[..., 1])
+        if axis is None:
+            axis = self._split_axes(bounds[..., 0], bounds[..., 1])
         mid = 0.5 * (bounds[rows, axis, 0] + bounds[rows, axis, 1])
         left, right = bounds.copy(), bounds.copy()
         left[rows, axis, 1] = mid
@@ -561,27 +641,32 @@ class _Engine:
         """Refine until the summed panel error is within tol of the total
         and no panel is unresolved. Each round resolves proximity and then
         integrates all its pending panels (_evaluate), so the integrand
-        runs twice per round, plus the probe; panels_evaluated counts the
-        integrated panels, not those halved while resolving. A panel is hot
-        by its error only when that error is positive, so an integrand that
-        vanishes on every panel refines nothing by error.
+        runs twice per round; in a run with a whole domain, a round that
+        refines by error runs it once more, for the split probe
+        (_probe_axes). The entry points' batch check adds one call per run.
+        panels_evaluated counts the integrated panels, not those halved
+        while resolving. A panel is hot by its error only when that error
+        is positive, so an integrand that vanishes on every panel refines
+        nothing by error.
         """
         pending = self._initial()
         done = None
-        rounds, skipped, checks = [], [], []
+        rounds, skipped, checks, probed = [], [], [], []
         depth_hit = converged = False
         while True:
             panels, halved, passes = self._evaluate(pending)
             rounds.append(len(panels.bounds))
             skipped.append(halved)
             checks.append(passes)
-            if done is not None:
-                panels = _Panels.join([done, panels])
-            # bounds rows flatten to the (lo, hi) per axis sort key
-            flat = panels.bounds.reshape(len(panels.bounds), -1)
-            panels = panels.take(np.lexsort(flat.T[::-1]))
-            total = complex(pairwise_tree_sum(panels.value))
-            err = float(pairwise_tree_sum(panels.err))
+            probed.append(0)
+            with self._timed("reduce"):
+                if done is not None:
+                    panels = _Panels.join([done, panels])
+                # bounds rows flatten to the (lo, hi) per axis sort key
+                flat = panels.bounds.reshape(len(panels.bounds), -1)
+                panels = panels.take(np.lexsort(flat.T[::-1]))
+                total = complex(pairwise_tree_sum(panels.value))
+                err = float(pairwise_tree_sum(panels.err))
             if (err <= self.cfg.tol * max(1.0, abs(total))
                     and not panels.unresolved.any()):
                 converged = True
@@ -595,12 +680,21 @@ class _Engine:
             if not refine.any():
                 break  # every hot panel is at max_depth: report converged=False
             done = panels.take(~refine)
-            pending = self._halves(panels.take(refine))
+            split = panels.take(refine)
+            axis = None
+            if self.whole:
+                with self._timed("probe"):
+                    axis, chosen = self._probe_axes(split.bounds[..., 0],
+                                                    split.bounds[..., 1])
+                probed[-1] = int(chosen.sum())
+            pending = self._halves(split, axis)
         trace = QuadTrace(panels_per_round=tuple(rounds),
                           skipped_per_round=tuple(skipped),
                           checks_per_round=tuple(checks),
+                          probed_per_round=tuple(probed),
                           deepest_split=int(panels.splits.max()),
-                          max_depth_hit=depth_hit)
+                          max_depth_hit=depth_hit,
+                          phase_s=dict(self.seconds))
         return QuadResult(value=total, err_estimate=err,
                           panels_evaluated=sum(rounds), converged=converged,
                           trace=trace)
@@ -621,7 +715,7 @@ def _check_batch(f, side_a, side_b=None):
     """Raise TypeError unless f maps a one-panel round, unit weights and
     side_a's arrays at a parameter array (with side_b, the weights and
     arrays of both sides), to its weighted sum, a (1,) array. Calls f once;
-    only the shape is checked, so an overflow in the probe's sum is
+    only the shape is checked, so an overflow in this batch check's sum is
     ignored."""
     sides = [side_a(np.array([0.123, 0.456]))]
     if side_b is not None:

@@ -6,9 +6,10 @@ integrated whole, with no truncation), convergence state, the constants
 and quadrature configuration that produced it, and wall time. Integral
 methods add extra["trace"]: the quadrature trace (rounds, panels
 integrated per round, panels halved per round without being integrated,
-check passes per round, deepest split, whether max_depth stopped a hot
-panel) and the worker count. Reports serialize to JSON (deterministic
-except wall_time_ms) and to fixed-column CSV.
+check passes per round, panels per round cut along a probed axis, deepest
+split, whether max_depth stopped a hot panel, seconds per engine phase)
+and the worker count. Reports serialize to JSON (deterministic except
+wall_time_ms and the trace's phase_s timings) and to fixed-column CSV.
 """
 
 import json

@@ -164,14 +164,17 @@ def _count_kernel_calls(monkeypatch):
 
 def test_holo_integral_calls_the_module_kernel_per_rule(monkeypatch):
     # a wrapper installed on _kernels.bm_grid must see every kernel call:
-    # two rules per panel, plus the batch probe of integrate_pv
+    # one per rule per round, one per round that refines by error (the
+    # split probe), plus the batch check of integrate_pv
     calls = _count_kernel_calls(monkeypatch)
     sc = scenes.l0()
     res = hl.holo_linking_integral((sc.curves["c1"], sc.forms["theta1"]),
                                    (sc.curves["c2"], sc.forms["theta2"]),
                                    hl.BMContext(), hl.QuadConfig(tol=1e-6))
-    assert res.panels_evaluated == 322
-    assert len(calls) == 2 * res.panels_evaluated + 1
+    assert res.panels_evaluated == 62
+    rounds = len(res.trace.panels_per_round)
+    assert rounds == 6
+    assert len(calls) == 2 * rounds + (rounds - 1) + 1
 
 
 def test_tolerance_drives_refinement():
@@ -309,7 +312,7 @@ def test_holo_line_refuses_what_it_cannot_integrate(scene, reason, cfg):
 PV_LINES_REFERENCE = 90.0932435585 + 81.9029486896j
 
 
-@pytest.mark.parametrize("tol, panels", [(1e-4, 66), (1e-6, 314)])
+@pytest.mark.parametrize("tol, panels", [(1e-4, 36), (1e-6, 186)])
 def test_simple_pole_lines_converge(tol, panels):
     rep = report.compute(scenes.pv_lines(), "holo_pv", hl.QuadConfig(tol=tol))
     assert rep.converged

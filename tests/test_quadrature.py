@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hololink as hl
-from hololink import _kernels, report, scenes
+from hololink import _kernels, quadrature, report, scenes
 from hololink.quadrature import (Interval, Plane, RealLine, Rect,
                                  domain_for_curve, integrate_curve,
                                  integrate_product, integrate_pv,
@@ -294,19 +294,23 @@ def test_lines_closer_than_the_guard_raise(gap, route):
 # the lines (s, 0, 0) and (0.3, t, 1e-7) come closest at s = 0.3, t = 0,
 # where no proximity sample falls within 1e-6 before max_depth: the
 # unresolved panels are halved down to it, integrated there, and the run
-# stops with converged=False (value and err recorded like those below)
-@pytest.mark.parametrize("route, kernel, value, err, panels", [
-    ("holo", "bm_grid", -3434.762626812175 + 0j, 3414.5934545002424, 1402),
+# stops with converged=False after its one round (value and err recorded
+# like those below). The holomorphic kernel is called once per rule for
+# the round, the per-panel Gauss kernel once per rule per panel; either
+# way, plus the batch check.
+@pytest.mark.parametrize("route, kernel, value, err, panels, calls", [
+    ("holo", "bm_grid", -3434.762626812175 + 0j, 3414.5934545002424, 1402,
+     3),
     ("gauss", "gauss_grid", 0.001680990893831782 + 0j, 0.2741991248817799,
-     138),
+     138, 277),
 ])
 def test_an_approach_off_the_sample_grids_stops_at_max_depth(
-        monkeypatch, route, kernel, value, err, panels):
-    calls = []
+        monkeypatch, route, kernel, value, err, panels, calls):
+    seen = []
     raw = getattr(_kernels, kernel)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        seen.append(1)
         return raw(*args, **kwargs)
 
     monkeypatch.setattr(_kernels, kernel, counted)
@@ -323,7 +327,8 @@ def test_an_approach_off_the_sample_grids_stops_at_max_depth(
     assert res.trace.deepest_split == cfg.max_depth
     assert complex(res.value) == value and res.err_estimate == err
     assert res.panels_evaluated == panels
-    assert len(calls) == 2 * res.panels_evaluated + 1
+    assert res.trace.panels_per_round == (panels,)
+    assert len(seen) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +364,10 @@ def test_punctured_disk_window_areas():
 
 
 def test_whole_domain_runs_split_along_the_longest_chart_axis(monkeypatch):
-    # no curve is sampled to choose a split axis, so the samples at phi = 0
-    # and phi = 2 pi, which are one point, measure nothing
+    # no curve is sampled to measure a split axis, so the samples at
+    # phi = 0 and phi = 2 pi, which are one point, measure nothing: the
+    # only extra curve evaluations are the split probe's, one per side for
+    # each round that refines by error
     sc = scenes.l0()
     calls = []
     raw = hl.ParamCurve.eval_batch
@@ -373,11 +380,12 @@ def test_whole_domain_runs_split_along_the_longest_chart_axis(monkeypatch):
     res = hl.complex_linking_number(sc.curves["c1"], sc.curves["c2"],
                                     hl.BMContext(), hl.QuadConfig(tol=1e-4))
     assert res.converged
-    # per side: the origin (first side only), the probe, two rules per
-    # round and the proximity samples of each check pass
+    # per side: the origin (first side only), the batch check, two rules
+    # per round, the proximity samples of each check pass and the split
+    # probe of every round but the last
     rounds = len(res.trace.panels_per_round)
     passes = sum(res.trace.checks_per_round)
-    assert len(calls) == 1 + 2 + 4 * rounds + 2 * passes
+    assert len(calls) == 1 + 2 + 4 * rounds + 2 * passes + 2 * (rounds - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +452,10 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
 # products differently; the values are then re-recorded, not loosened.
 @pytest.mark.parametrize("run, value, err, panels", [
     ("near_torus", 0.9999999999760902 + 0j, 7.81117584649766e-07, 4119),
-    ("l0", -612.03936999808 + 0j, 0.0005161109151305184, 322),
-    ("pv_lines", 90.09324358199099 + 81.90294871351642j,
-     0.008164559280163932, 66),
-    ("l0_whole_plane", -612.0393695705627 + 0j, 3.2427486074126932e-06, 15),
+    ("l0", -612.0393714110859 + 0j, 0.00016714795740546684, 62),
+    ("pv_lines", 90.09324266160093 + 81.90294947057633j,
+     0.007328548975193502, 36),
+    ("l0_whole_plane", -612.0393695705627 + 0j, 3.2427485781028054e-06, 7),
 ], ids=["near_torus", "l0", "pv_lines", "l0_whole_plane"])
 def test_recorded_values_are_bit_identical(run, value, err, panels):
     if run == "near_torus":
@@ -501,7 +509,7 @@ def test_fast_route_values_are_bit_identical(name, method, value):
 
 def test_l0_panel_count_is_pinned():
     rep = report.compute(scenes.l0(), "holo_integral", hl.QuadConfig(tol=1e-6))
-    assert rep.panels_evaluated == 322
+    assert rep.panels_evaluated == 62
 
 
 @pytest.mark.parametrize("tol, panels", [(1e-4, 39), (1e-6, 151)])
@@ -630,6 +638,69 @@ def test_an_integrand_that_vanishes_everywhere_refines_nothing_by_error():
     assert not res.converged and res.trace.max_depth_hit
     assert res.value == 0 and res.err_estimate == 0
     assert res.panels_evaluated == 34
+
+
+# ---------------------------------------------------------------------------
+# the split probe: a panel refined by error in a whole run is cut along the
+# chart axis whose fourth difference outscores the longest axis's 4 times
+
+def _probe_axis(g, lo, hi):
+    """The axis _probe_axes picks for the one panel lo..hi of the product
+    of two intervals, whose charts have unit jacobians, for the integrand
+    g(u, v), and whether the probe chose it over the longest axis."""
+    engine = quadrature._Engine(
+        lambda wu, u, wv, v: (wu * wv * g(u, v))[:, 0], Interval(0.0, 1.0),
+        Interval(0.0, 1.0), hl.QuadConfig())
+    axis, probed = engine._probe_axes(np.array([lo], float),
+                                      np.array([hi], float))
+    return int(axis[0]), bool(probed[0])
+
+
+@pytest.mark.parametrize("g, lo, hi, axis, probed", [
+    # varies along u only: u is cut, whichever axis is longer
+    (lambda u, v: np.exp(u), (0.0, 0.0), (1.0, 3.0), 0, True),
+    (lambda u, v: np.exp(u), (0.0, 0.0), (3.0, 1.0), 0, False),
+    # varies along v only
+    (lambda u, v: np.exp(v), (0.0, 0.0), (3.0, 1.0), 1, True),
+    # u^4 on [-1, 1] and (v/2)^4 on [-2, 2] give both axes one score
+    (lambda u, v: u ** 4 + (v / 2) ** 4, (-1.0, -2.0), (1.0, 2.0), 1, False),
+    # a constant scores 0 on every axis
+    (lambda u, v: np.ones_like(u), (0.0, 0.0), (1.0, 3.0), 1, False),
+    # a probe value that is not finite keeps the longest axis
+    (lambda u, v: np.exp(u) / (u - 0.5), (0.0, 0.0), (1.0, 3.0), 1, False),
+], ids=["u_only", "u_only_longest", "v_only", "equal_scores", "constant",
+        "not_finite"])
+def test_the_probe_cuts_the_axis_the_integrand_varies_on(g, lo, hi, axis,
+                                                         probed):
+    assert _probe_axis(g, lo, hi) == (axis, probed)
+
+
+@pytest.mark.parametrize("a, axis", [(65.0, 0), (63.0, 1)])
+def test_a_probed_axis_must_outscore_the_longest_four_times(a, axis):
+    # a quartic x^4 about the centre scores its half-width^4 times one
+    # constant: a u^4 on half-width 1 against v^4 on half-width 2 (the
+    # longest) scores a / 16 times as much
+    assert _probe_axis(lambda u, v: a * u ** 4 + v ** 4, (-1.0, -2.0),
+                       (1.0, 2.0)) == (axis, axis == 0)
+
+
+def test_the_cancelling_parabola_pair_converges():
+    # the parabola (t, 0.3 t^2, 0) against (0.2 s^2, s, 1): a plain argmax
+    # of the probe's scores runs this pair to max_depth unconverged
+    parabola = hl.ParamCurve.complex_affine([[0, 1], [0, 0, 0.3], [0]])
+    other = hl.ParamCurve.complex_affine([[0, 0, 0.2], [0, 1], [1]])
+    one = np.array([1.0 + 0j])
+    res = hl.holo_linking_integral((parabola, hl.OneForm("a", one)),
+                                   (other, hl.OneForm("b", one)),
+                                   hl.BMContext(), hl.QuadConfig(tol=1e-4))
+    assert res.converged
+    assert abs(res.value) <= res.err_estimate
+
+
+def test_l0_at_tight_tolerance_takes_few_panels():
+    rep = report.compute(scenes.l0(), "holo_integral", hl.QuadConfig(tol=1e-6))
+    assert rep.converged and rep.panels_evaluated <= 64
+    assert abs(rep.value + 2.0 * math.pi ** 5) <= rep.err_estimate
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,8 @@ def test_report_json_deterministic_except_wall_time(cfg):
     dicts = [report.report_to_dict(r) for r in reps]
     for d in dicts:
         assert d.pop("wall_time_ms") >= 0.0
+        # the trace's per-phase seconds are wall times too
+        assert min(d["extra"]["trace"].pop("phase_s").values()) >= 0.0
     assert json.dumps(dicts[0]) == json.dumps(dicts[1])
 
 
@@ -98,7 +100,8 @@ def test_residue_report_is_raw_value(cfg):
 
 
 TRACE_KEYS = {"rounds", "panels_per_round", "skipped_per_round",
-              "checks_per_round", "deepest_split", "max_depth_hit", "workers"}
+              "checks_per_round", "probed_per_round", "deepest_split",
+              "max_depth_hit", "phase_s", "workers"}
 
 
 @pytest.mark.parametrize("scene, method", [
@@ -111,6 +114,8 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method):
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
     assert set(trace) == TRACE_KEYS
     assert trace["rounds"] == len(trace["panels_per_round"]) >= 1
+    assert len(trace["probed_per_round"]) == trace["rounds"]
+    assert set(trace["phase_s"]) == {"resolve", "rules", "probe", "reduce"}
     assert sum(trace["panels_per_round"]) == rep.panels_evaluated
     assert trace["deepest_split"] >= 1
     assert trace["max_depth_hit"] is False
@@ -121,17 +126,19 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method):
 def test_trace_lists_the_panels_halved_unintegrated(fast_cfg):
     # L0's one initial cell is too coarse for the proximity samples to
     # separate the lines: the first round halves 5 panels unintegrated over
-    # 4 check passes, then integrates the 6 resolved ones; three more rounds
-    # refine by error alone
+    # 4 check passes, then integrates the 6 resolved ones; two more rounds
+    # refine by error alone, the second round's two panels cut along the
+    # axis the probe picked over their longest chart axis
     rep = report.compute(scenes.l0(), "holo_integral", fast_cfg)
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
-    assert trace["rounds"] == 4
-    assert trace["panels_per_round"] == [6, 4, 4, 8]
-    assert trace["skipped_per_round"] == [5, 0, 0, 0]
-    assert trace["checks_per_round"] == [4, 0, 0, 0]
-    assert rep.panels_evaluated == 22
-    assert complex(rep.value) == -612.0393753010411 + 0j
-    assert rep.err_estimate == 0.013936301828382458
+    assert trace["rounds"] == 3
+    assert trace["panels_per_round"] == [6, 4, 4]
+    assert trace["skipped_per_round"] == [5, 0, 0]
+    assert trace["checks_per_round"] == [4, 0, 0]
+    assert trace["probed_per_round"] == [0, 2, 0]
+    assert rep.panels_evaluated == 14
+    assert complex(rep.value) == -612.0393753010412 + 0j
+    assert rep.err_estimate == 0.013936301828390896
 
 
 def test_holo_line_report_names_no_window(fast_cfg):
@@ -372,7 +379,7 @@ def test_one_pinned_constant_scales_both_closed_form_routes():
 
 def test_calibration_unstable_at_low_depth():
     with pytest.raises(hl.CalibrationUnstable):
-        report.calibrate(hl.QuadConfig(tol=1e-6, max_depth=2))
+        report.calibrate(hl.QuadConfig(tol=1e-6, max_depth=1))
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +520,7 @@ def test_cli_calibrate_prints_a_scene_constants_block(tmp_path, capsys,
 
 def test_cli_calibrate_unstable_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, out, err = _run(["calibrate", "--max-depth", "2"], capsys)
+    code, out, err = _run(["calibrate", "--max-depth", "1"], capsys)
     assert code == 3
     assert out == ""
     assert "CalibrationUnstable" in err
