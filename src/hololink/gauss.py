@@ -12,7 +12,9 @@ The integral route evaluates that kernel as a product of Plucker rows
 one origin o shared by both curves (the mean of their generic points).
 Each curve side forms the rows of its nodes, so the rows of a whole
 refinement round come with the one side call that evaluates the round's
-nodes, and each per-panel kernel call only slices them.
+nodes, and each per-panel kernel call only slices them. The round's
+weights are contracted against its kernel grids by two stacked matrix
+products per block of panels (_gauss_integrand).
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,8 @@ from . import _kernels
 from .errors import (CoincidentPoints, DegenerateConfiguration,
                      DegenerateProjection, MethodInapplicable)
 from .geometry import det3
-from .quadrature import (Interval, RealLine, generic_params,
-                         integrate_product, per_panel)
+from .quadrature import (Interval, RealLine, Side, generic_params,
+                         integrate_product)
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
@@ -48,29 +50,45 @@ def gauss_integrand(x, dx, y, dy):
         y, _kernels.plucker_rows(y, dy, centre, False))[0, 0])
 
 
+def _real(a):
+    """The real part of a real line's complex values; real values as given."""
+    return np.ascontiguousarray(a.real) if np.iscomplexobj(a) else a
+
+
 def _real_points(curve, params):
-    pts, vel = curve.eval_batch(params)
-    if np.iscomplexobj(pts):
-        pts = np.ascontiguousarray(pts.real)
-        vel = np.ascontiguousarray(vel.real)
-    return pts, vel
+    return tuple(map(_real, curve.eval_batch(params)))
 
 
 def _plucker_side(curve, origin, first):
     """The curve's side for the Gauss kernel: points and their Plucker rows
     about the shared origin, [dx | m] for the first curve and [m | dy] for
     the second, formed once per call for every node of a refinement
-    round."""
+    round; its positions path evaluates no velocity."""
     def side(params):
         pts, vel = _real_points(curve, params)
         return pts, _kernels.plucker_rows(pts, vel, origin, first)
-    return side
+    return Side(side, lambda params: _real(curve.positions(params)))
 
 
-def _gauss_kernel(wa, x, rows_x, wb, y, rows_y):
-    # looked up at call time, so a wrapper installed on the module sees
-    # every kernel call
-    return wa @ _kernels.gauss_grid(x, rows_x, y, rows_y) @ wb
+def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
+    """The round's weighted panel sums wa @ G @ wb: one gauss_grid call per
+    panel, looked up at call time so that a wrapper installed on the module
+    sees every call, and the weights of a block of panels contracted by two
+    stacked matrix products, which give each panel the bits of its own
+    wa @ G @ wb. A block holds at most _kernels._BLOCK_PAIRS pairs."""
+    count, n, m = len(wa), wa.shape[1], wb.shape[1]
+    step = max(1, _kernels._BLOCK_PAIRS // (n * m))
+    grids = np.empty((min(step, count), n, m))
+    out = np.empty(count)
+    for start in range(0, count, step):
+        part = slice(start, min(start + step, count))
+        block = grids[:part.stop - start]
+        panels = zip(x[part], rows_x[part], y[part], rows_y[part])
+        for grid, args in zip(block, panels):
+            grid[...] = _kernels.gauss_grid(*args)
+        out[part] = np.matmul(np.matmul(wa[part, None], block),
+                              wb[part, :, None])[:, 0, 0]
+    return out
 
 
 def _gauss_domain(curve):
@@ -99,7 +117,7 @@ def gauss_linking(curve1, curve2, cfg):
                       for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)
 
     return integrate_product(
-        per_panel(_gauss_kernel), dom1, dom2, cfg,
+        _gauss_integrand, dom1, dom2, cfg,
         side_a=_plucker_side(curve1, origin, True),
         side_b=_plucker_side(curve2, origin, False))
 

@@ -297,18 +297,31 @@ class ParamCurve:
 
     def eval_batch(self, params):
         """Positions and velocities at a parameter array; no domain checks."""
+        return self._evaluate(params, True)
+
+    def positions(self, params):
+        """Positions alone at a parameter array: eval_batch(params)[0],
+        bit for bit, from the same expressions, without the velocities."""
+        return self._evaluate(params, False)[0]
+
+    def _evaluate(self, params, velocity):
+        """(positions, velocities), the velocities None unless asked for."""
         params = np.asarray(params)
+        vel = None
         if self.kind == "real_closed":
             k = np.arange(1, self.cos_rows.shape[0] + 1)
             ang = TWO_PI * params[..., None] * k  # (..., K)
             cos, sin = np.cos(ang), np.sin(ang)
             pts = self.const + cos @ self.cos_rows + sin @ self.sin_rows
-            vel = TWO_PI * ((-sin * k) @ self.cos_rows + (cos * k) @ self.sin_rows)
+            if velocity:
+                vel = TWO_PI * ((-sin * k) @ self.cos_rows
+                                + (cos * k) @ self.sin_rows)
             return pts, vel
         # tensor=False with a trailing parameter axis: (..., 3), C-ordered
         column = params[..., None]
-        return (poly_eval(column, self._coefficients),
-                poly_eval(column, self._velocity_coefficients))
+        if velocity:
+            vel = poly_eval(column, self._velocity_coefficients)
+        return poly_eval(column, self._coefficients), vel
 
     @cached_property
     def _coefficients(self):
@@ -600,13 +613,58 @@ def _stationary_params(curve):
     return np.array([t for t in roots if curve.in_domain(t)], dtype=complex)
 
 
-def _speed_vanishes(pts, vel):
-    """Where |x'| <= 1e-9 max(1, |x|): each speed against its own point,
-    as a plane's samples span |u| from 0.03 to 361. |.| is the largest
-    component modulus, taken column by column: a reduction along the short
-    last axis costs several times as much."""
+def _speeds(pts, vel):
+    """Each speed |x'| and its vanishing floor 1e-9 max(1, |x|): each speed
+    is read against its own point, as a plane's samples span |u| from 0.03
+    to 361. |.| is the largest component modulus, taken column by column:
+    a reduction along the short last axis costs several times as much."""
     speed, size = (reduce(np.maximum, np.abs(a).T) for a in (vel, pts))
-    return speed <= 1e-9 * np.maximum(size, 1.0)
+    return speed, 1e-9 * np.maximum(size, 1.0)
+
+
+def _speed_vanishes(pts, vel):
+    """Where the speed is at or below its floor (_speeds)."""
+    speed, floor = _speeds(pts, vel)
+    return speed <= floor
+
+
+def _closed_stationary(curve, grid, pts, vel):
+    """A parameter of a real_closed curve at or near which its velocity
+    vanishes between the samples of grid, an even grid of [0, 1) with its
+    points and velocities, or None once a bound certifies that it vanishes
+    nowhere.
+
+    |x''| <= B = sum_k (2 pi k)^2 (|cos_row_k| + |sin_row_k|), with |.| the
+    largest component modulus, as _speeds reads speeds. On an interval of
+    length h whose ends have speeds s0 and s1 the speed is then at least
+    (s0 + s1 - B h) / 2, and the interval is certified when that is above
+    both ends' floors; the last interval wraps from the last sample to
+    t = 1, which is t = 0. The intervals left are halved, a level at a
+    time, with the midpoints of a level in one eval_batch call, until every
+    interval is certified, a midpoint's speed vanishes (the midpoint is
+    returned) or an interval is too short to halve (its start is)."""
+    k = np.arange(1, len(curve.cos_rows) + 1)
+    bound = np.sum((TWO_PI * k) ** 2 * (np.abs(curve.cos_rows).max(axis=1)
+                                        + np.abs(curve.sin_rows).max(axis=1)))
+    speed, floor = _speeds(pts, vel)
+    # per interval: start, end, the ends' speeds and the ends' floors
+    ends = [grid, np.append(grid[1:], 1.0), speed, np.roll(speed, -1),
+            floor, np.roll(floor, -1)]
+    while True:
+        t0, t1, s0, s1, f0, f1 = ends
+        left = s0 + s1 - bound * (t1 - t0) <= 2.0 * np.maximum(f0, f1)
+        if not left.any():
+            return None
+        t0, t1, s0, s1, f0, f1 = (a[left] for a in ends)
+        mid = 0.5 * (t0 + t1)
+        short = (mid <= t0) | (mid >= t1)
+        if short.any():
+            return t0[short][0]
+        sm, fm = _speeds(*curve.eval_batch(mid))
+        if np.any(sm <= fm):
+            return mid[sm <= fm][0]
+        ends = [np.concatenate(pair) for pair in
+                ((t0, mid), (mid, t1), (s0, sm), (sm, s1), (f0, fm), (fm, f1))]
 
 
 def validate_scene(scene):
@@ -654,6 +712,14 @@ def validate_scene(scene):
                                "non-finite position or velocity on the sampled domain")
         if np.any(_speed_vanishes(pts, vel)):
             raise SceneInvalid(path + ".map", "velocity vanishes on the sampled domain")
+        if curve.kind == "real_closed":
+            # a zero between the samples, which the second-derivative bound
+            # cannot rule out
+            stopped = _closed_stationary(
+                curve, curve.sample_params(MAP_SAMPLES), pts, vel)
+            if stopped is not None:
+                raise SceneInvalid(path + ".map",
+                                   f"velocity vanishes near parameter {stopped}")
         if curve.kind == "complex_affine" and not curve.is_line:
             # a zero between the samples, at a root of a velocity component;
             # a line's velocity is constant

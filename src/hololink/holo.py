@@ -137,8 +137,17 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     return integrate_pv(
         integrand, dom_a, dom_b,
         (tuple(form1.poles), tuple(form2.poles)), cfg,
-        side_a=lambda u: (*curve1.eval_batch(u), *form1.num_den_batch(u)),
-        side_b=lambda v: (*curve2.eval_batch(v), *form2.num_den_batch(v)))
+        side_a=_weighted_side(curve1, form1),
+        side_b=_weighted_side(curve2, form2))
+
+
+def _weighted_side(curve, form):
+    """A curve's side for the kernel integral: positions, velocities and
+    the form's numerator and denominator; positions alone for the
+    engine's samples."""
+    return quadrature.Side(
+        lambda u: (*curve.eval_batch(u), *form.num_den_batch(u)),
+        curve.positions)
 
 
 def _line_second(s1, s2):
@@ -284,8 +293,10 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     def integrand(wa, x, dx, wb, y, dy):
         return scale * _kernels.clink_grid(x, dx, y, dy, wa, wb)
 
-    return integrate_pv(integrand, dom_a, dom_b, ((), ()), cfg,
-                        side_a=curve1.eval_batch, side_b=curve2.eval_batch)
+    return integrate_pv(
+        integrand, dom_a, dom_b, ((), ()), cfg,
+        side_a=quadrature.Side(curve1.eval_batch, curve1.positions),
+        side_b=quadrature.Side(curve2.eval_batch, curve2.positions))
 
 
 # ---------------------------------------------------------------------------

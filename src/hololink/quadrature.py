@@ -53,16 +53,19 @@ polynomials before any integrand runs.
 
 A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. A round integrates its panels
-with one call of each side per rule and one call of the integrand per
-rule. The integrand receives each side's jacobian-folded weights (P, n)
+with one call of each side, on the nodes of both rules together, and one
+call of the integrand per rule. In a product run each distinct cell of a
+side is evaluated once and its arrays are shared by every panel on it.
+The integrand receives each side's jacobian-folded weights (P, n)
 before that side's arrays (P, n, ...), stacked over the round's P panels,
 and returns the (P,) weighted panel sums, so it can contract its values
 however is cheapest. The probe of a round is one more call of each side
 and of the integrand, on one-node panels whose weights are the chart
-jacobians. per_panel adapts a kernel written for one panel; it holds the
-only per-panel loop. Each proximity check pass and each spatial halving
-takes one call per side for its samples, and a pass's distances are one
-stacked _kernels.min_dist call. Errors, covering radii and flags
+jacobians. per_panel adapts a kernel written for one panel. Each
+proximity check pass and each spatial halving takes one call per side for
+its samples, which read positions only (Side gives a path that computes
+nothing else), and a pass's distances are one stacked _kernels.min_dist
+call. Errors, covering radii and flags
 are array operations over the round, and the round's panel sums are
 checked for finiteness together. Panel results are reduced by a fixed
 pairwise tree over geometrically sorted panels, so values do not depend on
@@ -93,7 +96,7 @@ _SPLIT_FACTOR = 4.0    # a probed axis must outscore the longest chart axis by t
 # the fourth-difference probe's points, c +- lambda h along each chart axis
 _LAMBDA2 = math.sqrt(9.0 / 70.0)
 _LAMBDA3 = math.sqrt(9.0 / 10.0)
-_PHASES = ("resolve", "rules", "probe", "reduce")
+_PHASES = ("resolve", "sides", "rules", "probe", "reduce")
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,10 @@ class QuadTrace:
     panels the round halved by error along an axis the probe chose over
     the longest chart axis; deepest_split is the most halvings of any final
     panel; max_depth_hit says whether max_depth kept a hot panel from being
-    refined. phase_s gives the wall seconds spent resolving proximity, in
-    the two rule evaluations, in the probe and in the reduction; being
-    timings, they take no part in comparing traces."""
+    refined. phase_s gives the wall seconds spent resolving proximity,
+    evaluating the sides at the rules' nodes, in the integrand's two rule
+    evaluations, in the probe and in the reduction; being timings, they
+    take no part in comparing traces."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
@@ -309,6 +313,40 @@ def _identity(params):
     return (params,)
 
 
+class Side:
+    """A curve side with a positions-only path. Called on a parameter
+    array, it gives the arrays the integrand receives, curve positions
+    first; positions(params) gives those positions alone, with the same
+    bits, and is what the proximity and split-axis samples read. A side
+    given as a plain callable has its positions read off its first
+    array."""
+
+    def __init__(self, arrays, positions):
+        self.arrays = arrays
+        self.positions = positions
+
+    def __call__(self, params):
+        return self.arrays(params)
+
+
+def _positions_of(side):
+    if isinstance(side, Side):
+        return side.positions
+    return lambda params: side(params)[0]
+
+
+def _distinct(rows):
+    """The first index of each distinct row of a (P, c) float array, and
+    for each row the position of its distinct row among them: rows[first]
+    [inverse] is rows. Rows are compared bit for bit, as one c * 8-byte
+    string each."""
+    keys = np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    return first, inverse
+
+
 def _mesh(rows):
     """Per-panel ij meshgrid of a domain's one or two axes: node arrays
     (P, n) -> arrays (P, n**k), the first axis varying slowest."""
@@ -345,12 +383,14 @@ class _Engine:
 
     Each round first resolves proximity: check passes over the pending
     panels, halving the unresolved ones short of max_depth, until none is
-    left to halve. It then integrates every pending panel with one call of
-    each side and one call of the integrand per rule, on the round's
+    left to halve. It then evaluates each side once, on the nodes of both
+    rules of each distinct side cell (_side_rules), and integrates every
+    pending panel with one call of the integrand per rule, on the round's
     stacked weights and arrays; the integrand returns the (P,) panel sums.
     The split-axis samples of a spatial halving and the proximity samples
-    of a check pass likewise take one call per side, a pass's distances one
-    stacked min_dist call, and the errors and flags are array operations.
+    of a check pass likewise take one call per side, of its positions
+    only, a pass's distances one stacked min_dist call, and the errors and
+    flags are array operations.
     A run with a whole domain (Plane, RealLine) halves a panel refined by
     error along the axis _probe_axes picks, from one more call of each
     side and of the integrand per round, and every other panel along its
@@ -363,6 +403,7 @@ class _Engine:
         self.cfg = cfg
         self.doms = (dom_a,) if dom_b is None else (dom_a, dom_b)
         self.sides = (side_a or _identity, side_b or _identity)
+        self.positions = tuple(map(_positions_of, self.sides))
         # the curve distance rules need a curve on both sides
         self.curves = dom_b is not None and None not in (side_a, side_b)
         cuts = np.cumsum([0] + [d.naxes for d in self.doms])
@@ -396,16 +437,16 @@ class _Engine:
                 for a in out]
 
     def _points(self, s, params):
-        """Real point rows, params.shape + (dim,): the first array of side
-        s, realified."""
-        first = self._eval_side(s, params)[0]
+        """Real point rows, params.shape + (dim,): the positions of side s,
+        realified."""
+        first = np.asarray(self.positions[s](params.ravel()))
         return realify(first.reshape(params.shape + (-1,)))
 
     def _rule(self, s, lo, hi, order):
-        """Chart parameters and jacobian-folded weights, both (P, order**k),
-        of the order-n tensor Gauss-Legendre rule on side s of each panel."""
+        """Chart parameters and jacobian-folded weights, both (C, order**k),
+        of the order-n tensor Gauss-Legendre rule on side s of each of C
+        cells, whose bounds lo and hi (C, k) are on that side's axes."""
         nodes, weights = _gl(order)
-        lo, hi = lo[:, self.axes[s]], hi[:, self.axes[s]]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         cols = _mesh([mid[:, a, None] + half[:, a, None] * nodes
                       for a in range(lo.shape[1])])
@@ -413,31 +454,54 @@ class _Engine:
         params, jac = self.doms[s].chart(tuple(cols))
         return params, math.prod(wgts) * jac
 
-    def _values(self, lo, hi, order):
-        """Each panel's value under the order-n rule: the integrand's
+    def _side_rules(self, s, lo, hi):
+        """Side s under both rules on each panel, from one call of the side
+        on the nodes of both: per rule (panel_order, then 2 panel_order), a
+        list of the chart parameters and jacobian-folded weights, both
+        (P, n**k), and the side's arrays (P, n**k, ...). In a product run
+        each distinct cell of the side is evaluated once and shared by
+        every panel on it; evaluation is pointwise, so each panel gets the
+        bits of an evaluation on its own."""
+        lo, hi = lo[:, self.axes[s]], hi[:, self.axes[s]]
+        inverse = None
+        if len(self.doms) > 1:
+            first, inverse = _distinct(np.concatenate([lo, hi], axis=1))
+            lo, hi = lo[first], hi[first]
+        order = self.cfg.panel_order
+        rules = [self._rule(s, lo, hi, n) for n in (order, 2 * order)]
+        arrays = self._eval_side(s, np.concatenate([p for p, _ in rules],
+                                                   axis=1))
+        cut = rules[0][0].shape[1]
+        out = []
+        for rule, part in zip(rules, (slice(None, cut), slice(cut, None))):
+            blk = [*rule, *(a[:, part] for a in arrays)]
+            out.append([np.ascontiguousarray(x) if inverse is None
+                        else x[inverse] for x in blk])
+        return out
+
+    def _values(self, blocks, lo, hi):
+        """Each panel's value under one rule, whose blocks give per side the
+        parameters, weights and arrays (_side_rules): the integrand's
         weighted sum over the panel's nodes, from one integrand call for
         the round. The round's values are checked for finiteness together;
         a bad one raises NonFiniteIntegrand naming the first non-finite
         node of its panel or, when every node is finite, the overflowing
         sum."""
-        rules = [self._rule(s, lo, hi, order) for s in range(len(self.doms))]
-        blocks = [(wgts, *self._eval_side(s, params))
-                  for s, (params, wgts) in enumerate(rules)]
         # one errstate for the round; an overflow or NaN shows in out below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _panel_sums(self.f, [a for blk in blocks for a in blk],
+            out = _panel_sums(self.f, [a for blk in blocks for a in blk[1:]],
                               len(lo))
             for i in np.flatnonzero(~np.isfinite(out))[:1]:
-                self._raise_nonfinite(rules, blocks, i, lo[i], hi[i])
+                self._raise_nonfinite(blocks, i, lo[i], hi[i])
         return out
 
-    def _raise_nonfinite(self, rules, blocks, i, lo, hi):
+    def _raise_nonfinite(self, blocks, i, lo, hi):
         """Raise NonFiniteIntegrand for panel i (bounds lo, hi), naming its
         first non-finite node, or node pair, in row-major order, or its sum
         when every node is finite. Each node costs one call of the
         integrand on a one-panel round of one node per side, with unit
         weights."""
-        sides = [[a[i] for a in blk[1:]] for blk in blocks]
+        sides = [[a[i] for a in blk[2:]] for blk in blocks]
         one = np.ones((1, 1))
         ranges = [range(len(arrays[0])) for arrays in sides]
         for idx in itertools.product(*ranges):
@@ -445,7 +509,7 @@ class _Engine:
                     for a in (one, *(x[None, j:j + 1] for x in arrays))]
             if cmath.isfinite(complex(_panel_sums(self.f, args, 1)[0])):
                 continue
-            param = tuple(params[i][j] for (params, _), j in zip(rules, idx))
+            param = tuple(blk[0][i][j] for blk, j in zip(blocks, idx))
             if len(param) == 1:
                 param = param[0]
             raise NonFiniteIntegrand(
@@ -606,9 +670,11 @@ class _Engine:
         with self._timed("resolve"):
             pending, halved, passes = self._resolve(pending)
         lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
+        with self._timed("sides"):
+            rules = list(zip(*(self._side_rules(s, lo, hi)
+                               for s in range(len(self.doms)))))
         with self._timed("rules"):
-            coarse = self._values(lo, hi, self.cfg.panel_order)
-            value = self._values(lo, hi, 2 * self.cfg.panel_order)
+            coarse, value = (self._values(blocks, lo, hi) for blocks in rules)
         diff = value - coarse
         # the bits of abs(complex), which np.abs does not always give
         err = np.hypot(diff.real, diff.imag)
@@ -640,10 +706,11 @@ class _Engine:
     def run(self):
         """Refine until the summed panel error is within tol of the total
         and no panel is unresolved. Each round resolves proximity and then
-        integrates all its pending panels (_evaluate), so the integrand
-        runs twice per round; in a run with a whole domain, a round that
-        refines by error runs it once more, for the split probe
-        (_probe_axes). The entry points' batch check adds one call per run.
+        integrates all its pending panels (_evaluate), so each side runs
+        once and the integrand twice per round; in a run with a whole
+        domain, a round that refines by error runs both once more, for the
+        split probe (_probe_axes). The entry points' batch check adds one
+        call per run.
         panels_evaluated counts the integrated panels, not those halved
         while resolving. A panel is hot by its error only when that error
         is positive, so an integrand that vanishes on every panel refines
@@ -730,7 +797,7 @@ def per_panel(kernel):
     """The round integrand of a per-panel kernel: kernel(w, *side) (with two
     domains, kernel(wa, *side_a, wb, *side_b)) takes one panel's weights
     and arrays and returns that panel's weighted sum, a scalar. It is
-    called once per panel of the round; this is the only per-panel loop."""
+    called once per panel of the round."""
     def integrand(*stacked):
         return np.array([kernel(*args) for args in zip(*stacked)])
     return integrand
@@ -757,7 +824,8 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
     """Integrate the integrand over dom_a x dom_b.
 
     A side maps a parameter array to a tuple of arrays, curve positions
-    first (default: the parameters alone, with no curve). The integrand is
+    first (default: the parameters alone, with no curve); a Side also
+    gives the positions alone, for the engine's samples. The integrand is
     called once per rule per refinement round as f(wa, *side_a_arrays, wb,
     *side_b_arrays), stacked over the round's P panels: wa (P, na) and wb
     (P, nb) are the jacobian-folded weights and each array is (P, na, ...)

@@ -5,7 +5,10 @@ import pytest
 
 import hololink as hl
 from hololink import _kernels, scenes
-from hololink.gauss import DEFAULT_DIRECTION, _projection_frame
+from hololink.gauss import (DEFAULT_DIRECTION, _gauss_integrand,
+                            _projection_frame)
+# the (1, 1) torus-curve pair of the engine's batching tests
+from test_quadrature import _torus_pair
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,38 @@ def test_gauss_linking_calls_the_module_kernel_per_rule(monkeypatch,
     monkeypatch.setattr(_kernels, "gauss_grid", counted)
     sc = scenes.hopf()
     res = hl.gauss_linking(sc.curves["c1"], sc.curves["c2"], fast_cfg)
+    assert len(calls) == 2 * res.panels_evaluated + 1
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("count", [1, 3])
+def test_round_contraction_has_the_bits_of_each_panel(n, count):
+    # the round's weights contracted by stacked products, against each
+    # panel's own wa @ G @ wb
+    rng = np.random.default_rng(n + count)
+    x, y = rng.normal(size=(2, count, n, 3))
+    y += 3.0
+    rows_x, rows_y = rng.normal(size=(2, count, n, 6))
+    wa, wb = rng.uniform(size=(2, count, n))
+    each = [wa[p] @ _kernels.gauss_grid(x[p], rows_x[p], y[p], rows_y[p])
+            @ wb[p] for p in range(count)]
+    whole = _gauss_integrand(wa, x, rows_x, wb, y, rows_y)
+    assert whole.shape == (count,)
+    assert whole.tobytes() == np.array(each).tobytes()
+
+
+def test_near_torus_pair_calls_the_kernel_once_per_panel_and_rule(
+        monkeypatch):
+    calls = []
+    raw = _kernels.gauss_grid
+
+    def counted(*args):
+        calls.append(1)
+        return raw(*args)
+
+    monkeypatch.setattr(_kernels, "gauss_grid", counted)
+    res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
+    assert res.converged and abs(res.value - 1.0) < 1e-6
     assert len(calls) == 2 * res.panels_evaluated + 1
 
 

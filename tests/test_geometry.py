@@ -658,6 +658,110 @@ def test_one_evaluation_gives_each_grid_its_own_bits(curve):
         assert _bits(samples[n][0], pts) and _bits(samples[n][1], vel)
 
 
+@pytest.mark.parametrize("curve", [
+    hl.ParamCurve.real_closed((0, 0, 0.5), [[1, 0, 0], [0, 0.3, 0]],
+                              [[0, 1, 0.2], [0.1, 0, 0]]),
+    hl.ParamCurve.complex_affine(([0.3, 1.0, 0.2j], [1j, -0.5], [2.0])),
+    hl.ParamCurve.complex_affine(([0.3, 1.0, 0.2j], [1j, -0.5], [2.0]),
+                                 domain=DOMAINS[1]),
+], ids=["real-loop", "plane", "rect"])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)],
+                         ids=["scalar", "1-d", "2-d"])
+def test_positions_have_the_bits_of_eval_batch(curve, shape):
+    rng = np.random.default_rng(len(shape))
+    params = rng.uniform(size=shape)
+    if curve.kind == "complex_affine":
+        params = params + 1j * rng.uniform(-0.5, 0.5, size=shape)
+    assert _bits(curve.positions(params), curve.eval_batch(params)[0])
+
+
+def _deltoid(shift, d=1.0):
+    """(2 cos a + d cos 2a, 2 sin a - d sin 2a, 0), a = 2 pi t + shift, as a
+    trigonometric polynomial: at d = 1 the deltoid, whose velocity vanishes
+    at its three cusps, a = 0, 2 pi / 3 and 4 pi / 3; below 1 a curve whose
+    speed dips to 2 pi (2 - 2 d) there."""
+    c, s = math.cos(shift), math.sin(shift)
+    c2, s2 = math.cos(2 * shift), math.sin(2 * shift)
+    return hl.ParamCurve.real_closed(
+        (0, 0, 0), [[2 * c, 2 * s, 0], [d * c2, -d * s2, 0]],
+        [[-2 * s, 2 * c, 0], [-d * s2, -d * c2, 0]])
+
+
+_RING_ABOVE = hl.ParamCurve.real_closed((0, 0, 5), [[1, 0, 0]], [[0, 1, 0]])
+
+
+def _counting_eval_batch(monkeypatch):
+    calls = []
+    raw = hl.ParamCurve.eval_batch
+
+    def counted(curve, params):
+        calls.append(np.size(params))
+        return raw(curve, params)
+
+    monkeypatch.setattr(hl.ParamCurve, "eval_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shift, cusp", [
+    # the cusp at t = 511/512, half-way between the last sample and t = 1
+    (math.pi / 256, 0.998046875),
+    (math.sqrt(2.0), 1.0 - math.sqrt(2.0) / (2 * math.pi)),
+], ids=["half-way", "irrational"])
+def test_validate_rejects_a_closed_curve_stopping_between_samples(shift,
+                                                                  cusp):
+    curve = _deltoid(shift)
+    grid = curve.sample_params(hl.geometry.MAP_SAMPLES)
+    pts, vel = curve.eval_batch(grid)
+    assert not hl.geometry._speed_vanishes(pts, vel).any()
+    scene = hl.Scene(curves={"c1": curve, "c2": _RING_ABOVE})
+    with pytest.raises(SceneInvalid, match="velocity vanishes near") as exc:
+        hl.validate_scene(scene)
+    assert exc.value.path == "curves.c1.map"
+    where = float(str(exc.value).rsplit(" ", 1)[1])
+    # a cusp, which the refinement reached to within the vanishing floor
+    assert abs(where - cusp) < 1e-9
+
+
+def test_validate_certifies_a_near_cusp_by_refining_it(monkeypatch):
+    # the speed dips to 2 pi / 500 at the three near-cusps, below what the
+    # bound certifies between samples, so the intervals there are halved
+    # until it does
+    calls = _counting_eval_batch(monkeypatch)
+    scene = hl.Scene(curves={"c1": _deltoid(0.3, 0.999), "c2": _RING_ABOVE})
+    assert hl.validate_scene(scene) is scene
+    assert calls[0] == calls[-1] == hl.geometry.MAP_SAMPLES
+    assert len(calls) > 2 and sum(calls[1:-1]) < 64
+
+
+def _torus_curve(wraps, phase, major=2.0, minor=0.5):
+    """The (1, wraps) torus curve (major + minor cos A)(cos 2 pi t,
+    sin 2 pi t), minor sin A, A = 2 pi (wraps t + phase), with its
+    harmonics read off 16 samples by the FFT."""
+    t = np.arange(16) / 16
+    a = 2 * math.pi * (wraps * t + phase)
+    pts = np.stack([(major + minor * np.cos(a)) * np.cos(2 * math.pi * t),
+                    (major + minor * np.cos(a)) * np.sin(2 * math.pi * t),
+                    minor * np.sin(a)], axis=-1)
+    c = np.fft.rfft(pts, axis=0)[:wraps + 2] / 16
+    return hl.ParamCurve.real_closed(c[0].real, 2 * c[1:].real,
+                                     -2 * c[1:].imag)
+
+
+def test_validate_certifies_torus_curves_without_refining(monkeypatch):
+    # the (1, w) torus curves of the Gauss benchmark: the bound certifies
+    # every interval between the samples, so each curve is evaluated once
+    calls = _counting_eval_batch(monkeypatch)
+    for wraps in range(4):
+        c1, c2 = _torus_curve(wraps, 0.1), _torus_curve(wraps, 0.106)
+        t = np.linspace(0.0, 1.0, 7)
+        a = 2 * math.pi * (wraps * t + 0.1)
+        assert np.allclose(c1.eval_batch(t)[0][:, 2], 0.5 * np.sin(a),
+                           atol=1e-14)
+        calls.clear()
+        hl.validate_scene(hl.Scene(curves={"c1": c1, "c2": c2}))
+        assert calls == [hl.geometry.MAP_SAMPLES] * 2
+
+
 def test_plane_samples_lie_on_rings_of_the_plane_chart():
     # validation covers what is integrated: the chart's rings at fixed rho
     rho = np.array([0.15, 0.4, 0.7, 0.95])

@@ -369,23 +369,30 @@ def test_whole_domain_runs_split_along_the_longest_chart_axis(monkeypatch):
     # only extra curve evaluations are the split probe's, one per side for
     # each round that refines by error
     sc = scenes.l0()
-    calls = []
-    raw = hl.ParamCurve.eval_batch
+    calls, samples = [], []
+    raw, raw_positions = hl.ParamCurve.eval_batch, hl.ParamCurve.positions
 
     def counted(self, params):
         calls.append(np.size(params))
         return raw(self, params)
 
+    def counted_positions(self, params):
+        samples.append(np.size(params))
+        return raw_positions(self, params)
+
     monkeypatch.setattr(hl.ParamCurve, "eval_batch", counted)
+    monkeypatch.setattr(hl.ParamCurve, "positions", counted_positions)
     res = hl.complex_linking_number(sc.curves["c1"], sc.curves["c2"],
                                     hl.BMContext(), hl.QuadConfig(tol=1e-4))
     assert res.converged
-    # per side: the origin (first side only), the batch check, two rules
-    # per round, the proximity samples of each check pass and the split
-    # probe of every round but the last
+    # per side: the batch check, one call for both rules of each round and
+    # the split probe of every round but the last
     rounds = len(res.trace.panels_per_round)
     passes = sum(res.trace.checks_per_round)
-    assert len(calls) == 1 + 2 + 4 * rounds + 2 * passes + 2 * (rounds - 1)
+    assert len(calls) == 2 + 2 * rounds + 2 * (rounds - 1)
+    # positions only: the origin (first side only) and the proximity
+    # samples of each check pass
+    assert len(samples) == 1 + 2 * passes
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +433,51 @@ def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
     assert len(calls) <= 6 * rounds + 4 * passes + 4
     # one call per panel and rule would be four per panel
     assert len(calls) < res.panels_evaluated
+
+
+def test_each_distinct_side_cell_is_evaluated_once_per_round():
+    # counting sides on Interval x Interval, with far-apart positions so
+    # that proximity resolves at once: each round calls each side once, on
+    # the n + 2n nodes of each distinct side cell of its panels, and the
+    # integrand sees every panel's rows
+    cfg = hl.QuadConfig(tol=1e-9)
+    n = cfg.panel_order
+    seen, rules = ([], []), []
+
+    def side(s):
+        def arrays(t):
+            seen[s].append(np.array(t))
+            return (t,)
+        return quadrature.Side(
+            arrays, lambda t: np.stack([t, 0 * t, 0 * t + 5.0 * s], axis=-1))
+
+    def f(wa, a, wb, b):
+        rules.append((a, b))
+        return (wa * _peak(a)).sum(axis=1) * (wb * _peak(b)).sum(axis=1)
+
+    res = integrate_product(f, Interval(0.0, 1.0), Interval(0.0, 1.0), cfg,
+                            side(0), side(1))
+    assert res.converged
+    rounds = len(res.trace.panels_per_round)
+    assert len(rules) == 1 + 2 * rounds      # the batch check, two rules
+    shared = False
+    for s in (0, 1):
+        assert len(seen[s]) == 1 + rounds    # the batch check, one per round
+        for r, params in enumerate(seen[s][1:]):
+            cells = params.reshape(-1, 3 * n)
+            coarse, fine = (rules[1 + 2 * r + i][s] for i in (0, 1))
+            distinct = np.unique(coarse, axis=0)
+            assert len(coarse) == res.trace.panels_per_round[r]
+            assert len(cells) == len(distinct)
+            assert np.array_equal(np.unique(cells[:, :n], axis=0), distinct)
+            assert np.array_equal(np.unique(cells[:, n:], axis=0),
+                                  np.unique(fine, axis=0))
+            shared = shared or len(cells) < len(coarse)
+    assert shared
+
+
+def _peak(t):
+    return 1.0 / (1e-2 + (t - 0.3) ** 2)
 
 
 def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):

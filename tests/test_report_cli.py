@@ -102,6 +102,9 @@ def test_residue_report_is_raw_value(cfg):
 TRACE_KEYS = {"rounds", "panels_per_round", "skipped_per_round",
               "checks_per_round", "probed_per_round", "deepest_split",
               "max_depth_hit", "phase_s", "workers"}
+# the trace's phase_s keys: resolving proximity, evaluating the sides at
+# the rules' nodes, the integrand's rules, the split probe, the reduction
+PHASE_KEYS = {"resolve", "sides", "rules", "probe", "reduce"}
 
 
 @pytest.mark.parametrize("scene, method", [
@@ -115,7 +118,7 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method):
     assert set(trace) == TRACE_KEYS
     assert trace["rounds"] == len(trace["panels_per_round"]) >= 1
     assert len(trace["probed_per_round"]) == trace["rounds"]
-    assert set(trace["phase_s"]) == {"resolve", "rules", "probe", "reduce"}
+    assert set(trace["phase_s"]) == PHASE_KEYS
     assert sum(trace["panels_per_round"]) == rep.panels_evaluated
     assert trace["deepest_split"] >= 1
     assert trace["max_depth_hit"] is False
