@@ -26,6 +26,11 @@ slices them.
 ||x-y||^2 is summed from direct coordinate differences. The expansion
 ||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
 (panel extent / gap)^2 of the relative accuracy to cancellation.
+gauss_grid takes the differences one coordinate at a time, from x.T and
+y.T: on clouds whose .T is C-contiguous, as the Gauss route hands it,
+each is a contiguous (n, m) plane, every entry rounded once and summed in
+coordinate order. It writes its grid into a caller's buffer when given
+one, so a round's grids need no copy.
 
 Given node weights wz and ww, bm_grid returns the weighted sum
 wz @ K @ ww of its grid K without forming K. It folds wz into the left
@@ -46,6 +51,11 @@ panel when a panel has more), so a stacked call holds no more pairs at
 once than one 256 x 256 grid. Every step is elementwise, a reduction along
 one panel's own axes or a matrix product per panel, so each panel's result
 has the bits of the 2-D call on that panel alone.
+
+crossing_sum finds the segment pairs whose grown bounding boxes overlap by
+a sorted sweep on x rather than an n x m test. It keeps exactly the pairs
+the four exact comparisons pass, in row-major order, so the signed sum and
+the degenerate flag do not depend on how the pairs are found.
 """
 
 import numpy as np
@@ -59,19 +69,23 @@ FOUR_PI = 4.0 * np.pi
 _BLOCK_PAIRS = 65536   # the pairs of one 256 x 256 grid: a kernel block
 
 
-def gauss_grid(x, rows_x, y, rows_y):
+def gauss_grid(x, rows_x, y, rows_y, out=None):
     """Gauss linking integrand det3(y-x, dx, dy) / (4 pi |x-y|^3) on the
     grid of all (i, j) pairs. The y-x ordering is the library's linking
     orientation (standard skew lines -> +1/2, standard Hopf pair -> +1).
 
     rows_x (n, 6) and rows_y (m, 6) are the Plucker rows of the clouds,
     [dx | mx] and [my | dy], from plucker_rows about one origin shared by
-    both clouds."""
-    det = rows_x @ rows_y.T
-    d = x[:, None, :] - y[None, :, :]
+    both clouds. The clouds x (n, 3) and y (m, 3) are read one coordinate
+    at a time, as x.T and y.T: clouds whose .T is C-contiguous (a
+    transposed (3, n) array) give contiguous (n, m) difference planes.
+    The grid is written into out, an (n, m) float array, when one is given,
+    and returned."""
+    det = np.matmul(rows_x, rows_y.T, out=out)
+    d = x.T[:, :, None] - y.T[:, None, :]
     d *= d
-    n2 = d[..., 0] + d[..., 1]
-    n2 += d[..., 2]
+    n2 = d[0] + d[1]
+    n2 += d[2]
     den = np.sqrt(n2)
     den *= n2
     den *= -FOUR_PI
@@ -242,11 +256,13 @@ def crossing_sum(p1, d1, p2, d2):
 
     Only segment pairs that can touch are examined: a broad phase keeps the
     pairs whose bounding boxes overlap once each box is grown by twice the
-    parameter tolerance times its segment's length. A point within that
-    tolerance of both segments lies in both grown boxes, so no crossing
-    and no near-boundary touch is lost, and pairs whose lines merely pass
-    near each other's endpoints raise no flag: one segment's endpoint
-    counts as a touch only within the tolerance of the other segment.
+    parameter tolerance times its segment's length, found by a sorted sweep
+    on x (_overlapping_boxes) rather than by testing all n x m pairs. A
+    point within that tolerance of both segments lies in both grown boxes,
+    so no crossing and no near-boundary touch is lost, and pairs whose
+    lines merely pass near each other's endpoints raise no flag: one
+    segment's endpoint counts as a touch only within the tolerance of the
+    other segment.
     """
     eps = 1e-9
     a, b = p1, np.roll(p1, -1, axis=0)
@@ -260,11 +276,7 @@ def crossing_sum(p1, d1, p2, d2):
     grow2 = (2 * eps * len_s)[:, None]
     lo1, hi1 = np.minimum(a, b) - grow1, np.maximum(a, b) + grow1
     lo2, hi2 = np.minimum(c, d) - grow2, np.maximum(c, d) + grow2
-    overlap = ((lo1[:, None, 0] <= hi2[None, :, 0])
-               & (lo2[None, :, 0] <= hi1[:, None, 0])
-               & (lo1[:, None, 1] <= hi2[None, :, 1])
-               & (lo2[None, :, 1] <= hi1[:, None, 1]))
-    i, j = np.nonzero(overlap)
+    i, j = _overlapping_boxes(lo1, hi1, lo2, hi2)
 
     a, r, c, s = a[i], r[i], c[j], s[j]
     denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
@@ -303,3 +315,33 @@ def crossing_sum(p1, d1, p2, d2):
     over = np.where(depth1 > depth2, 1.0, -1.0)
     total = float(np.sum(np.where(counted, np.sign(denom) * over, 0.0)))
     return total, degenerate
+
+
+def _overlapping_boxes(lo1, hi1, lo2, hi2):
+    """Index pairs (i, j), in row-major order, of the boxes [lo1_i, hi1_i]
+    and [lo2_j, hi2_j] (rows of (n, 2) and (m, 2) arrays) that overlap:
+    the pairs that pass the four comparisons lo1 <= hi2 and lo2 <= hi1 on
+    each axis.
+
+    A sorted sweep on x finds them without the n x m test: the second
+    boxes are sorted by their low x edge, and each first box takes the run
+    of them whose low edge lies between its own low edge less twice the
+    widest second box and its own high edge. Every second box that meets
+    it in x is in that run: a computed width is at least half the exact
+    one, and rounding is monotone. Only the run's pairs go through the four
+    exact comparisons."""
+    order = np.argsort(lo2[:, 0], kind="stable")
+    edges = lo2[order, 0]
+    reach = 2.0 * np.fmax.reduce(hi2[:, 0] - lo2[:, 0])
+    start = np.searchsorted(edges, lo1[:, 0] - reach, side="left")
+    stop = np.searchsorted(edges, hi1[:, 0], side="right")
+    counts = np.maximum(stop - start, 0)
+    i = np.repeat(np.arange(len(lo1)), counts)
+    first = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    j = order[first + np.arange(len(i))]
+    keep = ((lo1[i, 0] <= hi2[j, 0]) & (lo2[j, 0] <= hi1[i, 0])
+            & (lo1[i, 1] <= hi2[j, 1]) & (lo2[j, 1] <= hi1[i, 1]))
+    pairs = i[keep] * len(lo2) + j[keep]
+    # a stable argsort is the sort the library already runs; the first call
+    # of any other numpy sort maps its code, about 0.3 MB more resident
+    return np.divmod(pairs[np.argsort(pairs, kind="stable")], len(lo2))

@@ -12,9 +12,15 @@ The integral route evaluates that kernel as a product of Plucker rows
 one origin o shared by both curves (the mean of their generic points).
 Each curve side forms the rows of its nodes, so the rows of a whole
 refinement round come with the one side call that evaluates the round's
-nodes, and each per-panel kernel call only slices them. The round's
-weights are contracted against its kernel grids by two stacked matrix
+nodes, and each per-panel kernel call only slices them. The kernel calls
+read coordinate-major clouds and write their grids in place, and the
+round's weights are contracted against those grids by two stacked matrix
 products per block of panels (_gauss_integrand).
+
+The crossing route samples each curve's positions alone
+(Polyline3.from_curve) and sums the signed crossings of the projected
+segment pairs whose bounding boxes overlap, found by a sorted sweep
+(_kernels.crossing_sum).
 """
 
 from dataclasses import dataclass
@@ -75,7 +81,11 @@ def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
     panel, looked up at call time so that a wrapper installed on the module
     sees every call, and the weights of a block of panels contracted by two
     stacked matrix products, which give each panel the bits of its own
-    wa @ G @ wb. A block holds at most _kernels._BLOCK_PAIRS pairs."""
+    wa @ G @ wb. A block holds at most _kernels._BLOCK_PAIRS pairs.
+
+    Each block's clouds are transposed once into coordinate-major memory,
+    so each panel's cloud is an (n, 3) view whose .T is C-contiguous, and
+    each kernel call writes its grid straight into the block."""
     count, n, m = len(wa), wa.shape[1], wb.shape[1]
     step = max(1, _kernels._BLOCK_PAIRS // (n * m))
     grids = np.empty((min(step, count), n, m))
@@ -83,9 +93,11 @@ def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
     for start in range(0, count, step):
         part = slice(start, min(start + step, count))
         block = grids[:part.stop - start]
-        panels = zip(x[part], rows_x[part], y[part], rows_y[part])
+        xs, ys = (np.ascontiguousarray(c[part].transpose(0, 2, 1))
+                  .transpose(0, 2, 1) for c in (x, y))
+        panels = zip(xs, rows_x[part], ys, rows_y[part])
         for grid, args in zip(block, panels):
-            grid[...] = _kernels.gauss_grid(*args)
+            _kernels.gauss_grid(*args, out=grid)
         out[part] = np.matmul(np.matmul(wa[part, None], block),
                               wb[part, :, None])[:, 0, 0]
     return out
@@ -161,8 +173,7 @@ class Polyline3:
     @classmethod
     def from_curve(cls, curve, n=512):
         params = np.linspace(0.0, 1.0, n, endpoint=False)
-        pts, _ = curve.eval_batch(params)
-        return cls(np.asarray(pts, dtype=float))
+        return cls(np.asarray(curve.positions(params), dtype=float))
 
 
 def _projection_frame(direction):

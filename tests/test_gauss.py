@@ -1,4 +1,6 @@
 import math
+from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from hololink.gauss import (DEFAULT_DIRECTION, _gauss_integrand,
                             _projection_frame)
 # the (1, 1) torus-curve pair of the engine's batching tests
 from test_quadrature import _torus_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +102,26 @@ def test_round_contraction_has_the_bits_of_each_panel(n, count):
 
 def test_near_torus_pair_calls_the_kernel_once_per_panel_and_rule(
         monkeypatch):
+    # each call also gets coordinate-major clouds, whose .T is C-contiguous
+    # (no slow strided path), and x.shape[0] stays the node count that
+    # shape-reading counters such as a tracer's pair count take
     calls = []
     raw = _kernels.gauss_grid
 
-    def counted(*args):
-        calls.append(1)
-        return raw(*args)
+    def counted(x, rows_x, y, rows_y, **kwargs):
+        calls.append((x.T.flags.c_contiguous and y.T.flags.c_contiguous,
+                      x.shape, y.shape, len(rows_x), len(rows_y)))
+        return raw(x, rows_x, y, rows_y, **kwargs)
 
     monkeypatch.setattr(_kernels, "gauss_grid", counted)
-    res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
+    cfg = hl.QuadConfig(tol=1e-6)
+    res = hl.gauss_linking(*_torus_pair(0.04), cfg)
     assert res.converged and abs(res.value - 1.0) < 1e-6
     assert len(calls) == 2 * res.panels_evaluated + 1
+    assert all(call[0] for call in calls)
+    assert all(x == (n, 3) and y == (m, 3) for _, x, y, n, m in calls)
+    order = cfg.panel_order
+    assert {call[1] for call in calls[1:]} == {(order, 3), (2 * order, 3)}
 
 
 def test_gauss_linking_requires_matching_kinds(cfg):
@@ -246,6 +260,94 @@ def test_crossing_sum_matches_all_pairs_oracle(make, args):
 
 
 _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def _dense_overlaps(lo1, hi1, lo2, hi2):
+    """The n x m bounding-box test that the sorted sweep replaced, kept as
+    its oracle: every pair's four comparisons, in row-major order."""
+    overlap = ((lo1[:, None, 0] <= hi2[None, :, 0])
+               & (lo2[None, :, 0] <= hi1[:, None, 0])
+               & (lo1[:, None, 1] <= hi2[None, :, 1])
+               & (lo2[None, :, 1] <= hi1[:, None, 1]))
+    return np.nonzero(overlap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_overlapping_boxes_match_the_dense_test_on_touching_boxes(seed):
+    # corners on a coarse integer grid, so many boxes share an edge or a
+    # corner exactly, with widths from 0 to the whole grid
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for count in (40, 50):
+        lo = rng.integers(0, 12, size=(count, 2)).astype(float)
+        size = rng.integers(0, 3, size=(count, 2)) ** rng.integers(1, 4)
+        boxes += [lo, lo + size]
+    i, j = _kernels._overlapping_boxes(*boxes)
+    want_i, want_j = _dense_overlaps(*boxes)
+    assert len(want_i) > 0
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+def _benchmark_torus_polylines(wraps, gap):
+    # the torus pairs of perfbench's gauss_loops workload
+    phase = 0.1 + 0.2 * wraps
+    return (hl.Polyline3.from_curve(workloads.torus_curve(wraps, phase)),
+            hl.Polyline3.from_curve(workloads.torus_curve(wraps, phase + gap)))
+
+
+def _circle_and_long_triangle(n=400, swap=False):
+    # a circle of n short sides against a triangle with one side 200 long
+    angle = 2 * np.pi * np.arange(n) / n
+    circle = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    triangle = np.array([[-100.0, 0.3], [100.0, -0.2], [0.0, 50.0]])
+    a, b = (triangle, circle) if swap else (circle, triangle)
+    return a, np.linspace(0.0, 1.0, len(a)), b, np.linspace(2.0, 1.5, len(b))
+
+
+def _planar(second):
+    return _SQUARE, np.zeros(4), second, np.ones(len(second))
+
+
+def _projected_pair(make, *args):
+    pl1, pl2 = make(*args)
+    return (*_projected(pl1), *_projected(pl2))
+
+
+@pytest.mark.parametrize("case, args, degenerate", [
+    *[(_projected_pair, (_benchmark_torus_polylines, w, gap), 0)
+      for w in range(4) for gap in (6e-3, 0.04, 0.3)],
+    (_projected_pair, (_hopf_polylines,), 0),
+    *[(_projected_pair, (_random_polylines, seed), 0) for seed in range(6)],
+    (_circle_and_long_triangle, (), 0),
+    (_circle_and_long_triangle, (400, True), 0),
+    # a side along part of the square's bottom side: a parallel overlap
+    (_planar, (np.array([[0.5, 0.0], [2.0, 0.0], [2.0, -1.0]]),), 1),
+    # the triangle's first vertex lies on the square's side x = 1
+    (_planar, (np.array([[1.0, 0.5], [2.0, 0.5], [2.0, 1.5]]),), 1),
+    # far from the square: no box overlaps
+    (_planar, (_SQUARE + [5.0, 5.0],), 0),
+])
+def test_crossing_sweep_matches_the_dense_box_test(monkeypatch, case, args,
+                                                   degenerate):
+    a, da, b, db = case(*args)
+    seen = []
+    sweep = _kernels._overlapping_boxes
+
+    def recorded(*boxes):
+        pairs = sweep(*boxes)
+        seen.append((boxes, pairs))
+        return pairs
+
+    monkeypatch.setattr(_kernels, "_overlapping_boxes", recorded)
+    got = _kernels.crossing_sum(a, da, b, db)
+    (boxes, (i, j)), = seen
+    want_i, want_j = _dense_overlaps(*boxes)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    monkeypatch.setattr(_kernels, "_overlapping_boxes", _dense_overlaps)
+    assert got == _kernels.crossing_sum(a, da, b, db)
+    assert got[1] == degenerate
+    if case is _planar and not degenerate:
+        assert len(i) == 0 and got == (0.0, 0)
 
 
 def test_crossing_sum_ignores_far_segment_on_an_endpoint_line():

@@ -97,6 +97,54 @@ def test_gauss_grid_moments_about_any_origin_match_centred_call(rng):
         assert np.all(np.abs(got - centred) <= 8 * bound)
 
 
+def _gauss_grid_point_major(x, rows_x, y, rows_y):
+    """gauss_grid as it was before it read coordinate-major clouds: the
+    differences as one broadcast over the 3-wide last axis. Each entry is
+    rounded in the same order, so the kernel must keep these bits."""
+    det = rows_x @ rows_y.T
+    d = x[:, None, :] - y[None, :, :]
+    d *= d
+    n2 = d[..., 0] + d[..., 1]
+    n2 += d[..., 2]
+    den = np.sqrt(n2)
+    den *= n2
+    den *= -_kernels.FOUR_PI
+    det /= den
+    return det
+
+
+@pytest.mark.parametrize("gap", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 5), (8, 8), (16, 16)])
+def test_gauss_grid_bits_do_not_depend_on_layout_or_out(n, m, gap):
+    # clouds as wide as the gap, about a centre away from the origin, so
+    # the differences cancel as they do on a close panel pair
+    rng = np.random.default_rng(n * m)
+    centre = np.array([1.3, -0.7, 2.1])
+    x, dx = _random_cloud(rng, n)
+    y, dy = _random_cloud(rng, m)
+    x, y = centre + gap * x, centre + gap * (y + [3.0, 0.0, 0.0])
+    rows_x = _kernels.plucker_rows(x, dx, centre, True)
+    rows_y = _kernels.plucker_rows(y, dy, centre, False)
+    want = _gauss_grid_point_major(x, rows_x, y, rows_y)
+    xt, yt = np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T
+    assert xt.T.flags.c_contiguous and yt.T.flags.c_contiguous
+    block = np.full((2, n, m), np.nan)
+    got = [_kernels.gauss_grid(x, rows_x, y, rows_y),
+           _kernels.gauss_grid(xt, rows_x, yt, rows_y),
+           _kernels.gauss_grid(xt, rows_x, yt, rows_y, out=block[1])]
+    assert np.shares_memory(got[2], block[1]) and np.isnan(block[0]).all()
+    for grid in got:
+        assert np.array_equal(grid, want)
+    for i in range(min(n, m)):
+        single = hl.gauss_integrand(x[i], dx[i], y[i], dy[i])
+        pair_centre = 0.5 * (x[i:i + 1] + y[i:i + 1])
+        assert single == -_gauss_grid_point_major(
+            x[i:i + 1], _kernels.plucker_rows(x[i:i + 1], dx[i:i + 1],
+                                              pair_centre, True),
+            y[i:i + 1], _kernels.plucker_rows(y[i:i + 1], dy[i:i + 1],
+                                              pair_centre, False))[0, 0]
+
+
 def _det3_and_n2_oracle(z, dz, w, dw):
     d = z[:, None, :] - w[None, :, :]
     dzg = np.broadcast_to(dz[:, None, :], d.shape)
@@ -246,8 +294,9 @@ def test_min_dist_has_the_bits_of_the_broadcast_form(rng, shape):
 
 def _l0_disk_nodes(radius, gap, offset):
     """The L0 lines (s, 0, 0) and (0, t, gap), both moved by offset along
-    (1, 1, 1), at the 16 x 16 Gauss-Legendre nodes of the polar chart of
-    the radius-R parameter disk: one fine panel side of the engine."""
+    (1, 1, 1), at the 16 x 16 Gauss-Legendre nodes of a polar rule on the
+    radius-R parameter disk: a 256-node cloud as large as one side of an
+    engine panel, spread over R as the kernel's inputs can be."""
     g, _ = np.polynomial.legendre.leggauss(16)
     r = 0.5 * radius * (g + 1.0)
     phi = np.pi * (g + 1.0)

@@ -275,8 +275,9 @@ def test_wrong_shape_integrand_is_rejected():
 @pytest.mark.parametrize("gap", [1e-7, 5e-7])
 @pytest.mark.parametrize("route", ["holo", "clink", "gauss"])
 def test_lines_closer_than_the_guard_raise(gap, route):
-    # the lines (s, 0, 0) and (0, t, gap) come closest at the centre of
-    # both windows, where no fixed sample grid of the disk need fall
+    # the lines (s, 0, 0) and (0, t, gap) come closest at s = t = 0, the
+    # centre of both charts (whole line or whole plane), where no fixed
+    # sample grid need fall
     c1 = hl.ParamCurve.line((0, 0, 0), (1, 0, 0))
     c2 = hl.ParamCurve.line((0, 0, gap), (0, 1, 0))
     cfg, ctx = hl.QuadConfig(tol=1e-6), hl.BMContext()
