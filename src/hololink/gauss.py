@@ -161,6 +161,8 @@ class Polyline3:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
+        if not np.isfinite(v).all():
+            raise ValueError("polyline has a non-finite vertex")
         if v.shape[0] >= 2 and np.allclose(v[0], v[-1]):
             v = v[:-1]
         object.__setattr__(self, "vertices", v)

