@@ -17,8 +17,8 @@ from .errors import (CalibrationUnstable, CoincidentPoints, CurvesTooClose,
                      NonGenericHyperplanes, NonSimpleRoot, NumericalError,
                      ParamAtPuncture, ParamOutOfDomain, PoleCollision,
                      PVNotConverging, SceneError, SceneInvalid)
-from .gauss import (Polyline3, crossing_linking, gauss_integrand,
-                    gauss_linking, line_gauss_closed)
+from .gauss import (Polyline3, certified_polylines, crossing_linking,
+                    gauss_integrand, gauss_linking, line_gauss_closed)
 from .geometry import (AmbientForm, NormalizationConstants, OneForm,
                        ParamCurve, Poly3, Scene, SurfaceCut, det3, evaluate,
                        validate_scene)

@@ -20,8 +20,8 @@ plucker_rows, forms the rows of every kernel. The complex kernels call it
 about c (the mean of the two clouds' means), which keeps that ratio near
 panel extent / gap. gauss_grid takes the rows themselves, built about any
 origin shared by both clouds, so the Gauss route forms every node's row
-once per refinement round, on its curve side, and each kernel call only
-slices them.
+once per chunk of a refinement round, on its curve side, and each kernel
+call only slices them.
 
 ||x-y||^2 is summed from direct coordinate differences. The expansion
 ||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
@@ -55,7 +55,9 @@ has the bits of the 2-D call on that panel alone.
 crossing_sum finds the segment pairs whose grown bounding boxes overlap by
 a sorted sweep on x rather than an n x m test. It keeps exactly the pairs
 the four exact comparisons pass, in row-major order, so the signed sum and
-the degenerate flag do not depend on how the pairs are found.
+the degenerate flag do not depend on how the pairs are found. polyline_dist
+runs the same sweep on 3-D boxes grown by its reach, and measures only the
+segment pairs it keeps.
 """
 
 import numpy as np
@@ -239,6 +241,43 @@ def min_dist(a, b):
     return np.sqrt(best)
 
 
+def polyline_dist(v1, v2, reach):
+    """The minimum distance between two closed polylines, vertices (n, 3)
+    and (m, 3) (segment i runs v[i] -> v[(i+1) % n]), when it is at most
+    reach; otherwise some value above reach (inf when no pair of segments
+    comes within reach).
+
+    Only segment pairs whose bounding boxes come within reach of each other
+    on every axis are measured, found by the sorted sweep of
+    _overlapping_boxes on the first polyline's boxes grown by reach: two
+    segments within reach of each other pass it. Each measured pair's
+    distance is that of its closest points (Ericson, Real-Time Collision
+    Detection, 2005, sec. 5.1.9): the first line's closest parameter s,
+    clamped to [0, 1] (s = 0 for nearly parallel segments), the second
+    segment's t closest to that point, and where t leaves [0, 1], t
+    clamped and s solved again for it."""
+    a, b, c, d = v1, np.roll(v1, -1, axis=0), v2, np.roll(v2, -1, axis=0)
+    i, j = _overlapping_boxes(np.minimum(a, b) - reach,
+                              np.maximum(a, b) + reach,
+                              np.minimum(c, d), np.maximum(c, d))
+    if not len(i):
+        return np.inf
+    a, u, c, w = a[i], b[i] - a[i], c[j], d[j] - c[j]
+    r = a - c
+    uu, ww, uw = (np.sum(x * y, axis=1) for x, y in ((u, u), (w, w), (u, w)))
+    ur, wr = np.sum(u * r, axis=1), np.sum(w * r, axis=1)
+    denom = uu * ww - uw * uw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 1e-12 * uu * ww,
+                     np.clip((uw * wr - ur * ww) / denom, 0.0, 1.0), 0.0)
+    t = (uw * s + wr) / ww
+    s = np.where(t < 0.0, np.clip(-ur / uu, 0.0, 1.0),
+                 np.where(t > 1.0, np.clip((uw - ur) / uu, 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    gap = r + s[:, None] * u - t[:, None] * w
+    return float(np.sqrt(np.min(np.sum(gap * gap, axis=1))))
+
+
 def crossing_sum(p1, d1, p2, d2):
     """Signed sum over projected segment crossings.
 
@@ -319,16 +358,16 @@ def crossing_sum(p1, d1, p2, d2):
 
 def _overlapping_boxes(lo1, hi1, lo2, hi2):
     """Index pairs (i, j), in row-major order, of the boxes [lo1_i, hi1_i]
-    and [lo2_j, hi2_j] (rows of (n, 2) and (m, 2) arrays) that overlap:
-    the pairs that pass the four comparisons lo1 <= hi2 and lo2 <= hi1 on
-    each axis.
+    and [lo2_j, hi2_j] (rows of (n, k) and (m, k) arrays) that overlap:
+    the pairs that pass the comparisons lo1 <= hi2 and lo2 <= hi1 on each
+    axis.
 
     A sorted sweep on x finds them without the n x m test: the second
     boxes are sorted by their low x edge, and each first box takes the run
     of them whose low edge lies between its own low edge less twice the
     widest second box and its own high edge. Every second box that meets
     it in x is in that run: a computed width is at least half the exact
-    one, and rounding is monotone. Only the run's pairs go through the four
+    one, and rounding is monotone. Only the run's pairs go through the
     exact comparisons."""
     order = np.argsort(lo2[:, 0], kind="stable")
     edges = lo2[order, 0]
@@ -339,8 +378,9 @@ def _overlapping_boxes(lo1, hi1, lo2, hi2):
     i = np.repeat(np.arange(len(lo1)), counts)
     first = np.repeat(start - (np.cumsum(counts) - counts), counts)
     j = order[first + np.arange(len(i))]
-    keep = ((lo1[i, 0] <= hi2[j, 0]) & (lo2[j, 0] <= hi1[i, 0])
-            & (lo1[i, 1] <= hi2[j, 1]) & (lo2[j, 1] <= hi1[i, 1]))
+    keep = (lo1[i, 0] <= hi2[j, 0]) & (lo2[j, 0] <= hi1[i, 0])
+    for a in range(1, lo1.shape[1]):
+        keep &= (lo1[i, a] <= hi2[j, a]) & (lo2[j, a] <= hi1[i, a])
     pairs = i[keep] * len(lo2) + j[keep]
     # a stable argsort is the sort the library already runs; the first call
     # of any other numpy sort maps its code, about 0.3 MB more resident

@@ -10,17 +10,23 @@ pin down.
 The integral route evaluates that kernel as a product of Plucker rows
 [dx | m_x] and [m_y | dy], with the moments m = (p - o) x dp taken about
 one origin o shared by both curves (the mean of their generic points).
-Each curve side forms the rows of its nodes, so the rows of a whole
-refinement round come with the one side call that evaluates the round's
+Each curve side forms the rows of its nodes, so the rows of a chunk of a
+refinement round come with the one side call that evaluates the chunk's
 nodes, and each per-panel kernel call only slices them. The kernel calls
 read coordinate-major clouds and write their grids in place, and the
-round's weights are contracted against those grids by two stacked matrix
-products per block of panels (_gauss_integrand).
+chunk's weights are contracted against those grids by two stacked matrix
+products per block of panels (_gauss_integrand). A closed curve's side
+carries its Fourier speed bound (ParamCurve.derivative_bound), so the
+engine's proximity check covers its samples by a certified radius.
 
 The crossing route samples each curve's positions alone
 (Polyline3.from_curve) and sums the signed crossings of the projected
 segment pairs whose bounding boxes overlap, found by a sorted sweep
-(_kernels.crossing_sum).
+(_kernels.crossing_sum). certified_polylines chooses the sample count: a
+closed curve's Fourier bound on |x''| bounds how far each chord sags from
+its arc, and the count doubles until the polylines are farther apart than
+twice the two sags, so that moving each polyline onto its curve cannot
+make them meet and their linking number is the curves'.
 """
 
 from dataclasses import dataclass
@@ -28,15 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (CoincidentPoints, DegenerateConfiguration,
-                     DegenerateProjection, MethodInapplicable)
+from .errors import (CoincidentPoints, CurvesTooClose,
+                     DegenerateConfiguration, DegenerateProjection,
+                     MethodInapplicable)
 from .geometry import det3
-from .quadrature import (Interval, RealLine, Side, generic_params,
+from .quadrature import (_MIN_DIST, Interval, RealLine, Side, generic_params,
                          integrate_product)
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
 CROSSING_TRIES = 16  # projection directions crossing_linking tries
+CROSSING_MAX_SAMPLES = 1 << 16  # certified_polylines doubles up to this
 
 
 def gauss_integrand(x, dx, y, dy):
@@ -69,11 +77,15 @@ def _plucker_side(curve, origin, first):
     """The curve's side for the Gauss kernel: points and their Plucker rows
     about the shared origin, [dx | m] for the first curve and [m | dy] for
     the second, formed once per call for every node of a refinement
-    round; its positions path evaluates no velocity."""
+    round; its positions path evaluates no velocity. A closed curve's side
+    carries its Fourier speed bound, which certifies the engine's
+    proximity check; a line's carries none."""
     def side(params):
         pts, vel = _real_points(curve, params)
         return pts, _kernels.plucker_rows(pts, vel, origin, first)
-    return Side(side, lambda params: _real(curve.positions(params)))
+    speed = (curve.derivative_bound(1) if curve.kind == "real_closed"
+             else None)
+    return Side(side, lambda params: _real(curve.positions(params)), speed)
 
 
 def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
@@ -176,6 +188,41 @@ class Polyline3:
     def from_curve(cls, curve, n=512):
         params = np.linspace(0.0, 1.0, n, endpoint=False)
         return cls(np.asarray(curve.positions(params), dtype=float))
+
+
+def certified_polylines(curve1, curve2, samples):
+    """Polylines of two real_closed curves on n evenly spaced parameters
+    each, with n doubled from samples until they certify the curves'
+    linking number, and that n: (p1, p2, n).
+
+    A chord of parameter step h = 1/n lies within h^2 B / 8 of its arc, B
+    the curve's Fourier bound on |x''| (ParamCurve.derivative_bound), at
+    every parameter. Once the two sags sum to less than half the polylines'
+    minimum distance (_kernels.polyline_dist), sliding each polyline onto
+    its curve along those parameters keeps the two apart, so the polylines
+    link as the curves do. The polylines' distance plus the sags bounds the
+    curves' distance from above; CurvesTooClose is raised as soon as that
+    bound falls below 1e-6, and when CROSSING_MAX_SAMPLES samples still do
+    not certify the pair."""
+    bends = curve1.derivative_bound(2) + curve2.derivative_bound(2)
+    n = samples
+    while True:
+        p1, p2 = (Polyline3.from_curve(c, n) for c in (curve1, curve2))
+        sag = bends / (8.0 * n * n)
+        gap = _kernels.polyline_dist(p1.vertices, p2.vertices, 2.0 * sag)
+        if gap + sag < _MIN_DIST:
+            raise CurvesTooClose(
+                f"the curves come within {gap + sag:.3e} < {_MIN_DIST:.0e}: "
+                f"their polylines on {n} samples are {gap:.3e} apart, with "
+                f"chord sags summing to {sag:.3e}")
+        if sag < 0.5 * gap:
+            return p1, p2, n
+        if n >= CROSSING_MAX_SAMPLES:
+            raise CurvesTooClose(
+                f"the curves' polylines on {n} samples come within {gap:.3e}, "
+                f"with chord sags summing to {sag:.3e}, too close to "
+                "certify their crossings")
+        n *= 2
 
 
 def _projection_frame(direction):

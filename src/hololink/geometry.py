@@ -310,8 +310,7 @@ class ParamCurve:
         vel = None
         if self.kind == "real_closed":
             k = np.arange(1, self.cos_rows.shape[0] + 1)
-            ang = TWO_PI * params[..., None] * k  # (..., K)
-            cos, sin = np.cos(ang), np.sin(ang)
+            cos, sin = _harmonics(TWO_PI * params, len(k))  # (..., K)
             pts = self.const + cos @ self.cos_rows + sin @ self.sin_rows
             if velocity:
                 vel = TWO_PI * ((-sin * k) @ self.cos_rows
@@ -322,6 +321,20 @@ class ParamCurve:
         if velocity:
             vel = poly_eval(column, self._velocity_coefficients)
         return poly_eval(column, self._coefficients), vel
+
+    def derivative_bound(self, order):
+        """A bound on |x'| (order 1) or |x''| (order 2), the euclidean norm,
+        over the whole of a real_closed curve:
+        sum_k (2 pi k)^order sqrt(|cos_row_k|^2 + |sin_row_k|^2). The k-th
+        harmonic's derivative is (2 pi k)^order times a unit combination
+        (+-cos, +-sin) of its two rows, whose norm Cauchy-Schwarz bounds by
+        that root."""
+        if self.kind != "real_closed" or order not in (1, 2):
+            raise ValueError("derivative bounds are for real_closed curves, "
+                             "of order 1 or 2")
+        k = np.arange(1, len(self.cos_rows) + 1)
+        rows = np.sqrt(np.sum(self.cos_rows ** 2 + self.sin_rows ** 2, axis=1))
+        return float(np.sum((TWO_PI * k) ** order * rows))
 
     @cached_property
     def _coefficients(self):
@@ -402,6 +415,27 @@ class ParamCurve:
         distance scans, genericity probes): one read-only array shared by
         every curve of the same kind and domain."""
         return _sample_grid(self.kind, self.domain, n)
+
+
+def _harmonics(angle, count):
+    """cos(k angle) and sin(k angle) for k = 1..count, each
+    angle.shape + (count,): k = 1 from np.cos and np.sin, every higher k
+    from the one before by angle addition, cos((k+1) a) = cos(k a) cos(a)
+    - sin(k a) sin(a) and sin((k+1) a) = sin(k a) cos(a) + cos(k a) sin(a).
+    Each step rounds a few times, so harmonic k is within a few k ulp of
+    np.cos(k angle). The harmonics are built as the rows of (count, size)
+    arrays and returned as transposed views."""
+    flat = np.ravel(angle)
+    cos = np.empty((count, flat.size))
+    sin = np.empty_like(cos)
+    if count:
+        np.cos(flat, out=cos[0])
+        np.sin(flat, out=sin[0])
+    for k in range(1, count):
+        np.subtract(cos[k - 1] * cos[0], sin[k - 1] * sin[0], out=cos[k])
+        np.add(sin[k - 1] * cos[0], cos[k - 1] * sin[0], out=sin[k])
+    shape = np.shape(angle) + (count,)
+    return cos.T.reshape(shape), sin.T.reshape(shape)
 
 
 @lru_cache(maxsize=256)
@@ -634,18 +668,16 @@ def _closed_stationary(curve, grid, pts, vel):
     points and velocities, or None once a bound certifies that it vanishes
     nowhere.
 
-    |x''| <= B = sum_k (2 pi k)^2 (|cos_row_k| + |sin_row_k|), with |.| the
-    largest component modulus, as _speeds reads speeds. On an interval of
-    length h whose ends have speeds s0 and s1 the speed is then at least
-    (s0 + s1 - B h) / 2, and the interval is certified when that is above
-    both ends' floors; the last interval wraps from the last sample to
-    t = 1, which is t = 0. The intervals left are halved, a level at a
-    time, with the midpoints of a level in one eval_batch call, until every
-    interval is certified, a midpoint's speed vanishes (the midpoint is
-    returned) or an interval is too short to halve (its start is)."""
-    k = np.arange(1, len(curve.cos_rows) + 1)
-    bound = np.sum((TWO_PI * k) ** 2 * (np.abs(curve.cos_rows).max(axis=1)
-                                        + np.abs(curve.sin_rows).max(axis=1)))
+    |x''| <= B = curve.derivative_bound(2), a bound on the euclidean norm
+    and so on the largest component modulus, as _speeds reads speeds. On
+    an interval of length h whose ends have speeds s0 and s1 the speed is
+    then at least (s0 + s1 - B h) / 2, and the interval is certified when
+    that is above both ends' floors; the last interval wraps from the last
+    sample to t = 1, which is t = 0. The intervals left are halved, a level
+    at a time, with the midpoints of a level in one eval_batch call, until
+    every interval is certified, a midpoint's speed vanishes (the midpoint
+    is returned) or an interval is too short to halve (its start is)."""
+    bound = curve.derivative_bound(2)
     speed, floor = _speeds(pts, vel)
     # per interval: start, end, the ends' speeds and the ends' floors
     ends = [grid, np.append(grid[1:], 1.0), speed, np.roll(speed, -1),

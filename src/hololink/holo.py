@@ -128,7 +128,7 @@ def holo_linking_integral(s1, s2, ctx, cfg):
     # the sides carry each form's numerator and denominator and only the
     # integrand divides: the engine samples curve positions at the
     # puncture itself, but integrates only at interior nodes. One kernel
-    # call takes the round's weights with the coefficients folded in and
+    # call takes the chunk's weights with the coefficients folded in and
     # returns its panel sums.
     def integrand(wa, x, dx, num1, den1, wb, y, dy, num2, den2):
         return _kernels.bm_grid(x, dx, y, dy, wa * (scale * (num1 / den1)),
@@ -245,7 +245,7 @@ def holo_line(s1, s2, ctx, cfg):
     scale = (AREA_FACTOR * ctx.prefactor * math.pi
              / (2.0 * np.vdot(e2, e2).real))
 
-    # one call per rule for the whole round: w and u are (P, n)
+    # one call per rule for the whole chunk: w and u are (P, n)
     def integrand(w, u):
         offset = poly_eval(u[..., None], perp)
         area = np.sum(offset.real ** 2 + offset.imag ** 2, axis=-1)
@@ -289,7 +289,7 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
     dom_b = domain_for_curve(curve2)
     scale = AREA_FACTOR * ctx.prefactor
 
-    # one kernel call per rule per round: the (P,) panel sums
+    # one kernel call per rule per chunk: the (P,) panel sums
     def integrand(wa, x, dx, wb, y, dy):
         return scale * _kernels.clink_grid(x, dx, y, dy, wa, wb)
 

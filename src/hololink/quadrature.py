@@ -22,7 +22,13 @@ does it integrate all of them. These proximity samples are the only
 curve-distance sampler: they cover every initial cell in the first pass and
 then follow the unresolved panels down to wherever the curves come close,
 and a sampled distance below 1e-6 raises CurvesTooClose before any
-integrand call of the round.
+integrand call of the round. A panel is resolved when its closest sampled
+approach exceeds the two pieces' covering radii. A side that carries a
+speed bound B (Side.speed; for a closed curve, the Fourier bound
+ParamCurve.derivative_bound(1)) on an Interval is covered by the certified
+radius B h / 2, h the samples' parameter step, so a resolved panel is
+proved clear; it is sampled once per distinct side cell of a pass. Any
+other side is covered by half its samples' largest gap.
 
 Compact domains (Interval, Rect) are integrated as given, and a panel is
 halved along the axis of its largest spatial extent, measured on the curves
@@ -56,12 +62,15 @@ which poles are simple is the caller's decision, made from the form's
 polynomials before any integrand runs.
 
 A side maps a parameter array to a tuple of arrays, curve positions first;
-the default side is the parameters alone. A round integrates its panels
-with one call of each side, on the nodes of both rules together, and one
-call of the integrand per rule. In a product run each distinct cell of a
-side is evaluated once and its arrays are shared by every panel on it.
+the default side is the parameters alone. A round integrates its panels in
+chunks of whole panels, at most _kernels._BLOCK_PAIRS coarse-rule node
+pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one), so
+its node arrays never hold more than one chunk. A chunk takes one call of
+each side, on the nodes of both rules together, and one call of the
+integrand per rule. In a product run each distinct cell of a side is
+evaluated once per chunk and its arrays are shared by every panel on it.
 The integrand receives each side's jacobian-folded weights (P, n)
-before that side's arrays (P, n, ...), stacked over the round's P panels,
+before that side's arrays (P, n, ...), stacked over the chunk's P panels,
 and returns the (P,) weighted panel sums, so it can contract its values
 however is cheapest. The probe of a round is one more call of each side
 and of the integrand, on one-node panels whose weights are the chart
@@ -69,12 +78,12 @@ jacobians. per_panel adapts a kernel written for one panel. Each
 proximity check pass and each spatial halving takes one call per side for
 its samples, which read positions only (Side gives a path that computes
 nothing else), and a pass's distances are one stacked _kernels.min_dist
-call. Errors, covering radii and flags
-are array operations over the round, and the round's panel sums are
-checked for finiteness together. Panel results are reduced by a fixed
-pairwise tree over geometrically sorted panels, so values do not depend on
-how a round is batched. Everything runs on one thread. Every result carries
-a QuadTrace saying how it was produced.
+call. Errors, covering radii and flags are array operations over the
+round, and each chunk's panel sums are checked for finiteness together.
+Panel results are reduced by a fixed pairwise tree over geometrically
+sorted panels, so values do not depend on how a round is chunked.
+Everything runs on one thread. Every result carries a QuadTrace saying how
+it was produced.
 """
 
 import cmath
@@ -124,19 +133,27 @@ class QuadTrace:
     skipped_per_round the panels halved in that round without being
     integrated, because their curve pieces could still touch,
     checks_per_round the proximity check passes the round ran before it
-    integrated (0 once every panel is resolved), and probed_per_round the
+    integrated (0 once every panel is resolved), probed_per_round the
     panels the round halved by error along an axis the probe chose over
-    the longest chart axis; deepest_split is the most halvings of any final
-    panel; max_depth_hit says whether max_depth kept a hot panel from being
-    refined or held more error than the target. phase_s gives the wall
-    seconds spent resolving proximity, evaluating the sides at the rules'
-    nodes, in the integrand's two rule evaluations, in the probe and in the
-    reduction; being timings, they take no part in comparing traces."""
+    the longest chart axis, and chunks_per_round the chunks the round
+    integrated its panels in. radius names, per side of a run with curves
+    on both sides, the covering radius of its proximity samples: "fourier"
+    where the side's speed bound (for a closed curve, the bound its
+    Fourier coefficients give) certifies it, "sampled" where the samples'
+    own gaps set it; it is empty without two curves. deepest_split is the
+    most halvings of any final panel; max_depth_hit says whether max_depth
+    kept a hot panel from being refined or held more error than the
+    target. phase_s gives the wall seconds spent resolving proximity,
+    evaluating the sides at the rules' nodes, in the integrand's two rule
+    evaluations, in the probe and in the reduction; being timings, they
+    take no part in comparing traces."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
     checks_per_round: tuple = ()
     probed_per_round: tuple = ()
+    chunks_per_round: tuple = ()
+    radius: tuple = ()
     deepest_split: int = 0
     max_depth_hit: bool = False
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0),
@@ -148,6 +165,8 @@ class QuadTrace:
                 "skipped_per_round": list(self.skipped_per_round),
                 "checks_per_round": list(self.checks_per_round),
                 "probed_per_round": list(self.probed_per_round),
+                "chunks_per_round": list(self.chunks_per_round),
+                "radius": list(self.radius),
                 "deepest_split": self.deepest_split,
                 "max_depth_hit": self.max_depth_hit,
                 "phase_s": dict(self.phase_s)}
@@ -322,11 +341,14 @@ class Side:
     first; positions(params) gives those positions alone, with the same
     bits, and is what the proximity and split-axis samples read. A side
     given as a plain callable has its positions read off its first
-    array."""
+    array. speed, when given, bounds the curve's speed |dx/dt| over its
+    whole parameter domain; on an Interval the proximity check then covers
+    the side's samples by a certified radius (_Engine._unresolved)."""
 
-    def __init__(self, arrays, positions):
+    def __init__(self, arrays, positions, speed=None):
         self.arrays = arrays
         self.positions = positions
+        self.speed = speed
 
     def __call__(self, params):
         return self.arrays(params)
@@ -386,10 +408,12 @@ class _Engine:
 
     Each round first resolves proximity: check passes over the pending
     panels, halving the unresolved ones short of max_depth, until none is
-    left to halve. It then evaluates each side once, on the nodes of both
-    rules of each distinct side cell (_side_rules), and integrates every
-    pending panel with one call of the integrand per rule, on the round's
-    stacked weights and arrays; the integrand returns the (P,) panel sums.
+    left to halve; a side with a speed bound is covered by its certified
+    radius (_unresolved). It then integrates the pending panels a chunk of
+    self.chunk whole panels at a time: each side once, on the nodes of both
+    rules of each distinct side cell of the chunk (_side_rules), and one
+    call of the integrand per rule, on the chunk's stacked weights and
+    arrays; the integrand returns the (P,) panel sums.
     The split-axis samples of a spatial halving and the proximity samples
     of a check pass likewise take one call per side, of its positions
     only, a pass's distances one stacked min_dist call, and the errors and
@@ -409,6 +433,17 @@ class _Engine:
         self.positions = tuple(map(_positions_of, self.sides))
         # the curve distance rules need a curve on both sides
         self.curves = dom_b is not None and None not in (side_a, side_b)
+        # per side, the speed bound that certifies its covering radius: only
+        # on an Interval, whose chart is the curve's own parameter
+        self.speeds = tuple(getattr(side, "speed", None)
+                            if isinstance(dom, Interval) else None
+                            for side, dom in zip(self.sides, self.doms))
+        self.radii = (tuple("sampled" if b is None else "fourier"
+                            for b in self.speeds) if self.curves else ())
+        # whole panels per integration chunk: at most _BLOCK_PAIRS pairs of
+        # coarse-rule nodes (one panel when a panel has more)
+        pairs = math.prod(cfg.panel_order ** d.naxes for d in self.doms)
+        self.chunk = max(1, _kernels._BLOCK_PAIRS // pairs)
         cuts = np.cumsum([0] + [d.naxes for d in self.doms])
         self.axes = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
         self.whole = any(d.whole for d in self.doms)
@@ -585,25 +620,44 @@ class _Engine:
         """Per panel, True while the sampled pieces of the two curves could
         touch: the closest sampled approach is no larger than the sum of the
         pieces' covering radii. A close approach narrower than the node
-        spacing can then hide between all nodes of both rules. These
-        samples are also the CurvesTooClose guard: a sampled approach below
-        _MIN_DIST on any panel raises it. In a run with a whole domain the
-        samples stop at the reach of each chart, and distances and radii are
-        measured between compressed points (_compress); the guard reads the
-        true distances of the panels whose compressed ones are below
-        _MIN_DIST, which are all that can be, since _compress is
-        1-Lipschitz."""
+        spacing can then hide between all nodes of both rules. A side with a
+        speed bound B (self.speeds) covers its samples by the certified
+        radius B h / 2, h the parameter step of its grid: every point of its
+        piece lies within h / 2 of a sample in parameter, so within B h / 2
+        in space, and False is then a proof that the pieces are apart. Such
+        a side is sampled once per distinct side cell and gathered back to
+        the panels. A side without a bound covers its samples by their
+        largest gaps (_sample_pieces), which a bump narrower than the grid
+        step can slip past. These samples are also the CurvesTooClose
+        guard: a sampled approach below _MIN_DIST on any panel raises it.
+        In a run with a whole domain the samples stop at the reach of each
+        chart, and distances and radii are measured between compressed
+        points (_compress); the guard reads the true distances of the
+        panels whose compressed ones are below _MIN_DIST, which are all that
+        can be, since _compress is 1-Lipschitz."""
         m = self.cfg.panel_order + 1
         if self.whole:
             lo, hi = (np.clip(x, *self.reach) for x in (lo, hi))
         pieces, points = [], []
         for s, ax in enumerate(self.axes):
-            grid = [np.linspace(lo[:, a], hi[:, a], m, axis=-1)
-                    for a in range(ax.start, ax.stop)]
+            cell_lo, cell_hi = lo[:, ax], hi[:, ax]
+            speed = self.speeds[s]
+            if speed is not None:
+                first, inverse = _distinct(np.concatenate([cell_lo, cell_hi],
+                                                          axis=1))
+                cell_lo, cell_hi = cell_lo[first], cell_hi[first]
+            grid = [np.linspace(cell_lo[:, a], cell_hi[:, a], m, axis=-1)
+                    for a in range(cell_lo.shape[1])]
             params, _ = self.doms[s].chart(tuple(_mesh(grid)))
-            points.append(self._points(s, params))
-            pieces.append(self._sample_pieces(self._compress(points[-1]), m,
-                                              len(grid)))
+            pts = self._points(s, params)
+            if speed is None:
+                pieces.append(self._sample_pieces(self._compress(pts), m,
+                                                  len(grid)))
+            else:
+                pts = pts[inverse]
+                step = (cell_hi - cell_lo)[inverse, 0] / (m - 1)
+                pieces.append((self._compress(pts), 0.5 * step * speed))
+            points.append(pts)
         (pts_a, cover_a), (pts_b, cover_b) = pieces
         dists = _kernels.min_dist(pts_a, pts_b)
         true = dists
@@ -667,21 +721,33 @@ class _Engine:
     def _evaluate(self, pending):
         """The pending panels, resolved (_resolve) and then integrated: the
         values (the finer rule) and errors (against the coarser one) of
-        every panel, with the number of panels halved unintegrated and of
-        check passes. Resolving comes first, so curves that meet fail as
-        CurvesTooClose before any integrand call of the round."""
+        every panel, with the number of panels halved unintegrated, of
+        check passes and of integration chunks. Resolving comes first, so
+        curves that meet fail as CurvesTooClose before any integrand call
+        of the round. The panels are integrated in chunks of self.chunk
+        whole panels, in order, each with its own side calls and integrand
+        calls, so a round's node arrays never hold more than one chunk;
+        each panel's sum is its own, so the values do not depend on the
+        chunks."""
         with self._timed("resolve"):
             pending, halved, passes = self._resolve(pending)
-        lo, hi = pending.bounds[..., 0], pending.bounds[..., 1]
-        with self._timed("sides"):
-            rules = list(zip(*(self._side_rules(s, lo, hi)
-                               for s in range(len(self.doms)))))
-        with self._timed("rules"):
-            coarse, value = (self._values(blocks, lo, hi) for blocks in rules)
+        parts = []
+        for start in range(0, len(pending.bounds), self.chunk):
+            bounds = pending.bounds[start:start + self.chunk]
+            lo, hi = bounds[..., 0], bounds[..., 1]
+            with self._timed("sides"):
+                rules = list(zip(*(self._side_rules(s, lo, hi)
+                                   for s in range(len(self.doms)))))
+            with self._timed("rules"):
+                parts.append([self._values(blocks, lo, hi)
+                              for blocks in rules])
+            del rules  # one chunk's node arrays at a time
+        coarse, value = (np.concatenate(p) for p in zip(*parts))
         diff = value - coarse
         # the bits of abs(complex), which np.abs does not always give
         err = np.hypot(diff.real, diff.imag)
-        return pending._replace(value=value, err=err), halved, passes
+        return (pending._replace(value=value, err=err), halved, passes,
+                len(parts))
 
     def _halves(self, panels, axis=None):
         """Both halves of each panel, cut along the given axis per panel or,
@@ -710,7 +776,7 @@ class _Engine:
         """Refine until the summed panel error is within tol of the total
         and no panel is unresolved. Each round resolves proximity and then
         integrates all its pending panels (_evaluate), so each side runs
-        once and the integrand twice per round; in a run with a whole
+        once and the integrand twice per chunk; in a run with a whole
         domain, a round that refines by error runs both once more, for the
         split probe (_probe_axes). The entry points' batch check adds one
         call per run.
@@ -726,13 +792,14 @@ class _Engine:
         """
         pending = self._initial()
         done = None
-        rounds, skipped, checks, probed = [], [], [], []
+        rounds, skipped, checks, probed, chunks = [], [], [], [], []
         depth_hit = converged = False
         while True:
-            panels, halved, passes = self._evaluate(pending)
+            panels, halved, passes, parts = self._evaluate(pending)
             rounds.append(len(panels.bounds))
             skipped.append(halved)
             checks.append(passes)
+            chunks.append(parts)
             probed.append(0)
             with self._timed("reduce"):
                 if done is not None:
@@ -767,6 +834,8 @@ class _Engine:
                           skipped_per_round=tuple(skipped),
                           checks_per_round=tuple(checks),
                           probed_per_round=tuple(probed),
+                          chunks_per_round=tuple(chunks),
+                          radius=self.radii,
                           deepest_split=int(panels.splits.max()),
                           max_depth_hit=depth_hit,
                           phase_s=dict(self.seconds))
@@ -851,14 +920,15 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
     A side maps a parameter array to a tuple of arrays, curve positions
     first (default: the parameters alone, with no curve); a Side also
     gives the positions alone, for the engine's samples. The integrand is
-    called once per rule per refinement round as f(wa, *side_a_arrays, wb,
-    *side_b_arrays), stacked over the round's P panels: wa (P, na) and wb
+    called once per rule per chunk of a round as f(wa, *side_a_arrays, wb,
+    *side_b_arrays), stacked over the chunk's P panels: wa (P, na) and wb
     (P, nb) are the jacobian-folded weights and each array is (P, na, ...)
     or (P, nb, ...). It returns the (P,) weighted panel sums, each panel's
     wa @ K @ wb of its pair values K, which it need not form; anything but
     a (P,) array raises TypeError. per_panel adapts a kernel written for
     one panel's slices. On compact domains positions measure panel extents
-    for the split axis. With both sides given, panels whose curve pieces
+    for the split axis. A Side's speed bound, on an Interval, certifies
+    the proximity check's covering radius. With both sides given, panels whose curve pieces
     could touch are halved, before any of the round's integrand calls,
     until the samples resolve the gap, and those proximity samples raise
     CurvesTooClose where the curves come within 1e-6. A Plane or RealLine

@@ -6,10 +6,13 @@ integrated whole, with no truncation), convergence state, the constants
 and quadrature configuration that produced it, and wall time. Integral
 methods add extra["trace"]: the quadrature trace (rounds, panels
 integrated per round, panels halved per round without being integrated,
-check passes per round, panels per round cut along a probed axis, deepest
-split, whether max_depth stopped a hot panel, seconds per engine phase)
-and the worker count. Reports serialize to JSON (deterministic except
-wall_time_ms and the trace's phase_s timings) and to fixed-column CSV.
+check passes per round, panels per round cut along a probed axis, chunks
+per round, which covering radius each curve side's proximity samples
+used, deepest split, whether max_depth stopped a hot panel, seconds per
+engine phase) and the worker count. gauss_crossing adds extra["samples"],
+the sample count certified_polylines settled on. Reports serialize to
+JSON (deterministic except wall_time_ms and the trace's phase_s timings)
+and to fixed-column CSV.
 """
 
 import json
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__, scenes as _scenes
 from .errors import (CalibrationUnstable, MethodInapplicable, NumericalError,
                      SceneInvalid)
-from .gauss import (Polyline3, crossing_linking, gauss_linking,
+from .gauss import (certified_polylines, crossing_linking, gauss_linking,
                     line_gauss_closed)
 from .geometry import NormalizationConstants, poly_deg
 from .holo import (BMContext, complex_linking_number, holo_line,
@@ -230,10 +233,9 @@ def compute(scene, method, cfg, seed=0):
     if method == "gauss_integral":
         res = gauss_linking(c1, c2, cfg)
     elif method == "gauss_crossing":
-        pl1 = Polyline3.from_curve(c1, CROSSING_SAMPLES)
-        pl2 = Polyline3.from_curve(c2, CROSSING_SAMPLES)
+        pl1, pl2, samples = certified_polylines(c1, c2, CROSSING_SAMPLES)
         value = float(crossing_linking(pl1, pl2, seed=seed))
-        extra = {"samples": CROSSING_SAMPLES}
+        extra = {"samples": samples}
     elif method == "gauss_closed":
         (p1, e1), (p2, e2) = c1.line_frame(), c2.line_frame()
         value = line_gauss_closed(e1.real, e2.real, (p2 - p1).real)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import _kernels, scenes
+from hololink import _kernels, report, scenes
 from hololink.gauss import (DEFAULT_DIRECTION, _gauss_integrand,
                             _projection_frame)
 # the (1, 1) torus-curve pair of the engine's batching tests
@@ -448,3 +448,55 @@ def test_near_ring_integral_gives_linking_number(gap, angle, linked, tol):
                            hl.QuadConfig(tol=tol))
     assert res.converged
     assert abs(res.value - int(linked)) < tol
+
+
+# the same rings by the crossing route: at angle 3.1 the ring threads the
+# unit circle between two of its 512 vertices, where the chord sags about
+# 1.9e-5 inside the arc, so 512 samples alone miscount the 1e-5 and 2e-6
+# rings; the route doubles its samples until the sags certify the count
+@pytest.mark.parametrize("gap, samples", [(1e-4, 512), (1e-5, 2048),
+                                          (2e-6, 4096)])
+@pytest.mark.parametrize("linked", [True, False])
+def test_near_ring_crossing_route_gives_linking_number(gap, samples, linked):
+    scene = hl.Scene(curves={"c1": _UNIT_CIRCLE,
+                             "c2": _small_ring(gap, 3.1, linked)},
+                     scene_id="near_ring")
+    rep = report.compute(scene, "gauss_crossing", hl.QuadConfig())
+    assert rep.value == int(linked)
+    assert rep.extra["samples"] == samples
+    if linked and gap < 1e-4:
+        # what the fixed 512 samples gave
+        assert hl.crossing_linking(
+            *(hl.Polyline3.from_curve(c, 512)
+              for c in (_UNIT_CIRCLE, _small_ring(gap, 3.1)))) == 0
+
+
+@pytest.mark.parametrize("gap", [2e-7, 5e-7])
+@pytest.mark.parametrize("linked", [True, False])
+def test_crossing_route_raises_on_curves_within_the_guard(gap, linked):
+    with pytest.raises(hl.CurvesTooClose, match="come within"):
+        hl.certified_polylines(_UNIT_CIRCLE, _small_ring(gap, 3.1, linked),
+                               report.CROSSING_SAMPLES)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polyline_distance_matches_dense_sampling(seed):
+    # the closest points of every segment pair, against points 1/400 of a
+    # segment apart on both polylines: never above their minimum, and
+    # below it by no more than the spacing allows
+    rng = np.random.default_rng(seed)
+    v1 = rng.normal(size=(int(rng.integers(3, 12)), 3))
+    v2 = rng.normal(size=(int(rng.integers(3, 12)), 3)) + rng.normal(size=3)
+    s = np.linspace(0.0, 1.0, 401)[:, None, None]
+
+    def dense(v):
+        return (v + s * (np.roll(v, -1, axis=0) - v)).reshape(-1, 3)
+
+    a, b = dense(v1), dense(v2)
+    sampled = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1)).min()
+    step = max(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).max()
+               for v in (v1, v2)) / 400
+    got = _kernels.polyline_dist(v1, v2, 100.0)
+    assert sampled - step <= got <= sampled + 1e-12
+    # a reach below the distance measures nothing or says so
+    assert _kernels.polyline_dist(v1, v2, 0.5 * got) > 0.5 * got

@@ -826,3 +826,50 @@ def test_random_polynomial_scene_retries_rejections_only(monkeypatch):
     with pytest.raises(TypeError, match="defect"):
         hl.scenes.random_polynomial_scene(0)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the Fourier derivative bound and the harmonic recurrence
+
+@pytest.mark.parametrize("seed", range(5))
+def test_derivative_bounds_hold_on_dense_samples(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    curve = hl.ParamCurve.real_closed(rng.normal(size=3),
+                                      rng.normal(size=(k, 3)),
+                                      rng.normal(size=(k, 3)))
+    t = np.linspace(0.0, 1.0, 4096, endpoint=False)
+    speed = np.linalg.norm(curve.eval_batch(t)[1], axis=1)
+    assert speed.max() <= curve.derivative_bound(1)
+    # x'' by the central difference of x', which is exact up to O(h^2)
+    h = 1e-5
+    bend = np.linalg.norm(curve.eval_batch(t + h)[1]
+                          - curve.eval_batch(t - h)[1], axis=1) / (2 * h)
+    assert bend.max() <= curve.derivative_bound(2) * (1 + 1e-6)
+    # the unit circle: |x'| = 2 pi, and the bound is sqrt(2) times that
+    assert _CIRCLE.derivative_bound(1) == pytest.approx(
+        2 * math.pi * math.sqrt(2), rel=1e-15)
+
+
+def test_derivative_bounds_are_for_closed_curves_of_order_one_or_two():
+    with pytest.raises(ValueError):
+        _CIRCLE.derivative_bound(3)
+    with pytest.raises(ValueError):
+        hl.ParamCurve.line((0, 0, 0), (1, 0, 0)).derivative_bound(1)
+
+
+def test_harmonic_recurrence_is_within_a_few_ulp_per_harmonic():
+    # angle addition from harmonic 1 against np.cos / np.sin of each
+    # harmonic's own angle, over a closed curve's parameters [0, 1]
+    rng = np.random.default_rng(0)
+    t = np.concatenate([np.linspace(0.0, 1.0, 2001), rng.uniform(size=5000)])
+    angle = hl.geometry.TWO_PI * t
+    cos, sin = hl.geometry._harmonics(angle, 32)
+    k = np.arange(1, 33)
+    ulp = k * np.finfo(float).eps
+    assert np.all(np.abs(cos - np.cos(angle[:, None] * k)) <= 4 * ulp)
+    assert np.all(np.abs(sin - np.sin(angle[:, None] * k)) <= 4 * ulp)
+    # harmonic 1 is np.cos / np.sin itself, and a scalar angle works
+    assert np.array_equal(cos[:, 0], np.cos(angle))
+    one = hl.geometry._harmonics(angle[7], 3)
+    assert np.array_equal(one[0], cos[7, :3])

@@ -100,11 +100,18 @@ def test_residue_report_is_raw_value(cfg):
 
 
 TRACE_KEYS = {"rounds", "panels_per_round", "skipped_per_round",
-              "checks_per_round", "probed_per_round", "deepest_split",
-              "max_depth_hit", "phase_s", "workers"}
+              "checks_per_round", "probed_per_round", "chunks_per_round",
+              "radius", "deepest_split", "max_depth_hit", "phase_s",
+              "workers"}
 # the trace's phase_s keys: resolving proximity, evaluating the sides at
 # the rules' nodes, the integrand's rules, the split probe, the reduction
 PHASE_KEYS = {"resolve", "sides", "rules", "probe", "reduce"}
+
+
+# the covering radius of each side's proximity samples: closed curves carry
+# their Fourier speed bound, lines carry none
+RADIUS = {"hopf": ["fourier", "fourier"], "skew_lines": ["sampled", "sampled"],
+          "L0": ["sampled", "sampled"]}
 
 
 @pytest.mark.parametrize("scene, method", [
@@ -118,6 +125,9 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method):
     assert set(trace) == TRACE_KEYS
     assert trace["rounds"] == len(trace["panels_per_round"]) >= 1
     assert len(trace["probed_per_round"]) == trace["rounds"]
+    assert len(trace["chunks_per_round"]) == trace["rounds"]
+    assert min(trace["chunks_per_round"]) >= 1
+    assert trace["radius"] == RADIUS[scene]
     assert set(trace["phase_s"]) == PHASE_KEYS
     assert sum(trace["panels_per_round"]) == rep.panels_evaluated
     assert trace["deepest_split"] >= 1
@@ -131,11 +141,13 @@ def test_trace_lists_the_panels_halved_unintegrated(fast_cfg):
     # separate the lines: the first round halves 5 panels unintegrated over
     # 4 check passes, then integrates the 6 resolved ones; two more rounds
     # refine by error alone, the second round's two panels cut along the
-    # axis the probe picked over their longest chart axis
+    # axis the probe picked over their longest chart axis; four-axis panels
+    # take 16 to a chunk, so each round is one chunk
     rep = report.compute(scenes.l0(), "holo_integral", fast_cfg)
     trace = json.loads(report.report_to_json(rep))["extra"]["trace"]
     assert trace["rounds"] == 3
     assert trace["panels_per_round"] == [6, 4, 4]
+    assert trace["chunks_per_round"] == [1, 1, 1]
     assert trace["skipped_per_round"] == [5, 0, 0]
     assert trace["checks_per_round"] == [4, 0, 0]
     assert trace["probed_per_round"] == [0, 2, 0]
@@ -338,8 +350,9 @@ def test_xcheck_passes_on_a_tangent_cut(tangent_cut_scene):
 def test_xcheck_close_pair_fails(fast_cfg):
     result = report.xcheck(scenes.close_pair(), fast_cfg)
     assert result.verdict == "FAIL"
-    assert {f["error"] for f in result.failures} == {"CurvesTooClose",
-                                                     "DegenerateProjection"}
+    # the circles cross, so the crossing route's sample doubling ends in
+    # CurvesTooClose too, once the chord sags fall below 1e-6
+    assert [f["error"] for f in result.failures] == ["CurvesTooClose"] * 2
 
 
 # ---------------------------------------------------------------------------
