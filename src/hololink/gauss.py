@@ -44,7 +44,8 @@ from .quadrature import (_MIN_DIST, Interval, RealLine, Side, generic_params,
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
 CROSSING_TRIES = 16  # projection directions crossing_linking tries
-CROSSING_MAX_SAMPLES = 1 << 16  # certified_polylines doubles up to this
+CROSSING_SAMPLES = 512  # certified_polylines starts from this many samples
+CROSSING_MAX_SAMPLES = 1 << 16  # and doubles them up to this
 
 
 def gauss_integrand(x, dx, y, dy):
@@ -173,27 +174,42 @@ class Polyline3:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        if not np.isfinite(v).all():
-            raise ValueError("polyline has a non-finite vertex")
         if v.shape[0] >= 2 and np.allclose(v[0], v[-1]):
             v = v[:-1]
-        object.__setattr__(self, "vertices", v)
-        if v.shape[0] < 3:
-            raise ValueError("polyline needs at least 3 distinct vertices")
-        nxt = np.roll(v, -1, axis=0)
-        if np.any(np.linalg.norm(nxt - v, axis=1) == 0.0):
-            raise ValueError("polyline has coincident consecutive vertices")
+        object.__setattr__(self, "vertices", _loop_vertices(v))
 
     @classmethod
     def from_curve(cls, curve, n=512):
+        """The polyline on the curve's samples at t = k/n, k < n.
+
+        All n samples are vertices, so every chord spans the parameter
+        step 1/n: t = 1 is left out, and a last sample that allclose puts
+        on the first (a fine sampling far from the origin) is kept, not
+        stripped as a repeated closing vertex."""
         params = np.linspace(0.0, 1.0, n, endpoint=False)
-        return cls(np.asarray(curve.positions(params), dtype=float))
+        pl = object.__new__(cls)
+        object.__setattr__(pl, "vertices", _loop_vertices(
+            np.asarray(curve.positions(params), dtype=float)))
+        return pl
 
 
-def certified_polylines(curve1, curve2, samples):
+def _loop_vertices(v):
+    """v, checked as the vertices of a closed polyline."""
+    if not np.isfinite(v).all():
+        raise ValueError("polyline has a non-finite vertex")
+    if v.shape[0] < 3:
+        raise ValueError("polyline needs at least 3 distinct vertices")
+    nxt = np.roll(v, -1, axis=0)
+    if np.any(np.linalg.norm(nxt - v, axis=1) == 0.0):
+        raise ValueError("polyline has coincident consecutive vertices")
+    return v
+
+
+def certified_polylines(curve1, curve2):
     """Polylines of two real_closed curves on n evenly spaced parameters
-    each, with n doubled from samples until they certify the curves'
-    linking number, and that n: (p1, p2, n).
+    each (Polyline3.from_curve), with n doubled from CROSSING_SAMPLES
+    until they certify the curves' linking number, and that n:
+    (p1, p2, n).
 
     A chord of parameter step h = 1/n lies within h^2 B / 8 of its arc, B
     the curve's Fourier bound on |x''| (ParamCurve.derivative_bound), at
@@ -205,7 +221,7 @@ def certified_polylines(curve1, curve2, samples):
     bound falls below 1e-6, and when CROSSING_MAX_SAMPLES samples still do
     not certify the pair."""
     bends = curve1.derivative_bound(2) + curve2.derivative_bound(2)
-    n = samples
+    n = CROSSING_SAMPLES
     while True:
         p1, p2 = (Polyline3.from_curve(c, n) for c in (curve1, curve2))
         sag = bends / (8.0 * n * n)

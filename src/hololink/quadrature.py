@@ -27,8 +27,8 @@ approach exceeds the two pieces' covering radii. A side that carries a
 speed bound B (Side.speed; for a closed curve, the Fourier bound
 ParamCurve.derivative_bound(1)) on an Interval is covered by the certified
 radius B h / 2, h the samples' parameter step, so a resolved panel is
-proved clear; it is sampled once per distinct side cell of a pass. Any
-other side is covered by half its samples' largest gap.
+proved clear. Any other side is covered by half its samples' largest gap.
+Either way a side is sampled once per distinct side cell of a pass.
 
 Compact domains (Interval, Rect) are integrated as given, and a panel is
 halved along the axis of its largest spatial extent, measured on the curves
@@ -521,11 +521,11 @@ class _Engine:
         """Each panel's value under one rule, whose blocks give per side the
         parameters, weights and arrays (_side_rules): the integrand's
         weighted sum over the panel's nodes, from one integrand call for
-        the round. The round's values are checked for finiteness together;
+        the chunk. The chunk's values are checked for finiteness together;
         a bad one raises NonFiniteIntegrand naming the first non-finite
         node of its panel or, when every node is finite, the overflowing
         sum."""
-        # one errstate for the round; an overflow or NaN shows in out below
+        # one errstate for the chunk; an overflow or NaN shows in out below
         with np.errstate(over="ignore", invalid="ignore"):
             out = _panel_sums(self.f, [a for blk in blocks for a in blk[1:]],
                               len(lo))
@@ -624,11 +624,13 @@ class _Engine:
         speed bound B (self.speeds) covers its samples by the certified
         radius B h / 2, h the parameter step of its grid: every point of its
         piece lies within h / 2 of a sample in parameter, so within B h / 2
-        in space, and False is then a proof that the pieces are apart. Such
-        a side is sampled once per distinct side cell and gathered back to
-        the panels. A side without a bound covers its samples by their
-        largest gaps (_sample_pieces), which a bump narrower than the grid
-        step can slip past. These samples are also the CurvesTooClose
+        in space, and False is then a proof that the pieces are apart. A
+        side without a bound covers its samples by their largest gaps
+        (_sample_pieces), which a bump narrower than the grid step can slip
+        past. Either way each side is sampled, and its radii found, once
+        per distinct side cell and gathered back to the panels; sampling,
+        _compress and the radii are row by row, so each panel gets the bits
+        of a sampling of its own. These samples are also the CurvesTooClose
         guard: a sampled approach below _MIN_DIST on any panel raises it.
         In a run with a whole domain the samples stop at the reach of each
         chart, and distances and radii are measured between compressed
@@ -640,30 +642,28 @@ class _Engine:
             lo, hi = (np.clip(x, *self.reach) for x in (lo, hi))
         pieces, points = [], []
         for s, ax in enumerate(self.axes):
-            cell_lo, cell_hi = lo[:, ax], hi[:, ax]
-            speed = self.speeds[s]
-            if speed is not None:
-                first, inverse = _distinct(np.concatenate([cell_lo, cell_hi],
-                                                          axis=1))
-                cell_lo, cell_hi = cell_lo[first], cell_hi[first]
+            first, inverse = _distinct(np.concatenate([lo[:, ax], hi[:, ax]],
+                                                      axis=1))
+            cell_lo, cell_hi = lo[first, ax], hi[first, ax]
             grid = [np.linspace(cell_lo[:, a], cell_hi[:, a], m, axis=-1)
                     for a in range(cell_lo.shape[1])]
             params, _ = self.doms[s].chart(tuple(_mesh(grid)))
             pts = self._points(s, params)
+            speed = self.speeds[s]
             if speed is None:
-                pieces.append(self._sample_pieces(self._compress(pts), m,
-                                                  len(grid)))
+                pts_c, cover = self._sample_pieces(self._compress(pts), m,
+                                                   len(grid))
             else:
-                pts = pts[inverse]
-                step = (cell_hi - cell_lo)[inverse, 0] / (m - 1)
-                pieces.append((self._compress(pts), 0.5 * step * speed))
-            points.append(pts)
+                pts_c = self._compress(pts)
+                cover = 0.5 * (cell_hi - cell_lo)[:, 0] / (m - 1) * speed
+            pieces.append((pts_c[inverse], cover[inverse]))
+            points.append((pts, inverse))
         (pts_a, cover_a), (pts_b, cover_b) = pieces
         dists = _kernels.min_dist(pts_a, pts_b)
         true = dists
         if self.whole:
             near = dists < _MIN_DIST
-            true = _kernels.min_dist(points[0][near], points[1][near])
+            true = _kernels.min_dist(*(p[inv[near]] for p, inv in points))
         close = true[true < _MIN_DIST]
         if close.size:
             raise CurvesTooClose(f"minimum sampled curve distance "

@@ -44,8 +44,6 @@ XCHECK_METHODS = (
     "holo_integral", "holo_pv", "holo_line", "holo_closed", "residue",
 )
 
-CROSSING_SAMPLES = 512
-
 
 @dataclass
 class Report:
@@ -233,7 +231,7 @@ def compute(scene, method, cfg, seed=0):
     if method == "gauss_integral":
         res = gauss_linking(c1, c2, cfg)
     elif method == "gauss_crossing":
-        pl1, pl2, samples = certified_polylines(c1, c2, CROSSING_SAMPLES)
+        pl1, pl2, samples = certified_polylines(c1, c2)
         value = float(crossing_linking(pl1, pl2, seed=seed))
         extra = {"samples": samples}
     elif method == "gauss_closed":

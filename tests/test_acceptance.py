@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import report, scenes
+from hololink import gauss, report, scenes
 
 TWO_PI5 = 2 * math.pi ** 5
 
@@ -23,14 +23,14 @@ def _line(num, label, detail):
 def test_01_hopf_and_split_match_crossing_route(cfg):
     sc = scenes.hopf()
     res = hl.gauss_linking(sc.curves["c1"], sc.curves["c2"], cfg)
-    pl1 = hl.Polyline3.from_curve(sc.curves["c1"], report.CROSSING_SAMPLES)
-    pl2 = hl.Polyline3.from_curve(sc.curves["c2"], report.CROSSING_SAMPLES)
+    pl1 = hl.Polyline3.from_curve(sc.curves["c1"], gauss.CROSSING_SAMPLES)
+    pl2 = hl.Polyline3.from_curve(sc.curves["c2"], gauss.CROSSING_SAMPLES)
     crossings = hl.crossing_linking(pl1, pl2)
     sp = scenes.split()
     res0 = hl.gauss_linking(sp.curves["c1"], sp.curves["c2"], cfg)
     cross0 = hl.crossing_linking(
-        hl.Polyline3.from_curve(sp.curves["c1"], report.CROSSING_SAMPLES),
-        hl.Polyline3.from_curve(sp.curves["c2"], report.CROSSING_SAMPLES))
+        hl.Polyline3.from_curve(sp.curves["c1"], gauss.CROSSING_SAMPLES),
+        hl.Polyline3.from_curve(sp.curves["c2"], gauss.CROSSING_SAMPLES))
     _line(1, "hopf/split", f"integral={res.value:.6f} crossings={crossings} "
                            f"split={res0.value:.2e}/{cross0}")
     assert abs(abs(res.value) - 1.0) < 1e-3

@@ -410,14 +410,15 @@ def _torus_curve(wraps, phase, major=2.0, minor=0.5):
     return hl.ParamCurve.real_closed((0, 0, 0), cos_rows, sin_rows)
 
 
-def _small_ring(gap, angle=0.0, linked=True):
+def _small_ring(gap, angle=0.0, linked=True, centre=(0, 0, 0)):
     """Circle of radius gap in the plane of the z axis and the unit circle's
-    radius at the given angle. Centred on the unit circle it threads it;
-    moved outward by 2 gap it does not. Either way the gap to it is gap."""
+    radius at the given angle, both about centre. Centred on the unit circle
+    it threads it; moved outward by 2 gap it does not. Either way the gap
+    to it is gap."""
     c, s = math.cos(angle), math.sin(angle)
     r = 1.0 if linked else 1.0 + 2 * gap
-    return hl.ParamCurve.real_closed((r * c, r * s, 0), [[gap * c, gap * s, 0]],
-                                     [[0, 0, gap]])
+    return hl.ParamCurve.real_closed(np.add(centre, (r * c, r * s, 0)),
+                                     [[gap * c, gap * s, 0]], [[0, 0, gap]])
 
 
 _UNIT_CIRCLE = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
@@ -453,30 +454,36 @@ def test_near_ring_integral_gives_linking_number(gap, angle, linked, tol):
 # the same rings by the crossing route: at angle 3.1 the ring threads the
 # unit circle between two of its 512 vertices, where the chord sags about
 # 1.9e-5 inside the arc, so 512 samples alone miscount the 1e-5 and 2e-6
-# rings; the route doubles its samples until the sags certify the count
-@pytest.mark.parametrize("gap, samples", [(1e-4, 512), (1e-5, 2048),
-                                          (2e-6, 4096)])
+# rings; the route doubles its samples until the sags certify the count.
+# Far from the origin a ring at t = -1/1024 sits on the last of 1024
+# samples, which allclose puts on the first: stripped as a closing vertex,
+# it left a chord of two steps that passed outside the ring and certified 0
+_FAR = (1000.0, 1000.0, 1000.0)
+
+
+@pytest.mark.parametrize("gap, angle, centre, samples", [
+    (1e-4, 3.1, (0, 0, 0), 512), (1e-5, 3.1, (0, 0, 0), 2048),
+    (2e-6, 3.1, (0, 0, 0), 4096), (4.3e-6, -2 * math.pi / 1024, _FAR, 2048)])
 @pytest.mark.parametrize("linked", [True, False])
-def test_near_ring_crossing_route_gives_linking_number(gap, samples, linked):
-    scene = hl.Scene(curves={"c1": _UNIT_CIRCLE,
-                             "c2": _small_ring(gap, 3.1, linked)},
-                     scene_id="near_ring")
+def test_near_ring_crossing_route_gives_linking_number(gap, angle, centre,
+                                                       samples, linked):
+    circle = hl.ParamCurve.real_closed(centre, [[1, 0, 0]], [[0, 1, 0]])
+    ring = _small_ring(gap, angle, linked, centre)
+    scene = hl.Scene(curves={"c1": circle, "c2": ring}, scene_id="near_ring")
     rep = report.compute(scene, "gauss_crossing", hl.QuadConfig())
     assert rep.value == int(linked)
     assert rep.extra["samples"] == samples
     if linked and gap < 1e-4:
         # what the fixed 512 samples gave
         assert hl.crossing_linking(
-            *(hl.Polyline3.from_curve(c, 512)
-              for c in (_UNIT_CIRCLE, _small_ring(gap, 3.1)))) == 0
+            *(hl.Polyline3.from_curve(c, 512) for c in (circle, ring))) == 0
 
 
 @pytest.mark.parametrize("gap", [2e-7, 5e-7])
 @pytest.mark.parametrize("linked", [True, False])
 def test_crossing_route_raises_on_curves_within_the_guard(gap, linked):
     with pytest.raises(hl.CurvesTooClose, match="come within"):
-        hl.certified_polylines(_UNIT_CIRCLE, _small_ring(gap, 3.1, linked),
-                               report.CROSSING_SAMPLES)
+        hl.certified_polylines(_UNIT_CIRCLE, _small_ring(gap, 3.1, linked))
 
 
 @pytest.mark.parametrize("seed", range(6))

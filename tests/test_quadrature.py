@@ -509,13 +509,15 @@ def _product_cells(count):
     return lo, lo + 1.0 / count
 
 
+@pytest.mark.parametrize("bounded", [True, False])
 @pytest.mark.parametrize("gap", [0.006, 0.04])
 def test_per_cell_proximity_samples_give_the_per_panel_flags(monkeypatch,
-                                                             gap):
-    # a bounded side is sampled once per distinct side cell; sampling every
-    # panel's cells on their own gives the same flags
-    engine = _engine(*_torus_pair(gap))
-    lo, hi = _product_cells(16)
+                                                             gap, bounded):
+    # each side is sampled once per distinct side cell, with or without a
+    # speed bound; sampling every panel's cells on their own gives the
+    # same flags
+    engine = _engine(*_torus_pair(gap), bounded)
+    lo, hi = _product_cells(8)
     flags = engine._unresolved(lo, hi)
     assert flags.any() and not flags.all()
     monkeypatch.setattr(quadrature, "_distinct",
@@ -523,8 +525,11 @@ def test_per_cell_proximity_samples_give_the_per_panel_flags(monkeypatch,
     assert np.array_equal(engine._unresolved(lo, hi), flags)
 
 
-def test_per_cell_proximity_samples_raise_as_per_panel_ones(monkeypatch):
-    engine = _engine(*(scenes.close_pair().curves[n] for n in ("c1", "c2")))
+@pytest.mark.parametrize("bounded", [True, False])
+def test_per_cell_proximity_samples_raise_as_per_panel_ones(monkeypatch,
+                                                            bounded):
+    engine = _engine(*(scenes.close_pair().curves[n] for n in ("c1", "c2")),
+                     bounded)
     lo, hi = _product_cells(8)
     with pytest.raises(hl.CurvesTooClose) as cell:
         engine._unresolved(lo, hi)
