@@ -21,7 +21,9 @@ about c (the mean of the two clouds' means), which keeps that ratio near
 panel extent / gap. gauss_grid takes the rows themselves, built about any
 origin shared by both clouds, so the Gauss route forms every node's row
 once per chunk of a refinement round, on its curve side, and each kernel
-call only slices them.
+call only slices them. On a pair chart the second cloud is per row, one
+(m, 3) cloud for each node of the first (gauss_grid), and det3 is one
+stacked row-times-rows product.
 
 ||x-y||^2 is summed from direct coordinate differences. The expansion
 ||x||^2 + ||y||^2 - 2 Re<x, y> is never used: it loses
@@ -81,10 +83,18 @@ def gauss_grid(x, rows_x, y, rows_y, out=None):
     both clouds. The clouds x (n, 3) and y (m, 3) are read one coordinate
     at a time, as x.T and y.T: clouds whose .T is C-contiguous (a
     transposed (3, n) array) give contiguous (n, m) difference planes.
-    The grid is written into out, an (n, m) float array, when one is given,
-    and returned."""
-    det = np.matmul(rows_x, rows_y.T, out=out)
-    d = x.T[:, :, None] - y.T[:, None, :]
+    The second cloud may also be per row, y (n, m, 3) and rows_y
+    (n, m, 6), pair (i, j) taking y[i, j]: a pair chart's nodes. It is
+    then read as y.transpose(2, 0, 1), contiguous when y is a transposed
+    (3, n, m) array. The grid is written into out, an (n, m) float array,
+    when one is given, and returned."""
+    if y.ndim == 3:
+        det = np.matmul(rows_y, rows_x[:, :, None],
+                        out=None if out is None else out[:, :, None])[..., 0]
+        d = x.T[:, :, None] - y.transpose(2, 0, 1)
+    else:
+        det = np.matmul(rows_x, rows_y.T, out=out)
+        d = x.T[:, :, None] - y.T[:, None, :]
     d *= d
     n2 = d[0] + d[1]
     n2 += d[2]

@@ -15,9 +15,16 @@ refinement round come with the one side call that evaluates the chunk's
 nodes, and each per-panel kernel call only slices them. The kernel calls
 read coordinate-major clouds and write their grids in place, and the
 chunk's weights are contracted against those grids by two stacked matrix
-products per block of panels (_gauss_integrand). A closed curve's side
-carries its Fourier speed bound (ParamCurve.derivative_bound), so the
-engine's proximity check covers its samples by a certified radius.
+products per block of panels (_gauss_integrand).
+
+A closed pair is integrated on its pair chart (_closed_pair_shear):
+t2 = k t1 + c + delta, k the degree of the closest-point map when it is
++-1 and c the circular mean of the sampled offsets, so that strands that
+run close along t2 ~ t1 + c lie along one chart axis, which axis-aligned
+panels follow; every other pair takes k = 0, the product chart. Side b is
+then evaluated at every node pair, each kernel call gets a per-row second
+cloud, and the engine certifies its proximity check from the curves'
+Fourier coefficients (quadrature.Shear).
 
 The crossing route samples each curve's positions alone
 (Polyline3.from_curve) and sums the signed crossings of the projected
@@ -30,6 +37,7 @@ make them meet and their linking number is the curves'.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -37,15 +45,16 @@ from . import _kernels
 from .errors import (CoincidentPoints, CurvesTooClose,
                      DegenerateConfiguration, DegenerateProjection,
                      MethodInapplicable)
-from .geometry import det3
-from .quadrature import (_MIN_DIST, Interval, RealLine, Side, generic_params,
-                         integrate_product)
+from .geometry import TWO_PI, det3
+from .quadrature import (_MIN_DIST, Interval, RealLine, Shear, Side,
+                         generic_params, integrate_product)
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
 _CROSSING_ORIENTATION = -0.5  # half the signed sum, flipped to match Hopf -> +1
 CROSSING_TRIES = 16  # projection directions crossing_linking tries
 CROSSING_SAMPLES = 512  # certified_polylines starts from this many samples
 CROSSING_MAX_SAMPLES = 1 << 16  # and doubles them up to this
+SHEAR_SAMPLES = 256  # _closed_pair_shear reads the closest-point map on these
 
 
 def gauss_integrand(x, dx, y, dy):
@@ -78,15 +87,18 @@ def _plucker_side(curve, origin, first):
     """The curve's side for the Gauss kernel: points and their Plucker rows
     about the shared origin, [dx | m] for the first curve and [m | dy] for
     the second, formed once per call for every node of a refinement
-    round; its positions path evaluates no velocity. A closed curve's side
-    carries its Fourier speed bound, which certifies the engine's
-    proximity check; a line's carries none."""
+    round; its positions path evaluates no velocity."""
     def side(params):
         pts, vel = _real_points(curve, params)
         return pts, _kernels.plucker_rows(pts, vel, origin, first)
-    speed = (curve.derivative_bound(1) if curve.kind == "real_closed"
-             else None)
-    return Side(side, lambda params: _real(curve.positions(params)), speed)
+    return Side(side, lambda params: _real(curve.positions(params)))
+
+
+def _coordinate_major(c):
+    """Points c (P, ..., 3) as a view of C-contiguous (P, 3, ...) memory."""
+    inner = tuple(range(1, c.ndim - 1))
+    return np.ascontiguousarray(c.transpose(0, c.ndim - 1, *inner)).transpose(
+        0, *(a + 1 for a in inner), 1)
 
 
 def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
@@ -94,11 +106,14 @@ def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
     panel, looked up at call time so that a wrapper installed on the module
     sees every call, and the weights of a block of panels contracted by two
     stacked matrix products, which give each panel the bits of its own
-    wa @ G @ wb. A block holds at most _kernels._BLOCK_PAIRS pairs.
+    wa @ G @ wb. A block holds at most _kernels._BLOCK_PAIRS pairs. The
+    second side's clouds are (P, m, 3) in a product run and (P, n, m, 3),
+    per row, in a pair run.
 
     Each block's clouds are transposed once into coordinate-major memory,
-    so each panel's cloud is an (n, 3) view whose .T is C-contiguous, and
-    each kernel call writes its grid straight into the block."""
+    so each panel's cloud is a view that gauss_grid reads as contiguous
+    coordinate planes, and each kernel call writes its grid straight into
+    the block."""
     count, n, m = len(wa), wa.shape[1], wb.shape[1]
     step = max(1, _kernels._BLOCK_PAIRS // (n * m))
     grids = np.empty((min(step, count), n, m))
@@ -106,8 +121,7 @@ def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
     for start in range(0, count, step):
         part = slice(start, min(start + step, count))
         block = grids[:part.stop - start]
-        xs, ys = (np.ascontiguousarray(c[part].transpose(0, 2, 1))
-                  .transpose(0, 2, 1) for c in (x, y))
+        xs, ys = (_coordinate_major(c[part]) for c in (x, y))
         panels = zip(xs, rows_x[part], ys, rows_y[part])
         for grid, args in zip(block, panels):
             _kernels.gauss_grid(*args, out=grid)
@@ -125,13 +139,41 @@ def _gauss_domain(curve):
         "gauss_linking needs two real_closed curves or two real lines")
 
 
+def _closed_pair_shear(curve1, curve2):
+    """The pair chart t2 = k t1 + c + delta of two real_closed curves
+    (quadrature.Shear): k is the degree of the closest-point map
+    t1 -> argmin_t2 |c1(t1) - c2(t2)|, read on SHEAR_SAMPLES parameters of
+    each curve, when it is +-1 and 0 otherwise; c is the circular mean of
+    the sampled offsets t2 - k t1 (0 when k = 0, the product chart)."""
+    samples = SHEAR_SAMPLES
+    t = curve1.sample_params(samples)
+    near = np.argmin(_kernels._squared_distances(
+        *(_real(c.positions(t)) for c in (curve1, curve2))), axis=1)
+    # each step of the map, wrapped onto the circle of samples
+    step = np.diff(near, append=near[:1])
+    step = np.where(step > samples // 2, step - samples,
+                    np.where(step < -(samples // 2), step + samples, step))
+    k = int(np.sum(step)) // samples
+    c = 0.0
+    if abs(k) == 1:
+        angle = TWO_PI / samples * (near - k * np.arange(samples))
+        c = math.atan2(np.sum(np.sin(angle)), np.sum(np.cos(angle))) / TWO_PI
+    else:
+        k = 0
+    return Shear(k, c, *(cv.cos_rows - 1j * cv.sin_rows
+                         for cv in (curve1, curve2)))
+
+
 def gauss_linking(curve1, curve2, cfg):
     """Gauss linking integral of two disjoint real curves.
 
-    Closed curves integrate over [0,1]^2; real lines, each over the whole
-    line on quadrature.RealLine's compact chart, with no window and no
-    tail. The value is within err_estimate of an integer for closed pairs
-    and a half-integer for lines.
+    Closed curves integrate over the torus on their pair chart
+    (_closed_pair_shear): t1 over [0, 1] and t2 = k t1 + c + delta, delta
+    over [-1/2, 1/2] when the curves run along each other (k = +-1) and
+    over [0, 1] otherwise; the chart's jacobian is 1. Real lines integrate
+    each over the whole line on quadrature.RealLine's compact chart, with
+    no window and no tail. The value is within err_estimate of an integer
+    for closed pairs and a half-integer for lines.
     """
     if curve1.kind != curve2.kind:
         raise MethodInapplicable("gauss_linking needs a matching real pair")
@@ -140,11 +182,16 @@ def gauss_linking(curve1, curve2, cfg):
     # one moment origin for both curves: the mean of their generic points
     origin = np.mean([_real_points(c, generic_params(d))[0].mean(axis=0)
                       for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)
+    shear = None
+    if curve1.kind == "real_closed":
+        shear = _closed_pair_shear(curve1, curve2)
+        if shear.k:
+            dom2 = Interval(-0.5, 0.5)
 
     return integrate_product(
         _gauss_integrand, dom1, dom2, cfg,
         side_a=_plucker_side(curve1, origin, True),
-        side_b=_plucker_side(curve2, origin, False))
+        side_b=_plucker_side(curve2, origin, False), shear=shear)
 
 
 def line_gauss_closed(e1, e2, e3):

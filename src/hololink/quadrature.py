@@ -23,12 +23,17 @@ curve-distance sampler: they cover every initial cell in the first pass and
 then follow the unresolved panels down to wherever the curves come close,
 and a sampled distance below 1e-6 raises CurvesTooClose before any
 integrand call of the round. A panel is resolved when its closest sampled
-approach exceeds the two pieces' covering radii. A side that carries a
-speed bound B (Side.speed; for a closed curve, the Fourier bound
-ParamCurve.derivative_bound(1)) on an Interval is covered by the certified
-radius B h / 2, h the samples' parameter step, so a resolved panel is
-proved clear. Any other side is covered by half its samples' largest gap.
-Either way a side is sampled once per distinct side cell of a pass.
+approach exceeds the two pieces' covering radii, each half its samples'
+largest gap; a side is sampled once per distinct side cell of a pass.
+
+A pair run (two closed curves and a Shear) integrates over the chart
+t1 = sigma, t2 = k sigma + c + delta, whose jacobian is 1, evaluating side
+b at its own t2 for every node pair (one sigma row of them at k = 0, where
+all rows share it). Its check samples the difference field
+D = c1(sigma) - c2(t2) on each panel's grid and covers them by the
+certified radius (h_sigma B_sigma + h_delta B_delta) / 2
+(_pair_unresolved), and it halves a panel along the axis on which D's
+samples spread more.
 
 Compact domains (Interval, Rect) are integrated as given, and a panel is
 halved along the axis of its largest spatial extent, measured on the curves
@@ -64,19 +69,20 @@ polynomials before any integrand runs.
 A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. A round integrates its panels in
 chunks of whole panels, at most _kernels._BLOCK_PAIRS coarse-rule node
-pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one), so
-its node arrays never hold more than one chunk. A chunk takes one call of
-each side, on the nodes of both rules together, and one call of the
-integrand per rule. In a product run each distinct cell of a side is
-evaluated once per chunk and its arrays are shared by every panel on it.
-The integrand receives each side's jacobian-folded weights (P, n)
-before that side's arrays (P, n, ...), stacked over the chunk's P panels,
-and returns the (P,) weighted panel sums, so it can contract its values
-however is cheapest. The probe of a round is one more call of each side
-and of the integrand, on one-node panels whose weights are the chart
-jacobians. per_panel adapts a kernel written for one panel. Each
-proximity check pass and each spatial halving takes one call per side for
-its samples, which read positions only (Side gives a path that computes
+pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one, 51 of
+a pair run: _Engine.chunk), so its node arrays never hold more than one
+chunk. A chunk takes one call of each side, on the nodes of both rules
+together, and one call of the integrand per rule. In a product run each
+distinct cell of a side is evaluated once per chunk and its arrays are
+shared by every panel on it. The integrand receives each side's
+jacobian-folded weights (P, n) before that side's arrays (P, n, ...),
+stacked over the chunk's P panels (in a pair run side b's are (P, n, m,
+...)), and returns the (P,) weighted panel sums, so it can contract its
+values however is cheapest. The probe of a round is one more call of each
+side and of the integrand, on one-node panels whose weights are the chart
+jacobians. per_panel adapts a kernel written for one panel. Each proximity
+check pass and each spatial halving takes one call per side for its
+samples, which read positions only (Side gives a path that computes
 nothing else), and a pass's distances are one stacked _kernels.min_dist
 call. Errors, covering radii and flags are array operations over the
 round, and each chunk's panel sums are checked for finiteness together.
@@ -134,19 +140,18 @@ class QuadTrace:
     integrated, because their curve pieces could still touch,
     checks_per_round the proximity check passes the round ran before it
     integrated (0 once every panel is resolved), probed_per_round the
-    panels the round halved by error along an axis the probe chose over
-    the longest chart axis, and chunks_per_round the chunks the round
-    integrated its panels in. radius names, per side of a run with curves
-    on both sides, the covering radius of its proximity samples: "fourier"
-    where the side's speed bound (for a closed curve, the bound its
-    Fourier coefficients give) certifies it, "sampled" where the samples'
-    own gaps set it; it is empty without two curves. deepest_split is the
-    most halvings of any final panel; max_depth_hit says whether max_depth
-    kept a hot panel from being refined or held more error than the
-    target. phase_s gives the wall seconds spent resolving proximity,
-    evaluating the sides at the rules' nodes, in the integrand's two rule
-    evaluations, in the probe and in the reduction; being timings, they
-    take no part in comparing traces."""
+    panels the round halved by error along an axis the probe chose over the
+    longest chart axis, and chunks_per_round the chunks the round
+    integrated its panels in. radius names the proximity samples' covering
+    radius: ("difference",), the certified one of a pair run, "sampled" per
+    side otherwise, empty without two curves. chart, k and c give a pair
+    run's t2 = k sigma + c + delta ("shear" when k != 0, else "product", 0
+    and 0.0). deepest_split is the most halvings of any final panel;
+    max_depth_hit says whether max_depth kept a hot panel from being
+    refined or held more error than the target. phase_s gives the wall
+    seconds spent resolving proximity, evaluating the sides at the rules'
+    nodes, in the integrand's two rule evaluations, in the probe and in the
+    reduction; being timings, they take no part in comparing traces."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
@@ -154,6 +159,9 @@ class QuadTrace:
     probed_per_round: tuple = ()
     chunks_per_round: tuple = ()
     radius: tuple = ()
+    chart: str = "product"
+    k: int = 0
+    c: float = 0.0
     deepest_split: int = 0
     max_depth_hit: bool = False
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(_PHASES, 0.0),
@@ -167,6 +175,9 @@ class QuadTrace:
                 "probed_per_round": list(self.probed_per_round),
                 "chunks_per_round": list(self.chunks_per_round),
                 "radius": list(self.radius),
+                "chart": self.chart,
+                "k": self.k,
+                "c": self.c,
                 "deepest_split": self.deepest_split,
                 "max_depth_hit": self.max_depth_hit,
                 "phase_s": dict(self.phase_s)}
@@ -294,6 +305,65 @@ class Rect:
         return x + 1j * y, np.ones_like(x)
 
 
+class Shear:
+    """The pair chart t1 = sigma, t2 = k sigma + c + delta of two closed
+    curves of period 1. For an integer k each sigma row shifts t2 on the
+    circle, so the jacobian is 1 and delta over a period covers the torus
+    once: k and c change the cost, never the value. k = c = 0 is the
+    product chart. harmonics_a and harmonics_b, the curves' Fourier rows
+    cos_row_j - i sin_row_j (J, 3), bound the difference field
+    D = c1(sigma) - c2(t2) (speeds)."""
+
+    def __init__(self, k, c, harmonics_a, harmonics_b):
+        self.k, self.c = int(k), float(c)
+        count = max(len(harmonics_a), len(harmonics_b))
+        self.rows = [np.concatenate([h, np.zeros((count - len(h), 3))])
+                     for h in (harmonics_a, harmonics_b)]
+        self.freq = TWO_PI * np.arange(1, count + 1)
+        # B1 = sum 2 pi j |c_j| >= |x'| of each curve
+        self.norms = [_norms(h) for h in self.rows]
+        self.speed_a, self.speed_b = (float(np.sum(self.freq * n))
+                                      for n in self.norms)
+
+    def t2(self, sigma, delta):
+        """The second curve's parameter at chart points (sigma, delta)."""
+        return self.k * sigma + self.c + delta
+
+    def pairs(self, sigma, delta):
+        """t2 at every pair of sigma (P, n) and delta (P, m) nodes,
+        (P, n, m); at k = 0, where t2 = c + delta on every sigma row, one
+        row, (P, 1, m), for the caller to repeat (_rows)."""
+        return self.t2(sigma[:, :, None] if self.k else sigma[:, :1, None],
+                       delta[:, None, :])
+
+    def speeds(self, lo, hi):
+        """Bounds on |dD/dsigma| and |dD/ddelta| over each panel of chart
+        bounds lo, hi (P, 2), (P,) each. |dD/ddelta| = |c2'| <= c2's B1.
+        For k = 1, dD/dsigma = sum_j Re(2 pi i j e^{2 pi i j sigma}
+        (c1_j - c2_j e^{2 pi i j (c + delta)})), and over a delta
+        half-width H the phase moves by at most 2 pi j H from its mid-panel
+        value, which gives sum_j 2 pi j (|c1_j - c2_j
+        e^{2 pi i j (c + delta_mid)}| + 2 pi j H |c2_j|); k = -1 conjugates
+        the c2 term, and k = 0 leaves c1's B1."""
+        count = len(lo)
+        speed_b = np.full(count, self.speed_b)
+        if not self.k:
+            return np.full(count, self.speed_a), speed_b
+        mid, half = 0.5 * (lo[:, 1] + hi[:, 1]), 0.5 * (hi[:, 1] - lo[:, 1])
+        turn = np.exp(1j * self.freq * (self.c + mid[:, None]))  # (P, J)
+        shifted = self.rows[1] * turn[..., None]
+        if self.k < 0:
+            shifted = shifted.conj()
+        gap = _norms(self.rows[0] - shifted)
+        bound = self.freq * (gap + self.freq * half[:, None] * self.norms[1])
+        return bound.sum(axis=1), speed_b
+
+
+def _norms(rows):
+    """The euclidean norm of each complex 3-vector of rows (..., 3)."""
+    return np.sqrt(np.sum(rows.real ** 2 + rows.imag ** 2, axis=-1))
+
+
 _GENERIC_FRACTIONS = np.array([0.29, 0.57, 0.83])
 
 
@@ -341,14 +411,11 @@ class Side:
     first; positions(params) gives those positions alone, with the same
     bits, and is what the proximity and split-axis samples read. A side
     given as a plain callable has its positions read off its first
-    array. speed, when given, bounds the curve's speed |dx/dt| over its
-    whole parameter domain; on an Interval the proximity check then covers
-    the side's samples by a certified radius (_Engine._unresolved)."""
+    array."""
 
-    def __init__(self, arrays, positions, speed=None):
+    def __init__(self, arrays, positions):
         self.arrays = arrays
         self.positions = positions
-        self.speed = speed
 
     def __call__(self, params):
         return self.arrays(params)
@@ -408,12 +475,12 @@ class _Engine:
 
     Each round first resolves proximity: check passes over the pending
     panels, halving the unresolved ones short of max_depth, until none is
-    left to halve; a side with a speed bound is covered by its certified
-    radius (_unresolved). It then integrates the pending panels a chunk of
-    self.chunk whole panels at a time: each side once, on the nodes of both
-    rules of each distinct side cell of the chunk (_side_rules), and one
-    call of the integrand per rule, on the chunk's stacked weights and
-    arrays; the integrand returns the (P,) panel sums.
+    left to halve (_unresolved). It then integrates the pending panels a
+    chunk of self.chunk whole panels at a time: each side once, on the
+    nodes of both rules of each distinct side cell of the chunk
+    (_side_rules; side b of a pair run per node pair), and one call of the
+    integrand per rule, on the chunk's stacked weights and arrays; the
+    integrand returns the (P,) panel sums.
     The split-axis samples of a spatial halving and the proximity samples
     of a check pass likewise take one call per side, of its positions
     only, a pass's distances one stacked min_dist call, and the errors and
@@ -425,7 +492,8 @@ class _Engine:
     image of _compress. seconds accumulates the wall time of each phase.
     """
 
-    def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
+    def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
+                 shear=None):
         self.f = integrand
         self.cfg = cfg
         self.doms = (dom_a,) if dom_b is None else (dom_a, dom_b)
@@ -433,16 +501,17 @@ class _Engine:
         self.positions = tuple(map(_positions_of, self.sides))
         # the curve distance rules need a curve on both sides
         self.curves = dom_b is not None and None not in (side_a, side_b)
-        # per side, the speed bound that certifies its covering radius: only
-        # on an Interval, whose chart is the curve's own parameter
-        self.speeds = tuple(getattr(side, "speed", None)
-                            if isinstance(dom, Interval) else None
-                            for side, dom in zip(self.sides, self.doms))
-        self.radii = (tuple("sampled" if b is None else "fourier"
-                            for b in self.speeds) if self.curves else ())
-        # whole panels per integration chunk: at most _BLOCK_PAIRS pairs of
-        # coarse-rule nodes (one panel when a panel has more)
-        pairs = math.prod(cfg.panel_order ** d.naxes for d in self.doms)
+        self.shear = shear
+        if shear is not None:
+            self.radii = ("difference",)
+            # side b's nodes, n^2 + (2n)^2, 4 times over: a closed curve's
+            # Gauss side peaks near 180 bytes per node while it evaluates
+            pairs = 4 * 5 * cfg.panel_order ** 2
+        else:
+            self.radii = ("sampled", "sampled") if self.curves else ()
+            pairs = math.prod(cfg.panel_order ** d.naxes for d in self.doms)
+        # whole panels per integration chunk: at most _BLOCK_PAIRS of those
+        # node pairs (one panel when a panel has more)
         self.chunk = max(1, _kernels._BLOCK_PAIRS // pairs)
         cuts = np.cumsum([0] + [d.naxes for d in self.doms])
         self.axes = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -499,7 +568,9 @@ class _Engine:
         (P, n**k), and the side's arrays (P, n**k, ...). In a product run
         each distinct cell of the side is evaluated once and shared by
         every panel on it; evaluation is pointwise, so each panel gets the
-        bits of an evaluation on its own."""
+        bits of an evaluation on its own. Side b of a pair run: _pair_rules."""
+        if s and self.shear is not None:
+            return self._pair_rules(lo, hi)
         lo, hi = lo[:, self.axes[s]], hi[:, self.axes[s]]
         inverse = None
         if len(self.doms) > 1:
@@ -516,6 +587,26 @@ class _Engine:
             out.append([np.ascontiguousarray(x) if inverse is None
                         else x[inverse] for x in blk])
         return out
+
+    def _pair_rules(self, lo, hi):
+        """Side b of a pair run under both rules, from one call: per rule,
+        t2 at each node pair (sigma_i, delta_j) (P, n, n), the delta
+        weights (P, n) and the arrays (P, n, n, ...)."""
+        count, order = len(lo), self.cfg.panel_order
+        rules = []
+        for n in (order, 2 * order):
+            sigma, _ = self._rule(0, lo[:, :1], hi[:, :1], n)
+            delta, weights = self._rule(1, lo[:, 1:], hi[:, 1:], n)
+            rules.append((self.shear.pairs(sigma, delta), weights))
+        arrays = self._eval_side(1, np.concatenate(
+            [t2.reshape(count, -1) for t2, _ in rules], axis=1))
+        cut = rules[0][0][0].size
+        return [[_rows(t2, n), weights,
+                 *(_rows(a[:, part].reshape(t2.shape + a.shape[2:]), n)
+                   for a in arrays)]
+                for (t2, weights), part, n in zip(
+                    rules, (slice(None, cut), slice(cut, None)),
+                    (order, 2 * order))]
 
     def _values(self, blocks, lo, hi):
         """Each panel's value under one rule, whose blocks give per side the
@@ -538,16 +629,20 @@ class _Engine:
         first non-finite node, or node pair, in row-major order, or its sum
         when every node is finite. Each node costs one call of the
         integrand on a one-panel round of one node per side, with unit
-        weights."""
+        weights; in a pair run a node pair names t1 and its own t2."""
         sides = [[a[i] for a in blk[2:]] for blk in blocks]
         one = np.ones((1, 1))
-        ranges = [range(len(arrays[0])) for arrays in sides]
+        ranges = [range(blk[1].shape[1]) for blk in blocks]
         for idx in itertools.product(*ranges):
-            args = [a for arrays, j in zip(sides, idx)
-                    for a in (one, *(x[None, j:j + 1] for x in arrays))]
+            # each side's node; side b of a pair run has one per node pair
+            at = [idx if s and self.shear is not None else idx[s:s + 1]
+                  for s in range(len(idx))]
+            args = [a for arrays, j in zip(sides, at)
+                    for a in (one, *(x[tuple(slice(k, k + 1) for k in j)][None]
+                                     for x in arrays))]
             if cmath.isfinite(complex(_panel_sums(self.f, args, 1)[0])):
                 continue
-            param = tuple(blk[0][i][j] for blk, j in zip(blocks, idx))
+            param = tuple(blk[0][i][j] for blk, j in zip(blocks, at))
             if len(param) == 1:
                 param = param[0]
             raise NonFiniteIntegrand(
@@ -597,9 +692,20 @@ class _Engine:
         """Per panel, the axis to halve when no probe chose one: in a run
         with a whole domain, the longest chart axis; otherwise the axis of
         largest spatial extent, the bounding-box diagonal of the points at
-        the axis ends and midpoint, other axes at their midpoints."""
+        the axis ends and midpoint, other axes at their midpoints; in a pair
+        run, of the difference field at the check grid's indices _ends of
+        its middle row and column, which _pair_unresolved also reads."""
         if self.whole:
             return np.argmax(hi - lo, axis=1)
+        if self.shear is not None:
+            ends = _ends(self.cfg.panel_order + 1)
+            varied = [g[:, ends] for g in self._pair_grids(lo, hi)]
+            held = [np.repeat(g[:, 1:2], 3, axis=1) for g in varied]
+            # row 0 varies sigma at the middle delta, row 1 the reverse
+            sigma = np.stack([varied[0], held[0]], axis=1)
+            delta = np.stack([held[1], varied[1]], axis=1)
+            return _widest(self._points(0, sigma) - self._points(
+                1, self.shear.t2(sigma, delta)))
         mid = 0.5 * (lo + hi)
         extents = []
         for s, ax in enumerate(self.axes):
@@ -611,32 +717,34 @@ class _Engine:
                 cols[:, a, 0, a] = lo[:, ax.start + a]
                 cols[:, a, 2, a] = hi[:, ax.start + a]
             params, _ = self.doms[s].chart(tuple(np.moveaxis(cols, -1, 0)))
-            pts = self._points(s, params)
-            extents.append(np.linalg.norm(pts.max(axis=2) - pts.min(axis=2),
-                                          axis=-1))
+            extents.append(_extents(self._points(s, params)))
         return np.argmax(np.concatenate(extents, axis=1), axis=1)
+
+    def _pair_grids(self, lo, hi):
+        """The sample grids of a pair run's panels, sigma and delta, (P, m)
+        each, end-inclusive."""
+        m = self.cfg.panel_order + 1
+        return [np.linspace(lo[:, a], hi[:, a], m, axis=-1) for a in (0, 1)]
 
     def _unresolved(self, lo, hi):
         """Per panel, True while the sampled pieces of the two curves could
-        touch: the closest sampled approach is no larger than the sum of the
-        pieces' covering radii. A close approach narrower than the node
-        spacing can then hide between all nodes of both rules. A side with a
-        speed bound B (self.speeds) covers its samples by the certified
-        radius B h / 2, h the parameter step of its grid: every point of its
-        piece lies within h / 2 of a sample in parameter, so within B h / 2
-        in space, and False is then a proof that the pieces are apart. A
-        side without a bound covers its samples by their largest gaps
-        (_sample_pieces), which a bump narrower than the grid step can slip
-        past. Either way each side is sampled, and its radii found, once
-        per distinct side cell and gathered back to the panels; sampling,
-        _compress and the radii are row by row, so each panel gets the bits
-        of a sampling of its own. These samples are also the CurvesTooClose
-        guard: a sampled approach below _MIN_DIST on any panel raises it.
-        In a run with a whole domain the samples stop at the reach of each
-        chart, and distances and radii are measured between compressed
-        points (_compress); the guard reads the true distances of the
-        panels whose compressed ones are below _MIN_DIST, which are all that
-        can be, since _compress is 1-Lipschitz."""
+        touch, and the axes to halve them along (None, or in a pair run
+        those of _pair_unresolved). A panel is unresolved while the closest
+        sampled approach is no larger than the sum of the pieces' covering
+        radii, half their samples' largest gaps (_sample_pieces): a close
+        approach narrower than the node spacing can then hide between all
+        nodes of both rules. Each side is sampled, and its radii found,
+        once per distinct side cell and gathered back to the panels;
+        sampling, _compress and the radii are row by row, so each panel gets
+        the bits of a sampling of its own. These samples are also the
+        CurvesTooClose guard: a sampled approach below _MIN_DIST on any
+        panel raises it. In a run with a whole domain the samples stop at
+        the reach of each chart, and distances and radii are measured
+        between compressed points (_compress); the guard reads the true
+        distances of the panels whose compressed ones are below _MIN_DIST,
+        which are all that can be, since _compress is 1-Lipschitz."""
+        if self.shear is not None:
+            return self._pair_unresolved(lo, hi)
         m = self.cfg.panel_order + 1
         if self.whole:
             lo, hi = (np.clip(x, *self.reach) for x in (lo, hi))
@@ -644,18 +752,12 @@ class _Engine:
         for s, ax in enumerate(self.axes):
             first, inverse = _distinct(np.concatenate([lo[:, ax], hi[:, ax]],
                                                       axis=1))
-            cell_lo, cell_hi = lo[first, ax], hi[first, ax]
-            grid = [np.linspace(cell_lo[:, a], cell_hi[:, a], m, axis=-1)
-                    for a in range(cell_lo.shape[1])]
+            grid = [np.linspace(lo[first, a], hi[first, a], m, axis=-1)
+                    for a in range(ax.start, ax.stop)]
             params, _ = self.doms[s].chart(tuple(_mesh(grid)))
             pts = self._points(s, params)
-            speed = self.speeds[s]
-            if speed is None:
-                pts_c, cover = self._sample_pieces(self._compress(pts), m,
-                                                   len(grid))
-            else:
-                pts_c = self._compress(pts)
-                cover = 0.5 * (cell_hi - cell_lo)[:, 0] / (m - 1) * speed
+            pts_c, cover = self._sample_pieces(self._compress(pts), m,
+                                               len(grid))
             pieces.append((pts_c[inverse], cover[inverse]))
             points.append((pts, inverse))
         (pts_a, cover_a), (pts_b, cover_b) = pieces
@@ -664,11 +766,35 @@ class _Engine:
         if self.whole:
             near = dists < _MIN_DIST
             true = _kernels.min_dist(*(p[inv[near]] for p, inv in points))
-        close = true[true < _MIN_DIST]
-        if close.size:
-            raise CurvesTooClose(f"minimum sampled curve distance "
-                                 f"{close.min():.3e} < {_MIN_DIST:.0e}")
-        return dists <= cover_a + cover_b
+        _guard(true)
+        return dists <= cover_a + cover_b, None
+
+    def _pair_unresolved(self, lo, hi):
+        """_unresolved in a pair run: D = c1(sigma) - c2(t2) on each
+        panel's m x m grid, m = panel_order + 1 (c1 once per distinct sigma
+        cell). Every point of the panel is within h / 2 of a sample along
+        each axis, h the grid steps, so within
+        (h_sigma B_sigma + h_delta B_delta) / 2 of it in D (Shear.speeds):
+        a panel whose smallest sampled |D| exceeds that is proved clear.
+        Its split axis is the one along which D spreads more at the grid
+        indices _ends of the middle row and column. The distances are one
+        stacked min_dist call, each sigma sample against its row of c2."""
+        count, m = len(lo), self.cfg.panel_order + 1
+        sigma, delta = self._pair_grids(lo, hi)
+        first, inverse = _distinct(np.stack([lo[:, 0], hi[:, 0]], axis=1))
+        pts_a = self._points(0, sigma[first])[inverse]
+        pts_b = _rows(self._points(1, self.shear.pairs(sigma, delta)), m)
+        dists = _kernels.min_dist(pts_a.reshape(count * m, 1, -1),
+                                  pts_b.reshape(count * m, m, -1))
+        dists = dists.reshape(count, m).min(axis=1)
+        _guard(dists)
+        ends, mid = _ends(m), m // 2
+        cross = np.stack([pts_a[:, ends] - pts_b[:, ends, mid],
+                          pts_a[:, mid, None] - pts_b[:, mid, ends]], axis=1)
+        speed_sigma, speed_delta = self.shear.speeds(lo, hi)
+        step = (hi - lo) / (m - 1)
+        cover = 0.5 * (step[:, 0] * speed_sigma + step[:, 1] * speed_delta)
+        return dists <= cover, _widest(cross)
 
     def _compress(self, pts):
         """Points as given in a compact run; in a run with a whole domain,
@@ -700,22 +826,25 @@ class _Engine:
         integrating them, those still unresolved and short of max_depth;
         their halves are checked by the next pass. An unresolved panel's
         error is unknown, so halving it whatever its value loses nothing.
-        The passes end when no panel is left to halve."""
+        The passes end when no panel is left to halve. In a pair run a
+        panel is cut along the axis its check pass read off its samples."""
         ready, halved, passes = [], 0, 0
         while True:
             check = np.flatnonzero(pending.unresolved)
             if not check.size:
                 break
             bounds = pending.bounds[check]
-            pending.unresolved[check] = self._unresolved(bounds[..., 0],
-                                                         bounds[..., 1])
+            flags, axes = self._unresolved(bounds[..., 0], bounds[..., 1])
+            pending.unresolved[check] = flags
             passes += 1
             split = pending.unresolved & (pending.splits < self.cfg.max_depth)
             if not split.any():
                 break
             ready.append(pending.take(~split))
             halved += int(split.sum())
-            pending = self._halves(pending.take(split))
+            if axes is not None:
+                axes = axes[split[check]]
+            pending = self._halves(pending.take(split), axes)
         return _Panels.join([*ready, pending]), halved, passes
 
     def _evaluate(self, pending):
@@ -830,18 +959,51 @@ class _Engine:
                                                     split.bounds[..., 1])
                 probed[-1] = int(chosen.sum())
             pending = self._halves(split, axis)
+        k, c = ((0, 0.0) if self.shear is None
+                else (self.shear.k, self.shear.c))
         trace = QuadTrace(panels_per_round=tuple(rounds),
                           skipped_per_round=tuple(skipped),
                           checks_per_round=tuple(checks),
                           probed_per_round=tuple(probed),
                           chunks_per_round=tuple(chunks),
                           radius=self.radii,
+                          chart="shear" if k else "product", k=k, c=c,
                           deepest_split=int(panels.splits.max()),
                           max_depth_hit=depth_hit,
                           phase_s=dict(self.seconds))
         return QuadResult(value=total, err_estimate=err,
                           panels_evaluated=sum(rounds), converged=converged,
                           trace=trace)
+
+
+def _rows(pairs, n):
+    """Pair arrays (P, n, m, ...), repeated from one row (Shear.pairs)."""
+    return pairs if pairs.shape[1] == n else np.repeat(pairs, n, axis=1)
+
+
+def _ends(m):
+    """The grid indices of an axis's ends and middle, of m samples."""
+    return [0, m // 2, m - 1]
+
+
+def _extents(pts):
+    """Per panel and axis, the bounding-box diagonal of points
+    (P, axes, samples, dim)."""
+    return np.linalg.norm(pts.max(axis=2) - pts.min(axis=2), axis=-1)
+
+
+def _widest(pts):
+    """Per panel, the axis whose points (P, axes, samples, dim) spread
+    most."""
+    return np.argmax(_extents(pts), axis=1)
+
+
+def _guard(dists):
+    """Raise CurvesTooClose when a sampled distance is below _MIN_DIST."""
+    close = dists[dists < _MIN_DIST]
+    if close.size:
+        raise CurvesTooClose(f"minimum sampled curve distance "
+                             f"{close.min():.3e} < {_MIN_DIST:.0e}")
 
 
 def _marked(err, target):
@@ -872,17 +1034,23 @@ def _panel_sums(f, args, count):
     return sums.astype(complex, copy=False)
 
 
-def _check_batch(f, side_a, side_b=None):
+def _check_batch(f, side_a, side_b=None, pair=False):
     """Raise TypeError unless f maps a one-panel round, unit weights and
     side_a's arrays at a parameter array (with side_b, the weights and
-    arrays of both sides), to its weighted sum, a (1,) array. Calls f once;
-    only the shape is checked, so an overflow in this batch check's sum is
-    ignored."""
+    arrays of both sides, side_b's per node pair for a pair run), to its
+    weighted sum, a (1,) array. Calls f once; only the shape is checked,
+    so an overflow in this batch check's sum is ignored."""
     sides = [side_a(np.array([0.123, 0.456]))]
     if side_b is not None:
-        sides.append(side_b(np.array([0.234, 0.567, 0.891])))
-    args = [np.asarray(a)[None] for arrays in sides
-            for a in (np.ones(len(arrays[0])), *arrays)]
+        params = np.array([0.234, 0.567, 0.891])
+        if pair:
+            params = np.concatenate([params, params + 0.05])
+        sides.append([np.reshape(a, (2, 3) + np.shape(a)[1:]) if pair else a
+                      for a in side_b(params)])
+    # a side's weights run along its last node axis
+    nodes = (0, int(pair))
+    args = [np.asarray(a)[None] for arrays, axis in zip(sides, nodes)
+            for a in (np.ones(np.shape(arrays[0])[axis]), *arrays)]
     with np.errstate(over="ignore", invalid="ignore"):
         _panel_sums(f, args, 1)
 
@@ -914,7 +1082,8 @@ def integrate_curve(integrand, domain, cfg):
     return _Engine(integrand, domain, None, cfg).run()
 
 
-def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
+def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
+                      shear=None):
     """Integrate the integrand over dom_a x dom_b.
 
     A side maps a parameter array to a tuple of arrays, curve positions
@@ -927,15 +1096,20 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None):
     wa @ K @ wb of its pair values K, which it need not form; anything but
     a (P,) array raises TypeError. per_panel adapts a kernel written for
     one panel's slices. On compact domains positions measure panel extents
-    for the split axis. A Side's speed bound, on an Interval, certifies
-    the proximity check's covering radius. With both sides given, panels whose curve pieces
+    for the split axis. With both sides given, panels whose curve pieces
     could touch are halved, before any of the round's integrand calls,
     until the samples resolve the gap, and those proximity samples raise
     CurvesTooClose where the curves come within 1e-6. A Plane or RealLine
     domain is integrated whole.
+
+    A Shear, with two closed curve sides on dom_a = [0, 1] and a period
+    dom_b of delta, makes this a pair run: side b's arrays are
+    (P, na, nb, ...), at t2 = k sigma + c + delta of each node pair, and
+    wb the delta weights.
     """
-    _check_batch(integrand, side_a or _identity, side_b or _identity)
-    return _Engine(integrand, dom_a, dom_b, cfg, side_a, side_b).run()
+    _check_batch(integrand, side_a or _identity, side_b or _identity,
+                 shear is not None)
+    return _Engine(integrand, dom_a, dom_b, cfg, side_a, side_b, shear).run()
 
 
 def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,

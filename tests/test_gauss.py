@@ -1,12 +1,13 @@
 import math
 from pathlib import Path
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import _kernels, report, scenes
+from hololink import _kernels, quadrature, report, scenes
 from hololink.gauss import (DEFAULT_DIRECTION, _gauss_integrand,
                             _projection_frame)
 # the (1, 1) torus-curve pair of the engine's batching tests
@@ -100,28 +101,130 @@ def test_round_contraction_has_the_bits_of_each_panel(n, count):
     assert whole.tobytes() == np.array(each).tobytes()
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_per_row_clouds_give_each_row_its_own_grid(n):
+    # a pair chart's second cloud is per row: row i of the grid is the
+    # plain grid of x_i against y[i], and a round of such panels is
+    # contracted with the bits of each panel's own wa @ G @ wb
+    rng = np.random.default_rng(n)
+    count = 3
+    x = rng.normal(size=(count, n, 3))
+    y = rng.normal(size=(count, n, n, 3)) + 3.0
+    rows_x = rng.normal(size=(count, n, 6))
+    rows_y = rng.normal(size=(count, n, n, 6))
+    wa, wb = rng.uniform(size=(2, count, n))
+    grids = [_kernels.gauss_grid(x[p], rows_x[p], y[p], rows_y[p])
+             for p in range(count)]
+    for p, grid in enumerate(grids):
+        rows = [_kernels.gauss_grid(x[p, i:i + 1], rows_x[p, i:i + 1],
+                                    y[p, i], rows_y[p, i])[0]
+                for i in range(n)]
+        assert np.allclose(grid, rows, rtol=1e-13, atol=0.0)
+    each = [wa[p] @ grids[p] @ wb[p] for p in range(count)]
+    whole = _gauss_integrand(wa, x, rows_x, wb, y, rows_y)
+    assert whole.tobytes() == np.array(each).tobytes()
+
+
 def test_near_torus_pair_calls_the_kernel_once_per_panel_and_rule(
         monkeypatch):
-    # each call also gets coordinate-major clouds, whose .T is C-contiguous
-    # (no slow strided path), and x.shape[0] stays the node count that
-    # shape-reading counters such as a tracer's pair count take
+    # the closed pair is a pair run: the second cloud is per row, (n, n, 3),
+    # its leading axis the first cloud's nodes, so x.shape[0] and
+    # y.shape[0] stay the node counts whose product shape-reading counters
+    # such as a tracer's pair count take; each call also gets
+    # coordinate-major clouds, read as contiguous coordinate planes (no
+    # slow strided path)
     calls = []
     raw = _kernels.gauss_grid
 
     def counted(x, rows_x, y, rows_y, **kwargs):
-        calls.append((x.T.flags.c_contiguous and y.T.flags.c_contiguous,
-                      x.shape, y.shape, len(rows_x), len(rows_y)))
+        calls.append((x.T.flags.c_contiguous
+                      and y.transpose(2, 0, 1).flags.c_contiguous,
+                      x.shape, y.shape, rows_x.shape, rows_y.shape))
         return raw(x, rows_x, y, rows_y, **kwargs)
 
     monkeypatch.setattr(_kernels, "gauss_grid", counted)
     cfg = hl.QuadConfig(tol=1e-6)
     res = hl.gauss_linking(*_torus_pair(0.04), cfg)
     assert res.converged and abs(res.value - 1.0) < 1e-6
+    assert res.trace.chart == "shear"
     assert len(calls) == 2 * res.panels_evaluated + 1
     assert all(call[0] for call in calls)
-    assert all(x == (n, 3) and y == (m, 3) for _, x, y, n, m in calls)
+    assert all(x == (n[0], 3) and y == m[:2] + (3,) and y[0] == x[0]
+               for _, x, y, n, m in calls)
     order = cfg.panel_order
-    assert {call[1] for call in calls[1:]} == {(order, 3), (2 * order, 3)}
+    assert {call[2] for call in calls[1:]} == {(order, order, 3),
+                                               (2 * order, 2 * order, 3)}
+
+
+# ---------------------------------------------------------------------------
+# closed pairs on their pair chart
+
+def _harmonics(curve):
+    return curve.cos_rows - 1j * curve.sin_rows
+
+
+def _reversed(curve):
+    return hl.ParamCurve.real_closed(curve.const, curve.cos_rows,
+                                     -curve.sin_rows)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_the_shear_speeds_bound_the_difference_field(k):
+    # random torus pairs, some reversed, random offsets c and delta ranges:
+    # the panel's bound on |dD/dsigma| = |c1'(sigma) - k c2'(t2)| and c2's
+    # on |dD/ddelta| = |c2'(t2)| hold on dense samples of the panel
+    rng = np.random.default_rng(40 + k)
+    worst = 0.0
+    for _ in range(14):
+        c1, c2 = (workloads.torus_curve(int(rng.integers(4)), rng.uniform())
+                  for _ in range(2))
+        if rng.uniform() < 0.5:
+            c2 = _reversed(c2)
+        shear = quadrature.Shear(k, rng.uniform(-0.5, 0.5), _harmonics(c1),
+                         _harmonics(c2))
+        mid, half = rng.uniform(-0.5, 0.5), 0.5 ** int(rng.integers(1, 8))
+        speed_sigma, speed_delta = shear.speeds(
+            np.array([[0.0, mid - half]]), np.array([[1.0, mid + half]]))
+        sigma = np.linspace(0.0, 1.0, 2049)[:, None]
+        delta = np.linspace(mid - half, mid + half, 33)[None, :]
+        v1 = c1.eval_batch(sigma)[1]
+        v2 = c2.eval_batch(shear.t2(sigma, delta))[1]
+        ratio = np.linalg.norm(v1 - k * v2, axis=-1).max() / speed_sigma[0]
+        assert ratio <= 1.0
+        assert np.linalg.norm(v2, axis=-1).max() <= speed_delta[0]
+        worst = max(worst, ratio)
+    # and the bound is not loose
+    assert worst > 0.7
+
+
+def test_the_reversed_torus_pair_takes_the_reversed_chart():
+    # the closest-point map of a reversed strand has degree -1: on the chart
+    # t2 = -t1 + c + delta the 6e-3 pair takes a few panels
+    c1 = workloads.torus_curve(3, 0.1)
+    c2 = _reversed(workloads.torus_curve(3, 0.106))
+    res = hl.gauss_linking(c1, c2, hl.QuadConfig(tol=1e-6))
+    assert (res.trace.chart, res.trace.k) == ("shear", -1)
+    assert res.converged and res.panels_evaluated <= 200
+    assert abs(res.value + 3.0) <= res.err_estimate
+
+
+def test_torus_pairs_take_few_panels_on_their_pair_charts():
+    # the 12 windings x gap strata of the gauss_loops benchmark, each pair
+    # within its err of its winding, in under 1,500 panels together (14,000
+    # or so on the product chart) and 2 s
+    start = time.perf_counter()
+    panels = 0
+    for wraps in range(4):
+        for gap in (6.1e-3, 0.041, 0.31):
+            res = hl.gauss_linking(workloads.torus_curve(wraps, 0.1),
+                                   workloads.torus_curve(wraps, 0.1 + gap),
+                                   hl.QuadConfig(tol=1e-6))
+            assert res.trace.chart == "shear"
+            assert res.converged
+            assert abs(res.value - wraps) <= res.err_estimate
+            panels += res.panels_evaluated
+    assert panels <= 1500
+    assert time.perf_counter() - start < 2.0
 
 
 def test_gauss_linking_requires_matching_kinds(cfg):

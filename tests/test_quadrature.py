@@ -232,6 +232,36 @@ def test_nonfinite_node_is_named_in_row_major_order():
     assert exc.value.param == pytest.approx(want, rel=1e-15)
 
 
+def test_a_pair_run_names_the_first_non_finite_node_pair():
+    # far-apart circles on the chart t2 = t1 + 0.25 + delta, whose one
+    # initial cell [0, 1] x [-1/2, 1/2] resolves at once; NaN at two node
+    # pairs of its 8-node rule: the first in row-major order, t1 varying
+    # slowest, is named by t1 and its own t2
+    circle = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+    far = hl.ParamCurve.real_closed((10, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+    g, _ = np.polynomial.legendre.leggauss(8)
+    sigma, delta = 0.5 + 0.5 * g, 0.0 + 0.5 * g
+    planted = [(sigma[i], 1 * sigma[i] + 0.25 + delta[j])
+               for i, j in ((4, 1), (2, 5))]
+
+    def f(wa, x, t1, wb, y, t2):
+        bad = np.zeros(t2.shape, dtype=bool)
+        for a, b in planted:
+            bad |= (t1[..., None] == a) & (t2 == b)
+        grid = np.where(bad, np.nan, 1.0)
+        return np.matmul(np.matmul(wa[:, None], grid), wb[:, :, None])[:, 0, 0]
+
+    def side(curve):
+        return quadrature.Side(lambda t: (curve.positions(t), t),
+                               curve.positions)
+
+    with pytest.raises(hl.NonFiniteIntegrand) as exc:
+        integrate_product(f, Interval(0.0, 1.0), Interval(-0.5, 0.5),
+                          hl.QuadConfig(tol=1e-6), side(circle), side(far),
+                          _shear(circle, far, 1, 0.25))
+    assert exc.value.param == planted[1]
+
+
 def test_overflowing_panel_sum_is_reported():
     # every integrand value is finite; the weighted panel sums are not
     cfg = hl.QuadConfig(tol=1e-6)
@@ -458,10 +488,11 @@ def _torus_pair(gap, base=0.1):
     return _torus_curve(base), _torus_curve(base + gap)
 
 
-# a round is integrated in chunks of whole panels: 1,024 Gauss panels or 16
-# four-axis panels each. Panel sums are independent, so one panel per chunk
-# and one chunk per round give the default run's bits; on the 6e-3 pair the
-# default splits the first round's 1,268 panels into two chunks
+# a round is integrated in chunks of whole panels: 1,024 panels of a
+# product run over two intervals, 51 of a pair run (the closed Gauss pairs)
+# or 16 four-axis panels each. Panel sums are independent, so one panel per
+# chunk and one chunk per round give the default run's bits; on the 6e-3
+# pair the default splits the first round's 98 panels into two chunks
 @pytest.mark.parametrize("run, budget", [
     ("near_torus", 1 << 40), ("torus", 64), ("l0", 4096), ("l0", 1 << 40)])
 def test_chunked_rounds_keep_the_bits_of_one_chunk(monkeypatch, run, budget):
@@ -488,18 +519,43 @@ def test_chunked_rounds_keep_the_bits_of_one_chunk(monkeypatch, run, budget):
         assert base.trace.chunks_per_round[0] == 2
 
 
-def _closed_side(curve, bounded=True):
-    """A positions side of a closed curve, with or without its Fourier
-    speed bound."""
-    return quadrature.Side(lambda t: (curve.positions(t),), curve.positions,
-                           curve.derivative_bound(1) if bounded else None)
+def test_a_product_chart_pair_run_evaluates_one_row_of_node_pairs(
+        monkeypatch):
+    # at k = 0, t2 = c + delta is the same on every sigma row: evaluating
+    # one row and repeating it gives the bits of evaluating every pair
+    sc = scenes.hopf()
+    pair = (sc.curves["c1"], sc.curves["c2"])
+    cfg = hl.QuadConfig(tol=1e-6)
+    base = hl.gauss_linking(*pair, cfg)
+    assert base.trace.chart == "product"
+    monkeypatch.setattr(quadrature.Shear, "pairs", lambda self, sigma, delta:
+                        self.t2(sigma[:, :, None], delta[:, None, :]))
+    got = hl.gauss_linking(*pair, cfg)
+    assert complex(got.value) == complex(base.value)
+    assert got.err_estimate == base.err_estimate
+    assert got.trace.panels_per_round == base.trace.panels_per_round
 
 
-def _engine(c1, c2, bounded=True):
-    """An engine over [0, 1]^2 with no integrand, for its proximity check."""
-    return quadrature._Engine(None, Interval(0.0, 1.0), Interval(0.0, 1.0),
-                              hl.QuadConfig(), _closed_side(c1, bounded),
-                              _closed_side(c2, bounded))
+def _closed_side(curve):
+    """A positions side of a closed curve."""
+    return quadrature.Side(lambda t: (curve.positions(t),), curve.positions)
+
+
+def _shear(c1, c2, k=0, c=0.0):
+    """The pair chart t2 = k t1 + c + delta of two closed curves."""
+    return quadrature.Shear(k, c, *(cv.cos_rows - 1j * cv.sin_rows
+                                    for cv in (c1, c2)))
+
+
+def _engine(c1, c2, bounded=True, k=0, c=0.0, delta=(0.0, 1.0)):
+    """An engine with no integrand, for its proximity check: over [0, 1] x
+    delta, a pair run on the chart t2 = k t1 + c + delta, certified by the
+    curves' Fourier bounds, when bounded; otherwise a product run over
+    [0, 1]^2, whose samples' gaps set its radii."""
+    shear = _shear(c1, c2, k, c) if bounded else None
+    return quadrature._Engine(None, Interval(0.0, 1.0), Interval(*delta),
+                              hl.QuadConfig(), _closed_side(c1),
+                              _closed_side(c2), shear)
 
 
 def _product_cells(count):
@@ -513,16 +569,20 @@ def _product_cells(count):
 @pytest.mark.parametrize("gap", [0.006, 0.04])
 def test_per_cell_proximity_samples_give_the_per_panel_flags(monkeypatch,
                                                              gap, bounded):
-    # each side is sampled once per distinct side cell, with or without a
-    # speed bound; sampling every panel's cells on their own gives the
-    # same flags
+    # each side is sampled once per distinct side cell (in a pair run, the
+    # first side; the second is sampled per panel); sampling every panel's
+    # cells on their own gives the same flags and split axes
     engine = _engine(*_torus_pair(gap), bounded)
     lo, hi = _product_cells(8)
-    flags = engine._unresolved(lo, hi)
+    flags, axes = engine._unresolved(lo, hi)
     assert flags.any() and not flags.all()
     monkeypatch.setattr(quadrature, "_distinct",
                         lambda rows: (np.arange(len(rows)),) * 2)
-    assert np.array_equal(engine._unresolved(lo, hi), flags)
+    again, axes_again = engine._unresolved(lo, hi)
+    assert np.array_equal(again, flags)
+    assert (axes is None) == (axes_again is None) == (not bounded)
+    if bounded:
+        assert np.array_equal(axes_again, axes)
 
 
 @pytest.mark.parametrize("bounded", [True, False])
@@ -555,9 +615,66 @@ def test_the_certified_radius_flags_an_approach_between_the_samples():
     gap = np.linalg.norm(c1.positions(t) - c2.positions(t), axis=1)
     assert gap.min() < 1.01e-3
     lo, hi = np.zeros((1, 2)), np.ones((1, 2))
-    assert _engine(c1, c2, bounded=False)._unresolved(lo, hi).tolist() == [
+    assert _engine(c1, c2, bounded=False)._unresolved(lo, hi)[0].tolist() == [
         False]
-    assert _engine(c1, c2)._unresolved(lo, hi).tolist() == [True]
+    assert _engine(c1, c2)._unresolved(lo, hi)[0].tolist() == [True]
+
+
+def test_the_pair_radius_flags_a_difference_field_approach_between_samples():
+    # a unit circle, and above it a unit circle at height
+    # 1 - 0.999 sin(16 pi t). On the chart t2 = t1 + delta the cell
+    # [0, 1] x [-1/2, 1/2] samples t2 = j/8 only, where the ripple vanishes,
+    # so every sampled |D| is at least 1, and the samples' own gaps (the
+    # sampled rule) cover less than that; D dips to 1e-3 at t1 = t2 = 1/32,
+    # between them, and the certified radius flags the cell
+    c1 = hl.ParamCurve.real_closed((0, 0, 0), [[1, 0, 0]], [[0, 1, 0]])
+    ripple = np.zeros((8, 3))
+    ripple[7, 2] = -0.999
+    c2 = hl.ParamCurve.real_closed(
+        (0, 0, 1), np.vstack([[[1, 0, 0]], np.zeros((7, 3))]),
+        ripple + np.vstack([[[0, 1, 0]], np.zeros((7, 3))]))
+    t = np.linspace(0.0, 1.0, 4097)
+    gap = np.linalg.norm(c1.positions(t) - c2.positions(t), axis=1)
+    assert gap.min() < 1.01e-3
+    engine = _engine(c1, c2, k=1, delta=(-0.5, 0.5))
+    lo, hi = np.array([[0.0, -0.5]]), np.array([[1.0, 0.5]])
+    sigma, delta = (g[0] for g in engine._pair_grids(lo, hi))
+    diff = (c1.positions(sigma)[:, None]
+            - c2.positions(sigma[:, None] + delta[None, :]))
+    sampled = np.linalg.norm(diff, axis=-1).min()
+    assert sampled > 0.999
+    _, cover = quadrature._Engine._sample_pieces(diff.reshape(1, -1, 3),
+                                                 len(sigma), 2)
+    assert cover[0] < sampled
+    assert engine._unresolved(lo, hi)[0].tolist() == [True]
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_a_check_pass_reads_the_split_axes_off_its_samples(monkeypatch, k):
+    # the axis a check pass reads off the difference field's samples is
+    # the one _split_axes finds from its own samples, so a run asks
+    # _split_axes only for the panels it halves by error
+    c1, c2 = _torus_pair(0.04)
+    engine = _engine(c1, c2, k=k, delta=(-0.5, 0.5))
+    lo, hi = _product_cells(8)
+    lo[:, 1] -= 0.5
+    hi[:, 1] -= 0.5
+    flags, axes = engine._unresolved(lo, hi)
+    assert np.array_equal(axes, engine._split_axes(lo, hi))
+    assert 0 < axes.sum() < len(axes)
+
+    asked = []
+    raw = quadrature._Engine._split_axes
+
+    def counted(self, lo, hi):
+        asked.append(len(lo))
+        return raw(self, lo, hi)
+
+    monkeypatch.setattr(quadrature._Engine, "_split_axes", counted)
+    res = hl.gauss_linking(c1, c2, hl.QuadConfig(tol=1e-6))
+    assert res.converged and sum(res.trace.skipped_per_round) > 0
+    # once per round that refines, for the panels marked by error
+    assert len(asked) == len(res.trace.panels_per_round) - 1
 
 
 def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
@@ -636,12 +753,16 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
         return raw(a, b)
 
     monkeypatch.setattr(_kernels, "min_dist", counted)
-    res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
+    cfg = hl.QuadConfig(tol=1e-6)
+    res = hl.gauss_linking(*_torus_pair(0.04), cfg)
     assert res.converged and abs(res.value - 1.0) < 1e-6
     # one stacked call per check pass; every pass runs in the first round
     assert len(calls) == sum(res.trace.checks_per_round) >= 1
     assert res.trace.checks_per_round[0] == len(calls)
-    assert sum(calls) < res.panels_evaluated
+    # a pair run's call takes each checked panel's panel_order + 1 sample
+    # rows: the initial panel and both halves of each one halved
+    assert sum(calls) == (cfg.panel_order + 1) * (
+        1 + 2 * res.trace.skipped_per_round[0])
 
 
 # Value and err_estimate of three runs, recorded with numpy 2.4.6 and its
@@ -650,7 +771,7 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
 # every tolerance check. Another BLAS may round the kernels' matrix
 # products differently; the values are then re-recorded, not loosened.
 @pytest.mark.parametrize("run, value, err, panels", [
-    ("near_torus", 0.9999999999512903 + 0j, 9.983571969717084e-07, 3138),
+    ("near_torus", 1.0000000000009754 + 0j, 7.317853837210524e-07, 112),
     ("l0", -612.0393714196534 + 0j, 0.0005672996810862085, 52),
     ("pv_lines", 90.09324266303656 + 81.90294947362038j,
      0.010268341479465148, 34),
@@ -722,7 +843,7 @@ def test_skew_lines_panel_count_is_pinned(tol, panels):
 def test_near_torus_pair_panel_count_is_pinned():
     res = hl.gauss_linking(*_torus_pair(0.006), hl.QuadConfig(tol=1e-6))
     assert res.converged and abs(res.value - 1.0) < 1e-9
-    assert res.panels_evaluated == 3138
+    assert res.panels_evaluated == 112
 
 
 def test_trace_counts_rounds_and_max_depth():

@@ -101,16 +101,17 @@ def test_residue_report_is_raw_value(cfg):
 
 TRACE_KEYS = {"rounds", "panels_per_round", "skipped_per_round",
               "checks_per_round", "probed_per_round", "chunks_per_round",
-              "radius", "deepest_split", "max_depth_hit", "phase_s",
-              "workers"}
+              "radius", "chart", "k", "c", "deepest_split", "max_depth_hit",
+              "phase_s", "workers"}
 # the trace's phase_s keys: resolving proximity, evaluating the sides at
 # the rules' nodes, the integrand's rules, the split probe, the reduction
 PHASE_KEYS = {"resolve", "sides", "rules", "probe", "reduce"}
 
 
-# the covering radius of each side's proximity samples: closed curves carry
-# their Fourier speed bound, lines carry none
-RADIUS = {"hopf": ["fourier", "fourier"], "skew_lines": ["sampled", "sampled"],
+# the covering radius of the proximity samples: a closed pair's pair run
+# certifies its difference field's samples, lines sample each side's gaps;
+# the hopf pair's closest-point map has degree 0, the product chart
+RADIUS = {"hopf": ["difference"], "skew_lines": ["sampled", "sampled"],
           "L0": ["sampled", "sampled"]}
 
 
@@ -128,6 +129,7 @@ def test_integral_report_carries_its_trace(fast_cfg, scene, method):
     assert len(trace["chunks_per_round"]) == trace["rounds"]
     assert min(trace["chunks_per_round"]) >= 1
     assert trace["radius"] == RADIUS[scene]
+    assert (trace["chart"], trace["k"], trace["c"]) == ("product", 0, 0.0)
     assert set(trace["phase_s"]) == PHASE_KEYS
     assert sum(trace["panels_per_round"]) == rep.panels_evaluated
     assert trace["deepest_split"] >= 1
