@@ -22,18 +22,14 @@ t2 = k t1 + c + delta, k the degree of the closest-point map when it is
 +-1 and c the circular mean of the sampled offsets, so that strands that
 run close along t2 ~ t1 + c lie along one chart axis, which axis-aligned
 panels follow; every other pair takes k = 0, the product chart. Side b is
-then evaluated at every node pair, each kernel call gets a per-row second
-cloud, and the engine certifies its proximity check from the curves'
-Fourier coefficients (quadrature.Shear).
+then evaluated at every node pair, and each kernel call gets a per-row
+second cloud; the engine checks proximity on the curves' Fourier rows.
 
 The crossing route samples each curve's positions alone
 (Polyline3.from_curve) and sums the signed crossings of the projected
 segment pairs whose bounding boxes overlap, found by a sorted sweep
-(_kernels.crossing_sum). certified_polylines chooses the sample count: a
-closed curve's Fourier bound on |x''| bounds how far each chord sags from
-its arc, and the count doubles until the polylines are farther apart than
-twice the two sags, so that moving each polyline onto its curve cannot
-make them meet and their linking number is the curves'.
+(_kernels.crossing_sum). certified_polylines doubles the sample count
+until the chords' sags, bounded from the curves' Fourier rows, certify it.
 """
 
 from dataclasses import dataclass
@@ -161,7 +157,8 @@ def _closed_pair_shear(curve1, curve2):
     else:
         k = 0
     return Shear(k, c, *(cv.cos_rows - 1j * cv.sin_rows
-                         for cv in (curve1, curve2)))
+                         for cv in (curve1, curve2)),
+                 curve1.const, curve2.const)
 
 
 def gauss_linking(curve1, curve2, cfg):
@@ -215,29 +212,31 @@ def line_gauss_closed(e1, e2, e3):
 
 @dataclass(frozen=True)
 class Polyline3:
-    """Closed polyline: vertices (n, 3); the segment n-1 -> 0 closes it."""
+    """Closed polyline: vertices (n, 3); the segment n-1 -> 0 closes it. A
+    last vertex that repeats the first, each coordinate within 2^-50 of the
+    largest magnitude (4 to 8 of its ulp), is stripped."""
 
     vertices: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        if v.shape[0] >= 2 and np.allclose(v[0], v[-1]):
+        if v.shape[0] >= 2 and np.all(np.abs(v[-1] - v[0])
+                                      <= 2.0 ** -50 * np.abs(v).max()):
             v = v[:-1]
         object.__setattr__(self, "vertices", _loop_vertices(v))
 
     @classmethod
     def from_curve(cls, curve, n=512):
-        """The polyline on the curve's samples at t = k/n, k < n.
+        """The polyline on all of the curve's samples at t = k/n, k < n."""
+        return cls(curve.positions(np.linspace(0.0, 1.0, n, endpoint=False)))
 
-        All n samples are vertices, so every chord spans the parameter
-        step 1/n: t = 1 is left out, and a last sample that allclose puts
-        on the first (a fine sampling far from the origin) is kept, not
-        stripped as a repeated closing vertex."""
-        params = np.linspace(0.0, 1.0, n, endpoint=False)
-        pl = object.__new__(cls)
-        object.__setattr__(pl, "vertices", _loop_vertices(
-            np.asarray(curve.positions(params), dtype=float)))
-        return pl
+    def doubled(self, curve):
+        """from_curve(curve, 2n) of from_curve(curve, n), bit for bit, as
+        positions is pointwise: only the n odd samples are evaluated."""
+        v = np.repeat(self.vertices, 2, axis=0)
+        v[1::2] = curve.positions(np.linspace(0.0, 1.0, len(v),
+                                              endpoint=False)[1::2])
+        return Polyline3(v)
 
 
 def _loop_vertices(v):
@@ -256,7 +255,7 @@ def certified_polylines(curve1, curve2):
     """Polylines of two real_closed curves on n evenly spaced parameters
     each (Polyline3.from_curve), with n doubled from CROSSING_SAMPLES
     until they certify the curves' linking number, and that n:
-    (p1, p2, n).
+    (p1, p2, n); each doubling evaluates only its new samples.
 
     A chord of parameter step h = 1/n lies within h^2 B / 8 of its arc, B
     the curve's Fourier bound on |x''| (ParamCurve.derivative_bound), at
@@ -269,8 +268,8 @@ def certified_polylines(curve1, curve2):
     not certify the pair."""
     bends = curve1.derivative_bound(2) + curve2.derivative_bound(2)
     n = CROSSING_SAMPLES
+    p1, p2 = (Polyline3.from_curve(c, n) for c in (curve1, curve2))
     while True:
-        p1, p2 = (Polyline3.from_curve(c, n) for c in (curve1, curve2))
         sag = bends / (8.0 * n * n)
         gap = _kernels.polyline_dist(p1.vertices, p2.vertices, 2.0 * sag)
         if gap + sag < _MIN_DIST:
@@ -285,6 +284,7 @@ def certified_polylines(curve1, curve2):
                 f"the curves' polylines on {n} samples come within {gap:.3e}, "
                 f"with chord sags summing to {sag:.3e}, too close to "
                 "certify their crossings")
+        p1, p2 = p1.doubled(curve1), p2.doubled(curve2)
         n *= 2
 
 

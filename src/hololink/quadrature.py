@@ -15,25 +15,25 @@ points also counts as hot, whatever its error: a close approach narrower
 than the node spacing is invisible to the error estimate.
 
 A refinement round first resolves proximity, then integrates. It checks
-the pending panels' curve pieces, halves the unresolved ones that are
-short of max_depth without integrating them, and checks their halves
-again, until every pending panel is resolved or at max_depth; only then
-does it integrate all of them. These proximity samples are the only
-curve-distance sampler: they cover every initial cell in the first pass and
-then follow the unresolved panels down to wherever the curves come close,
-and a sampled distance below 1e-6 raises CurvesTooClose before any
-integrand call of the round. A panel is resolved when its closest sampled
-approach exceeds the two pieces' covering radii, each half its samples'
-largest gap; a side is sampled once per distinct side cell of a pass.
+the pending panels' curve pieces, halves the unresolved ones short of
+max_depth without integrating them, and checks their halves again until
+every pending panel is resolved or at max_depth; only then does it
+integrate them. These proximity samples are the only curve-distance
+sampler: they cover every initial cell in the first pass, follow the
+unresolved panels down to wherever the curves come close, and raise
+CurvesTooClose at a sampled distance below 1e-6, before any integrand
+call of the round. A panel is resolved when its closest sampled approach
+exceeds the two pieces' covering radii, each half its samples' largest
+gap; a side is sampled once per distinct side cell of a pass.
 
 A pair run (two closed curves and a Shear) integrates over the chart
 t1 = sigma, t2 = k sigma + c + delta, whose jacobian is 1, evaluating side
 b at its own t2 for every node pair (one sigma row of them at k = 0, where
-all rows share it). Its check samples the difference field
-D = c1(sigma) - c2(t2) on each panel's grid and covers them by the
-certified radius (h_sigma B_sigma + h_delta B_delta) / 2
-(_pair_unresolved), and it halves a panel along the axis on which D's
-samples spread more.
+all rows share it). Its check reads the difference field
+D = c1(sigma) - c2(t2) on each panel's grid off the curves' Fourier rows
+(Shear.difference), covers the samples by the certified radius
+(h_sigma B_sigma + h_delta B_delta) / 2 (_pair_unresolved), and halves a
+panel along the axis on which D's samples spread more.
 
 Compact domains (Interval, Rect) are integrated as given, and a panel is
 halved along the axis of its largest spatial extent, measured on the curves
@@ -72,24 +72,15 @@ chunks of whole panels, at most _kernels._BLOCK_PAIRS coarse-rule node
 pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one, 51 of
 a pair run: _Engine.chunk), so its node arrays never hold more than one
 chunk. A chunk takes one call of each side, on the nodes of both rules
-together, and one call of the integrand per rule. In a product run each
-distinct cell of a side is evaluated once per chunk and its arrays are
-shared by every panel on it. The integrand receives each side's
-jacobian-folded weights (P, n) before that side's arrays (P, n, ...),
-stacked over the chunk's P panels (in a pair run side b's are (P, n, m,
-...)), and returns the (P,) weighted panel sums, so it can contract its
-values however is cheapest. The probe of a round is one more call of each
-side and of the integrand, on one-node panels whose weights are the chart
-jacobians. per_panel adapts a kernel written for one panel. Each proximity
-check pass and each spatial halving takes one call per side for its
-samples, which read positions only (Side gives a path that computes
-nothing else), and a pass's distances are one stacked _kernels.min_dist
-call. Errors, covering radii and flags are array operations over the
-round, and each chunk's panel sums are checked for finiteness together.
-Panel results are reduced by a fixed pairwise tree over geometrically
-sorted panels, so values do not depend on how a round is chunked.
-Everything runs on one thread. Every result carries a QuadTrace saying how
-it was produced.
+together, and one call of the integrand per rule (_Engine). The integrand
+receives each side's jacobian-folded weights (P, n) before that side's
+arrays (P, n, ...), stacked over the chunk's P panels (in a pair run side
+b's are (P, n, m, ...)), and returns the (P,) weighted panel sums, so it
+can contract its values however is cheapest. per_panel adapts a kernel
+written for one panel. Panel results are reduced by a fixed pairwise tree
+over geometrically sorted panels, so values do not depend on how a round
+is chunked. Everything runs on one thread. Every result carries a
+QuadTrace saying how it was produced.
 """
 
 import cmath
@@ -105,7 +96,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import _kernels
 from .errors import CurvesTooClose, NonFiniteIntegrand, PVNotConverging
-from .geometry import TWO_PI, realify
+from .geometry import TWO_PI, _harmonics, realify
 
 _MIN_DIST = 1e-6       # CurvesTooClose threshold
 _POWER = 2             # the whole-domain charts' exponent: u = c + s^2 e^{i phi}
@@ -310,11 +301,11 @@ class Shear:
     curves of period 1. For an integer k each sigma row shifts t2 on the
     circle, so the jacobian is 1 and delta over a period covers the torus
     once: k and c change the cost, never the value. k = c = 0 is the
-    product chart. harmonics_a and harmonics_b, the curves' Fourier rows
-    cos_row_j - i sin_row_j (J, 3), bound the difference field
-    D = c1(sigma) - c2(t2) (speeds)."""
+    product chart. The curves' Fourier rows cos_row_j - i sin_row_j (J, 3)
+    and constant terms give the difference field D = c1(sigma) - c2(t2)
+    (difference) and bounds on its derivatives (speeds)."""
 
-    def __init__(self, k, c, harmonics_a, harmonics_b):
+    def __init__(self, k, c, harmonics_a, harmonics_b, const_a, const_b):
         self.k, self.c = int(k), float(c)
         count = max(len(harmonics_a), len(harmonics_b))
         self.rows = [np.concatenate([h, np.zeros((count - len(h), 3))])
@@ -324,6 +315,19 @@ class Shear:
         self.norms = [_norms(h) for h in self.rows]
         self.speed_a, self.speed_b = (float(np.sum(self.freq * n))
                                       for n in self.norms)
+        # mix[x]: the sigma basis [cos_j; sin_j; 1] -> D's rows
+        # [-Re w_j; Im w_j; c1 - const_b] (difference), where
+        # w_j = (Re u_j cos - k Im u_j sin) + i (Im u_j cos + k Re u_j sin)
+        # of 2 pi j sigma, with cos -> 1 at k = 0
+        u = (self.rows[1] * np.exp(1j * self.freq * self.c)[:, None]).T
+        a, j, n = self.rows[0].T, np.arange(count), 2 * count + 1
+        cos, sin = (j if self.k else np.full(count, n - 1)), count + j
+        mix = np.zeros((3, n, n))
+        mix[:, j, cos], mix[:, sin, cos] = -u.real, u.imag
+        mix[:, j, sin], mix[:, sin, sin] = self.k * u.imag, self.k * u.real
+        mix[:, -1] = np.concatenate(
+            [a.real, -a.imag, np.subtract(const_a, const_b)[:, None]], axis=1)
+        self.mix = mix.reshape(3 * n, n)
 
     def t2(self, sigma, delta):
         """The second curve's parameter at chart points (sigma, delta)."""
@@ -335,6 +339,25 @@ class Shear:
         row, (P, 1, m), for the caller to repeat (_rows)."""
         return self.t2(sigma[:, :, None] if self.k else sigma[:, :1, None],
                        delta[:, None, :])
+
+    def difference(self, samples):
+        """D = c1(sigma) - c2(k sigma + c + delta) on each panel's grid of
+        samples[0] (sigma) and samples[1] (delta), (2, P, m): (3, P, m, m),
+        sigma along the third axis. With u_j = c2_j e^{2 pi i j c} and
+        w_j = u_j e^{2 pi i j k sigma}, c2(t2) - const_b is
+        sum_j Re(w_j e^{2 pi i j delta}), so one matrix product (mix) maps
+        the basis [cos_j; sin_j; 1] of the sigma samples
+        (geometry._harmonics) to the rows [-Re w_j; Im w_j; c1 - const_b],
+        and one stacked real product per panel and coordinate contracts
+        them with the delta samples' basis."""
+        _, count, m = samples.shape
+        cos, sin = (h.reshape(-1, len(self.freq)).T for h in _harmonics(
+            TWO_PI * samples, len(self.freq)))
+        basis = np.concatenate([cos, sin, np.ones((1, cos.shape[1]))])
+        basis = basis.reshape(-1, 2, count, m)
+        rows = self.mix @ basis[:, 0].reshape(len(basis), -1)
+        return np.matmul(rows.reshape(3, -1, count, m).transpose(0, 2, 3, 1),
+                         basis[:, 1].transpose(1, 0, 2))
 
     def speeds(self, lo, hi):
         """Bounds on |dD/dsigma| and |dD/ddelta| over each panel of chart
@@ -478,18 +501,16 @@ class _Engine:
     left to halve (_unresolved). It then integrates the pending panels a
     chunk of self.chunk whole panels at a time: each side once, on the
     nodes of both rules of each distinct side cell of the chunk
-    (_side_rules; side b of a pair run per node pair), and one call of the
-    integrand per rule, on the chunk's stacked weights and arrays; the
-    integrand returns the (P,) panel sums.
-    The split-axis samples of a spatial halving and the proximity samples
-    of a check pass likewise take one call per side, of its positions
-    only, a pass's distances one stacked min_dist call, and the errors and
-    flags are array operations.
-    A run with a whole domain (Plane, RealLine) halves a panel refined by
-    error along the axis _probe_axes picks, from one more call of each
-    side and of the integrand per round, and every other panel along its
-    longest chart axis; it compares its proximity samples in the bounded
-    image of _compress. seconds accumulates the wall time of each phase.
+    (_side_rules; side b of a pair run per node pair), and the integrand
+    once per rule. The samples of a check pass or a spatial halving take
+    one call per side, of its positions only, and a pass's distances one
+    stacked min_dist call; in a pair run they are one Shear.difference
+    call, which evaluates no curve (_pair_field). Errors, covering radii
+    and flags are array operations. A run with a whole domain (Plane,
+    RealLine) halves a panel refined by error along the axis _probe_axes
+    picks and every other panel along its longest chart axis, and compares
+    its proximity samples in the bounded image of _compress. seconds
+    accumulates the wall time of each phase.
     """
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
@@ -693,19 +714,11 @@ class _Engine:
         with a whole domain, the longest chart axis; otherwise the axis of
         largest spatial extent, the bounding-box diagonal of the points at
         the axis ends and midpoint, other axes at their midpoints; in a pair
-        run, of the difference field at the check grid's indices _ends of
-        its middle row and column, which _pair_unresolved also reads."""
+        run, _pair_field's, as in the check pass."""
         if self.whole:
             return np.argmax(hi - lo, axis=1)
         if self.shear is not None:
-            ends = _ends(self.cfg.panel_order + 1)
-            varied = [g[:, ends] for g in self._pair_grids(lo, hi)]
-            held = [np.repeat(g[:, 1:2], 3, axis=1) for g in varied]
-            # row 0 varies sigma at the middle delta, row 1 the reverse
-            sigma = np.stack([varied[0], held[0]], axis=1)
-            delta = np.stack([held[1], varied[1]], axis=1)
-            return _widest(self._points(0, sigma) - self._points(
-                1, self.shear.t2(sigma, delta)))
+            return self._pair_field(lo, hi)[1]
         mid = 0.5 * (lo + hi)
         extents = []
         for s, ax in enumerate(self.axes):
@@ -721,15 +734,26 @@ class _Engine:
         return np.argmax(np.concatenate(extents, axis=1), axis=1)
 
     def _pair_grids(self, lo, hi):
-        """The sample grids of a pair run's panels, sigma and delta, (P, m)
-        each, end-inclusive."""
+        """Sigma and delta samples lo + width i / (m - 1), (2, P, m)."""
         m = self.cfg.panel_order + 1
-        return [np.linspace(lo[:, a], hi[:, a], m, axis=-1) for a in (0, 1)]
+        steps = np.arange(m) / (m - 1)
+        return lo.T[..., None] + (hi - lo).T[..., None] * steps
+
+    def _pair_field(self, lo, hi):
+        """D on each pair-run panel's m x m check grid (Shear.difference),
+        and per panel the axis along which D spreads more at the ends and
+        middle of its middle row and column."""
+        field = self.shear.difference(self._pair_grids(lo, hi))
+        mid = field.shape[-1] // 2
+        ends = [0, mid, -1]
+        # [varied axis, coordinate, panel, sample] -> (P, axes, samples, 3)
+        cross = np.stack([field[..., ends, mid], field[..., mid, ends]])
+        return field, np.argmax(_extents(cross.transpose(2, 0, 3, 1)), axis=1)
 
     def _unresolved(self, lo, hi):
         """Per panel, True while the sampled pieces of the two curves could
         touch, and the axes to halve them along (None, or in a pair run
-        those of _pair_unresolved). A panel is unresolved while the closest
+        those of _pair_field). A panel is unresolved while the closest
         sampled approach is no larger than the sum of the pieces' covering
         radii, half their samples' largest gaps (_sample_pieces): a close
         approach narrower than the node spacing can then hide between all
@@ -770,31 +794,20 @@ class _Engine:
         return dists <= cover_a + cover_b, None
 
     def _pair_unresolved(self, lo, hi):
-        """_unresolved in a pair run: D = c1(sigma) - c2(t2) on each
-        panel's m x m grid, m = panel_order + 1 (c1 once per distinct sigma
-        cell). Every point of the panel is within h / 2 of a sample along
-        each axis, h the grid steps, so within
-        (h_sigma B_sigma + h_delta B_delta) / 2 of it in D (Shear.speeds):
-        a panel whose smallest sampled |D| exceeds that is proved clear.
-        Its split axis is the one along which D spreads more at the grid
-        indices _ends of the middle row and column. The distances are one
-        stacked min_dist call, each sigma sample against its row of c2."""
-        count, m = len(lo), self.cfg.panel_order + 1
-        sigma, delta = self._pair_grids(lo, hi)
-        first, inverse = _distinct(np.stack([lo[:, 0], hi[:, 0]], axis=1))
-        pts_a = self._points(0, sigma[first])[inverse]
-        pts_b = _rows(self._points(1, self.shear.pairs(sigma, delta)), m)
-        dists = _kernels.min_dist(pts_a.reshape(count * m, 1, -1),
-                                  pts_b.reshape(count * m, m, -1))
-        dists = dists.reshape(count, m).min(axis=1)
+        """_unresolved in a pair run, from D on each panel's m x m grid,
+        m = panel_order + 1, |D|^2 summed one coordinate at a time. Every
+        point of the panel is within h / 2 of a sample along each axis, h
+        the grid steps, so within (h_sigma B_sigma + h_delta B_delta) / 2 of
+        it in D (Shear.speeds): a panel whose smallest sampled |D| exceeds
+        that is proved clear."""
+        field, axes = self._pair_field(lo, hi)
+        square = np.sum(field ** 2, axis=0).reshape(len(lo), -1)
+        dists = np.sqrt(square.min(axis=1))
         _guard(dists)
-        ends, mid = _ends(m), m // 2
-        cross = np.stack([pts_a[:, ends] - pts_b[:, ends, mid],
-                          pts_a[:, mid, None] - pts_b[:, mid, ends]], axis=1)
         speed_sigma, speed_delta = self.shear.speeds(lo, hi)
-        step = (hi - lo) / (m - 1)
+        step = (hi - lo) / (field.shape[-1] - 1)
         cover = 0.5 * (step[:, 0] * speed_sigma + step[:, 1] * speed_delta)
-        return dists <= cover, _widest(cross)
+        return dists <= cover, axes
 
     def _compress(self, pts):
         """Points as given in a compact run; in a run with a whole domain,
@@ -854,10 +867,8 @@ class _Engine:
         check passes and of integration chunks. Resolving comes first, so
         curves that meet fail as CurvesTooClose before any integrand call
         of the round. The panels are integrated in chunks of self.chunk
-        whole panels, in order, each with its own side calls and integrand
-        calls, so a round's node arrays never hold more than one chunk;
-        each panel's sum is its own, so the values do not depend on the
-        chunks."""
+        whole panels, in order; each panel's sum is its own, so the values
+        do not depend on the chunks."""
         with self._timed("resolve"):
             pending, halved, passes = self._resolve(pending)
         parts = []
@@ -981,21 +992,10 @@ def _rows(pairs, n):
     return pairs if pairs.shape[1] == n else np.repeat(pairs, n, axis=1)
 
 
-def _ends(m):
-    """The grid indices of an axis's ends and middle, of m samples."""
-    return [0, m // 2, m - 1]
-
-
 def _extents(pts):
     """Per panel and axis, the bounding-box diagonal of points
     (P, axes, samples, dim)."""
     return np.linalg.norm(pts.max(axis=2) - pts.min(axis=2), axis=-1)
-
-
-def _widest(pts):
-    """Per panel, the axis whose points (P, axes, samples, dim) spread
-    most."""
-    return np.argmax(_extents(pts), axis=1)
 
 
 def _guard(dists):

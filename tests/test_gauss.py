@@ -181,7 +181,7 @@ def test_the_shear_speeds_bound_the_difference_field(k):
         if rng.uniform() < 0.5:
             c2 = _reversed(c2)
         shear = quadrature.Shear(k, rng.uniform(-0.5, 0.5), _harmonics(c1),
-                         _harmonics(c2))
+                                 _harmonics(c2), c1.const, c2.const)
         mid, half = rng.uniform(-0.5, 0.5), 0.5 ** int(rng.integers(1, 8))
         speed_sigma, speed_delta = shear.speeds(
             np.array([[0.0, mid - half]]), np.array([[1.0, mid + half]]))
@@ -195,6 +195,110 @@ def test_the_shear_speeds_bound_the_difference_field(k):
         worst = max(worst, ratio)
     # and the bound is not loose
     assert worst > 0.7
+
+
+def _random_torus_pair(rng, k, gap):
+    """A random torus pair gap apart in phase, c2 reversed for k = -1, and
+    its chart t2 = k t1 + c + delta at a random c."""
+    wraps, phase = int(rng.integers(4)), rng.uniform()
+    c1, c2 = (workloads.torus_curve(wraps, p) for p in (phase, phase + gap))
+    if k < 0:
+        c2 = _reversed(c2)
+    return c1, c2, quadrature.Shear(k, rng.uniform(-0.5, 0.5), _harmonics(c1),
+                                    _harmonics(c2), c1.const, c2.const)
+
+
+def _random_panels(rng, count):
+    """Panels of [0, 1] x [-1/2, 1/2] with sides 2^-1 to 2^-7: (lo, hi)."""
+    width = 0.5 ** rng.integers(1, 8, size=(count, 2))
+    lo = np.stack([rng.uniform(0.0, 1.0 - width[:, 0]),
+                   rng.uniform(-0.5, 0.5 - width[:, 1])], axis=1)
+    return lo, lo + width
+
+
+def _pointwise_pair_check(shear, c1, c2, lo, hi, m):
+    """The pair check from pointwise curve evaluations, panel by panel:
+    D = c1(sigma) - c2(t2) on the m x m linspace grid, whether its smallest
+    norm is within the certified radius, and the axis along which D spreads
+    more on the grid's ends and middle of its middle row and column."""
+    flags, axes = [], []
+    ends = [0, m // 2, m - 1]
+    for a, b in zip(lo, hi):
+        sigma, delta = np.linspace(a[0], b[0], m), np.linspace(a[1], b[1], m)
+        d = (c1.positions(sigma)[:, None]
+             - c2.positions(shear.t2(sigma[:, None], delta[None, :])))
+        speed_sigma, speed_delta = shear.speeds(a[None], b[None])
+        cover = 0.5 * ((b[0] - a[0]) * speed_sigma[0]
+                       + (b[1] - a[1]) * speed_delta[0]) / (m - 1)
+        flags.append(np.linalg.norm(d, axis=-1).min() <= cover)
+        spread = [np.linalg.norm(np.ptp(d[ends, m // 2], axis=0)),
+                  np.linalg.norm(np.ptp(d[m // 2, ends], axis=0))]
+        axes.append(int(np.argmax(spread)))
+    return flags, axes
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_the_difference_field_matches_pointwise_evaluation(k):
+    # random torus pairs and panels: the separable field equals
+    # c1(sigma) - c2(k sigma + c + delta) evaluated point by point
+    rng = np.random.default_rng(50 + k)
+    m = 9
+    for _ in range(8):
+        c1, c2, shear = _random_torus_pair(rng, k, rng.uniform(0.005, 0.3))
+        lo, hi = _random_panels(rng, 20)
+        steps = np.linspace(0.0, 1.0, m)
+        samples = lo.T[..., None] + (hi - lo).T[..., None] * steps
+        field = np.moveaxis(shear.difference(samples), 0, -1)
+        sigma, delta = samples
+        want = (c1.positions(sigma)[:, :, None]
+                - c2.positions(shear.t2(sigma[:, :, None],
+                                        delta[:, None, :])))
+        scale = np.abs(c1.positions(sigma)).max()
+        assert np.abs(field - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_the_pair_check_matches_a_pointwise_reference(k):
+    # the engine's flags and split axes, read off the separable field,
+    # are those of the check evaluated curve point by curve point
+    rng = np.random.default_rng(60 + k)
+    cfg = hl.QuadConfig()
+    flagged = 0
+    for _ in range(6):
+        c1, c2, shear = _random_torus_pair(rng, k, rng.uniform(0.005, 0.05))
+        engine = quadrature._Engine(None, quadrature.Interval(0.0, 1.0),
+                                    quadrature.Interval(-0.5, 0.5), cfg,
+                                    shear=shear)
+        lo, hi = _random_panels(rng, 40)
+        flags, axes = engine._unresolved(lo, hi)
+        want = _pointwise_pair_check(shear, c1, c2, lo, hi,
+                                     cfg.panel_order + 1)
+        assert flags.tolist() == want[0]
+        assert axes.tolist() == want[1]
+        assert engine._split_axes(lo, hi).tolist() == want[1]
+        flagged += int(flags.sum())
+    assert 0 < flagged < 6 * 40
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_the_pair_check_raises_below_the_guard(k):
+    # strands 1e-8 apart in phase come within about 3e-8, and a check pass
+    # over a grid of cells raises; 1e-3 apart they pass
+    rng = np.random.default_rng(70 + k)
+    edges = np.linspace(0.0, 1.0, 9)[:-1]
+    lo = np.array([(a, b - 0.5) for a in edges for b in edges])
+    for gap, close in ((1e-8, True), (1e-3, False)):
+        c1, c2, _ = _random_torus_pair(rng, k, gap)
+        shear = quadrature.Shear(k, 0.0, _harmonics(c1), _harmonics(c2),
+                                 c1.const, c2.const)
+        engine = quadrature._Engine(None, quadrature.Interval(0.0, 1.0),
+                                    quadrature.Interval(-0.5, 0.5),
+                                    hl.QuadConfig(), shear=shear)
+        if close:
+            with pytest.raises(hl.CurvesTooClose):
+                engine._unresolved(lo, lo + 0.125)
+        else:
+            engine._unresolved(lo, lo + 0.125)
 
 
 def test_the_reversed_torus_pair_takes_the_reversed_chart():
@@ -580,6 +684,43 @@ def test_near_ring_crossing_route_gives_linking_number(gap, angle, centre,
         # what the fixed 512 samples gave
         assert hl.crossing_linking(
             *(hl.Polyline3.from_curve(c, 512) for c in (circle, ring))) == 0
+
+
+def test_each_doubling_evaluates_only_its_new_samples(monkeypatch):
+    # the 2e-6 ring doubles from 512 to 4,096 samples: each doubling
+    # evaluates its n new odd samples alone, and gives from_curve's
+    # vertices on 2n samples bit for bit
+    ring = _small_ring(2e-6, 3.1)
+    seen = []
+    raw = hl.ParamCurve.positions
+
+    def counted(self, params):
+        seen.append(np.size(params))
+        return raw(self, params)
+
+    monkeypatch.setattr(hl.ParamCurve, "positions", counted)
+    *polylines, n = hl.certified_polylines(_UNIT_CIRCLE, ring)
+    monkeypatch.undo()
+    assert n == 4096
+    assert seen == [512, 512, 512, 512, 1024, 1024, 2048, 2048]
+    for curve, pl in zip((_UNIT_CIRCLE, ring), polylines):
+        assert np.array_equal(pl.vertices,
+                              hl.Polyline3.from_curve(curve, n).vertices)
+        for count in (512, 1024, 2048):
+            assert np.array_equal(
+                hl.Polyline3.from_curve(curve, count).doubled(curve).vertices,
+                hl.Polyline3.from_curve(curve, 2 * count).vertices)
+
+
+def test_polyline_keeps_a_fine_ring_far_from_the_origin():
+    # a ring of radius 4.3e-6 about (1000, 1000, 1000) on 1,024 vertices:
+    # allclose puts its last vertex, 2.6e-8 from the first, on it, but it is
+    # no repeat of it
+    t = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
+    ring = np.add(_FAR, 4.3e-6 * np.stack(
+        [np.cos(t), np.sin(t), np.zeros_like(t)], axis=1))
+    assert np.allclose(ring[0], ring[-1])
+    assert hl.Polyline3(ring).vertices.shape == (1024, 3)
 
 
 @pytest.mark.parametrize("gap", [2e-7, 5e-7])

@@ -544,7 +544,7 @@ def _closed_side(curve):
 def _shear(c1, c2, k=0, c=0.0):
     """The pair chart t2 = k t1 + c + delta of two closed curves."""
     return quadrature.Shear(k, c, *(cv.cos_rows - 1j * cv.sin_rows
-                                    for cv in (c1, c2)))
+                                    for cv in (c1, c2)), c1.const, c2.const)
 
 
 def _engine(c1, c2, bounded=True, k=0, c=0.0, delta=(0.0, 1.0)):
@@ -569,9 +569,9 @@ def _product_cells(count):
 @pytest.mark.parametrize("gap", [0.006, 0.04])
 def test_per_cell_proximity_samples_give_the_per_panel_flags(monkeypatch,
                                                              gap, bounded):
-    # each side is sampled once per distinct side cell (in a pair run, the
-    # first side; the second is sampled per panel); sampling every panel's
-    # cells on their own gives the same flags and split axes
+    # each side is sampled once per distinct side cell (a pair run reads
+    # its difference field per panel); sampling every panel's cells on
+    # their own gives the same flags and split axes
     engine = _engine(*_torus_pair(gap), bounded)
     lo, hi = _product_cells(8)
     flags, axes = engine._unresolved(lo, hi)
@@ -699,6 +699,35 @@ def test_curve_evaluations_are_per_round_not_per_panel(monkeypatch):
     assert len(calls) < res.panels_evaluated
 
 
+def test_pair_run_check_passes_evaluate_no_curve(monkeypatch):
+    # a pair run's check passes and split axes read the difference field
+    # off the curves' Fourier rows: no curve is evaluated inside them
+    inside, evaluated = [False], []
+    raw = hl.ParamCurve._evaluate
+
+    def counted(self, params, velocity):
+        evaluated.append(inside[0])
+        return raw(self, params, velocity)
+
+    def entered(method):
+        def wrapped(self, lo, hi):
+            inside[0] = True
+            try:
+                return method(self, lo, hi)
+            finally:
+                inside[0] = False
+        return wrapped
+
+    monkeypatch.setattr(hl.ParamCurve, "_evaluate", counted)
+    for name in ("_unresolved", "_split_axes"):
+        monkeypatch.setattr(quadrature._Engine, name,
+                            entered(getattr(quadrature._Engine, name)))
+    res = hl.gauss_linking(*_torus_pair(0.04), hl.QuadConfig(tol=1e-6))
+    assert res.converged and res.trace.checks_per_round[0] > 1
+    assert len(res.trace.panels_per_round) > 1
+    assert evaluated and not any(evaluated)
+
+
 def test_each_distinct_side_cell_is_evaluated_once_per_round():
     # counting sides on Interval x Interval, with far-apart positions so
     # that proximity resolves at once: each round calls each side once, on
@@ -746,23 +775,24 @@ def _peak(t):
 
 def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
     calls = []
-    raw = _kernels.min_dist
+    raw = quadrature.Shear.difference
 
-    def counted(a, b):
-        calls.append(len(a))
-        return raw(a, b)
+    def counted(self, samples):
+        calls.append(samples.shape[1])
+        return raw(self, samples)
 
-    monkeypatch.setattr(_kernels, "min_dist", counted)
+    monkeypatch.setattr(quadrature.Shear, "difference", counted)
     cfg = hl.QuadConfig(tol=1e-6)
     res = hl.gauss_linking(*_torus_pair(0.04), cfg)
     assert res.converged and abs(res.value - 1.0) < 1e-6
-    # one stacked call per check pass; every pass runs in the first round
-    assert len(calls) == sum(res.trace.checks_per_round) >= 1
-    assert res.trace.checks_per_round[0] == len(calls)
-    # a pair run's call takes each checked panel's panel_order + 1 sample
-    # rows: the initial panel and both halves of each one halved
-    assert sum(calls) == (cfg.panel_order + 1) * (
-        1 + 2 * res.trace.skipped_per_round[0])
+    # one stacked evaluation per check pass, every pass in the first round,
+    # and one per later round for the split axes of the panels it refines
+    passes = res.trace.checks_per_round[0]
+    assert passes == sum(res.trace.checks_per_round) >= 1
+    assert len(calls) == passes + len(res.trace.panels_per_round) - 1
+    # the passes take each checked panel once: the initial panel and both
+    # halves of each one halved
+    assert sum(calls[:passes]) == 1 + 2 * res.trace.skipped_per_round[0]
 
 
 # Value and err_estimate of three runs, recorded with numpy 2.4.6 and its
