@@ -21,9 +21,9 @@ A closed pair is integrated on its pair chart (_closed_pair_shear):
 t2 = k t1 + c + delta, k the degree of the closest-point map when it is
 +-1 and c the circular mean of the sampled offsets, so that strands that
 run close along t2 ~ t1 + c lie along one chart axis, which axis-aligned
-panels follow; every other pair takes k = 0, the product chart. Side b is
-then evaluated at every node pair, and each kernel call gets a per-row
-second cloud; the engine checks proximity on the curves' Fourier rows.
+panels follow; every other pair takes k = 0, the product chart. The
+engine then reads side b at every node pair, and checks proximity, off the
+curves' Fourier rows; each kernel call gets a per-row second cloud.
 
 The crossing route samples each curve's positions alone
 (Polyline3.from_curve) and sums the signed crossings of the projected
@@ -83,11 +83,16 @@ def _plucker_side(curve, origin, first):
     """The curve's side for the Gauss kernel: points and their Plucker rows
     about the shared origin, [dx | m] for the first curve and [m | dy] for
     the second, formed once per call for every node of a refinement
-    round; its positions path evaluates no velocity."""
+    round; its positions path evaluates no velocity, and its planes path
+    forms them on (P, n, m, 3) views of a pair run's planes."""
     def side(params):
         pts, vel = _real_points(curve, params)
         return pts, _kernels.plucker_rows(pts, vel, origin, first)
-    return Side(side, lambda params: _real(curve.positions(params)))
+
+    def planes(t2, pts, vel):
+        pts, vel = (np.moveaxis(a, 1, -1) for a in (pts, vel))
+        return pts, _kernels.plucker_rows(pts, vel, origin, first)
+    return Side(side, lambda params: _real(curve.positions(params)), planes)
 
 
 def _coordinate_major(c):
@@ -106,10 +111,10 @@ def _gauss_integrand(wa, x, rows_x, wb, y, rows_y):
     second side's clouds are (P, m, 3) in a product run and (P, n, m, 3),
     per row, in a pair run.
 
-    Each block's clouds are transposed once into coordinate-major memory,
-    so each panel's cloud is a view that gauss_grid reads as contiguous
-    coordinate planes, and each kernel call writes its grid straight into
-    the block."""
+    Each block's clouds are transposed once into coordinate-major memory
+    (a pair run's second clouds are already), so each panel's cloud is a
+    view that gauss_grid reads as contiguous coordinate planes, and each
+    kernel call writes its grid straight into the block."""
     count, n, m = len(wa), wa.shape[1], wb.shape[1]
     step = max(1, _kernels._BLOCK_PAIRS // (n * m))
     grids = np.empty((min(step, count), n, m))

@@ -17,23 +17,22 @@ than the node spacing is invisible to the error estimate.
 A refinement round first resolves proximity, then integrates. It checks
 the pending panels' curve pieces, halves the unresolved ones short of
 max_depth without integrating them, and checks their halves again until
-every pending panel is resolved or at max_depth; only then does it
-integrate them. These proximity samples are the only curve-distance
-sampler: they cover every initial cell in the first pass, follow the
-unresolved panels down to wherever the curves come close, and raise
+every pending panel is resolved or at max_depth. These proximity samples
+are the only curve-distance sampler: they cover every initial cell, follow
+the unresolved panels to wherever the curves come close, and raise
 CurvesTooClose at a sampled distance below 1e-6, before any integrand
 call of the round. A panel is resolved when its closest sampled approach
 exceeds the two pieces' covering radii, each half its samples' largest
 gap; a side is sampled once per distinct side cell of a pass.
 
 A pair run (two closed curves and a Shear) integrates over the chart
-t1 = sigma, t2 = k sigma + c + delta, whose jacobian is 1, evaluating side
-b at its own t2 for every node pair (one sigma row of them at k = 0, where
-all rows share it). Its check reads the difference field
-D = c1(sigma) - c2(t2) on each panel's grid off the curves' Fourier rows
-(Shear.difference), covers the samples by the certified radius
-(h_sigma B_sigma + h_delta B_delta) / 2 (_pair_unresolved), and halves a
-panel along the axis on which D's samples spread more.
+t1 = sigma, t2 = k sigma + c + delta, whose jacobian is 1, reading side b
+and its check off the curves' Fourier rows, separably in sigma and delta:
+side b's positions and velocities at every node pair (Shear.second), and
+the difference field D = c1(sigma) - c2(t2) on each panel's grid
+(Shear.difference), whose samples are covered by the certified radius
+(h_sigma B_sigma + h_delta B_delta) / 2 (_pair_unresolved); a panel is
+halved along the axis on which D's samples spread more.
 
 Compact domains (Interval, Rect) are integrated as given, and a panel is
 halved along the axis of its largest spatial extent, measured on the curves
@@ -69,14 +68,14 @@ polynomials before any integrand runs.
 A side maps a parameter array to a tuple of arrays, curve positions first;
 the default side is the parameters alone. A round integrates its panels in
 chunks of whole panels, at most _kernels._BLOCK_PAIRS coarse-rule node
-pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one, 51 of
+pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one, 68 of
 a pair run: _Engine.chunk), so its node arrays never hold more than one
-chunk. A chunk takes one call of each side, on the nodes of both rules
-together, and one call of the integrand per rule (_Engine). The integrand
-receives each side's jacobian-folded weights (P, n) before that side's
-arrays (P, n, ...), stacked over the chunk's P panels (in a pair run side
-b's are (P, n, m, ...)), and returns the (P,) weighted panel sums, so it
-can contract its values however is cheapest. per_panel adapts a kernel
+chunk. A chunk takes one call of each side, on the nodes of both rules,
+and one integrand call per rule (_Engine), which receives each side's
+jacobian-folded weights (P, n) before its arrays (P, n, ...), stacked over
+the chunk's P panels (side b's of a pair run are (P, n, m, ...)), and
+returns the (P,) weighted panel sums, so it can contract its values
+however is cheapest. per_panel adapts a kernel
 written for one panel. Panel results are reduced by a fixed pairwise tree
 over geometrically sorted panels, so values do not depend on how a round
 is chunked. Everything runs on one thread. Every result carries a
@@ -127,22 +126,22 @@ class QuadConfig:
 class QuadTrace:
     """How an integral was produced. panels_per_round lists the panels
     integrated in each refinement round, over every engine run in order,
-    skipped_per_round the panels halved in that round without being
-    integrated, because their curve pieces could still touch,
-    checks_per_round the proximity check passes the round ran before it
-    integrated (0 once every panel is resolved), probed_per_round the
-    panels the round halved by error along an axis the probe chose over the
-    longest chart axis, and chunks_per_round the chunks the round
-    integrated its panels in. radius names the proximity samples' covering
-    radius: ("difference",), the certified one of a pair run, "sampled" per
-    side otherwise, empty without two curves. chart, k and c give a pair
-    run's t2 = k sigma + c + delta ("shear" when k != 0, else "product", 0
-    and 0.0). deepest_split is the most halvings of any final panel;
+    skipped_per_round the panels halved in that round unintegrated, as
+    their curve pieces could still touch, checks_per_round the proximity
+    check passes the round ran before it integrated (0 once every panel is
+    resolved), probed_per_round the panels the round halved by error along
+    an axis the probe chose over the longest chart axis, and
+    chunks_per_round the chunks the round integrated its panels in. radius
+    names the proximity samples' covering radius: ("difference",), the
+    certified one of a pair run, "sampled" per side otherwise, empty
+    without two curves. chart, k and c give a pair run's
+    t2 = k sigma + c + delta ("shear" when k != 0, else "product", 0 and
+    0.0). deepest_split is the most halvings of any final panel;
     max_depth_hit says whether max_depth kept a hot panel from being
     refined or held more error than the target. phase_s gives the wall
     seconds spent resolving proximity, evaluating the sides at the rules'
-    nodes, in the integrand's two rule evaluations, in the probe and in the
-    reduction; being timings, they take no part in comparing traces."""
+    nodes, in the two rule evaluations, the probe and the reduction; as
+    timings, they take no part in comparing traces."""
 
     panels_per_round: tuple = ()
     skipped_per_round: tuple = ()
@@ -302,84 +301,101 @@ class Shear:
     circle, so the jacobian is 1 and delta over a period covers the torus
     once: k and c change the cost, never the value. k = c = 0 is the
     product chart. The curves' Fourier rows cos_row_j - i sin_row_j (J, 3)
-    and constant terms give the difference field D = c1(sigma) - c2(t2)
-    (difference) and bounds on its derivatives (speeds)."""
+    and constant terms give D = c1(sigma) - c2(t2) (difference), bounds on
+    its derivatives (speeds) and c2, c2' at node pairs (second). With
+    u_j = c2_j e^{2 pi i j c} and w_j = u_j e^{2 pi i j k sigma},
+    c2(t2) = const_b + sum_j Re(w_j e^{2 pi i j delta}), so a matrix maps
+    sigma's basis (_expand) to rows in delta's: mix to D's
+    [-Re w_j; Im w_j; c1 - const_b], lift to c2's [Re w_j; -Im w_j; const_b]
+    and c2''s 2 pi j [-Im w_j; -Re w_j; 0] (cos -> 1 at k = 0)."""
 
     def __init__(self, k, c, harmonics_a, harmonics_b, const_a, const_b):
         self.k, self.c = int(k), float(c)
         count = max(len(harmonics_a), len(harmonics_b))
-        self.rows = [np.concatenate([h, np.zeros((count - len(h), 3))])
-                     for h in (harmonics_a, harmonics_b)]
+        rows = [np.concatenate([h, np.zeros((count - len(h), 3))])
+                for h in (harmonics_a, harmonics_b)]
         self.freq = TWO_PI * np.arange(1, count + 1)
         # B1 = sum 2 pi j |c_j| >= |x'| of each curve
-        self.norms = [_norms(h) for h in self.rows]
+        self.norms = [_norms(h) for h in rows]
         self.speed_a, self.speed_b = (float(np.sum(self.freq * n))
                                       for n in self.norms)
-        # mix[x]: the sigma basis [cos_j; sin_j; 1] -> D's rows
-        # [-Re w_j; Im w_j; c1 - const_b] (difference), where
-        # w_j = (Re u_j cos - k Im u_j sin) + i (Im u_j cos + k Re u_j sin)
-        # of 2 pi j sigma, with cos -> 1 at k = 0
-        u = (self.rows[1] * np.exp(1j * self.freq * self.c)[:, None]).T
-        a, j, n = self.rows[0].T, np.arange(count), 2 * count + 1
+        u = rows[1] * np.exp(1j * self.freq * self.c)[:, None]
+        a, j, n = rows[0].T, np.arange(count), 2 * count + 1
         cos, sin = (j if self.k else np.full(count, n - 1)), count + j
-        mix = np.zeros((3, n, n))
-        mix[:, j, cos], mix[:, sin, cos] = -u.real, u.imag
-        mix[:, j, sin], mix[:, sin, sin] = self.k * u.imag, self.k * u.real
-        mix[:, -1] = np.concatenate(
+        re, im = np.zeros((2, 3, count, n))
+        re[:, j, cos], re[:, j, sin] = u.real.T, -self.k * u.imag.T
+        im[:, j, cos], im[:, j, sin] = u.imag.T, self.k * u.real.T
+        # the rows of delta's basis function 1: c1 - const_b (mix), and
+        # const_b and 0 (lift)
+        last = np.zeros((3, 3, 1, n))
+        last[0, :, 0] = np.concatenate(
             [a.real, -a.imag, np.subtract(const_a, const_b)[:, None]], axis=1)
-        self.mix = mix.reshape(3 * n, n)
+        last[1, :, 0, -1] = const_b
+        rate = self.freq[:, None]
+        self.mix, self.lift = (np.concatenate(r, axis=-2).reshape(-1, n)
+                               for r in ([-re, im, last[0]], [
+                                   np.stack([re, -rate * im]),
+                                   np.stack([-im, -rate * re]), last[1:]]))
+        self.curl = float(np.sum(self.freq ** 2 * self.norms[1]))
 
     def t2(self, sigma, delta):
         """The second curve's parameter at chart points (sigma, delta)."""
         return self.k * sigma + self.c + delta
 
-    def pairs(self, sigma, delta):
-        """t2 at every pair of sigma (P, n) and delta (P, m) nodes,
-        (P, n, m); at k = 0, where t2 = c + delta on every sigma row, one
-        row, (P, 1, m), for the caller to repeat (_rows)."""
-        return self.t2(sigma[:, :, None] if self.k else sigma[:, :1, None],
-                       delta[:, None, :])
+    def _expand(self, matrix, sigma, delta):
+        """matrix times the basis [cos_j; sin_j; 1] of 2 pi j sigma
+        (_harmonics), (r, 2J + 1) + sigma.shape, and delta's (P, 2J + 1, m)."""
+        count = len(self.freq)
+        cos, sin = (h.reshape(-1, count).T for h in _harmonics(
+            TWO_PI * np.concatenate([sigma.ravel(), delta.ravel()]), count))
+        basis = np.concatenate([cos, sin, np.ones((1, cos.shape[1]))])
+        rows = (matrix @ basis[:, :sigma.size]).reshape(-1, len(basis),
+                                                       *sigma.shape)
+        delta = basis[:, sigma.size:].reshape(len(basis), *delta.shape)
+        return rows, delta.transpose(1, 0, 2)
 
     def difference(self, samples):
         """D = c1(sigma) - c2(k sigma + c + delta) on each panel's grid of
         samples[0] (sigma) and samples[1] (delta), (2, P, m): (3, P, m, m),
-        sigma along the third axis. With u_j = c2_j e^{2 pi i j c} and
-        w_j = u_j e^{2 pi i j k sigma}, c2(t2) - const_b is
-        sum_j Re(w_j e^{2 pi i j delta}), so one matrix product (mix) maps
-        the basis [cos_j; sin_j; 1] of the sigma samples
-        (geometry._harmonics) to the rows [-Re w_j; Im w_j; c1 - const_b],
-        and one stacked real product per panel and coordinate contracts
-        them with the delta samples' basis."""
-        _, count, m = samples.shape
-        cos, sin = (h.reshape(-1, len(self.freq)).T for h in _harmonics(
-            TWO_PI * samples, len(self.freq)))
-        basis = np.concatenate([cos, sin, np.ones((1, cos.shape[1]))])
-        basis = basis.reshape(-1, 2, count, m)
-        rows = self.mix @ basis[:, 0].reshape(len(basis), -1)
-        return np.matmul(rows.reshape(3, -1, count, m).transpose(0, 2, 3, 1),
-                         basis[:, 1].transpose(1, 0, 2))
+        sigma along the third axis."""
+        rows, delta = self._expand(self.mix, *samples)
+        return np.matmul(rows.transpose(0, 2, 3, 1), delta)
+
+    def second(self, nodes):
+        """c2 and c2' at t2 of every node pair of each rule in nodes, a list
+        of (sigma, delta) node arrays (P, n), (P, m): per rule, coordinate
+        planes (2, P, 3, n, m), positions then velocities: one product
+        (lift) for all, and one stacked product per rule."""
+        rows, delta = self._expand(self.lift, *(
+            np.concatenate(x, axis=1) for x in zip(*nodes)))
+        rows = rows.reshape(2, 3, *rows.shape[1:]).transpose(0, 3, 1, 4, 2)
+        cuts = np.cumsum([(0, 0)] + [(s.shape[1], d.shape[1])
+                                     for s, d in nodes], axis=0)
+        return [np.matmul(rows[..., a:b, :], delta[:, None, :, c:d],
+                          order="C")
+                for (a, c), (b, d) in zip(cuts[:-1], cuts[1:])]
 
     def speeds(self, lo, hi):
-        """Bounds on |dD/dsigma| and |dD/ddelta| over each panel of chart
-        bounds lo, hi (P, 2), (P,) each. |dD/ddelta| = |c2'| <= c2's B1.
-        For k = 1, dD/dsigma = sum_j Re(2 pi i j e^{2 pi i j sigma}
-        (c1_j - c2_j e^{2 pi i j (c + delta)})), and over a delta
-        half-width H the phase moves by at most 2 pi j H from its mid-panel
-        value, which gives sum_j 2 pi j (|c1_j - c2_j
-        e^{2 pi i j (c + delta_mid)}| + 2 pi j H |c2_j|); k = -1 conjugates
-        the c2 term, and k = 0 leaves c1's B1."""
-        count = len(lo)
+        """Bounds (P,) on |dD/dsigma| and |dD/ddelta| over each panel of
+        chart bounds lo, hi (P, 2). |dD/ddelta| = |c2'| <= c2's B1. For
+        k = +-1, D's sigma harmonics g_j (mix contracted with delta's
+        basis) give dD/dsigma = sum_j Re(2 pi i j g_j e^{2 pi i j sigma}),
+        and g_j moves by at most 2 pi j H |c2_j| from g_j(mid), mid the
+        panel's middle delta and H its larger distance to the panel's delta
+        ends: sum_j 2 pi j (|g_j(mid)| + 2 pi j H |c2_j|). k = 0 leaves
+        c1's B1."""
+        count, j = len(lo), len(self.freq)
         speed_b = np.full(count, self.speed_b)
         if not self.k:
             return np.full(count, self.speed_a), speed_b
-        mid, half = 0.5 * (lo[:, 1] + hi[:, 1]), 0.5 * (hi[:, 1] - lo[:, 1])
-        turn = np.exp(1j * self.freq * (self.c + mid[:, None]))  # (P, J)
-        shifted = self.rows[1] * turn[..., None]
-        if self.k < 0:
-            shifted = shifted.conj()
-        gap = _norms(self.rows[0] - shifted)
-        bound = self.freq * (gap + self.freq * half[:, None] * self.norms[1])
-        return bound.sum(axis=1), speed_b
+        mid = 0.5 * (lo[:, 1] + hi[:, 1])
+        reach = np.maximum(mid - lo[:, 1], hi[:, 1] - mid)
+        angle = np.multiply.outer(mid, self.freq)
+        basis = np.concatenate([np.cos(angle), np.sin(angle),
+                                np.ones((count, 1))], axis=1)
+        g = np.square(basis @ self.mix.reshape(3, 2 * j + 1, -1))
+        gap = np.sqrt(np.sum(g[..., :j] + g[..., j:-1], axis=0))
+        return gap @ self.freq + reach * self.curl, speed_b
 
 
 def _norms(rows):
@@ -434,11 +450,13 @@ class Side:
     first; positions(params) gives those positions alone, with the same
     bits, and is what the proximity and split-axis samples read. A side
     given as a plain callable has its positions read off its first
-    array."""
+    array. A pair run's side b maps t2 (P, n, m) and c2, c2' there as
+    planes (P, 3, n, m) to its arrays (planes)."""
 
-    def __init__(self, arrays, positions):
+    def __init__(self, arrays, positions, planes=None):
         self.arrays = arrays
         self.positions = positions
+        self.planes = planes
 
     def __call__(self, params):
         return self.arrays(params)
@@ -501,17 +519,15 @@ class _Engine:
     left to halve (_unresolved). It then integrates the pending panels a
     chunk of self.chunk whole panels at a time: each side once, on the
     nodes of both rules of each distinct side cell of the chunk
-    (_side_rules; side b of a pair run per node pair), and the integrand
-    once per rule. The samples of a check pass or a spatial halving take
-    one call per side, of its positions only, and a pass's distances one
-    stacked min_dist call; in a pair run they are one Shear.difference
-    call, which evaluates no curve (_pair_field). Errors, covering radii
-    and flags are array operations. A run with a whole domain (Plane,
-    RealLine) halves a panel refined by error along the axis _probe_axes
-    picks and every other panel along its longest chart axis, and compares
-    its proximity samples in the bounded image of _compress. seconds
-    accumulates the wall time of each phase.
-    """
+    (_side_rules, _pair_rules), and the integrand once per rule. The
+    samples of a check pass or a spatial halving take one call per side,
+    of its positions only, and a pass's distances one stacked min_dist call
+    (a pair run: one Shear.difference call). Errors, radii and flags are
+    array operations. A run with a whole domain (Plane, RealLine) halves a
+    panel refined by error along the axis _probe_axes picks and every
+    other panel along its longest chart axis, and compares its proximity
+    samples in the bounded image of _compress. seconds accumulates the wall
+    time of each phase."""
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
                  shear=None):
@@ -525,9 +541,9 @@ class _Engine:
         self.shear = shear
         if shear is not None:
             self.radii = ("difference",)
-            # side b's nodes, n^2 + (2n)^2, 4 times over: a closed curve's
-            # Gauss side peaks near 180 bytes per node while it evaluates
-            pairs = 4 * 5 * cfg.panel_order ** 2
+            # side b's node pairs, n^2 + (2n)^2, 3 times over: a Gauss chunk
+            # peaks near 140 bytes a pair (tracemalloc), 3 MB at order 8
+            pairs = 3 * 5 * cfg.panel_order ** 2
         else:
             self.radii = ("sampled", "sampled") if self.curves else ()
             pairs = math.prod(cfg.panel_order ** d.naxes for d in self.doms)
@@ -584,12 +600,11 @@ class _Engine:
 
     def _side_rules(self, s, lo, hi):
         """Side s under both rules on each panel, from one call of the side
-        on the nodes of both: per rule (panel_order, then 2 panel_order), a
-        list of the chart parameters and jacobian-folded weights, both
-        (P, n**k), and the side's arrays (P, n**k, ...). In a product run
-        each distinct cell of the side is evaluated once and shared by
-        every panel on it; evaluation is pointwise, so each panel gets the
-        bits of an evaluation on its own. Side b of a pair run: _pair_rules."""
+        on the nodes of both: per rule (panel_order, then 2 panel_order),
+        the chart parameters and jacobian-folded weights, both (P, n**k),
+        and the side's arrays (P, n**k, ...). Each distinct side cell is
+        evaluated once, pointwise, so each panel gets the bits of an
+        evaluation on its own. Side b of a pair run: _pair_rules."""
         if s and self.shear is not None:
             return self._pair_rules(lo, hi)
         lo, hi = lo[:, self.axes[s]], hi[:, self.axes[s]]
@@ -610,33 +625,26 @@ class _Engine:
         return out
 
     def _pair_rules(self, lo, hi):
-        """Side b of a pair run under both rules, from one call: per rule,
-        t2 at each node pair (sigma_i, delta_j) (P, n, n), the delta
-        weights (P, n) and the arrays (P, n, n, ...)."""
-        count, order = len(lo), self.cfg.panel_order
-        rules = []
-        for n in (order, 2 * order):
-            sigma, _ = self._rule(0, lo[:, :1], hi[:, :1], n)
-            delta, weights = self._rule(1, lo[:, 1:], hi[:, 1:], n)
-            rules.append((self.shear.pairs(sigma, delta), weights))
-        arrays = self._eval_side(1, np.concatenate(
-            [t2.reshape(count, -1) for t2, _ in rules], axis=1))
-        cut = rules[0][0][0].size
-        return [[_rows(t2, n), weights,
-                 *(_rows(a[:, part].reshape(t2.shape + a.shape[2:]), n)
-                   for a in arrays)]
-                for (t2, weights), part, n in zip(
-                    rules, (slice(None, cut), slice(cut, None)),
-                    (order, 2 * order))]
+        """Side b of a pair run under both rules: per rule, t2 at each node
+        pair (P, n, n), the delta weights (P, n) and the side's planes of
+        c2, c2' there (one Shear.second call, no curve evaluated)."""
+        order = self.cfg.panel_order
+        rules = [[self._rule(s, lo[:, s:s + 1], hi[:, s:s + 1], n)
+                  for s in (0, 1)] for n in (order, 2 * order)]
+        planes = self.shear.second([(sigma, delta)
+                                    for (sigma, _), (delta, _) in rules])
+        out = []
+        for ((sigma, _), (delta, weights)), (pts, vel) in zip(rules, planes):
+            t2 = self.shear.t2(sigma[:, :, None], delta[:, None, :])
+            out.append([t2, weights, *self.sides[1].planes(t2, pts, vel)])
+        return out
 
     def _values(self, blocks, lo, hi):
         """Each panel's value under one rule, whose blocks give per side the
-        parameters, weights and arrays (_side_rules): the integrand's
-        weighted sum over the panel's nodes, from one integrand call for
-        the chunk. The chunk's values are checked for finiteness together;
-        a bad one raises NonFiniteIntegrand naming the first non-finite
-        node of its panel or, when every node is finite, the overflowing
-        sum."""
+        parameters, weights and arrays (_side_rules), from one integrand
+        call for the chunk. A non-finite value raises NonFiniteIntegrand
+        naming the first non-finite node of its panel or, when every node
+        is finite, the overflowing sum."""
         # one errstate for the chunk; an overflow or NaN shows in out below
         with np.errstate(over="ignore", invalid="ignore"):
             out = _panel_sums(self.f, [a for blk in blocks for a in blk[1:]],
@@ -753,20 +761,17 @@ class _Engine:
     def _unresolved(self, lo, hi):
         """Per panel, True while the sampled pieces of the two curves could
         touch, and the axes to halve them along (None, or in a pair run
-        those of _pair_field). A panel is unresolved while the closest
-        sampled approach is no larger than the sum of the pieces' covering
-        radii, half their samples' largest gaps (_sample_pieces): a close
-        approach narrower than the node spacing can then hide between all
-        nodes of both rules. Each side is sampled, and its radii found,
-        once per distinct side cell and gathered back to the panels;
-        sampling, _compress and the radii are row by row, so each panel gets
-        the bits of a sampling of its own. These samples are also the
-        CurvesTooClose guard: a sampled approach below _MIN_DIST on any
-        panel raises it. In a run with a whole domain the samples stop at
-        the reach of each chart, and distances and radii are measured
-        between compressed points (_compress); the guard reads the true
-        distances of the panels whose compressed ones are below _MIN_DIST,
-        which are all that can be, since _compress is 1-Lipschitz."""
+        those of _pair_field): while the closest sampled approach is at
+        most the sum of the pieces' covering radii, half their samples'
+        largest gaps (_sample_pieces), a close approach narrower than the
+        node spacing can hide between all nodes. Each side is sampled, and
+        its radii found, row by row once per distinct side cell, so each
+        panel gets the bits of a sampling of its own; a sampled approach
+        below _MIN_DIST raises CurvesTooClose. In a run with a whole domain
+        the samples stop at each chart's reach and are compared compressed
+        (_compress); the guard reads the true distances of the panels whose
+        compressed ones are below _MIN_DIST, all that can be, as _compress
+        is 1-Lipschitz."""
         if self.shear is not None:
             return self._pair_unresolved(lo, hi)
         m = self.cfg.panel_order + 1
@@ -835,12 +840,11 @@ class _Engine:
     def _resolve(self, pending):
         """The pending panels once proximity is resolved, the number of
         panels halved on the way and the number of check passes. A pass
-        checks the panels not yet found resolved and halves, without
-        integrating them, those still unresolved and short of max_depth;
-        their halves are checked by the next pass. An unresolved panel's
-        error is unknown, so halving it whatever its value loses nothing.
-        The passes end when no panel is left to halve. In a pair run a
-        panel is cut along the axis its check pass read off its samples."""
+        checks the panels not yet found resolved and halves, unintegrated,
+        those still unresolved and short of max_depth, whose error is
+        unknown anyway; the next pass checks their halves. The passes end
+        when no panel is left to halve. In a pair run a panel is cut along
+        the axis its check pass read off its samples."""
         ready, halved, passes = [], 0, 0
         while True:
             check = np.flatnonzero(pending.unresolved)
@@ -861,14 +865,12 @@ class _Engine:
         return _Panels.join([*ready, pending]), halved, passes
 
     def _evaluate(self, pending):
-        """The pending panels, resolved (_resolve) and then integrated: the
-        values (the finer rule) and errors (against the coarser one) of
-        every panel, with the number of panels halved unintegrated, of
-        check passes and of integration chunks. Resolving comes first, so
-        curves that meet fail as CurvesTooClose before any integrand call
-        of the round. The panels are integrated in chunks of self.chunk
-        whole panels, in order; each panel's sum is its own, so the values
-        do not depend on the chunks."""
+        """The pending panels, resolved (_resolve), so curves that meet fail
+        as CurvesTooClose before any integrand call of the round, and then
+        integrated: each panel's value (the finer rule) and error (against
+        the coarser one), with the numbers of panels halved unintegrated,
+        check passes and chunks. The chunks of self.chunk whole panels do
+        not change the values, since each panel's sum is its own."""
         with self._timed("resolve"):
             pending, halved, passes = self._resolve(pending)
         parts = []
@@ -898,12 +900,11 @@ class _Engine:
         if axis is None:
             axis = self._split_axes(bounds[..., 0], bounds[..., 1])
         mid = 0.5 * (bounds[rows, axis, 0] + bounds[rows, axis, 1])
-        left, right = bounds.copy(), bounds.copy()
-        left[rows, axis, 1] = mid
-        right[rows, axis, 0] = mid
-        return _Panels(np.concatenate([left, right]),
-                       np.tile(panels.splits + 1, 2),
-                       np.tile(panels.unresolved, 2))
+        halves = np.concatenate([bounds, bounds])
+        halves[rows, axis, 1] = mid
+        halves[len(rows) + rows, axis, 0] = mid
+        return _Panels(halves, np.concatenate([panels.splits] * 2) + 1,
+                       np.concatenate([panels.unresolved] * 2))
 
     def _initial(self):
         """The pending initial cells: products of the domains' cells."""
@@ -914,22 +915,18 @@ class _Engine:
 
     def run(self):
         """Refine until the summed panel error is within tol of the total
-        and no panel is unresolved. Each round resolves proximity and then
-        integrates all its pending panels (_evaluate), so each side runs
-        once and the integrand twice per chunk; in a run with a whole
-        domain, a round that refines by error runs both once more, for the
-        split probe (_probe_axes). The entry points' batch check adds one
-        call per run.
-        A round that fails the stop test halves the panels _marked by
-        their errors against the target tol * max(1, |total|), and every
-        unresolved panel, unless it is at max_depth; it stops unconverged
-        when nothing is left to halve or when the panels at max_depth alone
-        hold more error than the target.
+        and no panel is unresolved. Each round resolves proximity and
+        integrates its pending panels (_evaluate): each side once and the
+        integrand twice per chunk, and both once more for the split probe
+        (_probe_axes) of a whole-domain round that refines by error; the
+        batch check adds one call per run. A round failing the stop test
+        halves the panels _marked by their errors against the target
+        tol * max(1, |total|), and every unresolved panel, short of
+        max_depth; it stops unconverged when nothing is left to halve or
+        the panels at max_depth alone hold more error than the target.
         panels_evaluated counts the integrated panels, not those halved
-        while resolving. A panel is hot by its error only when that error
-        is positive, so an integrand that vanishes on every panel refines
-        nothing by error.
-        """
+        while resolving. Only a positive error makes a panel hot, so an
+        integrand that vanishes everywhere refines nothing by error."""
         pending = self._initial()
         done = None
         rounds, skipped, checks, probed, chunks = [], [], [], [], []
@@ -987,11 +984,6 @@ class _Engine:
                           trace=trace)
 
 
-def _rows(pairs, n):
-    """Pair arrays (P, n, m, ...), repeated from one row (Shear.pairs)."""
-    return pairs if pairs.shape[1] == n else np.repeat(pairs, n, axis=1)
-
-
 def _extents(pts):
     """Per panel and axis, the bounding-box diagonal of points
     (P, axes, samples, dim)."""
@@ -1034,23 +1026,20 @@ def _panel_sums(f, args, count):
     return sums.astype(complex, copy=False)
 
 
-def _check_batch(f, side_a, side_b=None, pair=False):
+def _check_batch(f, side_a, side_b=None, shear=None):
     """Raise TypeError unless f maps a one-panel round, unit weights and
-    side_a's arrays at a parameter array (with side_b, the weights and
-    arrays of both sides, side_b's per node pair for a pair run), to its
-    weighted sum, a (1,) array. Calls f once; only the shape is checked,
-    so an overflow in this batch check's sum is ignored."""
-    sides = [side_a(np.array([0.123, 0.456]))]
-    if side_b is not None:
-        params = np.array([0.234, 0.567, 0.891])
-        if pair:
-            params = np.concatenate([params, params + 0.05])
-        sides.append([np.reshape(a, (2, 3) + np.shape(a)[1:]) if pair else a
-                      for a in side_b(params)])
-    # a side's weights run along its last node axis
-    nodes = (0, int(pair))
-    args = [np.asarray(a)[None] for arrays, axis in zip(sides, nodes)
-            for a in (np.ones(np.shape(arrays[0])[axis]), *arrays)]
+    side_a's arrays at 2 parameters (with side_b, both sides', side_b's at
+    3, or at 2 x 3 node pairs of shear) to its weighted sum, a (1,) array.
+    Calls f once; only the shape is checked, so an overflow is ignored."""
+    a, b = np.array([[0.123, 0.456]]), np.array([[0.234, 0.567, 0.891]])
+    args = [np.ones(a.shape), *(np.asarray(x)[None] for x in side_a(a[0]))]
+    if shear is not None:
+        pts, vel = shear.second([(a, b)])[0]
+        args += [np.ones(b.shape), *side_b.planes(
+            shear.t2(a[..., None], b[:, None]), pts, vel)]
+    elif side_b is not None:
+        args += [np.ones(b.shape),
+                 *(np.asarray(x)[None] for x in side_b(b[0]))]
     with np.errstate(over="ignore", invalid="ignore"):
         _panel_sums(f, args, 1)
 
@@ -1098,17 +1087,14 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     one panel's slices. On compact domains positions measure panel extents
     for the split axis. With both sides given, panels whose curve pieces
     could touch are halved, before any of the round's integrand calls,
-    until the samples resolve the gap, and those proximity samples raise
-    CurvesTooClose where the curves come within 1e-6. A Plane or RealLine
-    domain is integrated whole.
-
-    A Shear, with two closed curve sides on dom_a = [0, 1] and a period
-    dom_b of delta, makes this a pair run: side b's arrays are
-    (P, na, nb, ...), at t2 = k sigma + c + delta of each node pair, and
-    wb the delta weights.
+    until the samples resolve the gap; those samples raise CurvesTooClose
+    where the curves come within 1e-6. Plane and RealLine are integrated
+    whole. A Shear, with closed curve sides on dom_a = [0, 1] and a period
+    dom_b of delta, makes this a pair run: side b, a Side with planes,
+    gives arrays (P, na, nb, ...) at t2 = k sigma + c + delta of each node
+    pair, and wb the delta weights.
     """
-    _check_batch(integrand, side_a or _identity, side_b or _identity,
-                 shear is not None)
+    _check_batch(integrand, side_a or _identity, side_b or _identity, shear)
     return _Engine(integrand, dom_a, dom_b, cfg, side_a, side_b, shear).run()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hololink as hl
-from hololink import _kernels, quadrature, report, scenes
+from hololink import _kernels, gauss, quadrature, report, scenes
 from hololink.gauss import (DEFAULT_DIRECTION, _gauss_integrand,
                             _projection_frame)
 # the (1, 1) torus-curve pair of the engine's batching tests
@@ -255,6 +255,34 @@ def test_the_difference_field_matches_pointwise_evaluation(k):
                                         delta[:, None, :])))
         scale = np.abs(c1.positions(sigma)).max()
         assert np.abs(field - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_the_separable_second_side_matches_pointwise_evaluation(k):
+    # random torus pairs and panels: side b of a pair run, read off the
+    # Fourier rows under both rules, gives the positions, velocities and
+    # Plucker rows of eval_batch and plucker_rows at the same t2
+    rng = np.random.default_rng(80 + k)
+    cfg = hl.QuadConfig()
+    for _ in range(6):
+        c1, c2, shear = _random_torus_pair(rng, k, rng.uniform(0.005, 0.3))
+        origin = rng.normal(size=3)
+        engine = quadrature._Engine(
+            None, quadrature.Interval(0.0, 1.0),
+            quadrature.Interval(-0.5, 0.5), cfg, shear=shear,
+            side_b=gauss._plucker_side(c2, origin, False))
+        lo, hi = _random_panels(rng, 20)
+        for n, (t2, weights, y, rows_y) in zip(
+                (cfg.panel_order, 2 * cfg.panel_order),
+                engine._pair_rules(lo, hi)):
+            assert t2.shape == (20, n, n) and weights.shape == (20, n)
+            pts, vel = c2.eval_batch(t2)
+            rows = _kernels.plucker_rows(pts, vel, origin, False)
+            for got, want in ((y, pts), (rows_y[..., 3:], vel),
+                              (rows_y, rows)):
+                assert got.shape == want.shape
+                assert (np.abs(got - want).max()
+                        <= 1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1])

@@ -252,8 +252,9 @@ def test_a_pair_run_names_the_first_non_finite_node_pair():
         return np.matmul(np.matmul(wa[:, None], grid), wb[:, :, None])[:, 0, 0]
 
     def side(curve):
-        return quadrature.Side(lambda t: (curve.positions(t), t),
-                               curve.positions)
+        return quadrature.Side(
+            lambda t: (curve.positions(t), t), curve.positions,
+            lambda t, pts, vel: (np.moveaxis(pts, 1, -1), t))
 
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
         integrate_product(f, Interval(0.0, 1.0), Interval(-0.5, 0.5),
@@ -489,7 +490,7 @@ def _torus_pair(gap, base=0.1):
 
 
 # a round is integrated in chunks of whole panels: 1,024 panels of a
-# product run over two intervals, 51 of a pair run (the closed Gauss pairs)
+# product run over two intervals, 68 of a pair run (the closed Gauss pairs)
 # or 16 four-axis panels each. Panel sums are independent, so one panel per
 # chunk and one chunk per round give the default run's bits; on the 6e-3
 # pair the default splits the first round's 98 panels into two chunks
@@ -517,23 +518,6 @@ def test_chunked_rounds_keep_the_bits_of_one_chunk(monkeypatch, run, budget):
     assert got.trace.panels_per_round == rounds
     if run == "near_torus":
         assert base.trace.chunks_per_round[0] == 2
-
-
-def test_a_product_chart_pair_run_evaluates_one_row_of_node_pairs(
-        monkeypatch):
-    # at k = 0, t2 = c + delta is the same on every sigma row: evaluating
-    # one row and repeating it gives the bits of evaluating every pair
-    sc = scenes.hopf()
-    pair = (sc.curves["c1"], sc.curves["c2"])
-    cfg = hl.QuadConfig(tol=1e-6)
-    base = hl.gauss_linking(*pair, cfg)
-    assert base.trace.chart == "product"
-    monkeypatch.setattr(quadrature.Shear, "pairs", lambda self, sigma, delta:
-                        self.t2(sigma[:, :, None], delta[:, None, :]))
-    got = hl.gauss_linking(*pair, cfg)
-    assert complex(got.value) == complex(base.value)
-    assert got.err_estimate == base.err_estimate
-    assert got.trace.panels_per_round == base.trace.panels_per_round
 
 
 def _closed_side(curve):
@@ -728,6 +712,54 @@ def test_pair_run_check_passes_evaluate_no_curve(monkeypatch):
     assert evaluated and not any(evaluated)
 
 
+def test_pair_runs_evaluate_no_second_curve(monkeypatch):
+    # a pair run reads side b off the curves' Fourier rows (Shear.second):
+    # once the engine runs, the second curve is never evaluated, and each
+    # kernel call gets a view of the contiguous (3, n, m) planes written
+    # there, with nothing copied on the way
+    c1, c2 = _torus_pair(0.04)
+    running, evaluated, planes, clouds = [False], [], [], []
+
+    def counted(method):
+        def wrapped(self, *args, **kwargs):
+            if running[0]:
+                evaluated.append(id(self))
+            return method(self, *args, **kwargs)
+        return wrapped
+
+    def run(self):
+        running[0] = True
+        try:
+            return raw_run(self)
+        finally:
+            running[0] = False
+
+    def second(self, nodes):
+        out = raw_second(self, nodes)
+        planes.extend(rule[0] for rule in out)
+        return out
+
+    def gauss_grid(x, rows_x, y, rows_y, **kwargs):
+        clouds.append(y)
+        return raw_grid(x, rows_x, y, rows_y, **kwargs)
+
+    raw_run, raw_second = quadrature._Engine.run, quadrature.Shear.second
+    raw_grid = _kernels.gauss_grid
+    for name in ("eval_batch", "positions"):
+        monkeypatch.setattr(hl.ParamCurve, name,
+                            counted(getattr(hl.ParamCurve, name)))
+    monkeypatch.setattr(quadrature._Engine, "run", run)
+    monkeypatch.setattr(quadrature.Shear, "second", second)
+    monkeypatch.setattr(_kernels, "gauss_grid", gauss_grid)
+    res = hl.gauss_linking(c1, c2, hl.QuadConfig(tol=1e-6))
+    assert res.converged and res.trace.chart == "shear"
+    assert id(c1) in evaluated and id(c2) not in evaluated
+    assert len(clouds) == 2 * res.panels_evaluated + 1
+    for y in clouds:
+        assert y.transpose(2, 0, 1).flags.c_contiguous
+        assert any(np.shares_memory(y, p) for p in planes)
+
+
 def test_each_distinct_side_cell_is_evaluated_once_per_round():
     # counting sides on Interval x Interval, with far-apart positions so
     # that proximity resolves at once: each round calls each side once, on
@@ -801,7 +833,7 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
 # every tolerance check. Another BLAS may round the kernels' matrix
 # products differently; the values are then re-recorded, not loosened.
 @pytest.mark.parametrize("run, value, err, panels", [
-    ("near_torus", 1.0000000000009754 + 0j, 7.317853837210524e-07, 112),
+    ("near_torus", 1.0000000000009885 + 0j, 7.317853773977245e-07, 112),
     ("l0", -612.0393714196534 + 0j, 0.0005672996810862085, 52),
     ("pv_lines", 90.09324266303656 + 81.90294947362038j,
      0.010268341479465148, 34),
