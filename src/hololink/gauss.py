@@ -11,10 +11,10 @@ The integral route evaluates that kernel as a product of Plucker rows
 [dx | m_x] and [m_y | dy], with the moments m = (p - o) x dp taken about
 one origin o shared by both curves (the mean of their generic points).
 Each curve side forms the rows of its nodes, so the rows of a chunk of a
-refinement round come with the one side call that evaluates the chunk's
-nodes, and each per-panel kernel call only slices them. The kernel calls
-read coordinate-major clouds and write their grids in place, and the
-chunk's weights are contracted against those grids by two stacked matrix
+refinement round come with the side's one call for the chunk, and each
+per-panel kernel call only slices them. The kernel calls read
+coordinate-major clouds and write their grids in place, and the chunk's
+weights are contracted against those grids by two stacked matrix
 products per block of panels (_gauss_integrand).
 
 A closed pair is integrated on its pair chart (_closed_pair_shear):
@@ -22,8 +22,9 @@ t2 = k t1 + c + delta, k the degree of the closest-point map when it is
 +-1 and c the circular mean of the sampled offsets, so that strands that
 run close along t2 ~ t1 + c lie along one chart axis, which axis-aligned
 panels follow; every other pair takes k = 0, the product chart. The
-engine then reads side b at every node pair, and checks proximity, off the
-curves' Fourier rows; each kernel call gets a per-row second cloud.
+engine then reads both sides, c1 at the sigma nodes and c2 at every node
+pair, and checks proximity, off the curves' Fourier rows, and evaluates
+no curve; each kernel call gets a per-row second cloud.
 
 The crossing route samples each curve's positions alone
 (Polyline3.from_curve) and sums the signed crossings of the projected
@@ -42,7 +43,7 @@ from .errors import (CoincidentPoints, CurvesTooClose,
                      DegenerateConfiguration, DegenerateProjection,
                      MethodInapplicable)
 from .geometry import TWO_PI, det3
-from .quadrature import (_MIN_DIST, Interval, RealLine, Shear, Side,
+from .quadrature import (_MIN_DIST, Interval, RealLine, Shear,
                          generic_params, integrate_product)
 
 DEFAULT_DIRECTION = np.array([0.123, 0.456, 1.0])
@@ -79,20 +80,17 @@ def _real_points(curve, params):
     return tuple(map(_real, curve.eval_batch(params)))
 
 
-def _plucker_side(curve, origin, first):
-    """The curve's side for the Gauss kernel: points and their Plucker rows
-    about the shared origin, [dx | m] for the first curve and [m | dy] for
-    the second, formed once per call for every node of a refinement
-    round; its positions path evaluates no velocity, and its planes path
-    forms them on (P, n, m, 3) views of a pair run's planes."""
-    def side(params):
-        pts, vel = _real_points(curve, params)
-        return pts, _kernels.plucker_rows(pts, vel, origin, first)
-
-    def planes(t2, pts, vel):
+def _plucker_side(origin, first, curve=None):
+    """The side for the Gauss kernel: points and their Plucker rows about
+    the shared origin, [dx | m] for the first curve and [m | dy] for the
+    second, formed once per call for every node of a refinement round. A
+    pair run's side maps the coordinate planes (P, 3, ...) of the points
+    and velocities to (P, ..., 3) views; a real line's maps parameters."""
+    def side(pts, vel):
         pts, vel = (np.moveaxis(a, 1, -1) for a in (pts, vel))
         return pts, _kernels.plucker_rows(pts, vel, origin, first)
-    return Side(side, lambda params: _real(curve.positions(params)), planes)
+    return side if curve is None else (
+        lambda params: side(*_real_points(curve, params)))
 
 
 def _coordinate_major(c):
@@ -184,16 +182,17 @@ def gauss_linking(curve1, curve2, cfg):
     # one moment origin for both curves: the mean of their generic points
     origin = np.mean([_real_points(c, generic_params(d))[0].mean(axis=0)
                       for c, d in ((curve1, dom1), (curve2, dom2))], axis=0)
-    shear = None
+    shear, lines = None, (curve1, curve2)
     if curve1.kind == "real_closed":
         shear = _closed_pair_shear(curve1, curve2)
         if shear.k:
             dom2 = Interval(-0.5, 0.5)
+        lines = (None, None)  # a pair run's sides map planes, not parameters
 
     return integrate_product(
         _gauss_integrand, dom1, dom2, cfg,
-        side_a=_plucker_side(curve1, origin, True),
-        side_b=_plucker_side(curve2, origin, False), shear=shear)
+        *(_plucker_side(origin, first, line)
+          for first, line in zip((True, False), lines)), shear=shear)
 
 
 def line_gauss_closed(e1, e2, e3):

@@ -143,11 +143,8 @@ def holo_linking_integral(s1, s2, ctx, cfg):
 
 def _weighted_side(curve, form):
     """A curve's side for the kernel integral: positions, velocities and
-    the form's numerator and denominator; positions alone for the
-    engine's samples."""
-    return quadrature.Side(
-        lambda u: (*curve.eval_batch(u), *form.num_den_batch(u)),
-        curve.positions)
+    the form's numerator and denominator."""
+    return lambda u: (*curve.eval_batch(u), *form.num_den_batch(u))
 
 
 def _line_second(s1, s2):
@@ -295,8 +292,7 @@ def complex_linking_number(curve1, curve2, ctx, cfg):
 
     return integrate_pv(
         integrand, dom_a, dom_b, ((), ()), cfg,
-        side_a=quadrature.Side(curve1.eval_batch, curve1.positions),
-        side_b=quadrature.Side(curve2.eval_batch, curve2.positions))
+        side_a=curve1.eval_batch, side_b=curve2.eval_batch)
 
 
 # ---------------------------------------------------------------------------

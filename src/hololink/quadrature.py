@@ -23,12 +23,12 @@ the unresolved panels to wherever the curves come close, and raise
 CurvesTooClose at a sampled distance below 1e-6, before any integrand
 call of the round. A panel is resolved when its closest sampled approach
 exceeds the two pieces' covering radii, each half its samples' largest
-gap; a side is sampled once per distinct side cell of a pass.
+gap; each panel's pieces are sampled on its own grid.
 
 A pair run (two closed curves and a Shear) integrates over the chart
-t1 = sigma, t2 = k sigma + c + delta, whose jacobian is 1, reading side b
-and its check off the curves' Fourier rows, separably in sigma and delta:
-side b's positions and velocities at every node pair (Shear.second), and
+t1 = sigma, t2 = k sigma + c + delta, whose jacobian is 1, reading both
+sides and its check off the curves' Fourier rows, separably in sigma and
+delta: c1, c1' at sigma and c2, c2' at every node pair (Shear.planes), and
 the difference field D = c1(sigma) - c2(t2) on each panel's grid
 (Shear.difference), whose samples are covered by the certified radius
 (h_sigma B_sigma + h_delta B_delta) / 2 (_pair_unresolved); a panel is
@@ -65,8 +65,9 @@ one full turn. integrate_pv alone decides which domains are punctured;
 which poles are simple is the caller's decision, made from the form's
 polynomials before any integrand runs.
 
-A side maps a parameter array to a tuple of arrays, curve positions first;
-the default side is the parameters alone. A round integrates its panels in
+A side maps a parameter array (a pair run's: Shear.planes) to a tuple of
+arrays, positions first; the default side is the parameters alone. A
+round integrates its panels in
 chunks of whole panels, at most _kernels._BLOCK_PAIRS coarse-rule node
 pairs each (1,024 panels of a 1-D x 1-D run, 16 of a 2-D x 2-D one, 68 of
 a pair run: _Engine.chunk), so its node arrays never hold more than one
@@ -302,12 +303,13 @@ class Shear:
     once: k and c change the cost, never the value. k = c = 0 is the
     product chart. The curves' Fourier rows cos_row_j - i sin_row_j (J, 3)
     and constant terms give D = c1(sigma) - c2(t2) (difference), bounds on
-    its derivatives (speeds) and c2, c2' at node pairs (second). With
+    its derivatives (speeds) and c1, c1', c2, c2' at nodes (planes). With
     u_j = c2_j e^{2 pi i j c} and w_j = u_j e^{2 pi i j k sigma},
     c2(t2) = const_b + sum_j Re(w_j e^{2 pi i j delta}), so a matrix maps
     sigma's basis (_expand) to rows in delta's: mix to D's
     [-Re w_j; Im w_j; c1 - const_b], lift to c2's [Re w_j; -Im w_j; const_b]
-    and c2''s 2 pi j [-Im w_j; -Re w_j; 0] (cos -> 1 at k = 0)."""
+    and c2''s 2 pi j [-Im w_j; -Re w_j; 0] (cos -> 1 at k = 0), then c1's
+    [cos_rows; sin_rows; const_a] and c1''s 2 pi j [sin_rows; -cos_rows; 0]."""
 
     def __init__(self, k, c, harmonics_a, harmonics_b, const_a, const_b):
         self.k, self.c = int(k), float(c)
@@ -332,10 +334,16 @@ class Shear:
             [a.real, -a.imag, np.subtract(const_a, const_b)[:, None]], axis=1)
         last[1, :, 0, -1] = const_b
         rate = self.freq[:, None]
-        self.mix, self.lift = (np.concatenate(r, axis=-2).reshape(-1, n)
-                               for r in ([-re, im, last[0]], [
-                                   np.stack([re, -rate * im]),
-                                   np.stack([-im, -rate * re]), last[1:]]))
+        self.mix, lift = (np.concatenate(r, axis=-2).reshape(-1, n)
+                          for r in ([-re, im, last[0]], [
+                              np.stack([re, -rate * im]),
+                              np.stack([-im, -rate * re]), last[1:]]))
+        # then, the last six, c1's rows and c1''s
+        const = np.reshape(const_a, (3, 1))
+        spin = np.append(np.tile(self.freq, 2), 0.0)
+        self.lift = np.concatenate([
+            lift, np.concatenate([a.real, -a.imag, const], axis=1),
+            spin * np.concatenate([-a.imag, -a.real, 0 * const], axis=1)])
         self.curl = float(np.sum(self.freq ** 2 * self.norms[1]))
 
     def t2(self, sigma, delta):
@@ -344,13 +352,12 @@ class Shear:
 
     def _expand(self, matrix, sigma, delta):
         """matrix times the basis [cos_j; sin_j; 1] of 2 pi j sigma
-        (_harmonics), (r, 2J + 1) + sigma.shape, and delta's (P, 2J + 1, m)."""
+        (_harmonics), (r,) + sigma.shape, and delta's (P, 2J + 1, m)."""
         count = len(self.freq)
         cos, sin = (h.reshape(-1, count).T for h in _harmonics(
             TWO_PI * np.concatenate([sigma.ravel(), delta.ravel()]), count))
         basis = np.concatenate([cos, sin, np.ones((1, cos.shape[1]))])
-        rows = (matrix @ basis[:, :sigma.size]).reshape(-1, len(basis),
-                                                       *sigma.shape)
+        rows = (matrix @ basis[:, :sigma.size]).reshape(-1, *sigma.shape)
         delta = basis[:, sigma.size:].reshape(len(basis), *delta.shape)
         return rows, delta.transpose(1, 0, 2)
 
@@ -359,20 +366,25 @@ class Shear:
         samples[0] (sigma) and samples[1] (delta), (2, P, m): (3, P, m, m),
         sigma along the third axis."""
         rows, delta = self._expand(self.mix, *samples)
+        rows = rows.reshape(3, -1, *rows.shape[1:])
         return np.matmul(rows.transpose(0, 2, 3, 1), delta)
 
-    def second(self, nodes):
-        """c2 and c2' at t2 of every node pair of each rule in nodes, a list
-        of (sigma, delta) node arrays (P, n), (P, m): per rule, coordinate
-        planes (2, P, 3, n, m), positions then velocities: one product
-        (lift) for all, and one stacked product per rule."""
+    def planes(self, nodes):
+        """c1, c1' at sigma and c2, c2' at t2 of every node pair of each
+        rule in nodes, a list of (sigma, delta) node arrays (P, n), (P, m):
+        per rule, coordinate planes (2, P, 3, n) and (2, P, 3, n, m),
+        positions then velocities: one product (lift) for all, and one
+        stacked product per rule for c2."""
         rows, delta = self._expand(self.lift, *(
             np.concatenate(x, axis=1) for x in zip(*nodes)))
-        rows = rows.reshape(2, 3, *rows.shape[1:]).transpose(0, 3, 1, 4, 2)
+        first = rows[-6:].reshape(2, 3, *rows.shape[1:]).transpose(0, 2, 1, 3)
+        rows = rows[:-6].reshape(2, 3, delta.shape[1], *rows.shape[1:])
+        rows = rows.transpose(0, 3, 1, 4, 2)
         cuts = np.cumsum([(0, 0)] + [(s.shape[1], d.shape[1])
                                      for s, d in nodes], axis=0)
-        return [np.matmul(rows[..., a:b, :], delta[:, None, :, c:d],
-                          order="C")
+        return [(np.ascontiguousarray(first[..., a:b]),
+                 np.matmul(rows[..., a:b, :], delta[:, None, :, c:d],
+                           order="C"))
                 for (a, c), (b, d) in zip(cuts[:-1], cuts[1:])]
 
     def speeds(self, lo, hi):
@@ -444,42 +456,6 @@ def _identity(params):
     return (params,)
 
 
-class Side:
-    """A curve side with a positions-only path. Called on a parameter
-    array, it gives the arrays the integrand receives, curve positions
-    first; positions(params) gives those positions alone, with the same
-    bits, and is what the proximity and split-axis samples read. A side
-    given as a plain callable has its positions read off its first
-    array. A pair run's side b maps t2 (P, n, m) and c2, c2' there as
-    planes (P, 3, n, m) to its arrays (planes)."""
-
-    def __init__(self, arrays, positions, planes=None):
-        self.arrays = arrays
-        self.positions = positions
-        self.planes = planes
-
-    def __call__(self, params):
-        return self.arrays(params)
-
-
-def _positions_of(side):
-    if isinstance(side, Side):
-        return side.positions
-    return lambda params: side(params)[0]
-
-
-def _distinct(rows):
-    """The first index of each distinct row of a (P, c) float array, and
-    for each row the position of its distinct row among them: rows[first]
-    [inverse] is rows. Rows are compared bit for bit, as one c * 8-byte
-    string each."""
-    keys = np.ascontiguousarray(rows).view(
-        np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    return first, inverse
-
-
 def _mesh(rows):
     """Per-panel ij meshgrid of a domain's one or two axes: node arrays
     (P, n) -> arrays (P, n**k), the first axis varying slowest."""
@@ -518,16 +494,16 @@ class _Engine:
     panels, halving the unresolved ones short of max_depth, until none is
     left to halve (_unresolved). It then integrates the pending panels a
     chunk of self.chunk whole panels at a time: each side once, on the
-    nodes of both rules of each distinct side cell of the chunk
-    (_side_rules, _pair_rules), and the integrand once per rule. The
-    samples of a check pass or a spatial halving take one call per side,
-    of its positions only, and a pass's distances one stacked min_dist call
-    (a pair run: one Shear.difference call). Errors, radii and flags are
-    array operations. A run with a whole domain (Plane, RealLine) halves a
-    panel refined by error along the axis _probe_axes picks and every
-    other panel along its longest chart axis, and compares its proximity
-    samples in the bounded image of _compress. seconds accumulates the wall
-    time of each phase."""
+    nodes of both rules of every panel of the chunk (_side_rules; a pair
+    run: one Shear.planes call for both sides, _pair_rules), and the
+    integrand once per rule. The samples of a check pass or a spatial
+    halving take one call per side, whose positions they read, and a
+    pass's distances one stacked min_dist call (a pair run: one
+    Shear.difference call). Errors, radii and flags are array operations.
+    A run with a whole domain (Plane, RealLine) halves a panel refined by
+    error along the axis _probe_axes picks and every other panel along its
+    longest chart axis, and compares its proximity samples in the bounded
+    image of _compress. seconds accumulates the wall time of each phase."""
 
     def __init__(self, integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
                  shear=None):
@@ -535,14 +511,14 @@ class _Engine:
         self.cfg = cfg
         self.doms = (dom_a,) if dom_b is None else (dom_a, dom_b)
         self.sides = (side_a or _identity, side_b or _identity)
-        self.positions = tuple(map(_positions_of, self.sides))
         # the curve distance rules need a curve on both sides
         self.curves = dom_b is not None and None not in (side_a, side_b)
         self.shear = shear
         if shear is not None:
             self.radii = ("difference",)
             # side b's node pairs, n^2 + (2n)^2, 3 times over: a Gauss chunk
-            # peaks near 140 bytes a pair (tracemalloc), 3 MB at order 8
+            # peaks at 131-139 bytes a pair (tracemalloc, 8 to 102 panels),
+            # 2.8 MB at order 8
             pairs = 3 * 5 * cfg.panel_order ** 2
         else:
             self.radii = ("sampled", "sampled") if self.curves else ()
@@ -582,8 +558,8 @@ class _Engine:
 
     def _points(self, s, params):
         """Real point rows, params.shape + (dim,): the positions of side s,
-        realified."""
-        first = np.asarray(self.positions[s](params.ravel()))
+        its first array, realified."""
+        first = np.asarray(self.sides[s](params.ravel())[0])
         return realify(first.reshape(params.shape + (-1,)))
 
     def _rule(self, s, lo, hi, order):
@@ -600,43 +576,37 @@ class _Engine:
 
     def _side_rules(self, s, lo, hi):
         """Side s under both rules on each panel, from one call of the side
-        on the nodes of both: per rule (panel_order, then 2 panel_order),
-        the chart parameters and jacobian-folded weights, both (P, n**k),
-        and the side's arrays (P, n**k, ...). Each distinct side cell is
-        evaluated once, pointwise, so each panel gets the bits of an
-        evaluation on its own. Side b of a pair run: _pair_rules."""
-        if s and self.shear is not None:
-            return self._pair_rules(lo, hi)
+        on the nodes of both, every panel's own in panel order: per rule
+        (panel_order, then 2 panel_order), the chart parameters and
+        jacobian-folded weights, both (P, n**k), and the side's arrays
+        (P, n**k, ...)."""
         lo, hi = lo[:, self.axes[s]], hi[:, self.axes[s]]
-        inverse = None
-        if len(self.doms) > 1:
-            first, inverse = _distinct(np.concatenate([lo, hi], axis=1))
-            lo, hi = lo[first], hi[first]
         order = self.cfg.panel_order
         rules = [self._rule(s, lo, hi, n) for n in (order, 2 * order)]
         arrays = self._eval_side(s, np.concatenate([p for p, _ in rules],
                                                    axis=1))
         cut = rules[0][0].shape[1]
-        out = []
-        for rule, part in zip(rules, (slice(None, cut), slice(cut, None))):
-            blk = [*rule, *(a[:, part] for a in arrays)]
-            out.append([np.ascontiguousarray(x) if inverse is None
-                        else x[inverse] for x in blk])
-        return out
+        return [[*rule, *(np.ascontiguousarray(a[:, part]) for a in arrays)]
+                for rule, part in zip(rules, (slice(None, cut),
+                                              slice(cut, None)))]
 
     def _pair_rules(self, lo, hi):
-        """Side b of a pair run under both rules: per rule, t2 at each node
-        pair (P, n, n), the delta weights (P, n) and the side's planes of
-        c2, c2' there (one Shear.second call, no curve evaluated)."""
+        """Both sides of a pair run under both rules: per rule, sigma (P, n)
+        and t2 at each node pair (P, n, n), each with its weights (P, n)
+        and the side's arrays, mapped from Shear.planes (one call, no curve
+        evaluated)."""
         order = self.cfg.panel_order
         rules = [[self._rule(s, lo[:, s:s + 1], hi[:, s:s + 1], n)
                   for s in (0, 1)] for n in (order, 2 * order)]
-        planes = self.shear.second([(sigma, delta)
+        planes = self.shear.planes([(sigma, delta)
                                     for (sigma, _), (delta, _) in rules])
         out = []
-        for ((sigma, _), (delta, weights)), (pts, vel) in zip(rules, planes):
+        for ((sigma, wa), (delta, wb)), (first, second) in zip(rules, planes):
             t2 = self.shear.t2(sigma[:, :, None], delta[:, None, :])
-            out.append([t2, weights, *self.sides[1].planes(t2, pts, vel)])
+            # side b first: its finer rule's arrays are the chunk's heap
+            # peak, which side a's, made after, then do not raise
+            b = [t2, wb, *self.sides[1](*second)]
+            out.append([[sigma, wa, *self.sides[0](*first)], b])
         return out
 
     def _values(self, blocks, lo, hi):
@@ -765,13 +735,12 @@ class _Engine:
         most the sum of the pieces' covering radii, half their samples'
         largest gaps (_sample_pieces), a close approach narrower than the
         node spacing can hide between all nodes. Each side is sampled, and
-        its radii found, row by row once per distinct side cell, so each
-        panel gets the bits of a sampling of its own; a sampled approach
-        below _MIN_DIST raises CurvesTooClose. In a run with a whole domain
-        the samples stop at each chart's reach and are compared compressed
-        (_compress); the guard reads the true distances of the panels whose
-        compressed ones are below _MIN_DIST, all that can be, as _compress
-        is 1-Lipschitz."""
+        its radii found, on every panel's own grid, from one call of the
+        side; a sampled approach below _MIN_DIST raises CurvesTooClose. In
+        a run with a whole domain the samples stop at each chart's reach
+        and are compared compressed (_compress); the guard reads the true
+        distances of the panels whose compressed ones are below _MIN_DIST,
+        all that can be, as _compress is 1-Lipschitz."""
         if self.shear is not None:
             return self._pair_unresolved(lo, hi)
         m = self.cfg.panel_order + 1
@@ -779,22 +748,19 @@ class _Engine:
             lo, hi = (np.clip(x, *self.reach) for x in (lo, hi))
         pieces, points = [], []
         for s, ax in enumerate(self.axes):
-            first, inverse = _distinct(np.concatenate([lo[:, ax], hi[:, ax]],
-                                                      axis=1))
-            grid = [np.linspace(lo[first, a], hi[first, a], m, axis=-1)
+            grid = [np.linspace(lo[:, a], hi[:, a], m, axis=-1)
                     for a in range(ax.start, ax.stop)]
             params, _ = self.doms[s].chart(tuple(_mesh(grid)))
             pts = self._points(s, params)
-            pts_c, cover = self._sample_pieces(self._compress(pts), m,
-                                               len(grid))
-            pieces.append((pts_c[inverse], cover[inverse]))
-            points.append((pts, inverse))
+            pieces.append(self._sample_pieces(self._compress(pts), m,
+                                              len(grid)))
+            points.append(pts)
         (pts_a, cover_a), (pts_b, cover_b) = pieces
         dists = _kernels.min_dist(pts_a, pts_b)
         true = dists
         if self.whole:
             near = dists < _MIN_DIST
-            true = _kernels.min_dist(*(p[inv[near]] for p, inv in points))
+            true = _kernels.min_dist(*(p[near] for p in points))
         _guard(true)
         return dists <= cover_a + cover_b, None
 
@@ -878,8 +844,9 @@ class _Engine:
             bounds = pending.bounds[start:start + self.chunk]
             lo, hi = bounds[..., 0], bounds[..., 1]
             with self._timed("sides"):
-                rules = list(zip(*(self._side_rules(s, lo, hi)
-                                   for s in range(len(self.doms)))))
+                rules = (self._pair_rules(lo, hi) if self.shear is not None
+                         else list(zip(*(self._side_rules(s, lo, hi)
+                                         for s in range(len(self.doms))))))
             with self._timed("rules"):
                 parts.append([self._values(blocks, lo, hi)
                               for blocks in rules])
@@ -1029,17 +996,18 @@ def _panel_sums(f, args, count):
 def _check_batch(f, side_a, side_b=None, shear=None):
     """Raise TypeError unless f maps a one-panel round, unit weights and
     side_a's arrays at 2 parameters (with side_b, both sides', side_b's at
-    3, or at 2 x 3 node pairs of shear) to its weighted sum, a (1,) array.
-    Calls f once; only the shape is checked, so an overflow is ignored."""
+    3, or with shear at 2 sigma nodes and 2 x 3 node pairs) to its
+    weighted sum, a (1,) array. Calls f once; only the shape is checked,
+    so an overflow is ignored."""
     a, b = np.array([[0.123, 0.456]]), np.array([[0.234, 0.567, 0.891]])
-    args = [np.ones(a.shape), *(np.asarray(x)[None] for x in side_a(a[0]))]
     if shear is not None:
-        pts, vel = shear.second([(a, b)])[0]
-        args += [np.ones(b.shape), *side_b.planes(
-            shear.t2(a[..., None], b[:, None]), pts, vel)]
-    elif side_b is not None:
-        args += [np.ones(b.shape),
-                 *(np.asarray(x)[None] for x in side_b(b[0]))]
+        first, second = shear.planes([(a, b)])[0]
+        args = [np.ones(a.shape), *side_a(*first),
+                np.ones(b.shape), *side_b(*second)]
+    else:
+        args = [x for t, side in ((a, side_a), (b, side_b)) if side
+                for x in (np.ones(t.shape),
+                          *(np.asarray(y)[None] for y in side(t[0])))]
     with np.errstate(over="ignore", invalid="ignore"):
         _panel_sums(f, args, 1)
 
@@ -1076,10 +1044,10 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     """Integrate the integrand over dom_a x dom_b.
 
     A side maps a parameter array to a tuple of arrays, curve positions
-    first (default: the parameters alone, with no curve); a Side also
-    gives the positions alone, for the engine's samples. The integrand is
-    called once per rule per chunk of a round as f(wa, *side_a_arrays, wb,
-    *side_b_arrays), stacked over the chunk's P panels: wa (P, na) and wb
+    first (default: the parameters alone, with no curve), whose positions
+    the engine's samples read. The integrand is called once per rule per
+    chunk of a round as f(wa, *side_a_arrays, wb, *side_b_arrays),
+    stacked over the chunk's P panels: wa (P, na) and wb
     (P, nb) are the jacobian-folded weights and each array is (P, na, ...)
     or (P, nb, ...). It returns the (P,) weighted panel sums, each panel's
     wa @ K @ wb of its pair values K, which it need not form; anything but
@@ -1090,9 +1058,9 @@ def integrate_product(integrand, dom_a, dom_b, cfg, side_a=None, side_b=None,
     until the samples resolve the gap; those samples raise CurvesTooClose
     where the curves come within 1e-6. Plane and RealLine are integrated
     whole. A Shear, with closed curve sides on dom_a = [0, 1] and a period
-    dom_b of delta, makes this a pair run: side b, a Side with planes,
-    gives arrays (P, na, nb, ...) at t2 = k sigma + c + delta of each node
-    pair, and wb the delta weights.
+    dom_b of delta, makes this a pair run: its sides map Shear.planes to
+    arrays (P, na, ...) and (P, na, nb, ...) at t2 = k sigma + c + delta
+    of each node pair, and wb the delta weights.
     """
     _check_batch(integrand, side_a or _identity, side_b or _identity, shear)
     return _Engine(integrand, dom_a, dom_b, cfg, side_a, side_b, shear).run()
@@ -1110,9 +1078,10 @@ def integrate_pv(integrand, dom_a, dom_b, punctures, cfg, side_a=None,
     puncture p is integrated as Plane(p), the chart centred on p, whose
     jacobian cancels the pole. One engine run covers the product. Raises
     PVNotConverging for a puncture on an Interval or a Rect and for more
-    than one puncture on one plane. The integrand is trusted to have at most simple poles there: the
-    caller decides each pole's order from its own data (for a rational
-    form, holo_linking_integral reads it off the polynomials).
+    than one puncture on one plane. The integrand is trusted to have at
+    most simple poles there: the caller decides each pole's order from its
+    own data (for a rational form, holo_linking_integral reads it off the
+    polynomials).
     """
     doms = []
     for dom, punct in zip((dom_a, dom_b), punctures):

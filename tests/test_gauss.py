@@ -259,9 +259,10 @@ def test_the_difference_field_matches_pointwise_evaluation(k):
 
 @pytest.mark.parametrize("k", [-1, 0, 1])
 def test_the_separable_second_side_matches_pointwise_evaluation(k):
-    # random torus pairs and panels: side b of a pair run, read off the
-    # Fourier rows under both rules, gives the positions, velocities and
-    # Plucker rows of eval_batch and plucker_rows at the same t2
+    # random torus pairs and panels: both sides of a pair run, read off the
+    # Fourier rows under both rules, give the positions, velocities and
+    # Plucker rows of eval_batch and plucker_rows, side a at the sigma
+    # nodes and side b at t2 of every node pair
     rng = np.random.default_rng(80 + k)
     cfg = hl.QuadConfig()
     for _ in range(6):
@@ -269,20 +270,25 @@ def test_the_separable_second_side_matches_pointwise_evaluation(k):
         origin = rng.normal(size=3)
         engine = quadrature._Engine(
             None, quadrature.Interval(0.0, 1.0),
-            quadrature.Interval(-0.5, 0.5), cfg, shear=shear,
-            side_b=gauss._plucker_side(c2, origin, False))
+            quadrature.Interval(-0.5, 0.5), cfg,
+            *(gauss._plucker_side(origin, first) for first in (True, False)),
+            shear=shear)
         lo, hi = _random_panels(rng, 20)
-        for n, (t2, weights, y, rows_y) in zip(
-                (cfg.panel_order, 2 * cfg.panel_order),
-                engine._pair_rules(lo, hi)):
-            assert t2.shape == (20, n, n) and weights.shape == (20, n)
-            pts, vel = c2.eval_batch(t2)
-            rows = _kernels.plucker_rows(pts, vel, origin, False)
-            for got, want in ((y, pts), (rows_y[..., 3:], vel),
-                              (rows_y, rows)):
-                assert got.shape == want.shape
-                assert (np.abs(got - want).max()
-                        <= 1e-13 * np.abs(want).max())
+        for n, blocks in zip((cfg.panel_order, 2 * cfg.panel_order),
+                             engine._pair_rules(lo, hi)):
+            (sigma, wa, x, rows_x), (t2, wb, y, rows_y) = blocks
+            assert sigma.shape == wa.shape == wb.shape == (20, n)
+            assert t2.shape == (20, n, n)
+            for curve, params, first, got, got_rows in (
+                    (c1, sigma, True, x, rows_x), (c2, t2, False, y, rows_y)):
+                pts, vel = curve.eval_batch(params)
+                rows = _kernels.plucker_rows(pts, vel, origin, first)
+                got_vel = got_rows[..., :3] if first else got_rows[..., 3:]
+                for have, want in ((got, pts), (got_vel, vel),
+                                   (got_rows, rows)):
+                    assert have.shape == want.shape
+                    assert (np.abs(have - want).max()
+                            <= 1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("k", [-1, 0, 1])

@@ -244,21 +244,19 @@ def test_a_pair_run_names_the_first_non_finite_node_pair():
     planted = [(sigma[i], 1 * sigma[i] + 0.25 + delta[j])
                for i, j in ((4, 1), (2, 5))]
 
-    def f(wa, x, t1, wb, y, t2):
-        bad = np.zeros(t2.shape, dtype=bool)
+    def f(wa, x, wb, y):
+        # the node pairs at the planted pairs' positions
+        bad = np.zeros(y.shape[:-1], dtype=bool)
         for a, b in planted:
-            bad |= (t1[..., None] == a) & (t2 == b)
+            bad |= ((np.linalg.norm(x - circle.positions(a), axis=-1)
+                     < 1e-9)[..., None]
+                    & (np.linalg.norm(y - far.positions(b), axis=-1) < 1e-9))
         grid = np.where(bad, np.nan, 1.0)
         return np.matmul(np.matmul(wa[:, None], grid), wb[:, :, None])[:, 0, 0]
 
-    def side(curve):
-        return quadrature.Side(
-            lambda t: (curve.positions(t), t), curve.positions,
-            lambda t, pts, vel: (np.moveaxis(pts, 1, -1), t))
-
     with pytest.raises(hl.NonFiniteIntegrand) as exc:
         integrate_product(f, Interval(0.0, 1.0), Interval(-0.5, 0.5),
-                          hl.QuadConfig(tol=1e-6), side(circle), side(far),
+                          hl.QuadConfig(tol=1e-6), _plane_side, _plane_side,
                           _shear(circle, far, 1, 0.25))
     assert exc.value.param == planted[1]
 
@@ -400,7 +398,9 @@ def test_whole_domain_runs_split_along_the_longest_chart_axis(monkeypatch):
     # no curve is sampled to measure a split axis, so the samples at
     # phi = 0 and phi = 2 pi, which are one point, measure nothing: the
     # only extra curve evaluations are the split probe's, one per side for
-    # each round that refines by error
+    # each round that refines by error, and the proximity samples'. The
+    # engine evaluates its sides whole, so none of them is of positions
+    # alone
     sc = scenes.l0()
     calls, samples = [], []
     raw, raw_positions = hl.ParamCurve.eval_batch, hl.ParamCurve.positions
@@ -418,14 +418,13 @@ def test_whole_domain_runs_split_along_the_longest_chart_axis(monkeypatch):
     res = hl.complex_linking_number(sc.curves["c1"], sc.curves["c2"],
                                     hl.BMContext(), hl.QuadConfig(tol=1e-4))
     assert res.converged
-    # per side: the batch check, one call for both rules of each round and
-    # the split probe of every round but the last
+    # per side: the batch check, one call for both rules of each round,
+    # the split probe of every round but the last and the proximity
+    # samples of each check pass; and the origin, on the first side only
     rounds = len(res.trace.panels_per_round)
     passes = sum(res.trace.checks_per_round)
-    assert len(calls) == 2 + 2 * rounds + 2 * (rounds - 1)
-    # positions only: the origin (first side only) and the proximity
-    # samples of each check pass
-    assert len(samples) == 1 + 2 * passes
+    assert len(calls) == 2 + 2 * rounds + 2 * (rounds - 1) + 1 + 2 * passes
+    assert not samples
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +521,12 @@ def test_chunked_rounds_keep_the_bits_of_one_chunk(monkeypatch, run, budget):
 
 def _closed_side(curve):
     """A positions side of a closed curve."""
-    return quadrature.Side(lambda t: (curve.positions(t),), curve.positions)
+    return lambda t: (curve.positions(t),)
+
+
+def _plane_side(pts, vel):
+    """A positions side of a pair run, from its coordinate planes."""
+    return (np.moveaxis(pts, 1, -1),)
 
 
 def _shear(c1, c2, k=0, c=0.0):
@@ -536,10 +540,11 @@ def _engine(c1, c2, bounded=True, k=0, c=0.0, delta=(0.0, 1.0)):
     delta, a pair run on the chart t2 = k t1 + c + delta, certified by the
     curves' Fourier bounds, when bounded; otherwise a product run over
     [0, 1]^2, whose samples' gaps set its radii."""
-    shear = _shear(c1, c2, k, c) if bounded else None
+    shear, sides = None, map(_closed_side, (c1, c2))
+    if bounded:
+        shear, sides = _shear(c1, c2, k, c), (_plane_side, _plane_side)
     return quadrature._Engine(None, Interval(0.0, 1.0), Interval(*delta),
-                              hl.QuadConfig(), _closed_side(c1),
-                              _closed_side(c2), shear)
+                              hl.QuadConfig(), *sides, shear)
 
 
 def _product_cells(count):
@@ -547,41 +552,6 @@ def _product_cells(count):
     edges = np.linspace(0.0, 1.0, count + 1)
     lo = np.array([(a, b) for a in edges[:-1] for b in edges[:-1]])
     return lo, lo + 1.0 / count
-
-
-@pytest.mark.parametrize("bounded", [True, False])
-@pytest.mark.parametrize("gap", [0.006, 0.04])
-def test_per_cell_proximity_samples_give_the_per_panel_flags(monkeypatch,
-                                                             gap, bounded):
-    # each side is sampled once per distinct side cell (a pair run reads
-    # its difference field per panel); sampling every panel's cells on
-    # their own gives the same flags and split axes
-    engine = _engine(*_torus_pair(gap), bounded)
-    lo, hi = _product_cells(8)
-    flags, axes = engine._unresolved(lo, hi)
-    assert flags.any() and not flags.all()
-    monkeypatch.setattr(quadrature, "_distinct",
-                        lambda rows: (np.arange(len(rows)),) * 2)
-    again, axes_again = engine._unresolved(lo, hi)
-    assert np.array_equal(again, flags)
-    assert (axes is None) == (axes_again is None) == (not bounded)
-    if bounded:
-        assert np.array_equal(axes_again, axes)
-
-
-@pytest.mark.parametrize("bounded", [True, False])
-def test_per_cell_proximity_samples_raise_as_per_panel_ones(monkeypatch,
-                                                            bounded):
-    engine = _engine(*(scenes.close_pair().curves[n] for n in ("c1", "c2")),
-                     bounded)
-    lo, hi = _product_cells(8)
-    with pytest.raises(hl.CurvesTooClose) as cell:
-        engine._unresolved(lo, hi)
-    monkeypatch.setattr(quadrature, "_distinct",
-                        lambda rows: (np.arange(len(rows)),) * 2)
-    with pytest.raises(hl.CurvesTooClose) as panel:
-        engine._unresolved(lo, hi)
-    assert str(cell.value) == str(panel.value)
 
 
 def test_the_certified_radius_flags_an_approach_between_the_samples():
@@ -712,11 +682,11 @@ def test_pair_run_check_passes_evaluate_no_curve(monkeypatch):
     assert evaluated and not any(evaluated)
 
 
-def test_pair_runs_evaluate_no_second_curve(monkeypatch):
-    # a pair run reads side b off the curves' Fourier rows (Shear.second):
-    # once the engine runs, the second curve is never evaluated, and each
-    # kernel call gets a view of the contiguous (3, n, m) planes written
-    # there, with nothing copied on the way
+def test_pair_runs_evaluate_no_curve(monkeypatch):
+    # a pair run reads both sides off the curves' Fourier rows
+    # (Shear.planes): once the engine runs, neither curve is evaluated, and
+    # each kernel call gets views of the contiguous (3, n) and (3, n, m)
+    # planes written there, with nothing copied on the way
     c1, c2 = _torus_pair(0.04)
     running, evaluated, planes, clouds = [False], [], [], []
 
@@ -734,52 +704,62 @@ def test_pair_runs_evaluate_no_second_curve(monkeypatch):
         finally:
             running[0] = False
 
-    def second(self, nodes):
-        out = raw_second(self, nodes)
-        planes.extend(rule[0] for rule in out)
+    def both(self, nodes):
+        out = raw_planes(self, nodes)
+        planes.extend(side[0] for rule in out for side in rule)
         return out
 
     def gauss_grid(x, rows_x, y, rows_y, **kwargs):
-        clouds.append(y)
+        clouds.append((x, y))
         return raw_grid(x, rows_x, y, rows_y, **kwargs)
 
-    raw_run, raw_second = quadrature._Engine.run, quadrature.Shear.second
+    raw_run, raw_planes = quadrature._Engine.run, quadrature.Shear.planes
     raw_grid = _kernels.gauss_grid
     for name in ("eval_batch", "positions"):
         monkeypatch.setattr(hl.ParamCurve, name,
                             counted(getattr(hl.ParamCurve, name)))
     monkeypatch.setattr(quadrature._Engine, "run", run)
-    monkeypatch.setattr(quadrature.Shear, "second", second)
+    monkeypatch.setattr(quadrature.Shear, "planes", both)
     monkeypatch.setattr(_kernels, "gauss_grid", gauss_grid)
     res = hl.gauss_linking(c1, c2, hl.QuadConfig(tol=1e-6))
     assert res.converged and res.trace.chart == "shear"
-    assert id(c1) in evaluated and id(c2) not in evaluated
+    assert id(c1) not in evaluated and id(c2) not in evaluated
     assert len(clouds) == 2 * res.panels_evaluated + 1
-    for y in clouds:
+    for x, y in clouds:
+        assert x.T.flags.c_contiguous
         assert y.transpose(2, 0, 1).flags.c_contiguous
-        assert any(np.shares_memory(y, p) for p in planes)
+        for cloud in (x, y):
+            assert any(np.shares_memory(cloud, p) for p in planes)
 
 
-def test_each_distinct_side_cell_is_evaluated_once_per_round():
+def test_each_side_is_evaluated_once_per_round_on_every_panel(monkeypatch):
     # counting sides on Interval x Interval, with far-apart positions so
-    # that proximity resolves at once: each round calls each side once, on
-    # the n + 2n nodes of each distinct side cell of its panels, and the
-    # integrand sees every panel's rows
+    # that proximity resolves at once: each round's rules call each side
+    # once, on the n + 2n nodes of every panel in panel order, also where
+    # panels share a side cell, and the integrand sees every panel's rows
     cfg = hl.QuadConfig(tol=1e-9)
-    n = cfg.panel_order
-    seen, rules = ([], []), []
+    inside, seen, rules = [False], ([], []), []
 
     def side(s):
         def arrays(t):
-            seen[s].append(np.array(t))
-            return (t,)
-        return quadrature.Side(
-            arrays, lambda t: np.stack([t, 0 * t, 0 * t + 5.0 * s], axis=-1))
+            if inside[0]:
+                seen[s].append(np.array(t))
+            return np.stack([t, 0 * t, 0 * t + 5.0 * s], axis=-1), t
+        return arrays
 
-    def f(wa, a, wb, b):
+    def f(wa, pa, a, wb, pb, b):
         rules.append((a, b))
         return (wa * _peak(a)).sum(axis=1) * (wb * _peak(b)).sum(axis=1)
 
+    def side_rules(self, s, lo, hi):
+        inside[0] = True
+        try:
+            return raw(self, s, lo, hi)
+        finally:
+            inside[0] = False
+
+    raw = quadrature._Engine._side_rules
+    monkeypatch.setattr(quadrature._Engine, "_side_rules", side_rules)
     res = integrate_product(f, Interval(0.0, 1.0), Interval(0.0, 1.0), cfg,
                             side(0), side(1))
     assert res.converged
@@ -787,17 +767,13 @@ def test_each_distinct_side_cell_is_evaluated_once_per_round():
     assert len(rules) == 1 + 2 * rounds      # the batch check, two rules
     shared = False
     for s in (0, 1):
-        assert len(seen[s]) == 1 + rounds    # the batch check, one per round
-        for r, params in enumerate(seen[s][1:]):
-            cells = params.reshape(-1, 3 * n)
+        assert len(seen[s]) == rounds
+        for r, params in enumerate(seen[s]):
             coarse, fine = (rules[1 + 2 * r + i][s] for i in (0, 1))
-            distinct = np.unique(coarse, axis=0)
             assert len(coarse) == res.trace.panels_per_round[r]
-            assert len(cells) == len(distinct)
-            assert np.array_equal(np.unique(cells[:, :n], axis=0), distinct)
-            assert np.array_equal(np.unique(cells[:, n:], axis=0),
-                                  np.unique(fine, axis=0))
-            shared = shared or len(cells) < len(coarse)
+            assert np.array_equal(
+                params, np.concatenate([coarse, fine], axis=1).ravel())
+            shared = shared or len(np.unique(coarse, axis=0)) < len(coarse)
     assert shared
 
 
@@ -833,7 +809,7 @@ def test_proximity_distances_are_per_round_not_per_panel(monkeypatch):
 # every tolerance check. Another BLAS may round the kernels' matrix
 # products differently; the values are then re-recorded, not loosened.
 @pytest.mark.parametrize("run, value, err, panels", [
-    ("near_torus", 1.0000000000009885 + 0j, 7.317853773977245e-07, 112),
+    ("near_torus", 1.000000000000977 + 0j, 7.317853384664944e-07, 112),
     ("l0", -612.0393714196534 + 0j, 0.0005672996810862085, 52),
     ("pv_lines", 90.09324266303656 + 81.90294947362038j,
      0.010268341479465148, 34),
